@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certificates import Certificate, CheckFailed, residual_from_tensor
+from .certificates import Certificate, CheckFailed, scan
+from .cybe import ad_invariance_cert, cybe_bracket
 from .exact import Mat, Tensor2, Tensor3, flip, tensor2_map, tensor3_map
 from .lie import LieAlgebra, Representation, coadjoint_rep, dual_basis, jacobi_check
 from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
@@ -106,74 +107,52 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
         if not d.is_skew():
             return Certificate(check="coalgebra", ok=False, where=(k,),
                                note="cobracket is not skew")
-    first = None
-    count = 0
-    for k in range(n):
+
+    def co_jacobi(k):
         t = Tensor3((n, n, n))
         for (i, j), c in deltas[k].entries.items():
             for (a, b), c2 in deltas[j].entries.items():
                 t = t + Tensor3((n, n, n), {(i, a, b): c * c2})
         e1 = _eps(t)
-        res = t + e1 + _eps(e1)
-        if not res.is_zero():
-            count += 1
-            if first is None:
-                first = ((k,), res)
-    if first is None:
-        return Certificate.passed("coalgebra")
-    return Certificate.failed("coalgebra", first[0], residual_from_tensor(first[1]), count)
+        return t + e1 + _eps(e1)
+    return scan("coalgebra", (((k,), co_jacobi(k)) for k in range(n)))
 
 
 def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
     """(R⊗R)Δ = (R⊗Id + Id⊗R − R⊗R)ΔR per basis vector."""
     n = len(deltas)
     ident = Mat.identity(n)
-    first = None
-    count = 0
-    for k in range(n):
+
+    def residual(k):
         delta_rk = delta_vec(deltas, R.col(k))
-        lhs = tensor2_map(R, R, deltas[k])
         rhs = (
             tensor2_map(R, ident, delta_rk)
             + tensor2_map(ident, R, delta_rk)
             - tensor2_map(R, R, delta_rk)
         )
-        res = lhs - rhs
-        if not res.is_zero():
-            count += 1
-            if first is None:
-                first = ((k,), res)
-    if first is None:
-        return Certificate.passed("reynolds-coalgebra")
-    return Certificate.failed("reynolds-coalgebra", first[0],
-                              residual_from_tensor(first[1]), count)
+        return tensor2_map(R, R, deltas[k]) - rhs
+    return scan("reynolds-coalgebra", (((k,), residual(k)) for k in range(n)))
 
 
 def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
     """Δ[x,y] = (ad_x⊗Id+Id⊗ad_x)Δy − (ad_y⊗Id+Id⊗ad_y)Δx over basis pairs."""
     n = g.dim
     ident = Mat.identity(n)
-    first = None
-    count = 0
-    for i in range(n):
-        ad_i = g.ad(i)
-        for j in range(i + 1, n):
-            ad_j = g.ad(j)
-            lhs = delta_vec(deltas, g.bracket_basis(i, j))
-            rhs = (
-                tensor2_map(ad_i, ident, deltas[j])
-                + tensor2_map(ident, ad_i, deltas[j])
-                - tensor2_map(ad_j, ident, deltas[i])
-                - tensor2_map(ident, ad_j, deltas[i])
-            )
-            res = lhs - rhs
-            if not res.is_zero():
-                count += 1
-                if first is None:
-                    first = ((i, j), res)
-    if first is None:
-        return Certificate.passed("cocycle")
-    return Certificate.failed("cocycle", first[0], residual_from_tensor(first[1]), count)
+
+    def cases():
+        for i in range(n):
+            ad_i = g.ad(i)
+            for j in range(i + 1, n):
+                ad_j = g.ad(j)
+                lhs = delta_vec(deltas, g.bracket_basis(i, j))
+                rhs = (
+                    tensor2_map(ad_i, ident, deltas[j])
+                    + tensor2_map(ident, ad_i, deltas[j])
+                    - tensor2_map(ad_j, ident, deltas[i])
+                    - tensor2_map(ident, ad_j, deltas[i])
+                )
+                yield (i, j), lhs - rhs
+    return scan("cocycle", cases())
 
 
 def is_lie_bialgebra(g: LieAlgebra, dual: LieAlgebra) -> Certificate:
@@ -276,45 +255,18 @@ def coboundary_cobracket(g: LieAlgebra, r: Tensor2) -> list[Tensor2]:
 
 def coboundary_conditions(g: LieAlgebra, r: Tensor2) -> Certificate:
     """Invariance of r+σ(r) and ad-invariance of [[r,r]], per basis vector."""
-    from .cybe import cybe_bracket
-
-    n = g.dim
-    ident = Mat.identity(n)
-    sym = r + flip(r)
-    first = None
-    count = 0
-    for k in range(n):
-        ad_k = g.ad(k)
-        res = tensor2_map(ad_k, ident, sym) + tensor2_map(ident, ad_k, sym)
-        if not res.is_zero():
-            count += 1
-            if first is None:
-                first = ((k,), res)
-    if first is None:
-        inv = Certificate.passed("symmetric-part-invariance")
-    else:
-        inv = Certificate.failed("symmetric-part-invariance", first[0],
-                                 residual_from_tensor(first[1]), count)
-
+    ident = Mat.identity(g.dim)
+    inv = ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance")
     rr = cybe_bracket(g, r)
-    first = None
-    count = 0
-    for k in range(n):
-        ad_k = g.ad(k)
-        res = (
+
+    def cybe_residual(ad_k):
+        return (
             tensor3_map(ad_k, ident, ident, rr)
             + tensor3_map(ident, ad_k, ident, rr)
             + tensor3_map(ident, ident, ad_k, rr)
         )
-        if not res.is_zero():
-            count += 1
-            if first is None:
-                first = ((k,), res)
-    if first is None:
-        cy = Certificate.passed("cybe-bracket-invariance")
-    else:
-        cy = Certificate.failed("cybe-bracket-invariance", first[0],
-                                residual_from_tensor(first[1]), count)
+    cy = scan("cybe-bracket-invariance",
+              (((k,), cybe_residual(g.ad(k))) for k in range(g.dim)))
     return Certificate.combine("coboundary-conditions", [inv, cy])
 
 
@@ -327,12 +279,11 @@ def reynolds_coboundary_condition(g: LieAlgebra, R: Mat, r: Tensor2) -> Certific
     n = g.dim
     ident = Mat.identity(n)
     s = tensor2_map(R, ident, r) + tensor2_map(ident, R, r)
-    first = None
-    count = 0
-    for k in range(n):
+
+    def residual(k):
         ad_rk = g.ad_vec(R.col(k))
         ad_k = g.ad(k)
-        res = (
+        return (
             tensor2_map(ad_rk, ident, s)
             + tensor2_map(ident, ad_rk, s)
             + tensor2_map(R @ ad_rk, ident, s)
@@ -340,11 +291,4 @@ def reynolds_coboundary_condition(g: LieAlgebra, R: Mat, r: Tensor2) -> Certific
             - tensor2_map(R @ ad_k, ident, s)
             - tensor2_map(ident, R @ ad_k, s)
         )
-        if not res.is_zero():
-            count += 1
-            if first is None:
-                first = ((k,), res)
-    if first is None:
-        return Certificate.passed("reynolds-coboundary")
-    return Certificate.failed("reynolds-coboundary", first[0],
-                              residual_from_tensor(first[1]), count)
+    return scan("reynolds-coboundary", (((k,), residual(k)) for k in range(n)))

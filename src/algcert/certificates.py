@@ -1,17 +1,19 @@
 """Check verdicts: pass, or the first violating basis tuple with its exact residual.
 
-Every exhaustive check walks basis tuples in lexicographic order, so the
-reported violation is deterministically the lexicographically first one;
-`violations` counts all of them.  Composite checks carry their stages in
-`parts` and fail if any stage fails.
+Every exhaustive stage is decided by `scan`, which walks the stage's basis
+tuples in lexicographic order, so the reported violation is
+deterministically the lexicographically first one; `violations` counts all
+of them.  Composite checks carry their stages in `parts` and fail if any
+stage fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Any, Iterable
 
-from .exact import rat_str
+from .exact import Mat, rat_str, vis_zero
 
 # a residual is a sparse exact vector/tensor: ((index tuple, value), ...)
 Residual = tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -137,3 +139,49 @@ def residual_from_mat(m) -> Residual:
 
 def residual_from_tensor(t) -> Residual:
     return tuple((idx, c) for idx, c in t.items())
+
+
+def scan(check: str, cases: Iterable[tuple[tuple[int, ...], Any]]) -> Certificate:
+    """Decide one exhaustive stage from its per-tuple residuals.
+
+    `cases` yields ``(where, value)`` for every basis tuple of the stage, in
+    the stage's lexicographic order.  `value` is the identity's residual at
+    that tuple: an exact scalar, a coordinate vector, a `Mat` or a sparse
+    tensor; `None` marks a tuple the identity cannot be evaluated on, which
+    is counted in `skipped`.  The stage passes when every value is zero.
+    Otherwise `where` is the first tuple with a nonzero value, `residual`
+    is that value in sparse form (a scalar becomes the single entry
+    ``(where, value)``), and `violations` counts the nonzero values.  Only
+    the first violation is converted to a residual.
+    """
+    first = None
+    count = skipped = 0
+    for where, value in cases:
+        if value is None:
+            skipped += 1
+        elif not _is_zero(value):
+            count += 1
+            if first is None:
+                first = (where, value)
+    if first is None:
+        return Certificate.passed(check, skipped=skipped)
+    where, value = first
+    return Certificate.failed(check, where, _residual(where, value), count, skipped=skipped)
+
+
+def _is_zero(value) -> bool:
+    if isinstance(value, Fraction):
+        return value == 0
+    if isinstance(value, tuple):
+        return vis_zero(value)
+    return value.is_zero()
+
+
+def _residual(where: tuple[int, ...], value) -> Residual:
+    if isinstance(value, Fraction):
+        return ((where, value),)
+    if isinstance(value, tuple):
+        return residual_from_vec(value)
+    if isinstance(value, Mat):
+        return residual_from_mat(value)
+    return residual_from_tensor(value)

@@ -8,16 +8,16 @@ such solutions inside semidirect product Reynolds Lie algebras.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .certificates import (
     Certificate,
     CheckFailed,
     residual_from_mat,
     residual_from_tensor,
-    residual_from_vec,
+    scan,
 )
-from .exact import Mat, Tensor2, Tensor3, Vec, flip, tensor2_map, vbasis, vis_zero, vsub
+from .exact import Mat, Tensor2, Tensor3, Vec, flip, tensor2_map, vbasis, vsub
 from .lie import LieAlgebra, Representation, default_basis, dual_rep, semidirect
 from .matched import MatchedPair, ReynoldsMatchedPair
 from .reynolds import (
@@ -54,18 +54,10 @@ def cybe_bracket(g: LieAlgebra, r: Tensor2) -> Tensor3:
 def ad_invariance_cert(g: LieAlgebra, t: Tensor2, name: str = "ad-invariance") -> Certificate:
     """(ad_x⊗Id + Id⊗ad_x)(t) = 0 for every basis x."""
     ident = Mat.identity(g.dim)
-    first = None
-    count = 0
-    for k in range(g.dim):
-        ad_k = g.ad(k)
-        res = tensor2_map(ad_k, ident, t) + tensor2_map(ident, ad_k, t)
-        if not res.is_zero():
-            count += 1
-            if first is None:
-                first = ((k,), res)
-    if first is None:
-        return Certificate.passed(name)
-    return Certificate.failed(name, first[0], residual_from_tensor(first[1]), count)
+
+    def residual(ad_k):
+        return tensor2_map(ad_k, ident, t) + tensor2_map(ident, ad_k, t)
+    return scan(name, (((k,), residual(g.ad(k))) for k in range(g.dim)))
 
 
 def is_cybe_solution(g: LieAlgebra, r: Tensor2) -> Certificate:
@@ -137,23 +129,13 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
     rep = rel.rr.rep
     K = rel.K
     m = rep.module_dim
-    first = None
-    count = 0
-    for a, b in combinations(range(m), 2):
-        u, v = vbasis(m, a), vbasis(m, b)
+
+    def residual(u, v):
         ku, kv = K.apply(u), K.apply(v)
-        lhs = L.bracket(ku, kv)
         rhs = K.apply(vsub(rep.rho_vec(ku).apply(v), rep.rho_vec(kv).apply(u)))
-        res = vsub(lhs, rhs)
-        if not vis_zero(res):
-            count += 1
-            if first is None:
-                first = ((a, b), res)
-    if first is None:
-        op_cert = Certificate.passed("operator-identity")
-    else:
-        op_cert = Certificate.failed("operator-identity", first[0],
-                                     residual_from_vec(first[1]), count)
+        return vsub(L.bracket(ku, kv), rhs)
+    op_cert = scan("operator-identity", (((a, b), residual(vbasis(m, a), vbasis(m, b)))
+                                         for a, b in combinations(range(m), 2)))
     diff = rel.rr.base.R @ K - K @ rel.rr.T
     if diff.is_zero():
         compat = Certificate.passed("rk-equals-kt")
@@ -281,22 +263,14 @@ class PreLieAlgebra:
 def is_prelie(A: PreLieAlgebra) -> Certificate:
     """Left-symmetry of the associator over all basis triples."""
     n = A.dim
-    first = None
-    count = 0
     basis = [vbasis(n, i) for i in range(n)]
-    for i, j in combinations(range(n), 2):
-        for k in range(n):
-            x, y, z = basis[i], basis[j], basis[k]
-            lhs = vsub(A.prod_vec(A.prod_vec(x, y), z), A.prod_vec(x, A.prod_vec(y, z)))
-            rhs = vsub(A.prod_vec(A.prod_vec(y, x), z), A.prod_vec(y, A.prod_vec(x, z)))
-            res = vsub(lhs, rhs)
-            if not vis_zero(res):
-                count += 1
-                if first is None:
-                    first = ((i, j, k), res)
-    if first is None:
-        return Certificate.passed("pre-lie")
-    return Certificate.failed("pre-lie", first[0], residual_from_vec(first[1]), count)
+
+    def residual(x, y, z):
+        lhs = vsub(A.prod_vec(A.prod_vec(x, y), z), A.prod_vec(x, A.prod_vec(y, z)))
+        rhs = vsub(A.prod_vec(A.prod_vec(y, x), z), A.prod_vec(y, A.prod_vec(x, z)))
+        return vsub(lhs, rhs)
+    return scan("pre-lie", (((i, j, k), residual(basis[i], basis[j], basis[k]))
+                            for i, j in combinations(range(n), 2) for k in range(n)))
 
 
 class ReynoldsPreLie:
@@ -321,26 +295,17 @@ def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
     """{Rx,Ry} = R({Rx,y} + {x,Ry} − {Rx,Ry}) over all ordered basis pairs."""
     base = is_prelie(A)
     n = A.dim
-    first = None
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            x, y = vbasis(n, i), vbasis(n, j)
-            rx, ry = R.apply(x), R.apply(y)
-            lhs = A.prod_vec(rx, ry)
-            inner = vsub(
-                tuple(a + b for a, b in zip(A.prod_vec(rx, y), A.prod_vec(x, ry))),
-                A.prod_vec(rx, ry),
-            )
-            res = vsub(lhs, R.apply(inner))
-            if not vis_zero(res):
-                count += 1
-                if first is None:
-                    first = ((i, j), res)
-    if first is None:
-        op = Certificate.passed("reynolds-product")
-    else:
-        op = Certificate.failed("reynolds-product", first[0], residual_from_vec(first[1]), count)
+
+    def residual(x, y):
+        rx, ry = R.apply(x), R.apply(y)
+        lhs = A.prod_vec(rx, ry)
+        inner = vsub(
+            tuple(a + b for a, b in zip(A.prod_vec(rx, y), A.prod_vec(x, ry))),
+            A.prod_vec(rx, ry),
+        )
+        return vsub(lhs, R.apply(inner))
+    op = scan("reynolds-product", (((i, j), residual(vbasis(n, i), vbasis(n, j)))
+                                   for i, j in product(range(n), repeat=2)))
     return Certificate.combine("reynolds-prelie", [base, op])
 
 

@@ -11,6 +11,7 @@ ignore it.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .cybe import PreLieAlgebra, RelativeRB
@@ -28,9 +29,20 @@ class InputError(ValueError):
 
 
 def _need(doc: dict, key: str, context: str):
+    if not isinstance(doc, dict):
+        raise InputError(f"{context}: expected a JSON object, got {doc!r}")
     if key not in doc:
         raise InputError(f"{context}: missing key '{key}'")
     return doc[key]
+
+
+def _index(value, context: str) -> int:
+    """A basis index: a JSON integer, or an integer string (object keys are strings)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise InputError(f"{context}: bad index {value!r}")
 
 
 def _rat(value, context: str) -> Fraction:
@@ -85,8 +97,10 @@ def tensor_to_doc(t: Tensor2) -> dict:
 def doc_to_tensor(doc: dict, dim: int | None = None) -> Tensor2:
     entries = {}
     for cell in _need(doc, "entries", "tensor"):
-        i, j = int(_need(cell, "i", "tensor entry")), int(_need(cell, "j", "tensor entry"))
-        entries[(i, j)] = entries.get((i, j), Fraction(0)) + _rat(_need(cell, "c", "tensor entry"), "tensor entry")
+        key = tuple(_index(_need(cell, k, "tensor entry"), "tensor entry") for k in "ij")
+        if key in entries:
+            raise InputError(f"tensor: duplicate entry {key}")
+        entries[key] = _rat(_need(cell, "c", "tensor entry"), "tensor entry")
     dl = int(doc.get("dim_left", dim if dim is not None else 0))
     dr = int(doc.get("dim_right", dim if dim is not None else 0))
     if dl == 0 and entries:
@@ -112,11 +126,13 @@ def _table_to_json(table) -> list[dict]:
 def _json_to_table(items, context: str):
     table = {}
     for cell in items:
-        i, j = int(_need(cell, "i", context)), int(_need(cell, "j", context))
-        comp = {}
-        for k, c in _need(cell, "out", context).items():
-            comp[int(k)] = _rat(c, context)
-        table[(i, j)] = comp
+        key = tuple(_index(_need(cell, k, context), context) for k in "ij")
+        if key in table:
+            raise InputError(f"{context}: duplicate entry {key}")
+        out = _need(cell, "out", context)
+        if not isinstance(out, dict):
+            raise InputError(f"{context}: 'out' must be an object, got {out!r}")
+        table[key] = {_index(k, context): _rat(c, context) for k, c in out.items()}
     return table
 
 
@@ -412,8 +428,8 @@ def doc_to_manin(doc: dict):
         S = BilinForm(gram)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    part_g = tuple(int(i) for i in _need(doc, "part_g", "manin"))
-    part_h = tuple(int(i) for i in _need(doc, "part_h", "manin"))
+    part_g = tuple(_index(i, "manin part_g") for i in _need(doc, "part_g", "manin"))
+    part_h = tuple(_index(i, "manin part_h") for i in _need(doc, "part_h", "manin"))
     return A.L, A.R, S, part_g, part_h
 
 

@@ -11,9 +11,9 @@ Composite spaces always order blocks first factor then second factor.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from .certificates import Certificate, CheckFailed, residual_from_vec
+from .certificates import Certificate, CheckFailed, scan
 from .exact import (
     Mat,
     Vec,
@@ -21,7 +21,6 @@ from .exact import (
     rat,
     vadd,
     vbasis,
-    vis_zero,
     vzero,
 )
 
@@ -135,21 +134,14 @@ def bracket(L: LieAlgebra, x: Vec, y: Vec) -> Vec:
 
 def jacobi_check(L: LieAlgebra) -> Certificate:
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for all i<j<k."""
-    first = None
-    count = 0
-    for i, j, k in combinations(range(L.dim), 3):
-        ei, ej, ek = vbasis(L.dim, i), vbasis(L.dim, j), vbasis(L.dim, k)
-        res = vadd(
-            vadd(L.bracket(L.bracket(ei, ej), ek), L.bracket(L.bracket(ej, ek), ei)),
-            L.bracket(L.bracket(ek, ei), ej),
-        )
-        if not vis_zero(res):
-            count += 1
-            if first is None:
-                first = ((i, j, k), res)
-    if first is None:
-        return Certificate.passed("jacobi")
-    return Certificate.failed("jacobi", first[0], residual_from_vec(first[1]), count)
+    def cases():
+        for i, j, k in combinations(range(L.dim), 3):
+            ei, ej, ek = vbasis(L.dim, i), vbasis(L.dim, j), vbasis(L.dim, k)
+            yield (i, j, k), vadd(
+                vadd(L.bracket(L.bracket(ei, ej), ek), L.bracket(L.bracket(ej, ek), ei)),
+                L.bracket(L.bracket(ek, ei), ej),
+            )
+    return scan("jacobi", cases())
 
 
 class Representation:
@@ -203,21 +195,10 @@ class Representation:
 def is_representation(rep: Representation) -> Certificate:
     """rho([e_i,e_j]) == rho(e_i)rho(e_j) − rho(e_j)rho(e_i) for all i<j."""
     L = rep.algebra
-    first = None
-    count = 0
-    for i, j in combinations(range(L.dim), 2):
-        lhs = rep.rho_vec(L.bracket_basis(i, j))
-        rhs = rep.rho[i] @ rep.rho[j] - rep.rho[j] @ rep.rho[i]
-        diff = lhs - rhs
-        if not diff.is_zero():
-            count += 1
-            if first is None:
-                first = ((i, j), diff)
-    if first is None:
-        return Certificate.passed("representation")
-    from .certificates import residual_from_mat
-
-    return Certificate.failed("representation", first[0], residual_from_mat(first[1]), count)
+    return scan("representation", (
+        ((i, j), rep.rho_vec(L.bracket_basis(i, j))
+         - (rep.rho[i] @ rep.rho[j] - rep.rho[j] @ rep.rho[i]))
+        for i, j in combinations(range(L.dim), 2)))
 
 
 def adjoint_rep(L: LieAlgebra) -> Representation:
@@ -293,23 +274,11 @@ def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
     """S([e_i,e_j],e_k) + S(e_j,[e_i,e_k]) = 0 over all basis triples."""
     if S.dim != L.dim:
         raise ValueError("form dimension does not match the algebra")
-    first = None
-    count = 0
-    for i in range(L.dim):
-        for j in range(L.dim):
-            for k in range(L.dim):
-                ej = vbasis(L.dim, j)
-                ek = vbasis(L.dim, k)
-                val = _form_eval(S.gram, L.bracket_basis(i, j), ek) + _form_eval(
-                    S.gram, ej, L.bracket_basis(i, k)
-                )
-                if val != 0:
-                    count += 1
-                    if first is None:
-                        first = ((i, j, k), val)
-    if first is None:
-        return Certificate.passed("invariant-form")
-    return Certificate.failed("invariant-form", first[0], (((first[0]), first[1]),), count)
+    n = L.dim
+    return scan("invariant-form", (
+        ((i, j, k), _form_eval(S.gram, L.bracket_basis(i, j), vbasis(n, k))
+         + _form_eval(S.gram, vbasis(n, j), L.bracket_basis(i, k)))
+        for i, j, k in product(range(n), repeat=3)))
 
 
 def is_quadratic(L: LieAlgebra, S: BilinForm) -> Certificate:

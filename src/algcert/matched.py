@@ -10,10 +10,10 @@ checkable.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
-from .certificates import Certificate, CheckFailed, residual_from_vec
-from .exact import Mat, vadd, vbasis, vis_zero, vsub
+from .certificates import Certificate, CheckFailed, scan
+from .exact import ZERO, Mat, vadd, vbasis, vsub
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -70,21 +70,10 @@ class MatchedPair:
         )
 
 
-def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
-                    mu: Representation) -> Certificate:
-    """Representation validity, then both compatibility identities."""
-    rep_g = is_representation(rho)
-    rep_h = is_representation(mu)
-    if not (rep_g.ok and rep_h.ok):
-        return Certificate.combine(
-            "matched-pair",
-            [Certificate.combine("rho-representation", [rep_g]),
-             Certificate.combine("mu-representation", [rep_h])],
-            note="invalid action representation",
-        )
-
-    first1 = first2 = None
-    c1 = c2 = 0
+def _compat_cases(g: LieAlgebra, h: LieAlgebra, rho: Representation,
+                  mu: Representation):
+    """Residuals of rho(x)[a,b] = [rho(x)a,b] + [a,rho(x)b] + rho(mu(b)x)a − rho(mu(a)x)b
+    over basis x of g and a < b of h, in (x, a, b) order."""
     for i in range(g.dim):
         x = vbasis(g.dim, i)
         rho_x = rho.rho[i]
@@ -98,41 +87,28 @@ def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
                     rho.rho_vec(mu.rho[a].apply(x)).apply(eta),
                 ),
             )
-            res = vsub(lhs, rhs)
-            if not vis_zero(res):
-                c1 += 1
-                if first1 is None:
-                    first1 = ((i, a, b), res)
-    for a in range(h.dim):
-        xi = vbasis(h.dim, a)
-        mu_xi = mu.rho[a]
-        for i, j in combinations(range(g.dim), 2):
-            x, y = vbasis(g.dim, i), vbasis(g.dim, j)
-            lhs = mu_xi.apply(g.bracket_basis(i, j))
-            rhs = vadd(
-                vadd(g.bracket(mu_xi.apply(x), y), g.bracket(x, mu_xi.apply(y))),
-                vsub(
-                    mu.rho_vec(rho.rho[j].apply(xi)).apply(x),
-                    mu.rho_vec(rho.rho[i].apply(xi)).apply(y),
-                ),
-            )
-            res = vsub(lhs, rhs)
-            if not vis_zero(res):
-                c2 += 1
-                if first2 is None:
-                    first2 = ((a, i, j), res)
+            yield (i, a, b), vsub(lhs, rhs)
 
-    parts = [Certificate.combine("rho-representation", [rep_g]),
-             Certificate.combine("mu-representation", [rep_h])]
-    if first1 is None:
-        parts.append(Certificate.passed("compat-on-h"))
-    else:
-        parts.append(Certificate.failed("compat-on-h", first1[0], residual_from_vec(first1[1]), c1))
-    if first2 is None:
-        parts.append(Certificate.passed("compat-on-g"))
-    else:
-        parts.append(Certificate.failed("compat-on-g", first2[0], residual_from_vec(first2[1]), c2))
-    return Certificate.combine("matched-pair", parts)
+
+def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
+                    mu: Representation) -> Certificate:
+    """Representation validity, then both compatibility identities."""
+    rep_g = is_representation(rho)
+    rep_h = is_representation(mu)
+    if not (rep_g.ok and rep_h.ok):
+        return Certificate.combine(
+            "matched-pair",
+            [Certificate.combine("rho-representation", [rep_g]),
+             Certificate.combine("mu-representation", [rep_h])],
+            note="invalid action representation",
+        )
+
+    return Certificate.combine("matched-pair", [
+        Certificate.combine("rho-representation", [rep_g]),
+        Certificate.combine("mu-representation", [rep_h]),
+        scan("compat-on-h", _compat_cases(g, h, rho, mu)),
+        scan("compat-on-g", _compat_cases(h, g, mu, rho)),
+    ])
 
 
 def double(mp: MatchedPair) -> LieAlgebra:
@@ -250,44 +226,19 @@ class ManinTripleReynolds:
 
 
 def _closure_cert(L: LieAlgebra, R: Mat, part: tuple[int, ...], name: str) -> Certificate:
+    """Brackets of pairs in `part`, then R of each member, have no component outside it."""
     inside = set(part)
-    first = None
-    count = 0
-    for i in part:
-        for j in part:
-            if i >= j:
-                continue
-            out = L.bracket_basis(i, j)
-            bad = {k: c for k, c in enumerate(out) if c != 0 and k not in inside}
-            if bad:
-                count += 1
-                if first is None:
-                    first = ((i, j), tuple(((k,), c) for k, c in sorted(bad.items())))
-    for i in part:
-        col = R.col(i)
-        bad = {k: c for k, c in enumerate(col) if c != 0 and k not in inside}
-        if bad:
-            count += 1
-            if first is None:
-                first = ((i,), tuple(((k,), c) for k, c in sorted(bad.items())))
-    if first is None:
-        return Certificate.passed(name)
-    return Certificate.failed(name, first[0], first[1], count)
+
+    def outside(v):
+        return tuple(ZERO if k in inside else c for k, c in enumerate(v))
+
+    pairs = (((i, j), outside(L.bracket_basis(i, j))) for i in part for j in part if i < j)
+    images = (((i,), outside(R.col(i))) for i in part)
+    return scan(name, chain(pairs, images))
 
 
 def _isotropy_cert(S: BilinForm, part: tuple[int, ...], name: str) -> Certificate:
-    first = None
-    count = 0
-    for i in part:
-        for j in part:
-            val = S.gram.entries[i][j]
-            if val != 0:
-                count += 1
-                if first is None:
-                    first = ((i, j), (((i, j), val),))
-    if first is None:
-        return Certificate.passed(name)
-    return Certificate.failed(name, first[0], first[1], count)
+    return scan(name, (((i, j), S.gram.entries[i][j]) for i in part for j in part))
 
 
 def is_manin_triple(L: LieAlgebra, R: Mat, S: BilinForm,

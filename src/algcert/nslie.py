@@ -9,10 +9,10 @@ hold.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from .certificates import Certificate, CheckFailed, residual_from_vec
-from .exact import Mat, Vec, ZERO, rat, vadd, vbasis, vis_zero, vsub, vzero
+from .certificates import Certificate, CheckFailed, scan
+from .exact import Mat, Vec, ZERO, rat, vadd, vbasis, vsub, vzero
 from .lie import LieAlgebra, default_basis
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
@@ -121,52 +121,34 @@ class NSLieAlgebra:
 def is_nslie(A: NSLieAlgebra) -> Certificate:
     """Both NS identities over all ordered basis triples."""
     n = A.dim
-    first1 = first2 = None
-    c1 = c2 = 0
     basis = [vbasis(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                r1 = vadd(
-                    vsub(
-                        vsub(
-                            A.left_prod(A.left_prod(x, y), z),
-                            A.left_prod(x, A.left_prod(y, z)),
-                        ),
-                        vsub(
-                            A.left_prod(A.left_prod(y, x), z),
-                            A.left_prod(y, A.left_prod(x, z)),
-                        ),
-                    ),
-                    A.left_prod(A.wedge_prod(x, y), z),
-                )
-                if not vis_zero(r1):
-                    c1 += 1
-                    if first1 is None:
-                        first1 = ((i, j, k), r1)
-                r2 = vzero(n)
-                for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y)):
-                    r2 = vadd(r2, A.wedge_prod(u, A.comm(v, w)))
-                    r2 = vadd(r2, A.left_prod(u, A.wedge_prod(v, w)))
-                if not vis_zero(r2):
-                    c2 += 1
-                    if first2 is None:
-                        first2 = ((i, j, k), r2)
-    parts = []
-    if first1 is None:
-        parts.append(Certificate.passed("ns-identity-1"))
-    else:
-        parts.append(
-            Certificate.failed("ns-identity-1", first1[0], residual_from_vec(first1[1]), c1)
+
+    def identity1(x, y, z):
+        return vadd(
+            vsub(
+                vsub(
+                    A.left_prod(A.left_prod(x, y), z),
+                    A.left_prod(x, A.left_prod(y, z)),
+                ),
+                vsub(
+                    A.left_prod(A.left_prod(y, x), z),
+                    A.left_prod(y, A.left_prod(x, z)),
+                ),
+            ),
+            A.left_prod(A.wedge_prod(x, y), z),
         )
-    if first2 is None:
-        parts.append(Certificate.passed("ns-identity-2"))
-    else:
-        parts.append(
-            Certificate.failed("ns-identity-2", first2[0], residual_from_vec(first2[1]), c2)
-        )
-    return Certificate.combine("nslie", parts)
+
+    def identity2(x, y, z):
+        r2 = vzero(n)
+        for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y)):
+            r2 = vadd(r2, A.wedge_prod(u, A.comm(v, w)))
+            r2 = vadd(r2, A.left_prod(u, A.wedge_prod(v, w)))
+        return r2
+
+    triples = list(product(range(n), repeat=3))
+    return Certificate.combine("nslie", [
+        scan(name, ((t, identity(*(basis[k] for k in t))) for t in triples))
+        for name, identity in (("ns-identity-1", identity1), ("ns-identity-2", identity2))])
 
 
 def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
@@ -239,9 +221,9 @@ def is_ns_rep(rep: NSRep) -> Certificate:
     """The three NS-representation identities over all basis pairs."""
     A, md = rep.base, rep.module_dim
     n = A.dim
-    results = {"ns-rep-1": None, "ns-rep-2": None, "ns-rep-3": None}
-    counts = {"ns-rep-1": 0, "ns-rep-2": 0, "ns-rep-3": 0}
     basis = [vbasis(n, i) for i in range(n)]
+    # (i, j) -> the residuals of the three identities, which share the pair's products
+    diffs = {}
     for i in range(n):
         for j in range(n):
             x, y = basis[i], basis[j]
@@ -263,21 +245,10 @@ def is_ns_rep(rep: NSRep) -> Certificate:
                 + vr_y @ vr_x - vr_x @ vr_y + vr_y @ mu_x - mu_x @ vr_y
                 + _lin(rep.varrho, A.comm(x, y), md)
             )
-            for name, diff in (("ns-rep-1", d1), ("ns-rep-2", d2), ("ns-rep-3", d3)):
-                if not diff.is_zero():
-                    counts[name] += 1
-                    if results[name] is None:
-                        results[name] = ((i, j), diff)
-    parts = []
-    from .certificates import residual_from_mat
-
-    for name in ("ns-rep-1", "ns-rep-2", "ns-rep-3"):
-        hit = results[name]
-        if hit is None:
-            parts.append(Certificate.passed(name))
-        else:
-            parts.append(Certificate.failed(name, hit[0], residual_from_mat(hit[1]), counts[name]))
-    return Certificate.combine("ns-rep", parts)
+            diffs[i, j] = (d1, d2, d3)
+    return Certificate.combine("ns-rep", [
+        scan(name, ((ij, d[k]) for ij, d in diffs.items()))
+        for k, name in enumerate(("ns-rep-1", "ns-rep-2", "ns-rep-3"))])
 
 
 def regular_rep(A: NSLieAlgebra) -> NSRep:

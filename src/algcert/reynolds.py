@@ -9,15 +9,10 @@ procedures.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from .certificates import (
-    Certificate,
-    CheckFailed,
-    residual_from_mat,
-    residual_from_vec,
-)
-from .exact import Mat, Vec, rat, vbasis, vis_zero, vsub
+from .certificates import Certificate, CheckFailed, residual_from_mat, scan
+from .exact import Mat, Vec, rat, vbasis, vsub
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -76,17 +71,9 @@ def is_reynolds(L: LieAlgebra, R: Mat) -> Certificate:
     """Exhaustive basis-pair check of the Reynolds identity."""
     if R.rows != L.dim or R.cols != L.dim:
         raise ValueError("operator shape does not match the algebra")
-    first = None
-    count = 0
-    for i, j in combinations(range(L.dim), 2):
-        res = _reynolds_residual(L, R, vbasis(L.dim, i), vbasis(L.dim, j))
-        if not vis_zero(res):
-            count += 1
-            if first is None:
-                first = ((i, j), res)
-    if first is None:
-        return Certificate.passed("reynolds")
-    return Certificate.failed("reynolds", first[0], residual_from_vec(first[1]), count)
+    return scan("reynolds", (
+        ((i, j), _reynolds_residual(L, R, vbasis(L.dim, i), vbasis(L.dim, j)))
+        for i, j in combinations(range(L.dim), 2)))
 
 
 def induced_algebra(A: ReynoldsLieAlgebra) -> ReynoldsLieAlgebra:
@@ -155,23 +142,14 @@ def compat_certificate(R: Mat, rep: Representation, T: Mat,
                        name: str = "compatibility") -> Certificate:
     """rho(Rx)(Tu) = T(rho(x)(Tu) + rho(Rx)u - rho(Rx)(Tu)) over basis (x, u)."""
     L = rep.algebra
-    first = None
-    count = 0
-    for i in range(L.dim):
-        rho_rx = rep.rho_vec(R.apply(vbasis(L.dim, i)))
-        rho_x = rep.rho[i]
-        diff = rho_rx @ T - T @ (rho_x @ T + rho_rx - rho_rx @ T)
-        if diff.is_zero():
-            continue
-        for a in range(rep.module_dim):
-            col = diff.col(a)
-            if not vis_zero(col):
-                count += 1
-                if first is None:
-                    first = ((i, a), col)
-    if first is None:
-        return Certificate.passed(name)
-    return Certificate.failed(name, first[0], residual_from_vec(first[1]), count)
+
+    def cases():
+        for i in range(L.dim):
+            rho_rx = rep.rho_vec(R.apply(vbasis(L.dim, i)))
+            diff = rho_rx @ T - T @ (rep.rho[i] @ T + rho_rx - rho_rx @ T)
+            for a in range(rep.module_dim):
+                yield (i, a), diff.col(a)
+    return scan(name, cases())
 
 
 def is_reynolds_rep(rr: ReynoldsRep) -> Certificate:
@@ -220,21 +198,12 @@ class QuadraticReynolds:
 def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,
                          lam: Fraction | None = None) -> Certificate:
     """S(Re_i,e_j) + S(e_i,Re_j) (+ lam·S(e_i,e_j)) = 0 over all pairs."""
-    first = None
-    count = 0
-    for i in range(L.dim):
-        for j in range(L.dim):
-            ei, ej = vbasis(L.dim, i), vbasis(L.dim, j)
-            val = S.eval(R.apply(ei), ej) + S.eval(ei, R.apply(ej))
-            if lam is not None:
-                val += lam * S.eval(ei, ej)
-            if val != 0:
-                count += 1
-                if first is None:
-                    first = ((i, j), val)
-    if first is None:
-        return Certificate.passed(name)
-    return Certificate.failed(name, first[0], ((first[0], first[1]),), count)
+    def value(ei, ej):
+        val = S.eval(R.apply(ei), ej) + S.eval(ei, R.apply(ej))
+        return val if lam is None else val + lam * S.eval(ei, ej)
+    n = L.dim
+    return scan(name, (((i, j), value(vbasis(n, i), vbasis(n, j)))
+                       for i, j in product(range(n), repeat=2)))
 
 
 def is_quadratic_reynolds(A: ReynoldsLieAlgebra, S: BilinForm) -> Certificate:
@@ -248,21 +217,8 @@ def check_ssharp_intertwiner(Q: QuadraticReynolds) -> Certificate:
     """S♯ intertwines ad with ad* and satisfies S♯R = -RᵀS♯."""
     L, R = Q.base.L, Q.base.R
     sharp = s_sharp(Q.S)
-    parts = []
-    first = None
-    count = 0
-    for i in range(L.dim):
-        diff = sharp @ L.ad(i) - (-L.ad(i).transpose()) @ sharp
-        if not diff.is_zero():
-            count += 1
-            if first is None:
-                first = ((i,), diff)
-    if first is None:
-        parts.append(Certificate.passed("ad-intertwiner"))
-    else:
-        parts.append(
-            Certificate.failed("ad-intertwiner", first[0], residual_from_mat(first[1]), count)
-        )
+    parts = [scan("ad-intertwiner", (
+        ((i,), sharp @ L.ad(i) - (-L.ad(i).transpose()) @ sharp) for i in range(L.dim)))]
     diff = sharp @ R + R.transpose() @ sharp
     if diff.is_zero():
         parts.append(Certificate.passed("operator-skew"))
@@ -298,11 +254,8 @@ def block_window_check(q, lo: int, hi: int, skip_singular: bool = False) -> Cert
         raise ValueError(f"window contains singular index {singular[0]} (m+i+1=0)")
     active = [(m, i) for (m, i) in window if m + i + 1 != 0]
 
-    first = None
-    count = 0
-    skipped_pairs = 0
-    first_ind = None
-    count_ind = 0
+    # (m,i,n,j) -> the residuals of both identities, which share the pair's coefficients
+    diffs = {}
     for m, i in active:
         for n, j in active:
             a = Fraction(m + i + 1)
@@ -312,34 +265,15 @@ def block_window_check(q, lo: int, hi: int, skip_singular: bool = False) -> Cert
 
             induced = coeff * (1 / a + 1 / b - 1 / (a * b))
             closed = s * coeff / (a * b)
-            if induced != closed:
-                count_ind += 1
-                if first_ind is None:
-                    first_ind = ((m, i, n, j), induced - closed)
+            rey = None   # s = 0: the target index cannot be fed through R
+            if s != 0:
+                lhs = coeff / (a * b)
+                rhs = coeff / (a * s) + coeff / (b * s) - coeff / (a * b * s)
+                rey = lhs - rhs
+            diffs[m, i, n, j] = (rey, induced - closed)
 
-            if s == 0:
-                skipped_pairs += 1
-                continue
-            lhs = coeff / (a * b)
-            rhs = coeff / (a * s) + coeff / (b * s) - coeff / (a * b * s)
-            if lhs != rhs:
-                count += 1
-                if first is None:
-                    first = ((m, i, n, j), lhs - rhs)
-
-    if first is None:
-        rey = Certificate.passed("block-reynolds-identity", skipped=skipped_pairs)
-    else:
-        rey = Certificate.failed(
-            "block-reynolds-identity", first[0], ((first[0], first[1]),), count,
-            skipped=skipped_pairs,
-        )
-    if first_ind is None:
-        ind = Certificate.passed("block-induced-closed-form")
-    else:
-        ind = Certificate.failed(
-            "block-induced-closed-form", first_ind[0], ((first_ind[0], first_ind[1]),), count_ind
-        )
+    rey = scan("block-reynolds-identity", ((w, d[0]) for w, d in diffs.items()))
+    ind = scan("block-induced-closed-form", ((w, d[1]) for w, d in diffs.items()))
     note = f"q={q}, window=[{lo},{hi}]"
     if singular:
         note += f", singular indices skipped={len(singular)}"

@@ -13,9 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .bialgebra import LieBialgebra, ReynoldsLieBialgebra
-from .certificates import Certificate, CheckFailed, residual_from_mat, residual_from_vec
+from .certificates import Certificate, CheckFailed, residual_from_mat, residual_from_vec, scan
 from .cybe import ad_invariance_cert, is_cybe_solution, r_plus
-from .exact import Mat, Tensor2, flip, rat, vbasis, vis_zero, vsub
+from .exact import Mat, Tensor2, flip, rat, vbasis, vsub
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
 from .reynolds import is_reynolds, operator_form_compat
 
@@ -43,24 +43,16 @@ class RotaBaxterAlg:
 
 def is_rota_baxter(L: LieAlgebra, B: Mat, lam) -> Certificate:
     lam = rat(lam)
-    first = None
-    count = 0
-    for i, j in combinations(range(L.dim), 2):
-        x, y = vbasis(L.dim, i), vbasis(L.dim, j)
+
+    def residual(x, y):
         bx, by = B.apply(x), B.apply(y)
-        lhs = L.bracket(bx, by)
         inner = [
             a + b + lam * c
             for a, b, c in zip(L.bracket(bx, y), L.bracket(x, by), L.bracket(x, y))
         ]
-        res = vsub(lhs, B.apply(tuple(inner)))
-        if not vis_zero(res):
-            count += 1
-            if first is None:
-                first = ((i, j), res)
-    if first is None:
-        return Certificate.passed("rota-baxter")
-    return Certificate.failed("rota-baxter", first[0], residual_from_vec(first[1]), count)
+        return vsub(L.bracket(bx, by), B.apply(tuple(inner)))
+    return scan("rota-baxter", (((i, j), residual(vbasis(L.dim, i), vbasis(L.dim, j)))
+                                for i, j in combinations(range(L.dim), 2)))
 
 
 def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
@@ -205,21 +197,10 @@ def is_factorizable(g: LieAlgebra, r: Tensor2) -> Certificate:
     else:
         parts.append(Certificate(check="i-invertible", ok=False,
                                  note="I = r₊ − r₋ is singular"))
-    first = None
-    count = 0
-    for k in range(g.dim):
-        ad_k = g.ad(k)
-        diff = i_mat @ (-ad_k.transpose()) - ad_k @ i_mat
-        if not diff.is_zero():
-            count += 1
-            if first is None:
-                first = ((k,), diff)
-    if first is None:
-        parts.append(Certificate.passed("i-intertwines"))
-    else:
-        parts.append(
-            Certificate.failed("i-intertwines", first[0], residual_from_mat(first[1]), count)
-        )
+
+    def residual(ad_k):
+        return i_mat @ (-ad_k.transpose()) - ad_k @ i_mat
+    parts.append(scan("i-intertwines", (((k,), residual(g.ad(k))) for k in range(g.dim))))
     return Certificate.combine("factorizable", parts)
 
 

@@ -138,6 +138,24 @@ def test_malformed_documents_raise_input_error():
         fio.doc_to_operator({})
     with pytest.raises(fio.InputError):
         fio.read_doc("/nonexistent/path.json")
+    # bracket cells: non-object `out`, duplicate (i, j), bool or fractional indices
+    for cell in ({"i": 0, "j": 1, "out": ["1"]},
+                 {"i": 0, "j": 1.9, "out": {"0": "1"}},
+                 {"i": True, "j": 2, "out": {"0": "1"}},
+                 {"i": 0, "j": 1, "out": {"0.5": "1"}},
+                 {"i": 0, "j": 1, "out": {" 1": "1"}},
+                 ["i", "j"]):
+        with pytest.raises(fio.InputError):
+            fio.doc_to_algebra({"dim": 3, "brackets": [cell]})
+    with pytest.raises(fio.InputError):
+        fio.doc_to_algebra({"dim": 3, "brackets": [{"i": 0, "j": 1, "out": {"0": "1"}},
+                                                   {"i": 0, "j": 1, "out": {"2": "1"}}]})
+    # tensor entries: the same defects
+    for entries in ([{"i": 0, "j": 1, "c": "1"}, {"i": 0, "j": 1, "c": "-1"}],
+                    [{"i": 1.9, "j": 0, "c": "1"}],
+                    [{"i": 0, "j": False, "c": "1"}]):
+        with pytest.raises(fio.InputError):
+            fio.doc_to_tensor({"dim_left": 2, "dim_right": 2, "entries": entries})
 
 
 # --------------------------------------------------------------------------
@@ -177,6 +195,17 @@ def test_cli_exit_2_on_bad_input(tmp_path, capsys):
     bad = tmp_path / "garbage.json"
     bad.write_text("{not json")
     assert main_check(["jacobi", str(bad)]) == 2
+    for cell in ({"i": 0, "j": 1, "out": ["1"]}, {"i": 0, "j": 1.9, "out": {"0": "1"}},
+                 {"i": True, "j": 2, "out": {"0": "1"}}):
+        doc = write(tmp_path, "cell.json", {"dim": 3, "brackets": [cell]})
+        assert main_check(["jacobi", doc]) == 2
+    dup = write(tmp_path, "dup.json", {"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "out": {"2": "1"}}, {"i": 0, "j": 1, "out": {"2": "1"}}]})
+    assert main_check(["jacobi", dup]) == 2
+    alg = write(tmp_path, "alg.json", {"dim": 2, "brackets": []})
+    r = write(tmp_path, "r.json", {"dim_left": 2, "dim_right": 2, "entries": [
+        {"i": 0, "j": 1, "c": "1"}, {"i": 0, "j": 1, "c": "1"}]})
+    assert main_check(["cybe", alg, "--tensor", r]) == 2
 
 
 def test_cli_thmfl_pipeline(tmp_path, sl2_qrb, b_op, capsys):
