@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 Rat = Fraction
 Vec = tuple[Fraction, ...]
+SVec = dict[int, Fraction]
 
 
 def rat(value) -> Fraction:
@@ -152,13 +153,16 @@ class Mat:
                 f"matrix product shape mismatch: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        cols = list(zip(*other.entries)) if other.entries else []
-        return Mat(
-            [
-                [sum((a * b for a, b in zip(row, col)), ZERO) for col in cols]
-                for row in self.entries
-            ]
-        )
+        out = []
+        for row in self.entries:
+            acc = [ZERO] * other.cols
+            for a, orow in zip(row, other.entries):
+                if a:
+                    for k, b in enumerate(orow):
+                        if b:
+                            acc[k] += a * b
+            out.append(acc)
+        return Mat(out)
 
     def scale(self, c) -> "Mat":
         c = rat(c)
@@ -243,6 +247,17 @@ class Mat:
             [ZERO] * a.cols + list(row) for row in b.entries
         ]
         return Mat(out)
+
+
+def mat_comb(mats, v: SVec, rows: int, cols: int) -> Mat:
+    """Σ_k v[k]·mats[k] for a sparse coefficient vector v."""
+    acc = [[ZERO] * cols for _ in range(rows)]
+    for k, c in v.items():
+        for arow, mrow in zip(acc, mats[k].entries):
+            for b, x in enumerate(mrow):
+                if x:
+                    arow[b] += c * x
+    return Mat(acc)
 
 
 def mat_apply(m: Mat, v: Vec) -> Vec:
@@ -421,3 +436,78 @@ class Tensor3:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+
+# ---------------------------------------------------------------------------
+# sparse vectors and bilinear tables on basis indices
+# ---------------------------------------------------------------------------
+#
+# Identity checks evaluate products on basis indices rather than on dense
+# coordinate vectors: a sparse vector is a dict {index: coefficient} (it may
+# hold cancelled zeros), and a bilinear map is a list of rows,
+# rows[i][j] = e_i·e_j as a sparse vector.  Tables are built per call from
+# the stored (i, j)-keyed data; only a residual handed to `scan` is dense.
+
+Rows = list[dict[int, SVec]]
+
+
+def saxpy(out: SVec, a: Fraction, v: SVec) -> SVec:
+    """out += a·v in place; returns out."""
+    for k, c in v.items():
+        out[k] = out.get(k, ZERO) + a * c
+    return out
+
+
+def scols(m: Mat) -> list[SVec]:
+    """The nonzero entries of each column of m."""
+    return [{i: c for i, c in enumerate(col) if c != 0} for col in zip(*m.entries)]
+
+
+def sapply(cols: list[SVec], v: SVec) -> SVec:
+    """M·v for M given by its sparse columns."""
+    out: SVec = {}
+    for j, a in v.items():
+        saxpy(out, a, cols[j])
+    return out
+
+
+def table_rows(n: int, table: Mapping[tuple[int, int], SVec], skew: bool) -> Rows:
+    """rows[i][j] = e_i·e_j from an (i, j)-keyed table; a skew table stores i<j only."""
+    rows: Rows = [{} for _ in range(n)]
+    for (i, j), comp in table.items():
+        rows[i][j] = comp
+        if skew:
+            rows[j][i] = {k: -c for k, c in comp.items()}
+    return rows
+
+
+def sprod(rows: Rows, x: SVec, y: SVec) -> SVec:
+    """x·y for the bilinear map with the given rows."""
+    out: SVec = {}
+    for i, a in x.items():
+        row = rows[i]
+        for j, b in y.items():
+            comp = row.get(j)
+            if comp:
+                saxpy(out, a * b, comp)
+    return out
+
+
+def precompose(rows: Rows, cols: list[SVec]) -> Rows:
+    """Rows of (x, y) ↦ (Mx)·y, M given by its sparse columns."""
+    out: Rows = []
+    for col in cols:
+        row: dict[int, SVec] = {}
+        for a, c in col.items():
+            for j, comp in rows[a].items():
+                saxpy(row.setdefault(j, {}), c, comp)
+        out.append(row)
+    return out
+
+
+def dense(n: int, v: SVec) -> Vec:
+    """The coordinate tuple of a sparse vector."""
+    out = [ZERO] * n
+    for k, c in v.items():
+        out[k] = c
+    return tuple(out)

@@ -18,9 +18,13 @@ from .exact import (
     Mat,
     Vec,
     ZERO,
+    dense,
+    mat_comb,
     rat,
-    vadd,
-    vbasis,
+    sapply,
+    saxpy,
+    scols,
+    table_rows,
     vzero,
 )
 
@@ -134,13 +138,15 @@ def bracket(L: LieAlgebra, x: Vec, y: Vec) -> Vec:
 
 def jacobi_check(L: LieAlgebra) -> Certificate:
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for all i<j<k."""
+    rows = table_rows(L.dim, L.sc, skew=True)
+
     def cases():
         for i, j, k in combinations(range(L.dim), 3):
-            ei, ej, ek = vbasis(L.dim, i), vbasis(L.dim, j), vbasis(L.dim, k)
-            yield (i, j, k), vadd(
-                vadd(L.bracket(L.bracket(ei, ej), ek), L.bracket(L.bracket(ej, ek), ei)),
-                L.bracket(L.bracket(ek, ei), ej),
-            )
+            out = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, coeff in rows[a].get(b, {}).items():
+                    saxpy(out, coeff, rows[m].get(c, {}))
+            yield (i, j, k), dense(L.dim, out)
     return scan("jacobi", cases())
 
 
@@ -185,18 +191,15 @@ class Representation:
 
     def rho_vec(self, x: Vec) -> Mat:
         """rho extended linearly to an arbitrary vector of the algebra."""
-        m = Mat.zeros(self.module_dim, self.module_dim)
-        for i, c in enumerate(x):
-            if c != 0:
-                m = m + self.rho[i].scale(c)
-        return m
+        return mat_comb(self.rho, {i: c for i, c in enumerate(x) if c != 0},
+                        self.module_dim, self.module_dim)
 
 
 def is_representation(rep: Representation) -> Certificate:
     """rho([e_i,e_j]) == rho(e_i)rho(e_j) − rho(e_j)rho(e_i) for all i<j."""
-    L = rep.algebra
+    L, md = rep.algebra, rep.module_dim
     return scan("representation", (
-        ((i, j), rep.rho_vec(L.bracket_basis(i, j))
+        ((i, j), mat_comb(rep.rho, L.sc.get((i, j), {}), md, md)
          - (rep.rho[i] @ rep.rho[j] - rep.rho[j] @ rep.rho[i]))
         for i, j in combinations(range(L.dim), 2)))
 
@@ -259,26 +262,23 @@ class BilinForm:
         return self.gram.rows
 
     def eval(self, x: Vec, y: Vec) -> Fraction:
-        return _form_eval(self.gram, x, y)
+        return sum((a * b for a, b in zip(x, self.gram.apply(y))), ZERO)
 
     def is_nondegenerate(self) -> bool:
         return self.gram.det() != 0
-
-
-def _form_eval(gram: Mat, x: Vec, y: Vec) -> Fraction:
-    gy = gram.apply(y)
-    return sum((a * b for a, b in zip(x, gy)), ZERO)
 
 
 def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
     """S([e_i,e_j],e_k) + S(e_j,[e_i,e_k]) = 0 over all basis triples."""
     if S.dim != L.dim:
         raise ValueError("form dimension does not match the algebra")
-    n = L.dim
-    return scan("invariant-form", (
-        ((i, j, k), _form_eval(S.gram, L.bracket_basis(i, j), vbasis(n, k))
-         + _form_eval(S.gram, vbasis(n, j), L.bracket_basis(i, k)))
-        for i, j, k in product(range(n), repeat=3)))
+    n, gram = L.dim, scols(S.gram)
+    rows = table_rows(n, L.sc, skew=True)
+    # S([e_i,e_j], e_k) is entry k of S[e_i,e_j], and S(e_j,[e_i,e_k]) = S([e_i,e_k], e_j)
+    # because the gram matrix S is symmetric
+    s = [[sapply(gram, rows[i].get(j, {})) for j in range(n)] for i in range(n)]
+    return scan("invariant-form", (((i, j, k), s[i][j].get(k, ZERO) + s[i][k].get(j, ZERO))
+                                   for i, j, k in product(range(n), repeat=3)))
 
 
 def is_quadratic(L: LieAlgebra, S: BilinForm) -> Certificate:

@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, CheckFailed, scan
-from .exact import Mat, Vec, ZERO, rat, vadd, vbasis, vsub, vzero
+from .exact import (ONE, ZERO, Mat, Vec, dense, mat_comb, precompose, rat, saxpy, scols, sprod,
+                    table_rows, vadd, vsub, vzero)
 from .lie import LieAlgebra, default_basis
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
@@ -92,15 +93,13 @@ class NSLieAlgebra:
 
     def left_prod(self, x: Vec, y: Vec) -> Vec:
         out = [ZERO] * self.dim
+        ys = [(j, b) for j, b in enumerate(y) if b != 0]
         for i, a in enumerate(x):
             if a == 0:
                 continue
-            for j, b in enumerate(y):
-                if b == 0:
-                    continue
-                for k, c in enumerate(self.left_basis(i, j)):
-                    if c != 0:
-                        out[k] += a * b * c
+            for j, b in ys:
+                for k, c in self.left.get((i, j), {}).items():
+                    out[k] += a * b * c
         return tuple(out)
 
     def wedge_prod(self, x: Vec, y: Vec) -> Vec:
@@ -118,36 +117,42 @@ class NSLieAlgebra:
         return vadd(vsub(self.left_prod(x, y), self.left_prod(y, x)), self.wedge_prod(x, y))
 
 
-def is_nslie(A: NSLieAlgebra) -> Certificate:
-    """Both NS identities over all ordered basis triples."""
+def _tables(A: NSLieAlgebra):
+    """Per-call rows of ◁, ▷ and the commutator [e_i,e_j] = e_i◁e_j - e_j◁e_i + e_i▷e_j."""
     n = A.dim
-    basis = [vbasis(n, i) for i in range(n)]
+    left = table_rows(n, A.left, skew=False)
+    wedge = table_rows(n, A.wedge, skew=True)
+    comm = [[saxpy(saxpy(dict(left[i].get(j, {})), -ONE, left[j].get(i, {})),
+                   ONE, wedge[i].get(j, {})) for j in range(n)] for i in range(n)]
+    return left, wedge, comm
 
-    def identity1(x, y, z):
-        return vadd(
-            vsub(
-                vsub(
-                    A.left_prod(A.left_prod(x, y), z),
-                    A.left_prod(x, A.left_prod(y, z)),
-                ),
-                vsub(
-                    A.left_prod(A.left_prod(y, x), z),
-                    A.left_prod(y, A.left_prod(x, z)),
-                ),
-            ),
-            A.left_prod(A.wedge_prod(x, y), z),
-        )
 
-    def identity2(x, y, z):
-        r2 = vzero(n)
-        for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y)):
-            r2 = vadd(r2, A.wedge_prod(u, A.comm(v, w)))
-            r2 = vadd(r2, A.left_prod(u, A.wedge_prod(v, w)))
-        return r2
+def is_nslie(A: NSLieAlgebra) -> Certificate:
+    """Both NS identities over all ordered basis triples.
+
+    Identity 1 is (x◁y)◁z - x◁(y◁z) - (y◁x)◁z + y◁(x◁z) + (x▷y)◁z
+    = [x,y]◁z - x◁(y◁z) + y◁(x◁z); identity 2 is the cyclic sum of
+    x▷[y,z] + x◁(y▷z).
+    """
+    n = A.dim
+    left, wedge, comm = _tables(A)
+    e = [{k: ONE} for k in range(n)]
+
+    def identity1(i, j, k):
+        out = sprod(left, comm[i][j], e[k])
+        saxpy(out, -ONE, sprod(left, e[i], left[j].get(k, {})))
+        return dense(n, saxpy(out, ONE, sprod(left, e[j], left[i].get(k, {}))))
+
+    def identity2(i, j, k):
+        out = {}
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            saxpy(out, ONE, sprod(wedge, e[u], comm[v][w]))
+            saxpy(out, ONE, sprod(left, e[u], wedge[v].get(w, {})))
+        return dense(n, out)
 
     triples = list(product(range(n), repeat=3))
     return Certificate.combine("nslie", [
-        scan(name, ((t, identity(*(basis[k] for k in t))) for t in triples))
+        scan(name, ((t, identity(*t)) for t in triples))
         for name, identity in (("ns-identity-1", identity1), ("ns-identity-2", identity2))])
 
 
@@ -155,31 +160,19 @@ def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
     """x◁y = [Rx,y], x▷y = -[Rx,Ry]."""
     L, R = A.L, A.R
     n = L.dim
-    left: FullTable = {}
-    wedge: FullTable = {}
-    for i in range(n):
-        for j in range(n):
-            out = L.bracket(R.apply(vbasis(n, i)), vbasis(n, j))
-            comp = {k: c for k, c in enumerate(out) if c != 0}
-            if comp:
-                left[(i, j)] = comp
-    for i, j in combinations(range(n), 2):
-        out = L.bracket(R.apply(vbasis(n, i)), R.apply(vbasis(n, j)))
-        comp = {k: -c for k, c in enumerate(out) if c != 0}
-        if comp:
-            wedge[(i, j)] = comp
+    cols = scols(R)
+    adr = precompose(table_rows(n, L.sc, skew=True), cols)   # adr[i][j] = [Re_i, e_j]
+    left = {(i, j): adr[i][j] for i in range(n) for j in range(n) if j in adr[i]}
+    wedge = {(i, j): {k: -c for k, c in sprod(adr, {i: ONE}, cols[j]).items()}
+             for i, j in combinations(range(n), 2)}
     return NSLieAlgebra(n, L.basis, left, wedge, check=False)
 
 
 def ns_commutator(A: NSLieAlgebra) -> LieAlgebra:
     """The commutator Lie algebra of a (valid) NS-Lie algebra."""
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j in combinations(range(A.dim), 2):
-        out = A.comm(vbasis(A.dim, i), vbasis(A.dim, j))
-        comp = {k: c for k, c in enumerate(out) if c != 0}
-        if comp:
-            sc[(i, j)] = comp
-    return LieAlgebra(A.dim, A.basis, sc)
+    comm = _tables(A)[2]
+    return LieAlgebra(A.dim, A.basis,
+                      {(i, j): comm[i][j] for i, j in combinations(range(A.dim), 2)})
 
 
 class NSRep:
@@ -209,41 +202,35 @@ class NSRep:
         return cls(base, module_dim, varrho, mu, nu, labels, check=False)
 
 
-def _lin(mats, v: Vec, module_dim: int) -> Mat:
-    out = Mat.zeros(module_dim, module_dim)
-    for i, c in enumerate(v):
-        if c != 0:
-            out = out + mats[i].scale(c)
-    return out
-
-
 def is_ns_rep(rep: NSRep) -> Certificate:
     """The three NS-representation identities over all basis pairs."""
     A, md = rep.base, rep.module_dim
     n = A.dim
-    basis = [vbasis(n, i) for i in range(n)]
+    left, wedge, comm = _tables(A)
+
+    def lin(mats, v):
+        return mat_comb(mats, v, md, md)
     # (i, j) -> the residuals of the three identities, which share the pair's products
     diffs = {}
     for i in range(n):
         for j in range(n):
-            x, y = basis[i], basis[j]
             vr_x, vr_y = rep.varrho[i], rep.varrho[j]
             mu_x, mu_y = rep.mu[i], rep.mu[j]
             nu_x, nu_y = rep.nu[i], rep.nu[j]
-            lw = A.wedge_prod(x, y)
-            ll = A.left_prod(x, y)
-            lr = A.left_prod(y, x)
+            lw = wedge[i].get(j, {})
+            ll = left[i].get(j, {})
+            lr = left[j].get(i, {})
 
-            d1 = _lin(rep.mu, lw, md) - (
-                mu_x @ mu_y - mu_y @ mu_x - _lin(rep.mu, ll, md) + _lin(rep.mu, lr, md)
+            d1 = lin(rep.mu, lw) - (
+                mu_x @ mu_y - mu_y @ mu_x - lin(rep.mu, ll) + lin(rep.mu, lr)
             )
-            d2 = _lin(rep.nu, ll, md) - (
+            d2 = lin(rep.nu, ll) - (
                 mu_x @ nu_y - nu_y @ mu_x + nu_y @ nu_x - nu_y @ vr_x
             )
-            d3 = _lin(rep.nu, lw, md) - (
+            d3 = lin(rep.nu, lw) - (
                 mu_y @ vr_x - vr_x @ mu_y + vr_x @ nu_y - vr_y @ nu_x
                 + vr_y @ vr_x - vr_x @ vr_y + vr_y @ mu_x - mu_x @ vr_y
-                + _lin(rep.varrho, A.comm(x, y), md)
+                + lin(rep.varrho, comm[i][j])
             )
             diffs[i, j] = (d1, d2, d3)
     return Certificate.combine("ns-rep", [
@@ -302,7 +289,7 @@ def ns_rep_from_reynolds_rep(rr: ReynoldsRep) -> NSRep:
     mu = []
     nu = []
     for i in range(n):
-        rho_rx = rr.rep.rho_vec(R.apply(vbasis(n, i)))
+        rho_rx = rr.rep.rho_vec(R.col(i))
         varrho.append(-(rho_rx @ T))
         mu.append(rho_rx)
         nu.append(-(rr.rep.rho[i] @ T))

@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, CheckFailed, residual_from_mat, scan
-from .exact import Mat, Vec, rat, vbasis, vsub
+from .exact import (ONE, ZERO, Mat, dense, precompose, rat, sapply, saxpy, scols, sprod,
+                    table_rows)
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -57,44 +58,43 @@ class ReynoldsLieAlgebra:
         return f"ReynoldsLieAlgebra({self.L!r})"
 
 
-def _reynolds_residual(L: LieAlgebra, R: Mat, x: Vec, y: Vec) -> Vec:
-    rx, ry = R.apply(x), R.apply(y)
-    lhs = L.bracket(rx, ry)
-    inner = vsub(
-        tuple(a + b for a, b in zip(L.bracket(rx, y), L.bracket(x, ry))),
-        L.bracket(rx, ry),
-    )
-    return vsub(lhs, R.apply(inner))
+def operator_brackets(L: LieAlgebra, R: Mat, lam: Fraction, kappa: Fraction):
+    """Yield (i, j, [Re_i,Re_j], [Re_i,e_j] + [e_i,Re_j] + λ[e_i,e_j] + κ[Re_i,Re_j]) for i<j.
+
+    Both brackets are sparse vectors, computed from tables of [e_a,e_b] and
+    [Re_a,e_b] built once per call.
+    """
+    rows = table_rows(L.dim, L.sc, skew=True)
+    cols = scols(R)
+    adr = precompose(rows, cols)   # adr[i][j] = [Re_i, e_j]
+    for i, j in combinations(range(L.dim), 2):
+        rr = sprod(adr, {i: ONE}, cols[j])
+        inner = dict(adr[i].get(j, {}))
+        saxpy(inner, -ONE, adr[j].get(i, {}))
+        saxpy(inner, lam, rows[i].get(j, {}))
+        saxpy(inner, kappa, rr)
+        yield i, j, rr, inner
+
+
+def operator_identity(check: str, L: LieAlgebra, R: Mat, lam, kappa) -> Certificate:
+    """[Re_i,Re_j] = R([Re_i,e_j] + [e_i,Re_j] + λ[e_i,e_j] + κ[Re_i,Re_j]) for all i<j."""
+    if R.rows != L.dim or R.cols != L.dim:
+        raise ValueError("operator shape does not match the algebra")
+    cols = scols(R)
+    return scan(check, (((i, j), dense(L.dim, saxpy(rr, -ONE, sapply(cols, inner))))
+                        for i, j, rr, inner in operator_brackets(L, R, lam, kappa)))
 
 
 def is_reynolds(L: LieAlgebra, R: Mat) -> Certificate:
-    """Exhaustive basis-pair check of the Reynolds identity."""
-    if R.rows != L.dim or R.cols != L.dim:
-        raise ValueError("operator shape does not match the algebra")
-    return scan("reynolds", (
-        ((i, j), _reynolds_residual(L, R, vbasis(L.dim, i), vbasis(L.dim, j)))
-        for i, j in combinations(range(L.dim), 2)))
+    """Exhaustive basis-pair check of the Reynolds identity (λ = 0, κ = −1)."""
+    return operator_identity("reynolds", L, R, ZERO, -ONE)
 
 
 def induced_algebra(A: ReynoldsLieAlgebra) -> ReynoldsLieAlgebra:
     """New bracket [x,y]_R = [Rx,y] + [x,Ry] - [Rx,Ry] with the same operator."""
     L, R = A.L, A.R
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j in combinations(range(L.dim), 2):
-        out = _induced_bracket(L, R, vbasis(L.dim, i), vbasis(L.dim, j))
-        comp = {k: c for k, c in enumerate(out) if c != 0}
-        if comp:
-            sc[(i, j)] = comp
-    induced = LieAlgebra(L.dim, L.basis, sc)
-    return ReynoldsLieAlgebra(induced, R)
-
-
-def _induced_bracket(L: LieAlgebra, R: Mat, x: Vec, y: Vec) -> Vec:
-    rx, ry = R.apply(x), R.apply(y)
-    return vsub(
-        tuple(a + b for a, b in zip(L.bracket(rx, y), L.bracket(x, ry))),
-        L.bracket(rx, ry),
-    )
+    sc = {(i, j): inner for i, j, _, inner in operator_brackets(L, R, ZERO, -ONE)}
+    return ReynoldsLieAlgebra(LieAlgebra(L.dim, L.basis, sc), R)
 
 
 class ReynoldsRep:
@@ -145,7 +145,7 @@ def compat_certificate(R: Mat, rep: Representation, T: Mat,
 
     def cases():
         for i in range(L.dim):
-            rho_rx = rep.rho_vec(R.apply(vbasis(L.dim, i)))
+            rho_rx = rep.rho_vec(R.col(i))
             diff = rho_rx @ T - T @ (rep.rho[i] @ T + rho_rx - rho_rx @ T)
             for a in range(rep.module_dim):
                 yield (i, a), diff.col(a)
@@ -198,12 +198,10 @@ class QuadraticReynolds:
 def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,
                          lam: Fraction | None = None) -> Certificate:
     """S(Re_i,e_j) + S(e_i,Re_j) (+ lam·S(e_i,e_j)) = 0 over all pairs."""
-    def value(ei, ej):
-        val = S.eval(R.apply(ei), ej) + S.eval(ei, R.apply(ej))
-        return val if lam is None else val + lam * S.eval(ei, ej)
-    n = L.dim
-    return scan(name, (((i, j), value(vbasis(n, i), vbasis(n, j)))
-                       for i, j in product(range(n), repeat=2)))
+    g = S.gram
+    m = (R.transpose() @ g + g @ R).entries
+    return scan(name, (((i, j), m[i][j] if lam is None else m[i][j] + lam * g.entries[i][j])
+                       for i, j in product(range(L.dim), repeat=2)))
 
 
 def is_quadratic_reynolds(A: ReynoldsLieAlgebra, S: BilinForm) -> Certificate:

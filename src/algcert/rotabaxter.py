@@ -15,9 +15,9 @@ from itertools import combinations
 from .bialgebra import LieBialgebra, ReynoldsLieBialgebra
 from .certificates import Certificate, CheckFailed, residual_from_mat, residual_from_vec, scan
 from .cybe import ad_invariance_cert, is_cybe_solution, r_plus
-from .exact import Mat, Tensor2, flip, rat, vbasis, vsub
+from .exact import ZERO, Mat, Tensor2, flip, rat, vsub
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
-from .reynolds import is_reynolds, operator_form_compat
+from .reynolds import is_reynolds, operator_brackets, operator_form_compat, operator_identity
 
 
 class RotaBaxterAlg:
@@ -42,17 +42,8 @@ class RotaBaxterAlg:
 
 
 def is_rota_baxter(L: LieAlgebra, B: Mat, lam) -> Certificate:
-    lam = rat(lam)
-
-    def residual(x, y):
-        bx, by = B.apply(x), B.apply(y)
-        inner = [
-            a + b + lam * c
-            for a, b, c in zip(L.bracket(bx, y), L.bracket(x, by), L.bracket(x, y))
-        ]
-        return vsub(L.bracket(bx, by), B.apply(tuple(inner)))
-    return scan("rota-baxter", (((i, j), residual(vbasis(L.dim, i), vbasis(L.dim, j)))
-                                for i, j in combinations(range(L.dim), 2)))
+    """Exhaustive basis-pair check of the Rota-Baxter identity of weight λ."""
+    return operator_identity("rota-baxter", L, B, rat(lam), ZERO)
 
 
 def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
@@ -60,20 +51,8 @@ def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
     cert = is_rota_baxter(rb.L, rb.B, rb.lam)
     if not cert.ok:
         raise CheckFailed(cert)
-    L, B, lam = rb.L, rb.B, rb.lam
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j in combinations(range(L.dim), 2):
-        x, y = vbasis(L.dim, i), vbasis(L.dim, j)
-        out = [
-            a + b + lam * c
-            for a, b, c in zip(
-                L.bracket(B.apply(x), y), L.bracket(x, B.apply(y)), L.bracket(x, y)
-            )
-        ]
-        comp = {k: c for k, c in enumerate(out) if c != 0}
-        if comp:
-            sc[(i, j)] = comp
-    return LieAlgebra(L.dim, L.basis, sc)
+    sc = {(i, j): inner for i, j, _, inner in operator_brackets(rb.L, rb.B, rb.lam, ZERO)}
+    return LieAlgebra(rb.L.dim, rb.L.basis, sc)
 
 
 def reynolds_descends(rb: RotaBaxterAlg, R: Mat) -> Certificate:
@@ -147,7 +126,7 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
     sharp = s_sharp(qrb.S)
     desc = descendent(qrb.rb)
     for i, j in combinations(range(n), 2):
-        lhs = dual.bracket(sharp.apply(vbasis(n, i)), sharp.apply(vbasis(n, j)))
+        lhs = dual.bracket(sharp.col(i), sharp.col(j))
         rhs = sharp.apply(desc.bracket_basis(i, j))
         if lhs != rhs:
             raise CheckFailed(
@@ -169,10 +148,9 @@ def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
     rm = -rp.transpose()
     sc: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a, b in combinations(range(n), 2):
-        xi, eta = vbasis(n, a), vbasis(n, b)
-        coad_rp = -g.ad_vec(rp.apply(xi)).transpose()
-        coad_rm = -g.ad_vec(rm.apply(eta)).transpose()
-        out = vsub(coad_rp.apply(eta), coad_rm.apply(xi))
+        coad_rp = -g.ad_vec(rp.col(a)).transpose()
+        coad_rm = -g.ad_vec(rm.col(b)).transpose()
+        out = vsub(coad_rp.col(b), coad_rm.col(a))
         comp = {k: c for k, c in enumerate(out) if c != 0}
         if comp:
             sc[(a, b)] = comp

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from algcert.exact import Mat, Tensor2
 from algcert.lie import BilinForm, LieAlgebra
@@ -52,3 +53,10 @@ def broken_jacobi():
 
 def frac(p, q=1):
     return Fraction(p, q)
+
+
+# Property tests run a fixed, bounded set of examples: tier-1 stays reproducible
+# and its run time does not depend on the machine or on earlier runs.
+settings.register_profile("algcert", derandomize=True, deadline=None, max_examples=20,
+                          database=None, suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("algcert")
