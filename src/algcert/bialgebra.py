@@ -11,10 +11,11 @@ wedge-normalization ambiguity cannot affect a certificate.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .certificates import Certificate, CheckFailed, scan
-from .cybe import ad_invariance_cert, cybe_bracket
-from .exact import Mat, Tensor2, Tensor3, flip, tensor2_map, tensor3_map
+from .cybe import ad_invariance_cert, ad_on_tensor, cybe_bracket
+from .exact import ONE, ZERO, Mat, Tensor2, flip, table_rows, tensor2_map, tensor3_map
 from .lie import LieAlgebra, Representation, coadjoint_rep, dual_basis, jacobi_check
 from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
 from .reynolds import ReynoldsLieAlgebra, is_reynolds
@@ -87,17 +88,16 @@ def dual_from_cobracket(deltas: list[Tensor2], basis=None) -> LieAlgebra:
 def delta_vec(deltas: list[Tensor2], v) -> Tensor2:
     """Δ extended linearly to an arbitrary vector."""
     n = deltas[0].dim_left
-    out = Tensor2(n, n)
-    for k, c in enumerate(v):
-        if c != 0:
-            out = out + deltas[k].scale(c)
+    return Tensor2(n, n, _delta_comb(deltas, {k: c for k, c in enumerate(v) if c != 0}))
+
+
+def _delta_comb(deltas: list[Tensor2], v) -> dict[tuple[int, int], Fraction]:
+    """The entries of Σ_k v[k]·Δ(e_k) for a sparse v (cancelled zeros kept)."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for k, c in v.items():
+        for key, d in deltas[k].entries.items():
+            out[key] = out.get(key, ZERO) + c * d
     return out
-
-
-def _eps(t: Tensor3) -> Tensor3:
-    """x⊗y⊗z ↦ z⊗x⊗y."""
-    d = t.dims
-    return Tensor3((d[2], d[0], d[1]), {(c, a, b): v for (a, b, c), v in t.entries.items()})
 
 
 def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
@@ -109,12 +109,13 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
                                note="cobracket is not skew")
 
     def co_jacobi(k):
-        t = Tensor3((n, n, n))
+        # t = (Id⊗Δ)Δe_k, summed with its images under ε: x⊗y⊗z ↦ z⊗x⊗y and ε²
+        out: dict[tuple[int, int, int], Fraction] = {}
         for (i, j), c in deltas[k].entries.items():
             for (a, b), c2 in deltas[j].entries.items():
-                t = t + Tensor3((n, n, n), {(i, a, b): c * c2})
-        e1 = _eps(t)
-        return t + e1 + _eps(e1)
+                for key in ((i, a, b), (b, i, a), (a, b, i)):
+                    out[key] = out.get(key, ZERO) + c * c2
+        return out
     return scan("coalgebra", (((k,), co_jacobi(k)) for k in range(n)))
 
 
@@ -136,23 +137,14 @@ def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
 
 def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
     """Δ[x,y] = (ad_x⊗Id+Id⊗ad_x)Δy − (ad_y⊗Id+Id⊗ad_y)Δx over basis pairs."""
-    n = g.dim
-    ident = Mat.identity(n)
+    rows = table_rows(g.dim, g.sc, skew=True)
 
-    def cases():
-        for i in range(n):
-            ad_i = g.ad(i)
-            for j in range(i + 1, n):
-                ad_j = g.ad(j)
-                lhs = delta_vec(deltas, g.bracket_basis(i, j))
-                rhs = (
-                    tensor2_map(ad_i, ident, deltas[j])
-                    + tensor2_map(ident, ad_i, deltas[j])
-                    - tensor2_map(ad_j, ident, deltas[i])
-                    - tensor2_map(ident, ad_j, deltas[i])
-                )
-                yield (i, j), lhs - rhs
-    return scan("cocycle", cases())
+    def residual(i, j):
+        out = _delta_comb(deltas, g.sc.get((i, j), {}))
+        ad_on_tensor(rows, i, deltas[j], out, -ONE)
+        return ad_on_tensor(rows, j, deltas[i], out, ONE)
+    return scan("cocycle", (((i, j), residual(i, j))
+                            for i, j in combinations(range(g.dim), 2)))
 
 
 def is_lie_bialgebra(g: LieAlgebra, dual: LieAlgebra) -> Certificate:
@@ -245,12 +237,8 @@ def coboundary_cobracket(g: LieAlgebra, r: Tensor2) -> list[Tensor2]:
     """Δ(e_k) = (ad_{e_k}⊗Id + Id⊗ad_{e_k}) r."""
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
-    ident = Mat.identity(g.dim)
-    out = []
-    for k in range(g.dim):
-        ad_k = g.ad(k)
-        out.append(tensor2_map(ad_k, ident, r) + tensor2_map(ident, ad_k, r))
-    return out
+    rows = table_rows(g.dim, g.sc, skew=True)
+    return [Tensor2(g.dim, g.dim, ad_on_tensor(rows, k, r, {})) for k in range(g.dim)]
 
 
 def coboundary_conditions(g: LieAlgebra, r: Tensor2) -> Certificate:

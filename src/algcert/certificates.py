@@ -146,13 +146,15 @@ def scan(check: str, cases: Iterable[tuple[tuple[int, ...], Any]]) -> Certificat
 
     `cases` yields ``(where, value)`` for every basis tuple of the stage, in
     the stage's lexicographic order.  `value` is the identity's residual at
-    that tuple: an exact scalar, a coordinate vector, a `Mat` or a sparse
-    tensor; `None` marks a tuple the identity cannot be evaluated on, which
-    is counted in `skipped`.  The stage passes when every value is zero.
-    Otherwise `where` is the first tuple with a nonzero value, `residual`
-    is that value in sparse form (a scalar becomes the single entry
-    ``(where, value)``), and `violations` counts the nonzero values.  Only
-    the first violation is converted to a residual.
+    that tuple: an exact scalar, a coordinate vector, a `Mat`, a sparse
+    tensor, or a dict ``{index tuple: coefficient}`` (a sparse matrix or
+    tensor that may hold cancelled zeros); `None` marks a tuple the
+    identity cannot be evaluated on, which is counted in `skipped`.  The
+    stage passes when every value is zero.  Otherwise `where` is the first
+    tuple with a nonzero value, `residual` is that value in sparse form (a
+    scalar becomes the single entry ``(where, value)``), and `violations`
+    counts the nonzero values.  Only the first violation is converted to a
+    residual.
     """
     first = None
     count = skipped = 0
@@ -174,6 +176,8 @@ def _is_zero(value) -> bool:
         return value == 0
     if isinstance(value, tuple):
         return vis_zero(value)
+    if isinstance(value, dict):
+        return not any(value.values())
     return value.is_zero()
 
 
@@ -184,4 +188,6 @@ def _residual(where: tuple[int, ...], value) -> Residual:
         return residual_from_vec(value)
     if isinstance(value, Mat):
         return residual_from_mat(value)
+    if isinstance(value, dict):
+        return tuple(sorted((idx, c) for idx, c in value.items() if c))
     return residual_from_tensor(value)

@@ -1,16 +1,19 @@
 """Command-line drivers: algcheck, algbuild, algcat, algblock.
 
 Exit codes: 0 all checks pass, 1 at least one certified failure,
-2 input/format error.  Reports on stdout are byte-stable for fixed inputs
-and flags; wall time goes to stderr.
+2 input/format error, 3 internal error (an unexpected exception; its
+message goes to stderr).  Reports on stdout are byte-stable for fixed
+inputs and flags; wall time goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+import traceback
 
 from . import bialgebra as bi
 from . import cybe
@@ -284,6 +287,19 @@ def _finish(command, certs, args, started) -> int:
     return code
 
 
+def _guarded(main):
+    """Map an exception the command does not handle to exit code 3, never to 1."""
+    @functools.wraps(main)
+    def run(argv=None) -> int:
+        try:
+            return main(argv)
+        except Exception as exc:
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+            return 3
+    return run
+
+
 def _flag_echo(args) -> list[str]:
     out = []
     if args.op:
@@ -304,6 +320,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tensor", help="tensor file")
 
 
+@_guarded
 def main_check(argv=None) -> int:
     started = time.perf_counter()
     p = argparse.ArgumentParser(prog="algcheck",
@@ -323,6 +340,7 @@ def main_check(argv=None) -> int:
     return _finish(command, certs, args, started)
 
 
+@_guarded
 def main_build(argv=None) -> int:
     started = time.perf_counter()
     p = argparse.ArgumentParser(prog="algbuild",
@@ -345,6 +363,7 @@ def main_build(argv=None) -> int:
     return _finish(command, certs, args, started)
 
 
+@_guarded
 def main_cat(argv=None) -> int:
     started = time.perf_counter()
     p = argparse.ArgumentParser(prog="algcat",
@@ -367,6 +386,7 @@ def main_cat(argv=None) -> int:
     return _finish(command, list(entry.certificates), args, started)
 
 
+@_guarded
 def main_block(argv=None) -> int:
     started = time.perf_counter()
     p = argparse.ArgumentParser(prog="algblock",

@@ -17,7 +17,8 @@ from .certificates import (
     residual_from_tensor,
     scan,
 )
-from .exact import Mat, Tensor2, Tensor3, Vec, flip, tensor2_map, vbasis, vsub
+from .exact import (ONE, ZERO, Mat, Rows, Tensor2, Tensor3, Vec, action_rows, dense, flip,
+                    precompose, sapply, saxpy, scols, sprod, table_rows, tensor2_map)
 from .lie import LieAlgebra, Representation, default_basis, dual_rep, semidirect
 from .matched import MatchedPair, ReynoldsMatchedPair
 from .reynolds import (
@@ -32,32 +33,40 @@ def cybe_bracket(g: LieAlgebra, r: Tensor2) -> Tensor3:
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
     n = g.dim
+    rows = table_rows(n, g.sc, skew=True)
     data: dict[tuple[int, int, int], Fraction] = {}
 
     def put(key, c):
-        if c != 0:
-            data[key] = data.get(key, Fraction(0)) + c
+        data[key] = data.get(key, ZERO) + c
 
-    items = list(r.items())
+    items = list(r.entries.items())
     for (i, j), c1 in items:
         for (k, l), c2 in items:
             c = c1 * c2
-            for m, b in enumerate(g.bracket_basis(i, k)):
+            for m, b in rows[i].get(k, {}).items():
                 put((m, j, l), c * b)
-            for m, b in enumerate(g.bracket_basis(j, l)):
+            for m, b in rows[j].get(l, {}).items():
                 put((i, k, m), c * b)
-            for m, b in enumerate(g.bracket_basis(j, k)):
+            for m, b in rows[j].get(k, {}).items():
                 put((i, m, l), c * b)
     return Tensor3((n, n, n), data)
 
 
+def ad_on_tensor(rows: Rows, k: int, t: Tensor2, out: dict, c: Fraction = ONE) -> dict:
+    """out += c·(ad_{e_k}⊗Id + Id⊗ad_{e_k})(t) entrywise, for the bracket table `rows`."""
+    for (i, j), a in t.entries.items():
+        ca = c * a
+        for m, b in rows[k].get(i, {}).items():
+            out[m, j] = out.get((m, j), ZERO) + ca * b
+        for m, b in rows[k].get(j, {}).items():
+            out[i, m] = out.get((i, m), ZERO) + ca * b
+    return out
+
+
 def ad_invariance_cert(g: LieAlgebra, t: Tensor2, name: str = "ad-invariance") -> Certificate:
     """(ad_x⊗Id + Id⊗ad_x)(t) = 0 for every basis x."""
-    ident = Mat.identity(g.dim)
-
-    def residual(ad_k):
-        return tensor2_map(ad_k, ident, t) + tensor2_map(ident, ad_k, t)
-    return scan(name, (((k,), residual(g.ad(k))) for k in range(g.dim)))
+    rows = table_rows(g.dim, g.sc, skew=True)
+    return scan(name, (((k,), ad_on_tensor(rows, k, t, {})) for k in range(g.dim)))
 
 
 def is_cybe_solution(g: LieAlgebra, r: Tensor2) -> Certificate:
@@ -126,17 +135,15 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
         return Certificate.combine("relative-rb", [rep_cert],
                                    note="invalid Reynolds representation")
     L = rel.rr.base.L
-    rep = rel.rr.rep
-    K = rel.K
-    m = rep.module_dim
+    rows = table_rows(L.dim, L.sc, skew=True)
+    kcols = scols(rel.K)
+    desc = _descendent_sc(rel)
 
-    def residual(u, v):
-        ku, kv = K.apply(u), K.apply(v)
-        rhs = K.apply(vsub(rep.rho_vec(ku).apply(v), rep.rho_vec(kv).apply(u)))
-        return vsub(L.bracket(ku, kv), rhs)
-    op_cert = scan("operator-identity", (((a, b), residual(vbasis(m, a), vbasis(m, b)))
-                                         for a, b in combinations(range(m), 2)))
-    diff = rel.rr.base.R @ K - K @ rel.rr.T
+    def residual(a, b):
+        out = sprod(rows, kcols[a], kcols[b])
+        return dense(L.dim, saxpy(out, -ONE, sapply(kcols, desc[a, b])))
+    op_cert = scan("operator-identity", (((a, b), residual(a, b)) for a, b in desc))
+    diff = rel.rr.base.R @ rel.K - rel.K @ rel.rr.T
     if diff.is_zero():
         compat = Certificate.passed("rk-equals-kt")
     else:
@@ -144,21 +151,28 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
     return Certificate.combine("relative-rb", [rep_cert, op_cert, compat])
 
 
+def _k_action(rel: RelativeRB):
+    """rows[a][b] = rho(Ke_a)e_b, as a table on the module's basis indices."""
+    return precompose(action_rows(rel.rr.rep.rho), scols(rel.K))
+
+
+def _descendent_sc(rel: RelativeRB) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """[e_a,e_b]_K = rho(Ke_a)e_b − rho(Ke_b)e_a for a<b (cancelled zeros kept)."""
+    rk = _k_action(rel)
+    sc = {}
+    for a, b in combinations(range(rel.rr.rep.module_dim), 2):
+        comp = dict(rk[a].get(b, {}))
+        sc[a, b] = saxpy(comp, -ONE, rk[b].get(a, {}))
+    return sc
+
+
 def descendent_on_W(rel: RelativeRB) -> ReynoldsLieAlgebra:
     """Bracket [u,v]_K = rho(Ku)v − rho(Kv)u on W with operator T."""
     cert = is_relative_rb(rel)
     if not cert.ok:
         raise CheckFailed(cert)
-    rep, K = rel.rr.rep, rel.K
-    m = rep.module_dim
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a, b in combinations(range(m), 2):
-        u, v = vbasis(m, a), vbasis(m, b)
-        out = vsub(rep.rho_vec(K.apply(u)).apply(v), rep.rho_vec(K.apply(v)).apply(u))
-        comp = {k: c for k, c in enumerate(out) if c != 0}
-        if comp:
-            sc[(a, b)] = comp
-    W = LieAlgebra(m, rep.labels, sc)
+    rep = rel.rr.rep
+    W = LieAlgebra(rep.module_dim, rep.labels, _descendent_sc(rel))
     return ReynoldsLieAlgebra(W, rel.rr.T)
 
 
@@ -166,17 +180,18 @@ def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     """((g,R), (W_K,T); rho, mu) with mu(u)x = K(rho(x)u) − [x,Ku]."""
     desc = descendent_on_W(rel)
     g = rel.rr.base.L
-    rep, K = rel.rr.rep, rel.K
+    rep = rel.rr.rep
     m = rep.module_dim
     rho = Representation(g, m, rep.rho, labels=rep.labels, check=False)
+    rows = table_rows(g.dim, g.sc, skew=True)
+    act = action_rows(rep.rho)
+    kcols = scols(rel.K)
     mu_mats = []
-    for a in range(m):
-        u = vbasis(m, a)
-        ku = K.apply(u)
+    for a, ku in enumerate(kcols):
         cols = []
         for i in range(g.dim):
-            x = vbasis(g.dim, i)
-            cols.append(vsub(K.apply(rep.rho[i].apply(u)), g.bracket(x, ku)))
+            col = sapply(kcols, act[i].get(a, {}))
+            cols.append(dense(g.dim, saxpy(col, -ONE, sprod(rows, {i: ONE}, ku))))
         mu_mats.append(Mat.from_cols(cols))
     mu = Representation(desc.L, g.dim, mu_mats, labels=g.basis, check=False)
     pair = MatchedPair(g, desc.L, rho, mu)
@@ -263,13 +278,16 @@ class PreLieAlgebra:
 def is_prelie(A: PreLieAlgebra) -> Certificate:
     """Left-symmetry of the associator over all basis triples."""
     n = A.dim
-    basis = [vbasis(n, i) for i in range(n)]
+    rows = table_rows(n, A.prod, skew=False)
 
-    def residual(x, y, z):
-        lhs = vsub(A.prod_vec(A.prod_vec(x, y), z), A.prod_vec(x, A.prod_vec(y, z)))
-        rhs = vsub(A.prod_vec(A.prod_vec(y, x), z), A.prod_vec(y, A.prod_vec(x, z)))
-        return vsub(lhs, rhs)
-    return scan("pre-lie", (((i, j, k), residual(basis[i], basis[j], basis[k]))
+    def residual(i, j, k):
+        # (e_ie_j − e_je_i)e_k − e_i(e_je_k) + e_j(e_ie_k)
+        comm = dict(rows[i].get(j, {}))
+        saxpy(comm, -ONE, rows[j].get(i, {}))
+        out = sprod(rows, comm, {k: ONE})
+        saxpy(out, -ONE, sprod(rows, {i: ONE}, rows[j].get(k, {})))
+        return dense(n, saxpy(out, ONE, sprod(rows, {j: ONE}, rows[i].get(k, {}))))
+    return scan("pre-lie", (((i, j, k), residual(i, j, k))
                             for i, j in combinations(range(n), 2) for k in range(n)))
 
 
@@ -295,16 +313,17 @@ def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
     """{Rx,Ry} = R({Rx,y} + {x,Ry} − {Rx,Ry}) over all ordered basis pairs."""
     base = is_prelie(A)
     n = A.dim
+    rows = table_rows(n, A.prod, skew=False)
+    cols = scols(R)
+    adr = precompose(rows, cols)   # adr[i][j] = {Re_i, e_j}
 
-    def residual(x, y):
-        rx, ry = R.apply(x), R.apply(y)
-        lhs = A.prod_vec(rx, ry)
-        inner = vsub(
-            tuple(a + b for a, b in zip(A.prod_vec(rx, y), A.prod_vec(x, ry))),
-            A.prod_vec(rx, ry),
-        )
-        return vsub(lhs, R.apply(inner))
-    op = scan("reynolds-product", (((i, j), residual(vbasis(n, i), vbasis(n, j)))
+    def residual(i, j):
+        rr = sprod(adr, {i: ONE}, cols[j])
+        inner = dict(adr[i].get(j, {}))
+        saxpy(inner, ONE, sprod(rows, {i: ONE}, cols[j]))
+        saxpy(inner, -ONE, rr)
+        return dense(n, saxpy(rr, -ONE, sapply(cols, inner)))
+    op = scan("reynolds-product", (((i, j), residual(i, j))
                                    for i, j in product(range(n), repeat=2)))
     return Certificate.combine("reynolds-prelie", [base, op])
 
@@ -314,13 +333,9 @@ def subadjacent(rp: ReynoldsPreLie) -> ReynoldsLieAlgebra:
     cert = is_reynolds_prelie(rp.A, rp.R)
     if not cert.ok:
         raise CheckFailed(cert)
-    n = rp.A.dim
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j in combinations(range(n), 2):
-        out = vsub(rp.A.prod_basis(i, j), rp.A.prod_basis(j, i))
-        comp = {k: c for k, c in enumerate(out) if c != 0}
-        if comp:
-            sc[(i, j)] = comp
+    n, prod = rp.A.dim, rp.A.prod
+    sc = {(i, j): saxpy(dict(prod.get((i, j), {})), -ONE, prod.get((j, i), {}))
+          for i, j in combinations(range(n), 2)}
     L = LieAlgebra(n, rp.A.basis, sc)
     return ReynoldsLieAlgebra(L, rp.R)
 
@@ -329,7 +344,8 @@ def left_rep(rp: ReynoldsPreLie) -> ReynoldsRep:
     """(g; R, L) with L(x)y = {x,y}, over the sub-adjacent algebra."""
     sub = subadjacent(rp)
     n = rp.A.dim
-    mats = [Mat.from_cols([rp.A.prod_basis(i, j) for j in range(n)]) for i in range(n)]
+    mats = [Mat.from_cols(dense(n, rp.A.prod.get((i, j), {})) for j in range(n))
+            for i in range(n)]
     rep = Representation(sub.L, n, mats, labels=rp.A.basis, check=False)
     return ReynoldsRep(sub, rep, rp.R)
 
@@ -339,17 +355,9 @@ def prelie_from_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     cert = is_relative_rb(rel)
     if not cert.ok:
         raise CheckFailed(cert)
-    rep, K = rel.rr.rep, rel.K
-    m = rep.module_dim
-    prod: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(m):
-        mat = rep.rho_vec(K.apply(vbasis(m, a)))
-        for b in range(m):
-            col = mat.col(b)
-            comp = {k: c for k, c in enumerate(col) if c != 0}
-            if comp:
-                prod[(a, b)] = comp
-    A = PreLieAlgebra(m, rep.labels, prod)
+    rep = rel.rr.rep
+    prod = {(a, b): comp for a, row in enumerate(_k_action(rel)) for b, comp in row.items()}
+    A = PreLieAlgebra(rep.module_dim, rep.labels, prod)
     return ReynoldsPreLie(A, rel.rr.T)
 
 
@@ -361,18 +369,11 @@ def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     K = rel.K
     if K.rows != K.cols or K.det() == 0:
         raise ValueError("invertible variant requires a square invertible K")
-    kinv = K.inverse()
     g = rel.rr.base.L
-    rep = rel.rr.rep
-    n = g.dim
-    prod: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(n):
-        for j in range(n):
-            out = K.apply(rep.rho[i].apply(kinv.apply(vbasis(n, j))))
-            comp = {k: c for k, c in enumerate(out) if c != 0}
-            if comp:
-                prod[(i, j)] = comp
-    A = PreLieAlgebra(n, g.basis, prod)
+    kcols, kinv = scols(K), scols(K.inverse())
+    prod = {(i, j): sapply(kcols, sapply(rho, kinv[j]))
+            for i, rho in enumerate(scols(m) for m in rel.rr.rep.rho) for j in range(g.dim)}
+    A = PreLieAlgebra(g.dim, g.basis, prod)
     return ReynoldsPreLie(A, rel.rr.base.R)
 
 

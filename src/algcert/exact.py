@@ -91,17 +91,26 @@ class Mat:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix rows")
 
+    @classmethod
+    def _of(cls, rows) -> "Mat":
+        """A matrix from rows of Fractions, taken as they are: no coercion, no shape check."""
+        m = object.__new__(cls)
+        m.entries = tuple(map(tuple, rows))
+        m.rows = len(m.entries)
+        m.cols = len(m.entries[0]) if m.entries else 0
+        return m
+
     def _same_shape(self, other: "Mat") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shapes differ")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls._of([ZERO] * cols for _ in range(rows))
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of([ONE if i == j else ZERO for j in range(n)] for i in range(n))
 
     @classmethod
     def from_cols(cls, cols: Iterable[Vec]) -> "Mat":
@@ -109,7 +118,7 @@ class Mat:
         if not cols:
             return cls.zeros(0, 0)
         n = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(n)])
+        return cls._of([c[i] for c in cols] for i in range(n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,24 +137,16 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return Mat._of([a + b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.entries, other.entries))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return Mat._of([a - b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.entries, other.entries))
 
     def __neg__(self) -> "Mat":
-        return Mat([[-a for a in row] for row in self.entries])
+        return Mat._of([-a for a in row] for row in self.entries)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -162,21 +163,23 @@ class Mat:
                         if b:
                             acc[k] += a * b
             out.append(acc)
-        return Mat(out)
+        return Mat._of(out)
 
     def scale(self, c) -> "Mat":
         c = rat(c)
-        return Mat([[c * a for a in row] for row in self.entries])
+        return Mat._of([c * a for a in row] for row in self.entries)
 
     def apply(self, v: Vec) -> Vec:
         """Exact matrix-vector product (column-vector convention)."""
         if self.cols != len(v):
             raise ValueError(f"cannot apply {self.rows}x{self.cols} to vector of length {len(v)}")
-        return tuple(sum((a * x for a, x in zip(row, v)), ZERO) for row in self.entries)
+        nonzero = [(k, x) for k, x in enumerate(v) if x]
+        return tuple(sum((row[k] * x for k, x in nonzero if row[k]), ZERO)
+                     for row in self.entries)
 
     def transpose(self) -> "Mat":
         """Matrix of the dual map in dual bases."""
-        return Mat(list(zip(*self.entries)) if self.entries else [])
+        return Mat._of(zip(*self.entries))
 
     def col(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
@@ -231,12 +234,12 @@ class Mat:
                 if i != j and work[i][j] != 0:
                     factor = work[i][j]
                     work[i] = [a - factor * b for a, b in zip(work[i], work[j])]
-        return Mat([row[n:] for row in work])
+        return Mat._of(row[n:] for row in work)
 
     def submatrix(self, row_ids: Iterable[int], col_ids: Iterable[int]) -> "Mat":
         rows = list(row_ids)
         cols = list(col_ids)
-        return Mat([[self.entries[i][j] for j in cols] for i in rows])
+        return Mat._of([self.entries[i][j] for j in cols] for i in rows)
 
     @staticmethod
     def block_diag(a: "Mat", b: "Mat") -> "Mat":
@@ -246,7 +249,7 @@ class Mat:
         ] + [
             [ZERO] * a.cols + list(row) for row in b.entries
         ]
-        return Mat(out)
+        return Mat._of(out)
 
 
 def mat_comb(mats, v: SVec, rows: int, cols: int) -> Mat:
@@ -257,7 +260,7 @@ def mat_comb(mats, v: SVec, rows: int, cols: int) -> Mat:
             for b, x in enumerate(mrow):
                 if x:
                     arow[b] += c * x
-    return Mat(acc)
+    return Mat._of(acc)
 
 
 def mat_apply(m: Mat, v: Vec) -> Vec:
@@ -445,8 +448,10 @@ class Tensor3:
 # Identity checks evaluate products on basis indices rather than on dense
 # coordinate vectors: a sparse vector is a dict {index: coefficient} (it may
 # hold cancelled zeros), and a bilinear map is a list of rows,
-# rows[i][j] = e_i·e_j as a sparse vector.  Tables are built per call from
-# the stored (i, j)-keyed data; only a residual handed to `scan` is dense.
+# rows[i][j] = e_i·e_j as a sparse vector; a matrix is its list of sparse
+# columns.  Tables are built per call from the stored (i, j)-keyed data; a
+# vector residual handed to `scan` is made dense, a matrix residual becomes
+# a dict {(row, column): coefficient}.
 
 Rows = list[dict[int, SVec]]
 
@@ -503,6 +508,20 @@ def precompose(rows: Rows, cols: list[SVec]) -> Rows:
                 saxpy(row.setdefault(j, {}), c, comp)
         out.append(row)
     return out
+
+
+def scomb(mats_cols: list[list[SVec]], v: SVec, n: int) -> list[SVec]:
+    """The sparse columns of Σ_k v[k]·M_k, each M_k given by its n sparse columns."""
+    out: list[SVec] = [{} for _ in range(n)]
+    for k, c in v.items():
+        for col, mcol in zip(out, mats_cols[k]):
+            saxpy(col, c, mcol)
+    return out
+
+
+def action_rows(mats) -> Rows:
+    """rows[k][j] = mats[k]·e_j: the table of (x, u) ↦ (Σ_k x_k·mats[k])u."""
+    return [{j: col for j, col in enumerate(scols(m)) if col} for m in mats]
 
 
 def dense(n: int, v: SVec) -> Vec:

@@ -45,7 +45,30 @@ def _index(value, context: str) -> int:
     raise InputError(f"{context}: bad index {value!r}")
 
 
+def _dim(value, context: str) -> int:
+    """A dimension: a JSON integer ≥ 0 (not a bool, a float or a string)."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise InputError(f"{context}: bad dimension {value!r}")
+
+
+def _labels(value, n: int, context: str):
+    """Basis labels: absent, or a list of n strings."""
+    if value is not None and not (isinstance(value, list) and len(value) == n
+                                  and all(isinstance(b, str) for b in value)):
+        raise InputError(f"{context}: expected a list of {n} label strings, got {value!r}")
+    return value
+
+
+def _list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{context}: expected a list, got {value!r}")
+    return value
+
+
 def _rat(value, context: str) -> Fraction:
+    if isinstance(value, bool):
+        raise InputError(f"{context}: bad rational {value!r}")
     try:
         return rat(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -96,13 +119,13 @@ def tensor_to_doc(t: Tensor2) -> dict:
 
 def doc_to_tensor(doc: dict, dim: int | None = None) -> Tensor2:
     entries = {}
-    for cell in _need(doc, "entries", "tensor"):
+    for cell in _list(_need(doc, "entries", "tensor"), "tensor entries"):
         key = tuple(_index(_need(cell, k, "tensor entry"), "tensor entry") for k in "ij")
         if key in entries:
             raise InputError(f"tensor: duplicate entry {key}")
         entries[key] = _rat(_need(cell, "c", "tensor entry"), "tensor entry")
-    dl = int(doc.get("dim_left", dim if dim is not None else 0))
-    dr = int(doc.get("dim_right", dim if dim is not None else 0))
+    dl = _dim(doc.get("dim_left", dim if dim is not None else 0), "tensor dim_left")
+    dr = _dim(doc.get("dim_right", dim if dim is not None else 0), "tensor dim_right")
     if dl == 0 and entries:
         dl = dr = max(max(i, j) for i, j in entries) + 1
     try:
@@ -125,7 +148,7 @@ def _table_to_json(table) -> list[dict]:
 
 def _json_to_table(items, context: str):
     table = {}
-    for cell in items:
+    for cell in _list(items, context):
         key = tuple(_index(_need(cell, k, context), context) for k in "ij")
         if key in table:
             raise InputError(f"{context}: duplicate entry {key}")
@@ -145,8 +168,8 @@ def algebra_to_doc(L: LieAlgebra) -> dict:
 
 
 def doc_to_algebra(doc: dict) -> LieAlgebra:
-    dim = int(_need(doc, "dim", "algebra"))
-    basis = doc.get("basis")
+    dim = _dim(_need(doc, "dim", "algebra"), "algebra")
+    basis = _labels(doc.get("basis"), dim, "algebra basis")
     table = _json_to_table(_need(doc, "brackets", "algebra"), "algebra brackets")
     try:
         return LieAlgebra.unchecked(dim, basis, table)
@@ -181,8 +204,8 @@ def ns_to_doc(A: NSLieAlgebra) -> dict:
 
 
 def doc_to_ns(doc: dict) -> NSLieAlgebra:
-    dim = int(_need(doc, "dim", "ns algebra"))
-    basis = doc.get("basis")
+    dim = _dim(_need(doc, "dim", "ns algebra"), "ns algebra")
+    basis = _labels(doc.get("basis"), dim, "ns algebra basis")
     left = _json_to_table(_need(doc, "left", "ns algebra"), "left table")
     wedge = _json_to_table(_need(doc, "wedge", "ns algebra"), "wedge table")
     try:
@@ -196,7 +219,7 @@ def _mats_to_json(mats) -> list[list[list[str]]]:
 
 
 def _json_to_mats(items, context: str) -> list[Mat]:
-    return [json_to_matrix(m, context) for m in items]
+    return [json_to_matrix(m, context) for m in _list(items, context)]
 
 
 def ns_rep_to_doc(rep: NSRep) -> dict:
@@ -218,9 +241,10 @@ def doc_to_ns_rep(doc: dict) -> NSRep:
     varrho = _json_to_mats(_need(rep, "varrho", "ns-rep"), "varrho")
     mu = _json_to_mats(_need(rep, "mu", "ns-rep"), "mu")
     nu = _json_to_mats(_need(rep, "nu", "ns-rep"), "nu")
-    md = int(rep.get("module_dim", varrho[0].rows if varrho else 0))
+    md = _dim(rep.get("module_dim", varrho[0].rows if varrho else 0), "ns-rep module_dim")
+    labels = _labels(rep.get("labels"), md, "ns-rep labels")
     try:
-        return NSRep.unchecked(base, md, varrho, mu, nu, rep.get("labels"))
+        return NSRep.unchecked(base, md, varrho, mu, nu, labels)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -244,9 +268,10 @@ def doc_to_reynolds_rep(doc: dict) -> ReynoldsRep:
     rep = _need(doc, "rep", "reynolds-rep")
     rho = _json_to_mats(_need(rep, "rho", "reynolds-rep"), "rho")
     T = json_to_matrix(_need(rep, "T", "reynolds-rep"), "T")
-    md = int(rep.get("module_dim", T.rows))
+    md = _dim(rep.get("module_dim", T.rows), "reynolds-rep module_dim")
+    labels = _labels(rep.get("labels"), md, "reynolds-rep labels")
     try:
-        inner = Representation.unchecked(base.L, md, rho, rep.get("labels"))
+        inner = Representation.unchecked(base.L, md, rho, labels)
         return ReynoldsRep.unchecked(base, inner, T)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -374,8 +399,8 @@ def prelie_to_doc(A: PreLieAlgebra, R: Mat | None = None) -> dict:
 
 
 def doc_to_prelie(doc: dict) -> tuple[PreLieAlgebra, Mat | None]:
-    dim = int(_need(doc, "dim", "pre-lie"))
-    basis = doc.get("basis")
+    dim = _dim(_need(doc, "dim", "pre-lie"), "pre-lie")
+    basis = _labels(doc.get("basis"), dim, "pre-lie basis")
     prod = _json_to_table(_need(doc, "prod", "pre-lie"), "pre-lie product")
     try:
         A = PreLieAlgebra.unchecked(dim, basis, prod)
@@ -400,8 +425,8 @@ def coalgebra_to_doc(deltas: list[Tensor2], R: Mat | None = None) -> dict:
 
 
 def doc_to_coalgebra(doc: dict) -> tuple[list[Tensor2], Mat | None]:
-    dim = int(_need(doc, "dim", "coalgebra"))
-    deltas = [doc_to_tensor(d, dim) for d in _need(doc, "deltas", "coalgebra")]
+    dim = _dim(_need(doc, "dim", "coalgebra"), "coalgebra")
+    deltas = [doc_to_tensor(d, dim) for d in _list(_need(doc, "deltas", "coalgebra"), "deltas")]
     if len(deltas) != dim:
         raise InputError("coalgebra: need one cobracket tensor per basis vector")
     R = None
@@ -428,8 +453,8 @@ def doc_to_manin(doc: dict):
         S = BilinForm(gram)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    part_g = tuple(_index(i, "manin part_g") for i in _need(doc, "part_g", "manin"))
-    part_h = tuple(_index(i, "manin part_h") for i in _need(doc, "part_h", "manin"))
+    part_g, part_h = (tuple(_index(i, f"manin {key}") for i in _list(_need(doc, key, "manin"), key))
+                      for key in ("part_g", "part_h"))
     return A.L, A.R, S, part_g, part_h
 
 

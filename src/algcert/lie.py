@@ -24,6 +24,7 @@ from .exact import (
     sapply,
     saxpy,
     scols,
+    scomb,
     table_rows,
     vzero,
 )
@@ -125,11 +126,8 @@ class LieAlgebra:
         return Mat.from_cols([self.bracket_basis(i, j) for j in range(self.dim)])
 
     def ad_vec(self, x: Vec) -> Mat:
-        m = Mat.zeros(self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c != 0:
-                m = m + self.ad(i).scale(c)
-        return m
+        v = {i: c for i, c in enumerate(x) if c != 0}
+        return mat_comb({i: self.ad(i) for i in v}, v, self.dim, self.dim)
 
 
 def bracket(L: LieAlgebra, x: Vec, y: Vec) -> Vec:
@@ -197,11 +195,19 @@ class Representation:
 
 def is_representation(rep: Representation) -> Certificate:
     """rho([e_i,e_j]) == rho(e_i)rho(e_j) − rho(e_j)rho(e_i) for all i<j."""
-    L, md = rep.algebra, rep.module_dim
-    return scan("representation", (
-        ((i, j), mat_comb(rep.rho, L.sc.get((i, j), {}), md, md)
-         - (rep.rho[i] @ rep.rho[j] - rep.rho[j] @ rep.rho[i]))
-        for i, j in combinations(range(L.dim), 2)))
+    L = rep.algebra
+    cols = [scols(m) for m in rep.rho]
+
+    def residual(i, j):
+        out = scomb(cols, L.sc.get((i, j), {}), rep.module_dim)
+        for b, col in enumerate(out):
+            for k, a in cols[j][b].items():
+                saxpy(col, -a, cols[i][k])
+            for k, a in cols[i][b].items():
+                saxpy(col, a, cols[j][k])
+        return {(a, b): c for b, col in enumerate(out) for a, c in col.items()}
+    return scan("representation", (((i, j), residual(i, j))
+                                   for i, j in combinations(range(L.dim), 2)))
 
 
 def adjoint_rep(L: LieAlgebra) -> Representation:

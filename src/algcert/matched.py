@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from .certificates import Certificate, CheckFailed, scan
-from .exact import ZERO, Mat, vadd, vbasis, vsub
+from .exact import (ONE, ZERO, Mat, dense, mat_comb, precompose, sapply, saxpy, scols, scomb,
+                    table_rows)
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -74,20 +75,19 @@ def _compat_cases(g: LieAlgebra, h: LieAlgebra, rho: Representation,
                   mu: Representation):
     """Residuals of rho(x)[a,b] = [rho(x)a,b] + [a,rho(x)b] + rho(mu(b)x)a − rho(mu(a)x)b
     over basis x of g and a < b of h, in (x, a, b) order."""
-    for i in range(g.dim):
-        x = vbasis(g.dim, i)
-        rho_x = rho.rho[i]
+    hrows = table_rows(h.dim, h.sc, skew=True)
+    rho_cols = [scols(m) for m in rho.rho]
+    mu_cols = [scols(m) for m in mu.rho]
+    for i, rc in enumerate(rho_cols):
+        adr = precompose(hrows, rc)   # adr[a][b] = [rho(x)a, b]
+        mixed = [scomb(rho_cols, mc[i], h.dim) for mc in mu_cols]   # rho(mu(a)x)
         for a, b in combinations(range(h.dim), 2):
-            xi, eta = vbasis(h.dim, a), vbasis(h.dim, b)
-            lhs = rho_x.apply(h.bracket_basis(a, b))
-            rhs = vadd(
-                vadd(h.bracket(rho_x.apply(xi), eta), h.bracket(xi, rho_x.apply(eta))),
-                vsub(
-                    rho.rho_vec(mu.rho[b].apply(x)).apply(xi),
-                    rho.rho_vec(mu.rho[a].apply(x)).apply(eta),
-                ),
-            )
-            yield (i, a, b), vsub(lhs, rhs)
+            out = sapply(rc, hrows[a].get(b, {}))
+            saxpy(out, -ONE, adr[a].get(b, {}))
+            saxpy(out, ONE, adr[b].get(a, {}))
+            saxpy(out, -ONE, mixed[b][a])
+            saxpy(out, ONE, mixed[a][b])
+            yield (i, a, b), dense(h.dim, out)
 
 
 def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
@@ -193,17 +193,21 @@ def induced_matched_pair(rmp: ReynoldsMatchedPair) -> MatchedPair:
     mp, Rg, Rh = rmp.pair, rmp.Rg, rmp.Rh
     g_ind = induced_algebra(ReynoldsLieAlgebra(mp.g, Rg, check=False)).L
     h_ind = induced_algebra(ReynoldsLieAlgebra(mp.h, Rh, check=False)).L
-    rho_new = []
-    for i in range(mp.g.dim):
-        rho_rx = mp.rho.rho_vec(Rg.apply(vbasis(mp.g.dim, i)))
-        rho_new.append(mp.rho.rho[i] @ Rh + rho_rx - rho_rx @ Rh)
-    mu_new = []
-    for a in range(mp.h.dim):
-        mu_rxi = mp.mu.rho_vec(Rh.apply(vbasis(mp.h.dim, a)))
-        mu_new.append(mp.mu.rho[a] @ Rg + mu_rxi - mu_rxi @ Rg)
-    rho2 = Representation(g_ind, mp.h.dim, rho_new, labels=mp.rho.labels, check=False)
-    mu2 = Representation(h_ind, mp.g.dim, mu_new, labels=mp.mu.labels, check=False)
+    rho2 = Representation(g_ind, mp.h.dim, _induced_action(mp.rho, Rg, Rh),
+                          labels=mp.rho.labels, check=False)
+    mu2 = Representation(h_ind, mp.g.dim, _induced_action(mp.mu, Rh, Rg),
+                         labels=mp.mu.labels, check=False)
     return MatchedPair(g_ind, h_ind, rho2, mu2)
+
+
+def _induced_action(act: Representation, R: Mat, T: Mat) -> list[Mat]:
+    """act'(x) = act(x)T + act(Rx) − act(Rx)T on the basis of the acting algebra."""
+    md = act.module_dim
+    out = []
+    for i, rcol in enumerate(scols(R)):
+        act_rx = mat_comb(act.rho, rcol, md, md)
+        out.append(act.rho[i] @ T + act_rx - act_rx @ T)
+    return out
 
 
 class ManinTripleReynolds:

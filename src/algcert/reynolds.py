@@ -12,8 +12,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, CheckFailed, residual_from_mat, scan
-from .exact import (ONE, ZERO, Mat, dense, precompose, rat, sapply, saxpy, scols, sprod,
-                    table_rows)
+from .exact import (ONE, ZERO, Mat, dense, precompose, rat, sapply, saxpy, scols, scomb,
+                    sprod, table_rows)
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -141,14 +141,19 @@ def reynolds_coadjoint_rep(A: ReynoldsLieAlgebra) -> ReynoldsRep:
 def compat_certificate(R: Mat, rep: Representation, T: Mat,
                        name: str = "compatibility") -> Certificate:
     """rho(Rx)(Tu) = T(rho(x)(Tu) + rho(Rx)u - rho(Rx)(Tu)) over basis (x, u)."""
-    L = rep.algebra
+    md = rep.module_dim
+    rho_cols = [scols(m) for m in rep.rho]
+    tcols = scols(T)
 
     def cases():
-        for i in range(L.dim):
-            rho_rx = rep.rho_vec(R.col(i))
-            diff = rho_rx @ T - T @ (rep.rho[i] @ T + rho_rx - rho_rx @ T)
-            for a in range(rep.module_dim):
-                yield (i, a), diff.col(a)
+        for i, rcol in enumerate(scols(R)):
+            rho_rx = scomb(rho_cols, rcol, md)
+            for a, tu in enumerate(tcols):
+                lhs = sapply(rho_rx, tu)
+                inner = sapply(rho_cols[i], tu)
+                saxpy(inner, ONE, rho_rx[a])
+                saxpy(inner, -ONE, lhs)
+                yield (i, a), dense(md, saxpy(lhs, -ONE, sapply(tcols, inner)))
     return scan(name, cases())
 
 

@@ -15,7 +15,8 @@ from itertools import combinations
 from .bialgebra import LieBialgebra, ReynoldsLieBialgebra
 from .certificates import Certificate, CheckFailed, residual_from_mat, residual_from_vec, scan
 from .cybe import ad_invariance_cert, is_cybe_solution, r_plus
-from .exact import ZERO, Mat, Tensor2, flip, rat, vsub
+from .exact import (ONE, ZERO, Mat, Tensor2, dense, flip, precompose, rat, sapply, saxpy, scols,
+                    sprod, table_rows)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
 from .reynolds import is_reynolds, operator_brackets, operator_form_compat, operator_identity
 
@@ -122,17 +123,18 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
     cy = is_cybe_solution(L, r)
     if not cy.ok:
         raise CheckFailed(cy)
-    dual = dual_bracket_from_r(L, r)
-    sharp = s_sharp(qrb.S)
+    dual = table_rows(n, dual_bracket_from_r(L, r).sc, skew=True)
+    sharp = scols(s_sharp(qrb.S))
     desc = descendent(qrb.rb)
     for i, j in combinations(range(n), 2):
-        lhs = dual.bracket(sharp.col(i), sharp.col(j))
-        rhs = sharp.apply(desc.bracket_basis(i, j))
-        if lhs != rhs:
+        # S♯ is a homomorphism from the descendent algebra to the dual algebra
+        diff = sprod(dual, sharp[i], sharp[j])
+        saxpy(diff, -ONE, sapply(sharp, desc.sc.get((i, j), {})))
+        if any(diff.values()):
             raise CheckFailed(
                 Certificate.failed(
                     "descendent-compatibility", (i, j),
-                    residual_from_vec(vsub(lhs, rhs)), 1,
+                    residual_from_vec(dense(n, diff)), 1,
                 )
             )
     return r
@@ -145,15 +147,18 @@ def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
         raise CheckFailed(inv)
     n = g.dim
     rp = r_plus(r)
-    rm = -rp.transpose()
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
+    rows = table_rows(n, g.sc, skew=True)
+    # ad*_v e_b* = −Σ_k [v,e_k]_b e_k*, with adp[a][k] = [r₊e_a*, e_k], adm[b][k] = [r₋e_b*, e_k]
+    adp = precompose(rows, scols(rp))
+    adm = precompose(rows, scols(-rp.transpose()))
+    sc = {}
     for a, b in combinations(range(n), 2):
-        coad_rp = -g.ad_vec(rp.col(a)).transpose()
-        coad_rm = -g.ad_vec(rm.col(b)).transpose()
-        out = vsub(coad_rp.col(b), coad_rm.col(a))
-        comp = {k: c for k, c in enumerate(out) if c != 0}
-        if comp:
-            sc[(a, b)] = comp
+        comp: dict[int, Fraction] = {}
+        for k, v in adp[a].items():
+            comp[k] = comp.get(k, ZERO) - v.get(b, ZERO)
+        for k, v in adm[b].items():
+            comp[k] = comp.get(k, ZERO) + v.get(a, ZERO)
+        sc[a, b] = comp
     return LieAlgebra(n, dual_basis(g.basis), sc)
 
 

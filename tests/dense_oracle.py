@@ -4,14 +4,24 @@ These are the dense-vector bodies the sparse basis-index kernels replaced:
 every product is evaluated on full coordinate vectors built with `vbasis`
 through `LieAlgebra.bracket`, and operator sums are `Mat` sums.  They are
 slow and test-only; a certificate must not depend on which of the two
-computed it.
+computed it.  `swapped()` runs the library with them in place, so whole
+constructions can be compared as well.
 """
 
+import contextlib
+import importlib
 from fractions import Fraction
 from itertools import combinations, product
 
-from algcert.certificates import Certificate, scan
-from algcert.exact import ZERO, Mat, vadd, vbasis, vsub, vzero
+from algcert.certificates import (Certificate, CheckFailed, residual_from_mat, residual_from_vec,
+                                  scan)
+from algcert.cybe import PreLieAlgebra, ReynoldsPreLie, is_cybe_solution, r_plus
+from algcert.exact import (ZERO, Mat, Tensor2, Tensor3, flip, tensor2_map, vadd, vbasis, vsub,
+                           vzero)
+from algcert.lie import LieAlgebra, Representation, dual_basis, s_sharp
+from algcert.matched import MatchedPair, ReynoldsMatchedPair, is_reynolds_matched_pair
+from algcert.reynolds import ReynoldsLieAlgebra, ReynoldsRep, induced_algebra, is_reynolds_rep
+from algcert.rotabaxter import descendent, is_quadratic_rb
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -48,7 +58,7 @@ def is_representation(rep) -> Certificate:
     L = rep.algebra
     return scan("representation", (
         ((i, j), _lin(rep.rho, L.bracket_basis(i, j), rep.module_dim)
-         - (matmul(rep.rho[i], rep.rho[j]) - matmul(rep.rho[j], rep.rho[i])))
+         - (rep.rho[i] @ rep.rho[j] - rep.rho[j] @ rep.rho[i]))
         for i, j in combinations(range(L.dim), 2)))
 
 
@@ -232,3 +242,372 @@ def ns_commutator_sc(A) -> dict:
     n = A.dim
     return _nonempty({(i, j): _comp(comm(A, vbasis(n, i), vbasis(n, j)))
                       for i, j in combinations(range(n), 2)})
+
+
+# -- matched pairs and Reynolds representations -----------------------------
+
+def _compat_cases(g, h, rho, mu):
+    for i in range(g.dim):
+        x = vbasis(g.dim, i)
+        rho_x = rho.rho[i]
+        for a, b in combinations(range(h.dim), 2):
+            xi, eta = vbasis(h.dim, a), vbasis(h.dim, b)
+            lhs = rho_x.apply(h.bracket_basis(a, b))
+            rhs = vadd(
+                vadd(h.bracket(rho_x.apply(xi), eta), h.bracket(xi, rho_x.apply(eta))),
+                vsub(
+                    rho.rho_vec(mu.rho[b].apply(x)).apply(xi),
+                    rho.rho_vec(mu.rho[a].apply(x)).apply(eta),
+                ),
+            )
+            yield (i, a, b), vsub(lhs, rhs)
+
+
+def compat_certificate(R: Mat, rep, T: Mat, name: str = "compatibility") -> Certificate:
+    L = rep.algebra
+
+    def cases():
+        for i in range(L.dim):
+            rho_rx = _lin(rep.rho, R.col(i), rep.module_dim)
+            diff = rho_rx @ T - T @ (rep.rho[i] @ T + rho_rx - rho_rx @ T)
+            for a in range(rep.module_dim):
+                yield (i, a), diff.col(a)
+    return scan(name, cases())
+
+
+def induced_matched_pair(rmp):
+    cert = is_reynolds_matched_pair(rmp)
+    if not cert.ok:
+        raise CheckFailed(cert)
+    mp, Rg, Rh = rmp.pair, rmp.Rg, rmp.Rh
+    g_ind = induced_algebra(ReynoldsLieAlgebra(mp.g, Rg, check=False)).L
+    h_ind = induced_algebra(ReynoldsLieAlgebra(mp.h, Rh, check=False)).L
+    rho_new = []
+    for i in range(mp.g.dim):
+        rho_rx = _lin(mp.rho.rho, Rg.apply(vbasis(mp.g.dim, i)), mp.h.dim)
+        rho_new.append(mp.rho.rho[i] @ Rh + rho_rx - rho_rx @ Rh)
+    mu_new = []
+    for a in range(mp.h.dim):
+        mu_rxi = _lin(mp.mu.rho, Rh.apply(vbasis(mp.h.dim, a)), mp.g.dim)
+        mu_new.append(mp.mu.rho[a] @ Rg + mu_rxi - mu_rxi @ Rg)
+    rho2 = Representation(g_ind, mp.h.dim, rho_new, labels=mp.rho.labels, check=False)
+    mu2 = Representation(h_ind, mp.g.dim, mu_new, labels=mp.mu.labels, check=False)
+    return MatchedPair(g_ind, h_ind, rho2, mu2)
+
+
+def ad_vec(L, x) -> Mat:
+    return _lin([L.ad(i) for i in range(L.dim)], x, L.dim)
+
+
+# -- the CYBE layer ---------------------------------------------------------
+
+def cybe_bracket(g, r) -> Tensor3:
+    n = g.dim
+    data = {}
+
+    def put(key, c):
+        if c != 0:
+            data[key] = data.get(key, Fraction(0)) + c
+
+    items = list(r.items())
+    for (i, j), c1 in items:
+        for (k, l), c2 in items:
+            c = c1 * c2
+            for m, b in enumerate(g.bracket_basis(i, k)):
+                put((m, j, l), c * b)
+            for m, b in enumerate(g.bracket_basis(j, l)):
+                put((i, k, m), c * b)
+            for m, b in enumerate(g.bracket_basis(j, k)):
+                put((i, m, l), c * b)
+    return Tensor3((n, n, n), data)
+
+
+def ad_invariance_cert(g, t, name: str = "ad-invariance") -> Certificate:
+    ident = Mat.identity(g.dim)
+
+    def residual(ad_k):
+        return tensor2_map(ad_k, ident, t) + tensor2_map(ident, ad_k, t)
+    return scan(name, (((k,), residual(g.ad(k))) for k in range(g.dim)))
+
+
+def is_relative_rb(rel) -> Certificate:
+    rep_cert = is_reynolds_rep(rel.rr)
+    if not rep_cert.ok:
+        return Certificate.combine("relative-rb", [rep_cert],
+                                   note="invalid Reynolds representation")
+    L, rep, K = rel.rr.base.L, rel.rr.rep, rel.K
+    m = rep.module_dim
+
+    def residual(u, v):
+        ku, kv = K.apply(u), K.apply(v)
+        rhs = K.apply(vsub(_lin(rep.rho, ku, m).apply(v), _lin(rep.rho, kv, m).apply(u)))
+        return vsub(L.bracket(ku, kv), rhs)
+    op_cert = scan("operator-identity", (((a, b), residual(vbasis(m, a), vbasis(m, b)))
+                                         for a, b in combinations(range(m), 2)))
+    diff = rel.rr.base.R @ K - K @ rel.rr.T
+    if diff.is_zero():
+        compat = Certificate.passed("rk-equals-kt")
+    else:
+        compat = Certificate.failed("rk-equals-kt", (0,), residual_from_mat(diff), 1)
+    return Certificate.combine("relative-rb", [rep_cert, op_cert, compat])
+
+
+def descendent_on_W(rel):
+    cert = is_relative_rb(rel)
+    if not cert.ok:
+        raise CheckFailed(cert)
+    rep, K = rel.rr.rep, rel.K
+    m = rep.module_dim
+    sc = {}
+    for a, b in combinations(range(m), 2):
+        u, v = vbasis(m, a), vbasis(m, b)
+        sc[(a, b)] = _comp(vsub(_lin(rep.rho, K.apply(u), m).apply(v),
+                                _lin(rep.rho, K.apply(v), m).apply(u)))
+    return ReynoldsLieAlgebra(LieAlgebra(m, rep.labels, _nonempty(sc)), rel.rr.T)
+
+
+def matched_from_relrb(rel):
+    desc = descendent_on_W(rel)
+    g = rel.rr.base.L
+    rep, K = rel.rr.rep, rel.K
+    m = rep.module_dim
+    rho = Representation(g, m, rep.rho, labels=rep.labels, check=False)
+    mu_mats = []
+    for a in range(m):
+        u = vbasis(m, a)
+        ku = K.apply(u)
+        mu_mats.append(Mat.from_cols([
+            vsub(K.apply(rep.rho[i].apply(u)), g.bracket(vbasis(g.dim, i), ku))
+            for i in range(g.dim)]))
+    mu = Representation(desc.L, g.dim, mu_mats, labels=g.basis, check=False)
+    return ReynoldsMatchedPair(MatchedPair(g, desc.L, rho, mu), rel.rr.base.R, rel.rr.T)
+
+
+def prelie_from_relrb(rel):
+    cert = is_relative_rb(rel)
+    if not cert.ok:
+        raise CheckFailed(cert)
+    rep, K = rel.rr.rep, rel.K
+    m = rep.module_dim
+    prod = {}
+    for a in range(m):
+        mat = _lin(rep.rho, K.apply(vbasis(m, a)), m)
+        for b in range(m):
+            prod[(a, b)] = _comp(mat.col(b))
+    return ReynoldsPreLie(PreLieAlgebra(m, rep.labels, _nonempty(prod)), rel.rr.T)
+
+
+def prelie_from_invertible_relrb(rel):
+    cert = is_relative_rb(rel)
+    if not cert.ok:
+        raise CheckFailed(cert)
+    K = rel.K
+    if K.rows != K.cols or K.det() == 0:
+        raise ValueError("invertible variant requires a square invertible K")
+    kinv = K.inverse()
+    g = rel.rr.base.L
+    n = g.dim
+    prod = {(i, j): _comp(K.apply(rel.rr.rep.rho[i].apply(kinv.apply(vbasis(n, j)))))
+            for i in range(n) for j in range(n)}
+    return ReynoldsPreLie(PreLieAlgebra(n, g.basis, _nonempty(prod)), rel.rr.base.R)
+
+
+def is_prelie(A) -> Certificate:
+    n = A.dim
+    basis = [vbasis(n, i) for i in range(n)]
+
+    def residual(x, y, z):
+        lhs = vsub(A.prod_vec(A.prod_vec(x, y), z), A.prod_vec(x, A.prod_vec(y, z)))
+        rhs = vsub(A.prod_vec(A.prod_vec(y, x), z), A.prod_vec(y, A.prod_vec(x, z)))
+        return vsub(lhs, rhs)
+    return scan("pre-lie", (((i, j, k), residual(basis[i], basis[j], basis[k]))
+                            for i, j in combinations(range(n), 2) for k in range(n)))
+
+
+def is_reynolds_prelie(A, R: Mat) -> Certificate:
+    base = is_prelie(A)
+    n = A.dim
+
+    def residual(x, y):
+        rx, ry = R.apply(x), R.apply(y)
+        lhs = A.prod_vec(rx, ry)
+        inner = vsub(
+            tuple(a + b for a, b in zip(A.prod_vec(rx, y), A.prod_vec(x, ry))),
+            A.prod_vec(rx, ry),
+        )
+        return vsub(lhs, R.apply(inner))
+    op = scan("reynolds-product", (((i, j), residual(vbasis(n, i), vbasis(n, j)))
+                                   for i, j in product(range(n), repeat=2)))
+    return Certificate.combine("reynolds-prelie", [base, op])
+
+
+def subadjacent(rp):
+    cert = is_reynolds_prelie(rp.A, rp.R)
+    if not cert.ok:
+        raise CheckFailed(cert)
+    A = rp.A
+    sc = {(i, j): _comp(vsub(A.prod_basis(i, j), A.prod_basis(j, i)))
+          for i, j in combinations(range(A.dim), 2)}
+    return ReynoldsLieAlgebra(LieAlgebra(A.dim, A.basis, _nonempty(sc)), rp.R)
+
+
+def left_rep(rp):
+    sub = subadjacent(rp)
+    n = rp.A.dim
+    mats = [Mat.from_cols([rp.A.prod_basis(i, j) for j in range(n)]) for i in range(n)]
+    rep = Representation(sub.L, n, mats, labels=rp.A.basis, check=False)
+    return ReynoldsRep(sub, rep, rp.R)
+
+
+# -- bialgebras and the r-matrix pipeline -----------------------------------
+
+def delta_vec(deltas, v) -> Tensor2:
+    n = deltas[0].dim_left
+    out = Tensor2(n, n)
+    for k, c in enumerate(v):
+        if c != 0:
+            out = out + deltas[k].scale(c)
+    return out
+
+
+def _eps(t: Tensor3) -> Tensor3:
+    d = t.dims
+    return Tensor3((d[2], d[0], d[1]), {(c, a, b): v for (a, b, c), v in t.entries.items()})
+
+
+def is_lie_coalgebra(deltas) -> Certificate:
+    n = len(deltas)
+    for k, d in enumerate(deltas):
+        if not d.is_skew():
+            return Certificate(check="coalgebra", ok=False, where=(k,),
+                               note="cobracket is not skew")
+
+    def co_jacobi(k):
+        t = Tensor3((n, n, n))
+        for (i, j), c in deltas[k].entries.items():
+            for (a, b), c2 in deltas[j].entries.items():
+                t = t + Tensor3((n, n, n), {(i, a, b): c * c2})
+        e1 = _eps(t)
+        return t + e1 + _eps(e1)
+    return scan("coalgebra", (((k,), co_jacobi(k)) for k in range(n)))
+
+
+def cocycle_check(g, deltas) -> Certificate:
+    n = g.dim
+    ident = Mat.identity(n)
+
+    def cases():
+        for i in range(n):
+            ad_i = g.ad(i)
+            for j in range(i + 1, n):
+                ad_j = g.ad(j)
+                lhs = delta_vec(deltas, g.bracket_basis(i, j))
+                rhs = (
+                    tensor2_map(ad_i, ident, deltas[j])
+                    + tensor2_map(ident, ad_i, deltas[j])
+                    - tensor2_map(ad_j, ident, deltas[i])
+                    - tensor2_map(ident, ad_j, deltas[i])
+                )
+                yield (i, j), lhs - rhs
+    return scan("cocycle", cases())
+
+
+def coboundary_cobracket(g, r) -> list:
+    ident = Mat.identity(g.dim)
+    return [tensor2_map(g.ad(k), ident, r) + tensor2_map(ident, g.ad(k), r) for k in range(g.dim)]
+
+
+def dual_bracket_from_r(g, r):
+    inv = ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance")
+    if not inv.ok:
+        raise CheckFailed(inv)
+    n = g.dim
+    rp = r_plus(r)
+    rm = -rp.transpose()
+    sc = {}
+    for a, b in combinations(range(n), 2):
+        coad_rp = -ad_vec(g, rp.col(a)).transpose()
+        coad_rm = -ad_vec(g, rm.col(b)).transpose()
+        sc[(a, b)] = _comp(vsub(coad_rp.col(b), coad_rm.col(a)))
+    return LieAlgebra(n, dual_basis(g.basis), _nonempty(sc))
+
+
+def r_from_qrb(qrb) -> Tensor2:
+    cert = is_quadratic_rb(qrb.rb, qrb.S)
+    if not cert.ok:
+        raise CheckFailed(cert)
+    L = qrb.rb.L
+    n = L.dim
+    m = qrb.rb.B @ qrb.S.gram.inverse()
+    r = Tensor2(n, n, {(i, j): m.entries[j][i] for i in range(n) for j in range(n)})
+    cy = is_cybe_solution(L, r)
+    if not cy.ok:
+        raise CheckFailed(cy)
+    dual = dual_bracket_from_r(L, r)
+    sharp = s_sharp(qrb.S)
+    desc = descendent(qrb.rb)
+    for i, j in combinations(range(n), 2):
+        lhs = dual.bracket(sharp.col(i), sharp.col(j))
+        rhs = sharp.apply(desc.bracket_basis(i, j))
+        if lhs != rhs:
+            raise CheckFailed(Certificate.failed("descendent-compatibility", (i, j),
+                                                 residual_from_vec(vsub(lhs, rhs)), 1))
+    return r
+
+
+# -- every evaluation path at once ------------------------------------------
+
+# (module, name) -> dense replacement, for `swapped`: the evaluation paths of the
+# matched-pair, bialgebra and CYBE layers (the Jacobi and Reynolds kernels stay
+# sparse there; the tests above compare them on their own)
+SWAPS = {
+    ("lie", "is_representation"): is_representation,
+    ("reynolds", "compat_certificate"): compat_certificate,
+    ("matched", "_compat_cases"): _compat_cases,
+    ("cybe", "cybe_bracket"): cybe_bracket,
+    ("cybe", "ad_invariance_cert"): ad_invariance_cert,
+    ("cybe", "is_relative_rb"): is_relative_rb,
+    ("cybe", "is_prelie"): is_prelie,
+    ("cybe", "is_reynolds_prelie"): is_reynolds_prelie,
+    ("cybe", "descendent_on_W"): descendent_on_W,
+    ("cybe", "matched_from_relrb"): matched_from_relrb,
+    ("cybe", "prelie_from_relrb"): prelie_from_relrb,
+    ("cybe", "prelie_from_invertible_relrb"): prelie_from_invertible_relrb,
+    ("cybe", "subadjacent"): subadjacent,
+    ("cybe", "left_rep"): left_rep,
+    ("matched", "induced_matched_pair"): induced_matched_pair,
+    ("bialgebra", "delta_vec"): delta_vec,
+    ("bialgebra", "is_lie_coalgebra"): is_lie_coalgebra,
+    ("bialgebra", "cocycle_check"): cocycle_check,
+    ("bialgebra", "coboundary_cobracket"): coboundary_cobracket,
+    ("rotabaxter", "dual_bracket_from_r"): dual_bracket_from_r,
+    ("rotabaxter", "r_from_qrb"): r_from_qrb,
+}
+MODULES = ("lie", "reynolds", "nslie", "matched", "cybe", "bialgebra", "rotabaxter")
+
+
+@contextlib.contextmanager
+def swapped():
+    """Run the library with every check above replaced by its dense body.
+
+    Each replacement is installed in every algcert module that binds the
+    library function under its name (modules import checks from each
+    other), and `LieAlgebra.ad_vec` becomes a sum of `Mat`s; all of it is
+    restored on exit.
+    """
+    mods = {m: importlib.import_module(f"algcert.{m}") for m in MODULES}
+    saved = []
+    for (home, name), fn in SWAPS.items():
+        original = getattr(mods[home], name)
+        for mod in mods.values():
+            if getattr(mod, name, None) is original:
+                saved.append((mod, name, original))
+                setattr(mod, name, fn)
+    lie = mods["lie"]
+    saved.append((lie.LieAlgebra, "ad_vec", lie.LieAlgebra.ad_vec))
+    lie.LieAlgebra.ad_vec = ad_vec
+    try:
+        yield
+    finally:
+        for owner, name, original in reversed(saved):
+            setattr(owner, name, original)

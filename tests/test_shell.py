@@ -156,6 +156,28 @@ def test_malformed_documents_raise_input_error():
                     [{"i": 0, "j": False, "c": "1"}]):
         with pytest.raises(fio.InputError):
             fio.doc_to_tensor({"dim_left": 2, "dim_right": 2, "entries": entries})
+    # dimensions are JSON integers ≥ 0; labels a list of dim strings; tables lists;
+    # a bool is not a rational
+    for doc in ({"dim": "3", "brackets": []}, {"dim": 3.0, "brackets": []},
+                {"dim": 2.5, "brackets": []}, {"dim": -1, "brackets": []},
+                {"dim": True, "brackets": []}, {"dim": 3, "basis": 5, "brackets": []},
+                {"dim": 3, "basis": "abc", "brackets": []},
+                {"dim": 3, "basis": ["a", "b", 3], "brackets": []},
+                {"dim": 3, "brackets": {}},
+                {"dim": 3, "brackets": [{"i": 0, "j": 1, "out": {"2": True}}]}):
+        with pytest.raises(fio.InputError):
+            fio.doc_to_algebra(doc)
+    for doc in ({"dim_left": 2.5, "dim_right": 2, "entries": []},
+                {"dim_left": 2, "dim_right": "2", "entries": []},
+                {"dim_left": 2, "dim_right": 2, "entries": {}},
+                {"dim_left": 2, "dim_right": 2, "entries": [{"i": 0, "j": 1, "c": True}]}):
+        with pytest.raises(fio.InputError):
+            fio.doc_to_tensor(doc)
+    for doc in ({"dim": 2, "prod": {}}, {"dim": 2.0, "prod": []}):
+        with pytest.raises(fio.InputError):
+            fio.doc_to_prelie(doc)
+    with pytest.raises(fio.InputError):
+        fio.doc_to_operator({"matrix": [[True, 0], [0, 1]]})
 
 
 # --------------------------------------------------------------------------
@@ -206,6 +228,27 @@ def test_cli_exit_2_on_bad_input(tmp_path, capsys):
     r = write(tmp_path, "r.json", {"dim_left": 2, "dim_right": 2, "entries": [
         {"i": 0, "j": 1, "c": "1"}, {"i": 0, "j": 1, "c": "1"}]})
     assert main_check(["cybe", alg, "--tensor", r]) == 2
+    for doc in ({"dim": 3, "basis": 5, "brackets": []},
+                {"dim": 3, "brackets": [{"i": 0, "j": 1, "out": {"2": True}}]},
+                {"dim": "3", "brackets": []}, {"dim": 3.0, "brackets": []},
+                {"dim": 3, "brackets": {}}):
+        assert main_check(["jacobi", write(tmp_path, "mut.json", doc)]) == 2, doc
+    capsys.readouterr()
+
+
+def test_cli_internal_error_exits_3(tmp_path, sl2, monkeypatch, capsys):
+    import algcert.cli as cli
+
+    def boom(*args):
+        raise TypeError("boom")
+    monkeypatch.setattr(cli, "_run_check", boom)
+    monkeypatch.setattr(cli, "_run_build", boom)
+    alg = sl2_file(tmp_path, sl2)
+    assert main_check(["jacobi", alg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "internal error: TypeError: boom" in captured.err
+    assert main_build(["induced", alg, "-o", str(tmp_path / "o.json")]) == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_cli_thmfl_pipeline(tmp_path, sl2_qrb, b_op, capsys):

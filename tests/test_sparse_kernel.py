@@ -4,7 +4,11 @@ The differential tests draw random structure tables (Lie ones, as conjugates
 of matrix Lie algebras, and Jacobi-breaking ones), random small rational
 operators and random symmetric forms, and require every certificate to be
 identical, in full `to_json()`, to the one the dense kernels of
-`dense_oracle` compute; constructions must produce identical tables.
+`dense_oracle` compute; constructions must produce identical tables.  The
+matched-pair, bialgebra and CYBE layers are compared the same way, on
+conjugated quadratic Rota-Baxter data of sl(2) and gl(2) and on perturbed
+or random inputs, by running each call once as it is and once inside
+`dense_oracle.swapped()`.
 """
 
 from fractions import Fraction
@@ -14,13 +18,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dense_oracle as dense
-from algcert.certificates import CheckFailed
-from algcert.exact import Mat
+from algcert import bialgebra, cybe, matched, rotabaxter
+from algcert.catalog import sl2 as catalog_sl2, sl2_b, sl2_s
+from algcert.certificates import CheckFailed, scan
+from algcert.exact import Mat, Tensor2, flip
 from algcert.lie import (
     BilinForm,
     LieAlgebra,
     Representation,
     adjoint_rep,
+    coadjoint_rep,
     is_invariant_form,
     is_representation,
     jacobi_check,
@@ -34,7 +41,8 @@ from algcert.nslie import (
     ns_from_reynolds,
     regular_rep,
 )
-from algcert.reynolds import ReynoldsLieAlgebra, induced_algebra, is_reynolds, operator_form_compat
+from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, induced_algebra, is_reynolds,
+                              operator_form_compat)
 from algcert.rotabaxter import RotaBaxterAlg, descendent, is_rota_baxter
 
 
@@ -59,6 +67,13 @@ def gl(n: int) -> LieAlgebra:
     return matrix_unit_algebra(list(product(range(n), repeat=2)))
 
 
+def trace_form(n: int) -> BilinForm:
+    """tr(XY) on gl(n) in the basis E_ab, index a·n + b."""
+    d = n * n
+    return BilinForm(Mat([[int(k // n == m % n and k % n == m // n) for m in range(d)]
+                          for k in range(d)]))
+
+
 # ---------------------------------------------------------------------------
 # gl(5): every check at dimension 25
 # ---------------------------------------------------------------------------
@@ -71,12 +86,10 @@ def test_gl5_checks_pass_and_pinned_failure():
     # projection onto sl(5) along the centre: E_cd ↦ E_cd − δ_cd/5·Σ_a E_aa
     proj = Mat([[Fraction(int(k == m)) - (Fraction(1, n) if k in centre and m in centre else 0)
                  for m in range(d)] for k in range(d)])
-    trace_form = BilinForm(Mat([[int(k // n == m % n and k % n == m // n) for m in range(d)]
-                                for k in range(d)]))
     assert jacobi_check(L).ok
     assert is_reynolds(L, proj).ok
     assert is_rota_baxter(L, proj, -1).ok
-    assert is_invariant_form(L, trace_form).ok
+    assert is_invariant_form(L, trace_form(n)).ok
 
     # 2·Id: [2x,2y] − 2([2x,y] + [x,2y] − [2x,2y]) = 4[x,y] on every pair
     nonzero = [(i, j) for i, j in combinations(range(d), 2) if L.sc.get((i, j))]
@@ -245,3 +258,226 @@ def test_matmul_matches_dense(rows, inner, cols, data):
     a = rand_mat(data.draw, rows, inner)
     b = rand_mat(data.draw, inner, cols)
     assert (a @ b).entries == dense.matmul(a, b).entries
+
+
+# ---------------------------------------------------------------------------
+# matched pairs, bialgebras and the CYBE layer against the dense bodies
+# ---------------------------------------------------------------------------
+#
+# Calls go through the module attributes (`cybe.is_prelie`, not an imported
+# name), so that `dense.swapped()` reaches them.
+
+def data(x):
+    """A structure, certificate or tuple of them as plain comparable data."""
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if isinstance(x, (tuple, list)):
+        return tuple(data(v) for v in x)
+    slots = getattr(type(x), "__slots__", ())
+    if slots:
+        return type(x).__name__, tuple(data(getattr(x, name)) for name in slots)
+    return x
+
+
+def outcome(fn):
+    try:
+        return data(fn())
+    except CheckFailed as exc:
+        return "CheckFailed", exc.certificate.to_json()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def agree(fn):
+    """fn() on the sparse kernels equals fn() on the dense bodies; returns the outcome."""
+    sparse = outcome(fn)
+    with dense.swapped():
+        assert outcome(fn) == sparse
+    return sparse
+
+
+def gl_qrb(n: int):
+    """gl(n) with the trace form S, and B = r₊S♯ for r = h∧e (h = E_00 − E_11, e = E_01)."""
+    L, S = gl(n), trace_form(n)
+    d = L.dim
+    h = {0: 1, n + 1: -1}
+    r = Tensor2(d, d, {**{(k, 1): c for k, c in h.items()}, **{(1, k): -c for k, c in h.items()}})
+    return L, cybe.r_plus(r) @ S.gram, S
+
+
+def qrb(L, B, S, R=None):
+    q = rotabaxter.QuadraticRB.unchecked(rotabaxter.RotaBaxterAlg.unchecked(L, B, 0), S)
+    return q if R is None else rotabaxter.thmFL_bialgebra(q, R)
+
+
+@st.composite
+def invertible(draw, n: int) -> Mat:
+    perm = draw(st.permutations(range(n)))
+    upper = [[Fraction(int(a == b)) if a >= b else draw(SMALL) for b in range(n)]
+             for a in range(n)]
+    return Mat(upper) @ Mat([[int(perm[b] == a) for b in range(n)] for a in range(n)])
+
+
+@st.composite
+def qrbs(draw):
+    """(L, B, S): sl(2) or gl(2) with its quadratic Rota-Baxter data, in a random basis."""
+    L, B, S = draw(st.sampled_from([(catalog_sl2(), sl2_b(), sl2_s()), gl_qrb(2)]))
+    P = draw(invertible(L.dim))
+    inv = P.inverse()
+    return conjugate(L, P), inv @ B @ P, BilinForm(P.transpose() @ S.gram @ P)
+
+
+def bump(m: Mat, draw) -> Mat:
+    rows = [list(r) for r in m.entries]
+    rows[draw(st.integers(0, m.rows - 1))][draw(st.integers(0, m.cols - 1))] += draw(SMALL) + 1
+    return Mat(rows)
+
+
+@given(qrbs(), st.data())
+def test_matched_pairs_match_dense(case, data_):
+    L, B, S = case
+    draw = data_.draw
+    rb = qrb(L, B, S, draw(st.sampled_from([B, Mat.zeros(L.dim, L.dim)])))
+    rmp = bialgebra.canonical_pair(rb)
+    mp = rmp.pair
+    rho, mu, Rg, Rh = list(mp.rho.rho), list(mp.mu.rho), rmp.Rg, rmp.Rh
+    kind = draw(st.sampled_from(["none", "rho", "mu", "Rg", "Rh"]))
+    k = draw(st.integers(0, L.dim - 1))
+    if kind == "rho":
+        rho[k] = bump(rho[k], draw)
+    elif kind == "mu":
+        mu[k] = mu[k].scale(2)
+    elif kind == "Rg":
+        Rg = bump(Rg, draw)
+    elif kind == "Rh":
+        Rh = bump(Rh, draw)
+    g, h = mp.g, mp.h
+    rho = Representation.unchecked(g, h.dim, rho, mp.rho.labels)
+    mu = Representation.unchecked(h, g.dim, mu, mp.mu.labels)
+    pair = matched.ReynoldsMatchedPair.unchecked(matched.MatchedPair.unchecked(g, h, rho, mu),
+                                                 Rg, Rh)
+    verdict = agree(lambda: matched.is_reynolds_matched_pair(pair))
+    assert verdict["ok"] == (kind == "none")
+    # the compatibility stages on their own, also when a representation fails
+    agree(lambda: scan("compat-on-h", matched._compat_cases(g, h, rho, mu)))
+    agree(lambda: scan("compat-on-g", matched._compat_cases(h, g, mu, rho)))
+    agree(lambda: matched.induced_matched_pair(pair))
+    if kind == "none":
+        agree(lambda: bialgebra.drinfeld_double(rb))
+
+
+def unit_product(units) -> dict:
+    """E_ab·E_cd = δ_bc E_ad on a closed set of matrix units: an associative, so pre-Lie, table."""
+    index = {u: k for k, u in enumerate(units)}
+    return {(i, j): {index[a, d]: 1} for i, (a, b) in enumerate(units)
+            for j, (c, d) in enumerate(units) if b == c}
+
+
+@st.composite
+def prelies(draw):
+    kind = draw(st.sampled_from(["assoc", "broken", "random"]))
+    if kind == "random":
+        n = draw(st.integers(1, 4))
+        return cybe.PreLieAlgebra.unchecked(n, None, {
+            (i, j): {draw(st.integers(0, n - 1)): draw(SMALL)}
+            for i, j in product(range(n), repeat=2) if draw(st.booleans())})
+    units = draw(st.sampled_from(BASES[:4]))
+    n = len(units)
+    A = cybe.PreLieAlgebra.unchecked(n, None, unit_product(units))
+    P = draw(invertible(n))
+    inv = P.inverse()
+    prod = {(i, j): dict(enumerate(inv.apply(A.prod_vec(P.col(i), P.col(j)))))
+            for i, j in product(range(n), repeat=2)}
+    if kind == "broken":
+        key = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+        prod[key] = {**prod[key], draw(st.integers(0, n - 1)): draw(SMALL) + 1}
+    return cybe.PreLieAlgebra.unchecked(n, None, prod)
+
+
+@given(prelies(), st.data())
+def test_prelie_checks_match_dense(A, data_):
+    R = data_.draw(operators(A.dim))
+    agree(lambda: cybe.is_prelie(A))
+    agree(lambda: cybe.is_reynolds_prelie(A, R))
+    rp = cybe.ReynoldsPreLie.unchecked(A, R)
+    agree(lambda: cybe.subadjacent(rp))
+    agree(lambda: cybe.left_rep(rp))
+
+
+@given(qrbs(), st.data())
+def test_relative_rb_matches_dense(case, data_):
+    L, B, S = case
+    draw = data_.draw
+    n = L.dim
+    kind = draw(st.sampled_from(["adjoint", "coadjoint", "random"]))
+    R = draw(st.sampled_from([B, Mat.zeros(n, n)]))
+    A = ReynoldsLieAlgebra.unchecked(L, R)
+    if kind == "adjoint":     # a Rota-Baxter operator of weight 0 is relative to ad
+        rr, K = ReynoldsRep.unchecked(A, adjoint_rep(L), R), B
+    elif kind == "coadjoint":   # r₊ = B·S⁻¹ of a CYBE solution is relative to ad*
+        rr = ReynoldsRep.unchecked(A, coadjoint_rep(L), -R.transpose())
+        K = B @ S.gram.inverse()
+    else:
+        m = draw(st.integers(1, 3))
+        rep = Representation.unchecked(L, m, [rand_mat(draw, m, m) for _ in range(n)])
+        rr, K = ReynoldsRep.unchecked(A, rep, rand_mat(draw, m, m)), rand_mat(draw, n, m)
+    if kind != "random" and draw(st.booleans()):
+        K = bump(K, draw)
+    rel = cybe.RelativeRB.unchecked(rr, K)
+    agree(lambda: cybe.is_relative_rb(rel))
+    for build in (cybe.descendent_on_W, cybe.matched_from_relrb, cybe.prelie_from_relrb,
+                  cybe.prelie_from_invertible_relrb, cybe.rk_solution):
+        agree(lambda: build(rel))
+    agree(lambda: cybe.canonical_r(cybe.prelie_from_relrb(rel)))
+
+
+@given(cases(max_dim=5), st.data())
+def test_cybe_and_bialgebra_checks_match_dense(case, data_):
+    L, _, _, _ = case
+    draw = data_.draw
+    n = L.dim
+    pairs = list(product(range(n), repeat=2))
+    entries = {key: draw(SMALL) for key in draw(st.lists(st.sampled_from(pairs), max_size=6))}
+    r = Tensor2(n, n, entries)
+    for t in (r, r - flip(r)):
+        agree(lambda: cybe.cybe_bracket(L, t))
+        agree(lambda: cybe.is_cybe_solution(L, t))
+        agree(lambda: cybe.ad_invariance_cert(L, t))
+        agree(lambda: rotabaxter.dual_bracket_from_r(L, t))
+        agree(lambda: bialgebra.coboundary_conditions(L, t))
+        agree(lambda: bialgebra.coboundary_cobracket(L, t))
+        agree(lambda: bialgebra.is_lie_coalgebra([t] * n))
+    # the zero cobracket is always a cocycle; a random one rarely
+    dual = LieAlgebra.unchecked(n, None, {
+        (i, j): {draw(st.integers(0, n - 1)): draw(SMALL)}
+        for i, j in combinations(range(n), 2) if draw(st.booleans())})
+    deltas = bialgebra.cobracket_from_dual(dual)
+    agree(lambda: bialgebra.cocycle_check(L, deltas))
+    agree(lambda: bialgebra.is_lie_coalgebra(deltas))
+    agree(lambda: bialgebra.is_lie_bialgebra(L, dual))
+    v = [draw(SMALL) for _ in range(n)]
+    agree(lambda: bialgebra.delta_vec(deltas, v))
+
+
+@given(qrbs(), st.data())
+def test_r_matrix_pipeline_matches_dense(case, data_):
+    L, B, S = case
+    if data_.draw(st.booleans()):     # break S-compatibility of B
+        S = BilinForm(Mat([[c * (1 + (a == b == 0)) for b, c in enumerate(row)]
+                           for a, row in enumerate(S.gram.entries)]))
+    agree(lambda: rotabaxter.r_from_qrb(qrb(L, B, S)))
+    for R in (B, Mat.zeros(L.dim, L.dim)):
+        agree(lambda: rotabaxter.thmFL_bialgebra(qrb(L, B, S), R))
+
+
+@pytest.mark.parametrize("n, with_r", [(2, True), (2, False), (3, True)])
+def test_doubles_and_solutions_match_dense_on_gl(n, with_r):
+    L, B, S = gl_qrb(n)
+    R = B if with_r else Mat.zeros(L.dim, L.dim)
+    rb = qrb(L, B, S, R)
+    assert agree(lambda: bialgebra.drinfeld_double(rb))[0] == "ReynoldsLieAlgebra"
+    assert agree(lambda: bialgebra.double_quasitriangular(rb))[0] == "ReynoldsLieBialgebra"
+    rel = cybe.RelativeRB(cybe.ReynoldsRep(cybe.ReynoldsLieAlgebra(L, R), adjoint_rep(L), R), B)
+    for solution in (lambda: cybe.rk_solution(rel),
+                     lambda: cybe.canonical_r(cybe.prelie_from_relrb(rel))):
+        assert agree(solution)[0][0] == "ReynoldsLieAlgebra"
