@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .exact import Mat, rat_str, vis_zero
+from .exact import Mat, rat_str
 
 # a residual is a sparse exact vector/tensor: ((index tuple, value), ...)
 Residual = tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -125,7 +125,9 @@ class CheckFailed(Exception):
 
 
 def residual_from_vec(v) -> Residual:
-    return tuple(((k,), c) for k, c in enumerate(v) if c != 0)
+    """The nonzero entries of a coordinate tuple or of a sparse vector {index: coefficient}."""
+    items = sorted(v.items()) if isinstance(v, dict) else enumerate(v)
+    return tuple(((k,), c) for k, c in items if c != 0)
 
 
 def residual_from_mat(m) -> Residual:
@@ -141,53 +143,60 @@ def residual_from_tensor(t) -> Residual:
     return tuple((idx, c) for idx, c in t.items())
 
 
-def scan(check: str, cases: Iterable[tuple[tuple[int, ...], Any]]) -> Certificate:
+def scan(check: str, cases: Iterable[tuple[tuple[int, ...], Any]], scale: int = 1) -> Certificate:
     """Decide one exhaustive stage from its per-tuple residuals.
 
     `cases` yields ``(where, value)`` for every basis tuple of the stage, in
     the stage's lexicographic order.  `value` is the identity's residual at
-    that tuple: an exact scalar, a coordinate vector, a `Mat`, a sparse
-    tensor, or a dict ``{index tuple: coefficient}`` (a sparse matrix or
-    tensor that may hold cancelled zeros); `None` marks a tuple the
-    identity cannot be evaluated on, which is counted in `skipped`.  The
-    stage passes when every value is zero.  Otherwise `where` is the first
-    tuple with a nonzero value, `residual` is that value in sparse form (a
-    scalar becomes the single entry ``(where, value)``), and `violations`
-    counts the nonzero values.  Only the first violation is converted to a
-    residual.
+    that tuple: an exact scalar, a sparse vector ``{index: coefficient}``, a
+    dict ``{index tuple: coefficient}`` (a sparse matrix or tensor; either
+    dict may hold cancelled zeros), a coordinate vector, a `Mat` or a sparse
+    tensor; `None` marks a tuple the identity cannot be evaluated on, which
+    is counted in `skipped`.  The stage passes when every value is zero.
+    Otherwise `where` is the first tuple with a nonzero value, `residual` is
+    that value in sparse form with its nonzero entries in index order (a
+    scalar becomes the single entry ``(where, value)``, a sparse vector entry
+    ``k`` the index ``(k,)``), and `violations` counts the nonzero values.
+
+    A check that works on integers scaled by a common denominator passes
+    `scale`: values are then `scale` times the residual, and only the first
+    violation is divided by it when it becomes the `Residual`.
     """
     first = None
     count = skipped = 0
     for where, value in cases:
         if value is None:
             skipped += 1
-        elif not _is_zero(value):
+        elif any(value.values()) if type(value) is dict else not _is_zero(value):
             count += 1
             if first is None:
                 first = (where, value)
     if first is None:
         return Certificate.passed(check, skipped=skipped)
     where, value = first
-    return Certificate.failed(check, where, _residual(where, value), count, skipped=skipped)
+    residual = tuple((idx, Fraction(c, scale)) for idx, c in _entries(where, value))
+    return Certificate.failed(check, where, residual, count, skipped=skipped)
 
 
 def _is_zero(value) -> bool:
-    if isinstance(value, Fraction):
-        return value == 0
-    if isinstance(value, tuple):
-        return vis_zero(value)
     if isinstance(value, dict):
         return not any(value.values())
+    if isinstance(value, tuple):
+        return not any(value)
+    if isinstance(value, (int, Fraction)):
+        return value == 0
     return value.is_zero()
 
 
-def _residual(where: tuple[int, ...], value) -> Residual:
-    if isinstance(value, Fraction):
+def _entries(where: tuple[int, ...], value) -> Residual:
+    if isinstance(value, (int, Fraction)):
         return ((where, value),)
+    if isinstance(value, dict):
+        if isinstance(next(iter(value)), int):
+            return residual_from_vec(value)
+        return tuple(sorted((idx, c) for idx, c in value.items() if c))
     if isinstance(value, tuple):
         return residual_from_vec(value)
     if isinstance(value, Mat):
         return residual_from_mat(value)
-    if isinstance(value, dict):
-        return tuple(sorted((idx, c) for idx, c in value.items() if c))
     return residual_from_tensor(value)

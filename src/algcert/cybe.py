@@ -141,7 +141,7 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
 
     def residual(a, b):
         out = sprod(rows, kcols[a], kcols[b])
-        return dense(L.dim, saxpy(out, -ONE, sapply(kcols, desc[a, b])))
+        return saxpy(out, -ONE, sapply(kcols, desc[a, b]))
     op_cert = scan("operator-identity", (((a, b), residual(a, b)) for a, b in desc))
     diff = rel.rr.base.R @ rel.K - rel.K @ rel.rr.T
     if diff.is_zero():
@@ -286,7 +286,7 @@ def is_prelie(A: PreLieAlgebra) -> Certificate:
         saxpy(comm, -ONE, rows[j].get(i, {}))
         out = sprod(rows, comm, {k: ONE})
         saxpy(out, -ONE, sprod(rows, {i: ONE}, rows[j].get(k, {})))
-        return dense(n, saxpy(out, ONE, sprod(rows, {j: ONE}, rows[i].get(k, {}))))
+        return saxpy(out, ONE, sprod(rows, {j: ONE}, rows[i].get(k, {})))
     return scan("pre-lie", (((i, j, k), residual(i, j, k))
                             for i, j in combinations(range(n), 2) for k in range(n)))
 
@@ -322,7 +322,7 @@ def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
         inner = dict(adr[i].get(j, {}))
         saxpy(inner, ONE, sprod(rows, {i: ONE}, cols[j]))
         saxpy(inner, -ONE, rr)
-        return dense(n, saxpy(rr, -ONE, sapply(cols, inner)))
+        return saxpy(rr, -ONE, sapply(cols, inner))
     op = scan("reynolds-product", (((i, j), residual(i, j))
                                    for i, j in product(range(n), repeat=2)))
     return Certificate.combine("reynolds-prelie", [base, op])

@@ -2,8 +2,11 @@
 
 Conventions fixed here for the whole package:
 
-* every scalar is a ``fractions.Fraction`` (arbitrary precision, always
-  stored reduced, never a float);
+* every stored scalar is a ``fractions.Fraction`` (arbitrary precision,
+  always stored reduced, never a float); the identity checks scale the
+  tables they read to integers under one common denominator per table
+  (`integral`), built per call, do their arithmetic on ``int``, and turn
+  only a reported residual back into a ``Fraction``;
 * vectors are coordinate tuples, matrices act on column coordinate
   vectors, and the matrix of an operator has the images of the basis
   vectors as its columns;
@@ -16,6 +19,7 @@ Conventions fixed here for the whole package:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 Rat = Fraction
@@ -44,9 +48,14 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # vectors
 # ---------------------------------------------------------------------------
+#
+# Tuples are built from lists, not generators: a tuple built from an iterator
+# of unknown length is allocated at a guessed size and resized, and freeing it
+# fills CPython's free list of its final size (up to 2,000 tuples per size)
+# until the next full garbage collection, which raises peak memory.
 
 def vec(coords: Iterable) -> Vec:
-    return tuple(rat(c) for c in coords)
+    return tuple([rat(c) for c in coords])
 
 
 def vzero(n: int) -> Vec:
@@ -54,19 +63,19 @@ def vzero(n: int) -> Vec:
 
 
 def vbasis(n: int, i: int) -> Vec:
-    return tuple(ONE if k == i else ZERO for k in range(n))
+    return tuple([ONE if k == i else ZERO for k in range(n)])
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
     if len(a) != len(b):
         raise ValueError(f"vector dimensions differ: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple([x + y for x, y in zip(a, b)])
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
     if len(a) != len(b):
         raise ValueError(f"vector dimensions differ: {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple([x - y for x, y in zip(a, b)])
 
 
 def vis_zero(a: Vec) -> bool:
@@ -83,7 +92,7 @@ class Mat:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows = tuple(tuple(rat(c) for c in row) for row in entries)
+        rows = tuple([tuple([rat(c) for c in row]) for row in entries])
         self.entries: tuple[tuple[Fraction, ...], ...] = rows
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
@@ -95,7 +104,7 @@ class Mat:
     def _of(cls, rows) -> "Mat":
         """A matrix from rows of Fractions, taken as they are: no coercion, no shape check."""
         m = object.__new__(cls)
-        m.entries = tuple(map(tuple, rows))
+        m.entries = tuple([tuple(row) for row in rows])
         m.rows = len(m.entries)
         m.cols = len(m.entries[0]) if m.entries else 0
         return m
@@ -174,15 +183,15 @@ class Mat:
         if self.cols != len(v):
             raise ValueError(f"cannot apply {self.rows}x{self.cols} to vector of length {len(v)}")
         nonzero = [(k, x) for k, x in enumerate(v) if x]
-        return tuple(sum((row[k] * x for k, x in nonzero if row[k]), ZERO)
-                     for row in self.entries)
+        return tuple([sum((row[k] * x for k, x in nonzero if row[k]), ZERO)
+                      for row in self.entries])
 
     def transpose(self) -> "Mat":
         """Matrix of the dual map in dual bases."""
         return Mat._of(zip(*self.entries))
 
     def col(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.entries)
+        return tuple([row[j] for row in self.entries])
 
     def row(self, i: int) -> Vec:
         return self.entries[i]
@@ -449,18 +458,47 @@ class Tensor3:
 # coordinate vectors: a sparse vector is a dict {index: coefficient} (it may
 # hold cancelled zeros), and a bilinear map is a list of rows,
 # rows[i][j] = e_i·e_j as a sparse vector; a matrix is its list of sparse
-# columns.  Tables are built per call from the stored (i, j)-keyed data; a
-# vector residual handed to `scan` is made dense, a matrix residual becomes
-# a dict {(row, column): coefficient}.
+# columns.  Tables are built per call from the stored (i, j)-keyed data.  The
+# helpers below are number-generic: on `integral` tables they stay on ``int``,
+# on ``Fraction`` ones on ``Fraction``.  A residual handed to `scan` is the
+# sparse vector itself, or a dict {(row, column): coefficient} for a matrix.
 
 Rows = list[dict[int, SVec]]
 
 
-def saxpy(out: SVec, a: Fraction, v: SVec) -> SVec:
+def saxpy(out: SVec, a, v: SVec) -> SVec:
     """out += a·v in place; returns out."""
     for k, c in v.items():
-        out[k] = out.get(k, ZERO) + a * c
+        if k in out:
+            out[k] += a * c
+        else:
+            out[k] = a * c
     return out
+
+
+def integral(*tables):
+    """The tables scaled to integers under one common denominator.
+
+    Each table is a list of sparse vectors (a matrix's `scols`) or a mapping
+    key → sparse vector (an (i, j)-keyed structure table).  Returns each
+    table in the same shape with every coefficient multiplied by D, as an
+    ``int``, followed by D, the lcm of all the coefficients' denominators.
+    """
+    den = 1
+    for t in tables:
+        for v in (t.values() if isinstance(t, Mapping) else t):
+            for c in v.values():
+                den = lcm(den, c.denominator)
+
+    def scale(v: SVec) -> dict[int, int]:
+        return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
+    return (*({key: scale(v) for key, v in t.items()} if isinstance(t, Mapping)
+              else [scale(v) for v in t] for t in tables), den)
+
+
+def unscale(v: dict[int, int], den: int) -> SVec:
+    """The Fraction vector v/den of an integer sparse vector on the scale den."""
+    return {k: Fraction(c, den) for k, c in v.items()}
 
 
 def scols(m: Mat) -> list[SVec]:
@@ -495,6 +533,15 @@ def sprod(rows: Rows, x: SVec, y: SVec) -> SVec:
             comp = row.get(j)
             if comp:
                 saxpy(out, a * b, comp)
+    return out
+
+
+def srow(out: SVec, row: dict[int, SVec], y: SVec) -> SVec:
+    """out += e·y in place, for the row {j: e·e_j} of one basis vector e; returns out."""
+    for j, b in y.items():
+        comp = row.get(j)
+        if comp:
+            saxpy(out, b, comp)
     return out
 
 

@@ -18,7 +18,7 @@ from .exact import (
     Mat,
     Vec,
     ZERO,
-    dense,
+    integral,
     mat_comb,
     rat,
     sapply,
@@ -135,8 +135,12 @@ def bracket(L: LieAlgebra, x: Vec, y: Vec) -> Vec:
 
 
 def jacobi_check(L: LieAlgebra) -> Certificate:
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for all i<j<k."""
-    rows = table_rows(L.dim, L.sc, skew=True)
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for all i<j<k.
+
+    On the integer table D·sc the Jacobiator comes out D² times too large.
+    """
+    sc, den = integral(L.sc)
+    rows = table_rows(L.dim, sc, skew=True)
 
     def cases():
         for i, j, k in combinations(range(L.dim), 3):
@@ -144,8 +148,8 @@ def jacobi_check(L: LieAlgebra) -> Certificate:
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, coeff in rows[a].get(b, {}).items():
                     saxpy(out, coeff, rows[m].get(c, {}))
-            yield (i, j, k), dense(L.dim, out)
-    return scan("jacobi", cases())
+            yield (i, j, k), out
+    return scan("jacobi", cases(), den * den)
 
 
 class Representation:
@@ -194,20 +198,25 @@ class Representation:
 
 
 def is_representation(rep: Representation) -> Certificate:
-    """rho([e_i,e_j]) == rho(e_i)rho(e_j) − rho(e_j)rho(e_i) for all i<j."""
+    """rho([e_i,e_j]) == rho(e_i)rho(e_j) − rho(e_j)rho(e_i) for all i<j.
+
+    With sc = sc'/D and every rho(e_k) = rho'_k/r on integers, the residual
+    is r·Σ sc'_ij^k rho'_k − D·[rho'_i, rho'_j] on the scale D·r².
+    """
     L = rep.algebra
-    cols = [scols(m) for m in rep.rho]
+    sc, den = integral(L.sc)
+    *cols, r = integral(*[scols(m) for m in rep.rho])
 
     def residual(i, j):
-        out = scomb(cols, L.sc.get((i, j), {}), rep.module_dim)
+        out = scomb(cols, {k: r * c for k, c in sc.get((i, j), {}).items()}, rep.module_dim)
         for b, col in enumerate(out):
             for k, a in cols[j][b].items():
-                saxpy(col, -a, cols[i][k])
+                saxpy(col, -den * a, cols[i][k])
             for k, a in cols[i][b].items():
-                saxpy(col, a, cols[j][k])
+                saxpy(col, den * a, cols[j][k])
         return {(a, b): c for b, col in enumerate(out) for a, c in col.items()}
     return scan("representation", (((i, j), residual(i, j))
-                                   for i, j in combinations(range(L.dim), 2)))
+                                   for i, j in combinations(range(L.dim), 2)), den * r * r)
 
 
 def adjoint_rep(L: LieAlgebra) -> Representation:
@@ -278,13 +287,15 @@ def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
     """S([e_i,e_j],e_k) + S(e_j,[e_i,e_k]) = 0 over all basis triples."""
     if S.dim != L.dim:
         raise ValueError("form dimension does not match the algebra")
-    n, gram = L.dim, scols(S.gram)
-    rows = table_rows(n, L.sc, skew=True)
+    n = L.dim
+    gram, g = integral(scols(S.gram))
+    sc, den = integral(L.sc)
+    rows = table_rows(n, sc, skew=True)
     # S([e_i,e_j], e_k) is entry k of S[e_i,e_j], and S(e_j,[e_i,e_k]) = S([e_i,e_k], e_j)
-    # because the gram matrix S is symmetric
+    # because the gram matrix S is symmetric; on the integer tables both are g·D times too large
     s = [[sapply(gram, rows[i].get(j, {})) for j in range(n)] for i in range(n)]
-    return scan("invariant-form", (((i, j, k), s[i][j].get(k, ZERO) + s[i][k].get(j, ZERO))
-                                   for i, j, k in product(range(n), repeat=3)))
+    return scan("invariant-form", (((i, j, k), s[i][j].get(k, 0) + s[i][k].get(j, 0))
+                                   for i, j, k in product(range(n), repeat=3)), g * den)
 
 
 def is_quadratic(L: LieAlgebra, S: BilinForm) -> Certificate:

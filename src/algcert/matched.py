@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from .certificates import Certificate, CheckFailed, scan
-from .exact import (ONE, ZERO, Mat, dense, mat_comb, precompose, sapply, saxpy, scols, scomb,
+from .exact import (ONE, ZERO, Mat, mat_comb, precompose, sapply, saxpy, scols, scomb,
                     table_rows)
 from .lie import (
     BilinForm,
@@ -87,7 +87,7 @@ def _compat_cases(g: LieAlgebra, h: LieAlgebra, rho: Representation,
             saxpy(out, ONE, adr[b].get(a, {}))
             saxpy(out, -ONE, mixed[b][a])
             saxpy(out, ONE, mixed[a][b])
-            yield (i, a, b), dense(h.dim, out)
+            yield (i, a, b), out
 
 
 def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,

@@ -12,8 +12,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, CheckFailed, scan
-from .exact import (ONE, ZERO, Mat, Vec, dense, mat_comb, precompose, rat, saxpy, scols, sprod,
-                    table_rows, vadd, vsub, vzero)
+from .exact import (ZERO, Mat, Vec, integral, mat_comb, precompose, rat, saxpy, scols, sprod,
+                    srow, table_rows, unscale, vadd, vsub, vzero)
 from .lie import LieAlgebra, default_basis
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
@@ -117,13 +117,12 @@ class NSLieAlgebra:
         return vadd(vsub(self.left_prod(x, y), self.left_prod(y, x)), self.wedge_prod(x, y))
 
 
-def _tables(A: NSLieAlgebra):
+def _tables(n: int, left_table, wedge_table):
     """Per-call rows of ◁, ▷ and the commutator [e_i,e_j] = e_i◁e_j - e_j◁e_i + e_i▷e_j."""
-    n = A.dim
-    left = table_rows(n, A.left, skew=False)
-    wedge = table_rows(n, A.wedge, skew=True)
-    comm = [[saxpy(saxpy(dict(left[i].get(j, {})), -ONE, left[j].get(i, {})),
-                   ONE, wedge[i].get(j, {})) for j in range(n)] for i in range(n)]
+    left = table_rows(n, left_table, skew=False)
+    wedge = table_rows(n, wedge_table, skew=True)
+    comm = [[saxpy(saxpy(dict(left[i].get(j, {})), -1, left[j].get(i, {})),
+                   1, wedge[i].get(j, {})) for j in range(n)] for i in range(n)]
     return left, wedge, comm
 
 
@@ -132,27 +131,33 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
 
     Identity 1 is (x◁y)◁z - x◁(y◁z) - (y◁x)◁z + y◁(x◁z) + (x▷y)◁z
     = [x,y]◁z - x◁(y◁z) + y◁(x◁z); identity 2 is the cyclic sum of
-    x▷[y,z] + x◁(y▷z).
+    x▷[y,z] + x◁(y▷z).  Both are quadratic in the tables, so on the integer
+    tables D·◁ and D·▷ they come out D² times too large.
     """
     n = A.dim
-    left, wedge, comm = _tables(A)
-    e = [{k: ONE} for k in range(n)]
+    left, wedge, den = integral(A.left, A.wedge)
+    left, wedge, comm = _tables(n, left, wedge)
 
     def identity1(i, j, k):
-        out = sprod(left, comm[i][j], e[k])
-        saxpy(out, -ONE, sprod(left, e[i], left[j].get(k, {})))
-        return dense(n, saxpy(out, ONE, sprod(left, e[j], left[i].get(k, {}))))
+        out = sprod(left, comm[i][j], {k: 1})
+        if k in left[j]:
+            srow(out, left[i], {m: -c for m, c in left[j][k].items()})
+        if k in left[i]:
+            srow(out, left[j], left[i][k])
+        return out
 
     def identity2(i, j, k):
         out = {}
         for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-            saxpy(out, ONE, sprod(wedge, e[u], comm[v][w]))
-            saxpy(out, ONE, sprod(left, e[u], wedge[v].get(w, {})))
-        return dense(n, out)
+            if comm[v][w]:
+                srow(out, wedge[u], comm[v][w])
+            if w in wedge[v]:
+                srow(out, left[u], wedge[v][w])
+        return out
 
     triples = list(product(range(n), repeat=3))
     return Certificate.combine("nslie", [
-        scan(name, ((t, identity(*t)) for t in triples))
+        scan(name, ((t, identity(*t)) for t in triples), den * den)
         for name, identity in (("ns-identity-1", identity1), ("ns-identity-2", identity2))])
 
 
@@ -160,17 +165,18 @@ def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
     """x◁y = [Rx,y], x▷y = -[Rx,Ry]."""
     L, R = A.L, A.R
     n = L.dim
-    cols = scols(R)
-    adr = precompose(table_rows(n, L.sc, skew=True), cols)   # adr[i][j] = [Re_i, e_j]
-    left = {(i, j): adr[i][j] for i in range(n) for j in range(n) if j in adr[i]}
-    wedge = {(i, j): {k: -c for k, c in sprod(adr, {i: ONE}, cols[j]).items()}
+    sc, den = integral(L.sc)
+    cols, d = integral(scols(R))
+    adr = precompose(table_rows(n, sc, skew=True), cols)   # adr[i][j] = D·d·[Re_i, e_j]
+    left = {(i, j): unscale(adr[i][j], den * d) for i in range(n) for j in range(n) if j in adr[i]}
+    wedge = {(i, j): unscale(srow({}, adr[i], cols[j]), -den * d * d)
              for i, j in combinations(range(n), 2)}
     return NSLieAlgebra(n, L.basis, left, wedge, check=False)
 
 
 def ns_commutator(A: NSLieAlgebra) -> LieAlgebra:
     """The commutator Lie algebra of a (valid) NS-Lie algebra."""
-    comm = _tables(A)[2]
+    comm = _tables(A.dim, A.left, A.wedge)[2]
     return LieAlgebra(A.dim, A.basis,
                       {(i, j): comm[i][j] for i, j in combinations(range(A.dim), 2)})
 
@@ -206,7 +212,7 @@ def is_ns_rep(rep: NSRep) -> Certificate:
     """The three NS-representation identities over all basis pairs."""
     A, md = rep.base, rep.module_dim
     n = A.dim
-    left, wedge, comm = _tables(A)
+    left, wedge, comm = _tables(n, A.left, A.wedge)
 
     def lin(mats, v):
         return mat_comb(mats, v, md, md)

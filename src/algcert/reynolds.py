@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .certificates import Certificate, CheckFailed, residual_from_mat, scan
-from .exact import (ONE, ZERO, Mat, dense, precompose, rat, sapply, saxpy, scols, scomb,
-                    sprod, table_rows)
+from .exact import (ONE, ZERO, Mat, integral, precompose, rat, sapply, saxpy, scols, scomb,
+                    srow, table_rows, unscale)
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -58,31 +59,45 @@ class ReynoldsLieAlgebra:
         return f"ReynoldsLieAlgebra({self.L!r})"
 
 
-def operator_brackets(L: LieAlgebra, R: Mat, lam: Fraction, kappa: Fraction):
-    """Yield (i, j, [Re_i,Re_j], [Re_i,e_j] + [e_i,Re_j] + λ[e_i,e_j] + κ[Re_i,Re_j]) for i<j.
+def operator_brackets(L: LieAlgebra, R: Mat, lam, kappa):
+    """[Re_i,Re_j] and [Re_i,e_j] + [e_i,Re_j] + λ[e_i,e_j] + κ[Re_i,Re_j] for i<j, on integers.
 
-    Both brackets are sparse vectors, computed from tables of [e_a,e_b] and
-    [Re_a,e_b] built once per call.
+    Returns (cols, d, s, pairs): cols are the integer columns of d·R, pairs
+    yields (i, j, rr, inner), the two brackets as integer sparse vectors on
+    the scales s·d and s, where s = q·D·d², D is the denominator of L's
+    table and q that of λ and κ.  They come from integer tables of [e_a,e_b]
+    and [Re_a,e_b] built once per call.
     """
-    rows = table_rows(L.dim, L.sc, skew=True)
-    cols = scols(R)
-    adr = precompose(rows, cols)   # adr[i][j] = [Re_i, e_j]
-    for i, j in combinations(range(L.dim), 2):
-        rr = sprod(adr, {i: ONE}, cols[j])
-        inner = dict(adr[i].get(j, {}))
-        saxpy(inner, -ONE, adr[j].get(i, {}))
-        saxpy(inner, lam, rows[i].get(j, {}))
-        saxpy(inner, kappa, rr)
-        yield i, j, rr, inner
+    lam, kappa = rat(lam), rat(kappa)
+    sc, den = integral(L.sc)
+    cols, d = integral(scols(R))
+    q = lcm(lam.denominator, kappa.denominator)
+    lam_q, kappa_q = int(lam * q), int(kappa * q)
+    rows = table_rows(L.dim, sc, skew=True)           # D·[e_a, e_b]
+    adr = precompose(rows, cols)                      # D·d·[Re_i, e_j]
+
+    def pairs():
+        for i, j in combinations(range(L.dim), 2):
+            rr = srow({}, adr[i], cols[j])            # D·d²·[Re_i, Re_j]
+            inner = saxpy({}, q * d, adr[i].get(j, {}))
+            saxpy(inner, -q * d, adr[j].get(i, {}))
+            saxpy(inner, lam_q * d * d, rows[i].get(j, {}))
+            saxpy(inner, kappa_q, rr)
+            yield i, j, saxpy({}, q * d, rr), inner
+    return cols, d, q * den * d * d, pairs()
 
 
 def operator_identity(check: str, L: LieAlgebra, R: Mat, lam, kappa) -> Certificate:
-    """[Re_i,Re_j] = R([Re_i,e_j] + [e_i,Re_j] + λ[e_i,e_j] + κ[Re_i,Re_j]) for all i<j."""
+    """[Re_i,Re_j] = R([Re_i,e_j] + [e_i,Re_j] + λ[e_i,e_j] + κ[Re_i,Re_j]) for all i<j.
+
+    With R = R'/d, the residual rr − R'·inner of the integer brackets is s·d
+    times the true one.
+    """
     if R.rows != L.dim or R.cols != L.dim:
         raise ValueError("operator shape does not match the algebra")
-    cols = scols(R)
-    return scan(check, (((i, j), dense(L.dim, saxpy(rr, -ONE, sapply(cols, inner))))
-                        for i, j, rr, inner in operator_brackets(L, R, lam, kappa)))
+    cols, d, s, pairs = operator_brackets(L, R, lam, kappa)
+    return scan(check, (((i, j), saxpy(rr, -1, sapply(cols, inner)))
+                        for i, j, rr, inner in pairs), s * d)
 
 
 def is_reynolds(L: LieAlgebra, R: Mat) -> Certificate:
@@ -93,7 +108,8 @@ def is_reynolds(L: LieAlgebra, R: Mat) -> Certificate:
 def induced_algebra(A: ReynoldsLieAlgebra) -> ReynoldsLieAlgebra:
     """New bracket [x,y]_R = [Rx,y] + [x,Ry] - [Rx,Ry] with the same operator."""
     L, R = A.L, A.R
-    sc = {(i, j): inner for i, j, _, inner in operator_brackets(L, R, ZERO, -ONE)}
+    _, _, s, pairs = operator_brackets(L, R, ZERO, -ONE)
+    sc = {(i, j): unscale(inner, s) for i, j, _, inner in pairs}
     return ReynoldsLieAlgebra(LieAlgebra(L.dim, L.basis, sc), R)
 
 
@@ -153,7 +169,7 @@ def compat_certificate(R: Mat, rep: Representation, T: Mat,
                 inner = sapply(rho_cols[i], tu)
                 saxpy(inner, ONE, rho_rx[a])
                 saxpy(inner, -ONE, lhs)
-                yield (i, a), dense(md, saxpy(lhs, -ONE, sapply(tcols, inner)))
+                yield (i, a), saxpy(lhs, -ONE, sapply(tcols, inner))
     return scan(name, cases())
 
 

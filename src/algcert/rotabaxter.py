@@ -15,8 +15,8 @@ from itertools import combinations
 from .bialgebra import LieBialgebra, ReynoldsLieBialgebra
 from .certificates import Certificate, CheckFailed, residual_from_mat, residual_from_vec, scan
 from .cybe import ad_invariance_cert, is_cybe_solution, r_plus
-from .exact import (ONE, ZERO, Mat, Tensor2, dense, flip, precompose, rat, sapply, saxpy, scols,
-                    sprod, table_rows)
+from .exact import (ONE, ZERO, Mat, Tensor2, flip, precompose, rat, sapply, saxpy, scols,
+                    sprod, table_rows, unscale)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
 from .reynolds import is_reynolds, operator_brackets, operator_form_compat, operator_identity
 
@@ -52,7 +52,8 @@ def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
     cert = is_rota_baxter(rb.L, rb.B, rb.lam)
     if not cert.ok:
         raise CheckFailed(cert)
-    sc = {(i, j): inner for i, j, _, inner in operator_brackets(rb.L, rb.B, rb.lam, ZERO)}
+    _, _, s, pairs = operator_brackets(rb.L, rb.B, rb.lam, ZERO)
+    sc = {(i, j): unscale(inner, s) for i, j, _, inner in pairs}
     return LieAlgebra(rb.L.dim, rb.L.basis, sc)
 
 
@@ -134,7 +135,7 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
             raise CheckFailed(
                 Certificate.failed(
                     "descendent-compatibility", (i, j),
-                    residual_from_vec(dense(n, diff)), 1,
+                    residual_from_vec(diff), 1,
                 )
             )
     return r

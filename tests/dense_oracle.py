@@ -477,10 +477,10 @@ def _eps(t: Tensor3) -> Tensor3:
 
 def is_lie_coalgebra(deltas) -> Certificate:
     n = len(deltas)
-    for k, d in enumerate(deltas):
-        if not d.is_skew():
-            return Certificate(check="coalgebra", ok=False, where=(k,),
-                               note="cobracket is not skew")
+    skew = scan("coalgebra", (((k,), d + flip(d)) for k, d in enumerate(deltas)))
+    if not skew.ok:
+        return Certificate.failed("coalgebra", skew.where, skew.residual, skew.violations,
+                                  note="cobracket is not skew")
 
     def co_jacobi(k):
         t = Tensor3((n, n, n))

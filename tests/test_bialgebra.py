@@ -66,6 +66,19 @@ def test_co_jacobi(sl2, broken_jacobi):
     assert cert.where is not None
 
 
+# Δ(e_0) is skew; Δ(e_1) = e_0⊗e_1 and Δ(e_2) = ½ e_2⊗e_2 are not
+NON_SKEW = [Tensor2(3, 3, {(0, 1): 1, (1, 0): -1}), Tensor2(3, 3, {(0, 1): 1}),
+            Tensor2(3, 3, {(2, 2): Fraction(1, 2)})]
+
+
+def test_non_skew_cobracket_is_a_counted_failure():
+    # the residual is Δ(e_1) + σΔ(e_1); violations counts e_1 and e_2
+    assert is_lie_coalgebra(NON_SKEW).to_json() == {
+        "check": "coalgebra", "ok": False, "where": [1],
+        "residual": [{"at": [0, 1], "c": "1"}, {"at": [1, 0], "c": "1"}],
+        "violations": 2, "note": "cobracket is not skew"}
+
+
 def test_co_jacobi_zero():
     assert is_lie_coalgebra([Tensor2(2, 2), Tensor2(2, 2)]).ok
 

@@ -6,7 +6,7 @@ import pytest
 from algcert import fileio as fio
 from algcert.catalog import catalog, names
 from algcert.cli import main_block, main_build, main_cat, main_check
-from algcert.exact import Mat
+from algcert.exact import Mat, Tensor2
 from algcert.nslie import ns_from_reynolds, regular_rep
 from algcert.reynolds import reynolds_coadjoint_rep
 from algcert.cybe import RelativeRB, prelie_from_relrb, r_plus
@@ -336,6 +336,19 @@ def test_cli_first_only(tmp_path, broken_jacobi, capsys):
     assert main_check(["coalgebra", path, "--first-only"]) == 1
     trimmed = capsys.readouterr().out
     assert full.count("[") > trimmed.count("[")
+
+
+def test_cli_non_skew_coalgebra_exits_1_with_residual(tmp_path, capsys):
+    deltas = [Tensor2(3, 3, {(0, 1): 1, (1, 0): -1}), Tensor2(3, 3, {(0, 1): 1}),
+              Tensor2(3, 3, {(2, 2): Fraction(1, 2)})]
+    path = write(tmp_path, "co.json", fio.coalgebra_to_doc(deltas))
+    assert main_check(["coalgebra", path]) == 1
+    assert ("[FAIL] coalgebra at (1,) residual {[0, 1]=1, [1, 0]=1} violations=2"
+            "  (cobracket is not skew)") in capsys.readouterr().out
+    assert main_check(["coalgebra", path, "--json"]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert (check["where"], check["residual"], check["violations"]) == (
+        [1], [{"at": [0, 1], "c": "1"}, {"at": [1, 0], "c": "1"}], 2)
 
 
 def test_cli_algcat(tmp_path, capsys):

@@ -8,14 +8,17 @@ identical, in full `to_json()`, to the one the dense kernels of
 matched-pair, bialgebra and CYBE layers are compared the same way, on
 conjugated quadratic Rota-Baxter data of sl(2) and gl(2) and on perturbed
 or random inputs, by running each call once as it is and once inside
-`dense_oracle.swapped()`.
+`dense_oracle.swapped()`.  The integer kernel of the identity checks is
+compared on dense conjugates whose coefficients have coprime denominators,
+with rational Rota-Baxter weights and failing inputs, and a change of basis
+must not change any verdict.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import dense_oracle as dense
 from algcert import bialgebra, cybe, matched, rotabaxter
@@ -74,6 +77,14 @@ def trace_form(n: int) -> BilinForm:
                           for k in range(d)]))
 
 
+def gl_projection(n: int) -> Mat:
+    """The projection of gl(n) onto sl(n) along the centre: E_cd ↦ E_cd − δ_cd/n·Σ_a E_aa."""
+    d = n * n
+    centre = [a * n + a for a in range(n)]
+    return Mat([[Fraction(int(k == m)) - (Fraction(1, n) if k in centre and m in centre else 0)
+                 for m in range(d)] for k in range(d)])
+
+
 # ---------------------------------------------------------------------------
 # gl(5): every check at dimension 25
 # ---------------------------------------------------------------------------
@@ -82,10 +93,7 @@ def test_gl5_checks_pass_and_pinned_failure():
     n = 5
     L = gl(n)
     d = L.dim
-    centre = [a * n + a for a in range(n)]
-    # projection onto sl(5) along the centre: E_cd ↦ E_cd − δ_cd/5·Σ_a E_aa
-    proj = Mat([[Fraction(int(k == m)) - (Fraction(1, n) if k in centre and m in centre else 0)
-                 for m in range(d)] for k in range(d)])
+    proj = gl_projection(n)
     assert jacobi_check(L).ok
     assert is_reynolds(L, proj).ok
     assert is_rota_baxter(L, proj, -1).ok
@@ -129,6 +137,11 @@ def conjugate(L: LieAlgebra, P: Mat) -> LieAlgebra:
     sc = {(i, j): dict(enumerate(inv.apply(L.bracket(P.col(i), P.col(j)))))
           for i, j in combinations(range(L.dim), 2)}
     return LieAlgebra.unchecked(L.dim, None, sc)
+
+
+def conjugated(L: LieAlgebra, R: Mat, S: BilinForm, P: Mat):
+    """(L, R, S) in the basis f_i = P e_i: R becomes P⁻¹RP and S becomes PᵀSP."""
+    return conjugate(L, P), P.inverse() @ R @ P, BilinForm(P.transpose() @ S.gram @ P)
 
 
 @st.composite
@@ -322,9 +335,7 @@ def invertible(draw, n: int) -> Mat:
 def qrbs(draw):
     """(L, B, S): sl(2) or gl(2) with its quadratic Rota-Baxter data, in a random basis."""
     L, B, S = draw(st.sampled_from([(catalog_sl2(), sl2_b(), sl2_s()), gl_qrb(2)]))
-    P = draw(invertible(L.dim))
-    inv = P.inverse()
-    return conjugate(L, P), inv @ B @ P, BilinForm(P.transpose() @ S.gram @ P)
+    return conjugated(L, B, S, draw(invertible(L.dim)))
 
 
 def bump(m: Mat, draw) -> Mat:
@@ -481,3 +492,157 @@ def test_doubles_and_solutions_match_dense_on_gl(n, with_r):
     for solution in (lambda: cybe.rk_solution(rel),
                      lambda: cybe.canonical_r(cybe.prelie_from_relrb(rel))):
         assert agree(solution)[0][0] == "ReynoldsLieAlgebra"
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel under non-trivial common denominators
+# ---------------------------------------------------------------------------
+#
+# The checks scale each table to integers under the lcm of its denominators
+# and divide only the reported residual by the identity's scale.  Coefficients
+# with coprime denominators and dense changes of basis make those scales
+# large and different per table; failing inputs exercise the division.
+
+COPRIME = st.sampled_from([Fraction(c) for c in (0, 1, -2)]
+                          + [Fraction(1, 7), Fraction(-5, 11), Fraction(13, 6), Fraction(4, 9)])
+WEIGHTS = (Fraction(3, 5), Fraction(-7, 4))
+GL2 = matrix_unit_algebra(list(product(range(2), repeat=2)))
+
+
+@st.composite
+def dense_invertible(draw, n: int) -> Mat:
+    """Unit lower- times unit upper-triangular: invertible, and dense for nonzero draws."""
+    lower = [[Fraction(int(a == b)) if a <= b else draw(COPRIME) for b in range(n)]
+             for a in range(n)]
+    upper = [[Fraction(int(a == b)) if a >= b else draw(COPRIME) for b in range(n)]
+             for a in range(n)]
+    return Mat(lower) @ Mat(upper)
+
+
+@st.composite
+def rational_cases(draw):
+    """A dense conjugate of sl(2), gl(2) or b(3), possibly Jacobi-broken, with its operators.
+
+    The operators are the conjugated projection (gl(2): onto sl(2) along the
+    centre, Reynolds and Rota-Baxter of weight −1), a dense random one, Id
+    and 2·Id; the forms the conjugated trace form (sl(2), gl(2): invariant)
+    and a random symmetric one.
+    """
+    base, R, S = draw(st.sampled_from([
+        (SL2, Mat.identity(3), BilinForm(Mat([[2, 0, 0], [0, 0, 1], [0, 1, 0]]))),
+        (GL2, gl_projection(2), trace_form(2)),
+        (matrix_unit_algebra(BASES[1]), Mat.identity(6), BilinForm(Mat.identity(6)))]))
+    L, R, S = conjugated(base, R, S, draw(dense_invertible(base.dim)))
+    n = L.dim
+    if draw(st.booleans()):
+        sc = dict(L.sc)
+        key = draw(st.sampled_from(list(combinations(range(n), 2))))
+        sc[key] = {**sc.get(key, {}), draw(st.integers(0, n - 1)): Fraction(1, 7)}
+        L = LieAlgebra.unchecked(n, None, sc)
+    ops = [R, Mat([[draw(COPRIME) for _ in range(n)] for _ in range(n)]),
+           Mat.identity(n), Mat.identity(n).scale(2)]
+    upper = {(a, b): draw(COPRIME) for a in range(n) for b in range(a, n)}
+    forms_ = [S, BilinForm(Mat([[upper[min(a, b), max(a, b)] for b in range(n)]
+                                for a in range(n)]))]
+    return L, ops, forms_
+
+
+@given(rational_cases())
+def test_rational_checks_match_dense(case):
+    L, ops, forms_ = case
+    assert jacobi_check(L).to_json() == dense.jacobi_check(L).to_json()
+    for S in forms_:
+        assert is_invariant_form(L, S).to_json() == dense.is_invariant_form(L, S).to_json()
+    adj = adjoint_rep(L)
+    for rep in (adj, Representation.unchecked(L, L.dim, [m.scale(Fraction(-5, 11))
+                                                          for m in adj.rho])):
+        assert is_representation(rep).to_json() == dense.is_representation(rep).to_json()
+    for R in ops:
+        assert is_reynolds(L, R).to_json() == dense.is_reynolds(L, R).to_json()
+        # −λ·R is Rota-Baxter of weight λ when R is a projection, or Id
+        for lam in WEIGHTS:
+            for B in (R, R.scale(-lam)):
+                assert (is_rota_baxter(L, B, lam).to_json()
+                        == dense.is_rota_baxter(L, B, lam).to_json())
+
+
+@settings(max_examples=8)
+@given(rational_cases())
+def test_rational_constructions_and_nslie_match_dense(case):
+    """Equal tables; a refused construction fails the dense check of its hypothesis."""
+    L, ops, _ = case
+    for R in ops:
+        A = ns_from_reynolds(ReynoldsLieAlgebra.unchecked(L, R))
+        assert (A.left, A.wedge) == dense.ns_from_reynolds_tables(L, R)
+        if L.dim <= 4:
+            assert is_nslie(A).to_json() == dense.is_nslie(A).to_json()
+        got = outcome(lambda: induced_algebra(ReynoldsLieAlgebra.unchecked(L, R)).L.sc)
+        expected = dense.induced_sc(L, R)
+        if isinstance(got, tuple):   # ("CheckFailed", certificate), else the table
+            induced = LieAlgebra.unchecked(L.dim, None, expected)
+            assert got[0] == "CheckFailed" and got[1] in (dense.jacobi_check(induced).to_json(),
+                              dense.is_reynolds(induced, R).to_json())
+        else:
+            assert got == expected
+        for lam in WEIGHTS:
+            B = R.scale(-lam)
+            got = outcome(lambda: descendent(RotaBaxterAlg.unchecked(L, B, lam)).sc)
+            expected = dense.descendent_sc(L, B, lam)
+            if isinstance(got, tuple):
+                assert got[0] == "CheckFailed" and got[1] in (dense.is_rota_baxter(L, B, lam).to_json(), dense.jacobi_check(
+                    LieAlgebra.unchecked(L.dim, None, expected)).to_json())
+            else:
+                assert got == expected
+
+
+def test_rational_failure_is_divided_by_the_scale():
+    # the projection of gl(2) in a basis with denominators 7, 11, 6: 2·Id fails with
+    # residual 4[f_0,f_1], a vector whose entries keep their own reduced denominators
+    P = Mat([[1, Fraction(1, 7), 0, 0], [0, 1, Fraction(-5, 11), 0],
+             [Fraction(13, 6), 0, 1, 0], [0, 0, 0, 1]])
+    L, R, S = conjugated(GL2, gl_projection(2), trace_form(2), P)
+    assert is_reynolds(L, R).ok and is_rota_baxter(L, R, -1).ok
+    assert is_invariant_form(L, S).ok and jacobi_check(L).ok
+    two = Mat.identity(4).scale(2)
+    cert = is_reynolds(L, two)
+    i, j = cert.where
+    assert cert.residual == tuple(((k,), 4 * c) for k, c in sorted(L.sc[(i, j)].items()) if c)
+    assert any(c.denominator > 1 for _, c in cert.residual)
+    assert cert.to_json() == dense.is_reynolds(L, two).to_json()
+
+
+# ---------------------------------------------------------------------------
+# change of basis: verdicts do not depend on the basis
+# ---------------------------------------------------------------------------
+
+B3 = matrix_unit_algebra(BASES[1])
+# the torus of b(3) (the diagonal units, indices 0, 3, 5) along the nilradical
+B3_TORUS = Mat([[int(k == m and k in (0, 3, 5)) for m in range(6)] for k in range(6)])
+B3_TRACE = BilinForm(Mat([[int(BASES[1][k] == BASES[1][m][::-1]) for m in range(6)]
+                          for k in range(6)]))
+
+
+def verdicts(L: LieAlgebra, R: Mat, S: BilinForm) -> dict:
+    return {
+        "jacobi": jacobi_check(L).ok,
+        "reynolds": is_reynolds(L, R).ok,
+        "rota-baxter": is_rota_baxter(L, R, -1).ok,
+        "representation": is_representation(adjoint_rep(L)).ok,
+        "invariant-form": is_invariant_form(L, S).ok,
+        "nslie": is_nslie(ns_from_reynolds(ReynoldsLieAlgebra.unchecked(L, R))).ok,
+    }
+
+
+@pytest.mark.parametrize("name", ["gl(3)", "b(3)"])
+@settings(max_examples=4)
+@given(data=st.data())
+def test_verdicts_are_basis_independent(name, data):
+    L, R, S = (gl(3), gl_projection(3), trace_form(3)) if name == "gl(3)" else (
+        B3, B3_TORUS, B3_TRACE)
+    n = L.dim
+    assert verdicts(L, R, S) == dict.fromkeys(verdicts(L, R, S), True)
+    P = data.draw(dense_invertible(n))
+    for op in (R, Mat.identity(n).scale(2)):
+        assert verdicts(*conjugated(L, op, S, P)) == verdicts(L, op, S)
+    # 2·Id is neither Reynolds nor Rota-Baxter of weight −1, in any basis
+    assert not verdicts(*conjugated(L, Mat.identity(n).scale(2), S, P))["reynolds"]
