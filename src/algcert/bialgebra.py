@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .certificates import Certificate, CheckFailed, scan
 from .cybe import ad_invariance_cert, ad_on_tensor, cybe_bracket
-from .exact import ONE, ZERO, Mat, Tensor2, flip, table_rows, tensor2_map, tensor3_map
+from .exact import ONE, ZERO, Mat, Tensor2, flip, tensor2_map, tensor3_map
 from .lie import LieAlgebra, Representation, coadjoint_rep, dual_basis, jacobi_check
 from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
 from .reynolds import ReynoldsLieAlgebra, is_reynolds
@@ -54,17 +54,9 @@ class LieBialgebra:
 
 def cobracket_from_dual(dual: LieAlgebra) -> list[Tensor2]:
     """Δ(e_k) as a skew tensor read off the dual structure constants."""
-    n = dual.dim
-    deltas = []
-    for k in range(n):
-        entries: dict[tuple[int, int], Fraction] = {}
-        for (i, j), comp in dual.sc.items():
-            c = comp.get(k)
-            if c:
-                entries[(i, j)] = entries.get((i, j), Fraction(0)) + c
-                entries[(j, i)] = entries.get((j, i), Fraction(0)) - c
-        deltas.append(Tensor2(n, n, entries))
-    return deltas
+    n, rows = dual.dim, dual.sc.rows()
+    return [Tensor2(n, n, {(i, j): comp[k] for i, row in enumerate(rows)
+                           for j, comp in row.items() if k in comp}) for k in range(n)]
 
 
 def dual_from_cobracket(deltas: list[Tensor2], basis=None) -> LieAlgebra:
@@ -142,7 +134,7 @@ def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
 
 def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
     """Δ[x,y] = (ad_x⊗Id+Id⊗ad_x)Δy − (ad_y⊗Id+Id⊗ad_y)Δx over basis pairs."""
-    rows = table_rows(g.dim, g.sc, skew=True)
+    rows = g.sc.rows()
 
     def residual(i, j):
         out = _delta_comb(deltas, g.sc.get((i, j), {}))
@@ -242,7 +234,7 @@ def coboundary_cobracket(g: LieAlgebra, r: Tensor2) -> list[Tensor2]:
     """Δ(e_k) = (ad_{e_k}⊗Id + Id⊗ad_{e_k}) r."""
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
-    rows = table_rows(g.dim, g.sc, skew=True)
+    rows = g.sc.rows()
     return [Tensor2(g.dim, g.dim, ad_on_tensor(rows, k, r, {})) for k in range(g.dim)]
 
 

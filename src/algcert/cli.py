@@ -96,8 +96,8 @@ def _required_tensor(doc: dict, args, dim: int, context: str):
 # check dispatch
 # ---------------------------------------------------------------------------
 
-def _run_check(kind: str, files: list[str], args) -> list[Certificate]:
-    doc = fio.read_doc(files[0]) if files else {}
+def _run_check(kind: str, path: str, args) -> list[Certificate]:
+    doc = fio.read_doc(path)
     if kind == "jacobi":
         return [lie.jacobi_check(fio.doc_to_algebra(doc))]
     if kind == "reynolds":
@@ -175,8 +175,8 @@ def _gate(cert: Certificate) -> None:
         raise CheckFailed(cert)
 
 
-def _run_build(kind: str, files: list[str], args) -> tuple[dict, list[Certificate]]:
-    doc = fio.read_doc(files[0]) if files else {}
+def _run_build(kind: str, path: str, args) -> tuple[dict, list[Certificate]]:
+    doc = fio.read_doc(path)
     if kind == "induced":
         A = fio.doc_to_reynolds_algebra(doc, _operator_arg(args))
         _gate(rey.is_reynolds(A.L, A.R))
@@ -315,8 +315,9 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--first-only", action="store_true",
                    help="stop at the first failing certificate")
-    p.add_argument("--op", help="operator file (matrix document)")
-    p.add_argument("--reynolds", help="alias for --op")
+    ops = p.add_mutually_exclusive_group()
+    ops.add_argument("--op", help="operator file (matrix document)")
+    ops.add_argument("--reynolds", help="alias for --op")
     p.add_argument("--tensor", help="tensor file")
 
 
@@ -326,12 +327,12 @@ def main_check(argv=None) -> int:
     p = argparse.ArgumentParser(prog="algcheck",
                                 description="run an axiom check and report certificates")
     p.add_argument("kind", choices=CHECK_KINDS)
-    p.add_argument("files", nargs="+")
+    p.add_argument("file")
     _common_flags(p)
     args = p.parse_args(argv)
-    command = ["algcheck", args.kind] + args.files + _flag_echo(args)
+    command = ["algcheck", args.kind, args.file] + _flag_echo(args)
     try:
-        certs = _run_check(args.kind, args.files, args)
+        certs = _run_check(args.kind, args.file, args)
     except CheckFailed as exc:
         return _finish(command, [exc.certificate], args, started)
     except ValueError as exc:
@@ -346,20 +347,19 @@ def main_build(argv=None) -> int:
     p = argparse.ArgumentParser(prog="algbuild",
                                 description="run a construction, verify and write its output")
     p.add_argument("kind", choices=BUILD_KINDS)
-    p.add_argument("files", nargs="+")
+    p.add_argument("file")
     p.add_argument("-o", "--out", required=True)
     _common_flags(p)
     args = p.parse_args(argv)
-    command = ["algbuild", args.kind] + args.files + _flag_echo(args) + ["-o", args.out]
+    command = ["algbuild", args.kind, args.file] + _flag_echo(args) + ["-o", args.out]
     try:
-        doc, certs = _run_build(args.kind, args.files, args)
+        doc, certs = _run_build(args.kind, args.file, args)
+        fio.write_doc(args.out, doc, {"construction": args.kind, "sources": [args.file]})
     except CheckFailed as exc:
         return _finish(command, [exc.certificate], args, started)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    provenance = {"construction": args.kind, "sources": list(args.files)}
-    fio.write_doc(args.out, doc, provenance)
     return _finish(command, certs, args, started)
 
 

@@ -17,8 +17,8 @@ from .certificates import (
     residual_from_tensor,
     scan,
 )
-from .exact import (ONE, ZERO, Mat, Rows, Tensor2, Tensor3, Vec, action_rows, dense, flip,
-                    precompose, sapply, saxpy, scols, sprod, table_rows, tensor2_map)
+from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, action_rows, dense, flip,
+                    precompose, sapply, saxpy, scols, sprod, tensor2_map)
 from .lie import LieAlgebra, Representation, default_basis, dual_rep, semidirect
 from .matched import MatchedPair, ReynoldsMatchedPair
 from .reynolds import (
@@ -33,7 +33,7 @@ def cybe_bracket(g: LieAlgebra, r: Tensor2) -> Tensor3:
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
     n = g.dim
-    rows = table_rows(n, g.sc, skew=True)
+    rows = g.sc.rows()
     data: dict[tuple[int, int, int], Fraction] = {}
 
     def put(key, c):
@@ -65,7 +65,7 @@ def ad_on_tensor(rows: Rows, k: int, t: Tensor2, out: dict, c: Fraction = ONE) -
 
 def ad_invariance_cert(g: LieAlgebra, t: Tensor2, name: str = "ad-invariance") -> Certificate:
     """(ad_x⊗Id + Id⊗ad_x)(t) = 0 for every basis x."""
-    rows = table_rows(g.dim, g.sc, skew=True)
+    rows = g.sc.rows()
     return scan(name, (((k,), ad_on_tensor(rows, k, t, {})) for k in range(g.dim)))
 
 
@@ -135,7 +135,7 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
         return Certificate.combine("relative-rb", [rep_cert],
                                    note="invalid Reynolds representation")
     L = rel.rr.base.L
-    rows = table_rows(L.dim, L.sc, skew=True)
+    rows = L.sc.rows()
     kcols = scols(rel.K)
     desc = _descendent_sc(rel)
 
@@ -183,7 +183,7 @@ def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     rep = rel.rr.rep
     m = rep.module_dim
     rho = Representation(g, m, rep.rho, labels=rep.labels, check=False)
-    rows = table_rows(g.dim, g.sc, skew=True)
+    rows = g.sc.rows()
     act = action_rows(rep.rho)
     kcols = scols(rel.K)
     mu_mats = []
@@ -232,13 +232,11 @@ class PreLieAlgebra:
     __slots__ = ("dim", "basis", "prod")
 
     def __init__(self, dim: int, basis=None, prod=None, check: bool = True):
-        from .nslie import _clean_full
-
         self.dim = dim
         self.basis = tuple(basis) if basis is not None else default_basis(dim)
         if len(self.basis) != dim:
             raise ValueError("basis label count must equal dim")
-        self.prod = _clean_full(dim, prod or {})
+        self.prod = Table(dim, prod)
         if check:
             cert = is_prelie(self)
             if not cert.ok:
@@ -257,28 +255,16 @@ class PreLieAlgebra:
         )
 
     def prod_basis(self, i: int, j: int) -> Vec:
-        comp = self.prod.get((i, j))
-        out = [Fraction(0)] * self.dim
-        if comp:
-            for k, c in comp.items():
-                out[k] = c
-        return tuple(out)
+        return self.prod.basis_prod(i, j)
 
     def prod_vec(self, x: Vec, y: Vec) -> Vec:
-        out = [Fraction(0)] * self.dim
-        for (i, j), comp in self.prod.items():
-            c = x[i] * y[j]
-            if c == 0:
-                continue
-            for k, v in comp.items():
-                out[k] += c * v
-        return tuple(out)
+        return self.prod.prod(x, y)
 
 
 def is_prelie(A: PreLieAlgebra) -> Certificate:
     """Left-symmetry of the associator over all basis triples."""
     n = A.dim
-    rows = table_rows(n, A.prod, skew=False)
+    rows = A.prod.rows()
 
     def residual(i, j, k):
         # (e_ie_j − e_je_i)e_k − e_i(e_je_k) + e_j(e_ie_k)
@@ -313,7 +299,7 @@ def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
     """{Rx,Ry} = R({Rx,y} + {x,Ry} − {Rx,Ry}) over all ordered basis pairs."""
     base = is_prelie(A)
     n = A.dim
-    rows = table_rows(n, A.prod, skew=False)
+    rows = A.prod.rows()
     cols = scols(R)
     adr = precompose(rows, cols)   # adr[i][j] = {Re_i, e_j}
 
@@ -344,8 +330,7 @@ def left_rep(rp: ReynoldsPreLie) -> ReynoldsRep:
     """(g; R, L) with L(x)y = {x,y}, over the sub-adjacent algebra."""
     sub = subadjacent(rp)
     n = rp.A.dim
-    mats = [Mat.from_cols(dense(n, rp.A.prod.get((i, j), {})) for j in range(n))
-            for i in range(n)]
+    mats = [Mat.from_cols(rp.A.prod.basis_prod(i, j) for j in range(n)) for i in range(n)]
     rep = Representation(sub.L, n, mats, labels=rp.A.basis, check=False)
     return ReynoldsRep(sub, rep, rp.R)
 

@@ -456,14 +456,81 @@ class Tensor3:
 #
 # Identity checks evaluate products on basis indices rather than on dense
 # coordinate vectors: a sparse vector is a dict {index: coefficient} (it may
-# hold cancelled zeros), and a bilinear map is a list of rows,
-# rows[i][j] = e_i·e_j as a sparse vector; a matrix is its list of sparse
-# columns.  Tables are built per call from the stored (i, j)-keyed data.  The
+# hold cancelled zeros), and a bilinear map is stored as a `Table` and
+# evaluated through its rows, rows[i][j] = e_i·e_j as a sparse vector, built
+# per call by `Table.rows`; a matrix is its list of sparse columns.  The
 # helpers below are number-generic: on `integral` tables they stay on ``int``,
 # on ``Fraction`` ones on ``Fraction``.  A residual handed to `scan` is the
 # sparse vector itself, or a dict {(row, column): coefficient} for a matrix.
 
 Rows = list[dict[int, SVec]]
+
+
+class Table(dict):
+    """A bilinear map on basis indices: {(i, j): {k: c}} with e_i·e_j = Σ_k c·e_k.
+
+    A skew table (a Lie bracket, the NS-Lie product ▷) stores keys with i < j
+    only, and e_j·e_i = −e_i·e_j.  Entries are validated once, on
+    construction, and zeros are never stored.  It compares equal to a plain
+    dict with the same entries.
+    """
+
+    def __init__(self, dim: int, entries: Mapping | None = None, skew: bool = False):
+        super().__init__()
+        self.dim, self.skew = dim, skew
+        for (i, j), comp in (entries or {}).items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"table key ({i},{j}) out of range for dim {dim}")
+            if skew and i >= j:
+                raise ValueError(f"skew table key ({i},{j}) must satisfy i<j")
+            cleaned = {}
+            for k, c in comp.items():
+                c = rat(c)
+                if not 0 <= int(k) < dim:
+                    raise ValueError(f"table output index {k} out of range for dim {dim}")
+                if c != 0:
+                    cleaned[int(k)] = c
+            if cleaned:
+                self[i, j] = cleaned
+
+    @classmethod
+    def _of(cls, dim: int, entries: Mapping, skew: bool) -> "Table":
+        """A table of valid entries, taken as they are: no coercion, no check."""
+        t = cls.__new__(cls)
+        t.update(entries)
+        t.dim, t.skew = dim, skew
+        return t
+
+    def rows(self) -> Rows:
+        """rows[i][j] = e_i·e_j as a sparse vector, both orders of a skew key."""
+        rows: Rows = [{} for _ in range(self.dim)]
+        for (i, j), comp in self.items():
+            rows[i][j] = comp
+            if self.skew:
+                rows[j][i] = {k: -c for k, c in comp.items()}
+        return rows
+
+    def basis_prod(self, i: int, j: int) -> Vec:
+        """e_i·e_j as a coordinate vector."""
+        sign = 1
+        if self.skew and i > j:
+            i, j, sign = j, i, -1
+        out = [ZERO] * self.dim
+        for k, c in self.get((i, j), {}).items():
+            out[k] = sign * c
+        return tuple(out)
+
+    def prod(self, x: Vec, y: Vec) -> Vec:
+        """x·y on coordinate vectors."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("vector dimension does not match the table")
+        out = [ZERO] * self.dim
+        for (i, j), comp in self.items():
+            coeff = x[i] * y[j] - x[j] * y[i] if self.skew else x[i] * y[j]
+            if coeff:
+                for k, c in comp.items():
+                    out[k] += coeff * c
+        return tuple(out)
 
 
 def saxpy(out: SVec, a, v: SVec) -> SVec:
@@ -479,21 +546,21 @@ def saxpy(out: SVec, a, v: SVec) -> SVec:
 def integral(*tables):
     """The tables scaled to integers under one common denominator.
 
-    Each table is a list of sparse vectors (a matrix's `scols`) or a mapping
-    key → sparse vector (an (i, j)-keyed structure table).  Returns each
-    table in the same shape with every coefficient multiplied by D, as an
-    ``int``, followed by D, the lcm of all the coefficients' denominators.
+    Each table is a list of sparse vectors (a matrix's `scols`) or a `Table`.
+    Returns each table in the same shape with every coefficient multiplied
+    by D, as an ``int``, followed by D, the lcm of all the coefficients'
+    denominators.
     """
     den = 1
     for t in tables:
-        for v in (t.values() if isinstance(t, Mapping) else t):
+        for v in (t.values() if isinstance(t, Table) else t):
             for c in v.values():
                 den = lcm(den, c.denominator)
 
     def scale(v: SVec) -> dict[int, int]:
         return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
-    return (*({key: scale(v) for key, v in t.items()} if isinstance(t, Mapping)
-              else [scale(v) for v in t] for t in tables), den)
+    return (*(Table._of(t.dim, {key: scale(v) for key, v in t.items()}, t.skew)
+              if isinstance(t, Table) else [scale(v) for v in t] for t in tables), den)
 
 
 def unscale(v: dict[int, int], den: int) -> SVec:
@@ -512,16 +579,6 @@ def sapply(cols: list[SVec], v: SVec) -> SVec:
     for j, a in v.items():
         saxpy(out, a, cols[j])
     return out
-
-
-def table_rows(n: int, table: Mapping[tuple[int, int], SVec], skew: bool) -> Rows:
-    """rows[i][j] = e_i·e_j from an (i, j)-keyed table; a skew table stores i<j only."""
-    rows: Rows = [{} for _ in range(n)]
-    for (i, j), comp in table.items():
-        rows[i][j] = comp
-        if skew:
-            rows[j][i] = {k: -c for k, c in comp.items()}
-    return rows
 
 
 def sprod(rows: Rows, x: SVec, y: SVec) -> SVec:

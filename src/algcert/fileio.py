@@ -466,6 +466,10 @@ def read_doc(path: str) -> dict:
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -480,5 +484,9 @@ def render_doc(doc: dict, provenance: dict | None = None) -> str:
 
 
 def write_doc(path: str, doc: dict, provenance: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_doc(doc, provenance))
+    text = render_doc(doc, provenance)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write ({exc.strerror or exc})") from exc

@@ -14,42 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, CheckFailed, scan
-from .exact import (
-    Mat,
-    Vec,
-    ZERO,
-    integral,
-    mat_comb,
-    rat,
-    sapply,
-    saxpy,
-    scols,
-    scomb,
-    table_rows,
-    vzero,
-)
-
-ScTable = dict[tuple[int, int], dict[int, Fraction]]
-
-
-def _clean_sc(dim: int, sc) -> ScTable:
-    """Normalize a structure-constant table: i<j keys, no stored zeros."""
-    out: ScTable = {}
-    for (i, j), comp in sc.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"bracket key ({i},{j}) out of range for dim {dim}")
-        if i >= j:
-            raise ValueError(f"bracket key ({i},{j}) must satisfy i<j (skew storage)")
-        cleaned = {}
-        for k, c in comp.items():
-            c = rat(c)
-            if not 0 <= int(k) < dim:
-                raise ValueError(f"bracket output index {k} out of range")
-            if c != 0:
-                cleaned[int(k)] = c
-        if cleaned:
-            out[(i, j)] = cleaned
-    return out
+from .exact import Mat, Table, Vec, ZERO, integral, mat_comb, sapply, saxpy, scols, scomb
 
 
 def default_basis(dim: int, prefix: str = "e") -> tuple[str, ...]:
@@ -70,7 +35,7 @@ class LieAlgebra:
         self.basis = tuple(basis) if basis is not None else default_basis(dim)
         if len(self.basis) != dim:
             raise ValueError("basis label count must equal dim")
-        self.sc = _clean_sc(dim, sc or {})
+        self.sc = Table(dim, sc, skew=True)
         if check:
             cert = jacobi_check(self)
             if not cert.ok:
@@ -97,29 +62,10 @@ class LieAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> Vec:
         """[e_i, e_j] as a coordinate vector."""
-        if i == j:
-            return vzero(self.dim)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        comp = self.sc.get((i, j))
-        out = [ZERO] * self.dim
-        if comp:
-            for k, c in comp.items():
-                out[k] = sign * c
-        return tuple(out)
+        return self.sc.basis_prod(i, j)
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector dimension does not match the algebra")
-        out = [ZERO] * self.dim
-        for (i, j), comp in self.sc.items():
-            coeff = x[i] * y[j] - x[j] * y[i]
-            if coeff == 0:
-                continue
-            for k, c in comp.items():
-                out[k] += coeff * c
-        return tuple(out)
+        return self.sc.prod(x, y)
 
     def ad(self, i: int) -> Mat:
         """Adjoint-action matrix of e_i; columns are [e_i, e_j]."""
@@ -140,7 +86,7 @@ def jacobi_check(L: LieAlgebra) -> Certificate:
     On the integer table D·sc the Jacobiator comes out D² times too large.
     """
     sc, den = integral(L.sc)
-    rows = table_rows(L.dim, sc, skew=True)
+    rows = sc.rows()
 
     def cases():
         for i, j, k in combinations(range(L.dim), 3):
@@ -247,9 +193,7 @@ def semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
     if not cert.ok:
         raise CheckFailed(cert)
     n, m = L.dim, rep.module_dim
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), comp in L.sc.items():
-        sc[(i, j)] = dict(comp)
+    sc = dict(L.sc)
     for i in range(n):
         for a in range(m):
             col = rep.rho[i].col(a)  # rho(e_i) w_a
@@ -290,7 +234,7 @@ def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
     n = L.dim
     gram, g = integral(scols(S.gram))
     sc, den = integral(L.sc)
-    rows = table_rows(n, sc, skew=True)
+    rows = sc.rows()
     # S([e_i,e_j], e_k) is entry k of S[e_i,e_j], and S(e_j,[e_i,e_k]) = S([e_i,e_k], e_j)
     # because the gram matrix S is symmetric; on the integer tables both are g·D times too large
     s = [[sapply(gram, rows[i].get(j, {})) for j in range(n)] for i in range(n)]

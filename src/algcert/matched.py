@@ -13,8 +13,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from .certificates import Certificate, CheckFailed, scan
-from .exact import (ONE, ZERO, Mat, mat_comb, precompose, sapply, saxpy, scols, scomb,
-                    table_rows)
+from .exact import ONE, ZERO, Mat, mat_comb, precompose, sapply, saxpy, scols, scomb
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -75,7 +74,7 @@ def _compat_cases(g: LieAlgebra, h: LieAlgebra, rho: Representation,
                   mu: Representation):
     """Residuals of rho(x)[a,b] = [rho(x)a,b] + [a,rho(x)b] + rho(mu(b)x)a − rho(mu(a)x)b
     over basis x of g and a < b of h, in (x, a, b) order."""
-    hrows = table_rows(h.dim, h.sc, skew=True)
+    hrows = h.sc.rows()
     rho_cols = [scols(m) for m in rho.rho]
     mu_cols = [scols(m) for m in mu.rho]
     for i, rc in enumerate(rho_cols):

@@ -8,38 +8,13 @@ hold.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, CheckFailed, scan
-from .exact import (ZERO, Mat, Vec, integral, mat_comb, precompose, rat, saxpy, scols, sprod,
-                    srow, table_rows, unscale, vadd, vsub, vzero)
+from .exact import (Mat, Table, Vec, integral, mat_comb, precompose, saxpy, scols, sprod, srow,
+                    unscale, vadd, vsub)
 from .lie import LieAlgebra, default_basis
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
-
-FullTable = dict[tuple[int, int], dict[int, Fraction]]
-
-
-def _clean_full(dim: int, table) -> FullTable:
-    out: FullTable = {}
-    for (i, j), comp in table.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"product key ({i},{j}) out of range")
-        cleaned = {int(k): rat(c) for k, c in comp.items() if rat(c) != 0}
-        for k in cleaned:
-            if not 0 <= k < dim:
-                raise ValueError(f"product output index {k} out of range")
-        if cleaned:
-            out[(i, j)] = cleaned
-    return out
-
-
-def _clean_skew(dim: int, table) -> FullTable:
-    out = _clean_full(dim, table)
-    for i, j in out:
-        if i >= j:
-            raise ValueError(f"skew product key ({i},{j}) must satisfy i<j")
-    return out
 
 
 class NSLieAlgebra:
@@ -50,8 +25,8 @@ class NSLieAlgebra:
         self.basis = tuple(basis) if basis is not None else default_basis(dim)
         if len(self.basis) != dim:
             raise ValueError("basis label count must equal dim")
-        self.left = _clean_full(dim, left or {})
-        self.wedge = _clean_skew(dim, wedge or {})
+        self.left = Table(dim, left)
+        self.wedge = Table(dim, wedge, skew=True)
         if check:
             cert = is_nslie(self)
             if not cert.ok:
@@ -71,59 +46,28 @@ class NSLieAlgebra:
         )
 
     def left_basis(self, i: int, j: int) -> Vec:
-        comp = self.left.get((i, j))
-        out = [ZERO] * self.dim
-        if comp:
-            for k, c in comp.items():
-                out[k] = c
-        return tuple(out)
+        return self.left.basis_prod(i, j)
 
     def wedge_basis(self, i: int, j: int) -> Vec:
-        if i == j:
-            return vzero(self.dim)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        comp = self.wedge.get((i, j))
-        out = [ZERO] * self.dim
-        if comp:
-            for k, c in comp.items():
-                out[k] = sign * c
-        return tuple(out)
+        return self.wedge.basis_prod(i, j)
 
     def left_prod(self, x: Vec, y: Vec) -> Vec:
-        out = [ZERO] * self.dim
-        ys = [(j, b) for j, b in enumerate(y) if b != 0]
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in ys:
-                for k, c in self.left.get((i, j), {}).items():
-                    out[k] += a * b * c
-        return tuple(out)
+        return self.left.prod(x, y)
 
     def wedge_prod(self, x: Vec, y: Vec) -> Vec:
-        out = [ZERO] * self.dim
-        for (i, j), comp in self.wedge.items():
-            coeff = x[i] * y[j] - x[j] * y[i]
-            if coeff == 0:
-                continue
-            for k, c in comp.items():
-                out[k] += coeff * c
-        return tuple(out)
+        return self.wedge.prod(x, y)
 
     def comm(self, x: Vec, y: Vec) -> Vec:
         """[x,y] = x◁y - y◁x + x▷y."""
         return vadd(vsub(self.left_prod(x, y), self.left_prod(y, x)), self.wedge_prod(x, y))
 
 
-def _tables(n: int, left_table, wedge_table):
-    """Per-call rows of ◁, ▷ and the commutator [e_i,e_j] = e_i◁e_j - e_j◁e_i + e_i▷e_j."""
-    left = table_rows(n, left_table, skew=False)
-    wedge = table_rows(n, wedge_table, skew=True)
-    comm = [[saxpy(saxpy(dict(left[i].get(j, {})), -1, left[j].get(i, {})),
-                   1, wedge[i].get(j, {})) for j in range(n)] for i in range(n)]
-    return left, wedge, comm
+def _commutator(left: Table, wedge: Table) -> Table:
+    """[e_i,e_j] = e_i◁e_j - e_j◁e_i + e_i▷e_j as a skew table (cancelled zeros kept)."""
+    n, left, wedge = left.dim, left.rows(), wedge.rows()
+    return Table._of(n, {(i, j): saxpy(saxpy(dict(left[i].get(j, {})), -1, left[j].get(i, {})),
+                                       1, wedge[i].get(j, {}))
+                         for i, j in combinations(range(n), 2)}, skew=True)
 
 
 def is_nslie(A: NSLieAlgebra) -> Certificate:
@@ -136,10 +80,11 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
     """
     n = A.dim
     left, wedge, den = integral(A.left, A.wedge)
-    left, wedge, comm = _tables(n, left, wedge)
+    comm = _commutator(left, wedge).rows()
+    left, wedge = left.rows(), wedge.rows()
 
     def identity1(i, j, k):
-        out = sprod(left, comm[i][j], {k: 1})
+        out = sprod(left, comm[i].get(j, {}), {k: 1})
         if k in left[j]:
             srow(out, left[i], {m: -c for m, c in left[j][k].items()})
         if k in left[i]:
@@ -149,7 +94,7 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
     def identity2(i, j, k):
         out = {}
         for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-            if comm[v][w]:
+            if comm[v].get(w):
                 srow(out, wedge[u], comm[v][w])
             if w in wedge[v]:
                 srow(out, left[u], wedge[v][w])
@@ -167,7 +112,7 @@ def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
     n = L.dim
     sc, den = integral(L.sc)
     cols, d = integral(scols(R))
-    adr = precompose(table_rows(n, sc, skew=True), cols)   # adr[i][j] = D·d·[Re_i, e_j]
+    adr = precompose(sc.rows(), cols)   # adr[i][j] = D·d·[Re_i, e_j]
     left = {(i, j): unscale(adr[i][j], den * d) for i in range(n) for j in range(n) if j in adr[i]}
     wedge = {(i, j): unscale(srow({}, adr[i], cols[j]), -den * d * d)
              for i, j in combinations(range(n), 2)}
@@ -176,9 +121,7 @@ def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
 
 def ns_commutator(A: NSLieAlgebra) -> LieAlgebra:
     """The commutator Lie algebra of a (valid) NS-Lie algebra."""
-    comm = _tables(A.dim, A.left, A.wedge)[2]
-    return LieAlgebra(A.dim, A.basis,
-                      {(i, j): comm[i][j] for i, j in combinations(range(A.dim), 2)})
+    return LieAlgebra(A.dim, A.basis, _commutator(A.left, A.wedge))
 
 
 class NSRep:
@@ -212,7 +155,8 @@ def is_ns_rep(rep: NSRep) -> Certificate:
     """The three NS-representation identities over all basis pairs."""
     A, md = rep.base, rep.module_dim
     n = A.dim
-    left, wedge, comm = _tables(n, A.left, A.wedge)
+    comm = _commutator(A.left, A.wedge).rows()
+    left, wedge = A.left.rows(), A.wedge.rows()
 
     def lin(mats, v):
         return mat_comb(mats, v, md, md)
@@ -236,7 +180,7 @@ def is_ns_rep(rep: NSRep) -> Certificate:
             d3 = lin(rep.nu, lw) - (
                 mu_y @ vr_x - vr_x @ mu_y + vr_x @ nu_y - vr_y @ nu_x
                 + vr_y @ vr_x - vr_x @ vr_y + vr_y @ mu_x - mu_x @ vr_y
-                + lin(rep.varrho, comm[i][j])
+                + lin(rep.varrho, comm[i].get(j, {}))
             )
             diffs[i, j] = (d1, d2, d3)
     return Certificate.combine("ns-rep", [
@@ -262,8 +206,7 @@ def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
     if m == 0:
         return A
     n = A.dim
-    left: FullTable = {k: dict(v) for k, v in A.left.items()}
-    wedge: FullTable = {k: dict(v) for k, v in A.wedge.items()}
+    left, wedge = dict(A.left), dict(A.wedge)
     for i in range(n):
         for b in range(m):
             col = rep.mu[i].col(b)  # e_i ◁ w_b

@@ -14,7 +14,7 @@ from math import lcm
 
 from .certificates import Certificate, CheckFailed, residual_from_mat, scan
 from .exact import (ONE, ZERO, Mat, integral, precompose, rat, sapply, saxpy, scols, scomb,
-                    srow, table_rows, unscale)
+                    srow, unscale)
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -73,7 +73,7 @@ def operator_brackets(L: LieAlgebra, R: Mat, lam, kappa):
     cols, d = integral(scols(R))
     q = lcm(lam.denominator, kappa.denominator)
     lam_q, kappa_q = int(lam * q), int(kappa * q)
-    rows = table_rows(L.dim, sc, skew=True)           # D·[e_a, e_b]
+    rows = sc.rows()           # D·[e_a, e_b]
     adr = precompose(rows, cols)                      # D·d·[Re_i, e_j]
 
     def pairs():

@@ -16,7 +16,7 @@ from .bialgebra import LieBialgebra, ReynoldsLieBialgebra
 from .certificates import Certificate, CheckFailed, residual_from_mat, residual_from_vec, scan
 from .cybe import ad_invariance_cert, is_cybe_solution, r_plus
 from .exact import (ONE, ZERO, Mat, Tensor2, flip, precompose, rat, sapply, saxpy, scols,
-                    sprod, table_rows, unscale)
+                    sprod, unscale)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
 from .reynolds import is_reynolds, operator_brackets, operator_form_compat, operator_identity
 
@@ -124,7 +124,7 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
     cy = is_cybe_solution(L, r)
     if not cy.ok:
         raise CheckFailed(cy)
-    dual = table_rows(n, dual_bracket_from_r(L, r).sc, skew=True)
+    dual = dual_bracket_from_r(L, r).sc.rows()
     sharp = scols(s_sharp(qrb.S))
     desc = descendent(qrb.rb)
     for i, j in combinations(range(n), 2):
@@ -148,7 +148,7 @@ def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
         raise CheckFailed(inv)
     n = g.dim
     rp = r_plus(r)
-    rows = table_rows(n, g.sc, skew=True)
+    rows = g.sc.rows()
     # ad*_v e_b* = −Σ_k [v,e_k]_b e_k*, with adp[a][k] = [r₊e_a*, e_k], adm[b][k] = [r₋e_b*, e_k]
     adp = precompose(rows, scols(rp))
     adm = precompose(rows, scols(-rp.transpose()))

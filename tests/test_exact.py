@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from algcert.exact import (
     Mat,
+    Table,
     Tensor2,
     Tensor3,
     flip,
@@ -16,6 +18,7 @@ from algcert.exact import (
     transpose,
     vbasis,
     vec,
+    vzero,
 )
 
 
@@ -176,3 +179,36 @@ def test_block_diag_and_submatrix():
     assert big.rows == 3 and big.cols == 3
     assert big.submatrix(range(2), range(2)) == a
     assert big.submatrix([2], [2]) == b
+
+
+def test_table_validates_once_and_drops_zeros():
+    for entries, skew in (({(0, 2): {0: 1}}, False), ({(-1, 1): {0: 1}}, False),
+                          ({(1, 0): {0: 1}}, True), ({(1, 1): {0: 1}}, True),
+                          ({(0, 1): {2: 1}}, True), ({(1, 0): {-1: 0}}, False)):
+        with pytest.raises(ValueError):
+            Table(2, entries, skew)
+    t = Table(2, {(0, 1): {0: "1/2", 1: 0}, (1, 0): {0: 0}}, skew=False)
+    assert t == {(0, 1): {0: Fraction(1, 2)}} and (t.dim, t.skew) == (2, False)
+    assert Table(2, {(0, 1): {1: "0"}}, skew=True) == {}
+    assert t.basis_prod(1, 0) == vzero(2)
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 4))
+    skew = draw(st.booleans())
+    keys = [(i, j) for i in range(n) for j in range(n) if not skew or i < j]
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entries = draw(st.dictionaries(st.sampled_from(keys), st.dictionaries(
+        st.integers(0, n - 1), coeff, max_size=n), max_size=len(keys))) if keys else {}
+    return Table(n, entries, skew)
+
+
+@given(tables())
+def test_table_rows_agree_with_dense_products(t):
+    rows = t.rows()
+    for i in range(t.dim):
+        for j in range(t.dim):
+            sparse = rows[i].get(j, {})
+            assert tuple(sparse.get(k, 0) for k in range(t.dim)) == t.basis_prod(i, j)
+            assert t.prod(vbasis(t.dim, i), vbasis(t.dim, j)) == t.basis_prod(i, j)

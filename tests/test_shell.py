@@ -212,7 +212,7 @@ def test_cli_check_jacobi_failure(tmp_path, broken_jacobi, capsys):
     assert "verdict: fail" in out
 
 
-def test_cli_exit_2_on_bad_input(tmp_path, capsys):
+def test_cli_exit_2_on_bad_input(tmp_path, sl2, r_tensor, capsys):
     assert main_check(["jacobi", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "garbage.json"
     bad.write_text("{not json")
@@ -234,6 +234,49 @@ def test_cli_exit_2_on_bad_input(tmp_path, capsys):
                 {"dim": 3, "brackets": {}}):
         assert main_check(["jacobi", write(tmp_path, "mut.json", doc)]) == 2, doc
     capsys.readouterr()
+    # unreadable input and unwritable output: a message on stderr, nothing on stdout
+    sl2_doc = sl2_file(tmp_path, sl2)
+    r_file = write(tmp_path, "r.json", fio.tensor_to_doc(r_tensor))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"dim": 1, "basis": ["\xe9"], "brackets": []}')
+    nowhere = tmp_path / "no-such-dir"
+    for run, argv in (
+            (main_check, ["jacobi", str(tmp_path)]),
+            (main_check, ["jacobi", str(latin1)]),
+            (main_check, ["reynolds", sl2_doc, "--op", str(tmp_path)]),
+            (main_check, ["cybe", sl2_doc, "--tensor", str(tmp_path)]),
+            (main_cat, ["sl2", "-o", str(nowhere / "x.json")]),
+            (main_build, ["dual-from-r", sl2_doc, "--tensor", r_file,
+                          "-o", str(nowhere / "o.json")])):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: "), argv
+    main_check(["jacobi", str(latin1)])
+    assert f"{latin1}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_cli_takes_one_input_document(tmp_path, sl2, capsys):
+    # a second file was echoed on the command line but never read
+    alg = sl2_file(tmp_path, sl2)
+    for run, argv in ((main_check, ["jacobi", alg, alg]),
+                      (main_build, ["descendent", alg, alg, "-o", str(tmp_path / "o.json")])):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_op_and_reynolds_are_exclusive(tmp_path, sl2, b_op, capsys):
+    # with both given, only --op was read
+    alg = sl2_file(tmp_path, sl2)
+    op = write(tmp_path, "B.json", fio.operator_to_doc(b_op))
+    for run, argv in ((main_check, ["reynolds", alg, "--op", op, "--reynolds", op]),
+                      (main_build, ["induced", alg, "--op", op, "--reynolds", op,
+                                    "-o", str(tmp_path / "o.json")])):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_internal_error_exits_3(tmp_path, sl2, monkeypatch, capsys):

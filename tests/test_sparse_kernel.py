@@ -292,6 +292,13 @@ def data(x):
     return x
 
 
+def test_data_sees_every_structure_constant():
+    # `data` compares the fields named in `__slots__`; a `Table` with slots of its
+    # own would reduce every table to its (dim, skew) and hide any difference
+    L = LieAlgebra.unchecked(2, None, {(0, 1): {1: 1}})
+    assert data(L) != data(LieAlgebra.unchecked(2, None, {(0, 1): {1: 2}}))
+
+
 def outcome(fn):
     try:
         return data(fn())
