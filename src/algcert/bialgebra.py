@@ -10,7 +10,6 @@ wedge-normalization ambiguity cannot affect a certificate.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -103,7 +102,7 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
     n = len(deltas)
     skew = scan("coalgebra", (((k,), d + flip(d)) for k, d in enumerate(deltas)))
     if not skew.ok:
-        return replace(skew, note="cobracket is not skew")
+        return skew._replace(note="cobracket is not skew")
 
     def co_jacobi(k):
         # t = (Id⊗Δ)Δe_k, summed with its images under ε: x⊗y⊗z ↦ z⊗x⊗y and ε²

@@ -3,16 +3,16 @@
 Provenance notes record whether an entry is printed data or a derived
 fixture.  Parametric families take rational/integer arguments in the
 name, e.g. ``block(1/2,1,3)``, ``abelian(4)``,
-``trivial_matched(sl2,abelian(2))``.
+``trivial_matched(sl2,abelian(2))``.  An entry imports the modules of its
+checks when it is looked up, so the package can import this module eagerly.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .bialgebra import is_lie_bialgebra
 from .certificates import Certificate
 from .exact import Mat, Tensor2, rat
 from .fileio import (
@@ -24,10 +24,6 @@ from .fileio import (
     tensor_to_doc,
 )
 from .lie import BilinForm, LieAlgebra, is_quadratic, jacobi_check
-from .matched import MatchedPair, ReynoldsMatchedPair, is_reynolds_matched_pair
-from .reynolds import block_window_check, is_reynolds
-from .rotabaxter import is_rota_baxter
-from .cybe import is_cybe_solution
 
 
 def sl2() -> LieAlgebra:
@@ -64,13 +60,13 @@ def abelian(n: int) -> LieAlgebra:
 
 def trivial_matched(g: LieAlgebra, h: LieAlgebra) -> ReynoldsMatchedPair:
     """rho = mu = 0 with zero operators on both sides."""
+    from .matched import MatchedPair, ReynoldsMatchedPair
     return ReynoldsMatchedPair.unchecked(
         MatchedPair.trivial(g, h), Mat.zeros(g.dim, g.dim), Mat.zeros(h.dim, h.dim)
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     kind: str
     payload: object
@@ -107,6 +103,8 @@ def catalog(name: str) -> CatalogEntry:
                             "PAPER: the 3-dimensional simple algebra example",
                             (jacobi_check(L),))
     if name == "sl2.B":
+        from .reynolds import is_reynolds
+        from .rotabaxter import is_rota_baxter
         L, B = sl2(), sl2_b()
         return CatalogEntry(
             name, "operator", B,
@@ -121,6 +119,7 @@ def catalog(name: str) -> CatalogEntry:
             (is_quadratic(L, S),),
         )
     if name == "sl2.r":
+        from .cybe import is_cybe_solution
         L, r = sl2(), sl2_r()
         return CatalogEntry(
             name, "tensor", r,
@@ -128,6 +127,7 @@ def catalog(name: str) -> CatalogEntry:
             (is_cybe_solution(L, r),),
         )
     if name == "sl2.km_dual":
+        from .bialgebra import is_lie_bialgebra
         L, dual = sl2(), sl2_km_dual()
         return CatalogEntry(
             name, "algebra", dual,
@@ -147,6 +147,7 @@ def catalog(name: str) -> CatalogEntry:
             raise InputError(f"bad rational parameter in {name!r}") from exc
         lo, hi = int(m.group(2)), int(m.group(3))
         skip = m.group(4) is not None
+        from .reynolds import block_window_check
         try:
             cert = block_window_check(q, lo, hi, skip_singular=skip)
         except ValueError as exc:
@@ -161,6 +162,7 @@ def catalog(name: str) -> CatalogEntry:
         h_entry = catalog(m.group(2).strip())
         if g_entry.kind != "algebra" or h_entry.kind != "algebra":
             raise InputError("trivial_matched needs two algebra entries")
+        from .matched import is_reynolds_matched_pair
         rmp = trivial_matched(g_entry.payload, h_entry.payload)
         return CatalogEntry(
             name, "matched", rmp,

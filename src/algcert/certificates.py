@@ -9,9 +9,8 @@ stage fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .exact import Mat, rat_str
 
@@ -19,8 +18,7 @@ from .exact import Mat, rat_str
 Residual = tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     check: str
     ok: bool
     where: tuple[int, ...] | None = None
@@ -28,7 +26,7 @@ class Certificate:
     violations: int = 0
     skipped: int = 0
     note: str = ""
-    parts: tuple["Certificate", ...] = field(default_factory=tuple)
+    parts: tuple["Certificate", ...] = ()
 
     @classmethod
     def passed(cls, check: str, note: str = "", skipped: int = 0) -> "Certificate":

@@ -1,9 +1,12 @@
 """Command-line drivers: algcheck, algbuild, algcat, algblock.
 
 Exit codes: 0 all checks pass, 1 at least one certified failure,
-2 input/format error, 3 internal error (an unexpected exception; its
-message goes to stderr).  Reports on stdout are byte-stable for fixed
-inputs and flags; wall time goes to stderr.
+2 input/format or usage error (returned, not raised), 3 internal error (an
+unexpected exception; its message goes to stderr).  Reports on stdout are
+byte-stable for fixed inputs and flags; wall time goes to stderr.
+
+Each check and build kind is one registry entry; its module is imported
+when the kind is dispatched, so a process loads only what its kind runs.
 """
 
 from __future__ import annotations
@@ -13,34 +16,15 @@ import functools
 import json
 import sys
 import time
-import traceback
+from importlib import import_module
+from operator import attrgetter
 
-from . import bialgebra as bi
-from . import cybe
 from . import fileio as fio
-from . import lie
-from . import matched as mt
-from . import nslie as ns
-from . import reynolds as rey
-from . import rotabaxter as rb
-from .catalog import catalog as catalog_lookup, entry_to_doc
 from .certificates import Certificate, CheckFailed
 from .exact import Mat, rat
 
-
-CHECK_KINDS = (
-    "jacobi", "reynolds", "reynolds-rep", "nslie", "ns-rep", "matched",
-    "reynolds-matched", "manin", "coalgebra", "bialgebra", "reynolds-bialgebra",
-    "rb", "quadratic-rb", "reynolds-on-qrb", "cybe", "reynolds-cybe",
-    "relative-rb", "prelie", "reynolds-prelie",
-)
-
-BUILD_KINDS = (
-    "induced", "descendent", "ns-from-reynolds", "semidirect", "double",
-    "reynolds-double", "induced-matched", "drinfeld-double",
-    "quasitriangular-double", "cobracket", "r-from-qrb", "thmfl", "rk",
-    "canonical-r", "dual-from-r",
-)
+# the package: its lazy exports look each name up on its module at call time
+ac = sys.modules[__package__]
 
 
 def _render_report(command: list[str], certs: list[Certificate], as_json: bool) -> tuple[str, int]:
@@ -92,181 +76,186 @@ def _required_tensor(doc: dict, args, dim: int, context: str):
     raise fio.InputError(f"{context}: needs a tensor (--tensor FILE or embedded 'r')")
 
 
-# ---------------------------------------------------------------------------
-# check dispatch
-# ---------------------------------------------------------------------------
+def _with_op(loaded: tuple, args, kind: str) -> tuple:
+    """A loader's (structure, embedded operator) with the operator replaced by --op if given."""
+    x, R = loaded
+    op = _operator_arg(args) or R
+    if op is None:
+        raise fio.InputError(f"{kind}: needs an operator")
+    return x, op
 
-def _run_check(kind: str, path: str, args) -> list[Certificate]:
-    doc = fio.read_doc(path)
-    if kind == "jacobi":
-        return [lie.jacobi_check(fio.doc_to_algebra(doc))]
-    if kind == "reynolds":
-        L = fio.doc_to_algebra(doc)
-        return [rey.is_reynolds(L, _required_op(doc, args, "reynolds check"))]
-    if kind == "reynolds-rep":
-        return [rey.is_reynolds_rep(fio.doc_to_reynolds_rep(doc))]
-    if kind == "nslie":
-        return [ns.is_nslie(fio.doc_to_ns(doc))]
-    if kind == "ns-rep":
-        return [ns.is_ns_rep(fio.doc_to_ns_rep(doc))]
-    if kind == "matched":
-        rmp = fio.doc_to_matched(doc, need_ops=False)
-        mp = rmp.pair
-        return [mt.is_matched_pair(mp.g, mp.h, mp.rho, mp.mu)]
-    if kind == "reynolds-matched":
-        return [mt.is_reynolds_matched_pair(fio.doc_to_matched(doc))]
-    if kind == "manin":
-        return [mt.is_manin_triple(*fio.doc_to_manin(doc))]
-    if kind == "coalgebra":
-        deltas, R = fio.doc_to_coalgebra(doc)
-        certs = [bi.is_lie_coalgebra(deltas)]
-        op = _operator_arg(args) or R
-        if op is not None:
-            certs.append(bi.is_reynolds_coalgebra(deltas, op))
-        return certs
-    if kind == "bialgebra":
-        bialg, _ = fio.doc_to_bialgebra(doc)
-        return [bi.is_lie_bialgebra(bialg.g, bialg.dual)]
-    if kind == "reynolds-bialgebra":
-        bialg, R = fio.doc_to_bialgebra(doc)
-        op = _operator_arg(args) or R
-        if op is None:
-            raise fio.InputError("reynolds-bialgebra: needs an operator")
-        return [bi.is_reynolds_bialgebra(bialg, op)]
-    if kind == "rb":
-        alg = fio.doc_to_rb(doc)
-        return [rb.is_rota_baxter(alg.L, alg.B, alg.lam)]
-    if kind == "quadratic-rb":
-        qrb, _ = fio.doc_to_qrb(doc)
-        return [rb.is_quadratic_rb(qrb.rb, qrb.S)]
-    if kind == "reynolds-on-qrb":
-        qrb, R = fio.doc_to_qrb(doc)
-        op = _operator_arg(args) or R
-        if op is None:
-            raise fio.InputError("reynolds-on-qrb: needs an operator")
-        return [rb.is_reynolds_on_qrb(qrb, op)]
-    if kind == "cybe":
-        L = fio.doc_to_algebra(doc)
-        return [cybe.is_cybe_solution(L, _required_tensor(doc, args, L.dim, "cybe check"))]
-    if kind == "reynolds-cybe":
-        A = fio.doc_to_reynolds_algebra(doc, _operator_arg(args))
-        r = _required_tensor(doc, args, A.L.dim, "reynolds-cybe check")
-        return [cybe.is_cybe_solution_reynolds(A, r)]
-    if kind == "relative-rb":
-        return [cybe.is_relative_rb(fio.doc_to_relative_rb(doc))]
-    if kind == "prelie":
-        A, _ = fio.doc_to_prelie(doc)
-        return [cybe.is_prelie(A)]
-    if kind == "reynolds-prelie":
-        A, R = fio.doc_to_prelie(doc)
-        op = _operator_arg(args) or R
-        if op is None:
-            raise fio.InputError("reynolds-prelie: needs an operator")
-        return [cybe.is_reynolds_prelie(A, op)]
-    raise fio.InputError(f"unknown check kind: {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# build dispatch
-# ---------------------------------------------------------------------------
 
 def _gate(cert: Certificate) -> None:
     if not cert.ok:
         raise CheckFailed(cert)
 
 
+def _gated_reynolds(doc: dict, args):
+    A = fio.doc_to_reynolds_algebra(doc, _operator_arg(args))
+    _gate(ac.is_reynolds(A.L, A.R))
+    return A
+
+
+def _gated_lie_and_tensor(doc: dict, args, context: str):
+    L = fio.doc_to_algebra(doc)
+    _gate(ac.jacobi_check(L))
+    return L, _required_tensor(doc, args, L.dim, context)
+
+
+def _dispatch(registry: dict, kind: str, what: str) -> tuple:
+    """A kind's registry entry, after importing the module it runs."""
+    if kind not in registry:
+        raise fio.InputError(f"unknown {what} kind: {kind!r}")
+    entry = registry[kind]
+    import_module(f".{entry[0]}", __package__)
+    return entry
+
+
+# ---------------------------------------------------------------------------
+# check registry: kind -> (module, run); run(doc, args) returns the certificates
+# ---------------------------------------------------------------------------
+
+def _coalgebra(doc: dict, args) -> list[Certificate]:
+    deltas, R = fio.doc_to_coalgebra(doc)
+    certs = [ac.is_lie_coalgebra(deltas)]
+    op = _operator_arg(args) or R
+    if op is not None:
+        certs.append(ac.is_reynolds_coalgebra(deltas, op))
+    return certs
+
+
+def _reynolds_cybe(doc: dict, args) -> list[Certificate]:
+    A = fio.doc_to_reynolds_algebra(doc, _operator_arg(args))
+    return [ac.is_cybe_solution_reynolds(
+        A, _required_tensor(doc, args, A.L.dim, "reynolds-cybe check"))]
+
+
+def _cybe(doc: dict, args) -> list[Certificate]:
+    L = fio.doc_to_algebra(doc)
+    return [ac.is_cybe_solution(L, _required_tensor(doc, args, L.dim, "cybe check"))]
+
+
+CHECKS = {
+    "jacobi": ("lie", lambda doc, args: [ac.jacobi_check(fio.doc_to_algebra(doc))]),
+    "reynolds": ("reynolds", lambda doc, args: [ac.is_reynolds(
+        fio.doc_to_algebra(doc), _required_op(doc, args, "reynolds check"))]),
+    "reynolds-rep": ("reynolds", lambda doc, args: [
+        ac.is_reynolds_rep(fio.doc_to_reynolds_rep(doc))]),
+    "nslie": ("nslie", lambda doc, args: [ac.is_nslie(fio.doc_to_ns(doc))]),
+    "ns-rep": ("nslie", lambda doc, args: [ac.is_ns_rep(fio.doc_to_ns_rep(doc))]),
+    "matched": ("matched", lambda doc, args: [ac.is_matched_pair(
+        *attrgetter("g", "h", "rho", "mu")(fio.doc_to_matched(doc, need_ops=False).pair))]),
+    "reynolds-matched": ("matched", lambda doc, args: [
+        ac.is_reynolds_matched_pair(fio.doc_to_matched(doc))]),
+    "manin": ("matched", lambda doc, args: [ac.is_manin_triple(*fio.doc_to_manin(doc))]),
+    "coalgebra": ("bialgebra", _coalgebra),
+    "bialgebra": ("bialgebra", lambda doc, args: [ac.is_lie_bialgebra(
+        *attrgetter("g", "dual")(fio.doc_to_bialgebra(doc)[0]))]),
+    "reynolds-bialgebra": ("bialgebra", lambda doc, args: [ac.is_reynolds_bialgebra(
+        *_with_op(fio.doc_to_bialgebra(doc), args, "reynolds-bialgebra"))]),
+    "rb": ("rotabaxter", lambda doc, args: [ac.is_rota_baxter(
+        *attrgetter("L", "B", "lam")(fio.doc_to_rb(doc)))]),
+    "quadratic-rb": ("rotabaxter", lambda doc, args: [ac.is_quadratic_rb(
+        *attrgetter("rb", "S")(fio.doc_to_qrb(doc)[0]))]),
+    "reynolds-on-qrb": ("rotabaxter", lambda doc, args: [ac.is_reynolds_on_qrb(
+        *_with_op(fio.doc_to_qrb(doc), args, "reynolds-on-qrb"))]),
+    "cybe": ("cybe", _cybe),
+    "reynolds-cybe": ("cybe", _reynolds_cybe),
+    "relative-rb": ("cybe", lambda doc, args: [ac.is_relative_rb(fio.doc_to_relative_rb(doc))]),
+    "prelie": ("cybe", lambda doc, args: [ac.is_prelie(fio.doc_to_prelie(doc)[0])]),
+    "reynolds-prelie": ("cybe", lambda doc, args: [ac.is_reynolds_prelie(
+        *_with_op(fio.doc_to_prelie(doc), args, "reynolds-prelie"))]),
+}
+CHECK_KINDS = tuple(CHECKS)
+
+
+def _run_check(kind: str, path: str, args) -> list[Certificate]:
+    doc = fio.read_doc(path)
+    _, run = _dispatch(CHECKS, kind, "check")
+    return run(doc, args)
+
+
+# ---------------------------------------------------------------------------
+# build registry: kind -> (module, run, emit); run(doc, args) returns the
+# construction, emit(output) its document and the certificates re-verifying it
+# ---------------------------------------------------------------------------
+
+def _semidirect(doc: dict, args):
+    rr = fio.doc_to_reynolds_rep(doc)
+    _gate(ac.is_reynolds(rr.base.L, rr.base.R))
+    return ac.semidirect_reynolds(rr)
+
+
+def _induced_matched(doc: dict, args):
+    rmp = fio.doc_to_matched(doc)
+    return ac.ReynoldsMatchedPair(ac.induced_matched_pair(rmp), rmp.Rg, rmp.Rh)
+
+
+def _r_from_qrb(doc: dict, args):
+    qrb, _ = fio.doc_to_qrb(doc)
+    return qrb.rb.L, ac.r_from_qrb(qrb)
+
+
+def _emit_algebra(L):
+    return fio.algebra_to_doc(L), [ac.jacobi_check(L)]
+
+
+def _emit_reynolds(A):
+    return fio.reynolds_algebra_to_doc(A), [ac.is_reynolds(A.L, A.R)]
+
+
+def _emit_bialgebra(out):
+    return fio.bialgebra_to_doc(out.bialg, out.R), [ac.is_reynolds_bialgebra(out.bialg, out.R)]
+
+
+def _emit_solution(out):
+    ambient, r = out
+    doc = {"g": fio.reynolds_algebra_to_doc(ambient), "r": fio.tensor_to_doc(r)}
+    return doc, [ac.is_cybe_solution_reynolds(ambient, r)]
+
+
+BUILDS = {
+    "induced": ("reynolds", lambda doc, args: ac.induced_algebra(_gated_reynolds(doc, args)),
+                lambda A: (fio.reynolds_algebra_to_doc(A),
+                           [ac.jacobi_check(A.L), ac.is_reynolds(A.L, A.R)])),
+    "descendent": ("rotabaxter", lambda doc, args: ac.descendent(fio.doc_to_rb(doc)),
+                   _emit_algebra),
+    "ns-from-reynolds": ("nslie", lambda doc, args: ac.ns_from_reynolds(
+        _gated_reynolds(doc, args)), lambda out: (fio.ns_to_doc(out), [ac.is_nslie(out)])),
+    "semidirect": ("reynolds", _semidirect, _emit_reynolds),
+    "double": ("matched", lambda doc, args: ac.double(
+        fio.doc_to_matched(doc, need_ops=False).pair), _emit_algebra),
+    "reynolds-double": ("matched", lambda doc, args: ac.reynolds_double(
+        fio.doc_to_matched(doc)), _emit_reynolds),
+    "induced-matched": ("matched", _induced_matched, lambda out: (
+        fio.matched_to_doc(out), [ac.is_reynolds_matched_pair(out)])),
+    "drinfeld-double": ("bialgebra", lambda doc, args: ac.drinfeld_double(
+        ac.ReynoldsLieBialgebra.unchecked(
+            *_with_op(fio.doc_to_bialgebra(doc), args, "drinfeld-double"))), _emit_reynolds),
+    "quasitriangular-double": ("bialgebra", lambda doc, args: ac.double_quasitriangular(
+        ac.ReynoldsLieBialgebra.unchecked(
+            *_with_op(fio.doc_to_bialgebra(doc), args, "quasitriangular-double"))),
+        _emit_bialgebra),
+    "cobracket": ("bialgebra", lambda doc, args: ac.coboundary_cobracket(
+        *_gated_lie_and_tensor(doc, args, "cobracket build")),
+        lambda deltas: (fio.coalgebra_to_doc(deltas), [ac.is_lie_coalgebra(deltas)])),
+    "r-from-qrb": ("rotabaxter", _r_from_qrb,
+                   lambda out: (fio.tensor_to_doc(out[1]), [ac.is_cybe_solution(*out)])),
+    "thmfl": ("rotabaxter", lambda doc, args: ac.thmFL_bialgebra(
+        *_with_op(fio.doc_to_qrb(doc), args, "thmfl")), _emit_bialgebra),
+    "rk": ("cybe", lambda doc, args: ac.rk_solution(fio.doc_to_relative_rb(doc)), _emit_solution),
+    "canonical-r": ("cybe", lambda doc, args: ac.canonical_r(ac.ReynoldsPreLie.unchecked(
+        *_with_op(fio.doc_to_prelie(doc), args, "canonical-r"))), _emit_solution),
+    "dual-from-r": ("rotabaxter", lambda doc, args: ac.dual_bracket_from_r(
+        *_gated_lie_and_tensor(doc, args, "dual-from-r build")), _emit_algebra),
+}
+BUILD_KINDS = tuple(BUILDS)
+
+
 def _run_build(kind: str, path: str, args) -> tuple[dict, list[Certificate]]:
     doc = fio.read_doc(path)
-    if kind == "induced":
-        A = fio.doc_to_reynolds_algebra(doc, _operator_arg(args))
-        _gate(rey.is_reynolds(A.L, A.R))
-        out = rey.induced_algebra(A)
-        return fio.reynolds_algebra_to_doc(out), [
-            lie.jacobi_check(out.L), rey.is_reynolds(out.L, out.R)]
-    if kind == "descendent":
-        alg = fio.doc_to_rb(doc)
-        out = rb.descendent(alg)
-        return fio.algebra_to_doc(out), [lie.jacobi_check(out)]
-    if kind == "ns-from-reynolds":
-        A = fio.doc_to_reynolds_algebra(doc, _operator_arg(args))
-        _gate(rey.is_reynolds(A.L, A.R))
-        out = ns.ns_from_reynolds(A)
-        return fio.ns_to_doc(out), [ns.is_nslie(out)]
-    if kind == "semidirect":
-        rr = fio.doc_to_reynolds_rep(doc)
-        _gate(rey.is_reynolds(rr.base.L, rr.base.R))
-        out = rey.semidirect_reynolds(rr)
-        return fio.reynolds_algebra_to_doc(out), [rey.is_reynolds(out.L, out.R)]
-    if kind == "double":
-        rmp = fio.doc_to_matched(doc, need_ops=False)
-        out = mt.double(rmp.pair)
-        return fio.algebra_to_doc(out), [lie.jacobi_check(out)]
-    if kind == "reynolds-double":
-        rmp = fio.doc_to_matched(doc)
-        out = mt.reynolds_double(rmp)
-        return fio.reynolds_algebra_to_doc(out), [rey.is_reynolds(out.L, out.R)]
-    if kind == "induced-matched":
-        rmp = fio.doc_to_matched(doc)
-        imp = mt.induced_matched_pair(rmp)
-        out = mt.ReynoldsMatchedPair(imp, rmp.Rg, rmp.Rh)
-        return fio.matched_to_doc(out), [mt.is_reynolds_matched_pair(out)]
-    if kind == "drinfeld-double":
-        bialg, R = fio.doc_to_bialgebra(doc)
-        op = _operator_arg(args) or R
-        if op is None:
-            raise fio.InputError("drinfeld-double: needs an operator")
-        out = bi.drinfeld_double(bi.ReynoldsLieBialgebra.unchecked(bialg, op))
-        return fio.reynolds_algebra_to_doc(out), [rey.is_reynolds(out.L, out.R)]
-    if kind == "quasitriangular-double":
-        bialg, R = fio.doc_to_bialgebra(doc)
-        op = _operator_arg(args) or R
-        if op is None:
-            raise fio.InputError("quasitriangular-double: needs an operator")
-        out = bi.double_quasitriangular(bi.ReynoldsLieBialgebra.unchecked(bialg, op))
-        return (
-            fio.bialgebra_to_doc(out.bialg, out.R),
-            [bi.is_reynolds_bialgebra(out.bialg, out.R)],
-        )
-    if kind == "cobracket":
-        L = fio.doc_to_algebra(doc)
-        _gate(lie.jacobi_check(L))
-        r = _required_tensor(doc, args, L.dim, "cobracket build")
-        deltas = bi.coboundary_cobracket(L, r)
-        return fio.coalgebra_to_doc(deltas), [bi.is_lie_coalgebra(deltas)]
-    if kind == "r-from-qrb":
-        qrb, _ = fio.doc_to_qrb(doc)
-        r = rb.r_from_qrb(qrb)
-        return fio.tensor_to_doc(r), [cybe.is_cybe_solution(qrb.rb.L, r)]
-    if kind == "thmfl":
-        qrb, R = fio.doc_to_qrb(doc)
-        op = _operator_arg(args) or R
-        if op is None:
-            raise fio.InputError("thmfl: needs an operator")
-        out = rb.thmFL_bialgebra(qrb, op)
-        return (
-            fio.bialgebra_to_doc(out.bialg, out.R),
-            [bi.is_reynolds_bialgebra(out.bialg, out.R)],
-        )
-    if kind == "rk":
-        rel = fio.doc_to_relative_rb(doc)
-        ambient, r = cybe.rk_solution(rel)
-        out = {"g": fio.reynolds_algebra_to_doc(ambient), "r": fio.tensor_to_doc(r)}
-        return out, [cybe.is_cybe_solution_reynolds(ambient, r)]
-    if kind == "canonical-r":
-        A, R = fio.doc_to_prelie(doc)
-        op = _operator_arg(args) or R
-        if op is None:
-            raise fio.InputError("canonical-r: needs an operator")
-        ambient, r = cybe.canonical_r(cybe.ReynoldsPreLie.unchecked(A, op))
-        out = {"g": fio.reynolds_algebra_to_doc(ambient), "r": fio.tensor_to_doc(r)}
-        return out, [cybe.is_cybe_solution_reynolds(ambient, r)]
-    if kind == "dual-from-r":
-        L = fio.doc_to_algebra(doc)
-        _gate(lie.jacobi_check(L))
-        r = _required_tensor(doc, args, L.dim, "dual-from-r build")
-        out = rb.dual_bracket_from_r(L, r)
-        return fio.algebra_to_doc(out), [lie.jacobi_check(out)]
-    raise fio.InputError(f"unknown build kind: {kind!r}")
+    _, run, emit = _dispatch(BUILDS, kind, "build")
+    return emit(run(doc, args))
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +277,16 @@ def _finish(command, certs, args, started) -> int:
 
 
 def _guarded(main):
-    """Map an exception the command does not handle to exit code 3, never to 1."""
+    """Return argparse's exit code (2 on a usage error) and map an exception
+    the command does not handle to exit code 3, never to 1."""
     @functools.wraps(main)
     def run(argv=None) -> int:
         try:
             return main(argv)
+        except SystemExit as exc:
+            return exc.code
         except Exception as exc:
+            import traceback
             print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
             traceback.print_exc(file=sys.stderr)
             return 3
@@ -374,8 +367,9 @@ def main_cat(argv=None) -> int:
     p.add_argument("--first-only", action="store_true")
     args = p.parse_args(argv)
     command = ["algcat", args.name]
+    from .catalog import catalog, entry_to_doc
     try:
-        entry = catalog_lookup(args.name)
+        entry = catalog(args.name)
         if args.out:
             fio.write_doc(args.out, entry_to_doc(entry),
                           {"construction": "catalog", "sources": [args.name]})
@@ -408,7 +402,7 @@ def main_block(argv=None) -> int:
         print(f"input error: bad rational {args.q!r}", file=sys.stderr)
         return 2
     try:
-        cert = rey.block_window_check(q, args.lo, args.hi, skip_singular=args.skip_singular)
+        cert = ac.block_window_check(q, args.lo, args.hi, skip_singular=args.skip_singular)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,8 @@ violating data); constructors and builders re-validate.  Writers emit a
 canonical layout (sorted bracket keys, fixed key order, 2-space indent)
 so build outputs are byte-stable and diffable.  Build documents carry a
 provenance header naming the source files and the construction; loaders
-ignore it.
+ignore it.  A loader imports the module of the structure it builds when it
+is called, so reading a document loads only what that document needs.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ import json
 import re
 from fractions import Fraction
 
-from .cybe import PreLieAlgebra, RelativeRB
-from .bialgebra import LieBialgebra
 from .exact import Mat, Tensor2, rat, rat_str
 from .lie import BilinForm, LieAlgebra, Representation
-from .matched import MatchedPair, ReynoldsMatchedPair
-from .nslie import NSLieAlgebra, NSRep
-from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
-from .rotabaxter import QuadraticRB, RotaBaxterAlg
 
 
 class InputError(ValueError):
@@ -184,6 +179,7 @@ def reynolds_algebra_to_doc(A: ReynoldsLieAlgebra) -> dict:
 
 
 def doc_to_reynolds_algebra(doc: dict, op: Mat | None = None) -> ReynoldsLieAlgebra:
+    from .reynolds import ReynoldsLieAlgebra
     L = doc_to_algebra(doc)
     if op is None:
         op = doc_to_operator(_need(doc, "reynolds", "reynolds algebra"))
@@ -204,6 +200,7 @@ def ns_to_doc(A: NSLieAlgebra) -> dict:
 
 
 def doc_to_ns(doc: dict) -> NSLieAlgebra:
+    from .nslie import NSLieAlgebra
     dim = _dim(_need(doc, "dim", "ns algebra"), "ns algebra")
     basis = _labels(doc.get("basis"), dim, "ns algebra basis")
     left = _json_to_table(_need(doc, "left", "ns algebra"), "left table")
@@ -236,6 +233,7 @@ def ns_rep_to_doc(rep: NSRep) -> dict:
 
 
 def doc_to_ns_rep(doc: dict) -> NSRep:
+    from .nslie import NSRep
     base = doc_to_ns(_need(doc, "ns", "ns-rep"))
     rep = _need(doc, "rep", "ns-rep")
     varrho = _json_to_mats(_need(rep, "varrho", "ns-rep"), "varrho")
@@ -264,6 +262,7 @@ def reynolds_rep_to_doc(rr: ReynoldsRep) -> dict:
 
 
 def doc_to_reynolds_rep(doc: dict) -> ReynoldsRep:
+    from .reynolds import ReynoldsRep
     base = doc_to_reynolds_algebra(_need(doc, "g", "reynolds-rep"))
     rep = _need(doc, "rep", "reynolds-rep")
     rho = _json_to_mats(_need(rep, "rho", "reynolds-rep"), "rho")
@@ -284,6 +283,7 @@ def relative_rb_to_doc(rel: RelativeRB) -> dict:
 
 
 def doc_to_relative_rb(doc: dict) -> RelativeRB:
+    from .cybe import RelativeRB
     rr = doc_to_reynolds_rep(doc)
     K = json_to_matrix(_need(doc, "K", "relative-rb"), "K")
     try:
@@ -307,6 +307,7 @@ def matched_to_doc(rmp: ReynoldsMatchedPair) -> dict:
 
 
 def doc_to_matched(doc: dict, need_ops: bool = True) -> ReynoldsMatchedPair:
+    from .matched import MatchedPair, ReynoldsMatchedPair
     g = doc_to_algebra(_need(doc, "g", "matched pair"))
     h = doc_to_algebra(_need(doc, "h", "matched pair"))
     rho_mats = _json_to_mats(_need(doc, "rho", "matched pair"), "rho")
@@ -339,6 +340,7 @@ def bialgebra_to_doc(bialg: LieBialgebra, R: Mat | None = None) -> dict:
 
 
 def doc_to_bialgebra(doc: dict) -> tuple[LieBialgebra, Mat | None]:
+    from .bialgebra import LieBialgebra
     g = doc_to_algebra(_need(doc, "g", "bialgebra"))
     dual = doc_to_algebra(_need(doc, "dual", "bialgebra"))
     if g.dim != dual.dim:
@@ -361,6 +363,7 @@ def qrb_to_doc(qrb: QuadraticRB, R: Mat | None = None) -> dict:
 
 
 def doc_to_qrb(doc: dict) -> tuple[QuadraticRB, Mat | None]:
+    from .rotabaxter import QuadraticRB, RotaBaxterAlg
     L = doc_to_algebra(doc)
     rb_doc = _need(doc, "rb", "quadratic-rb")
     B = json_to_matrix(_need(rb_doc, "matrix", "rb"), "rb matrix")
@@ -379,6 +382,7 @@ def doc_to_qrb(doc: dict) -> tuple[QuadraticRB, Mat | None]:
 
 
 def doc_to_rb(doc: dict) -> RotaBaxterAlg:
+    from .rotabaxter import RotaBaxterAlg
     L = doc_to_algebra(doc)
     rb_doc = _need(doc, "rb", "rota-baxter")
     B = json_to_matrix(_need(rb_doc, "matrix", "rb"), "rb matrix")
@@ -399,6 +403,7 @@ def prelie_to_doc(A: PreLieAlgebra, R: Mat | None = None) -> dict:
 
 
 def doc_to_prelie(doc: dict) -> tuple[PreLieAlgebra, Mat | None]:
+    from .cybe import PreLieAlgebra
     dim = _dim(_need(doc, "dim", "pre-lie"), "pre-lie")
     basis = _labels(doc.get("basis"), dim, "pre-lie basis")
     prod = _json_to_table(_need(doc, "prod", "pre-lie"), "pre-lie product")

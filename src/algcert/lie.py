@@ -165,15 +165,28 @@ def is_representation(rep: Representation) -> Certificate:
                                    for i, j in combinations(range(L.dim), 2)), den * r * r)
 
 
+def _ad_mats(L: LieAlgebra, dual: bool) -> list[Mat]:
+    """ad(e_i), or ad*(e_i) = −ad(e_i)ᵀ, for every i, filled from one pass over the table."""
+    n = L.dim
+    mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(L.sc.rows()):
+        m = mats[i]
+        for j, comp in row.items():
+            for k, c in comp.items():
+                if dual:
+                    m[j][k] = -c
+                else:
+                    m[k][j] = c
+    return [Mat._of(m) for m in mats]
+
+
 def adjoint_rep(L: LieAlgebra) -> Representation:
-    return Representation(L, L.dim, [L.ad(i) for i in range(L.dim)],
-                          labels=L.basis, check=False)
+    return Representation(L, L.dim, _ad_mats(L, False), labels=L.basis, check=False)
 
 
 def coadjoint_rep(L: LieAlgebra) -> Representation:
     """ad*(x) = −ad(x)ᵀ on dual coordinates."""
-    return Representation(L, L.dim, [-L.ad(i).transpose() for i in range(L.dim)],
-                          labels=dual_basis(L.basis), check=False)
+    return Representation(L, L.dim, _ad_mats(L, True), labels=dual_basis(L.basis), check=False)
 
 
 def dual_rep(rep: Representation) -> Representation:

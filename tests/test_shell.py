@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import algcert
 from algcert import fileio as fio
 from algcert.catalog import catalog, names
 from algcert.cli import main_block, main_build, main_cat, main_check
@@ -260,10 +264,8 @@ def test_cli_takes_one_input_document(tmp_path, sl2, capsys):
     alg = sl2_file(tmp_path, sl2)
     for run, argv in ((main_check, ["jacobi", alg, alg]),
                       (main_build, ["descendent", alg, alg, "-o", str(tmp_path / "o.json")])):
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2, argv
-    assert capsys.readouterr().out == ""
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_cli_op_and_reynolds_are_exclusive(tmp_path, sl2, b_op, capsys):
@@ -273,10 +275,31 @@ def test_cli_op_and_reynolds_are_exclusive(tmp_path, sl2, b_op, capsys):
     for run, argv in ((main_check, ["reynolds", alg, "--op", op, "--reynolds", op]),
                       (main_build, ["induced", alg, "--op", op, "--reynolds", op,
                                     "-o", str(tmp_path / "o.json")])):
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2, argv
-    assert capsys.readouterr().out == ""
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
+
+
+def test_cli_import_footprint():
+    # a CLI process imports a kind's module at dispatch, not at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(algcert.__file__)))
+    script = (f"import sys; sys.path.insert(0, {src!r}); import algcert.cli; "
+              "print(' '.join(sorted(sys.modules)))")
+    loaded = set(subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                                text=True, check=True).stdout.split())
+    assert "algcert.cli" in loaded
+    for name in ("dataclasses", "traceback", "algcert.bialgebra", "algcert.rotabaxter",
+                 "algcert.cybe", "algcert.matched", "algcert.nslie"):
+        assert name not in loaded, name
+
+
+def test_package_exports_resolve(capsys):
+    import algcert.catalog  # noqa: F401  (the submodule import must leave the function bound)
+
+    assert all(getattr(algcert, name) is not None for name in algcert.__all__)
+    assert callable(algcert.catalog)
+    assert main_cat(["sl2"]) == 0
+    capsys.readouterr()
+    assert callable(algcert.catalog) and algcert.catalog("sl2").ok
 
 
 def test_cli_internal_error_exits_3(tmp_path, sl2, monkeypatch, capsys):

@@ -199,6 +199,13 @@ def test_lie_checks_match_dense(case):
                 == dense.operator_form_compat(L, S, R, name, op_lam).to_json())
 
 
+@given(algebras())
+def test_adjoint_matrices_match_ad(L):
+    # adjoint_rep/coadjoint_rep fill ad(e_i) from the table rows, not column by column
+    assert list(adjoint_rep(L).rho) == [L.ad(i) for i in range(L.dim)]
+    assert list(coadjoint_rep(L).rho) == [-L.ad(i).transpose() for i in range(L.dim)]
+
+
 @given(cases())
 def test_operator_checks_match_dense(case):
     L, R, _, lam = case

@@ -7,6 +7,7 @@ name it wraps is renamed or deleted, so this test guards those names.
 import importlib.util
 import os
 
+import algcert
 from algcert import lie, reynolds
 from algcert.exact import Mat
 
@@ -35,3 +36,18 @@ def test_tracer_installs_and_uninstalls(sl2):
     # the failed certificate and the conversion of its one residual, both traced
     assert tracer.stats["certificates"][0] == 2
     assert tracer.stats["check.reynolds"][0] == 1
+
+
+def test_lazy_export_is_not_left_wrapped(sl2):
+    # the package resolves a name on its module at each access and never stores it,
+    # so a name read while the tracer is installed is unwrapped after uninstall
+    tracing = load_tracing()
+    raw_check = reynolds.is_reynolds
+    assert "is_reynolds" not in vars(algcert)
+    tracer = tracing.Tracer().install()
+    try:
+        assert algcert.is_reynolds is reynolds.is_reynolds is not raw_check
+    finally:
+        tracer.uninstall()
+    assert algcert.is_reynolds is algcert.reynolds.is_reynolds is raw_check
+    assert "is_reynolds" not in vars(algcert)
