@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .certificates import Certificate, CheckFailed, scan
+from .certificates import Certificate, Checked, require, scan
 from .cybe import ad_invariance_cert, ad_on_tensor, cybe_bracket
 from .exact import ONE, ZERO, Mat, Tensor2, flip, tensor2_map, tensor3_map
 from .lie import LieAlgebra, Representation, coadjoint_rep, dual_basis, jacobi_check
@@ -21,7 +21,7 @@ from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
 from .reynolds import ReynoldsLieAlgebra, is_reynolds
 
 
-class LieBialgebra:
+class LieBialgebra(Checked):
     """(g, dual): two Lie algebras on dual coordinate spaces, cocycle-compatible."""
 
     __slots__ = ("g", "dual")
@@ -32,20 +32,7 @@ class LieBialgebra:
         self.g = g
         self.dual = dual
         if check:
-            cert = is_lie_bialgebra(g, dual)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, g, dual) -> "LieBialgebra":
-        return cls(g, dual, check=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieBialgebra)
-            and self.g == other.g
-            and self.dual == other.dual
-        )
+            require(is_lie_bialgebra(g, dual))
 
     def cobracket(self) -> list[Tensor2]:
         return cobracket_from_dual(self.dual)
@@ -118,6 +105,8 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
 def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
     """(R⊗R)Δ = (R⊗Id + Id⊗R − R⊗R)ΔR per basis vector."""
     n = len(deltas)
+    if R.rows != n or R.cols != n:
+        raise ValueError("operator shape does not match the coalgebra")
     ident = Mat.identity(n)
 
     def residual(k):
@@ -153,7 +142,7 @@ def is_lie_bialgebra(g: LieAlgebra, dual: LieAlgebra) -> Certificate:
     return Certificate.combine("lie-bialgebra", parts)
 
 
-class ReynoldsLieBialgebra:
+class ReynoldsLieBialgebra(Checked):
     __slots__ = ("bialg", "R")
 
     def __init__(self, bialg: LieBialgebra, R: Mat, check: bool = True):
@@ -162,20 +151,7 @@ class ReynoldsLieBialgebra:
         self.bialg = bialg
         self.R = R
         if check:
-            cert = is_reynolds_bialgebra(bialg, R)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, bialg, R) -> "ReynoldsLieBialgebra":
-        return cls(bialg, R, check=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ReynoldsLieBialgebra)
-            and self.bialg == other.bialg
-            and self.R == other.R
-        )
+            require(is_reynolds_bialgebra(bialg, R))
 
 
 def is_reynolds_bialgebra(bialg: LieBialgebra, R: Mat) -> Certificate:
@@ -200,9 +176,7 @@ def canonical_pair(rb: ReynoldsLieBialgebra) -> ReynoldsMatchedPair:
 
 def drinfeld_double(rb: ReynoldsLieBialgebra) -> ReynoldsLieAlgebra:
     """g⋈g* with mixed bracket via the two coadjoint actions; operator R⊕(−Rᵀ)."""
-    cert = is_reynolds_bialgebra(rb.bialg, rb.R)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_reynolds_bialgebra(rb.bialg, rb.R))
     return reynolds_double(canonical_pair(rb))
 
 

@@ -122,6 +122,33 @@ class CheckFailed(Exception):
         self.certificate = certificate
 
 
+def require(cert: Certificate) -> Certificate:
+    """Enforce a hypothesis: `cert` if it passes, otherwise raise `CheckFailed`."""
+    if not cert.ok:
+        raise CheckFailed(cert)
+    return cert
+
+
+class Checked:
+    """Base of the structures whose constructor verifies their axioms.
+
+    ``X(...)`` runs the structure's check and raises `CheckFailed` on a
+    violation; ``X.unchecked(...)``, i.e. ``check=False``, skips it so that
+    checks can report on invalid data.  Equality is field-wise over the
+    subclass's `__slots__`, between instances of the same class.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def unchecked(cls, *args, **kwargs):
+        return cls(*args, **kwargs, check=False)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, s) == getattr(other, s) for s in self.__slots__)
+
+
 def residual_from_vec(v) -> Residual:
     """The nonzero entries of a coordinate tuple or of a sparse vector {index: coefficient}."""
     items = sorted(v.items()) if isinstance(v, dict) else enumerate(v)

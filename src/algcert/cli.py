@@ -20,7 +20,7 @@ from importlib import import_module
 from operator import attrgetter
 
 from . import fileio as fio
-from .certificates import Certificate, CheckFailed
+from .certificates import Certificate, CheckFailed, require
 from .exact import Mat, rat
 
 # the package: its lazy exports look each name up on its module at call time
@@ -85,20 +85,15 @@ def _with_op(loaded: tuple, args, kind: str) -> tuple:
     return x, op
 
 
-def _gate(cert: Certificate) -> None:
-    if not cert.ok:
-        raise CheckFailed(cert)
-
-
 def _gated_reynolds(doc: dict, args):
     A = fio.doc_to_reynolds_algebra(doc, _operator_arg(args))
-    _gate(ac.is_reynolds(A.L, A.R))
+    require(ac.is_reynolds(A.L, A.R))
     return A
 
 
 def _gated_lie_and_tensor(doc: dict, args, context: str):
     L = fio.doc_to_algebra(doc)
-    _gate(ac.jacobi_check(L))
+    require(ac.jacobi_check(L))
     return L, _required_tensor(doc, args, L.dim, context)
 
 
@@ -182,7 +177,7 @@ def _run_check(kind: str, path: str, args) -> list[Certificate]:
 
 def _semidirect(doc: dict, args):
     rr = fio.doc_to_reynolds_rep(doc)
-    _gate(ac.is_reynolds(rr.base.L, rr.base.R))
+    require(ac.is_reynolds(rr.base.L, rr.base.R))
     return ac.semidirect_reynolds(rr)
 
 

@@ -12,7 +12,8 @@ from itertools import combinations, product
 
 from .certificates import (
     Certificate,
-    CheckFailed,
+    Checked,
+    require,
     residual_from_mat,
     residual_from_tensor,
     scan,
@@ -108,7 +109,7 @@ def r_plus(r: Tensor2) -> Mat:
 # relative Rota-Baxter operators
 # ---------------------------------------------------------------------------
 
-class RelativeRB:
+class RelativeRB(Checked):
     """K: W→g with [Ku,Kv] = K(rho(Ku)v − rho(Kv)u) and R∘K = K∘T."""
 
     __slots__ = ("rr", "K")
@@ -119,13 +120,7 @@ class RelativeRB:
         self.rr = rr
         self.K = K
         if check:
-            cert = is_relative_rb(self)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, rr, K) -> "RelativeRB":
-        return cls(rr, K, check=False)
+            require(is_relative_rb(self))
 
 
 def is_relative_rb(rel: RelativeRB) -> Certificate:
@@ -168,9 +163,7 @@ def _descendent_sc(rel: RelativeRB) -> dict[tuple[int, int], dict[int, Fraction]
 
 def descendent_on_W(rel: RelativeRB) -> ReynoldsLieAlgebra:
     """Bracket [u,v]_K = rho(Ku)v − rho(Kv)u on W with operator T."""
-    cert = is_relative_rb(rel)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_relative_rb(rel))
     rep = rel.rr.rep
     W = LieAlgebra(rep.module_dim, rep.labels, _descendent_sc(rel))
     return ReynoldsLieAlgebra(W, rel.rr.T)
@@ -204,9 +197,7 @@ def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     With blocks ordered (g, W*), K̄ places K's entries at
     (W*-row n+i, g-column a): pairing K̄(ξ+u, η+v) = ⟨Ku, η⟩.
     """
-    cert = is_relative_rb(rel)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_relative_rb(rel))
     base, rep, K = rel.rr.base, rel.rr.rep, rel.K
     n, m = base.L.dim, rep.module_dim
     big = semidirect(base.L, dual_rep(rep))
@@ -216,9 +207,7 @@ def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
                    {(n + i, a): K.entries[a][i] for a in range(n) for i in range(m)
                     if K.entries[a][i] != 0})
     r_k = kbar - flip(kbar)
-    final = is_cybe_solution_reynolds(ambient, r_k)
-    if not final.ok:
-        raise CheckFailed(final)
+    require(is_cybe_solution_reynolds(ambient, r_k))
     return ambient, r_k
 
 
@@ -226,7 +215,7 @@ def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
 # pre-Lie algebras
 # ---------------------------------------------------------------------------
 
-class PreLieAlgebra:
+class PreLieAlgebra(Checked):
     """Product with left-symmetric associator: (x,y,z) = (y,x,z)."""
 
     __slots__ = ("dim", "basis", "prod")
@@ -238,21 +227,7 @@ class PreLieAlgebra:
             raise ValueError("basis label count must equal dim")
         self.prod = Table(dim, prod)
         if check:
-            cert = is_prelie(self)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, dim, basis=None, prod=None) -> "PreLieAlgebra":
-        return cls(dim, basis, prod, check=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PreLieAlgebra)
-            and self.dim == other.dim
-            and self.basis == other.basis
-            and self.prod == other.prod
-        )
+            require(is_prelie(self))
 
     def prod_basis(self, i: int, j: int) -> Vec:
         return self.prod.basis_prod(i, j)
@@ -277,7 +252,7 @@ def is_prelie(A: PreLieAlgebra) -> Certificate:
                             for i, j in combinations(range(n), 2) for k in range(n)))
 
 
-class ReynoldsPreLie:
+class ReynoldsPreLie(Checked):
     __slots__ = ("A", "R")
 
     def __init__(self, A: PreLieAlgebra, R: Mat, check: bool = True):
@@ -286,13 +261,7 @@ class ReynoldsPreLie:
         self.A = A
         self.R = R
         if check:
-            cert = is_reynolds_prelie(A, R)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, A, R) -> "ReynoldsPreLie":
-        return cls(A, R, check=False)
+            require(is_reynolds_prelie(A, R))
 
 
 def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
@@ -316,9 +285,7 @@ def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
 
 def subadjacent(rp: ReynoldsPreLie) -> ReynoldsLieAlgebra:
     """Bracket {x,y} − {y,x}; the operator stays Reynolds on it."""
-    cert = is_reynolds_prelie(rp.A, rp.R)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_reynolds_prelie(rp.A, rp.R))
     n, prod = rp.A.dim, rp.A.prod
     sc = {(i, j): saxpy(dict(prod.get((i, j), {})), -ONE, prod.get((j, i), {}))
           for i, j in combinations(range(n), 2)}
@@ -337,9 +304,7 @@ def left_rep(rp: ReynoldsPreLie) -> ReynoldsRep:
 
 def prelie_from_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     """{u,v}_K = rho(Ku)v on W, with operator T."""
-    cert = is_relative_rb(rel)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_relative_rb(rel))
     rep = rel.rr.rep
     prod = {(a, b): comp for a, row in enumerate(_k_action(rel)) for b, comp in row.items()}
     A = PreLieAlgebra(rep.module_dim, rep.labels, prod)
@@ -348,9 +313,7 @@ def prelie_from_relrb(rel: RelativeRB) -> ReynoldsPreLie:
 
 def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     """{x,y} = K(rho(x)K⁻¹y) on g, with operator R; needs K invertible."""
-    cert = is_relative_rb(rel)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_relative_rb(rel))
     K = rel.K
     if K.rows != K.cols or K.det() == 0:
         raise ValueError("invertible variant requires a square invertible K")
@@ -375,7 +338,5 @@ def canonical_r(rp: ReynoldsPreLie) -> tuple[ReynoldsLieAlgebra, Tensor2]:
         entries[(i, n + i)] = Fraction(1)
         entries[(n + i, i)] = Fraction(-1)
     r = Tensor2(2 * n, 2 * n, entries)
-    final = is_cybe_solution_reynolds(ambient, r)
-    if not final.ok:
-        raise CheckFailed(final)
+    require(is_cybe_solution_reynolds(ambient, r))
     return ambient, r

@@ -434,6 +434,9 @@ def doc_to_coalgebra(doc: dict) -> tuple[list[Tensor2], Mat | None]:
     deltas = [doc_to_tensor(d, dim) for d in _list(_need(doc, "deltas", "coalgebra"), "deltas")]
     if len(deltas) != dim:
         raise InputError("coalgebra: need one cobracket tensor per basis vector")
+    for k, d in enumerate(deltas):
+        if d.dim_left != dim or d.dim_right != dim:
+            raise InputError(f"coalgebra: cobracket tensor {k} is not on a dim-{dim} space")
     R = None
     if "reynolds" in doc:
         R = doc_to_operator(doc["reynolds"])
@@ -460,6 +463,9 @@ def doc_to_manin(doc: dict):
         raise InputError(str(exc)) from exc
     part_g, part_h = (tuple(_index(i, f"manin {key}") for i in _list(_need(doc, key, "manin"), key))
                       for key in ("part_g", "part_h"))
+    for i in part_g + part_h:
+        if not 0 <= i < A.L.dim:
+            raise InputError(f"manin: part index {i} is outside the basis 0..{A.L.dim - 1}")
     return A.L, A.R, S, part_g, part_h
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .certificates import Certificate, CheckFailed, scan
+from .certificates import Certificate, Checked, require, scan
 from .exact import Mat, Table, Vec, ZERO, integral, mat_comb, sapply, saxpy, scols, scomb
 
 
@@ -25,7 +25,7 @@ def dual_basis(basis: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(f"{b}*" for b in basis)
 
 
-class LieAlgebra:
+class LieAlgebra(Checked):
     """Finite-dimensional Lie algebra over Q given by structure constants."""
 
     __slots__ = ("dim", "basis", "sc")
@@ -37,25 +37,11 @@ class LieAlgebra:
             raise ValueError("basis label count must equal dim")
         self.sc = Table(dim, sc, skew=True)
         if check:
-            cert = jacobi_check(self)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, dim: int, basis=None, sc=None) -> "LieAlgebra":
-        return cls(dim, basis, sc, check=False)
+            require(jacobi_check(self))
 
     @classmethod
     def abelian(cls, dim: int, basis=None) -> "LieAlgebra":
         return cls(dim, basis, {})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieAlgebra)
-            and self.dim == other.dim
-            and self.basis == other.basis
-            and self.sc == other.sc
-        )
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, basis={self.basis})"
@@ -98,7 +84,7 @@ def jacobi_check(L: LieAlgebra) -> Certificate:
     return scan("jacobi", cases(), den * den)
 
 
-class Representation:
+class Representation(Checked):
     """Matrices rho(e_i) acting on a module space W."""
 
     __slots__ = ("algebra", "module_dim", "rho", "labels")
@@ -116,13 +102,7 @@ class Representation:
         if len(self.labels) != module_dim:
             raise ValueError("module label count must equal module_dim")
         if check:
-            cert = is_representation(self)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, algebra, module_dim, rho, labels=None) -> "Representation":
-        return cls(algebra, module_dim, rho, labels, check=False)
+            require(is_representation(self))
 
     @classmethod
     def zero(cls, algebra: LieAlgebra, module_dim: int, labels=None) -> "Representation":
@@ -130,6 +110,7 @@ class Representation:
         return cls(algebra, module_dim, [z] * algebra.dim, labels, check=False)
 
     def __eq__(self, other) -> bool:
+        # labels only name the module basis, so they do not enter equality
         return (
             isinstance(other, Representation)
             and self.algebra == other.algebra
@@ -202,9 +183,7 @@ def dual_rep(rep: Representation) -> Representation:
 
 def semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
     """Semidirect product on g⊕W: [x+u, y+v] = [x,y] + rho(x)v − rho(y)u."""
-    cert = is_representation(rep)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_representation(rep))
     n, m = L.dim, rep.module_dim
     sc = dict(L.sc)
     for i in range(n):
@@ -258,22 +237,22 @@ def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
 def is_quadratic(L: LieAlgebra, S: BilinForm) -> Certificate:
     """Invariance plus nondegeneracy (exact determinant ≠ 0)."""
     inv = is_invariant_form(L, S)
-    if S.gram.det() == 0:
-        nd = Certificate(check="nondegenerate", ok=False, note="gram determinant is 0")
-    else:
+    if S.is_nondegenerate():
         nd = Certificate.passed("nondegenerate")
+    else:
+        nd = Certificate(check="nondegenerate", ok=False, note="gram determinant is 0")
     return Certificate.combine("quadratic", [inv, nd])
 
 
 def s_sharp(S: BilinForm) -> Mat:
     """The gram matrix viewed as the map g→g*, x ↦ S(x,·)."""
-    if S.gram.det() == 0:
+    if not S.is_nondegenerate():
         raise ValueError("degenerate form has no musical isomorphism")
     return S.gram
 
 
 def i_s(S: BilinForm) -> Mat:
     """Inverse musical map g*→g (called I_S below the r-matrix pipeline)."""
-    if S.gram.det() == 0:
+    if not S.is_nondegenerate():
         raise ValueError("degenerate form has no musical isomorphism")
     return S.gram.inverse()

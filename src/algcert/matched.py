@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .certificates import Certificate, CheckFailed, scan
+from .certificates import Certificate, Checked, require, scan
 from .exact import ONE, ZERO, Mat, mat_comb, precompose, sapply, saxpy, scols, scomb
 from .lie import (
     BilinForm,
@@ -31,7 +31,7 @@ from .reynolds import (
 )
 
 
-class MatchedPair:
+class MatchedPair(Checked):
     """(g, h; rho, mu): rho acts on h's space, mu on g's space."""
 
     __slots__ = ("g", "h", "rho", "mu")
@@ -47,27 +47,12 @@ class MatchedPair:
         self.rho = rho
         self.mu = mu
         if check:
-            cert = is_matched_pair(g, h, rho, mu)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, g, h, rho, mu) -> "MatchedPair":
-        return cls(g, h, rho, mu, check=False)
+            require(is_matched_pair(g, h, rho, mu))
 
     @classmethod
     def trivial(cls, g: LieAlgebra, h: LieAlgebra) -> "MatchedPair":
         return cls(g, h, Representation.zero(g, h.dim, labels=h.basis),
                    Representation.zero(h, g.dim, labels=g.basis), check=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatchedPair)
-            and self.g == other.g
-            and self.h == other.h
-            and self.rho == other.rho
-            and self.mu == other.mu
-        )
 
 
 def _compat_cases(g: LieAlgebra, h: LieAlgebra, rho: Representation,
@@ -112,9 +97,7 @@ def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
 
 def double(mp: MatchedPair) -> LieAlgebra:
     """g⋈h: [x+xi, y+eta] = ([x,y] + mu(xi)y - mu(eta)x) + ([xi,eta] + rho(x)eta - rho(y)xi)."""
-    cert = is_matched_pair(mp.g, mp.h, mp.rho, mp.mu)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_matched_pair(mp.g, mp.h, mp.rho, mp.mu))
     n, m = mp.g.dim, mp.h.dim
     sc: dict[tuple[int, int], dict[int, Fraction]] = {}
     for key, comp in mp.g.sc.items():
@@ -132,7 +115,7 @@ def double(mp: MatchedPair) -> LieAlgebra:
     return LieAlgebra(n + m, mp.g.basis + mp.h.basis, sc)
 
 
-class ReynoldsMatchedPair:
+class ReynoldsMatchedPair(Checked):
     __slots__ = ("pair", "Rg", "Rh")
 
     def __init__(self, pair: MatchedPair, Rg: Mat, Rh: Mat, check: bool = True):
@@ -144,21 +127,7 @@ class ReynoldsMatchedPair:
         self.Rg = Rg
         self.Rh = Rh
         if check:
-            cert = is_reynolds_matched_pair(self)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, pair, Rg, Rh) -> "ReynoldsMatchedPair":
-        return cls(pair, Rg, Rh, check=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ReynoldsMatchedPair)
-            and self.pair == other.pair
-            and self.Rg == other.Rg
-            and self.Rh == other.Rh
-        )
+            require(is_reynolds_matched_pair(self))
 
 
 def is_reynolds_matched_pair(rmp: ReynoldsMatchedPair) -> Certificate:
@@ -176,9 +145,7 @@ def is_reynolds_matched_pair(rmp: ReynoldsMatchedPair) -> Certificate:
 
 def reynolds_double(rmp: ReynoldsMatchedPair) -> ReynoldsLieAlgebra:
     """The double with the block-diagonal operator Rg⊕Rh."""
-    cert = is_reynolds_matched_pair(rmp)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_reynolds_matched_pair(rmp))
     return ReynoldsLieAlgebra(double(rmp.pair), Mat.block_diag(rmp.Rg, rmp.Rh))
 
 
@@ -186,9 +153,7 @@ def induced_matched_pair(rmp: ReynoldsMatchedPair) -> MatchedPair:
     """The induced pair (g_R, h_R'; rho', mu') of a Reynolds matched pair."""
     from .reynolds import induced_algebra
 
-    cert = is_reynolds_matched_pair(rmp)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_reynolds_matched_pair(rmp))
     mp, Rg, Rh = rmp.pair, rmp.Rg, rmp.Rh
     g_ind = induced_algebra(ReynoldsLieAlgebra(mp.g, Rg, check=False)).L
     h_ind = induced_algebra(ReynoldsLieAlgebra(mp.h, Rh, check=False)).L
@@ -209,7 +174,7 @@ def _induced_action(act: Representation, R: Mat, T: Mat) -> list[Mat]:
     return out
 
 
-class ManinTripleReynolds:
+class ManinTripleReynolds(Checked):
     """A quadratic Reynolds algebra split into two isotropic index blocks."""
 
     __slots__ = ("G", "part_g", "part_h")
@@ -219,13 +184,7 @@ class ManinTripleReynolds:
         self.part_g = tuple(part_g)
         self.part_h = tuple(part_h)
         if check:
-            cert = is_manin_triple(G.base.L, G.base.R, G.S, self.part_g, self.part_h)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, G, part_g, part_h) -> "ManinTripleReynolds":
-        return cls(G, part_g, part_h, check=False)
+            require(is_manin_triple(G.base.L, G.base.R, G.S, self.part_g, self.part_h))
 
 
 def _closure_cert(L: LieAlgebra, R: Mat, part: tuple[int, ...], name: str) -> Certificate:
@@ -290,9 +249,7 @@ def _require_dual_shape(rmp: ReynoldsMatchedPair) -> None:
 def matched_to_manin(rmp: ReynoldsMatchedPair) -> ManinTripleReynolds:
     """Dual-shaped Reynolds matched pair -> Manin triple on g⊕g*."""
     _require_dual_shape(rmp)
-    cert = is_reynolds_matched_pair(rmp)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_reynolds_matched_pair(rmp))
     n = rmp.pair.g.dim
     D = double(rmp.pair)
     op = Mat.block_diag(rmp.Rg, rmp.Rh)
@@ -320,9 +277,7 @@ def manin_to_matched(mt: ManinTripleReynolds) -> ReynoldsMatchedPair:
         raise ValueError("standard-form triple expected: contiguous g then g* blocks")
     if mt.G.S != standard_pairing_form(n):
         raise ValueError("standard-form triple expected: the canonical pairing form")
-    cert = is_manin_triple(L, mt.G.base.R, mt.G.S, mt.part_g, mt.part_h)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_manin_triple(L, mt.G.base.R, mt.G.S, mt.part_g, mt.part_h))
     g = _restrict_algebra(L, 0, n)
     h = _restrict_algebra(L, n, n)
     rho_mats = []

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .certificates import Certificate, CheckFailed, scan
+from .certificates import Certificate, Checked, require, scan
 from .exact import (Mat, Table, Vec, integral, mat_comb, precompose, saxpy, scols, sprod, srow,
                     unscale, vadd, vsub)
 from .lie import LieAlgebra, default_basis
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
 
-class NSLieAlgebra:
+class NSLieAlgebra(Checked):
     __slots__ = ("dim", "basis", "left", "wedge")
 
     def __init__(self, dim: int, basis=None, left=None, wedge=None, check: bool = True):
@@ -28,22 +28,7 @@ class NSLieAlgebra:
         self.left = Table(dim, left)
         self.wedge = Table(dim, wedge, skew=True)
         if check:
-            cert = is_nslie(self)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, dim, basis=None, left=None, wedge=None) -> "NSLieAlgebra":
-        return cls(dim, basis, left, wedge, check=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NSLieAlgebra)
-            and self.dim == other.dim
-            and self.basis == other.basis
-            and self.left == other.left
-            and self.wedge == other.wedge
-        )
+            require(is_nslie(self))
 
     def left_basis(self, i: int, j: int) -> Vec:
         return self.left.basis_prod(i, j)
@@ -124,7 +109,7 @@ def ns_commutator(A: NSLieAlgebra) -> LieAlgebra:
     return LieAlgebra(A.dim, A.basis, _commutator(A.left, A.wedge))
 
 
-class NSRep:
+class NSRep(Checked):
     __slots__ = ("base", "module_dim", "varrho", "mu", "nu", "labels")
 
     def __init__(self, base: NSLieAlgebra, module_dim: int, varrho, mu, nu,
@@ -142,13 +127,7 @@ class NSRep:
                 if m.rows != module_dim or m.cols != module_dim:
                     raise ValueError("action matrix shape mismatch")
         if check:
-            cert = is_ns_rep(self)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, base, module_dim, varrho, mu, nu, labels=None) -> "NSRep":
-        return cls(base, module_dim, varrho, mu, nu, labels, check=False)
+            require(is_ns_rep(self))
 
 
 def is_ns_rep(rep: NSRep) -> Certificate:
@@ -199,9 +178,7 @@ def regular_rep(A: NSLieAlgebra) -> NSRep:
 
 def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
     """Semidirect product NS-Lie algebra on G⊕W."""
-    cert = is_ns_rep(rep)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_ns_rep(rep))
     A, m = rep.base, rep.module_dim
     if m == 0:
         return A
@@ -228,9 +205,7 @@ def ns_rep_from_reynolds_rep(rr: ReynoldsRep) -> NSRep:
     """varrho(x) = -rho(Rx)T, mu(x) = rho(Rx), nu(x) = -rho(x)T on the induced NS-Lie algebra."""
     from .reynolds import is_reynolds_rep
 
-    cert = is_reynolds_rep(rr)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_reynolds_rep(rr))
     base = ns_from_reynolds(rr.base)
     L, R, T = rr.base.L, rr.base.R, rr.T
     n = L.dim

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .certificates import Certificate, CheckFailed, residual_from_mat, scan
+from .certificates import Certificate, Checked, require, residual_from_mat, scan
 from .exact import (ONE, ZERO, Mat, integral, precompose, rat, sapply, saxpy, scols, scomb,
                     srow, unscale)
 from .lie import (
@@ -29,7 +29,7 @@ from .lie import (
 )
 
 
-class ReynoldsLieAlgebra:
+class ReynoldsLieAlgebra(Checked):
     """A Lie algebra together with a Reynolds operator."""
 
     __slots__ = ("L", "R")
@@ -40,20 +40,7 @@ class ReynoldsLieAlgebra:
         self.L = L
         self.R = R
         if check:
-            cert = is_reynolds(L, R)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, L: LieAlgebra, R: Mat) -> "ReynoldsLieAlgebra":
-        return cls(L, R, check=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ReynoldsLieAlgebra)
-            and self.L == other.L
-            and self.R == other.R
-        )
+            require(is_reynolds(L, R))
 
     def __repr__(self) -> str:
         return f"ReynoldsLieAlgebra({self.L!r})"
@@ -113,7 +100,7 @@ def induced_algebra(A: ReynoldsLieAlgebra) -> ReynoldsLieAlgebra:
     return ReynoldsLieAlgebra(LieAlgebra(L.dim, L.basis, sc), R)
 
 
-class ReynoldsRep:
+class ReynoldsRep(Checked):
     """A pair (T, rho): rho a representation on W, T compatible with R."""
 
     __slots__ = ("base", "rep", "T")
@@ -127,21 +114,7 @@ class ReynoldsRep:
         self.rep = rep
         self.T = T
         if check:
-            cert = is_reynolds_rep(self)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, base, rep, T) -> "ReynoldsRep":
-        return cls(base, rep, T, check=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ReynoldsRep)
-            and self.base == other.base
-            and self.rep == other.rep
-            and self.T == other.T
-        )
+            require(is_reynolds_rep(self))
 
 
 def reynolds_adjoint_rep(A: ReynoldsLieAlgebra) -> ReynoldsRep:
@@ -191,14 +164,12 @@ def dual_reynolds_rep(rr: ReynoldsRep) -> ReynoldsRep:
 
 def semidirect_reynolds(rr: ReynoldsRep) -> ReynoldsLieAlgebra:
     """g⋉W with the block-diagonal operator R⊕T."""
-    cert = is_reynolds_rep(rr)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_reynolds_rep(rr))
     big = semidirect(rr.base.L, rr.rep)
     return ReynoldsLieAlgebra(big, Mat.block_diag(rr.base.R, rr.T))
 
 
-class QuadraticReynolds:
+class QuadraticReynolds(Checked):
     """Reynolds Lie algebra with an invariant form satisfying S(Rx,y)+S(x,Ry)=0."""
 
     __slots__ = ("base", "S")
@@ -207,13 +178,7 @@ class QuadraticReynolds:
         self.base = base
         self.S = S
         if check:
-            cert = is_quadratic_reynolds(base, S)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, base, S) -> "QuadraticReynolds":
-        return cls(base, S, check=False)
+            require(is_quadratic_reynolds(base, S))
 
 
 def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,

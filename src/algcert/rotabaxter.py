@@ -12,16 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .bialgebra import LieBialgebra, ReynoldsLieBialgebra
-from .certificates import Certificate, CheckFailed, residual_from_mat, residual_from_vec, scan
-from .cybe import ad_invariance_cert, is_cybe_solution, r_plus
+from .certificates import (Certificate, Checked, CheckFailed, require, residual_from_mat,
+                           residual_from_vec, scan)
 from .exact import (ONE, ZERO, Mat, Tensor2, flip, precompose, rat, sapply, saxpy, scols,
                     sprod, unscale)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
 from .reynolds import is_reynolds, operator_brackets, operator_form_compat, operator_identity
 
 
-class RotaBaxterAlg:
+class RotaBaxterAlg(Checked):
     """[Bx,By] = B([Bx,y] + [x,By] + λ[x,y])."""
 
     __slots__ = ("L", "B", "lam")
@@ -33,13 +32,7 @@ class RotaBaxterAlg:
         self.B = B
         self.lam = rat(lam)
         if check:
-            cert = is_rota_baxter(L, B, self.lam)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, L, B, lam) -> "RotaBaxterAlg":
-        return cls(L, B, lam, check=False)
+            require(is_rota_baxter(L, B, self.lam))
 
 
 def is_rota_baxter(L: LieAlgebra, B: Mat, lam) -> Certificate:
@@ -49,9 +42,7 @@ def is_rota_baxter(L: LieAlgebra, B: Mat, lam) -> Certificate:
 
 def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
     """[x,y]_B = [Bx,y] + [x,By] + λ[x,y]; B becomes a homomorphism to g."""
-    cert = is_rota_baxter(rb.L, rb.B, rb.lam)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    require(is_rota_baxter(rb.L, rb.B, rb.lam))
     _, _, s, pairs = operator_brackets(rb.L, rb.B, rb.lam, ZERO)
     sc = {(i, j): unscale(inner, s) for i, j, _, inner in pairs}
     return LieAlgebra(rb.L.dim, rb.L.basis, sc)
@@ -75,7 +66,7 @@ def reynolds_descends(rb: RotaBaxterAlg, R: Mat) -> Certificate:
     )
 
 
-class QuadraticRB:
+class QuadraticRB(Checked):
     """Quadratic Rota-Baxter Lie algebra: S invariant, nondegenerate, B-compatible."""
 
     __slots__ = ("rb", "S")
@@ -84,13 +75,7 @@ class QuadraticRB:
         self.rb = rb
         self.S = S
         if check:
-            cert = is_quadratic_rb(rb, S)
-            if not cert.ok:
-                raise CheckFailed(cert)
-
-    @classmethod
-    def unchecked(cls, rb, S) -> "QuadraticRB":
-        return cls(rb, S, check=False)
+            require(is_quadratic_rb(rb, S))
 
 
 def is_quadratic_rb(rb: RotaBaxterAlg, S: BilinForm) -> Certificate:
@@ -107,9 +92,9 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
     Entry convention: r_+(e_i*) = Σ_j r_ij e_j, i.e. the tensor is the
     transpose-indexed matrix of B∘I_S.
     """
-    cert = is_quadratic_rb(qrb.rb, qrb.S)
-    if not cert.ok:
-        raise CheckFailed(cert)
+    from .cybe import is_cybe_solution
+
+    require(is_quadratic_rb(qrb.rb, qrb.S))
     L = qrb.rb.L
     n = L.dim
     m = qrb.rb.B @ qrb.S.gram.inverse()
@@ -121,9 +106,7 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
     }
     r = Tensor2(n, n, entries)
 
-    cy = is_cybe_solution(L, r)
-    if not cy.ok:
-        raise CheckFailed(cy)
+    require(is_cybe_solution(L, r))
     dual = dual_bracket_from_r(L, r).sc.rows()
     sharp = scols(s_sharp(qrb.S))
     desc = descendent(qrb.rb)
@@ -143,9 +126,9 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
 
 def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
     """[ξ,η]_r = ad*_{r₊ξ}η − ad*_{r₋η}ξ on dual coordinates, r₋ = −r₊ᵀ."""
-    inv = ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance")
-    if not inv.ok:
-        raise CheckFailed(inv)
+    from .cybe import ad_invariance_cert, r_plus
+
+    require(ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance"))
     n = g.dim
     rp = r_plus(r)
     rows = g.sc.rows()
@@ -165,12 +148,16 @@ def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
 
 def i_operator(r: Tensor2) -> Mat:
     """I = r₊ − r₋ = r₊ + r₊ᵀ; symmetric part of r (doubled)."""
+    from .cybe import r_plus
+
     rp = r_plus(r)
     return rp + rp.transpose()
 
 
 def is_factorizable(g: LieAlgebra, r: Tensor2) -> Certificate:
     """Quasi-triangular conditions plus invertibility of I, with I∘ad* = ad∘I."""
+    from .cybe import ad_invariance_cert, is_cybe_solution
+
     parts = [
         ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance"),
         is_cybe_solution(g, r),
@@ -234,9 +221,9 @@ def minus_rstar_on_descendent(qrb: QuadraticRB, R: Mat) -> Certificate:
 
 def thmFL_bialgebra(qrb: QuadraticRB, R: Mat) -> ReynoldsLieBialgebra:
     """Assemble (g, dual-from-r^{B,S}, R); a Reynolds Lie bialgebra."""
-    gate = is_reynolds_on_qrb(qrb, R)
-    if not gate.ok:
-        raise CheckFailed(gate)
+    from .bialgebra import LieBialgebra, ReynoldsLieBialgebra
+
+    require(is_reynolds_on_qrb(qrb, R))
     r = r_from_qrb(qrb)
     dual = dual_bracket_from_r(qrb.rb.L, r)
     return ReynoldsLieBialgebra(LieBialgebra(qrb.rb.L, dual), R)

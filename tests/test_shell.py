@@ -238,13 +238,27 @@ def test_cli_exit_2_on_bad_input(tmp_path, sl2, r_tensor, capsys):
                 {"dim": 3, "brackets": {}}):
         assert main_check(["jacobi", write(tmp_path, "mut.json", doc)]) == 2, doc
     capsys.readouterr()
-    # unreadable input and unwritable output: a message on stderr, nothing on stdout
+    # unreadable input, unwritable output, Manin part indices outside [0, dim) and cobracket
+    # tensors or an operator of the wrong size: a message on stderr, nothing on stdout
     sl2_doc = sl2_file(tmp_path, sl2)
     r_file = write(tmp_path, "r.json", fio.tensor_to_doc(r_tensor))
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"dim": 1, "basis": ["\xe9"], "brackets": []}')
     nowhere = tmp_path / "no-such-dir"
+    manin = {**fio.algebra_to_doc(sl2), "reynolds": fio.operator_to_doc(Mat.zeros(3, 3)),
+             "gram": fio.matrix_to_json(Mat.identity(3)), "part_h": [1, 2]}
+    manin_big = write(tmp_path, "manin-big.json", {**manin, "part_g": [0, 3]})
+    manin_neg = write(tmp_path, "manin-neg.json", {**manin, "part_g": [0, -1]})
+    skew01 = [{"i": 0, "j": 1, "c": "1"}, {"i": 1, "j": 0, "c": "-1"}]
+    co_big = write(tmp_path, "co-big.json", {"dim": 2, "deltas": [
+        {"dim_left": 3, "dim_right": 3, "entries": skew01}, {"entries": []}]})
+    co2 = write(tmp_path, "co2.json", {"dim": 2, "deltas": [{"entries": skew01}, {"entries": []}]})
+    ones3 = write(tmp_path, "ones3.json", {"matrix": [["1"] * 3] * 3})
     for run, argv in (
+            (main_check, ["manin", manin_big]),
+            (main_check, ["manin", manin_neg]),
+            (main_check, ["coalgebra", co_big]),
+            (main_check, ["coalgebra", co2, "--op", ones3]),
             (main_check, ["jacobi", str(tmp_path)]),
             (main_check, ["jacobi", str(latin1)]),
             (main_check, ["reynolds", sl2_doc, "--op", str(tmp_path)]),
@@ -279,16 +293,29 @@ def test_cli_op_and_reynolds_are_exclusive(tmp_path, sl2, b_op, capsys):
         assert capsys.readouterr().out == "", argv
 
 
+def _loaded_after(imports: str) -> set[str]:
+    """The modules a fresh interpreter holds after `import <imports>`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(algcert.__file__)))
+    script = (f"import sys; sys.path.insert(0, {src!r}); import {imports}; "
+              "print(' '.join(sorted(sys.modules)))")
+    return set(subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                              text=True, check=True).stdout.split())
+
+
 def test_cli_import_footprint():
     # a CLI process imports a kind's module at dispatch, not at start-up
-    src = os.path.dirname(os.path.dirname(os.path.abspath(algcert.__file__)))
-    script = (f"import sys; sys.path.insert(0, {src!r}); import algcert.cli; "
-              "print(' '.join(sorted(sys.modules)))")
-    loaded = set(subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                                text=True, check=True).stdout.split())
+    loaded = _loaded_after("algcert.cli")
     assert "algcert.cli" in loaded
     for name in ("dataclasses", "traceback", "algcert.bialgebra", "algcert.rotabaxter",
                  "algcert.cybe", "algcert.matched", "algcert.nslie"):
+        assert name not in loaded, name
+
+
+def test_rotabaxter_import_footprint():
+    # the r-matrix steps import bialgebra and cybe (and with them matched) when they run
+    loaded = _loaded_after("algcert.cli, algcert.rotabaxter")
+    assert "algcert.rotabaxter" in loaded
+    for name in ("algcert.bialgebra", "algcert.cybe", "algcert.matched"):
         assert name not in loaded, name
 
 
