@@ -172,19 +172,18 @@ def catalog(name: str) -> CatalogEntry:
     raise InputError(f"unknown catalog entry: {name!r}")
 
 
+# entry kind -> the writer of its payload's document
+_WRITERS = {
+    "algebra": algebra_to_doc,
+    "operator": operator_to_doc,
+    "form": form_to_doc,
+    "tensor": tensor_to_doc,
+    "matched": matched_to_doc,
+    "block": lambda p: {**p, "q": str(p["q"])},
+}
+
+
 def entry_to_doc(entry: CatalogEntry) -> dict:
-    if entry.kind == "algebra":
-        return algebra_to_doc(entry.payload)
-    if entry.kind == "operator":
-        return operator_to_doc(entry.payload)
-    if entry.kind == "form":
-        return form_to_doc(entry.payload)
-    if entry.kind == "tensor":
-        return tensor_to_doc(entry.payload)
-    if entry.kind == "matched":
-        return matched_to_doc(entry.payload)
-    if entry.kind == "block":
-        p = dict(entry.payload)
-        p["q"] = str(p["q"])
-        return p
-    raise InputError(f"entry kind {entry.kind!r} has no document form")
+    if entry.kind not in _WRITERS:
+        raise InputError(f"entry kind {entry.kind!r} has no document form")
+    return _WRITERS[entry.kind](entry.payload)

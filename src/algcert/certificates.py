@@ -3,7 +3,8 @@
 Every exhaustive stage is decided by `scan`, which walks the stage's basis
 tuples in lexicographic order, so the reported violation is
 deterministically the lexicographically first one; `violations` counts all
-of them.  Composite checks carry their stages in `parts` and fail if any
+of them.  A single-shot stage (one matrix or tensor identity) is a `scan`
+of one case.  Composite checks carry their stages in `parts` and fail if any
 stage fails.
 """
 

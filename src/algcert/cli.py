@@ -5,8 +5,10 @@ Exit codes: 0 all checks pass, 1 at least one certified failure,
 unexpected exception; its message goes to stderr).  Reports on stdout are
 byte-stable for fixed inputs and flags; wall time goes to stderr.
 
-Each check and build kind is one registry entry; its module is imported
-when the kind is dispatched, so a process loads only what its kind runs.
+The four commands share one skeleton (`_command`) around a function that
+returns the certificates to report.  Each check and build kind is one
+registry entry; its module is imported when the kind is dispatched, so a
+process loads only what its kind runs.
 """
 
 from __future__ import annotations
@@ -45,48 +47,37 @@ def _render_report(command: list[str], certs: list[Certificate], as_json: bool) 
     return text, 0 if ok else 1
 
 
-def _operator_arg(args) -> Mat | None:
+def _op(args, embedded, context: str | None = None) -> Mat | None:
+    """The operator a kind runs with: the --op (or --reynolds) file if given, else
+    `embedded`, the document's own operator or None (or a function that reads it, called
+    only without --op).  With a `context`, a missing operator is an input error."""
     path = args.op or args.reynolds
-    if path is None:
-        return None
-    return fio.doc_to_operator(fio.read_doc(path))
+    if path is not None:
+        return fio.doc_to_operator(fio.read_doc(path))
+    op = embedded() if callable(embedded) else embedded
+    if op is None and context is not None:
+        raise fio.InputError(f"{context}: needs an operator (--op FILE or embedded 'reynolds')")
+    return op
 
 
-def _tensor_arg(args, dim: int):
-    if args.tensor is None:
-        return None
-    return fio.doc_to_tensor(fio.read_doc(args.tensor), dim)
-
-
-def _required_op(doc: dict, args, context: str) -> Mat:
-    op = _operator_arg(args)
-    if op is not None:
-        return op
-    if "reynolds" in doc:
-        return fio.doc_to_operator(doc["reynolds"])
-    raise fio.InputError(f"{context}: needs an operator (--op FILE or embedded 'reynolds')")
-
-
-def _required_tensor(doc: dict, args, dim: int, context: str):
-    t = _tensor_arg(args, dim)
-    if t is not None:
-        return t
+def _tensor(doc: dict, args, dim: int, context: str):
+    """The --tensor file if given, else the document's embedded 'r'."""
+    if args.tensor is not None:
+        return fio.doc_to_tensor(fio.read_doc(args.tensor), dim)
     if "r" in doc:
         return fio.doc_to_tensor(doc["r"], dim)
     raise fio.InputError(f"{context}: needs a tensor (--tensor FILE or embedded 'r')")
 
 
 def _with_op(loaded: tuple, args, kind: str) -> tuple:
-    """A loader's (structure, embedded operator) with the operator replaced by --op if given."""
+    """A loader's (structure, embedded operator) with the operator replaced by --op if
+    given; with neither, an input error naming `kind`."""
     x, R = loaded
-    op = _operator_arg(args) or R
-    if op is None:
-        raise fio.InputError(f"{kind}: needs an operator")
-    return x, op
+    return x, _op(args, R, kind)
 
 
 def _gated_reynolds(doc: dict, args):
-    A = fio.doc_to_reynolds_algebra(doc, _operator_arg(args))
+    A = fio.doc_to_reynolds_algebra(doc, _op(args, None))
     require(ac.is_reynolds(A.L, A.R))
     return A
 
@@ -94,7 +85,7 @@ def _gated_reynolds(doc: dict, args):
 def _gated_lie_and_tensor(doc: dict, args, context: str):
     L = fio.doc_to_algebra(doc)
     require(ac.jacobi_check(L))
-    return L, _required_tensor(doc, args, L.dim, context)
+    return L, _tensor(doc, args, L.dim, context)
 
 
 def _dispatch(registry: dict, kind: str, what: str) -> tuple:
@@ -113,27 +104,27 @@ def _dispatch(registry: dict, kind: str, what: str) -> tuple:
 def _coalgebra(doc: dict, args) -> list[Certificate]:
     deltas, R = fio.doc_to_coalgebra(doc)
     certs = [ac.is_lie_coalgebra(deltas)]
-    op = _operator_arg(args) or R
+    op = _op(args, R)
     if op is not None:
         certs.append(ac.is_reynolds_coalgebra(deltas, op))
     return certs
 
 
 def _reynolds_cybe(doc: dict, args) -> list[Certificate]:
-    A = fio.doc_to_reynolds_algebra(doc, _operator_arg(args))
+    A = fio.doc_to_reynolds_algebra(doc, _op(args, None))
     return [ac.is_cybe_solution_reynolds(
-        A, _required_tensor(doc, args, A.L.dim, "reynolds-cybe check"))]
+        A, _tensor(doc, args, A.L.dim, "reynolds-cybe check"))]
 
 
 def _cybe(doc: dict, args) -> list[Certificate]:
     L = fio.doc_to_algebra(doc)
-    return [ac.is_cybe_solution(L, _required_tensor(doc, args, L.dim, "cybe check"))]
+    return [ac.is_cybe_solution(L, _tensor(doc, args, L.dim, "cybe check"))]
 
 
 CHECKS = {
     "jacobi": ("lie", lambda doc, args: [ac.jacobi_check(fio.doc_to_algebra(doc))]),
     "reynolds": ("reynolds", lambda doc, args: [ac.is_reynolds(
-        fio.doc_to_algebra(doc), _required_op(doc, args, "reynolds check"))]),
+        fio.doc_to_algebra(doc), _op(args, lambda: fio._embedded_op(doc), "reynolds check"))]),
     "reynolds-rep": ("reynolds", lambda doc, args: [
         ac.is_reynolds_rep(fio.doc_to_reynolds_rep(doc))]),
     "nslie": ("nslie", lambda doc, args: [ac.is_nslie(fio.doc_to_ns(doc))]),
@@ -257,35 +248,46 @@ def _run_build(kind: str, path: str, args) -> tuple[dict, list[Certificate]]:
 # entry points
 # ---------------------------------------------------------------------------
 
-def _finish(command, certs, args, started) -> int:
-    if args.first_only:
-        trimmed = []
-        for c in certs:
-            trimmed.append(c)
-            if not c.ok:
-                break
-        certs = trimmed
-    text, code = _render_report(command, certs, args.json)
-    sys.stdout.write(text)
-    print(f"wall_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr)
-    return code
+def _command(prog: str, description: str, flags, echo):
+    """Make `run(args) -> certificates` the CLI entry point `(argv=None) -> int`.
 
-
-def _guarded(main):
-    """Return argparse's exit code (2 on a usage error) and map an exception
-    the command does not handle to exit code 3, never to 1."""
-    @functools.wraps(main)
-    def run(argv=None) -> int:
-        try:
-            return main(argv)
-        except SystemExit as exc:
-            return exc.code
-        except Exception as exc:
-            import traceback
-            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            traceback.print_exc(file=sys.stderr)
-            return 3
-    return run
+    `flags(p)` declares the command's arguments and `echo(args)` is the command line
+    its report repeats.  Every step around `run` is here, once: the timer, argument
+    parsing (a usage error returns argparse's code, 2), a failed hypothesis
+    (`CheckFailed`) reported as its certificate, any other `ValueError` reported as an
+    input error (exit 2, nothing on stdout), `--first-only`, the rendering and the wall
+    time on stderr.  Any other exception exits 3, never 1.
+    """
+    def wrap(run):
+        @functools.wraps(run)
+        def main(argv=None) -> int:
+            started = time.perf_counter()
+            try:
+                p = argparse.ArgumentParser(prog=prog, description=description)
+                flags(p)
+                args = p.parse_args(argv)
+                try:
+                    certs = run(args)
+                except CheckFailed as exc:
+                    certs = [exc.certificate]
+                except ValueError as exc:
+                    print(f"input error: {exc}", file=sys.stderr)
+                    return 2
+                if args.first_only:   # up to and including the first failing certificate
+                    certs = certs[:next((k + 1 for k, c in enumerate(certs) if not c.ok), None)]
+                text, code = _render_report(echo(args), certs, args.json)
+                sys.stdout.write(text)
+                print(f"wall_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr)
+                return code
+            except SystemExit as exc:
+                return exc.code
+            except Exception as exc:
+                import traceback
+                print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                traceback.print_exc(file=sys.stderr)
+                return 3
+        return main
+    return wrap
 
 
 def _flag_echo(args) -> list[str]:
@@ -299,109 +301,78 @@ def _flag_echo(args) -> list[str]:
     return out
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--first-only", action="store_true",
                    help="stop at the first failing certificate")
-    ops = p.add_mutually_exclusive_group()
-    ops.add_argument("--op", help="operator file (matrix document)")
-    ops.add_argument("--reynolds", help="alias for --op")
-    p.add_argument("--tensor", help="tensor file")
 
 
-@_guarded
-def main_check(argv=None) -> int:
-    started = time.perf_counter()
-    p = argparse.ArgumentParser(prog="algcheck",
-                                description="run an axiom check and report certificates")
-    p.add_argument("kind", choices=CHECK_KINDS)
-    p.add_argument("file")
-    _common_flags(p)
-    args = p.parse_args(argv)
-    command = ["algcheck", args.kind, args.file] + _flag_echo(args)
-    try:
-        certs = _run_check(args.kind, args.file, args)
-    except CheckFailed as exc:
-        return _finish(command, [exc.certificate], args, started)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    return _finish(command, certs, args, started)
+def _document_flags(kinds: tuple[str, ...], out: bool = False):
+    """algcheck's and algbuild's arguments: a kind, one input document, (-o,) report and
+    operator/tensor flags."""
+    def flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("kind", choices=kinds)
+        p.add_argument("file")
+        if out:
+            p.add_argument("-o", "--out", required=True)
+        _report_flags(p)
+        ops = p.add_mutually_exclusive_group()
+        ops.add_argument("--op", help="operator file (matrix document)")
+        ops.add_argument("--reynolds", help="alias for --op")
+        p.add_argument("--tensor", help="tensor file")
+    return flags
 
 
-@_guarded
-def main_build(argv=None) -> int:
-    started = time.perf_counter()
-    p = argparse.ArgumentParser(prog="algbuild",
-                                description="run a construction, verify and write its output")
-    p.add_argument("kind", choices=BUILD_KINDS)
-    p.add_argument("file")
-    p.add_argument("-o", "--out", required=True)
-    _common_flags(p)
-    args = p.parse_args(argv)
-    command = ["algbuild", args.kind, args.file] + _flag_echo(args) + ["-o", args.out]
-    try:
-        doc, certs = _run_build(args.kind, args.file, args)
-        fio.write_doc(args.out, doc, {"construction": args.kind, "sources": [args.file]})
-    except CheckFailed as exc:
-        return _finish(command, [exc.certificate], args, started)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    return _finish(command, certs, args, started)
+@_command("algcheck", "run an axiom check and report certificates", _document_flags(CHECK_KINDS),
+          lambda args: ["algcheck", args.kind, args.file] + _flag_echo(args))
+def main_check(args) -> list[Certificate]:
+    return _run_check(args.kind, args.file, args)
 
 
-@_guarded
-def main_cat(argv=None) -> int:
-    started = time.perf_counter()
-    p = argparse.ArgumentParser(prog="algcat",
-                                description="emit a catalog entry and re-run its checks")
+@_command("algbuild", "run a construction, verify and write its output",
+          _document_flags(BUILD_KINDS, out=True),
+          lambda args: ["algbuild", args.kind, args.file] + _flag_echo(args) + ["-o", args.out])
+def main_build(args) -> list[Certificate]:
+    doc, certs = _run_build(args.kind, args.file, args)
+    fio.write_doc(args.out, doc, {"construction": args.kind, "sources": [args.file]})
+    return certs
+
+
+def _cat_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("name")
     p.add_argument("-o", "--out")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--first-only", action="store_true")
-    args = p.parse_args(argv)
-    command = ["algcat", args.name]
+    _report_flags(p)
+
+
+@_command("algcat", "emit a catalog entry and re-run its checks", _cat_flags,
+          lambda args: ["algcat", args.name] + (["-o", args.out] if args.out else []))
+def main_cat(args) -> list[Certificate]:
     from .catalog import catalog, entry_to_doc
-    try:
-        entry = catalog(args.name)
-        if args.out:
-            fio.write_doc(args.out, entry_to_doc(entry),
-                          {"construction": "catalog", "sources": [args.name]})
-            command += ["-o", args.out]
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    return _finish(command, list(entry.certificates), args, started)
+    entry = catalog(args.name)
+    if args.out:
+        fio.write_doc(args.out, entry_to_doc(entry),
+                      {"construction": "catalog", "sources": [args.name]})
+    return list(entry.certificates)
 
 
-@_guarded
-def main_block(argv=None) -> int:
-    started = time.perf_counter()
-    p = argparse.ArgumentParser(prog="algblock",
-                                description="check the two-index family on a finite window")
+def _block_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", required=True, help="rational parameter, e.g. 1/2")
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--skip-singular", action="store_true",
                    help="drop window indices with m+i+1=0 instead of failing")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--first-only", action="store_true")
-    args = p.parse_args(argv)
-    command = ["algblock", "--q", args.q, "--lo", str(args.lo), "--hi", str(args.hi)]
-    if args.skip_singular:
-        command.append("--skip-singular")
+    _report_flags(p)
+
+
+@_command("algblock", "check the two-index family on a finite window", _block_flags,
+          lambda args: ["algblock", "--q", args.q, "--lo", str(args.lo), "--hi", str(args.hi)]
+          + (["--skip-singular"] if args.skip_singular else []))
+def main_block(args) -> list[Certificate]:
     try:
         q = rat(args.q)
-    except (ValueError, ZeroDivisionError):
-        print(f"input error: bad rational {args.q!r}", file=sys.stderr)
-        return 2
-    try:
-        cert = ac.block_window_check(q, args.lo, args.hi, skip_singular=args.skip_singular)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    return _finish(command, [cert], args, started)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise fio.InputError(f"bad rational {args.q!r}") from exc
+    return [ac.block_window_check(q, args.lo, args.hi, skip_singular=args.skip_singular)]
 
 
 if __name__ == "__main__":

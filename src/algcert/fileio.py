@@ -11,6 +11,7 @@ is called, so reading a document loads only what that document needs.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -21,6 +22,21 @@ from .lie import BilinForm, LieAlgebra, Representation
 
 class InputError(ValueError):
     """Malformed document or value; maps to CLI exit code 2."""
+
+
+def _loader(load):
+    """The loader contract: a `ValueError` raised while a document is read, by the
+    loader or by a constructor it calls, reaches the caller as `InputError` with the
+    same message."""
+    @functools.wraps(load)
+    def read(*args, **kwargs):
+        try:
+            return load(*args, **kwargs)
+        except InputError:
+            raise
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+    return read
 
 
 def _need(doc: dict, key: str, context: str):
@@ -86,20 +102,24 @@ def operator_to_doc(m: Mat) -> dict:
     return {"matrix": matrix_to_json(m)}
 
 
+@_loader
 def doc_to_operator(doc: dict) -> Mat:
     return json_to_matrix(_need(doc, "matrix", "operator"), "operator")
+
+
+def _embedded_op(doc: dict) -> Mat | None:
+    """The operator a document embeds under 'reynolds', if any."""
+    return doc_to_operator(doc["reynolds"]) if "reynolds" in doc else None
 
 
 def form_to_doc(S: BilinForm) -> dict:
     return {"gram": matrix_to_json(S.gram)}
 
 
+@_loader
 def doc_to_form(doc: dict) -> BilinForm:
     gram = json_to_matrix(_need(doc, "gram", "form"), "gram")
-    try:
-        return BilinForm(gram)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return BilinForm(gram)
 
 
 def tensor_to_doc(t: Tensor2) -> dict:
@@ -112,6 +132,7 @@ def tensor_to_doc(t: Tensor2) -> dict:
     }
 
 
+@_loader
 def doc_to_tensor(doc: dict, dim: int | None = None) -> Tensor2:
     entries = {}
     for cell in _list(_need(doc, "entries", "tensor"), "tensor entries"):
@@ -123,10 +144,7 @@ def doc_to_tensor(doc: dict, dim: int | None = None) -> Tensor2:
     dr = _dim(doc.get("dim_right", dim if dim is not None else 0), "tensor dim_right")
     if dl == 0 and entries:
         dl = dr = max(max(i, j) for i, j in entries) + 1
-    try:
-        return Tensor2(dl, dr, entries)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return Tensor2(dl, dr, entries)
 
 
 # -- bracket tables and algebras ----------------------------------------------
@@ -162,14 +180,12 @@ def algebra_to_doc(L: LieAlgebra) -> dict:
     }
 
 
+@_loader
 def doc_to_algebra(doc: dict) -> LieAlgebra:
     dim = _dim(_need(doc, "dim", "algebra"), "algebra")
     basis = _labels(doc.get("basis"), dim, "algebra basis")
     table = _json_to_table(_need(doc, "brackets", "algebra"), "algebra brackets")
-    try:
-        return LieAlgebra.unchecked(dim, basis, table)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return LieAlgebra.unchecked(dim, basis, table)
 
 
 def reynolds_algebra_to_doc(A: ReynoldsLieAlgebra) -> dict:
@@ -178,6 +194,7 @@ def reynolds_algebra_to_doc(A: ReynoldsLieAlgebra) -> dict:
     return doc
 
 
+@_loader
 def doc_to_reynolds_algebra(doc: dict, op: Mat | None = None) -> ReynoldsLieAlgebra:
     from .reynolds import ReynoldsLieAlgebra
     L = doc_to_algebra(doc)
@@ -199,16 +216,14 @@ def ns_to_doc(A: NSLieAlgebra) -> dict:
     }
 
 
+@_loader
 def doc_to_ns(doc: dict) -> NSLieAlgebra:
     from .nslie import NSLieAlgebra
     dim = _dim(_need(doc, "dim", "ns algebra"), "ns algebra")
     basis = _labels(doc.get("basis"), dim, "ns algebra basis")
     left = _json_to_table(_need(doc, "left", "ns algebra"), "left table")
     wedge = _json_to_table(_need(doc, "wedge", "ns algebra"), "wedge table")
-    try:
-        return NSLieAlgebra.unchecked(dim, basis, left, wedge)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return NSLieAlgebra.unchecked(dim, basis, left, wedge)
 
 
 def _mats_to_json(mats) -> list[list[list[str]]]:
@@ -232,6 +247,7 @@ def ns_rep_to_doc(rep: NSRep) -> dict:
     }
 
 
+@_loader
 def doc_to_ns_rep(doc: dict) -> NSRep:
     from .nslie import NSRep
     base = doc_to_ns(_need(doc, "ns", "ns-rep"))
@@ -241,10 +257,7 @@ def doc_to_ns_rep(doc: dict) -> NSRep:
     nu = _json_to_mats(_need(rep, "nu", "ns-rep"), "nu")
     md = _dim(rep.get("module_dim", varrho[0].rows if varrho else 0), "ns-rep module_dim")
     labels = _labels(rep.get("labels"), md, "ns-rep labels")
-    try:
-        return NSRep.unchecked(base, md, varrho, mu, nu, labels)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return NSRep.unchecked(base, md, varrho, mu, nu, labels)
 
 
 # -- representations over Reynolds algebras ------------------------------------
@@ -261,6 +274,7 @@ def reynolds_rep_to_doc(rr: ReynoldsRep) -> dict:
     }
 
 
+@_loader
 def doc_to_reynolds_rep(doc: dict) -> ReynoldsRep:
     from .reynolds import ReynoldsRep
     base = doc_to_reynolds_algebra(_need(doc, "g", "reynolds-rep"))
@@ -269,11 +283,8 @@ def doc_to_reynolds_rep(doc: dict) -> ReynoldsRep:
     T = json_to_matrix(_need(rep, "T", "reynolds-rep"), "T")
     md = _dim(rep.get("module_dim", T.rows), "reynolds-rep module_dim")
     labels = _labels(rep.get("labels"), md, "reynolds-rep labels")
-    try:
-        inner = Representation.unchecked(base.L, md, rho, labels)
-        return ReynoldsRep.unchecked(base, inner, T)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    inner = Representation.unchecked(base.L, md, rho, labels)
+    return ReynoldsRep.unchecked(base, inner, T)
 
 
 def relative_rb_to_doc(rel: RelativeRB) -> dict:
@@ -282,14 +293,12 @@ def relative_rb_to_doc(rel: RelativeRB) -> dict:
     return doc
 
 
+@_loader
 def doc_to_relative_rb(doc: dict) -> RelativeRB:
     from .cybe import RelativeRB
     rr = doc_to_reynolds_rep(doc)
     K = json_to_matrix(_need(doc, "K", "relative-rb"), "K")
-    try:
-        return RelativeRB.unchecked(rr, K)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return RelativeRB.unchecked(rr, K)
 
 
 # -- matched pairs --------------------------------------------------------------
@@ -306,28 +315,23 @@ def matched_to_doc(rmp: ReynoldsMatchedPair) -> dict:
     }
 
 
+@_loader
 def doc_to_matched(doc: dict, need_ops: bool = True) -> ReynoldsMatchedPair:
     from .matched import MatchedPair, ReynoldsMatchedPair
     g = doc_to_algebra(_need(doc, "g", "matched pair"))
     h = doc_to_algebra(_need(doc, "h", "matched pair"))
     rho_mats = _json_to_mats(_need(doc, "rho", "matched pair"), "rho")
     mu_mats = _json_to_mats(_need(doc, "mu", "matched pair"), "mu")
-    try:
-        rho = Representation.unchecked(g, h.dim, rho_mats, h.basis)
-        mu = Representation.unchecked(h, g.dim, mu_mats, g.basis)
-        pair = MatchedPair.unchecked(g, h, rho, mu)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rho = Representation.unchecked(g, h.dim, rho_mats, h.basis)
+    mu = Representation.unchecked(h, g.dim, mu_mats, g.basis)
+    pair = MatchedPair.unchecked(g, h, rho, mu)
     if not need_ops and "Rg" not in doc:
         Rg = Mat.zeros(g.dim, g.dim)
         Rh = Mat.zeros(h.dim, h.dim)
     else:
         Rg = json_to_matrix(_need(doc, "Rg", "matched pair"), "Rg")
         Rh = json_to_matrix(_need(doc, "Rh", "matched pair"), "Rh")
-    try:
-        return ReynoldsMatchedPair.unchecked(pair, Rg, Rh)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return ReynoldsMatchedPair.unchecked(pair, Rg, Rh)
 
 
 # -- bialgebras ------------------------------------------------------------------
@@ -339,16 +343,14 @@ def bialgebra_to_doc(bialg: LieBialgebra, R: Mat | None = None) -> dict:
     return doc
 
 
+@_loader
 def doc_to_bialgebra(doc: dict) -> tuple[LieBialgebra, Mat | None]:
     from .bialgebra import LieBialgebra
     g = doc_to_algebra(_need(doc, "g", "bialgebra"))
     dual = doc_to_algebra(_need(doc, "dual", "bialgebra"))
     if g.dim != dual.dim:
         raise InputError("bialgebra: g and dual dimensions differ")
-    R = None
-    if "reynolds" in doc:
-        R = doc_to_operator(doc["reynolds"])
-    return LieBialgebra.unchecked(g, dual), R
+    return LieBialgebra.unchecked(g, dual), _embedded_op(doc)
 
 
 # -- quadratic Rota-Baxter --------------------------------------------------------
@@ -362,35 +364,22 @@ def qrb_to_doc(qrb: QuadraticRB, R: Mat | None = None) -> dict:
     return doc
 
 
+@_loader
 def doc_to_qrb(doc: dict) -> tuple[QuadraticRB, Mat | None]:
-    from .rotabaxter import QuadraticRB, RotaBaxterAlg
-    L = doc_to_algebra(doc)
-    rb_doc = _need(doc, "rb", "quadratic-rb")
-    B = json_to_matrix(_need(rb_doc, "matrix", "rb"), "rb matrix")
-    lam = _rat(rb_doc.get("lambda", "0"), "rb lambda")
+    from .rotabaxter import QuadraticRB
+    rb = doc_to_rb(doc)
     gram = json_to_matrix(_need(doc, "gram", "quadratic-rb"), "gram")
-    try:
-        rb = RotaBaxterAlg.unchecked(L, B, lam)
-        S = BilinForm(gram)
-        qrb = QuadraticRB.unchecked(rb, S)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    R = None
-    if "reynolds" in doc:
-        R = doc_to_operator(doc["reynolds"])
-    return qrb, R
+    return QuadraticRB.unchecked(rb, BilinForm(gram)), _embedded_op(doc)
 
 
+@_loader
 def doc_to_rb(doc: dict) -> RotaBaxterAlg:
     from .rotabaxter import RotaBaxterAlg
     L = doc_to_algebra(doc)
     rb_doc = _need(doc, "rb", "rota-baxter")
     B = json_to_matrix(_need(rb_doc, "matrix", "rb"), "rb matrix")
     lam = _rat(rb_doc.get("lambda", "0"), "rb lambda")
-    try:
-        return RotaBaxterAlg.unchecked(L, B, lam)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return RotaBaxterAlg.unchecked(L, B, lam)
 
 
 # -- pre-Lie -----------------------------------------------------------------------
@@ -402,19 +391,13 @@ def prelie_to_doc(A: PreLieAlgebra, R: Mat | None = None) -> dict:
     return doc
 
 
+@_loader
 def doc_to_prelie(doc: dict) -> tuple[PreLieAlgebra, Mat | None]:
     from .cybe import PreLieAlgebra
     dim = _dim(_need(doc, "dim", "pre-lie"), "pre-lie")
     basis = _labels(doc.get("basis"), dim, "pre-lie basis")
     prod = _json_to_table(_need(doc, "prod", "pre-lie"), "pre-lie product")
-    try:
-        A = PreLieAlgebra.unchecked(dim, basis, prod)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    R = None
-    if "reynolds" in doc:
-        R = doc_to_operator(doc["reynolds"])
-    return A, R
+    return PreLieAlgebra.unchecked(dim, basis, prod), _embedded_op(doc)
 
 
 # -- coalgebra (delta list) ---------------------------------------------------------
@@ -429,6 +412,7 @@ def coalgebra_to_doc(deltas: list[Tensor2], R: Mat | None = None) -> dict:
     return doc
 
 
+@_loader
 def doc_to_coalgebra(doc: dict) -> tuple[list[Tensor2], Mat | None]:
     dim = _dim(_need(doc, "dim", "coalgebra"), "coalgebra")
     deltas = [doc_to_tensor(d, dim) for d in _list(_need(doc, "deltas", "coalgebra"), "deltas")]
@@ -437,10 +421,7 @@ def doc_to_coalgebra(doc: dict) -> tuple[list[Tensor2], Mat | None]:
     for k, d in enumerate(deltas):
         if d.dim_left != dim or d.dim_right != dim:
             raise InputError(f"coalgebra: cobracket tensor {k} is not on a dim-{dim} space")
-    R = None
-    if "reynolds" in doc:
-        R = doc_to_operator(doc["reynolds"])
-    return deltas, R
+    return deltas, _embedded_op(doc)
 
 
 # -- Manin triple ---------------------------------------------------------------------
@@ -454,13 +435,11 @@ def manin_to_doc(L: LieAlgebra, R: Mat, S: BilinForm, part_g, part_h) -> dict:
     return doc
 
 
+@_loader
 def doc_to_manin(doc: dict):
     A = doc_to_reynolds_algebra(doc)
     gram = json_to_matrix(_need(doc, "gram", "manin"), "gram")
-    try:
-        S = BilinForm(gram)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    S = BilinForm(gram)
     part_g, part_h = (tuple(_index(i, f"manin {key}") for i in _list(_need(doc, key, "manin"), key))
                       for key in ("part_g", "part_h"))
     for i in part_g + part_h:

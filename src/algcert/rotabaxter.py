@@ -12,8 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .certificates import (Certificate, Checked, CheckFailed, require, residual_from_mat,
-                           residual_from_vec, scan)
+from .certificates import Certificate, Checked, CheckFailed, require, residual_from_vec, scan
 from .exact import (ONE, ZERO, Mat, Tensor2, flip, precompose, rat, sapply, saxpy, scols,
                     sprod, unscale)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
@@ -128,6 +127,8 @@ def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
     """[ξ,η]_r = ad*_{r₊ξ}η − ad*_{r₋η}ξ on dual coordinates, r₋ = −r₊ᵀ."""
     from .cybe import ad_invariance_cert, r_plus
 
+    if r.dim_left != g.dim or r.dim_right != g.dim:
+        raise ValueError("tensor must live on g⊗g")
     require(ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance"))
     n = g.dim
     rp = r_plus(r)
@@ -189,11 +190,7 @@ def is_reynolds_on_qrb(qrb: QuadraticRB, R: Mat) -> Certificate:
     """
     rey = is_reynolds(qrb.rb.L, R)
     rs = s_adjoint(qrb.S, R)
-    diff = qrb.rb.B @ rs + R @ qrb.rb.B
-    if diff.is_zero():
-        compat = Certificate.passed("adjoint-compat")
-    else:
-        compat = Certificate.failed("adjoint-compat", (0,), residual_from_mat(diff), 1)
+    compat = scan("adjoint-compat", [((0,), qrb.rb.B @ rs + R @ qrb.rb.B)])
     plain = (qrb.rb.B @ R.transpose() + R @ qrb.rb.B).is_zero()
     lam_skew = (rs + R).scale(qrb.rb.lam).is_zero()
     note = (

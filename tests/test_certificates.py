@@ -1,4 +1,6 @@
-"""Pinned certificates: one small failing input per exhaustive check stage.
+"""Pinned certificates: one small failing input per exhaustive check stage,
+and per single-shot stage (one matrix or tensor identity, `where` (0,) for a
+matrix and the first nonzero index for a tensor, `violations` 1).
 
 Each case asserts the complete ``to_json()`` of the named stage, so the
 pinpoint (`where`), the exact residual and the total violation count of
@@ -20,9 +22,11 @@ from algcert.cybe import (
     PreLieAlgebra,
     RelativeRB,
     ad_invariance_cert,
+    is_cybe_solution,
     is_prelie,
     is_relative_rb,
     is_reynolds_prelie,
+    reynolds_tensor_condition,
 )
 from algcert.exact import Mat, Tensor2
 from algcert.lie import (
@@ -46,7 +50,13 @@ from algcert.reynolds import (
     operator_form_compat,
     reynolds_adjoint_rep,
 )
-from algcert.rotabaxter import is_factorizable, is_rota_baxter
+from algcert.rotabaxter import (
+    QuadraticRB,
+    RotaBaxterAlg,
+    is_factorizable,
+    is_reynolds_on_qrb,
+    is_rota_baxter,
+)
 
 SL2 = LieAlgebra(3, ("H", "X", "Y"), {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
 BROKEN = {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}}   # violates Jacobi at (0,1,2)
@@ -112,6 +122,16 @@ STAGES = {
         PreLieAlgebra.unchecked(1, None, {(0, 0): {0: 1}}), Mat([[2]])),
     "rota-baxter": lambda: is_rota_baxter(SL2, TWO, -1),
     "i-intertwines": lambda: is_factorizable(SL2, E00),
+    # single-shot stages
+    "rk-equals-kt": lambda: is_relative_rb(RelativeRB.unchecked(
+        reynolds_adjoint_rep(ReynoldsLieAlgebra(SL2, B_OP)),
+        Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))),
+    "operator-skew": lambda: check_ssharp_intertwiner(
+        QuadraticReynolds.unchecked(ReynoldsLieAlgebra.unchecked(SL2, ID3), S_FORM)),
+    "adjoint-compat": lambda: is_reynolds_on_qrb(
+        QuadraticRB.unchecked(RotaBaxterAlg.unchecked(SL2, B_OP, 0), S_FORM), ID3),
+    "cybe": lambda: is_cybe_solution(SL2, Tensor2(3, 3, {(1, 2): 1, (2, 1): -1})),
+    "reynolds-tensor-condition": lambda: reynolds_tensor_condition(TWO, E01),
 }
 
 PINNED = {
@@ -186,6 +206,24 @@ PINNED = {
     "i-intertwines": {"check": "i-intertwines", "ok": False, "where": [1],
                       "residual": [{"at": [0, 1], "c": "4"}, {"at": [1, 0], "c": "4"}],
                       "violations": 2},
+    "rk-equals-kt": {"check": "rk-equals-kt", "ok": False, "where": [0],
+                     "residual": [{"at": [0, 2], "c": "1"}, {"at": [1, 0], "c": "2"}],
+                     "violations": 1},
+    "operator-skew": {"check": "operator-skew", "ok": False, "where": [0],
+                      "residual": [{"at": [0, 0], "c": "4"}, {"at": [1, 2], "c": "2"},
+                                   {"at": [2, 1], "c": "2"}],
+                      "violations": 1},
+    "adjoint-compat": {"check": "adjoint-compat", "ok": False, "where": [0],
+                       "residual": [{"at": [0, 2], "c": "-2"}, {"at": [1, 0], "c": "4"}],
+                       "violations": 1},
+    "cybe": {"check": "cybe", "ok": False, "where": [0, 1, 2],
+             "residual": [{"at": [0, 1, 2], "c": "1"}, {"at": [0, 2, 1], "c": "-1"},
+                          {"at": [1, 0, 2], "c": "-1"}, {"at": [1, 2, 0], "c": "1"},
+                          {"at": [2, 0, 1], "c": "1"}, {"at": [2, 1, 0], "c": "-1"}],
+             "violations": 1},
+    "reynolds-tensor-condition": {"check": "reynolds-tensor-condition", "ok": False,
+                                  "where": [0, 1], "residual": [{"at": [0, 1], "c": "4"}],
+                                  "violations": 1},
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -520,8 +521,9 @@ def test_cli_build_gate_failure_exits_1(tmp_path, sl2, capsys):
     assert code == 1
 
 
-def test_cli_every_kind_dispatches(tmp_path, sl2, b_op, s_form, sl2_reynolds,
-                                   sl2_qrb, thmfl, capsys):
+def _every_kind(tmp_path, sl2, b_op, sl2_reynolds, sl2_qrb, thmfl):
+    """One passing document per structure, and per check and build kind the document
+    it reads with its extra flags (the tensor kinds read `r.json`)."""
     from algcert.bialgebra import canonical_pair, cobracket_from_dual
     from algcert.matched import matched_to_manin
 
@@ -532,53 +534,134 @@ def test_cli_every_kind_dispatches(tmp_path, sl2, b_op, s_form, sl2_reynolds,
     rp = prelie_from_relrb(rel)
     ns = ns_from_reynolds(sl2_reynolds)
 
-    alg = write(tmp_path, "alg.json", fio.algebra_to_doc(sl2))
-    ra = write(tmp_path, "ra.json", fio.reynolds_algebra_to_doc(sl2_reynolds))
-    rrep = write(tmp_path, "rrep.json", fio.reynolds_rep_to_doc(rr))
-    nsf = write(tmp_path, "ns.json", fio.ns_to_doc(ns))
-    nsrep = write(tmp_path, "nsrep.json", fio.ns_rep_to_doc(regular_rep(ns)))
-    mpf = write(tmp_path, "mp.json", fio.matched_to_doc(rmp))
-    maninf = write(tmp_path, "manin.json",
-                   fio.manin_to_doc(mt.G.base.L, mt.G.base.R, mt.G.S,
-                                    mt.part_g, mt.part_h))
-    co = write(tmp_path, "co.json",
-               fio.coalgebra_to_doc(cobracket_from_dual(thmfl.bialg.dual), -thmfl.R))
-    bia = write(tmp_path, "bia.json", fio.bialgebra_to_doc(thmfl.bialg, thmfl.R))
-    qrbf = write(tmp_path, "qrb.json", fio.qrb_to_doc(sl2_qrb, b_op))
-    relf = write(tmp_path, "rel.json", fio.relative_rb_to_doc(rel))
-    pre = write(tmp_path, "pre.json", fio.prelie_to_doc(rp.A, rp.R))
-    rten = write(tmp_path, "r.json", fio.tensor_to_doc(r_from_qrb(sl2_qrb)))
-
-    checks = {
-        "jacobi": [alg], "reynolds": [ra], "reynolds-rep": [rrep],
-        "nslie": [nsf], "ns-rep": [nsrep], "matched": [mpf],
-        "reynolds-matched": [mpf], "manin": [maninf], "coalgebra": [co],
-        "bialgebra": [bia], "reynolds-bialgebra": [bia], "rb": [qrbf],
-        "quadratic-rb": [qrbf], "reynolds-on-qrb": [qrbf],
-        "cybe": [alg, "--tensor", rten], "reynolds-cybe": [ra, "--tensor", rten],
-        "relative-rb": [relf], "prelie": [pre], "reynolds-prelie": [pre],
+    docs = {
+        "alg": fio.algebra_to_doc(sl2),
+        "ra": fio.reynolds_algebra_to_doc(sl2_reynolds),
+        "rrep": fio.reynolds_rep_to_doc(rr),
+        "ns": fio.ns_to_doc(ns),
+        "nsrep": fio.ns_rep_to_doc(regular_rep(ns)),
+        "mp": fio.matched_to_doc(rmp),
+        "manin": fio.manin_to_doc(mt.G.base.L, mt.G.base.R, mt.G.S, mt.part_g, mt.part_h),
+        "co": fio.coalgebra_to_doc(cobracket_from_dual(thmfl.bialg.dual), -thmfl.R),
+        "bia": fio.bialgebra_to_doc(thmfl.bialg, thmfl.R),
+        "qrb": fio.qrb_to_doc(sl2_qrb, b_op),
+        "rel": fio.relative_rb_to_doc(rel),
+        "pre": fio.prelie_to_doc(rp.A, rp.R),
     }
+    rten = ["--tensor", write(tmp_path, "r.json", fio.tensor_to_doc(r_from_qrb(sl2_qrb)))]
+    checks = {
+        "jacobi": ("alg", []), "reynolds": ("ra", []), "reynolds-rep": ("rrep", []),
+        "nslie": ("ns", []), "ns-rep": ("nsrep", []), "matched": ("mp", []),
+        "reynolds-matched": ("mp", []), "manin": ("manin", []), "coalgebra": ("co", []),
+        "bialgebra": ("bia", []), "reynolds-bialgebra": ("bia", []), "rb": ("qrb", []),
+        "quadratic-rb": ("qrb", []), "reynolds-on-qrb": ("qrb", []),
+        "cybe": ("alg", rten), "reynolds-cybe": ("ra", rten),
+        "relative-rb": ("rel", []), "prelie": ("pre", []), "reynolds-prelie": ("pre", []),
+    }
+    builds = {
+        "induced": ("ra", []), "descendent": ("qrb", []), "ns-from-reynolds": ("ra", []),
+        "semidirect": ("rrep", []), "double": ("mp", []), "reynolds-double": ("mp", []),
+        "induced-matched": ("mp", []), "drinfeld-double": ("bia", []),
+        "quasitriangular-double": ("bia", []),
+        "cobracket": ("alg", rten), "r-from-qrb": ("qrb", []),
+        "thmfl": ("qrb", []), "rk": ("rel", []), "canonical-r": ("pre", []),
+        "dual-from-r": ("alg", rten),
+    }
+    return docs, checks, builds
+
+
+def test_cli_every_kind_dispatches(tmp_path, sl2, b_op, s_form, sl2_reynolds,
+                                   sl2_qrb, thmfl, capsys):
+    docs, checks, builds = _every_kind(tmp_path, sl2, b_op, sl2_reynolds, sl2_qrb, thmfl)
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
     from algcert.cli import CHECK_KINDS, BUILD_KINDS
 
     assert set(checks) == set(CHECK_KINDS)
-    for kind, argv in checks.items():
-        assert main_check([kind] + argv) == 0, kind
+    for kind, (name, flags) in checks.items():
+        assert main_check([kind, paths[name]] + flags) == 0, kind
         capsys.readouterr()
 
-    builds = {
-        "induced": [ra], "descendent": [qrbf], "ns-from-reynolds": [ra],
-        "semidirect": [rrep], "double": [mpf], "reynolds-double": [mpf],
-        "induced-matched": [mpf], "drinfeld-double": [bia],
-        "quasitriangular-double": [bia],
-        "cobracket": [alg, "--tensor", rten], "r-from-qrb": [qrbf],
-        "thmfl": [qrbf], "rk": [relf], "canonical-r": [pre],
-        "dual-from-r": [alg, "--tensor", rten],
-    }
     assert set(builds) == set(BUILD_KINDS)
-    for kind, argv in builds.items():
+    for kind, (name, flags) in builds.items():
         out = str(tmp_path / f"out-{kind}.json")
-        assert main_build([kind] + argv + ["-o", out]) == 0, kind
+        assert main_build([kind, paths[name]] + flags + ["-o", out]) == 0, kind
         capsys.readouterr()
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _mutants(doc: dict):
+    """Documents one defect away from `doc`: each matrix one row and column smaller and
+    larger, each integer set to 1, 0 and -1, each rational string set to "7/3" and "x",
+    each top-level key dropped."""
+    def nodes(value, at=()):
+        yield at, value
+        items = value.items() if isinstance(value, dict) else (
+            enumerate(value) if isinstance(value, list) else ())
+        for k, v in items:
+            yield from nodes(v, at + (k,))
+
+    def put(at, value):
+        out = json.loads(json.dumps(doc))
+        cur = out
+        for k in at[:-1]:
+            cur = cur[k]
+        cur[at[-1]] = value
+        return out
+
+    for at, v in nodes(doc):
+        if v and isinstance(v, list) and all(isinstance(row, list) and row for row in v):
+            yield put(at, [row[:-1] for row in v[:-1]])
+            yield put(at, [row + ["0"] for row in v] + [["0"] * (len(v[0]) + 1)])
+        elif type(v) is int:
+            yield from (put(at, w) for w in (1, 0, -1) if w != v)
+        elif isinstance(v, str) and _RATIONAL.fullmatch(v):
+            yield put(at, "7/3")
+            yield put(at, "x")
+    for key in doc:
+        yield {k: v for k, v in doc.items() if k != key}
+
+
+def test_cli_malformed_documents_never_exit_3(tmp_path, sl2, b_op, sl2_reynolds,
+                                              sl2_qrb, thmfl, capsys):
+    # every kind of the registry on every mutant of its passing document: exit 2 is an
+    # input error with nothing on stdout, exit 1 a certified failure, never an exit 3
+    docs, checks, builds = _every_kind(tmp_path, sl2, b_op, sl2_reynolds, sl2_qrb, thmfl)
+    loaders = [getattr(fio, name) for name in dir(fio) if name.startswith("doc_to_")]
+    mutants = {}
+    for name, doc in docs.items():
+        mutants[name] = []
+        for k, mutant in enumerate(_mutants(doc)):
+            for load in loaders:
+                try:
+                    load(mutant)
+                except fio.InputError:
+                    pass
+            mutants[name].append(write(tmp_path, f"{name}-{k}.json", mutant))
+    op2 = ["--op", write(tmp_path, "op2.json", fio.operator_to_doc(Mat.identity(2)))]
+    t5 = ["--tensor", write(tmp_path, "t5.json", fio.tensor_to_doc(
+        Tensor2(5, 5, {(3, 4): 1, (4, 3): -1})))]
+    missing = ["--op", str(tmp_path / "missing.json")]
+    out = ["-o", str(tmp_path / "out.json")]
+    for run, table, tail in ((main_check, checks, []), (main_build, builds, out)):
+        for kind, (name, flags) in table.items():
+            # with no operator, with a wrong-size --op (for the kinds that read one) and with
+            # a wrong-size --tensor in place of the tensor kinds' own
+            reads_op = run([kind, write(tmp_path, "doc.json", docs[name])]
+                           + flags + missing + tail) == 2
+            capsys.readouterr()
+            runs = [flags] + ([flags + op2] if reads_op else [])
+            for extra in runs + ([t5] if "--tensor" in flags else []):
+                for path in mutants[name]:
+                    argv = [kind, path] + extra + tail
+                    code = run(argv)
+                    captured = capsys.readouterr()
+                    assert code in (0, 1, 2), (argv, captured.err)
+                    if code == 2:
+                        assert captured.out == "" and captured.err.startswith("input error: "), argv
+                    if code == 1:
+                        assert "[FAIL]" in captured.out, argv
 
 
 def test_cli_shape_mismatch_is_input_error(tmp_path, sl2, capsys):
