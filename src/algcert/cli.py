@@ -49,15 +49,14 @@ def _render_report(command: list[str], certs: list[Certificate], as_json: bool) 
 
 def _op(args, embedded, context: str | None = None) -> Mat | None:
     """The operator a kind runs with: the --op (or --reynolds) file if given, else
-    `embedded`, the document's own operator or None (or a function that reads it, called
-    only without --op).  With a `context`, a missing operator is an input error."""
+    `embedded`, the document's own operator or None.  With a `context`, a missing
+    operator is an input error."""
     path = args.op or args.reynolds
     if path is not None:
         return fio.doc_to_operator(fio.read_doc(path))
-    op = embedded() if callable(embedded) else embedded
-    if op is None and context is not None:
+    if embedded is None and context is not None:
         raise fio.InputError(f"{context}: needs an operator (--op FILE or embedded 'reynolds')")
-    return op
+    return embedded
 
 
 def _tensor(doc: dict, args, dim: int, context: str):
@@ -124,7 +123,7 @@ def _cybe(doc: dict, args) -> list[Certificate]:
 CHECKS = {
     "jacobi": ("lie", lambda doc, args: [ac.jacobi_check(fio.doc_to_algebra(doc))]),
     "reynolds": ("reynolds", lambda doc, args: [ac.is_reynolds(
-        fio.doc_to_algebra(doc), _op(args, lambda: fio._embedded_op(doc), "reynolds check"))]),
+        *attrgetter("L", "R")(fio.doc_to_reynolds_algebra(doc, _op(args, None))))]),
     "reynolds-rep": ("reynolds", lambda doc, args: [
         ac.is_reynolds_rep(fio.doc_to_reynolds_rep(doc))]),
     "nslie": ("nslie", lambda doc, args: [ac.is_nslie(fio.doc_to_ns(doc))]),

@@ -19,6 +19,7 @@ from .reynolds import (
     ReynoldsLieAlgebra,
     ReynoldsRep,
     is_reynolds_rep,
+    operator_identity,
 )
 
 
@@ -251,19 +252,8 @@ def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
     if R.rows != A.dim or R.cols != A.dim:
         raise ValueError("operator shape does not match the algebra")
     base = is_prelie(A)
-    n = A.dim
-    rows = A.prod.rows()
-    cols = scols(R)
-    adr = precompose(rows, cols)   # adr[i][j] = {Re_i, e_j}
-
-    def residual(i, j):
-        rr = sprod(adr, {i: ONE}, cols[j])
-        inner = dict(adr[i].get(j, {}))
-        saxpy(inner, ONE, sprod(rows, {i: ONE}, cols[j]))
-        saxpy(inner, -ONE, rr)
-        return saxpy(rr, -ONE, sapply(cols, inner))
-    op = scan("reynolds-product", (((i, j), residual(i, j))
-                                   for i, j in product(range(n), repeat=2)))
+    op = operator_identity("reynolds-product", A.prod, R, R, product(range(A.dim), repeat=2),
+                           ZERO, -ONE)
     return Certificate.combine("reynolds-prelie", [base, op])
 
 

@@ -107,9 +107,13 @@ def doc_to_operator(doc: dict) -> Mat:
     return json_to_matrix(_need(doc, "matrix", "operator"), "operator")
 
 
-def _embedded_op(doc: dict) -> Mat | None:
-    """The operator a document embeds under 'reynolds', if any."""
-    return doc_to_operator(doc["reynolds"]) if "reynolds" in doc else None
+def _embedded_op(doc: dict, dim: int) -> Mat | None:
+    """The operator a document embeds under 'reynolds', if any, checked to be dim × dim.
+    Loaders read it also when their kind does not use it or --op replaces it."""
+    op = doc_to_operator(doc["reynolds"]) if "reynolds" in doc else None
+    if op is not None and (op.rows, op.cols) != (dim, dim):
+        raise InputError(f"reynolds: operator is {op.rows}x{op.cols}, expected {dim}x{dim}")
+    return op
 
 
 def form_to_doc(S: BilinForm) -> dict:
@@ -198,8 +202,9 @@ def reynolds_algebra_to_doc(A: ReynoldsLieAlgebra) -> dict:
 def doc_to_reynolds_algebra(doc: dict, op: Mat | None = None) -> ReynoldsLieAlgebra:
     from .reynolds import ReynoldsLieAlgebra
     L = doc_to_algebra(doc)
-    if op is None:
-        op = doc_to_operator(_need(doc, "reynolds", "reynolds algebra"))
+    embedded = _embedded_op(doc, L.dim)
+    # `op` replaces the embedded operator; with neither, `_need` reports the missing key
+    op = op or embedded or _need(doc, "reynolds", "reynolds algebra")
     if op.rows != L.dim or op.cols != L.dim:
         raise InputError("operator shape does not match the algebra")
     return ReynoldsLieAlgebra.unchecked(L, op)
@@ -325,12 +330,9 @@ def doc_to_matched(doc: dict, need_ops: bool = True) -> ReynoldsMatchedPair:
     rho = Representation.unchecked(g, h.dim, rho_mats, h.basis)
     mu = Representation.unchecked(h, g.dim, mu_mats, g.basis)
     pair = MatchedPair.unchecked(g, h, rho, mu)
-    if not need_ops and "Rg" not in doc:
-        Rg = Mat.zeros(g.dim, g.dim)
-        Rh = Mat.zeros(h.dim, h.dim)
-    else:
-        Rg = json_to_matrix(_need(doc, "Rg", "matched pair"), "Rg")
-        Rh = json_to_matrix(_need(doc, "Rh", "matched pair"), "Rh")
+    # without need_ops an absent operator is zero; a present one is read either way
+    Rg, Rh = (json_to_matrix(_need(doc, key, "matched pair"), key) if need_ops or key in doc
+              else Mat.zeros(n, n) for key, n in (("Rg", g.dim), ("Rh", h.dim)))
     return ReynoldsMatchedPair.unchecked(pair, Rg, Rh)
 
 
@@ -350,7 +352,7 @@ def doc_to_bialgebra(doc: dict) -> tuple[LieBialgebra, Mat | None]:
     dual = doc_to_algebra(_need(doc, "dual", "bialgebra"))
     if g.dim != dual.dim:
         raise InputError("bialgebra: g and dual dimensions differ")
-    return LieBialgebra.unchecked(g, dual), _embedded_op(doc)
+    return LieBialgebra.unchecked(g, dual), _embedded_op(doc, g.dim)
 
 
 # -- quadratic Rota-Baxter --------------------------------------------------------
@@ -369,7 +371,7 @@ def doc_to_qrb(doc: dict) -> tuple[QuadraticRB, Mat | None]:
     from .rotabaxter import QuadraticRB
     rb = doc_to_rb(doc)
     gram = json_to_matrix(_need(doc, "gram", "quadratic-rb"), "gram")
-    return QuadraticRB.unchecked(rb, BilinForm(gram)), _embedded_op(doc)
+    return QuadraticRB.unchecked(rb, BilinForm(gram)), _embedded_op(doc, rb.L.dim)
 
 
 @_loader
@@ -397,7 +399,7 @@ def doc_to_prelie(doc: dict) -> tuple[PreLieAlgebra, Mat | None]:
     dim = _dim(_need(doc, "dim", "pre-lie"), "pre-lie")
     basis = _labels(doc.get("basis"), dim, "pre-lie basis")
     prod = _json_to_table(_need(doc, "prod", "pre-lie"), "pre-lie product")
-    return PreLieAlgebra.unchecked(dim, basis, prod), _embedded_op(doc)
+    return PreLieAlgebra.unchecked(dim, basis, prod), _embedded_op(doc, dim)
 
 
 # -- coalgebra (delta list) ---------------------------------------------------------
@@ -421,7 +423,7 @@ def doc_to_coalgebra(doc: dict) -> tuple[list[Tensor2], Mat | None]:
     for k, d in enumerate(deltas):
         if d.dim_left != dim or d.dim_right != dim:
             raise InputError(f"coalgebra: cobracket tensor {k} is not on a dim-{dim} space")
-    return deltas, _embedded_op(doc)
+    return deltas, _embedded_op(doc, dim)
 
 
 # -- Manin triple ---------------------------------------------------------------------

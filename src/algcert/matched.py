@@ -10,10 +10,10 @@ checkable.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from .certificates import Certificate, Checked, require, scan
-from .exact import ONE, ZERO, Mat, mat_comb, precompose, sapply, saxpy, scols, scomb
+from .exact import ONE, ZERO, Mat, dense, precompose, sapply, saxpy, scols, scomb, unscale
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -28,6 +28,7 @@ from .reynolds import (
     compat_certificate,
     is_quadratic_reynolds,
     is_reynolds,
+    operator_brackets,
 )
 
 
@@ -166,12 +167,10 @@ def induced_matched_pair(rmp: ReynoldsMatchedPair) -> MatchedPair:
 
 def _induced_action(act: Representation, R: Mat, T: Mat) -> list[Mat]:
     """act'(x) = act(x)T + act(Rx) − act(Rx)T on the basis of the acting algebra."""
-    md = act.module_dim
-    out = []
-    for i, rcol in enumerate(scols(R)):
-        act_rx = mat_comb(act.rho, rcol, md, md)
-        out.append(act.rho[i] @ T + act_rx - act_rx @ T)
-    return out
+    n, md = len(act.rho), act.module_dim
+    _, _, s, pairs = operator_brackets(act.rho, R, T, product(range(n), range(md)), ZERO, -ONE)
+    cols = [dense(md, unscale(inner, s)) for _, _, _, inner in pairs]
+    return [Mat.from_cols(cols[i * md:(i + 1) * md]) for i in range(n)]
 
 
 class ManinTripleReynolds(Checked):

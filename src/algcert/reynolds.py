@@ -13,8 +13,8 @@ from itertools import combinations, product
 from math import lcm
 
 from .certificates import Certificate, Checked, require, scan
-from .exact import (ONE, ZERO, Mat, integral, precompose, rat, sapply, saxpy, scols, scomb,
-                    srow, unscale)
+from .exact import (ONE, ZERO, Mat, Table, integral, precompose, rat, sapply, saxpy, scols, srow,
+                    unscale)
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -46,56 +46,70 @@ class ReynoldsLieAlgebra(Checked):
         return f"ReynoldsLieAlgebra({self.L!r})"
 
 
-def operator_brackets(L: LieAlgebra, R: Mat, lam, kappa):
-    """[Re_i,Re_j] and [Re_i,e_j] + [e_i,Re_j] + λ[e_i,e_j] + κ[Re_i,Re_j] for i<j, on integers.
+def operator_brackets(table, P: Mat, Q: Mat, pairs, lam, kappa):
+    """Pe_i·Qe_j and Pe_i·e_j + e_i·Qe_j + λe_i·e_j + κPe_i·Qe_j for (i, j) in pairs, on integers.
 
-    Returns (cols, d, s, pairs): cols are the integer columns of d·R, pairs
-    yields (i, j, rr, inner), the two brackets as integer sparse vectors on
-    the scales s·d and s, where s = q·D·d², D is the denominator of L's
-    table and q that of λ and κ.  They come from integer tables of [e_a,e_b]
-    and [Re_a,e_b] built once per call.
+    `table` is the product ·: a `Table` (a Lie bracket, a pre-Lie product) or a
+    representation's matrices, x·u = ρ(x)u.  P acts on the first argument, Q on the
+    second and on the output.  Returns (cols, d, s, pairs): cols are the integer
+    columns of d·Q, pairs yields (i, j, pq, inner) as integer sparse vectors on the
+    scales s·d and s, where s = q·D·p·d and D, p, q are the denominators of the
+    table, of P and of λ and κ.  On a skew table with P = Q, e_i·Qe_j = −Qe_j·e_i.
     """
-    lam, kappa = rat(lam), rat(kappa)
-    sc, den = integral(L.sc)
-    cols, d = integral(scols(R))
+    if isinstance(table, Table):
+        sc, den = integral(table)
+        rows = sc.rows()                              # D·e_a·e_b
+    else:
+        *mats, den = integral(*[scols(m) for m in table])
+        rows = [dict(enumerate(m)) for m in mats]
+    cols, d = integral(scols(Q))
+    pcols, p = (cols, d) if P is Q else integral(scols(P))
     q = lcm(lam.denominator, kappa.denominator)
     lam_q, kappa_q = int(lam * q), int(kappa * q)
-    rows = sc.rows()           # D·[e_a, e_b]
-    adr = precompose(rows, cols)                      # D·d·[Re_i, e_j]
+    adr = precompose(rows, pcols)                     # D·p·Pe_a·e_b
+    lookup = P is Q and getattr(table, "skew", False)
 
-    def pairs():
-        for i, j in combinations(range(L.dim), 2):
-            rr = srow({}, adr[i], cols[j])            # D·d²·[Re_i, Re_j]
+    def brackets():
+        for i, j in pairs:
+            pq = srow({}, adr[i], cols[j])            # D·p·d·Pe_i·Qe_j
             inner = saxpy({}, q * d, adr[i].get(j, {}))
-            saxpy(inner, -q * d, adr[j].get(i, {}))
-            saxpy(inner, lam_q * d * d, rows[i].get(j, {}))
-            saxpy(inner, kappa_q, rr)
-            yield i, j, saxpy({}, q * d, rr), inner
-    return cols, d, q * den * d * d, pairs()
+            if lookup:
+                saxpy(inner, -q * d, adr[j].get(i, {}))
+            else:                                     # D·d·e_i·Qe_j
+                saxpy(inner, q * p, srow({}, rows[i], cols[j]))
+            saxpy(inner, lam_q * p * d, rows[i].get(j, {}))
+            saxpy(inner, kappa_q, pq)
+            yield i, j, saxpy({}, q * d, pq), inner
+    return cols, d, q * den * p * d, brackets()
 
 
-def operator_identity(check: str, L: LieAlgebra, R: Mat, lam, kappa) -> Certificate:
-    """[Re_i,Re_j] = R([Re_i,e_j] + [e_i,Re_j] + λ[e_i,e_j] + κ[Re_i,Re_j]) for all i<j.
+def operator_identity(check: str, table, P: Mat, Q: Mat, pairs, lam, kappa) -> Certificate:
+    """Pe_i·Qe_j = Q(Pe_i·e_j + e_i·Qe_j + λe_i·e_j + κPe_i·Qe_j) for (i, j) in pairs.
 
-    With R = R'/d, the residual rr − R'·inner of the integer brackets is s·d
+    With Q = Q'/d, the residual pq − Q'·inner of the integer brackets is s·d
     times the true one.
     """
+    cols, d, s, brackets = operator_brackets(table, P, Q, pairs, lam, kappa)
+    return scan(check, (((i, j), saxpy(pq, -1, sapply(cols, inner)))
+                        for i, j, pq, inner in brackets), s * d)
+
+
+def lie_operands(L: LieAlgebra, R: Mat) -> tuple:
+    """The kernel's arguments for R on L's bracket: the table, P = Q = R, the pairs i<j."""
     if R.rows != L.dim or R.cols != L.dim:
         raise ValueError("operator shape does not match the algebra")
-    cols, d, s, pairs = operator_brackets(L, R, lam, kappa)
-    return scan(check, (((i, j), saxpy(rr, -1, sapply(cols, inner)))
-                        for i, j, rr, inner in pairs), s * d)
+    return L.sc, R, R, combinations(range(L.dim), 2)
 
 
 def is_reynolds(L: LieAlgebra, R: Mat) -> Certificate:
     """Exhaustive basis-pair check of the Reynolds identity (λ = 0, κ = −1)."""
-    return operator_identity("reynolds", L, R, ZERO, -ONE)
+    return operator_identity("reynolds", *lie_operands(L, R), ZERO, -ONE)
 
 
 def induced_algebra(A: ReynoldsLieAlgebra) -> ReynoldsLieAlgebra:
     """New bracket [x,y]_R = [Rx,y] + [x,Ry] - [Rx,Ry] with the same operator."""
     L, R = A.L, A.R
-    _, _, s, pairs = operator_brackets(L, R, ZERO, -ONE)
+    _, _, s, pairs = operator_brackets(*lie_operands(L, R), ZERO, -ONE)
     sc = {(i, j): unscale(inner, s) for i, j, _, inner in pairs}
     return ReynoldsLieAlgebra(LieAlgebra(L.dim, L.basis, sc), R)
 
@@ -130,20 +144,8 @@ def reynolds_coadjoint_rep(A: ReynoldsLieAlgebra) -> ReynoldsRep:
 def compat_certificate(R: Mat, rep: Representation, T: Mat,
                        name: str = "compatibility") -> Certificate:
     """rho(Rx)(Tu) = T(rho(x)(Tu) + rho(Rx)u - rho(Rx)(Tu)) over basis (x, u)."""
-    md = rep.module_dim
-    rho_cols = [scols(m) for m in rep.rho]
-    tcols = scols(T)
-
-    def cases():
-        for i, rcol in enumerate(scols(R)):
-            rho_rx = scomb(rho_cols, rcol, md)
-            for a, tu in enumerate(tcols):
-                lhs = sapply(rho_rx, tu)
-                inner = sapply(rho_cols[i], tu)
-                saxpy(inner, ONE, rho_rx[a])
-                saxpy(inner, -ONE, lhs)
-                yield (i, a), saxpy(lhs, -ONE, sapply(tcols, inner))
-    return scan(name, cases())
+    pairs = product(range(len(rep.rho)), range(rep.module_dim))
+    return operator_identity(name, rep.rho, R, T, pairs, ZERO, -ONE)
 
 
 def is_reynolds_rep(rr: ReynoldsRep) -> Certificate:

@@ -16,7 +16,8 @@ from .certificates import Certificate, Checked, CheckFailed, require, residual_f
 from .exact import (ONE, ZERO, Mat, Tensor2, flip, precompose, rat, sapply, saxpy, scols,
                     sprod, unscale)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
-from .reynolds import is_reynolds, operator_brackets, operator_form_compat, operator_identity
+from .reynolds import (is_reynolds, lie_operands, operator_brackets, operator_form_compat,
+                       operator_identity)
 
 
 class RotaBaxterAlg(Checked):
@@ -36,13 +37,13 @@ class RotaBaxterAlg(Checked):
 
 def is_rota_baxter(L: LieAlgebra, B: Mat, lam) -> Certificate:
     """Exhaustive basis-pair check of the Rota-Baxter identity of weight λ."""
-    return operator_identity("rota-baxter", L, B, rat(lam), ZERO)
+    return operator_identity("rota-baxter", *lie_operands(L, B), rat(lam), ZERO)
 
 
 def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
     """[x,y]_B = [Bx,y] + [x,By] + λ[x,y]; B becomes a homomorphism to g."""
     require(is_rota_baxter(rb.L, rb.B, rb.lam))
-    _, _, s, pairs = operator_brackets(rb.L, rb.B, rb.lam, ZERO)
+    _, _, s, pairs = operator_brackets(*lie_operands(rb.L, rb.B), rb.lam, ZERO)
     sc = {(i, j): unscale(inner, s) for i, j, _, inner in pairs}
     return LieAlgebra(rb.L.dim, rb.L.basis, sc)
 

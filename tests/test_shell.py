@@ -685,6 +685,49 @@ def test_cli_matched_check_without_operators(tmp_path, thmfl, capsys):
     capsys.readouterr()
 
 
+def test_cli_matched_operators_are_read_when_present(tmp_path, thmfl, capsys):
+    # `matched` and `double` zero-fill an absent Rg or Rh and read a present one; the
+    # Reynolds kinds need both
+    from algcert.bialgebra import canonical_pair
+
+    doc = fio.matched_to_doc(canonical_pair(thmfl))
+    out = ["-o", str(tmp_path / "out.json")]
+    for key in ("Rg", "Rh"):
+        dropped = write(tmp_path, f"no-{key}.json", {k: v for k, v in doc.items() if k != key})
+        bad = write(tmp_path, f"bad-{key}.json", {**doc, key: [["x"]]})
+        for run, kind, tail in ((main_check, "matched", []), (main_build, "double", out)):
+            assert run([kind, dropped] + tail) == 0, (kind, key)
+            assert run([kind, bad] + tail) == 2, (kind, key)
+        for run, kind, tail in ((main_check, "reynolds-matched", []),
+                                (main_build, "reynolds-double", out),
+                                (main_build, "induced-matched", out)):
+            assert run([kind, dropped] + tail) == 2, (kind, key)
+        capsys.readouterr()
+
+
+def test_cli_embedded_operator_is_always_validated(tmp_path, sl2, b_op, sl2_reynolds,
+                                                   sl2_qrb, thmfl, capsys):
+    # a shrunk, grown or non-rational embedded 'reynolds' is an input error for every kind
+    # whose loader reads it, whether or not the kind uses it and with or without --op
+    docs, checks, builds = _every_kind(tmp_path, sl2, b_op, sl2_reynolds, sl2_qrb, thmfl)
+    out = ["-o", str(tmp_path / "out.json")]
+    for run, table, tail in ((main_check, checks, []), (main_build, builds, out)):
+        for kind, (name, flags) in table.items():
+            doc = docs[name]
+            if "reynolds" not in doc or kind in ("rb", "descendent"):   # doc_to_rb skips it
+                continue
+            m = doc["reynolds"]["matrix"]
+            op = ["--op", write(tmp_path, "op.json", doc["reynolds"])]
+            for bad in ([row[:-1] for row in m[:-1]],
+                        [row + ["0"] for row in m] + [["0"] * (len(m) + 1)],
+                        [["x"] + m[0][1:]] + m[1:]):
+                path = write(tmp_path, "bad.json", {**doc, "reynolds": {"matrix": bad}})
+                for extra in ([], op):
+                    assert run([kind, path] + flags + extra + tail) == 2, (kind, bad, extra)
+                    captured = capsys.readouterr()
+                    assert captured.out == "" and captured.err.startswith("input error: ")
+
+
 def test_catalog_degenerate_abelian_sizes(capsys):
     assert main_cat(["abelian(1)"]) == 0
     capsys.readouterr()

@@ -44,8 +44,8 @@ from algcert.nslie import (
     ns_from_reynolds,
     regular_rep,
 )
-from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, induced_algebra, is_reynolds,
-                              operator_form_compat)
+from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, compat_certificate,
+                              induced_algebra, is_reynolds, operator_form_compat)
 from algcert.rotabaxter import RotaBaxterAlg, descendent, is_rota_baxter
 
 
@@ -568,8 +568,8 @@ def test_rational_checks_match_dense(case):
     for S in forms_:
         assert is_invariant_form(L, S).to_json() == dense.is_invariant_form(L, S).to_json()
     adj = adjoint_rep(L)
-    for rep in (adj, Representation.unchecked(L, L.dim, [m.scale(Fraction(-5, 11))
-                                                          for m in adj.rho])):
+    scaled = Representation.unchecked(L, L.dim, [m.scale(Fraction(-5, 11)) for m in adj.rho])
+    for rep in (adj, scaled):
         assert is_representation(rep).to_json() == dense.is_representation(rep).to_json()
     for R in ops:
         assert is_reynolds(L, R).to_json() == dense.is_reynolds(L, R).to_json()
@@ -578,6 +578,17 @@ def test_rational_checks_match_dense(case):
             for B in (R, R.scale(-lam)):
                 assert (is_rota_baxter(L, B, lam).to_json()
                         == dense.is_rota_baxter(L, B, lam).to_json())
+    # the kernel with P ≠ Q, on an action: (ad; R, R) passes for the projection R, the
+    # random operator fails
+    R, T = ops[0], ops[1]
+    for rep in (adj, scaled):
+        for P, Q in ((R, R), (R, T), (T, R)):
+            assert (compat_certificate(P, rep, Q).to_json()
+                    == dense.compat_certificate(P, rep, Q).to_json())
+    # the kernel on a non-skew table: L's bracket on all ordered pairs as a product
+    A = cybe.PreLieAlgebra.unchecked(L.dim, None, {
+        (i, j): comp for i, row in enumerate(L.sc.rows()) for j, comp in row.items()})
+    assert cybe.is_reynolds_prelie(A, T).to_json() == dense.is_reynolds_prelie(A, T).to_json()
 
 
 @settings(max_examples=8)
