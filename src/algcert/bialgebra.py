@@ -15,8 +15,9 @@ from itertools import combinations
 
 from .certificates import Certificate, Checked, require, scan
 from .cybe import ad_invariance_cert, ad_on_tensor, cybe_bracket
-from .exact import ONE, ZERO, Mat, Tensor2, flip, tensor2_map, tensor3_map
-from .lie import LieAlgebra, Representation, coadjoint_rep, dual_basis, jacobi_check
+from .exact import ZERO, Mat, Table, Tensor2, flip, integral, tensor2_map, tensor3_map
+from .lie import (LieAlgebra, Representation, block_rows, coadjoint_cols, coadjoint_rep,
+                  double_table, dual_basis, jacobi_check, jacobiator)
 from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
 from .reynolds import ReynoldsLieAlgebra, is_reynolds
 
@@ -55,28 +56,28 @@ def dual_from_cobracket(deltas: list[Tensor2], basis=None) -> LieAlgebra:
             raise ValueError("cobracket tensor shape mismatch")
         if not d.is_skew():
             raise ValueError(f"cobracket of basis vector {k} is not skew")
+    return LieAlgebra(n, basis, _cotable(deltas, True), check=False)
+
+
+def _cotable(deltas: list[Tensor2], skew: bool) -> Table:
+    """The dual product eᵃ·eᵇ = Σ_k Δ(e_k)_ab eᵏ; a skew table keeps the keys a < b."""
     sc: dict[tuple[int, int], dict[int, Fraction]] = {}
     for k, d in enumerate(deltas):
-        for (i, j), c in d.entries.items():
-            if i < j:
-                sc.setdefault((i, j), {})[k] = c
-    labels = tuple(basis) if basis is not None else None
-    return LieAlgebra(n, labels, sc, check=False)
+        for (a, b), c in d.entries.items():
+            if a < b or not skew:
+                sc.setdefault((a, b), {})[k] = c
+    return Table._of(len(deltas), sc, skew)
 
 
 def delta_vec(deltas: list[Tensor2], v) -> Tensor2:
     """Δ extended linearly to an arbitrary vector."""
     n = deltas[0].dim_left
-    return Tensor2(n, n, _delta_comb(deltas, {k: c for k, c in enumerate(v) if c != 0}))
-
-
-def _delta_comb(deltas: list[Tensor2], v) -> dict[tuple[int, int], Fraction]:
-    """The entries of Σ_k v[k]·Δ(e_k) for a sparse v (cancelled zeros kept)."""
     out: dict[tuple[int, int], Fraction] = {}
-    for k, c in v.items():
-        for key, d in deltas[k].entries.items():
-            out[key] = out.get(key, ZERO) + c * d
-    return out
+    for k, c in enumerate(v):
+        if c != 0:
+            for key, d in deltas[k].entries.items():
+                out[key] = out.get(key, ZERO) + c * d
+    return Tensor2(n, n, out)
 
 
 def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
@@ -84,22 +85,22 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
 
     A non-skew cobracket fails with the first non-skew basis vector, the
     entries of Δ(e_k) + σΔ(e_k) as its residual, and the number of non-skew
-    basis vectors as `violations`; co-Jacobi is then not evaluated.
+    basis vectors as `violations`; co-Jacobi is then not evaluated.  Entry (x, y, z)
+    of the co-Jacobi tensor of e_k is −J*(eˣ, eʸ, eᶻ)_k, J* the alternating Jacobiator
+    of the dual bracket, evaluated once per x<y<z on the integer dual table (scale −D²).
     """
     n = len(deltas)
     skew = scan("coalgebra", (((k,), d + flip(d)) for k, d in enumerate(deltas)))
     if not skew.ok:
         return skew._replace(note="cobracket is not skew")
-
-    def co_jacobi(k):
-        # t = (Id⊗Δ)Δe_k, summed with its images under ε: x⊗y⊗z ↦ z⊗x⊗y and ε²
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j), c in deltas[k].entries.items():
-            for (a, b), c2 in deltas[j].entries.items():
-                for key in ((i, a, b), (b, i, a), (a, b, i)):
-                    out[key] = out.get(key, ZERO) + c * c2
-        return out
-    return scan("coalgebra", (((k,), co_jacobi(k)) for k in range(n)))
+    co, den = integral(_cotable(deltas, True))
+    rows = co.rows()
+    out: list[dict] = [{} for _ in range(n)]
+    for x, y, z in combinations(range(n), 3):
+        for k, c in jacobiator(rows, rows, x, y, z).items():
+            out[k].update({(x, y, z): c, (y, z, x): c, (z, x, y): c,
+                           (x, z, y): -c, (z, y, x): -c, (y, x, z): -c})
+    return scan("coalgebra", (((k,), v) for k, v in enumerate(out)), -den * den)
 
 
 def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
@@ -121,15 +122,23 @@ def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
 
 
 def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
-    """Δ[x,y] = (ad_x⊗Id+Id⊗ad_x)Δy − (ad_y⊗Id+Id⊗ad_y)Δx over basis pairs."""
-    rows = g.sc.rows()
+    """Δ[x,y] = (ad_x⊗Id+Id⊗ad_x)Δy − (ad_y⊗Id+Id⊗ad_y)Δx over basis pairs.
+
+    The residual at (i, j), entry (a, b), is J(e_i, e_j, eᵃ) at e_b on g⋈g* with the
+    coadjoint actions of g and of the dual product read off Δ, on integers under one
+    scale D (D²).  That block never reads the bracket of g*, so the table omits it.
+    """
+    n = g.dim
+    sc, co, den = integral(g.sc, _cotable(deltas, False))
+    rows = double_table(sc, Table._of(n, {}, True), coadjoint_cols(sc.rows(), n),
+                        coadjoint_cols(co.rows(), n)).rows()
+    outer = block_rows(rows, 0, n)
 
     def residual(i, j):
-        out = _delta_comb(deltas, g.sc.get((i, j), {}))
-        ad_on_tensor(rows, i, deltas[j], out, -ONE)
-        return ad_on_tensor(rows, j, deltas[i], out, ONE)
+        return {(a, b): c for a in range(n)
+                for b, c in jacobiator(rows, outer, i, j, n + a).items()}
     return scan("cocycle", (((i, j), residual(i, j))
-                            for i, j in combinations(range(g.dim), 2)))
+                            for i, j in combinations(range(n), 2)), den * den)
 
 
 def is_lie_bialgebra(g: LieAlgebra, dual: LieAlgebra) -> Certificate:
@@ -190,11 +199,9 @@ def double_quasitriangular(rb: ReynoldsLieBialgebra) -> ReynoldsLieBialgebra:
     dd = drinfeld_double(rb)
     g, dual = rb.bialg.g, rb.bialg.dual
     n = g.dim
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), comp in dual.sc.items():
-        sc[(i, j)] = {k: -c for k, c in comp.items()}
-    for (i, j), comp in g.sc.items():
-        sc[(n + i, n + j)] = {n + k: c for k, c in comp.items()}
+    negated = Table._of(n, {key: {k: -c for k, c in comp.items()}
+                            for key, comp in dual.sc.items()}, True)
+    sc = double_table(negated, g.sc, [[{}] * n] * n, [[{}] * n] * n)
     dual_of_double = LieAlgebra(2 * n, dual_basis(dd.L.basis), sc)
     return ReynoldsLieBialgebra(LieBialgebra(dd.L, dual_of_double), dd.R)
 
@@ -208,7 +215,7 @@ def coboundary_cobracket(g: LieAlgebra, r: Tensor2) -> list[Tensor2]:
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
     rows = g.sc.rows()
-    return [Tensor2(g.dim, g.dim, ad_on_tensor(rows, k, r, {})) for k in range(g.dim)]
+    return [Tensor2(g.dim, g.dim, ad_on_tensor(rows, k, r)) for k in range(g.dim)]
 
 
 def coboundary_conditions(g: LieAlgebra, r: Tensor2) -> Certificate:

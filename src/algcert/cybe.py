@@ -47,21 +47,21 @@ def cybe_bracket(g: LieAlgebra, r: Tensor2) -> Tensor3:
     return Tensor3((n, n, n), data)
 
 
-def ad_on_tensor(rows: Rows, k: int, t: Tensor2, out: dict, c: Fraction = ONE) -> dict:
-    """out += c·(ad_{e_k}⊗Id + Id⊗ad_{e_k})(t) entrywise, for the bracket table `rows`."""
+def ad_on_tensor(rows: Rows, k: int, t: Tensor2) -> dict:
+    """(ad_{e_k}⊗Id + Id⊗ad_{e_k})(t) entrywise, for the bracket table `rows`."""
+    out: dict = {}
     for (i, j), a in t.entries.items():
-        ca = c * a
         for m, b in rows[k].get(i, {}).items():
-            out[m, j] = out.get((m, j), ZERO) + ca * b
+            out[m, j] = out.get((m, j), ZERO) + a * b
         for m, b in rows[k].get(j, {}).items():
-            out[i, m] = out.get((i, m), ZERO) + ca * b
+            out[i, m] = out.get((i, m), ZERO) + a * b
     return out
 
 
 def ad_invariance_cert(g: LieAlgebra, t: Tensor2, name: str = "ad-invariance") -> Certificate:
     """(ad_x⊗Id + Id⊗ad_x)(t) = 0 for every basis x."""
     rows = g.sc.rows()
-    return scan(name, (((k,), ad_on_tensor(rows, k, t, {})) for k in range(g.dim)))
+    return scan(name, (((k,), ad_on_tensor(rows, k, t)) for k in range(g.dim)))
 
 
 def is_cybe_solution(g: LieAlgebra, r: Tensor2) -> Certificate:

@@ -614,15 +614,6 @@ def precompose(rows: Rows, cols: list[SVec]) -> Rows:
     return out
 
 
-def scomb(mats_cols: list[list[SVec]], v: SVec, n: int) -> list[SVec]:
-    """The sparse columns of Σ_k v[k]·M_k, each M_k given by its n sparse columns."""
-    out: list[SVec] = [{} for _ in range(n)]
-    for k, c in v.items():
-        for col, mcol in zip(out, mats_cols[k]):
-            saxpy(col, c, mcol)
-    return out
-
-
 def action_rows(mats) -> Rows:
     """rows[k][j] = mats[k]·e_j: the table of (x, u) ↦ (Σ_k x_k·mats[k])u."""
     return [{j: col for j, col in enumerate(scols(m)) if col} for m in mats]

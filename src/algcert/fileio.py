@@ -189,6 +189,7 @@ def doc_to_algebra(doc: dict) -> LieAlgebra:
     dim = _dim(_need(doc, "dim", "algebra"), "algebra")
     basis = _labels(doc.get("basis"), dim, "algebra basis")
     table = _json_to_table(_need(doc, "brackets", "algebra"), "algebra brackets")
+    _embedded_op(doc, dim)
     return LieAlgebra.unchecked(dim, basis, table)
 
 
@@ -201,10 +202,9 @@ def reynolds_algebra_to_doc(A: ReynoldsLieAlgebra) -> dict:
 @_loader
 def doc_to_reynolds_algebra(doc: dict, op: Mat | None = None) -> ReynoldsLieAlgebra:
     from .reynolds import ReynoldsLieAlgebra
-    L = doc_to_algebra(doc)
-    embedded = _embedded_op(doc, L.dim)
+    L = doc_to_algebra(doc)   # which also checks an embedded operator
     # `op` replaces the embedded operator; with neither, `_need` reports the missing key
-    op = op or embedded or _need(doc, "reynolds", "reynolds algebra")
+    op = op or _embedded_op(doc, L.dim) or _need(doc, "reynolds", "reynolds algebra")
     if op.rows != L.dim or op.cols != L.dim:
         raise InputError("operator shape does not match the algebra")
     return ReynoldsLieAlgebra.unchecked(L, op)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan
-from .exact import Mat, Table, Vec, ZERO, integral, mat_comb, sapply, saxpy, scols, scomb
+from .exact import Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, sapply, scols
 
 
 def default_basis(dim: int, prefix: str = "e") -> tuple[str, ...]:
@@ -66,6 +66,47 @@ def bracket(L: LieAlgebra, x: Vec, y: Vec) -> Vec:
     return L.bracket(x, y)
 
 
+def jacobiator(rows: Rows, outer: Rows, x: int, y: int, z: int) -> SVec:
+    """J(e_x,e_y,e_z) = Σ_cyc [[e_a,e_b],e_c] = Σ_cyc Σ_m rows[a][b][m]·outer[m][c], sparse.
+
+    `outer` is `rows` cut to the output block the caller reads (`block_rows`), or
+    `rows` itself.  Every Jacobi-type check is a block of J on a `double_table`;
+    on an integer table D·sc, J comes out D² times too large.
+    """
+    out: SVec = {}
+    for prod, c in ((rows[x].get(y), z), (rows[y].get(z), x), (rows[z].get(x), y)):
+        if prod:
+            for m, coeff in prod.items():
+                col = outer[m].get(c)
+                if col:
+                    for k, v in col.items():
+                        out[k] = out.get(k, 0) + coeff * v
+    return out
+
+
+def block_rows(rows: Rows, lo: int, hi: int) -> Rows:
+    """The rows with every product cut to its components in [lo, hi), renumbered from 0."""
+    return [{j: {k - lo: c for k, c in comp.items() if lo <= k < hi} for j, comp in row.items()}
+            for row in rows]
+
+
+def double_table(g: Table, h: Table, rho: list[list[SVec]], mu: list[list[SVec]]) -> Table:
+    """The skew table of g⋈h on g⊕h, g block first: g's and h's brackets and [e_i, f_a] =
+    −μ(f_a)e_i + ρ(e_i)f_a, for sparse columns rho[i][a] = ρ(e_i)f_a and mu[a][i] =
+    μ(f_a)e_i.  Number-generic: on `integral` tables it stays on ``int``."""
+    n = g.dim
+    sc = dict(g)
+    sc.update({(n + a, n + b): {n + k: c for k, c in comp.items()} for (a, b), comp in h.items()})
+    for i, cols in enumerate(rho):
+        for a, col in enumerate(cols):
+            comp = {k: -c for k, c in mu[a][i].items()}
+            for k, c in col.items():
+                comp[n + k] = c
+            if comp:
+                sc[i, n + a] = comp
+    return Table._of(n + h.dim, sc, True)
+
+
 def jacobi_check(L: LieAlgebra) -> Certificate:
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for all i<j<k.
 
@@ -73,15 +114,8 @@ def jacobi_check(L: LieAlgebra) -> Certificate:
     """
     sc, den = integral(L.sc)
     rows = sc.rows()
-
-    def cases():
-        for i, j, k in combinations(range(L.dim), 3):
-            out = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, coeff in rows[a].get(b, {}).items():
-                    saxpy(out, coeff, rows[m].get(c, {}))
-            yield (i, j, k), out
-    return scan("jacobi", cases(), den * den)
+    return scan("jacobi", (((i, j, k), jacobiator(rows, rows, i, j, k))
+                           for i, j, k in combinations(range(L.dim), 3)), den * den)
 
 
 class Representation(Checked):
@@ -127,37 +161,39 @@ class Representation(Checked):
 def is_representation(rep: Representation) -> Certificate:
     """rho([e_i,e_j]) == rho(e_i)rho(e_j) − rho(e_j)rho(e_i) for all i<j.
 
-    With sc = sc'/D and every rho(e_k) = rho'_k/r on integers, the residual
-    is r·Σ sc'_ij^k rho'_k − D·[rho'_i, rho'_j] on the scale D·r².
+    The residual at (i, j), entry (a, b), is J(e_i, e_j, w_b) at w_a on the integer
+    table of g⋉W under one scale D (so D² times too large).  Every product J reads
+    there lands in W, so `rows` serves as its own W-block, with w_a at n + a.
     """
-    L = rep.algebra
-    sc, den = integral(L.sc)
-    *cols, r = integral(*[scols(m) for m in rep.rho])
+    n, m = rep.algebra.dim, rep.module_dim
+    sc, *cols, den = integral(rep.algebra.sc, *[scols(x) for x in rep.rho])
+    rows = double_table(sc, Table._of(m, {}, True), cols, [[{}] * n] * m).rows()
 
     def residual(i, j):
-        out = scomb(cols, {k: r * c for k, c in sc.get((i, j), {}).items()}, rep.module_dim)
-        for b, col in enumerate(out):
-            for k, a in cols[j][b].items():
-                saxpy(col, -den * a, cols[i][k])
-            for k, a in cols[i][b].items():
-                saxpy(col, den * a, cols[j][k])
-        return {(a, b): c for b, col in enumerate(out) for a, c in col.items()}
+        return {(a - n, b): c for b in range(m)
+                for a, c in jacobiator(rows, rows, i, j, n + b).items()}
     return scan("representation", (((i, j), residual(i, j))
-                                   for i, j in combinations(range(L.dim), 2)), den * r * r)
+                                   for i, j in combinations(range(n), 2)), den * den)
+
+
+def coadjoint_cols(rows: Rows, n: int) -> list[list[SVec]]:
+    """ad*(e_x)eʸ = −Σ_z (e_x·e_z)_y eᶻ for every x and y, as sparse columns."""
+    cols: list[list[SVec]] = [[{} for _ in range(n)] for _ in rows]
+    for x, row in enumerate(rows):
+        for z, comp in row.items():
+            for y, c in comp.items():
+                cols[x][y][z] = -c
+    return cols
 
 
 def _ad_mats(L: LieAlgebra, dual: bool) -> list[Mat]:
-    """ad(e_i), or ad*(e_i) = −ad(e_i)ᵀ, for every i, filled from one pass over the table."""
-    n = L.dim
+    """ad(e_i), or ad*(e_i) = −ad(e_i)ᵀ, for every i, filled from their sparse columns."""
+    n, rows = L.dim, L.sc.rows()
     mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(L.sc.rows()):
-        m = mats[i]
-        for j, comp in row.items():
-            for k, c in comp.items():
-                if dual:
-                    m[j][k] = -c
-                else:
-                    m[k][j] = c
+    for m, cols in zip(mats, coadjoint_cols(rows, n) if dual else rows):
+        for j, col in enumerate(cols) if dual else cols.items():
+            for k, c in col.items():
+                m[k][j] = c
     return [Mat._of(m) for m in mats]
 
 
@@ -185,13 +221,7 @@ def semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
     """Semidirect product on g⊕W: [x+u, y+v] = [x,y] + rho(x)v − rho(y)u."""
     require(is_representation(rep))
     n, m = L.dim, rep.module_dim
-    sc = dict(L.sc)
-    for i in range(n):
-        for a in range(m):
-            col = rep.rho[i].col(a)  # rho(e_i) w_a
-            comp = {n + k: c for k, c in enumerate(col) if c != 0}
-            if comp:
-                sc[(i, n + a)] = comp
+    sc = double_table(L.sc, Table._of(m, {}, True), [scols(x) for x in rep.rho], [[{}] * n] * m)
     return LieAlgebra(n + m, L.basis + rep.labels, sc, check=False)
 
 

@@ -9,18 +9,20 @@ checkable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, combinations, product
 
 from .certificates import Certificate, Checked, require, scan
-from .exact import ONE, ZERO, Mat, dense, precompose, sapply, saxpy, scols, scomb, unscale
+from .exact import ONE, ZERO, Mat, Rows, dense, integral, scols, unscale
 from .lie import (
     BilinForm,
     LieAlgebra,
     Representation,
+    block_rows,
     coadjoint_rep,
+    double_table,
     is_representation,
     jacobi_check,
+    jacobiator,
 )
 from .reynolds import (
     QuadraticReynolds,
@@ -56,64 +58,42 @@ class MatchedPair(Checked):
                    Representation.zero(h, g.dim, labels=g.basis), check=False)
 
 
-def _compat_cases(g: LieAlgebra, h: LieAlgebra, rho: Representation,
-                  mu: Representation):
-    """Residuals of rho(x)[a,b] = [rho(x)a,b] + [a,rho(x)b] + rho(mu(b)x)a − rho(mu(a)x)b
-    over basis x of g and a < b of h, in (x, a, b) order."""
-    hrows = h.sc.rows()
-    rho_cols = [scols(m) for m in rho.rho]
-    mu_cols = [scols(m) for m in mu.rho]
-    for i, rc in enumerate(rho_cols):
-        adr = precompose(hrows, rc)   # adr[a][b] = [rho(x)a, b]
-        mixed = [scomb(rho_cols, mc[i], h.dim) for mc in mu_cols]   # rho(mu(a)x)
-        for a, b in combinations(range(h.dim), 2):
-            out = sapply(rc, hrows[a].get(b, {}))
-            saxpy(out, -ONE, adr[a].get(b, {}))
-            saxpy(out, ONE, adr[b].get(a, {}))
-            saxpy(out, -ONE, mixed[b][a])
-            saxpy(out, ONE, mixed[a][b])
-            yield (i, a, b), out
+def _compat_stages(g: LieAlgebra, h: LieAlgebra, rho: Representation,
+                   mu: Representation) -> list[Certificate]:
+    """compat-on-h, rho(x)[a,b] = [rho(x)a,b] + [a,rho(x)b] + rho(mu(b)x)a − rho(mu(a)x)b
+    over basis x of g and a < b of h, then compat-on-g, the same with the roles swapped.
+
+    The residuals are minus the h-block of J(e_x, f_a, f_b) and minus the g-block of
+    J(f_a, e_x, e_y) on the integer table of g⋈h under one scale D: the scale is −D².
+    """
+    n, m = g.dim, h.dim
+    gsc, hsc, *cols, den = integral(g.sc, h.sc, *[scols(x) for x in rho.rho + mu.rho])
+    rows = double_table(gsc, hsc, cols[:n], cols[n:]).rows()
+    on_h, on_g = block_rows(rows, n, n + m), block_rows(rows, 0, n)
+    return [
+        scan("compat-on-h", (((i, a, b), jacobiator(rows, on_h, i, n + a, n + b))
+                             for i in range(n) for a, b in combinations(range(m), 2)), -den * den),
+        scan("compat-on-g", (((a, i, j), jacobiator(rows, on_g, n + a, i, j))
+                             for a in range(m) for i, j in combinations(range(n), 2)), -den * den),
+    ]
 
 
 def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
                     mu: Representation) -> Certificate:
     """Representation validity, then both compatibility identities."""
-    rep_g = is_representation(rho)
-    rep_h = is_representation(mu)
-    if not (rep_g.ok and rep_h.ok):
-        return Certificate.combine(
-            "matched-pair",
-            [Certificate.combine("rho-representation", [rep_g]),
-             Certificate.combine("mu-representation", [rep_h])],
-            note="invalid action representation",
-        )
-
-    return Certificate.combine("matched-pair", [
-        Certificate.combine("rho-representation", [rep_g]),
-        Certificate.combine("mu-representation", [rep_h]),
-        scan("compat-on-h", _compat_cases(g, h, rho, mu)),
-        scan("compat-on-g", _compat_cases(h, g, mu, rho)),
-    ])
+    reps = [Certificate.combine("rho-representation", [is_representation(rho)]),
+            Certificate.combine("mu-representation", [is_representation(mu)])]
+    if not all(rep.ok for rep in reps):
+        return Certificate.combine("matched-pair", reps, note="invalid action representation")
+    return Certificate.combine("matched-pair", reps + _compat_stages(g, h, rho, mu))
 
 
 def double(mp: MatchedPair) -> LieAlgebra:
     """g⋈h: [x+xi, y+eta] = ([x,y] + mu(xi)y - mu(eta)x) + ([xi,eta] + rho(x)eta - rho(y)xi)."""
     require(is_matched_pair(mp.g, mp.h, mp.rho, mp.mu))
-    n, m = mp.g.dim, mp.h.dim
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for key, comp in mp.g.sc.items():
-        sc[key] = dict(comp)
-    for (a, b), comp in mp.h.sc.items():
-        sc[(n + a, n + b)] = {n + k: c for k, c in comp.items()}
-    for i in range(n):
-        for a in range(m):
-            gpart = mp.mu.rho[a].col(i)  # mu(h_a) e_i, negated below
-            hpart = mp.rho.rho[i].col(a)  # rho(e_i) h_a
-            comp = {k: -c for k, c in enumerate(gpart) if c != 0}
-            comp.update({n + k: c for k, c in enumerate(hpart) if c != 0})
-            if comp:
-                sc[(i, n + a)] = comp
-    return LieAlgebra(n + m, mp.g.basis + mp.h.basis, sc)
+    sc = double_table(mp.g.sc, mp.h.sc, [scols(x) for x in mp.rho.rho],
+                      [scols(x) for x in mp.mu.rho])
+    return LieAlgebra(mp.g.dim + mp.h.dim, mp.g.basis + mp.h.basis, sc)
 
 
 class ReynoldsMatchedPair(Checked):
@@ -191,10 +171,10 @@ def _closure_cert(L: LieAlgebra, R: Mat, part: tuple[int, ...], name: str) -> Ce
     inside = set(part)
 
     def outside(v):
-        return tuple(ZERO if k in inside else c for k, c in enumerate(v))
+        return {k: c for k, c in v.items() if k not in inside}
 
-    pairs = (((i, j), outside(L.bracket_basis(i, j))) for i in part for j in part if i < j)
-    images = (((i,), outside(R.col(i))) for i in part)
+    pairs = (((i, j), outside(L.sc.get((i, j), {}))) for i in part for j in part if i < j)
+    images = (((i,), outside(dict(enumerate(R.col(i))))) for i in part)
     return scan(name, chain(pairs, images))
 
 
@@ -223,12 +203,7 @@ def is_manin_triple(L: LieAlgebra, R: Mat, S: BilinForm,
 
 def standard_pairing_form(n: int) -> BilinForm:
     """S(x+xi, y+eta) = xi(y) + eta(x) on g⊕g* coordinates."""
-    gram = Mat.block_diag(Mat.zeros(n, n), Mat.zeros(n, n))
-    rows = [list(r) for r in gram.entries]
-    for i in range(n):
-        rows[i][n + i] = Fraction(1)
-        rows[n + i][i] = Fraction(1)
-    return BilinForm(Mat(rows))
+    return BilinForm(Mat([[int(abs(i - j) == n) for j in range(2 * n)] for i in range(2 * n)]))
 
 
 def _require_dual_shape(rmp: ReynoldsMatchedPair) -> None:
@@ -257,15 +232,11 @@ def matched_to_manin(rmp: ReynoldsMatchedPair) -> ManinTripleReynolds:
     return ManinTripleReynolds(ambient, tuple(range(n)), tuple(range(n, 2 * n)))
 
 
-def _restrict_algebra(L: LieAlgebra, offset: int, n: int) -> LieAlgebra:
-    sc = {}
-    for (i, j), comp in L.sc.items():
-        if offset <= i < offset + n and offset <= j < offset + n:
-            kept = {k - offset: c for k, c in comp.items()
-                    if offset <= k < offset + n}
-            if kept:
-                sc[(i - offset, j - offset)] = kept
-    return LieAlgebra(n, L.basis[offset:offset + n], sc)
+def _restrict_algebra(L: LieAlgebra, block: Rows, offset: int, n: int) -> LieAlgebra:
+    """The span of e_offset, …, e_offset+n−1, from L's rows cut to it (`block_rows`)."""
+    return LieAlgebra(n, L.basis[offset:offset + n], {
+        (i - offset, j - offset): block[i][j] for i, j in L.sc
+        if offset <= i and j < offset + n and block[i][j]})
 
 
 def manin_to_matched(mt: ManinTripleReynolds) -> ReynoldsMatchedPair:
@@ -277,16 +248,14 @@ def manin_to_matched(mt: ManinTripleReynolds) -> ReynoldsMatchedPair:
     if mt.G.S != standard_pairing_form(n):
         raise ValueError("standard-form triple expected: the canonical pairing form")
     require(is_manin_triple(L, mt.G.base.R, mt.G.S, mt.part_g, mt.part_h))
-    g = _restrict_algebra(L, 0, n)
-    h = _restrict_algebra(L, n, n)
-    rho_mats = []
-    for i in range(n):
-        cols = [L.bracket_basis(i, n + a)[n:] for a in range(n)]
-        rho_mats.append(Mat.from_cols(cols))
-    mu_mats = []
-    for a in range(n):
-        cols = [tuple(-c for c in L.bracket_basis(i, n + a)[:n]) for i in range(n)]
-        mu_mats.append(Mat.from_cols(cols))
+    rows = L.sc.rows()
+    on_g, on_h = block_rows(rows, 0, n), block_rows(rows, n, 2 * n)
+    g, h = _restrict_algebra(L, on_g, 0, n), _restrict_algebra(L, on_h, n, n)
+    # inverse to `double_table`: ρ(e_i)f_a = [e_i, f_a]_h and μ(f_a)e_i = [f_a, e_i]_g
+    rho_mats = [Mat.from_cols([dense(n, on_h[i].get(n + a, {})) for a in range(n)])
+                for i in range(n)]
+    mu_mats = [Mat.from_cols([dense(n, on_g[n + a].get(i, {})) for i in range(n)])
+               for a in range(n)]
     rho = Representation(g, n, rho_mats, labels=h.basis, check=False)
     mu = Representation(h, n, mu_mats, labels=g.basis, check=False)
     Rg = mt.G.base.R.submatrix(range(n), range(n))

@@ -263,6 +263,11 @@ def _compat_cases(g, h, rho, mu):
             yield (i, a, b), vsub(lhs, rhs)
 
 
+def _compat_stages(g, h, rho, mu) -> list:
+    return [scan("compat-on-h", _compat_cases(g, h, rho, mu)),
+            scan("compat-on-g", _compat_cases(h, g, mu, rho))]
+
+
 def compat_certificate(R: Mat, rep, T: Mat, name: str = "compatibility") -> Certificate:
     L = rep.algebra
 
@@ -563,7 +568,7 @@ def r_from_qrb(qrb) -> Tensor2:
 SWAPS = {
     ("lie", "is_representation"): is_representation,
     ("reynolds", "compat_certificate"): compat_certificate,
-    ("matched", "_compat_cases"): _compat_cases,
+    ("matched", "_compat_stages"): _compat_stages,
     ("cybe", "cybe_bracket"): cybe_bracket,
     ("cybe", "ad_invariance_cert"): ad_invariance_cert,
     ("cybe", "is_relative_rb"): is_relative_rb,

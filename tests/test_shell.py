@@ -711,10 +711,13 @@ def test_cli_embedded_operator_is_always_validated(tmp_path, sl2, b_op, sl2_reyn
     # whose loader reads it, whether or not the kind uses it and with or without --op
     docs, checks, builds = _every_kind(tmp_path, sl2, b_op, sl2_reynolds, sl2_qrb, thmfl)
     out = ["-o", str(tmp_path / "out.json")]
-    for run, table, tail in ((main_check, checks, []), (main_build, builds, out)):
-        for kind, (name, flags) in table.items():
+    # the algebra loader reads it too: `jacobi` and `cybe` on the Reynolds-algebra document
+    on_ra = {"jacobi": ("ra", []), "cybe": ("ra", checks["cybe"][1])}
+    for run, table, tail in ((main_check, [*checks.items(), *on_ra.items()], []),
+                             (main_build, builds.items(), out)):
+        for kind, (name, flags) in table:
             doc = docs[name]
-            if "reynolds" not in doc or kind in ("rb", "descendent"):   # doc_to_rb skips it
+            if "reynolds" not in doc:
                 continue
             m = doc["reynolds"]["matrix"]
             op = ["--op", write(tmp_path, "op.json", doc["reynolds"])]
