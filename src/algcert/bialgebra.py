@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .certificates import Certificate, Checked, require, scan
+from .certificates import Certificate, Checked, require, scan, verified
 from .cybe import ad_invariance_cert, ad_on_tensor, cybe_bracket
 from .exact import ZERO, Mat, Table, Tensor2, flip, integral, tensor2_map, tensor3_map
 from .lie import (LieAlgebra, Representation, block_rows, coadjoint_cols, coadjoint_rep,
@@ -80,6 +80,7 @@ def delta_vec(deltas: list[Tensor2], v) -> Tensor2:
     return Tensor2(n, n, out)
 
 
+@verified
 def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
     """Skewness Δ + σΔ = 0, then the co-Jacobi identity (Id+ε+ε²)(Id⊗Δ)Δ = 0, per basis vector.
 
@@ -90,6 +91,8 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
     of the dual bracket, evaluated once per x<y<z on the integer dual table (scale −D²).
     """
     n = len(deltas)
+    if any(d.dim_left != n or d.dim_right != n for d in deltas):
+        raise ValueError("cobracket tensor shape mismatch")
     skew = scan("coalgebra", (((k,), d + flip(d)) for k, d in enumerate(deltas)))
     if not skew.ok:
         return skew._replace(note="cobracket is not skew")
@@ -103,6 +106,7 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
     return scan("coalgebra", (((k,), v) for k, v in enumerate(out)), -den * den)
 
 
+@verified
 def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
     """(R⊗R)Δ = (R⊗Id + Id⊗R − R⊗R)ΔR per basis vector."""
     n = len(deltas)
@@ -121,6 +125,7 @@ def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
     return scan("reynolds-coalgebra", (((k,), residual(k)) for k in range(n)))
 
 
+@verified
 def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
     """Δ[x,y] = (ad_x⊗Id+Id⊗ad_x)Δy − (ad_y⊗Id+Id⊗ad_y)Δx over basis pairs.
 
@@ -129,6 +134,8 @@ def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
     scale D (D²).  That block never reads the bracket of g*, so the table omits it.
     """
     n = g.dim
+    if len(deltas) != n or any(d.dim_left != n or d.dim_right != n for d in deltas):
+        raise ValueError("cobracket shape does not match the algebra")
     sc, co, den = integral(g.sc, _cotable(deltas, False))
     rows = double_table(sc, Table._of(n, {}, True), coadjoint_cols(sc.rows(), n),
                         coadjoint_cols(co.rows(), n)).rows()
@@ -141,6 +148,7 @@ def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
                             for i, j in combinations(range(n), 2)), den * den)
 
 
+@verified
 def is_lie_bialgebra(g: LieAlgebra, dual: LieAlgebra) -> Certificate:
     """Jacobi on both sides plus the 1-cocycle condition."""
     parts = [
@@ -163,6 +171,7 @@ class ReynoldsLieBialgebra(Checked):
             require(is_reynolds_bialgebra(bialg, R))
 
 
+@verified
 def is_reynolds_bialgebra(bialg: LieBialgebra, R: Mat) -> Certificate:
     """R Reynolds on g and −Rᵀ Reynolds on the dual (bialgebra axioms included)."""
     parts = [
@@ -183,12 +192,14 @@ def canonical_pair(rb: ReynoldsLieBialgebra) -> ReynoldsMatchedPair:
     return ReynoldsMatchedPair.unchecked(pair, rb.R, -rb.R.transpose())
 
 
+@verified
 def drinfeld_double(rb: ReynoldsLieBialgebra) -> ReynoldsLieAlgebra:
     """g⋈g* with mixed bracket via the two coadjoint actions; operator R⊕(−Rᵀ)."""
     require(is_reynolds_bialgebra(rb.bialg, rb.R))
     return reynolds_double(canonical_pair(rb))
 
 
+@verified
 def double_quasitriangular(rb: ReynoldsLieBialgebra) -> ReynoldsLieBialgebra:
     """The double as a Reynolds Lie bialgebra (D, D*_r, R⊕(−Rᵀ)).
 
@@ -218,6 +229,7 @@ def coboundary_cobracket(g: LieAlgebra, r: Tensor2) -> list[Tensor2]:
     return [Tensor2(g.dim, g.dim, ad_on_tensor(rows, k, r)) for k in range(g.dim)]
 
 
+@verified
 def coboundary_conditions(g: LieAlgebra, r: Tensor2) -> Certificate:
     """Invariance of r+σ(r) and ad-invariance of [[r,r]], per basis vector."""
     ident = Mat.identity(g.dim)
@@ -235,6 +247,7 @@ def coboundary_conditions(g: LieAlgebra, r: Tensor2) -> Certificate:
     return Certificate.combine("coboundary-conditions", [inv, cy])
 
 
+@verified
 def reynolds_coboundary_condition(g: LieAlgebra, R: Mat, r: Tensor2) -> Certificate:
     """The coboundary Reynolds criterion applied to (R⊗Id+Id⊗R)(r).
 

@@ -10,7 +10,9 @@ stage fails.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
+from functools import wraps
 from typing import Any, Iterable, NamedTuple
 
 from .exact import Mat, rat_str
@@ -128,6 +130,43 @@ def require(cert: Certificate) -> Certificate:
     if not cert.ok:
         raise CheckFailed(cert)
     return cert
+
+
+# the certificates of the outermost `verified` call running in this context, or None
+_scope: ContextVar[dict | None] = ContextVar("algcert_verified_scope", default=None)
+
+
+def verified(fn):
+    """Verify once per call: inside one public call, a check runs once per argument tuple.
+
+    The outermost decorated call opens a scope, dropped when it returns or
+    raises.  Inside it a call whose result is a `Certificate` is memoized on
+    the function and the identity of each argument; the entry holds the
+    arguments, so no id is reused while the scope is open.  Identity keys are
+    sound because certificates are immutable and no library function mutates
+    its arguments; a construction's result is not a certificate and is never
+    memoized.
+    """
+    @wraps(fn)
+    def call(*args, **kwargs):
+        memo = _scope.get()
+        if memo is None:
+            token = _scope.set({})
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                _scope.reset(token)
+        key = (fn, *map(id, args))
+        if kwargs:
+            key += (*map(id, kwargs.values()), *kwargs)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[0]
+        out = fn(*args, **kwargs)
+        if type(out) is Certificate:
+            memo[key] = (out, args, kwargs)
+        return out
+    return call
 
 
 class Checked:

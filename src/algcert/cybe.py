@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .certificates import Certificate, Checked, require, scan
+from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, action_rows, dense, flip,
                     precompose, sapply, saxpy, scols, sprod, tensor2_map)
 from .lie import LieAlgebra, Representation, default_basis, dual_rep, semidirect
@@ -58,18 +58,21 @@ def ad_on_tensor(rows: Rows, k: int, t: Tensor2) -> dict:
     return out
 
 
+@verified
 def ad_invariance_cert(g: LieAlgebra, t: Tensor2, name: str = "ad-invariance") -> Certificate:
     """(ad_x⊗Id + Id⊗ad_x)(t) = 0 for every basis x."""
     rows = g.sc.rows()
     return scan(name, (((k,), ad_on_tensor(rows, k, t)) for k in range(g.dim)))
 
 
+@verified
 def is_cybe_solution(g: LieAlgebra, r: Tensor2) -> Certificate:
     """[[r,r]] = 0."""
     rr = cybe_bracket(g, r)
     return scan("cybe", [(min(rr.entries, default=()), rr)])
 
 
+@verified
 def reynolds_tensor_condition(R: Mat, r: Tensor2) -> Certificate:
     """(R⊗Id + Id⊗R)(r) = 0."""
     ident = Mat.identity(R.rows)
@@ -77,6 +80,7 @@ def reynolds_tensor_condition(R: Mat, r: Tensor2) -> Certificate:
     return scan("reynolds-tensor-condition", [(min(res.entries, default=()), res)])
 
 
+@verified
 def is_cybe_solution_reynolds(A: ReynoldsLieAlgebra, r: Tensor2) -> Certificate:
     """CYBE in the Reynolds Lie algebra: both conditions exactly."""
     parts = [is_cybe_solution(A.L, r), reynolds_tensor_condition(A.R, r)]
@@ -110,6 +114,7 @@ class RelativeRB(Checked):
             require(is_relative_rb(self))
 
 
+@verified
 def is_relative_rb(rel: RelativeRB) -> Certificate:
     """Representation validity, the operator identity, and R∘K = K∘T."""
     rep_cert = is_reynolds_rep(rel.rr)
@@ -144,6 +149,7 @@ def _descendent_sc(rel: RelativeRB) -> dict[tuple[int, int], dict[int, Fraction]
     return sc
 
 
+@verified
 def descendent_on_W(rel: RelativeRB) -> ReynoldsLieAlgebra:
     """Bracket [u,v]_K = rho(Ku)v − rho(Kv)u on W with operator T."""
     require(is_relative_rb(rel))
@@ -152,6 +158,7 @@ def descendent_on_W(rel: RelativeRB) -> ReynoldsLieAlgebra:
     return ReynoldsLieAlgebra(W, rel.rr.T)
 
 
+@verified
 def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     """((g,R), (W_K,T); rho, mu) with mu(u)x = K(rho(x)u) − [x,Ku]."""
     desc = descendent_on_W(rel)
@@ -174,6 +181,7 @@ def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     return ReynoldsMatchedPair(pair, rel.rr.base.R, rel.rr.T)
 
 
+@verified
 def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     """Embed K into g⋉W* and return the skew solution r_K = K̄ − σ(K̄).
 
@@ -219,6 +227,7 @@ class PreLieAlgebra(Checked):
         return self.prod.prod(x, y)
 
 
+@verified
 def is_prelie(A: PreLieAlgebra) -> Certificate:
     """Left-symmetry of the associator over all basis triples."""
     n = A.dim
@@ -247,6 +256,7 @@ class ReynoldsPreLie(Checked):
             require(is_reynolds_prelie(A, R))
 
 
+@verified
 def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
     """{Rx,Ry} = R({Rx,y} + {x,Ry} − {Rx,Ry}) over all ordered basis pairs."""
     if R.rows != A.dim or R.cols != A.dim:
@@ -257,6 +267,7 @@ def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
     return Certificate.combine("reynolds-prelie", [base, op])
 
 
+@verified
 def subadjacent(rp: ReynoldsPreLie) -> ReynoldsLieAlgebra:
     """Bracket {x,y} − {y,x}; the operator stays Reynolds on it."""
     require(is_reynolds_prelie(rp.A, rp.R))
@@ -267,6 +278,7 @@ def subadjacent(rp: ReynoldsPreLie) -> ReynoldsLieAlgebra:
     return ReynoldsLieAlgebra(L, rp.R)
 
 
+@verified
 def left_rep(rp: ReynoldsPreLie) -> ReynoldsRep:
     """(g; R, L) with L(x)y = {x,y}, over the sub-adjacent algebra."""
     sub = subadjacent(rp)
@@ -276,6 +288,7 @@ def left_rep(rp: ReynoldsPreLie) -> ReynoldsRep:
     return ReynoldsRep(sub, rep, rp.R)
 
 
+@verified
 def prelie_from_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     """{u,v}_K = rho(Ku)v on W, with operator T."""
     require(is_relative_rb(rel))
@@ -285,6 +298,7 @@ def prelie_from_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     return ReynoldsPreLie(A, rel.rr.T)
 
 
+@verified
 def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     """{x,y} = K(rho(x)K⁻¹y) on g, with operator R; needs K invertible."""
     require(is_relative_rb(rel))
@@ -299,6 +313,7 @@ def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     return ReynoldsPreLie(A, rel.rr.base.R)
 
 
+@verified
 def canonical_r(rp: ReynoldsPreLie) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     """r = Σ_i (e_i⊗e_i* − e_i*⊗e_i) inside g⋉_{L*}g* with operator R⊕(−Rᵀ)."""
     lr = left_rep(rp)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .certificates import Certificate, Checked, require, scan
+from .certificates import Certificate, Checked, require, scan, verified
 from .exact import Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, sapply, scols
 
 
@@ -107,6 +107,7 @@ def double_table(g: Table, h: Table, rho: list[list[SVec]], mu: list[list[SVec]]
     return Table._of(n + h.dim, sc, True)
 
 
+@verified
 def jacobi_check(L: LieAlgebra) -> Certificate:
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for all i<j<k.
 
@@ -158,6 +159,7 @@ class Representation(Checked):
                         self.module_dim, self.module_dim)
 
 
+@verified
 def is_representation(rep: Representation) -> Certificate:
     """rho([e_i,e_j]) == rho(e_i)rho(e_j) − rho(e_j)rho(e_i) for all i<j.
 
@@ -167,7 +169,14 @@ def is_representation(rep: Representation) -> Certificate:
     """
     n, m = rep.algebra.dim, rep.module_dim
     sc, *cols, den = integral(rep.algebra.sc, *[scols(x) for x in rep.rho])
-    rows = double_table(sc, Table._of(m, {}, True), cols, [[{}] * n] * m).rows()
+    # the rows of g⋉W as `double_table` would give them: [e_i, w_b] = ρ(e_i)w_b = −[w_b, e_i]
+    rows, wrows = sc.rows(), [{} for _ in range(m)]
+    for i, row in enumerate(rows):
+        for b, col in enumerate(cols[i]):
+            if col:
+                row[n + b] = {n + k: c for k, c in col.items()}
+                wrows[b][i] = {n + k: -c for k, c in col.items()}
+    rows += wrows
 
     def residual(i, j):
         return {(a - n, b): c for b in range(m)
@@ -217,6 +226,7 @@ def dual_rep(rep: Representation) -> Representation:
     )
 
 
+@verified
 def semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
     """Semidirect product on g⊕W: [x+u, y+v] = [x,y] + rho(x)v − rho(y)u."""
     require(is_representation(rep))
@@ -249,6 +259,7 @@ class BilinForm:
         return self.gram.det() != 0
 
 
+@verified
 def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
     """S([e_i,e_j],e_k) + S(e_j,[e_i,e_k]) = 0 over all basis triples."""
     if S.dim != L.dim:
@@ -264,6 +275,7 @@ def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
                                    for i, j, k in product(range(n), repeat=3)), g * den)
 
 
+@verified
 def is_quadratic(L: LieAlgebra, S: BilinForm) -> Certificate:
     """Invariance plus nondegeneracy (exact determinant ≠ 0)."""
     inv = is_invariant_form(L, S)

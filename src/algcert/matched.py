@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations, product
 
-from .certificates import Certificate, Checked, require, scan
+from .certificates import Certificate, Checked, require, scan, verified
 from .exact import ONE, ZERO, Mat, Rows, dense, integral, scols, unscale
 from .lie import (
     BilinForm,
@@ -78,6 +78,7 @@ def _compat_stages(g: LieAlgebra, h: LieAlgebra, rho: Representation,
     ]
 
 
+@verified
 def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
                     mu: Representation) -> Certificate:
     """Representation validity, then both compatibility identities."""
@@ -88,6 +89,7 @@ def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
     return Certificate.combine("matched-pair", reps + _compat_stages(g, h, rho, mu))
 
 
+@verified
 def double(mp: MatchedPair) -> LieAlgebra:
     """g⋈h: [x+xi, y+eta] = ([x,y] + mu(xi)y - mu(eta)x) + ([xi,eta] + rho(x)eta - rho(y)xi)."""
     require(is_matched_pair(mp.g, mp.h, mp.rho, mp.mu))
@@ -111,6 +113,7 @@ class ReynoldsMatchedPair(Checked):
             require(is_reynolds_matched_pair(self))
 
 
+@verified
 def is_reynolds_matched_pair(rmp: ReynoldsMatchedPair) -> Certificate:
     """Matched pair, both operators Reynolds, and the two cross compatibilities."""
     mp = rmp.pair
@@ -124,12 +127,14 @@ def is_reynolds_matched_pair(rmp: ReynoldsMatchedPair) -> Certificate:
     return Certificate.combine("reynolds-matched-pair", parts)
 
 
+@verified
 def reynolds_double(rmp: ReynoldsMatchedPair) -> ReynoldsLieAlgebra:
     """The double with the block-diagonal operator Rg⊕Rh."""
     require(is_reynolds_matched_pair(rmp))
     return ReynoldsLieAlgebra(double(rmp.pair), Mat.block_diag(rmp.Rg, rmp.Rh))
 
 
+@verified
 def induced_matched_pair(rmp: ReynoldsMatchedPair) -> MatchedPair:
     """The induced pair (g_R, h_R'; rho', mu') of a Reynolds matched pair."""
     from .reynolds import induced_algebra
@@ -182,6 +187,7 @@ def _isotropy_cert(S: BilinForm, part: tuple[int, ...], name: str) -> Certificat
     return scan(name, (((i, j), S.gram.entries[i][j]) for i in part for j in part))
 
 
+@verified
 def is_manin_triple(L: LieAlgebra, R: Mat, S: BilinForm,
                     part_g, part_h) -> Certificate:
     """Quadratic Reynolds ambient + partition + closure + isotropy."""
@@ -220,6 +226,7 @@ def _require_dual_shape(rmp: ReynoldsMatchedPair) -> None:
         raise ValueError("dual-shaped pair needs Rh == -Rgᵀ")
 
 
+@verified
 def matched_to_manin(rmp: ReynoldsMatchedPair) -> ManinTripleReynolds:
     """Dual-shaped Reynolds matched pair -> Manin triple on g⊕g*."""
     _require_dual_shape(rmp)
@@ -239,6 +246,7 @@ def _restrict_algebra(L: LieAlgebra, block: Rows, offset: int, n: int) -> LieAlg
         if offset <= i and j < offset + n and block[i][j]})
 
 
+@verified
 def manin_to_matched(mt: ManinTripleReynolds) -> ReynoldsMatchedPair:
     """Extract the two Reynolds subalgebras and the induced dual actions."""
     L = mt.G.base.L

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .certificates import Certificate, Checked, require, scan
+from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (Mat, Table, Vec, integral, mat_comb, precompose, saxpy, scols, sprod, srow,
                     unscale, vadd, vsub)
 from .lie import LieAlgebra, default_basis
@@ -55,6 +55,7 @@ def _commutator(left: Table, wedge: Table) -> Table:
                          for i, j in combinations(range(n), 2)}, skew=True)
 
 
+@verified
 def is_nslie(A: NSLieAlgebra) -> Certificate:
     """Both NS identities over all ordered basis triples.
 
@@ -91,6 +92,7 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
         for name, identity in (("ns-identity-1", identity1), ("ns-identity-2", identity2))])
 
 
+@verified
 def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
     """x◁y = [Rx,y], x▷y = -[Rx,Ry]."""
     L, R = A.L, A.R
@@ -130,6 +132,7 @@ class NSRep(Checked):
             require(is_ns_rep(self))
 
 
+@verified
 def is_ns_rep(rep: NSRep) -> Certificate:
     """The three NS-representation identities over all basis pairs."""
     A, md = rep.base, rep.module_dim
@@ -176,6 +179,7 @@ def regular_rep(A: NSLieAlgebra) -> NSRep:
     return NSRep(A, n, varrho, mu, nu, labels=A.basis, check=False)
 
 
+@verified
 def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
     """Semidirect product NS-Lie algebra on G⊕W."""
     require(is_ns_rep(rep))
@@ -201,6 +205,7 @@ def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
     return NSLieAlgebra(n + m, A.basis + rep.labels, left, wedge, check=False)
 
 
+@verified
 def ns_rep_from_reynolds_rep(rr: ReynoldsRep) -> NSRep:
     """varrho(x) = -rho(Rx)T, mu(x) = rho(Rx), nu(x) = -rho(x)T on the induced NS-Lie algebra."""
     from .reynolds import is_reynolds_rep

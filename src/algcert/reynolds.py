@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .certificates import Certificate, Checked, require, scan
+from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (ONE, ZERO, Mat, Table, integral, precompose, rat, sapply, saxpy, scols, srow,
                     unscale)
 from .lie import (
@@ -101,11 +101,13 @@ def lie_operands(L: LieAlgebra, R: Mat) -> tuple:
     return L.sc, R, R, combinations(range(L.dim), 2)
 
 
+@verified
 def is_reynolds(L: LieAlgebra, R: Mat) -> Certificate:
     """Exhaustive basis-pair check of the Reynolds identity (λ = 0, κ = −1)."""
     return operator_identity("reynolds", *lie_operands(L, R), ZERO, -ONE)
 
 
+@verified
 def induced_algebra(A: ReynoldsLieAlgebra) -> ReynoldsLieAlgebra:
     """New bracket [x,y]_R = [Rx,y] + [x,Ry] - [Rx,Ry] with the same operator."""
     L, R = A.L, A.R
@@ -141,6 +143,7 @@ def reynolds_coadjoint_rep(A: ReynoldsLieAlgebra) -> ReynoldsRep:
     return ReynoldsRep(A, coadjoint_rep(A.L), -A.R.transpose(), check=False)
 
 
+@verified
 def compat_certificate(R: Mat, rep: Representation, T: Mat,
                        name: str = "compatibility") -> Certificate:
     """rho(Rx)(Tu) = T(rho(x)(Tu) + rho(Rx)u - rho(Rx)(Tu)) over basis (x, u)."""
@@ -148,6 +151,7 @@ def compat_certificate(R: Mat, rep: Representation, T: Mat,
     return operator_identity(name, rep.rho, R, T, pairs, ZERO, -ONE)
 
 
+@verified
 def is_reynolds_rep(rr: ReynoldsRep) -> Certificate:
     """Underlying representation validity, then the (T, rho) compatibility."""
     rep_ok = is_representation(rr.rep)
@@ -164,6 +168,7 @@ def dual_reynolds_rep(rr: ReynoldsRep) -> ReynoldsRep:
     return ReynoldsRep(rr.base, dual_rep(rr.rep), -rr.T.transpose(), check=False)
 
 
+@verified
 def semidirect_reynolds(rr: ReynoldsRep) -> ReynoldsLieAlgebra:
     """g⋉W with the block-diagonal operator R⊕T."""
     require(is_reynolds_rep(rr))
@@ -183,6 +188,7 @@ class QuadraticReynolds(Checked):
             require(is_quadratic_reynolds(base, S))
 
 
+@verified
 def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,
                          lam: Fraction | None = None) -> Certificate:
     """S(Re_i,e_j) + S(e_i,Re_j) (+ lam·S(e_i,e_j)) = 0 over all pairs."""
@@ -192,6 +198,7 @@ def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,
                        for i, j in product(range(L.dim), repeat=2)))
 
 
+@verified
 def is_quadratic_reynolds(A: ReynoldsLieAlgebra, S: BilinForm) -> Certificate:
     """Quadratic (invariant + nondegenerate) plus the R-compatibility of S."""
     quad = is_quadratic(A.L, S)
@@ -199,6 +206,7 @@ def is_quadratic_reynolds(A: ReynoldsLieAlgebra, S: BilinForm) -> Certificate:
     return Certificate.combine("quadratic-reynolds", [quad, compat])
 
 
+@verified
 def check_ssharp_intertwiner(Q: QuadraticReynolds) -> Certificate:
     """S♯ intertwines ad with ad* and satisfies S♯R = -RᵀS♯."""
     L, R = Q.base.L, Q.base.R
@@ -213,6 +221,7 @@ def check_ssharp_intertwiner(Q: QuadraticReynolds) -> Certificate:
 # the Block-algebra family, checked on finite index windows
 # ---------------------------------------------------------------------------
 
+@verified
 def block_window_check(q, lo: int, hi: int, skip_singular: bool = False) -> Certificate:
     """Verify the Reynolds identity for the Block family on a finite window.
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .certificates import Certificate, Checked, CheckFailed, require, residual_from_vec, scan
+from .certificates import (Certificate, Checked, CheckFailed, require, residual_from_vec, scan,
+                           verified)
 from .exact import (ONE, ZERO, Mat, Tensor2, flip, precompose, rat, sapply, saxpy, scols,
                     sprod, unscale)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
@@ -35,11 +36,13 @@ class RotaBaxterAlg(Checked):
             require(is_rota_baxter(L, B, self.lam))
 
 
+@verified
 def is_rota_baxter(L: LieAlgebra, B: Mat, lam) -> Certificate:
     """Exhaustive basis-pair check of the Rota-Baxter identity of weight λ."""
     return operator_identity("rota-baxter", *lie_operands(L, B), rat(lam), ZERO)
 
 
+@verified
 def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
     """[x,y]_B = [Bx,y] + [x,By] + λ[x,y]; B becomes a homomorphism to g."""
     require(is_rota_baxter(rb.L, rb.B, rb.lam))
@@ -48,6 +51,7 @@ def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
     return LieAlgebra(rb.L.dim, rb.L.basis, sc)
 
 
+@verified
 def reynolds_descends(rb: RotaBaxterAlg, R: Mat) -> Certificate:
     """Whether R stays Reynolds on the descendent algebra.
 
@@ -78,6 +82,7 @@ class QuadraticRB(Checked):
             require(is_quadratic_rb(rb, S))
 
 
+@verified
 def is_quadratic_rb(rb: RotaBaxterAlg, S: BilinForm) -> Certificate:
     """Quadratic (L,S) plus S(x,By) + S(Bx,y) + λS(x,y) = 0 over pairs."""
     quad = is_quadratic(rb.L, S)
@@ -86,6 +91,7 @@ def is_quadratic_rb(rb: RotaBaxterAlg, S: BilinForm) -> Certificate:
     return Certificate.combine("quadratic-rb", [rbc, quad, compat])
 
 
+@verified
 def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
     """The tensor with r_+ = B∘I_S; a CYBE solution with descendent compatibility.
 
@@ -124,6 +130,7 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
     return r
 
 
+@verified
 def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
     """[ξ,η]_r = ad*_{r₊ξ}η − ad*_{r₋η}ξ on dual coordinates, r₋ = −r₊ᵀ."""
     from .cybe import ad_invariance_cert, r_plus
@@ -156,6 +163,7 @@ def i_operator(r: Tensor2) -> Mat:
     return rp + rp.transpose()
 
 
+@verified
 def is_factorizable(g: LieAlgebra, r: Tensor2) -> Certificate:
     """Quasi-triangular conditions plus invertibility of I, with I∘ad* = ad∘I."""
     from .cybe import ad_invariance_cert, is_cybe_solution
@@ -183,6 +191,7 @@ def s_adjoint(S: BilinForm, R: Mat) -> Mat:
     return gram.inverse() @ R.transpose() @ gram
 
 
+@verified
 def is_reynolds_on_qrb(qrb: QuadraticRB, R: Mat) -> Certificate:
     """R Reynolds on L and B∘R^{*,S} = −R∘B (S-adjoint reading).
 
@@ -205,6 +214,7 @@ def is_reynolds_on_qrb(qrb: QuadraticRB, R: Mat) -> Certificate:
     )
 
 
+@verified
 def minus_rstar_on_descendent(qrb: QuadraticRB, R: Mat) -> Certificate:
     """−R^{*,S} is Reynolds on the descendent algebra."""
     gate = is_reynolds_on_qrb(qrb, R)
@@ -217,6 +227,7 @@ def minus_rstar_on_descendent(qrb: QuadraticRB, R: Mat) -> Certificate:
     )
 
 
+@verified
 def thmFL_bialgebra(qrb: QuadraticRB, R: Mat) -> ReynoldsLieBialgebra:
     """Assemble (g, dual-from-r^{B,S}, R); a Reynolds Lie bialgebra."""
     from .bialgebra import LieBialgebra, ReynoldsLieBialgebra

@@ -1,8 +1,11 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, Phase, settings
 
+from algcert import certificates
 from algcert.exact import Mat, Tensor2
 from algcert.lie import BilinForm, LieAlgebra
 from algcert.reynolds import ReynoldsLieAlgebra
@@ -49,6 +52,30 @@ def thmfl(sl2_qrb, b_op):
 def broken_jacobi():
     # [e0,e1]=e2, [e0,e2]=e1, [e1,e2]=e1 violates Jacobi at (0,1,2)
     return LieAlgebra.unchecked(3, None, {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}})
+
+
+@pytest.fixture
+def rebind(monkeypatch):
+    """rebind(raw, wrapper) replaces a function in every algcert module bound to it."""
+    def rebind(raw, wrapper):
+        for name, mod in list(sys.modules.items()):
+            for key, val in list(vars(mod).items()) if name.startswith("algcert.") else ():
+                if val is raw:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return rebind
+
+
+@pytest.fixture
+def scans(rebind):
+    """Stage name -> number of `scan` calls: one per evaluation of an exhaustive stage."""
+    counts = Counter()
+    raw = certificates.scan
+
+    def counted(check, cases, scale=1):
+        counts[check] += 1
+        return raw(check, cases, scale)
+    rebind(raw, counted)
+    return counts
 
 
 def frac(p, q=1):

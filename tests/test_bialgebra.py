@@ -7,6 +7,7 @@ from algcert.bialgebra import (
     ReynoldsLieBialgebra,
     canonical_pair,
     cobracket_from_dual,
+    cocycle_check,
     coboundary_cobracket,
     coboundary_conditions,
     double_quasitriangular,
@@ -81,6 +82,23 @@ def test_non_skew_cobracket_is_a_counted_failure():
 
 def test_co_jacobi_zero():
     assert is_lie_coalgebra([Tensor2(2, 2), Tensor2(2, 2)]).ok
+
+
+def gl2():
+    # basis E11, E12, E21, E22
+    return LieAlgebra(4, None, {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {0: 1, 3: -1},
+                                (1, 3): {1: -1}, (2, 3): {2: 1}})
+
+
+def test_cobracket_of_the_wrong_size_is_an_input_error(sl2):
+    # a cobracket on another algebra's space, or with a tensor of the wrong shape, is
+    # rejected up front instead of indexing past the end of a table
+    with pytest.raises(ValueError, match="cobracket shape does not match the algebra"):
+        cocycle_check(sl2, cobracket_from_dual(gl2()))
+    with pytest.raises(ValueError, match="cobracket shape does not match the algebra"):
+        cocycle_check(gl2(), cobracket_from_dual(sl2))
+    with pytest.raises(ValueError, match="cobracket tensor shape mismatch"):
+        is_lie_coalgebra(cobracket_from_dual(gl2())[:3])
 
 
 def test_reynolds_coalgebra_iff_dual_operator_reynolds(sl2, b_op):

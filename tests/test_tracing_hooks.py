@@ -8,7 +8,7 @@ import importlib.util
 import os
 
 import algcert
-from algcert import lie, reynolds
+from algcert import bialgebra, lie, reynolds
 from algcert.exact import Mat
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -51,3 +51,36 @@ def test_lazy_export_is_not_left_wrapped(sl2):
         tracer.uninstall()
     assert algcert.is_reynolds is algcert.reynolds.is_reynolds is raw_check
     assert "is_reynolds" not in vars(algcert)
+
+
+def test_tracer_wraps_the_decorated_names():
+    # every traced check and construction is `verified`; the tracer wraps the decorated
+    # function and puts it back
+    tracing = load_tracing()
+    names = [(mod, fn) for mod, fn, *_ in tracing.CHECKS.values()]
+    names += list(tracing.OTHER_CHECKS) + list(tracing.BUILDS.values())
+    raw = {(mod, fn): getattr(mod, fn) for mod, fn in names}
+    assert all(hasattr(f, "__wrapped__") for f in raw.values())
+    tracer = tracing.Tracer().install()
+    try:
+        assert all(getattr(mod, fn) is not raw[mod, fn] for mod, fn in names)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(mod, fn) is raw[mod, fn] for mod, fn in names)
+
+
+def test_a_memo_hit_is_one_traced_call(thmfl, scans):
+    tracing = load_tracing()
+    tracer = tracing.Tracer().install()
+    try:
+        bialgebra.drinfeld_double(thmfl)
+    finally:
+        tracer.uninstall()
+    calls = {k: v[0] for k, v in tracer.stats.items()}
+    # is_reynolds(g, R) and is_matched_pair(g, g*, ad*, ad*) are each asked twice: the
+    # second call is a memo hit, which the tracer still counts as a call
+    assert (calls["check.reynolds"], scans["reynolds"]) == (5, 4)
+    assert (calls["check.matched_pair"], scans["compat-on-h"]) == (2, 1)
+    # a hit does not run the body, so the second is_matched_pair calls no is_representation
+    assert (calls["check.representation"], scans["representation"]) == (2, 2)
+    assert (tracer.counts["check_calls"], tracer.counts["repeats"]) == (18, 3)
