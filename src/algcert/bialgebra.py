@@ -15,9 +15,9 @@ from itertools import combinations
 
 from .certificates import Certificate, Checked, require, scan, verified
 from .cybe import ad_invariance_cert, ad_on_tensor, cybe_bracket
-from .exact import ZERO, Mat, Table, Tensor2, flip, integral, tensor2_map, tensor3_map
-from .lie import (LieAlgebra, Representation, block_rows, coadjoint_cols, coadjoint_rep,
-                  double_table, dual_basis, jacobi_check, jacobiator)
+from .exact import ZERO, Mat, Table, Tensor2, flip, integral, tensor2_map, tensor3_map, unpack
+from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
+                  dual_basis, jacobi_check, jacobi_width, jacobiator, packed_outer)
 from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
 from .reynolds import ReynoldsLieAlgebra, is_reynolds
 
@@ -97,10 +97,12 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
     if not skew.ok:
         return skew._replace(note="cobracket is not skew")
     co, den = integral(_cotable(deltas, True))
-    rows = co.rows()
+    w = jacobi_width(n, co)
+    outer = packed_outer(co, w)
     out: list[dict] = [{} for _ in range(n)]
     for x, y, z in combinations(range(n), 3):
-        for k, c in jacobiator(rows, rows, x, y, z).items():
+        # each e_k's residual gathers one coefficient of every J*, so only a nonzero J* is decoded
+        for k, c in unpack(jacobiator(co, outer, x, y, z), w).items():
             out[k].update({(x, y, z): c, (y, z, x): c, (z, x, y): c,
                            (x, z, y): -c, (z, y, x): -c, (y, x, z): -c})
     return scan("coalgebra", (((k,), v) for k, v in enumerate(out)), -den * den)
@@ -137,15 +139,18 @@ def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
     if len(deltas) != n or any(d.dim_left != n or d.dim_right != n for d in deltas):
         raise ValueError("cobracket shape does not match the algebra")
     sc, co, den = integral(g.sc, _cotable(deltas, False))
-    rows = double_table(sc, Table._of(n, {}, True), coadjoint_cols(sc.rows(), n),
-                        coadjoint_cols(co.rows(), n)).rows()
-    outer = block_rows(rows, 0, n)
+    table = double_table(sc, Table._of(n, {}, True), coadjoint_cols(sc.rows(), n),
+                         coadjoint_cols(co.rows(), n))
+    w = jacobi_width(2 * n, sc, co)
+    outer, shift = packed_outer(table, w, 0, n), n * w
 
     def residual(i, j):
-        return {(a, b): c for a in range(n)
-                for b, c in jacobiator(rows, outer, i, j, n + a).items()}
+        return sum([jacobiator(table, outer, i, j, n + a) << a * shift for a in range(n)])
+
+    def decode(v):
+        return {(k // n, k % n): c for k, c in unpack(v, w).items()}
     return scan("cocycle", (((i, j), residual(i, j))
-                            for i, j in combinations(range(n), 2)), den * den)
+                            for i, j in combinations(range(n), 2)), den * den, decode)
 
 
 @verified
@@ -172,31 +177,36 @@ class ReynoldsLieBialgebra(Checked):
 
 
 @verified
-def is_reynolds_bialgebra(bialg: LieBialgebra, R: Mat) -> Certificate:
-    """R Reynolds on g and −Rᵀ Reynolds on the dual (bialgebra axioms included)."""
+def is_reynolds_bialgebra(bialg: LieBialgebra, R: Mat, Rt: Mat | None = None) -> Certificate:
+    """R Reynolds on g and Rt = −Rᵀ Reynolds on the dual (bialgebra axioms included).
+
+    A caller that checks −Rᵀ again later passes the one −Rᵀ it built as Rt, so that
+    the check hits the memo of `verified`, which keys on identity.
+    """
     parts = [
         is_lie_bialgebra(bialg.g, bialg.dual),
         Certificate.combine("reynolds-primal", [is_reynolds(bialg.g, R)]),
         Certificate.combine("reynolds-dual",
-                            [is_reynolds(bialg.dual, -R.transpose())]),
+                            [is_reynolds(bialg.dual, -R.transpose() if Rt is None else Rt)]),
     ]
     return Certificate.combine("reynolds-bialgebra", parts)
 
 
-def canonical_pair(rb: ReynoldsLieBialgebra) -> ReynoldsMatchedPair:
-    """((g,R), (g*,−Rᵀ); ad*, ad-of-dual*) — the pair behind every equivalence."""
+def canonical_pair(rb: ReynoldsLieBialgebra, Rt: Mat | None = None) -> ReynoldsMatchedPair:
+    """((g,R), (g*,Rt); ad*, ad-of-dual*), Rt = −Rᵀ — the pair behind every equivalence."""
     g, dual = rb.bialg.g, rb.bialg.dual
     rho = Representation(g, dual.dim, coadjoint_rep(g).rho, labels=dual.basis, check=False)
     mu = Representation(dual, g.dim, coadjoint_rep(dual).rho, labels=g.basis, check=False)
     pair = MatchedPair.unchecked(g, dual, rho, mu)
-    return ReynoldsMatchedPair.unchecked(pair, rb.R, -rb.R.transpose())
+    return ReynoldsMatchedPair.unchecked(pair, rb.R, -rb.R.transpose() if Rt is None else Rt)
 
 
 @verified
 def drinfeld_double(rb: ReynoldsLieBialgebra) -> ReynoldsLieAlgebra:
     """g⋈g* with mixed bracket via the two coadjoint actions; operator R⊕(−Rᵀ)."""
-    require(is_reynolds_bialgebra(rb.bialg, rb.R))
-    return reynolds_double(canonical_pair(rb))
+    Rt = -rb.R.transpose()       # one −Rᵀ for the gate and the pair, so its check runs once
+    require(is_reynolds_bialgebra(rb.bialg, rb.R, Rt))
+    return reynolds_double(canonical_pair(rb, Rt))
 
 
 @verified

@@ -208,7 +208,8 @@ def residual_from_tensor(t) -> Residual:
     return tuple((idx, c) for idx, c in t.items())
 
 
-def scan(check: str, cases: Iterable[tuple[tuple[int, ...], Any]], scale: int = 1) -> Certificate:
+def scan(check: str, cases: Iterable[tuple[tuple[int, ...], Any]], scale: int = 1,
+         decode=None) -> Certificate:
     """Decide one exhaustive stage from its per-tuple residuals.
 
     `cases` yields ``(where, value)`` for every basis tuple of the stage, in
@@ -225,20 +226,25 @@ def scan(check: str, cases: Iterable[tuple[tuple[int, ...], Any]], scale: int = 
 
     A check that works on integers scaled by a common denominator passes
     `scale`: values are then `scale` times the residual, and only the first
-    violation is divided by it when it becomes the `Residual`.
+    violation is divided by it when it becomes the `Residual`.  A kernel whose
+    values are packed vectors (``int``, see `exact.pack`) passes `decode`,
+    which turns the first violation back into its sparse vector or dict.
     """
     first = None
     count = skipped = 0
     for where, value in cases:
         if value is None:
             skipped += 1
-        elif any(value.values()) if type(value) is dict else not _is_zero(value):
+        elif (value != 0 if type(value) is int else
+              any(value.values()) if type(value) is dict else not _is_zero(value)):
             count += 1
             if first is None:
                 first = (where, value)
     if first is None:
         return Certificate.passed(check, skipped=skipped)
     where, value = first
+    if decode is not None:
+        value = decode(value)
     residual = tuple((idx, Fraction(c, scale)) for idx, c in _entries(where, value))
     return Certificate.failed(check, where, residual, count, skipped=skipped)
 

@@ -19,7 +19,9 @@ Conventions fixed here for the whole package:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import lshift
 from typing import Iterable, Iterator, Mapping
 
 Rat = Fraction
@@ -546,26 +548,75 @@ def saxpy(out: SVec, a, v: SVec) -> SVec:
 def integral(*tables):
     """The tables scaled to integers under one common denominator.
 
-    Each table is a list of sparse vectors (a matrix's `scols`) or a `Table`.
-    Returns each table in the same shape with every coefficient multiplied
-    by D, as an ``int``, followed by D, the lcm of all the coefficients'
+    Each table is a `Table`, a list of sparse vectors, or a `Mat`, which is
+    read straight into its list of sparse integer columns.  Returns each
+    table (a `Mat` as its columns) with every coefficient multiplied by D,
+    as an ``int``, followed by D, the lcm of all the coefficients'
     denominators.
     """
-    den = 1
+    dens = set()
     for t in tables:
-        for v in (t.values() if isinstance(t, Table) else t):
-            for c in v.values():
-                den = lcm(den, c.denominator)
+        dens.update({c.denominator for row in t.entries for c in row} if isinstance(t, Mat) else
+                    {c.denominator for v in (t.values() if isinstance(t, Table) else t)
+                     for c in v.values()})
+    den = lcm(*dens)
 
     def scale(v: SVec) -> dict[int, int]:
         return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
+
+    def columns(m: Mat) -> list[dict[int, int]]:
+        return [{i: c.numerator * (den // c.denominator) for i, c in enumerate(col) if c}
+                for col in zip(*m.entries)]
     return (*(Table._of(t.dim, {key: scale(v) for key, v in t.items()}, t.skew)
-              if isinstance(t, Table) else [scale(v) for v in t] for t in tables), den)
+              if isinstance(t, Table) else columns(t) if isinstance(t, Mat) else
+              [scale(v) for v in t] for t in tables), den)
+
+
+def top(*tables) -> int:
+    """The largest |coefficient| of integer tables as `integral` returns them."""
+    out = 0
+    for t in tables:
+        vectors = t.values() if isinstance(t, Table) else t
+        out = max(out, max(map(abs, chain.from_iterable(map(dict.values, vectors))), default=0))
+    return out
 
 
 def unscale(v: dict[int, int], den: int) -> SVec:
     """The Fraction vector v/den of an integer sparse vector on the scale den."""
     return {k: Fraction(c, den) for k, c in v.items()}
+
+
+# Packed vectors.  The identity kernels store an integer sparse vector {k: c} as
+# one ``int`` with signed slots of a fixed width w, Σ_k c·2^(k·w) (Kronecker
+# substitution), so a vector multiply-add is one bigint multiply-add and a
+# zero test is ``v == 0``.  The packed value is exact whatever its slots hold
+# on the way; it decodes to the right coefficients, and is 0 only for the zero
+# vector, when every coefficient c it stands for has |c| ≤ 2^(w−1) − 1.  A
+# kernel derives w per call (`width`) from a proven bound on every
+# coefficient it tests or decodes, from the `top` of its integer tables and
+# the dimension.
+
+def width(bound: int) -> int:
+    """The least slot width w with 2^(w−1) − 1 ≥ bound."""
+    return bound.bit_length() + 1
+
+
+def pack(v: dict[int, int], w: int) -> int:
+    """The vector v = {k: c} as one ``int``, c in the slot k of width w."""
+    return sum(map(lshift, v.values(), map(w.__mul__, v)))
+
+
+def unpack(v: int, w: int) -> dict[int, int]:
+    """The nonzero slots {k: c} of a packed vector: the inverse of `pack`."""
+    out: dict[int, int] = {}
+    half, mask, k = 1 << (w - 1), (1 << w) - 1, 0
+    while v:
+        c = ((v + half) & mask) - half
+        if c:
+            out[k] = c
+        v = (v - c) >> w
+        k += 1
+    return out
 
 
 def scols(m: Mat) -> list[SVec]:

@@ -10,11 +10,13 @@ Composite spaces always order blocks first factor then second factor.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, sapply, scols
+from .exact import (Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, pack, sapply, scols, top,
+                    unpack, width)
 
 
 def default_basis(dim: int, prefix: str = "e") -> tuple[str, ...]:
@@ -66,22 +68,42 @@ def bracket(L: LieAlgebra, x: Vec, y: Vec) -> Vec:
     return L.bracket(x, y)
 
 
-def jacobiator(rows: Rows, outer: Rows, x: int, y: int, z: int) -> SVec:
-    """J(e_x,e_y,e_z) = Σ_cyc [[e_a,e_b],e_c] = Σ_cyc Σ_m rows[a][b][m]·outer[m][c], sparse.
+def jacobiator(table: Table, outer: list[list[int]], x: int, y: int, z: int) -> int:
+    """J(e_x,e_y,e_z) = Σ_cyc [[e_a,e_b],e_c] = Σ_cyc Σ_m [e_a,e_b]_m·outer[c][m], packed.
 
-    `outer` is `rows` cut to the output block the caller reads (`block_rows`), or
-    `rows` itself.  Every Jacobi-type check is a block of J on a `double_table`;
-    on an integer table D·sc, J comes out D² times too large.
+    `table` is skew ([e_b,e_a] = −[e_a,e_b] is read off the key (a, b)), and
+    `outer[c][m]` is e_m·e_c cut to the output block the caller reads and packed
+    (`packed_outer`), so each term is one bigint multiply-add.  Every Jacobi-type check
+    is a block of J on a `double_table`; on an integer table D·sc, J comes out D² times
+    too large.  The caller packs `outer` with `jacobi_width`.
     """
-    out: SVec = {}
-    for prod, c in ((rows[x].get(y), z), (rows[y].get(z), x), (rows[z].get(x), y)):
+    acc = 0
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        prod = table.get((a, b) if a < b else (b, a))
         if prod:
+            col, t = outer[c], 0
             for m, coeff in prod.items():
-                col = outer[m].get(c)
-                if col:
-                    for k, v in col.items():
-                        out[k] = out.get(k, 0) + coeff * v
-    return out
+                t += coeff * col[m]
+            acc = acc + t if a < b else acc - t
+    return acc
+
+
+def jacobi_width(dim: int, *tables) -> int:
+    """The slot width for J on integer tables of total dimension `dim`: each coefficient
+    is a sum of 3 cyclic terms of at most `dim` products of two table entries."""
+    return width(3 * dim * top(*tables) ** 2)
+
+
+def packed_outer(table: Table, w: int, lo: int = 0, hi: int = sys.maxsize) -> list[list[int]]:
+    """outer[c][m] = e_m·e_c of a skew table, its components in [lo, hi) packed from slot 0."""
+    n = table.dim
+    outer = [[0] * n for _ in range(n)]
+    for (i, j), comp in table.items():
+        if lo or hi < n:
+            comp = {k - lo: c for k, c in comp.items() if lo <= k < hi}
+        outer[j][i] = x = pack(comp, w)
+        outer[i][j] = -x
+    return outer
 
 
 def block_rows(rows: Rows, lo: int, hi: int) -> Rows:
@@ -114,9 +136,11 @@ def jacobi_check(L: LieAlgebra) -> Certificate:
     On the integer table D·sc the Jacobiator comes out D² times too large.
     """
     sc, den = integral(L.sc)
-    rows = sc.rows()
-    return scan("jacobi", (((i, j, k), jacobiator(rows, rows, i, j, k))
-                           for i, j, k in combinations(range(L.dim), 3)), den * den)
+    w = jacobi_width(L.dim, sc)
+    outer = packed_outer(sc, w)
+    return scan("jacobi", (((i, j, k), jacobiator(sc, outer, i, j, k))
+                           for i, j, k in combinations(range(L.dim), 3)), den * den,
+                lambda v: unpack(v, w))
 
 
 class Representation(Checked):
@@ -164,25 +188,32 @@ def is_representation(rep: Representation) -> Certificate:
     """rho([e_i,e_j]) == rho(e_i)rho(e_j) − rho(e_j)rho(e_i) for all i<j.
 
     The residual at (i, j), entry (a, b), is J(e_i, e_j, w_b) at w_a on the integer
-    table of g⋉W under one scale D (so D² times too large).  Every product J reads
-    there lands in W, so `rows` serves as its own W-block, with w_a at n + a.
+    table of g⋉W under one scale D (so D² times too large), with w_a at n + a.  Every
+    second product J reads there lands in W, so `outer` holds only those, packed
+    from ρ's columns; the matrix is packed with J(e_i, e_j, w_b) in the slots b·m to
+    b·m + m − 1.
     """
     n, m = rep.algebra.dim, rep.module_dim
-    sc, *cols, den = integral(rep.algebra.sc, *[scols(x) for x in rep.rho])
-    # the rows of g⋉W as `double_table` would give them: [e_i, w_b] = ρ(e_i)w_b = −[w_b, e_i]
-    rows, wrows = sc.rows(), [{} for _ in range(m)]
-    for i, row in enumerate(rows):
-        for b, col in enumerate(cols[i]):
+    sc, *cols, den = integral(rep.algebra.sc, *rep.rho)
+    w = jacobi_width(n + m, sc, *cols)
+    # the table of g⋉W as `double_table` would give it, [e_i, w_b] = ρ(e_i)w_b, and its
+    # W-block packed (the only block J reads there)
+    table, outer = Table._of(n + m, sc, True), [[0] * (n + m) for _ in range(n + m)]
+    for i, rho in enumerate(cols):
+        for b, col in enumerate(rho):
             if col:
-                row[n + b] = {n + k: c for k, c in col.items()}
-                wrows[b][i] = {n + k: -c for k, c in col.items()}
-    rows += wrows
+                table[i, n + b] = {n + k: c for k, c in col.items()}
+                outer[n + b][i] = x = pack(col, w)      # outer[c][m] = e_m·e_c
+                outer[i][n + b] = -x
+    shift = m * w
 
     def residual(i, j):
-        return {(a - n, b): c for b in range(m)
-                for a, c in jacobiator(rows, rows, i, j, n + b).items()}
+        return sum([jacobiator(table, outer, i, j, n + b) << b * shift for b in range(m)])
+
+    def decode(v):
+        return {(k % m, k // m): c for k, c in unpack(v, w).items()}
     return scan("representation", (((i, j), residual(i, j))
-                                   for i, j in combinations(range(n), 2)), den * den)
+                                   for i, j in combinations(range(n), 2)), den * den, decode)
 
 
 def coadjoint_cols(rows: Rows, n: int) -> list[list[SVec]]:

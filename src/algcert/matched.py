@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain, combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import ONE, ZERO, Mat, Rows, dense, integral, scols, unscale
+from .exact import ONE, ZERO, Mat, Rows, dense, integral, scols, unpack
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -22,15 +22,17 @@ from .lie import (
     double_table,
     is_representation,
     jacobi_check,
+    jacobi_width,
     jacobiator,
+    packed_outer,
 )
 from .reynolds import (
     QuadraticReynolds,
     ReynoldsLieAlgebra,
     compat_certificate,
+    inner_products,
     is_quadratic_reynolds,
     is_reynolds,
-    operator_brackets,
 )
 
 
@@ -67,14 +69,20 @@ def _compat_stages(g: LieAlgebra, h: LieAlgebra, rho: Representation,
     J(f_a, e_x, e_y) on the integer table of g⋈h under one scale D: the scale is −D².
     """
     n, m = g.dim, h.dim
-    gsc, hsc, *cols, den = integral(g.sc, h.sc, *[scols(x) for x in rho.rho + mu.rho])
-    rows = double_table(gsc, hsc, cols[:n], cols[n:]).rows()
-    on_h, on_g = block_rows(rows, n, n + m), block_rows(rows, 0, n)
+    gsc, hsc, *cols, den = integral(g.sc, h.sc, *rho.rho, *mu.rho)
+    table = double_table(gsc, hsc, cols[:n], cols[n:])
+    w = jacobi_width(n + m, gsc, hsc, *cols)
+    on_h, on_g = packed_outer(table, w, n, n + m), packed_outer(table, w, 0, n)
+
+    def decode(v):
+        return unpack(v, w)
     return [
-        scan("compat-on-h", (((i, a, b), jacobiator(rows, on_h, i, n + a, n + b))
-                             for i in range(n) for a, b in combinations(range(m), 2)), -den * den),
-        scan("compat-on-g", (((a, i, j), jacobiator(rows, on_g, n + a, i, j))
-                             for a in range(m) for i, j in combinations(range(n), 2)), -den * den),
+        scan("compat-on-h", (((i, a, b), jacobiator(table, on_h, i, n + a, n + b))
+                             for i in range(n) for a, b in combinations(range(m), 2)),
+             -den * den, decode),
+        scan("compat-on-g", (((a, i, j), jacobiator(table, on_g, n + a, i, j))
+                             for a in range(m) for i, j in combinations(range(n), 2)),
+             -den * den, decode),
     ]
 
 
@@ -153,8 +161,8 @@ def induced_matched_pair(rmp: ReynoldsMatchedPair) -> MatchedPair:
 def _induced_action(act: Representation, R: Mat, T: Mat) -> list[Mat]:
     """act'(x) = act(x)T + act(Rx) − act(Rx)T on the basis of the acting algebra."""
     n, md = len(act.rho), act.module_dim
-    _, _, s, pairs = operator_brackets(act.rho, R, T, product(range(n), range(md)), ZERO, -ONE)
-    cols = [dense(md, unscale(inner, s)) for _, _, _, inner in pairs]
+    inner = inner_products(act.rho, R, T, product(range(n), range(md)), ZERO, -ONE)
+    cols = [dense(md, v) for v in inner.values()]
     return [Mat.from_cols(cols[i * md:(i + 1) * md]) for i in range(n)]
 
 

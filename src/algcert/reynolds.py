@@ -11,10 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from operator import add, mul
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (ONE, ZERO, Mat, Table, integral, precompose, rat, sapply, saxpy, scols, srow,
-                    unscale)
+from .exact import ONE, ZERO, Mat, Table, integral, rat, top, unpack, unscale, width
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -46,52 +46,93 @@ class ReynoldsLieAlgebra(Checked):
         return f"ReynoldsLieAlgebra({self.L!r})"
 
 
-def operator_brackets(table, P: Mat, Q: Mat, pairs, lam, kappa):
-    """Pe_i·Qe_j and Pe_i·e_j + e_i·Qe_j + λe_i·e_j + κPe_i·Qe_j for (i, j) in pairs, on integers.
+def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
+    """The packed kernel of Pe_i·Qe_j = Q(Pe_i·e_j + e_i·Qe_j + λe_i·e_j + κPe_i·Qe_j).
 
     `table` is the product ·: a `Table` (a Lie bracket, a pre-Lie product) or a
     representation's matrices, x·u = ρ(x)u.  P acts on the first argument, Q on the
-    second and on the output.  Returns (cols, d, s, pairs): cols are the integer
-    columns of d·Q, pairs yields (i, j, pq, inner) as integer sparse vectors on the
-    scales s·d and s, where s = q·D·p·d and D, p, q are the denominators of the
-    table, of P and of λ and κ.  On a skew table with P = Q, e_i·Qe_j = −Qe_j·e_i.
+    second and on the output.  It works on D·table, p·P, d·Q and λ, κ on the scale q
+    (D, p, d, q their denominators), so the inner sum
+    I = Pe_i·e_j + e_i·Qe_j + λe_i·e_j + κPe_i·Qe_j comes out on the scale s = q·D·p·d.
+    Returns (s, d, residuals, inners): residuals(pairs) and inners(pairs) give (w, values),
+    values yielding ((i, j), v) for (i, j) in pairs with v packed in slots of width w:
+    s·d times the residual Pe_i·Qe_j − Q·I, or s·I.
+
+    Both are Σ_b (d·Q)[b, j]·A[i][b] + B[i][j] for packed vectors built from
+    X = D·e_a·e_b packed and P (A a row at a time): with PY[i] = Σ_a p·P[a, i]·Y[a],
+    s·I = Σ_b (dQ)[b, j]·(κq·PX + qp·X)[i][b] + (qd·PX + λq·pd·X)[i][j], and the
+    residual q·d·(D·p·d·Pe_i·Qe_j) − dQ·(s·I) is the same with
+    A = P(qd·X − κq·V) − qp·V and B = −(qd·PV + λq·pd·V), V = dQ·X packed.
     """
     if isinstance(table, Table):
         sc, den = integral(table)
-        rows = sc.rows()                              # D·e_a·e_b
+        n, products, skew, t = sc.dim, sc.items(), sc.skew, top(sc)
     else:
-        *mats, den = integral(*[scols(m) for m in table])
-        rows = [dict(enumerate(m)) for m in mats]
-    cols, d = integral(scols(Q))
-    pcols, p = (cols, d) if P is Q else integral(scols(P))
+        *mats, den = integral(*table)
+        n, skew, t = len(mats), False, top(*mats)
+        products = [((x, u), col) for x, m in enumerate(mats) for u, col in enumerate(m) if col]
+    cols, d = integral(Q)
+    pcols, p = (cols, d) if P is Q else integral(P)
     q = lcm(lam.denominator, kappa.denominator)
-    lam_q, kappa_q = int(lam * q), int(kappa * q)
-    adr = precompose(rows, pcols)                     # D·p·Pe_a·e_b
-    lookup = P is Q and getattr(table, "skew", False)
+    qd, qp = q * d, q * p
+    lpd = lam.numerator * (q // lam.denominator) * p * d
+    kq = kappa.numerator * (q // kappa.denominator)
+    N, tq = Q.rows, top(cols)
+    tp = tq if P is Q else top(pcols)
+    # the coefficients of s·M·I are at most t·k when those of M(D·e_a·e_b) are at most t
+    k = N * tq * (abs(kq) * n * tp + qp) + qd * n * tp + abs(lpd)
 
-    def brackets():
+    def values(pairs, y, x, c0, c1, cq, cl):
+        """((i, j), Σ_b (dQ)[b, j]·A_i[b] + cq·(PX)[i][j] + cl·X[i][j]) for (i, j) in pairs,
+        A_i = c0·X[i] + c1·Σ_a p·P[a, i]·Y[a], built once per run of pairs with one i."""
+        xt, last, ai = list(zip(*x)), None, None
         for i, j in pairs:
-            pq = srow({}, adr[i], cols[j])            # D·p·d·Pe_i·Qe_j
-            inner = saxpy({}, q * d, adr[i].get(j, {}))
-            if lookup:
-                saxpy(inner, -q * d, adr[j].get(i, {}))
-            else:                                     # D·d·e_i·Qe_j
-                saxpy(inner, q * p, srow({}, rows[i], cols[j]))
-            saxpy(inner, lam_q * p * d, rows[i].get(j, {}))
-            saxpy(inner, kappa_q, pq)
-            yield i, j, saxpy({}, q * d, pq), inner
-    return cols, d, q * den * p * d, brackets()
+            col, pcol = cols[j], pcols[i]
+            if i != last:
+                last, ai = i, list(map(c0.__mul__, x[i]))
+                for a, c in pcol.items():
+                    ai = list(map(add, ai, map((c1 * c).__mul__, y[a])))
+            yield (i, j), (sum(map(mul, col.values(), map(ai.__getitem__, col)))
+                           + cq * sum(map(mul, pcol.values(), map(xt[j].__getitem__, pcol)))
+                           + cl * x[i][j])
+
+    def residuals(pairs):
+        w = width(N * tq * t * (qd * n * tp + k))
+        one = [1 << m * w for m in range(N)]
+        dq = [sum(map(mul, col.values(), map(one.__getitem__, col))) for col in cols]
+        g, v = [[0] * N for _ in range(n)], [[0] * N for _ in range(n)]
+        for (a, b), comp in products:          # V = dQ·X, G = q·d·X − κq·V, X = D·e_a·e_b
+            cs = comp.values()
+            v[a][b] = y = sum(map(mul, cs, map(dq.__getitem__, comp)))
+            g[a][b] = x = qd * sum(map(mul, cs, map(one.__getitem__, comp))) - kq * y
+            if skew:
+                v[b][a], g[b][a] = -y, -x
+        return w, values(pairs, g, v, -qp, 1, -qd, -lpd)
+
+    def inners(pairs):
+        w = width(t * k)
+        one = [1 << m * w for m in range(N)]
+        x = [[0] * N for _ in range(n)]
+        for (a, b), comp in products:          # X = D·e_a·e_b
+            x[a][b] = u = sum(map(mul, comp.values(), map(one.__getitem__, comp)))
+            if skew:
+                x[b][a] = -u
+        return w, values(pairs, x, x, qp, kq, qd, lpd)
+    return q * den * p * d, d, residuals, inners
 
 
 def operator_identity(check: str, table, P: Mat, Q: Mat, pairs, lam, kappa) -> Certificate:
-    """Pe_i·Qe_j = Q(Pe_i·e_j + e_i·Qe_j + λe_i·e_j + κPe_i·Qe_j) for (i, j) in pairs.
+    """Pe_i·Qe_j = Q(Pe_i·e_j + e_i·Qe_j + λe_i·e_j + κPe_i·Qe_j) for (i, j) in pairs."""
+    s, d, residuals, _ = operator_brackets(table, P, Q, lam, kappa)
+    w, values = residuals(pairs)
+    return scan(check, values, s * d, lambda v: unpack(v, w))
 
-    With Q = Q'/d, the residual pq − Q'·inner of the integer brackets is s·d
-    times the true one.
-    """
-    cols, d, s, brackets = operator_brackets(table, P, Q, pairs, lam, kappa)
-    return scan(check, (((i, j), saxpy(pq, -1, sapply(cols, inner)))
-                        for i, j, pq, inner in brackets), s * d)
+
+def inner_products(table, P: Mat, Q: Mat, pairs, lam, kappa) -> dict:
+    """{(i, j): Pe_i·e_j + e_i·Qe_j + λe_i·e_j + κPe_i·Qe_j} for (i, j) in pairs, sparse."""
+    s, _, _, inners = operator_brackets(table, P, Q, lam, kappa)
+    w, values = inners(pairs)
+    return {key: unscale(unpack(v, w), s) for key, v in values}
 
 
 def lie_operands(L: LieAlgebra, R: Mat) -> tuple:
@@ -111,8 +152,7 @@ def is_reynolds(L: LieAlgebra, R: Mat) -> Certificate:
 def induced_algebra(A: ReynoldsLieAlgebra) -> ReynoldsLieAlgebra:
     """New bracket [x,y]_R = [Rx,y] + [x,Ry] - [Rx,Ry] with the same operator."""
     L, R = A.L, A.R
-    _, _, s, pairs = operator_brackets(*lie_operands(L, R), ZERO, -ONE)
-    sc = {(i, j): unscale(inner, s) for i, j, _, inner in pairs}
+    sc = inner_products(*lie_operands(L, R), ZERO, -ONE)
     return ReynoldsLieAlgebra(LieAlgebra(L.dim, L.basis, sc), R)
 
 

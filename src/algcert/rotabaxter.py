@@ -15,9 +15,9 @@ from itertools import combinations
 from .certificates import (Certificate, Checked, CheckFailed, require, residual_from_vec, scan,
                            verified)
 from .exact import (ONE, ZERO, Mat, Tensor2, flip, precompose, rat, sapply, saxpy, scols,
-                    sprod, unscale)
+                    sprod)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
-from .reynolds import (is_reynolds, lie_operands, operator_brackets, operator_form_compat,
+from .reynolds import (inner_products, is_reynolds, lie_operands, operator_form_compat,
                        operator_identity)
 
 
@@ -46,8 +46,7 @@ def is_rota_baxter(L: LieAlgebra, B: Mat, lam) -> Certificate:
 def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
     """[x,y]_B = [Bx,y] + [x,By] + λ[x,y]; B becomes a homomorphism to g."""
     require(is_rota_baxter(rb.L, rb.B, rb.lam))
-    _, _, s, pairs = operator_brackets(*lie_operands(rb.L, rb.B), rb.lam, ZERO)
-    sc = {(i, j): unscale(inner, s) for i, j, _, inner in pairs}
+    sc = inner_products(*lie_operands(rb.L, rb.B), rb.lam, ZERO)
     return LieAlgebra(rb.L.dim, rb.L.basis, sc)
 
 

@@ -71,9 +71,9 @@ def scans(rebind):
     counts = Counter()
     raw = certificates.scan
 
-    def counted(check, cases, scale=1):
+    def counted(check, *args, **kwargs):
         counts[check] += 1
-        return raw(check, cases, scale)
+        return raw(check, *args, **kwargs)
     rebind(raw, counted)
     return counts
 

@@ -5,20 +5,25 @@ every product is evaluated on full coordinate vectors built with `vbasis`
 through `LieAlgebra.bracket`, and operator sums are `Mat` sums.  They are
 slow and test-only; a certificate must not depend on which of the two
 computed it.  `swapped()` runs the library with them in place, so whole
-constructions can be compared as well.
+constructions can be compared as well.  The `dict_*` functions are the
+integer dict kernels that the packed `lie.jacobiator` and
+`reynolds.operator_brackets` replaced, with their callers.
 """
 
 import contextlib
 import importlib
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from algcert.certificates import (Certificate, CheckFailed, residual_from_mat, residual_from_vec,
                                   scan)
+from algcert.bialgebra import _cotable
 from algcert.cybe import PreLieAlgebra, ReynoldsPreLie, is_cybe_solution, r_plus
-from algcert.exact import (ZERO, Mat, Tensor2, Tensor3, flip, tensor2_map, vadd, vbasis, vsub,
-                           vzero)
-from algcert.lie import LieAlgebra, Representation, dual_basis, s_sharp
+from algcert.exact import (ZERO, Mat, Table, Tensor2, Tensor3, flip, integral, precompose, sapply,
+                           saxpy, scols, srow, tensor2_map, unscale, vadd, vbasis, vsub, vzero)
+from algcert.lie import (LieAlgebra, Representation, block_rows, coadjoint_cols, double_table,
+                         dual_basis, s_sharp)
 from algcert.matched import MatchedPair, ReynoldsMatchedPair, is_reynolds_matched_pair
 from algcert.reynolds import ReynoldsLieAlgebra, ReynoldsRep, induced_algebra, is_reynolds_rep
 from algcert.rotabaxter import descendent, is_quadratic_rb
@@ -558,6 +563,134 @@ def r_from_qrb(qrb) -> Tensor2:
             raise CheckFailed(Certificate.failed("descendent-compatibility", (i, j),
                                                  residual_from_vec(vsub(lhs, rhs)), 1))
     return r
+
+
+# -- the integer dict kernels the packed ones replaced ------------------------
+
+# `lie.jacobiator` and `reynolds.operator_brackets` combine packed vectors (one
+# ``int`` per vector); these are their dict bodies and callers as they were
+# before, per-entry ``{k: c}`` updates on the same integer tables.  They are
+# fast enough for the dense conjugates and ±max tables of `test_packed.py`.
+
+def dict_jacobiator(rows, outer, x: int, y: int, z: int) -> dict:
+    """J(e_x,e_y,e_z) = Σ_cyc Σ_m rows[a][b][m]·outer[m][c], `outer` the rows cut to a block."""
+    out: dict = {}
+    for prod, c in ((rows[x].get(y), z), (rows[y].get(z), x), (rows[z].get(x), y)):
+        if prod:
+            for m, coeff in prod.items():
+                col = outer[m].get(c)
+                if col:
+                    for k, v in col.items():
+                        out[k] = out.get(k, 0) + coeff * v
+    return out
+
+
+def dict_jacobi_check(L) -> Certificate:
+    sc, den = integral(L.sc)
+    rows = sc.rows()
+    return scan("jacobi", (((i, j, k), dict_jacobiator(rows, rows, i, j, k))
+                           for i, j, k in combinations(range(L.dim), 3)), den * den)
+
+
+def dict_is_representation(rep) -> Certificate:
+    n, m = rep.algebra.dim, rep.module_dim
+    sc, *cols, den = integral(rep.algebra.sc, *[scols(x) for x in rep.rho])
+    rows, wrows = sc.rows(), [{} for _ in range(m)]
+    for i, row in enumerate(rows):
+        for b, col in enumerate(cols[i]):
+            if col:
+                row[n + b] = {n + k: c for k, c in col.items()}
+                wrows[b][i] = {n + k: -c for k, c in col.items()}
+    rows += wrows
+
+    def residual(i, j):
+        return {(a - n, b): c for b in range(m)
+                for a, c in dict_jacobiator(rows, rows, i, j, n + b).items()}
+    return scan("representation", (((i, j), residual(i, j))
+                                   for i, j in combinations(range(n), 2)), den * den)
+
+
+def dict_compat_stages(g, h, rho, mu) -> list:
+    n, m = g.dim, h.dim
+    gsc, hsc, *cols, den = integral(g.sc, h.sc, *[scols(x) for x in rho.rho + mu.rho])
+    rows = double_table(gsc, hsc, cols[:n], cols[n:]).rows()
+    on_h, on_g = block_rows(rows, n, n + m), block_rows(rows, 0, n)
+    return [
+        scan("compat-on-h", (((i, a, b), dict_jacobiator(rows, on_h, i, n + a, n + b))
+                             for i in range(n) for a, b in combinations(range(m), 2)), -den * den),
+        scan("compat-on-g", (((a, i, j), dict_jacobiator(rows, on_g, n + a, i, j))
+                             for a in range(m) for i, j in combinations(range(n), 2)), -den * den),
+    ]
+
+
+def dict_cocycle_check(g, deltas) -> Certificate:
+    n = g.dim
+    sc, co, den = integral(g.sc, _cotable(deltas, False))
+    rows = double_table(sc, Table._of(n, {}, True), coadjoint_cols(sc.rows(), n),
+                        coadjoint_cols(co.rows(), n)).rows()
+    outer = block_rows(rows, 0, n)
+
+    def residual(i, j):
+        return {(a, b): c for a in range(n)
+                for b, c in dict_jacobiator(rows, outer, i, j, n + a).items()}
+    return scan("cocycle", (((i, j), residual(i, j))
+                            for i, j in combinations(range(n), 2)), den * den)
+
+
+def dict_is_lie_coalgebra(deltas) -> Certificate:
+    n = len(deltas)
+    skew = scan("coalgebra", (((k,), d + flip(d)) for k, d in enumerate(deltas)))
+    if not skew.ok:
+        return skew._replace(note="cobracket is not skew")
+    co, den = integral(_cotable(deltas, True))
+    rows = co.rows()
+    out: list = [{} for _ in range(n)]
+    for x, y, z in combinations(range(n), 3):
+        for k, c in dict_jacobiator(rows, rows, x, y, z).items():
+            out[k].update({(x, y, z): c, (y, z, x): c, (z, x, y): c,
+                           (x, z, y): -c, (z, y, x): -c, (y, x, z): -c})
+    return scan("coalgebra", (((k,), v) for k, v in enumerate(out)), -den * den)
+
+
+def dict_operator_brackets(table, P: Mat, Q: Mat, pairs, lam, kappa):
+    """(cols, d, s, brackets): integer columns of d·Q, and (i, j, pq, inner) per pair on the
+    scales s·d and s, as sparse integer vectors."""
+    if isinstance(table, Table):
+        sc, den = integral(table)
+        rows = sc.rows()
+    else:
+        *mats, den = integral(*[scols(m) for m in table])
+        rows = [dict(enumerate(m)) for m in mats]
+    cols, d = integral(scols(Q))
+    pcols, p = (cols, d) if P is Q else integral(scols(P))
+    q = lcm(lam.denominator, kappa.denominator)
+    lam_q, kappa_q = int(lam * q), int(kappa * q)
+    adr = precompose(rows, pcols)
+    lookup = P is Q and getattr(table, "skew", False)
+
+    def brackets():
+        for i, j in pairs:
+            pq = srow({}, adr[i], cols[j])
+            inner = saxpy({}, q * d, adr[i].get(j, {}))
+            if lookup:
+                saxpy(inner, -q * d, adr[j].get(i, {}))
+            else:
+                saxpy(inner, q * p, srow({}, rows[i], cols[j]))
+            saxpy(inner, lam_q * p * d, rows[i].get(j, {}))
+            saxpy(inner, kappa_q, pq)
+            yield i, j, saxpy({}, q * d, pq), inner
+    return cols, d, q * den * p * d, brackets()
+
+
+def dict_operator_identity(check: str, table, P: Mat, Q: Mat, pairs, lam, kappa) -> Certificate:
+    cols, d, s, brackets = dict_operator_brackets(table, P, Q, pairs, lam, kappa)
+    return scan(check, (((i, j), saxpy(pq, -1, sapply(cols, inner)))
+                        for i, j, pq, inner in brackets), s * d)
+
+
+def dict_inner_products(table, P: Mat, Q: Mat, pairs, lam, kappa) -> dict:
+    _, _, s, brackets = dict_operator_brackets(table, P, Q, pairs, lam, kappa)
+    return {(i, j): unscale(inner, s) for i, j, _, inner in brackets}
 
 
 # -- every evaluation path at once ------------------------------------------

@@ -77,9 +77,10 @@ def test_a_memo_hit_is_one_traced_call(thmfl, scans):
     finally:
         tracer.uninstall()
     calls = {k: v[0] for k, v in tracer.stats.items()}
-    # is_reynolds(g, R) and is_matched_pair(g, g*, ad*, ad*) are each asked twice: the
-    # second call is a memo hit, which the tracer still counts as a call
-    assert (calls["check.reynolds"], scans["reynolds"]) == (5, 4)
+    # is_reynolds(g, R), is_reynolds(g*, −Rᵀ) (drinfeld_double builds −Rᵀ once and hands
+    # it to both the gate and the pair) and is_matched_pair(g, g*, ad*, ad*) are each asked
+    # twice: the second call is a memo hit, which the tracer still counts as a call
+    assert (calls["check.reynolds"], scans["reynolds"]) == (5, 3)
     assert (calls["check.matched_pair"], scans["compat-on-h"]) == (2, 1)
     # a hit does not run the body, so the second is_matched_pair calls no is_representation
     assert (calls["check.representation"], scans["representation"]) == (2, 2)
