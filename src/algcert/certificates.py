@@ -3,9 +3,10 @@
 Every exhaustive stage is decided by `scan`, which walks the stage's basis
 tuples in lexicographic order, so the reported violation is
 deterministically the lexicographically first one; `violations` counts all
-of them.  A single-shot stage (one matrix or tensor identity) is a `scan`
-of one case.  Composite checks carry their stages in `parts` and fail if any
-stage fails.
+of them.  A stage whose identity has an exact symmetry walks one tuple per
+orbit and reports the same `where` and `violations`.  A single-shot stage
+(one matrix or tensor identity) is a `scan` of one case.  Composite checks
+carry their stages in `parts` and fail if any stage fails.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def residual_from_tensor(t) -> Residual:
 
 
 def scan(check: str, cases: Iterable[tuple[tuple[int, ...], Any]], scale: int = 1,
-         decode=None) -> Certificate:
+         decode=None, orbit=None) -> Certificate:
     """Decide one exhaustive stage from its per-tuple residuals.
 
     `cases` yields ``(where, value)`` for every basis tuple of the stage, in
@@ -229,6 +230,14 @@ def scan(check: str, cases: Iterable[tuple[tuple[int, ...], Any]], scale: int = 
     violation is divided by it when it becomes the `Residual`.  A kernel whose
     values are packed vectors (``int``, see `exact.pack`) passes `decode`,
     which turns the first violation back into its sparse vector or dict.
+
+    An identity with an exact symmetry (skew or symmetric in some of its
+    arguments) has one value up to sign on each orbit of basis tuples, and 0
+    on a tuple that the symmetry maps to minus itself.  Its check passes
+    `orbit` and yields only the lexicographically first tuple of each orbit,
+    in lexicographic order; a nonzero value then counts ``orbit(where)``, the
+    size of its orbit.  So `violations` still counts ordered tuples, and
+    `where` is the first violating one, as if every tuple had been visited.
     """
     first = None
     count = skipped = 0
@@ -237,7 +246,7 @@ def scan(check: str, cases: Iterable[tuple[tuple[int, ...], Any]], scale: int = 
             skipped += 1
         elif (value != 0 if type(value) is int else
               any(value.values()) if type(value) is dict else not _is_zero(value)):
-            count += 1
+            count += 1 if orbit is None else orbit(where)
             if first is None:
                 first = (where, value)
     if first is None:

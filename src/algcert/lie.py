@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 
 from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, pack, sapply, scols, top,
@@ -292,18 +292,27 @@ class BilinForm:
 
 @verified
 def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
-    """S([e_i,e_j],e_k) + S(e_j,[e_i,e_k]) = 0 over all basis triples."""
+    """S([e_i,e_j],e_k) + S(e_j,[e_i,e_k]) = 0 over all basis triples, one per orbit.
+
+    S(e_j,[e_i,e_k]) = S([e_i,e_k],e_j) because `BilinForm` rejects a
+    non-symmetric gram matrix, so the value at (i, j, k) is symmetric in (j, k)
+    for any bracket: `scan` visits j ≤ k and counts j < k twice.  S[e_i,e_j] is
+    skew in (i, j) because the bracket is, so it is built for i<j only.
+    """
     if S.dim != L.dim:
         raise ValueError("form dimension does not match the algebra")
     n = L.dim
     gram, g = integral(scols(S.gram))
     sc, den = integral(L.sc)
-    rows = sc.rows()
-    # S([e_i,e_j], e_k) is entry k of S[e_i,e_j], and S(e_j,[e_i,e_k]) = S([e_i,e_k], e_j)
-    # because the gram matrix S is symmetric; on the integer tables both are g·D times too large
-    s = [[sapply(gram, rows[i].get(j, {})) for j in range(n)] for i in range(n)]
+    # s[i][j][k] = S([e_i,e_j], e_k), on the integer tables g·D times too large
+    s: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), comp in sc.items():
+        s[i][j] = v = sapply(gram, comp)
+        s[j][i] = {k: -c for k, c in v.items()}
+    pairs = list(combinations_with_replacement(range(n), 2))
     return scan("invariant-form", (((i, j, k), s[i][j].get(k, 0) + s[i][k].get(j, 0))
-                                   for i, j, k in product(range(n), repeat=3)), g * den)
+                                   for i in range(n) for j, k in pairs),
+                g * den, orbit=lambda t: 1 + (t[1] < t[2]))
 
 
 @verified

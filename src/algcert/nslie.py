@@ -57,12 +57,19 @@ def _commutator(left: Table, wedge: Table) -> Table:
 
 @verified
 def is_nslie(A: NSLieAlgebra) -> Certificate:
-    """Both NS identities over all ordered basis triples.
+    """Both NS identities over all ordered basis triples, one triple per symmetry orbit.
 
     Identity 1 is (x◁y)◁z - x◁(y◁z) - (y◁x)◁z + y◁(x◁z) + (x▷y)◁z
     = [x,y]◁z - x◁(y◁z) + y◁(x◁z); identity 2 is the cyclic sum of
     x▷[y,z] + x◁(y▷z).  Both are quadratic in the tables, so on the integer
     tables D·◁ and D·▷ they come out D² times too large.
+
+    Identity 1 is skew in (x, y): [y,x] = −[x,y] exactly, because the skew
+    tables of ▷ and [,] keep i<j keys and `rows()` negates, and the other two
+    terms swap.  Identity 2 is totally skew: it is cyclic by definition and
+    skew in (x, y) for the same reason.  A repeated index gives exactly 0, so
+    `scan` visits i<j with every k, counted twice, and i<j<k, counted six
+    times.  This holds for any tables, valid or not.
     """
     n = A.dim
     left, wedge, den = integral(A.left, A.wedge)
@@ -86,10 +93,12 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
                 srow(out, left[u], wedge[v][w])
         return out
 
-    triples = list(product(range(n), repeat=3))
+    pairs = combinations(range(n), 2)
     return Certificate.combine("nslie", [
-        scan(name, ((t, identity(*t)) for t in triples), den * den)
-        for name, identity in (("ns-identity-1", identity1), ("ns-identity-2", identity2))])
+        scan("ns-identity-1", (((i, j, k), identity1(i, j, k)) for i, j in pairs for k in range(n)),
+             den * den, orbit=lambda t: 2),
+        scan("ns-identity-2", ((t, identity2(*t)) for t in combinations(range(n), 3)),
+             den * den, orbit=lambda t: 6)])
 
 
 @verified
@@ -134,40 +143,42 @@ class NSRep(Checked):
 
 @verified
 def is_ns_rep(rep: NSRep) -> Certificate:
-    """The three NS-representation identities over all basis pairs."""
+    """The three NS-representation identities over all basis pairs.
+
+    ns-rep-1 and ns-rep-3 are skew in (x, y) for any maps: ▷ and [,] are skew
+    (their tables keep i<j keys and `rows()` negates) and the other terms swap in
+    pairs, so both are exactly 0 at x = y.  They are evaluated for i<j and counted
+    twice.  ns-rep-2 has no such symmetry and runs over every ordered pair.
+    """
     A, md = rep.base, rep.module_dim
     n = A.dim
     comm = _commutator(A.left, A.wedge).rows()
     left, wedge = A.left.rows(), A.wedge.rows()
+    vr, mu, nu = rep.varrho, rep.mu, rep.nu
 
     def lin(mats, v):
         return mat_comb(mats, v, md, md)
-    # (i, j) -> the residuals of the three identities, which share the pair's products
-    diffs = {}
-    for i in range(n):
-        for j in range(n):
-            vr_x, vr_y = rep.varrho[i], rep.varrho[j]
-            mu_x, mu_y = rep.mu[i], rep.mu[j]
-            nu_x, nu_y = rep.nu[i], rep.nu[j]
-            lw = wedge[i].get(j, {})
-            ll = left[i].get(j, {})
-            lr = left[j].get(i, {})
 
-            d1 = lin(rep.mu, lw) - (
-                mu_x @ mu_y - mu_y @ mu_x - lin(rep.mu, ll) + lin(rep.mu, lr)
-            )
-            d2 = lin(rep.nu, ll) - (
-                mu_x @ nu_y - nu_y @ mu_x + nu_y @ nu_x - nu_y @ vr_x
-            )
-            d3 = lin(rep.nu, lw) - (
-                mu_y @ vr_x - vr_x @ mu_y + vr_x @ nu_y - vr_y @ nu_x
-                + vr_y @ vr_x - vr_x @ vr_y + vr_y @ mu_x - mu_x @ vr_y
-                + lin(rep.varrho, comm[i].get(j, {}))
-            )
-            diffs[i, j] = (d1, d2, d3)
+    def d1(i, j):
+        return lin(mu, wedge[i].get(j, {})) - (
+            mu[i] @ mu[j] - mu[j] @ mu[i] - lin(mu, left[i].get(j, {}))
+            + lin(mu, left[j].get(i, {})))
+
+    def d2(i, j):
+        return lin(nu, left[i].get(j, {})) - (
+            mu[i] @ nu[j] - nu[j] @ mu[i] + nu[j] @ nu[i] - nu[j] @ vr[i])
+
+    def d3(i, j):
+        return lin(nu, wedge[i].get(j, {})) - (
+            mu[j] @ vr[i] - vr[i] @ mu[j] + vr[i] @ nu[j] - vr[j] @ nu[i]
+            + vr[j] @ vr[i] - vr[i] @ vr[j] + vr[j] @ mu[i] - mu[i] @ vr[j]
+            + lin(vr, comm[i].get(j, {})))
+
+    pairs = list(combinations(range(n), 2))
     return Certificate.combine("ns-rep", [
-        scan(name, ((ij, d[k]) for ij, d in diffs.items()))
-        for k, name in enumerate(("ns-rep-1", "ns-rep-2", "ns-rep-3"))])
+        scan("ns-rep-1", ((ij, d1(*ij)) for ij in pairs), orbit=lambda ij: 2),
+        scan("ns-rep-2", ((ij, d2(*ij)) for ij in product(range(n), repeat=2))),
+        scan("ns-rep-3", ((ij, d3(*ij)) for ij in pairs), orbit=lambda ij: 2)])
 
 
 def regular_rep(A: NSLieAlgebra) -> NSRep:

@@ -9,7 +9,7 @@ procedures.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 from operator import add, mul
 
@@ -63,6 +63,16 @@ def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
     s·I = Σ_b (dQ)[b, j]·(κq·PX + qp·X)[i][b] + (qd·PX + λq·pd·X)[i][j], and the
     residual q·d·(D·p·d·Pe_i·Qe_j) − dQ·(s·I) is the same with
     A = P(qd·X − κq·V) − qp·V and B = −(qd·PV + λq·pd·V), V = dQ·X packed.
+
+    The slot widths come from a bound on every coefficient the two decode or test.
+    Let t be the largest |coefficient| of X, p1 the largest column ℓ1 norm of p·P, and
+    q1 and q∞ the largest column and row ℓ1 norms of d·Q.  A coefficient of
+    Σ_a pP[a, i]·Y[a] is at most p1 times the largest coefficient of Y, one of
+    Σ_b dQ[b, j]·Y[b] at most q1 times it, and one of dQ·y at most q∞ times the
+    largest coefficient of y.  Term by term, a coefficient of s·I is at most t·k with
+    k = q1·(|κq|·p1 + qp) + qd·p1 + |λq·pd|.  The residual's first term
+    qd·Σ_{a,b} pP[a, i]·dQ[b, j]·X[a][b] is at most t·qd·p1·q1 and a coefficient of
+    dQ·(s·I) at most q∞·t·k, so a residual coefficient is at most t·(qd·p1·q1 + q∞·k).
     """
     if isinstance(table, Table):
         sc, den = integral(table)
@@ -77,10 +87,10 @@ def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
     qd, qp = q * d, q * p
     lpd = lam.numerator * (q // lam.denominator) * p * d
     kq = kappa.numerator * (q // kappa.denominator)
-    N, tq = Q.rows, top(cols)
-    tp = tq if P is Q else top(pcols)
-    # the coefficients of s·M·I are at most t·k when those of M(D·e_a·e_b) are at most t
-    k = N * tq * (abs(kq) * n * tp + qp) + qd * n * tp + abs(lpd)
+    N = Q.rows
+    q1, qinf = _norms(cols, N)
+    p1 = q1 if P is Q else _norms(pcols, n)[0]
+    k = q1 * (abs(kq) * p1 + qp) + qd * p1 + abs(lpd)
 
     def values(pairs, y, x, c0, c1, cq, cl):
         """((i, j), Σ_b (dQ)[b, j]·A_i[b] + cq·(PX)[i][j] + cl·X[i][j]) for (i, j) in pairs,
@@ -97,7 +107,7 @@ def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
                            + cl * x[i][j])
 
     def residuals(pairs):
-        w = width(N * tq * t * (qd * n * tp + k))
+        w = width(t * (qd * p1 * q1 + qinf * k))
         one = [1 << m * w for m in range(N)]
         dq = [sum(map(mul, col.values(), map(one.__getitem__, col))) for col in cols]
         g, v = [[0] * N for _ in range(n)], [[0] * N for _ in range(n)]
@@ -119,6 +129,15 @@ def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
                 x[b][a] = -u
         return w, values(pairs, x, x, qp, kq, qd, lpd)
     return q * den * p * d, d, residuals, inners
+
+
+def _norms(cols: list[dict[int, int]], rows: int) -> tuple[int, int]:
+    """The largest column and row ℓ1 norms of an integer matrix given by its columns."""
+    row = [0] * rows
+    for col in cols:
+        for b, c in col.items():
+            row[b] += abs(c)
+    return max((sum(map(abs, col.values())) for col in cols), default=0), max(row, default=0)
 
 
 def operator_identity(check: str, table, P: Mat, Q: Mat, pairs, lam, kappa) -> Certificate:
@@ -231,11 +250,19 @@ class QuadraticReynolds(Checked):
 @verified
 def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,
                          lam: Fraction | None = None) -> Certificate:
-    """S(Re_i,e_j) + S(e_i,Re_j) (+ lam·S(e_i,e_j)) = 0 over all pairs."""
-    g = S.gram
-    m = (R.transpose() @ g + g @ R).entries
-    return scan(name, (((i, j), m[i][j] if lam is None else m[i][j] + lam * g.entries[i][j])
-                       for i, j in product(range(L.dim), repeat=2)))
+    """S(Re_i,e_j) + S(e_i,Re_j) (+ lam·S(e_i,e_j)) = 0 over all pairs, one per orbit.
+
+    `BilinForm` rejects a non-symmetric gram matrix S, so SR = (RᵀS)ᵀ and the value
+    RᵀS + SR (+ lam·S) is symmetric: `scan` visits i ≤ j and counts i < j twice.
+    """
+    g = S.gram.entries
+    m = (R.transpose() @ S.gram).entries
+
+    def value(i, j):
+        return m[i][j] + m[j][i] if lam is None else m[i][j] + m[j][i] + lam * g[i][j]
+    return scan(name, (((i, j), value(i, j))
+                       for i, j in combinations_with_replacement(range(L.dim), 2)),
+                orbit=lambda t: 1 + (t[0] < t[1]))
 
 
 @verified

@@ -16,7 +16,7 @@ from itertools import combinations, product
 import dense_oracle as dense
 from algcert import bialgebra, matched, reynolds
 from algcert.certificates import Certificate
-from algcert.exact import Mat, Table, Tensor2, integral, pack, unpack, width
+from algcert.exact import Mat, Table, Tensor2, integral, pack, sapply, saxpy, unpack, width
 from algcert.lie import (LieAlgebra, Representation, adjoint_rep, coadjoint_rep, is_representation,
                          jacobi_check, jacobi_width, packed_outer)
 from algcert.reynolds import compat_certificate, is_reynolds
@@ -263,3 +263,32 @@ def test_failing_inputs_count_every_violation():
     assert same(cert, dense.dict_is_representation(rho)) and cert.violations > 1
     _, den = integral(L.sc)
     assert den > 1
+
+
+def test_every_decoded_value_fits_its_slot_width():
+    """Each slot width is derived from the column and row ℓ1 norms of p·P and d·Q; every
+    inner sum and residual the kernel packs, passing or not, must fit it, and decode to
+    the dict kernel's exact value."""
+    rng = random.Random(23)
+    for base in (matrix_units(3, upper=True), matrix_units(3)):
+        n = base.dim
+        for c in SCALES:
+            L = conjugate(base, dense_change(n, rng), c)
+            R = Mat([[rng.choice((0, 1, Fraction(-5, 11), Fraction(13, 6))) for _ in range(n)]
+                     for _ in range(n)])
+            T = dense_change(n, rng)
+            pairs, action = list(combinations(range(n), 2)), list(product(range(n), repeat=2))
+            for table, keys in ((L.sc, pairs), (adjoint_rep(L).rho, action)):
+                for P, Q, lam, kappa in ((R, R, ZERO, -ONE), (R, T, Fraction(3, 5), c),
+                                         (T, R, c, ONE)):
+                    s, d, residuals, inners = reynolds.operator_brackets(table, P, Q, lam, kappa)
+                    cols, _, _, brackets = dense.dict_operator_brackets(table, P, Q, iter(keys),
+                                                                        lam, kappa)
+                    want = {(i, j): (saxpy(pq, -1, sapply(cols, inner)), inner)
+                            for i, j, pq, inner in brackets}
+                    for at, kernel in enumerate((residuals, inners)):
+                        w, values = kernel(iter(keys))
+                        for key, v in values:
+                            exact = nonzero({key: want[key][at]})[key]
+                            assert max(map(abs, exact.values()), default=0) <= (1 << w - 1) - 1
+                            assert unpack(v, w) == exact
