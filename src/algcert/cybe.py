@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, action_rows, dense, flip,
-                    precompose, sapply, saxpy, scols, sprod, tensor2_map)
+                    integral, precompose, sapply, saxpy, scols, sprod, tensor2_map)
 from .lie import LieAlgebra, Representation, default_basis, dual_rep, semidirect
 from .matched import MatchedPair, ReynoldsMatchedPair
 from .reynolds import (
@@ -229,19 +229,17 @@ class PreLieAlgebra(Checked):
 
 @verified
 def is_prelie(A: PreLieAlgebra) -> Certificate:
-    """Left-symmetry of the associator over all basis triples."""
-    n = A.dim
-    rows = A.prod.rows()
+    """Left-symmetry of the associator over basis triples i<j and every k.
 
-    def residual(i, j, k):
-        # (e_ie_j − e_je_i)e_k − e_i(e_je_k) + e_j(e_ie_k)
-        comm = dict(rows[i].get(j, {}))
-        saxpy(comm, -ONE, rows[j].get(i, {}))
-        out = sprod(rows, comm, {k: ONE})
-        saxpy(out, -ONE, sprod(rows, {i: ONE}, rows[j].get(k, {})))
-        return saxpy(out, ONE, sprod(rows, {j: ONE}, rows[i].get(k, {})))
-    return scan("pre-lie", (((i, j, k), residual(i, j, k))
-                            for i, j in combinations(range(n), 2) for k in range(n)))
+    A pre-Lie algebra is an NS-Lie algebra with ▷ = 0: the residual
+    (x,y,z) − (y,x,z) is NS identity 1 of (A.prod, 0)."""
+    from .nslie import _identities
+
+    n = A.dim
+    prod, den = integral(A.prod)
+    id1, _ = _identities(prod, Table(n))
+    return scan("pre-lie", (((i, j, k), id1(i, j, k))
+                            for i, j in combinations(range(n), 2) for k in range(n)), den * den)
 
 
 class ReynoldsPreLie(Checked):
@@ -270,11 +268,10 @@ def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
 @verified
 def subadjacent(rp: ReynoldsPreLie) -> ReynoldsLieAlgebra:
     """Bracket {x,y} − {y,x}; the operator stays Reynolds on it."""
+    from .nslie import _commutator
+
     require(is_reynolds_prelie(rp.A, rp.R))
-    n, prod = rp.A.dim, rp.A.prod
-    sc = {(i, j): saxpy(dict(prod.get((i, j), {})), -ONE, prod.get((j, i), {}))
-          for i, j in combinations(range(n), 2)}
-    L = LieAlgebra(n, rp.A.basis, sc)
+    L = LieAlgebra(rp.A.dim, rp.A.basis, _commutator(rp.A.prod, Table(rp.A.dim)))
     return ReynoldsLieAlgebra(L, rp.R)
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (Mat, Table, Vec, integral, mat_comb, precompose, saxpy, scols, sprod, srow,
-                    unscale, vadd, vsub)
+from .exact import (Mat, Table, Vec, integral, precompose, saxpy, scols, sprod, srow, unscale,
+                    vadd, vsub)
 from .lie import LieAlgebra, default_basis
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
@@ -55,28 +55,25 @@ def _commutator(left: Table, wedge: Table) -> Table:
                          for i, j in combinations(range(n), 2)}, skew=True)
 
 
-@verified
-def is_nslie(A: NSLieAlgebra) -> Certificate:
-    """Both NS identities over all ordered basis triples, one triple per symmetry orbit.
+def _identities(left: Table, wedge: Table):
+    """The two NS identities of the tables ◁ and ▷ at basis triples, as sparse vectors.
 
     Identity 1 is (x◁y)◁z - x◁(y◁z) - (y◁x)◁z + y◁(x◁z) + (x▷y)◁z
     = [x,y]◁z - x◁(y◁z) + y◁(x◁z); identity 2 is the cyclic sum of
-    x▷[y,z] + x◁(y▷z).  Both are quadratic in the tables, so on the integer
-    tables D·◁ and D·▷ they come out D² times too large.
+    x▷[y,z] + x◁(y▷z).  Returns ``(id1, id2)``, each a function of three
+    basis indices.  Both identities are quadratic in the tables, so on the
+    integer tables D·◁ and D·▷ of `integral` they come out D² times too large.
 
     Identity 1 is skew in (x, y): [y,x] = −[x,y] exactly, because the skew
     tables of ▷ and [,] keep i<j keys and `rows()` negates, and the other two
     terms swap.  Identity 2 is totally skew: it is cyclic by definition and
-    skew in (x, y) for the same reason.  A repeated index gives exactly 0, so
-    `scan` visits i<j with every k, counted twice, and i<j<k, counted six
-    times.  This holds for any tables, valid or not.
+    skew in (x, y) for the same reason.  A repeated index gives exactly 0.
+    This holds for any tables, valid or not.
     """
-    n = A.dim
-    left, wedge, den = integral(A.left, A.wedge)
     comm = _commutator(left, wedge).rows()
     left, wedge = left.rows(), wedge.rows()
 
-    def identity1(i, j, k):
+    def id1(i, j, k):
         out = sprod(left, comm[i].get(j, {}), {k: 1})
         if k in left[j]:
             srow(out, left[i], {m: -c for m, c in left[j][k].items()})
@@ -84,7 +81,7 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
             srow(out, left[j], left[i][k])
         return out
 
-    def identity2(i, j, k):
+    def id2(i, j, k):
         out = {}
         for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
             if comm[v].get(w):
@@ -92,12 +89,24 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
             if w in wedge[v]:
                 srow(out, left[u], wedge[v][w])
         return out
+    return id1, id2
 
+
+@verified
+def is_nslie(A: NSLieAlgebra) -> Certificate:
+    """Both NS identities over all ordered basis triples, one triple per symmetry orbit.
+
+    By the symmetries of `_identities`, `scan` visits i<j with every k for
+    identity 1, counted twice, and i<j<k for identity 2, counted six times.
+    """
+    n = A.dim
+    left, wedge, den = integral(A.left, A.wedge)
+    id1, id2 = _identities(left, wedge)
     pairs = combinations(range(n), 2)
     return Certificate.combine("nslie", [
-        scan("ns-identity-1", (((i, j, k), identity1(i, j, k)) for i, j in pairs for k in range(n)),
+        scan("ns-identity-1", (((i, j, k), id1(i, j, k)) for i, j in pairs for k in range(n)),
              den * den, orbit=lambda t: 2),
-        scan("ns-identity-2", ((t, identity2(*t)) for t in combinations(range(n), 3)),
+        scan("ns-identity-2", ((t, id2(*t)) for t in combinations(range(n), 3)),
              den * den, orbit=lambda t: 6)])
 
 
@@ -141,44 +150,51 @@ class NSRep(Checked):
             require(is_ns_rep(self))
 
 
+def _semidirect_tables(rep: NSRep) -> tuple[Table, Table]:
+    """◁ and ▷ of G⊕W, W's basis after G's: e_i◁w = mu(e_i)w, w◁e_i = nu(e_i)w,
+    e_i▷w = varrho(e_i)w, and W◁W = W▷W = 0."""
+    A, n = rep.base, rep.base.dim
+    left, wedge = dict(A.left), dict(A.wedge)
+    for i in range(n):
+        for b, (mu, nu, vr) in enumerate(zip(*map(scols, (rep.mu[i], rep.nu[i], rep.varrho[i])))):
+            for table, key, col in ((left, (i, n + b), mu), (left, (n + b, i), nu),
+                                    (wedge, (i, n + b), vr)):
+                if col:
+                    table[key] = {n + k: c for k, c in col.items()}
+    m = n + rep.module_dim
+    return Table._of(m, left, False), Table._of(m, wedge, True)
+
+
 @verified
 def is_ns_rep(rep: NSRep) -> Certificate:
     """The three NS-representation identities over all basis pairs.
 
-    ns-rep-1 and ns-rep-3 are skew in (x, y) for any maps: ▷ and [,] are skew
-    (their tables keep i<j keys and `rows()` negates) and the other terms swap in
-    pairs, so both are exactly 0 at x = y.  They are evaluated for i<j and counted
-    twice.  ns-rep-2 has no such symmetry and runs over every ordered pair.
+    (W; varrho, mu, nu) is an NS-representation exactly when the semidirect
+    product G⊕W satisfies the NS identities on every triple with one vector in
+    W; the other triples are G's own or 0.  So the stages are those identities
+    of `_semidirect_tables`, entry (a, b) at (i, j) their w_a-component at
+    ns-rep-1: id1(e_i, e_j, w_b), ns-rep-2: id1(e_i, w_b, e_j) and
+    ns-rep-3: id2(e_i, e_j, w_b).  ns-rep-1 and ns-rep-3 are skew in (i, j), by
+    the symmetries of `_identities`, and are evaluated for i<j and counted
+    twice; ns-rep-2 runs over every ordered pair.
     """
-    A, md = rep.base, rep.module_dim
-    n = A.dim
-    comm = _commutator(A.left, A.wedge).rows()
-    left, wedge = A.left.rows(), A.wedge.rows()
-    vr, mu, nu = rep.varrho, rep.mu, rep.nu
+    n, md = rep.base.dim, rep.module_dim
+    left, wedge, den = integral(*_semidirect_tables(rep))
+    id1, id2 = _identities(left, wedge)
 
-    def lin(mats, v):
-        return mat_comb(mats, v, md, md)
+    def matrix(vecs):
+        """{(a, b): c} from the vectors {n + a: c} at w_0, w_1, ..."""
+        return {(a - n, b): c for b, v in enumerate(vecs) for a, c in v.items()}
 
-    def d1(i, j):
-        return lin(mu, wedge[i].get(j, {})) - (
-            mu[i] @ mu[j] - mu[j] @ mu[i] - lin(mu, left[i].get(j, {}))
-            + lin(mu, left[j].get(i, {})))
-
-    def d2(i, j):
-        return lin(nu, left[i].get(j, {})) - (
-            mu[i] @ nu[j] - nu[j] @ mu[i] + nu[j] @ nu[i] - nu[j] @ vr[i])
-
-    def d3(i, j):
-        return lin(nu, wedge[i].get(j, {})) - (
-            mu[j] @ vr[i] - vr[i] @ mu[j] + vr[i] @ nu[j] - vr[j] @ nu[i]
-            + vr[j] @ vr[i] - vr[i] @ vr[j] + vr[j] @ mu[i] - mu[i] @ vr[j]
-            + lin(vr, comm[i].get(j, {})))
-
+    W = range(n, n + md)
     pairs = list(combinations(range(n), 2))
     return Certificate.combine("ns-rep", [
-        scan("ns-rep-1", ((ij, d1(*ij)) for ij in pairs), orbit=lambda ij: 2),
-        scan("ns-rep-2", ((ij, d2(*ij)) for ij in product(range(n), repeat=2))),
-        scan("ns-rep-3", ((ij, d3(*ij)) for ij in pairs), orbit=lambda ij: 2)])
+        scan("ns-rep-1", (((i, j), matrix(id1(i, j, w) for w in W)) for i, j in pairs),
+             den * den, orbit=lambda ij: 2),
+        scan("ns-rep-2", (((i, j), matrix(id1(i, w, j) for w in W))
+                          for i, j in product(range(n), repeat=2)), den * den),
+        scan("ns-rep-3", (((i, j), matrix(id2(i, j, w) for w in W)) for i, j in pairs),
+             den * den, orbit=lambda ij: 2)])
 
 
 def regular_rep(A: NSLieAlgebra) -> NSRep:
@@ -194,26 +210,10 @@ def regular_rep(A: NSLieAlgebra) -> NSRep:
 def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
     """Semidirect product NS-Lie algebra on G⊕W."""
     require(is_ns_rep(rep))
-    A, m = rep.base, rep.module_dim
-    if m == 0:
-        return A
-    n = A.dim
-    left, wedge = dict(A.left), dict(A.wedge)
-    for i in range(n):
-        for b in range(m):
-            col = rep.mu[i].col(b)  # e_i ◁ w_b
-            comp = {n + k: c for k, c in enumerate(col) if c != 0}
-            if comp:
-                left[(i, n + b)] = comp
-            col = rep.nu[i].col(b)  # w_b ◁ e_i
-            comp = {n + k: c for k, c in enumerate(col) if c != 0}
-            if comp:
-                left[(n + b, i)] = comp
-            col = rep.varrho[i].col(b)  # e_i ▷ w_b, skew storage needs i < n+b
-            comp = {n + k: c for k, c in enumerate(col) if c != 0}
-            if comp:
-                wedge[(i, n + b)] = comp
-    return NSLieAlgebra(n + m, A.basis + rep.labels, left, wedge, check=False)
+    if rep.module_dim == 0:
+        return rep.base
+    return NSLieAlgebra(rep.base.dim + rep.module_dim, rep.base.basis + rep.labels,
+                        *_semidirect_tables(rep), check=False)
 
 
 @verified

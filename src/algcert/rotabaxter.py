@@ -12,8 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .certificates import (Certificate, Checked, CheckFailed, require, residual_from_vec, scan,
-                           verified)
+from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (ONE, ZERO, Mat, Tensor2, flip, precompose, rat, sapply, saxpy, scols,
                     sprod)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
@@ -115,17 +114,13 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
     dual = dual_bracket_from_r(L, r).sc.rows()
     sharp = scols(s_sharp(qrb.S))
     desc = descendent(qrb.rb)
-    for i, j in combinations(range(n), 2):
+
+    def diff(i, j):
         # S♯ is a homomorphism from the descendent algebra to the dual algebra
-        diff = sprod(dual, sharp[i], sharp[j])
-        saxpy(diff, -ONE, sapply(sharp, desc.sc.get((i, j), {})))
-        if any(diff.values()):
-            raise CheckFailed(
-                Certificate.failed(
-                    "descendent-compatibility", (i, j),
-                    residual_from_vec(diff), 1,
-                )
-            )
+        out = sprod(dual, sharp[i], sharp[j])
+        return saxpy(out, -ONE, sapply(sharp, desc.sc.get((i, j), {})))
+    require(scan("descendent-compatibility",
+                 (((i, j), diff(i, j)) for i, j in combinations(range(n), 2))))
     return r
 
 

@@ -16,8 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from algcert.certificates import (Certificate, CheckFailed, residual_from_mat, residual_from_vec,
-                                  scan)
+from algcert.certificates import Certificate, CheckFailed, residual_from_mat, scan
 from algcert.bialgebra import _cotable
 from algcert.cybe import PreLieAlgebra, ReynoldsPreLie, is_cybe_solution, r_plus
 from algcert.exact import (ZERO, Mat, Table, Tensor2, Tensor3, flip, integral, precompose, sapply,
@@ -556,12 +555,12 @@ def r_from_qrb(qrb) -> Tensor2:
     dual = dual_bracket_from_r(L, r)
     sharp = s_sharp(qrb.S)
     desc = descendent(qrb.rb)
-    for i, j in combinations(range(n), 2):
-        lhs = dual.bracket(sharp.col(i), sharp.col(j))
-        rhs = sharp.apply(desc.bracket_basis(i, j))
-        if lhs != rhs:
-            raise CheckFailed(Certificate.failed("descendent-compatibility", (i, j),
-                                                 residual_from_vec(vsub(lhs, rhs)), 1))
+    compat = scan("descendent-compatibility", (
+        ((i, j), vsub(dual.bracket(sharp.col(i), sharp.col(j)),
+                      sharp.apply(desc.bracket_basis(i, j))))
+        for i, j in combinations(range(n), 2)))
+    if not compat.ok:
+        raise CheckFailed(compat)
     return r
 
 

@@ -28,6 +28,7 @@ from algcert.cybe import (
     is_reynolds_prelie,
     reynolds_tensor_condition,
 )
+from algcert.certificates import CheckFailed
 from algcert.exact import Mat, Tensor2
 from algcert.lie import (
     BilinForm,
@@ -53,9 +54,11 @@ from algcert.reynolds import (
 from algcert.rotabaxter import (
     QuadraticRB,
     RotaBaxterAlg,
+    descendent,
     is_factorizable,
     is_reynolds_on_qrb,
     is_rota_baxter,
+    r_from_qrb,
 )
 
 SL2 = LieAlgebra(3, ("H", "X", "Y"), {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
@@ -237,3 +240,18 @@ def stage(cert, name):
 @pytest.mark.parametrize("name", list(STAGES))
 def test_stage_certificate_pinned(name):
     assert stage(STAGES[name](), name).to_json() == PINNED[name]
+
+
+def test_descendent_compatibility_pinned(rebind):
+    # r_from_qrb's last stage holds for sl(2); with the descendent bracket doubled and
+    # [e0,e1] = e2 added, all three pairs fail and `violations` counts each of them
+    def perturbed(rb):
+        d = descendent(rb)
+        sc = {key: {k: 2 * c for k, c in comp.items()} for key, comp in d.sc.items()}
+        return LieAlgebra.unchecked(d.dim, d.basis, {**sc, (0, 1): {2: 1}})
+    rebind(descendent, perturbed)
+    with pytest.raises(CheckFailed) as failure:
+        r_from_qrb(QuadraticRB(RotaBaxterAlg(SL2, B_OP, 0), S_FORM))
+    assert failure.value.certificate.to_json() == {
+        "check": "descendent-compatibility", "ok": False, "where": [0, 1],
+        "residual": [{"at": [1], "c": "-1"}], "violations": 3}

@@ -5,7 +5,8 @@ an identity with an exact symmetry once per orbit of basis tuples, and `scan`
 counts a nonzero value by its orbit's size.  Their certificates must equal, in
 full, those of the `dense_oracle` bodies, which visit every ordered tuple: on
 random unchecked tables, forms, operators and representations, most of them
-failing.
+failing.  The NS-type checks share one kernel, `nslie._identities`; the last
+two tests check the equivalences that let `is_ns_rep` and `is_prelie` use it.
 """
 
 from fractions import Fraction
@@ -17,7 +18,9 @@ import dense_oracle as dense
 from algcert.certificates import scan
 from algcert.exact import Mat
 from algcert.lie import BilinForm, LieAlgebra, is_invariant_form
-from algcert.nslie import NSLieAlgebra, NSRep, is_ns_rep, is_nslie, ns_from_reynolds, regular_rep
+from algcert.cybe import PreLieAlgebra, is_prelie
+from algcert.nslie import (NSLieAlgebra, NSRep, _semidirect_tables, is_ns_rep, is_nslie,
+                           ns_from_reynolds, regular_rep)
 from algcert.reynolds import ReynoldsLieAlgebra, operator_form_compat
 
 SMALL = st.sampled_from([Fraction(c) for c in (0, 0, 0, 1, -1, 2, -3)]
@@ -103,19 +106,64 @@ def test_form_checks_match_full_enumeration(case):
                 == dense.operator_form_compat(L, S, R, name, op_lam).to_json())
 
 
+def draw_rep(draw, A: NSLieAlgebra) -> NSRep:
+    """Random maps on a module of dimension 0 to 3, or the regular representation with
+    one of its three maps scaled."""
+    n = A.dim
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 3))
+        return NSRep.unchecked(A, m, *([rand_mat(draw, m, m) for _ in range(n)] for _ in range(3)))
+    reg, c = regular_rep(A), draw(SMALL)
+    maps = [reg.varrho, reg.mu, reg.nu]
+    k = draw(st.integers(0, 2))
+    maps[k] = [x.scale(c) for x in maps[k]]
+    return NSRep.unchecked(A, n, *maps)
+
+
 @MORE
 @given(ns_algebras(max_dim=3), st.data())
 def test_ns_rep_matches_full_enumeration(A, data):
-    """Random maps on a random module, or the regular representation with one map scaled."""
-    draw, n = data.draw, A.dim
-    if draw(st.booleans()):
-        m = draw(st.integers(1, 3))
-        maps = [[rand_mat(draw, m, m) for _ in range(n)] for _ in range(3)]
-        rep = NSRep.unchecked(A, m, *maps)
-    else:
-        reg, c = regular_rep(A), draw(SMALL)
-        maps = [reg.varrho, reg.mu, reg.nu]
-        k = draw(st.integers(0, 2))
-        maps[k] = [x.scale(c) for x in maps[k]]
-        rep = NSRep.unchecked(A, n, *maps)
+    rep = draw_rep(data.draw, A)
     assert is_ns_rep(rep).to_json() == dense.is_ns_rep(rep).to_json()
+
+
+# `is_ns_rep` and `is_prelie` are read off the NS identities of other tables; the
+# facts that this rests on, on random data, valid or not
+
+SL2_NS = ns_from_reynolds(ReynoldsLieAlgebra(SL2, Mat([[0, 0, -1], [2, 0, 0], [0, 0, 0]])))
+
+
+@MORE
+@given(st.one_of(st.just(SL2_NS), ns_algebras(max_dim=3)), st.data())
+def test_semidirect_is_nslie_exactly_when_rep_is(A, data):
+    # the NS identities of G⊕W on triples in G are G's, with one vector in W the
+    # representation's, and with two or more in W they vanish
+    rep = draw_rep(data.draw, A)
+    semidirect = NSLieAlgebra.unchecked(A.dim + rep.module_dim, None, *_semidirect_tables(rep))
+    assert is_nslie(semidirect).ok == (is_nslie(A).ok and is_ns_rep(rep).ok)
+
+
+@st.composite
+def prelie_algebras(draw, max_dim: int = 4) -> PreLieAlgebra:
+    """A random product, or the associative product of the 2×2 matrix units with one
+    entry changed at times."""
+    if draw(st.integers(0, 2)) == 0:
+        n = draw(st.integers(1, max_dim))
+        return PreLieAlgebra.unchecked(n, None, sparse(draw, n, product(range(n), repeat=2)))
+    units = list(product(range(2), repeat=2))
+    prod = {(i, j): {units.index((a, d)): Fraction(1)} for i, (a, b) in enumerate(units)
+            for j, (c, d) in enumerate(units) if b == c}
+    if draw(st.booleans()):
+        prod[draw(st.sampled_from(list(product(range(4), repeat=2))))] = {
+            draw(st.integers(0, 3)): draw(SMALL)}
+    return PreLieAlgebra.unchecked(4, None, prod)
+
+
+@MORE
+@given(prelie_algebras())
+def test_prelie_is_first_ns_identity(A):
+    # pre-Lie is NS-Lie with ▷ = 0; ns-identity-1 counts both orders of (x, y), pre-lie one
+    pre = is_prelie(A)
+    ns = is_nslie(NSLieAlgebra.unchecked(A.dim, None, A.prod, {})).parts[0]
+    assert ns.check == "ns-identity-1" and ns.ok == pre.ok
+    assert (ns.where, ns.residual, ns.violations) == (pre.where, pre.residual, 2 * pre.violations)

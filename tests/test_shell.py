@@ -294,22 +294,27 @@ def test_cli_op_and_reynolds_are_exclusive(tmp_path, sl2, b_op, capsys):
         assert capsys.readouterr().out == "", argv
 
 
-def _loaded_after(imports: str) -> set[str]:
-    """The modules a fresh interpreter holds after `import <imports>`."""
+def _loaded_after(imports: str, run: str = "None") -> set[str]:
+    """The modules a fresh interpreter holds after `import <imports>` and then `assert <run>`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(algcert.__file__)))
     script = (f"import sys; sys.path.insert(0, {src!r}); import {imports}; "
-              "print(' '.join(sorted(sys.modules)))")
+              f"assert {run} in (0, None); print(' '.join(sorted(sys.modules)))")
     return set(subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                              text=True, check=True).stdout.split())
+                              text=True, check=True).stdout.splitlines()[-1].split())
 
 
-def test_cli_import_footprint():
+def test_cli_import_footprint(tmp_path, sl2, r_tensor):
     # a CLI process imports a kind's module at dispatch, not at start-up
     loaded = _loaded_after("algcert.cli")
     assert "algcert.cli" in loaded
     for name in ("dataclasses", "traceback", "algcert.bialgebra", "algcert.rotabaxter",
                  "algcert.cybe", "algcert.matched", "algcert.nslie"):
         assert name not in loaded, name
+    # a cybe check loads its module, but not the NS-Lie one that the pre-Lie checks use
+    argv = ["cybe", sl2_file(tmp_path, sl2), "--tensor",
+            write(tmp_path, "r.json", fio.tensor_to_doc(r_tensor))]
+    loaded = _loaded_after("algcert.cli", f"algcert.cli.main_check({argv!r})")
+    assert "algcert.cybe" in loaded and "algcert.nslie" not in loaded
 
 
 def test_rotabaxter_import_footprint():
