@@ -96,8 +96,8 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
     skew = scan("coalgebra", (((k,), d + flip(d)) for k, d in enumerate(deltas)))
     if not skew.ok:
         return skew._replace(note="cobracket is not skew")
-    co, den = integral(_cotable(deltas, True))
-    w = jacobi_width(n, co)
+    co, den, top = integral(_cotable(deltas, True))
+    w = jacobi_width(n, top)
     outer = packed_outer(co, w)
     out: list[dict] = [{} for _ in range(n)]
     for x, y, z in combinations(range(n), 3):
@@ -138,10 +138,10 @@ def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
     n = g.dim
     if len(deltas) != n or any(d.dim_left != n or d.dim_right != n for d in deltas):
         raise ValueError("cobracket shape does not match the algebra")
-    sc, co, den = integral(g.sc, _cotable(deltas, False))
+    sc, co, den, top = integral(g.sc, _cotable(deltas, False))
     table = double_table(sc, Table._of(n, {}, True), coadjoint_cols(sc.rows(), n),
                          coadjoint_cols(co.rows(), n))
-    w = jacobi_width(2 * n, sc, co)
+    w = jacobi_width(2 * n, top)
     outer, shift = packed_outer(table, w, 0, n), n * w
 
     def residual(i, j):

@@ -197,12 +197,8 @@ def residual_from_vec(v) -> Residual:
 
 
 def residual_from_mat(m) -> Residual:
-    return tuple(
-        ((i, j), c)
-        for i, row in enumerate(m.entries)
-        for j, c in enumerate(row)
-        if c != 0
-    )
+    return tuple(sorted(((i, j), Fraction(c, m.den))
+                        for j, col in enumerate(m.icols) for i, c in col.items()))
 
 
 def residual_from_tensor(t) -> Residual:

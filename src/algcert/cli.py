@@ -22,7 +22,7 @@ from importlib import import_module
 from operator import attrgetter
 
 from . import fileio as fio
-from .certificates import Certificate, CheckFailed, require
+from .certificates import Certificate, CheckFailed, require, verified
 from .exact import Mat, rat
 
 # the package: its lazy exports look each name up on its module at call time
@@ -237,6 +237,7 @@ BUILDS = {
 BUILD_KINDS = tuple(BUILDS)
 
 
+@verified   # one scope: the emit's checks of what the construction verified are memo hits
 def _run_build(kind: str, path: str, args) -> tuple[dict, list[Certificate]]:
     doc = fio.read_doc(path)
     _, run, emit = _dispatch(BUILDS, kind, "build")
@@ -345,6 +346,7 @@ def _cat_flags(p: argparse.ArgumentParser) -> None:
 
 @_command("algcat", "emit a catalog entry and re-run its checks", _cat_flags,
           lambda args: ["algcat", args.name] + (["-o", args.out] if args.out else []))
+@verified
 def main_cat(args) -> list[Certificate]:
     from .catalog import catalog, entry_to_doc
     entry = catalog(args.name)

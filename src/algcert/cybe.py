@@ -11,8 +11,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, action_rows, dense, flip,
-                    integral, precompose, sapply, saxpy, scols, sprod, tensor2_map)
+from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, flip, integral, precompose,
+                    sapply, saxpy, sprod, srow, tensor2_map, unscale)
 from .lie import LieAlgebra, Representation, default_basis, dual_rep, semidirect
 from .matched import MatchedPair, ReynoldsMatchedPair
 from .reynolds import (
@@ -89,11 +89,10 @@ def is_cybe_solution_reynolds(A: ReynoldsLieAlgebra, r: Tensor2) -> Certificate:
 
 def r_plus(r: Tensor2) -> Mat:
     """The induced map g*→g, ξ ↦ r(ξ,·), as a matrix in dual bases."""
-    n = r.dim_left
-    m = [[Fraction(0)] * n for _ in range(r.dim_right)]
+    cols: list[dict] = [{} for _ in range(r.dim_left)]
     for (i, j), c in r.entries.items():
-        m[j][i] = c
-    return Mat(m)
+        cols[i][j] = c
+    return Mat._from(r.dim_right, r.dim_left, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -121,32 +120,33 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
     if not rep_cert.ok:
         return Certificate.combine("relative-rb", [rep_cert],
                                    note="invalid Reynolds representation")
-    L = rel.rr.base.L
-    rows = L.sc.rows()
-    kcols = scols(rel.K)
-    desc = _descendent_sc(rel)
+    sc, den, _ = integral(rel.rr.base.L.sc)
+    rows = sc.rows()
+    kcols, k, _ = integral(rel.K)
+    desc, s = _descendent_sc(rel)
 
     def residual(a, b):
-        out = sprod(rows, kcols[a], kcols[b])
-        return saxpy(out, -ONE, sapply(kcols, desc[a, b]))
-    op_cert = scan("operator-identity", (((a, b), residual(a, b)) for a, b in desc))
+        # den·k²·s times [Ke_a, Ke_b] − K[e_a, e_b]_K
+        out = saxpy({}, s, sprod(rows, kcols[a], kcols[b]))
+        return saxpy(out, -den * k, sapply(kcols, desc[a, b]))
+    op_cert = scan("operator-identity", (((a, b), residual(a, b)) for a, b in desc),
+                   den * k * k * s)
     compat = scan("rk-equals-kt", [((0,), rel.rr.base.R @ rel.K - rel.K @ rel.rr.T)])
     return Certificate.combine("relative-rb", [rep_cert, op_cert, compat])
 
 
-def _k_action(rel: RelativeRB):
-    """rows[a][b] = rho(Ke_a)e_b, as a table on the module's basis indices."""
-    return precompose(action_rows(rel.rr.rep.rho), scols(rel.K))
+def _k_action(rel: RelativeRB) -> tuple[Rows, int]:
+    """rows[a][b] = s·rho(Ke_a)e_b on integers, a table on the module's basis indices, and s."""
+    *rho, d, _ = integral(*rel.rr.rep.rho)
+    kcols, k, _ = integral(rel.K)
+    return precompose([{j: col for j, col in enumerate(m) if col} for m in rho], kcols), d * k
 
 
-def _descendent_sc(rel: RelativeRB) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """[e_a,e_b]_K = rho(Ke_a)e_b − rho(Ke_b)e_a for a<b (cancelled zeros kept)."""
-    rk = _k_action(rel)
-    sc = {}
-    for a, b in combinations(range(rel.rr.rep.module_dim), 2):
-        comp = dict(rk[a].get(b, {}))
-        sc[a, b] = saxpy(comp, -ONE, rk[b].get(a, {}))
-    return sc
+def _descendent_sc(rel: RelativeRB) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
+    """s·[e_a,e_b]_K = s·(rho(Ke_a)e_b − rho(Ke_b)e_a), a<b, on integers (zeros kept), and s."""
+    rk, s = _k_action(rel)
+    return {(a, b): saxpy(dict(rk[a].get(b, {})), -1, rk[b].get(a, {}))
+            for a, b in combinations(range(rel.rr.rep.module_dim), 2)}, s
 
 
 @verified
@@ -154,7 +154,8 @@ def descendent_on_W(rel: RelativeRB) -> ReynoldsLieAlgebra:
     """Bracket [u,v]_K = rho(Ku)v − rho(Kv)u on W with operator T."""
     require(is_relative_rb(rel))
     rep = rel.rr.rep
-    W = LieAlgebra(rep.module_dim, rep.labels, _descendent_sc(rel))
+    desc, s = _descendent_sc(rel)
+    W = LieAlgebra(rep.module_dim, rep.labels, {key: unscale(v, s) for key, v in desc.items()})
     return ReynoldsLieAlgebra(W, rel.rr.T)
 
 
@@ -166,16 +167,16 @@ def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     rep = rel.rr.rep
     m = rep.module_dim
     rho = Representation(g, m, rep.rho, labels=rep.labels, check=False)
-    rows = g.sc.rows()
-    act = action_rows(rep.rho)
-    kcols = scols(rel.K)
-    mu_mats = []
-    for a, ku in enumerate(kcols):
-        cols = []
-        for i in range(g.dim):
-            col = sapply(kcols, act[i].get(a, {}))
-            cols.append(dense(g.dim, saxpy(col, -ONE, sprod(rows, {i: ONE}, ku))))
-        mu_mats.append(Mat.from_cols(cols))
+    sc, den, _ = integral(g.sc)
+    rows = sc.rows()
+    *act, d, _ = integral(*rep.rho)
+    kcols, k, _ = integral(rel.K)
+
+    def mu_col(a, i):
+        """k·d·den·(K(rho(e_i)e_a) − [e_i, Ke_a])"""
+        return saxpy(saxpy({}, den, sapply(kcols, act[i][a])), -d, srow({}, rows[i], kcols[a]))
+    mu_mats = [Mat._of(g.dim, g.dim, [mu_col(a, i) for i in range(g.dim)], k * d * den)
+               for a in range(m)]
     mu = Representation(desc.L, g.dim, mu_mats, labels=g.basis, check=False)
     pair = MatchedPair(g, desc.L, rho, mu)
     return ReynoldsMatchedPair(pair, rel.rr.base.R, rel.rr.T)
@@ -194,9 +195,8 @@ def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     big = semidirect(base.L, dual_rep(rep))
     op = Mat.block_diag(base.R, -rel.rr.T.transpose())
     ambient = ReynoldsLieAlgebra(big, op)
-    kbar = Tensor2(n + m, n + m,
-                   {(n + i, a): K.entries[a][i] for a in range(n) for i in range(m)
-                    if K.entries[a][i] != 0})
+    kbar = Tensor2(n + m, n + m, {(n + i, a): Fraction(c, K.den)
+                                  for i, col in enumerate(K.icols) for a, c in col.items()})
     r_k = kbar - flip(kbar)
     require(is_cybe_solution_reynolds(ambient, r_k))
     return ambient, r_k
@@ -236,7 +236,7 @@ def is_prelie(A: PreLieAlgebra) -> Certificate:
     from .nslie import _identities
 
     n = A.dim
-    prod, den = integral(A.prod)
+    prod, den, _ = integral(A.prod)
     id1, _ = _identities(prod, Table(n))
     return scan("pre-lie", (((i, j, k), id1(i, j, k))
                             for i, j in combinations(range(n), 2) for k in range(n)), den * den)
@@ -290,7 +290,8 @@ def prelie_from_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     """{u,v}_K = rho(Ku)v on W, with operator T."""
     require(is_relative_rb(rel))
     rep = rel.rr.rep
-    prod = {(a, b): comp for a, row in enumerate(_k_action(rel)) for b, comp in row.items()}
+    rk, s = _k_action(rel)
+    prod = {(a, b): unscale(comp, s) for a, row in enumerate(rk) for b, comp in row.items()}
     A = PreLieAlgebra(rep.module_dim, rep.labels, prod)
     return ReynoldsPreLie(A, rel.rr.T)
 
@@ -303,9 +304,10 @@ def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     if K.rows != K.cols or K.det() == 0:
         raise ValueError("invertible variant requires a square invertible K")
     g = rel.rr.base.L
-    kcols, kinv = scols(K), scols(K.inverse())
-    prod = {(i, j): sapply(kcols, sapply(rho, kinv[j]))
-            for i, rho in enumerate(scols(m) for m in rel.rr.rep.rho) for j in range(g.dim)}
+    (kcols, k, _), (kinv, ki, _) = integral(K), integral(K.inverse())
+    *mats, d, _ = integral(*rel.rr.rep.rho)
+    prod = {(i, j): unscale(sapply(kcols, sapply(rho, kinv[j])), k * ki * d)
+            for i, rho in enumerate(mats) for j in range(g.dim)}
     A = PreLieAlgebra(g.dim, g.basis, prod)
     return ReynoldsPreLie(A, rel.rr.base.R)
 

@@ -2,11 +2,14 @@
 
 Conventions fixed here for the whole package:
 
-* every stored scalar is a ``fractions.Fraction`` (arbitrary precision,
-  always stored reduced, never a float); the identity checks scale the
-  tables they read to integers under one common denominator per table
-  (`integral`), built per call, do their arithmetic on ``int``, and turn
-  only a reported residual back into a ``Fraction``;
+* every scalar is exact, never a float: a ``fractions.Fraction``
+  (arbitrary precision, always reduced) or an ``int`` numerator over a
+  common denominator;
+* every `Mat` and `Table` keeps its exact integer form: its coefficients
+  as ``int``s on one common denominator, and the largest |coefficient|,
+  computed once per object (a `Mat` stores nothing else).  The identity
+  checks read these forms through `integral`, do their arithmetic on
+  ``int``, and turn only a reported residual back into a ``Fraction``;
 * vectors are coordinate tuples, matrices act on column coordinate
   vectors, and the matrix of an operator has the images of the basis
   vectors as its columns;
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import lshift
 from typing import Iterable, Iterator, Mapping
 
@@ -88,190 +91,208 @@ def vis_zero(a: Vec) -> bool:
 # matrices
 # ---------------------------------------------------------------------------
 
-class Mat:
-    """Dense exact-rational matrix; immutable after construction."""
+def _ints(vectors) -> tuple[list[dict[int, int]], int]:
+    """Rational sparse vectors {k: c} as integer ones on the lcm D of their denominators, and D."""
+    ratios = [{k: c.as_integer_ratio() for k, c in v.items()} for v in vectors]
+    den = lcm(*{d for r in ratios for _, d in r.values()})
+    return [{k: n * (den // d) for k, (n, d) in r.items()} for r in ratios], den
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _top(vectors) -> int:
+    """The largest |coefficient| of integer sparse vectors."""
+    return max(map(abs, chain.from_iterable(map(dict.values, vectors))), default=0)
+
+
+class Mat:
+    """Exact-rational matrix, stored sparse; immutable after construction.
+
+    A matrix keeps its exact integer form and nothing else: `icols[j]` holds the
+    nonzero entries of column j as integers {row: c} on one common denominator
+    `den` > 0, entry (i, j) being icols[j][i] / den, and `top` is the largest |c|.
+    `den` is canonical, gcd(den, every c) = 1, so equal entries are equal forms:
+    `==` and `hash` compare the forms.  `entries` is the dense view of rows of
+    Fractions, derived on each read.
+    """
+
+    __slots__ = ("rows", "cols", "icols", "den", "top")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows = tuple([tuple([rat(c) for c in row]) for row in entries])
-        self.entries: tuple[tuple[Fraction, ...], ...] = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix rows")
+        rows = [[rat(c).as_integer_ratio() for c in row] for row in entries]
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("ragged matrix rows")
+        den = lcm(*{d for row in rows for _, d in row})
+        self._keep(len(rows), cols, [{i: n * (den // d) for i, (n, d) in enumerate(col) if n}
+                                     for col in zip(*rows)], den)
+
+    def _keep(self, rows: int, cols: int, icols, den: int) -> None:
+        """Keep fresh integer columns {row: c} over den > 0, zeros dropped, den canonical."""
+        if not all(chain.from_iterable(map(dict.values, icols))):
+            icols = [{i: c for i, c in col.items() if c} for col in icols]
+        g = gcd(den, *chain.from_iterable(map(dict.values, icols)))
+        if g != 1:
+            icols = [{i: c // g for i, c in col.items()} for col in icols]
+        self.rows, self.cols, self.den, self.icols = rows, cols, den // g, tuple(icols)
+        self.top = _top(icols)
 
     @classmethod
-    def _of(cls, rows) -> "Mat":
-        """A matrix from rows of Fractions, taken as they are: no coercion, no shape check."""
+    def _of(cls, rows: int, cols: int, icols, den: int = 1) -> "Mat":
+        """The matrix of integer columns {row: c} over den > 0, taken as in range."""
         m = object.__new__(cls)
-        m.entries = tuple([tuple(row) for row in rows])
-        m.rows = len(m.entries)
-        m.cols = len(m.entries[0]) if m.entries else 0
+        m._keep(rows, cols, icols, den)
         return m
 
-    def _same_shape(self, other: "Mat") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
+    @classmethod
+    def _from(cls, rows: int, cols: int, fcols) -> "Mat":
+        """The matrix of rational columns {row: c}, taken as in range: no coercion."""
+        return cls._of(rows, cols, *_ints(fcols))
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows of Fractions."""
+        return tuple(zip(*map(self.col, range(self.cols)))) if self.cols else ((),) * self.rows
+
+    @property
+    def form(self) -> tuple:
+        """The integer form (icols, den, top), as `integral` reads it."""
+        return self.icols, self.den, self.top
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls._of([ZERO] * cols for _ in range(rows))
+        return cls._of(rows, cols, [{} for _ in range(cols)])
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls._of([ONE if i == j else ZERO for j in range(n)] for i in range(n))
+        return cls._of(n, n, [{j: 1} for j in range(n)])
 
     @classmethod
     def from_cols(cls, cols: Iterable[Vec]) -> "Mat":
-        cols = [vec(c) for c in cols]
-        if not cols:
-            return cls.zeros(0, 0)
-        n = len(cols[0])
-        return cls._of([c[i] for c in cols] for i in range(n))
+        return cls(zip(*cols, strict=True))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, Mat) and ((self.rows, self.cols, self.den, self.icols)
+                                           == (other.rows, other.cols, other.den, other.icols))
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.rows, self.cols, self.den, *map(frozenset, map(dict.items, self.icols))))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(rat_str(c) for c in row) for row in self.entries)
-        return f"Mat[{body}]"
+        return f"Mat[{'; '.join(' '.join(map(rat_str, row)) for row in self.entries)}]"
+
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes differ")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return Mat._of(self.rows, self.cols, [saxpy({i: a * c for i, c in x.items()}, b, y)
+                                              for x, y in zip(self.icols, other.icols)], den)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat._of([a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat._of([a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Mat":
-        return Mat._of([-a for a in row] for row in self.entries)
+        return self.scale(-1)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
-            raise ValueError(
-                f"matrix product shape mismatch: {self.rows}x{self.cols} @ "
-                f"{other.rows}x{other.cols}"
-            )
-        out = []
-        for row in self.entries:
-            acc = [ZERO] * other.cols
-            for a, orow in zip(row, other.entries):
-                if a:
-                    for k, b in enumerate(orow):
-                        if b:
-                            acc[k] += a * b
-            out.append(acc)
-        return Mat._of(out)
+            raise ValueError(f"matrix product shape mismatch: "
+                             f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        return Mat._of(self.rows, other.cols, [sapply(self.icols, col) for col in other.icols],
+                       self.den * other.den)
 
     def scale(self, c) -> "Mat":
         c = rat(c)
-        return Mat._of([c * a for a in row] for row in self.entries)
+        return Mat._of(self.rows, self.cols, [{i: c.numerator * x for i, x in col.items()}
+                                              for col in self.icols], self.den * c.denominator)
 
     def apply(self, v: Vec) -> Vec:
         """Exact matrix-vector product (column-vector convention)."""
         if self.cols != len(v):
             raise ValueError(f"cannot apply {self.rows}x{self.cols} to vector of length {len(v)}")
-        nonzero = [(k, x) for k, x in enumerate(v) if x]
-        return tuple([sum((row[k] * x for k, x in nonzero if row[k]), ZERO)
-                      for row in self.entries])
+        acc = sapply(self.icols, {j: x for j, x in enumerate(v) if x})
+        return tuple([Fraction(acc[i], self.den) if i in acc else ZERO for i in range(self.rows)])
 
     def transpose(self) -> "Mat":
         """Matrix of the dual map in dual bases."""
-        return Mat._of(zip(*self.entries))
+        rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.icols):
+            for i, c in col.items():
+                rows[i][j] = c
+        return Mat._of(self.cols, self.rows, rows, self.den)
 
     def col(self, j: int) -> Vec:
-        return tuple([row[j] for row in self.entries])
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
+        col = self.icols[j]
+        return tuple([Fraction(col[i], self.den) if i in col else ZERO for i in range(self.rows)])
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+        return not any(self.icols)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
 
-    def det(self) -> Fraction:
-        """Exact determinant by fraction-pivoting Gaussian elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        work = [list(row) for row in self.entries]
-        det = ONE
+    def _reduce(self, inv: list[SVec]) -> Fraction:
+        """Gauss-Jordan elimination on the rows, pivot j the first row ≥ j nonzero in column j,
+        each row operation applied to `inv` too: the product of the pivots, negated per row
+        swap (so det = it / den^n), or 0 at a column without a pivot."""
+        n, work, det = self.rows, list(map(dict, self.transpose().icols)), ONE
         for j in range(n):
-            pivot = next((i for i in range(j, n) if work[i][j] != 0), None)
+            pivot = next((i for i in range(j, n) if work[i].get(j)), None)
             if pivot is None:
                 return ZERO
             if pivot != j:
-                work[j], work[pivot] = work[pivot], work[j]
+                work[j], work[pivot], inv[j], inv[pivot] = work[pivot], work[j], inv[pivot], inv[j]
                 det = -det
             det *= work[j][j]
-            inv = 1 / work[j][j]
-            for i in range(j + 1, n):
-                if work[i][j] == 0:
-                    continue
-                factor = work[i][j] * inv
-                for k in range(j, n):
-                    work[i][k] -= factor * work[j][k]
+            p = ONE / work[j][j]
+            work[j], inv[j] = ({k: c * p for k, c in row.items()} for row in (work[j], inv[j]))
+            for i in range(n):
+                factor = work[i].get(j)
+                if i != j and factor:
+                    saxpy(work[i], -factor, work[j])
+                    saxpy(inv[i], -factor, inv[j])
         return det
+
+    def det(self) -> Fraction:
+        """Exact determinant by Gauss-Jordan elimination on the sparse rows."""
+        if self.rows != self.cols:
+            raise ValueError("determinant of a non-square matrix")
+        return self._reduce([{} for _ in range(self.rows)]) / self.den ** self.rows
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        work = [list(row) + [ONE if i == k else ZERO for k in range(n)]
-                for i, row in enumerate(self.entries)]
-        for j in range(n):
-            pivot = next((i for i in range(j, n) if work[i][j] != 0), None)
-            if pivot is None:
-                raise ValueError("singular matrix has no inverse")
-            work[j], work[pivot] = work[pivot], work[j]
-            inv = 1 / work[j][j]
-            work[j] = [a * inv for a in work[j]]
-            for i in range(n):
-                if i != j and work[i][j] != 0:
-                    factor = work[i][j]
-                    work[i] = [a - factor * b for a, b in zip(work[i], work[j])]
-        return Mat._of(row[n:] for row in work)
+        inv: list[SVec] = [{i: self.den} for i in range(n)]     # (A/den)⁻¹ = den·A⁻¹
+        if not self._reduce(inv):
+            raise ValueError("singular matrix has no inverse")
+        return Mat._from(n, n, inv).transpose()     # `inv` holds rows
 
     def submatrix(self, row_ids: Iterable[int], col_ids: Iterable[int]) -> "Mat":
         rows = list(row_ids)
-        cols = list(col_ids)
-        return Mat._of([self.entries[i][j] for j in cols] for i in rows)
+        cols = [self.icols[j] for j in col_ids]
+        return Mat._of(len(rows), len(cols),
+                       [{k: col[i] for k, i in enumerate(rows) if i in col} for col in cols],
+                       self.den)
 
     @staticmethod
     def block_diag(a: "Mat", b: "Mat") -> "Mat":
         """Block-diagonal assembly; first factor block then second."""
-        out = [
-            list(row) + [ZERO] * b.cols for row in a.entries
-        ] + [
-            [ZERO] * a.cols + list(row) for row in b.entries
-        ]
-        return Mat._of(out)
+        d = lcm(a.den, b.den)
+        return Mat._of(a.rows + b.rows, a.cols + b.cols,
+                       [{i: d // a.den * c for i, c in col.items()} for col in a.icols]
+                       + [{a.rows + i: d // b.den * c for i, c in v.items()} for v in b.icols], d)
 
 
 def mat_comb(mats, v: SVec, rows: int, cols: int) -> Mat:
     """Σ_k v[k]·mats[k] for a sparse coefficient vector v."""
-    acc = [[ZERO] * cols for _ in range(rows)]
+    acc: list[SVec] = [{} for _ in range(cols)]
     for k, c in v.items():
-        for arow, mrow in zip(acc, mats[k].entries):
-            for b, x in enumerate(mrow):
-                if x:
-                    arow[b] += c * x
-    return Mat._of(acc)
+        for a, col in zip(acc, mats[k].icols):
+            saxpy(a, Fraction(c, mats[k].den), col)
+    return Mat._from(rows, cols, acc)
 
 
 def mat_apply(m: Mat, v: Vec) -> Vec:
@@ -363,17 +384,14 @@ def tensor2_map(f: Mat, g: Mat, t: Tensor2) -> Tensor2:
         raise ValueError("operator/tensor dimension mismatch in tensor2_map")
     data: dict[tuple[int, int], Fraction] = {}
     for (i, j), c in t.entries.items():
-        fcol = f.col(i)
-        gcol = g.col(j)
-        for a, fa in enumerate(fcol):
-            if fa == 0:
-                continue
-            for b, gb in enumerate(gcol):
-                if gb == 0:
-                    continue
+        gcol = g.icols[j]
+        for a, fa in f.icols[i].items():
+            fc = fa * c
+            for b, gb in gcol.items():
                 key = (a, b)
-                data[key] = data.get(key, ZERO) + fa * gb * c
-    return Tensor2(f.rows, g.rows, data)
+                data[key] = data.get(key, ZERO) + fc * gb
+    den = f.den * g.den
+    return Tensor2(f.rows, g.rows, {k: v / den for k, v in data.items()})
 
 
 def flip(t: Tensor2) -> Tensor2:
@@ -390,20 +408,15 @@ def tensor3_map(f: Mat, g: Mat, h: Mat, t: "Tensor3") -> "Tensor3":
         raise ValueError("operator/tensor dimension mismatch in tensor3_map")
     data: dict[tuple[int, int, int], Fraction] = {}
     for (i, j, k), c in t.entries.items():
-        fcol, gcol, hcol = f.col(i), g.col(j), h.col(k)
-        for a, fa in enumerate(fcol):
-            if fa == 0:
-                continue
-            for b, gb in enumerate(gcol):
-                if gb == 0:
-                    continue
+        gcol, hcol = g.icols[j], h.icols[k]
+        for a, fa in f.icols[i].items():
+            for b, gb in gcol.items():
                 fg = fa * gb * c
-                for d, hd in enumerate(hcol):
-                    if hd == 0:
-                        continue
+                for d, hd in hcol.items():
                     key = (a, b, d)
                     data[key] = data.get(key, ZERO) + fg * hd
-    return Tensor3((f.rows, g.rows, h.rows), data)
+    den = f.den * g.den * h.den
+    return Tensor3((f.rows, g.rows, h.rows), {k: v / den for k, v in data.items()})
 
 
 class Tensor3:
@@ -425,9 +438,6 @@ class Tensor3:
 
     def items(self) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
         return iter(sorted(self.entries.items()))
-
-    def entry(self, i: int, j: int, k: int) -> Fraction:
-        return self.entries.get((i, j, k), ZERO)
 
     def __eq__(self, other) -> bool:
         return (
@@ -460,10 +470,11 @@ class Tensor3:
 # coordinate vectors: a sparse vector is a dict {index: coefficient} (it may
 # hold cancelled zeros), and a bilinear map is stored as a `Table` and
 # evaluated through its rows, rows[i][j] = e_i·e_j as a sparse vector, built
-# per call by `Table.rows`; a matrix is its list of sparse columns.  The
-# helpers below are number-generic: on `integral` tables they stay on ``int``,
-# on ``Fraction`` ones on ``Fraction``.  A residual handed to `scan` is the
-# sparse vector itself, or a dict {(row, column): coefficient} for a matrix.
+# per call by `Table.rows`; a matrix is its tuple of sparse integer columns
+# (`Mat.icols`).  The helpers below are number-generic: on `integral` tables
+# they stay on ``int``, on ``Fraction`` ones on ``Fraction``.  A residual
+# handed to `scan` is the sparse vector itself, or a dict
+# {(row, column): coefficient} for a matrix.
 
 Rows = list[dict[int, SVec]]
 
@@ -475,6 +486,12 @@ class Table(dict):
     only, and e_j·e_i = −e_i·e_j.  Entries are validated once, on
     construction, and zeros are never stored.  It compares equal to a plain
     dict with the same entries.
+
+    A table is read-only after construction.  It keeps its integer form
+    (`form`, what `integral` reads), computed once per object: by the
+    validating constructor in its coercion pass, and on first use for a table
+    made by `_of`.  Assigning a key drops the kept form; no other change in
+    place is supported.
     """
 
     def __init__(self, dim: int, entries: Mapping | None = None, skew: bool = False):
@@ -487,21 +504,37 @@ class Table(dict):
                 raise ValueError(f"skew table key ({i},{j}) must satisfy i<j")
             cleaned = {}
             for k, c in comp.items():
-                c = rat(c)
-                if not 0 <= int(k) < dim:
+                c, k = rat(c), int(k)
+                if not 0 <= k < dim:
                     raise ValueError(f"table output index {k} out of range for dim {dim}")
-                if c != 0:
-                    cleaned[int(k)] = c
+                if c:
+                    cleaned[k] = c
             if cleaned:
-                self[i, j] = cleaned
+                dict.__setitem__(self, (i, j), cleaned)
+        self._form = self._integral()
 
     @classmethod
     def _of(cls, dim: int, entries: Mapping, skew: bool) -> "Table":
         """A table of valid entries, taken as they are: no coercion, no check."""
         t = cls.__new__(cls)
         t.update(entries)
-        t.dim, t.skew = dim, skew
+        t.dim, t.skew, t._form = dim, skew, None
         return t
+
+    def __setitem__(self, key, comp) -> None:
+        super().__setitem__(key, comp)
+        self._form = None
+
+    def _integral(self) -> tuple:
+        comps, den = _ints(list(self.values()))
+        return Table._of(self.dim, dict(zip(self, comps)), self.skew), den, _top(comps)
+
+    @property
+    def form(self) -> tuple:
+        """(D·table on ints, D, its largest |coefficient|), D the lcm of its denominators."""
+        if self._form is None:
+            self._form = self._integral()
+        return self._form
 
     def rows(self) -> Rows:
         """rows[i][j] = e_i·e_j as a sparse vector, both orders of a skew key."""
@@ -546,39 +579,28 @@ def saxpy(out: SVec, a, v: SVec) -> SVec:
 
 
 def integral(*tables):
-    """The tables scaled to integers under one common denominator.
+    """The integer forms of `Table`s and `Mat`s on one common denominator.
 
-    Each table is a `Table`, a list of sparse vectors, or a `Mat`, which is
-    read straight into its list of sparse integer columns.  Returns each
-    table (a `Mat` as its columns) with every coefficient multiplied by D,
-    as an ``int``, followed by D, the lcm of all the coefficients'
-    denominators.
+    Each table keeps its integer form (`Table.form`, `Mat.form`): D_t times the
+    table, with ``int`` coefficients, D_t the lcm of its coefficients'
+    denominators, and its largest |coefficient|.  Returns each form rescaled to
+    D, the lcm of the D_t (a `Table` as a table of ints, a `Mat` as its integer
+    columns), followed by D and the largest |coefficient| of them all.  A form
+    already on D is returned as it is kept, not copied: callers only read it.
     """
-    dens = set()
-    for t in tables:
-        dens.update({c.denominator for row in t.entries for c in row} if isinstance(t, Mat) else
-                    {c.denominator for v in (t.values() if isinstance(t, Table) else t)
-                     for c in v.values()})
-    den = lcm(*dens)
-
-    def scale(v: SVec) -> dict[int, int]:
-        return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
-
-    def columns(m: Mat) -> list[dict[int, int]]:
-        return [{i: c.numerator * (den // c.denominator) for i, c in enumerate(col) if c}
-                for col in zip(*m.entries)]
-    return (*(Table._of(t.dim, {key: scale(v) for key, v in t.items()}, t.skew)
-              if isinstance(t, Table) else columns(t) if isinstance(t, Mat) else
-              [scale(v) for v in t] for t in tables), den)
-
-
-def top(*tables) -> int:
-    """The largest |coefficient| of integer tables as `integral` returns them."""
-    out = 0
-    for t in tables:
-        vectors = t.values() if isinstance(t, Table) else t
-        out = max(out, max(map(abs, chain.from_iterable(map(dict.values, vectors))), default=0))
-    return out
+    forms = [t.form for t in tables]
+    den = lcm(*[d for _, d, _ in forms])
+    out, top = [], 0
+    for t, (body, d, m) in zip(tables, forms):
+        k = den // d
+        if k != 1:
+            vectors = [{i: k * c for i, c in v.items()}
+                       for v in (body.values() if isinstance(t, Table) else body)]
+            body = (Table._of(t.dim, dict(zip(body, vectors)), t.skew) if isinstance(t, Table)
+                    else tuple(vectors))
+        out.append(body)
+        top = max(top, k * m)
+    return (*out, den, top)
 
 
 def unscale(v: dict[int, int], den: int) -> SVec:
@@ -617,11 +639,6 @@ def unpack(v: int, w: int) -> dict[int, int]:
         v = (v - c) >> w
         k += 1
     return out
-
-
-def scols(m: Mat) -> list[SVec]:
-    """The nonzero entries of each column of m."""
-    return [{i: c for i, c in enumerate(col) if c != 0} for col in zip(*m.entries)]
 
 
 def sapply(cols: list[SVec], v: SVec) -> SVec:
@@ -663,16 +680,3 @@ def precompose(rows: Rows, cols: list[SVec]) -> Rows:
                 saxpy(row.setdefault(j, {}), c, comp)
         out.append(row)
     return out
-
-
-def action_rows(mats) -> Rows:
-    """rows[k][j] = mats[k]·e_j: the table of (x, u) ↦ (Σ_k x_k·mats[k])u."""
-    return [{j: col for j, col in enumerate(scols(m)) if col} for m in mats]
-
-
-def dense(n: int, v: SVec) -> Vec:
-    """The coordinate tuple of a sparse vector."""
-    out = [ZERO] * n
-    for k, c in v.items():
-        out[k] = c
-    return tuple(out)

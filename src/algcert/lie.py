@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, pack, sapply, scols, top,
-                    unpack, width)
+from .exact import (Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, pack, sapply, unpack,
+                    unscale, width)
 
 
 def default_basis(dim: int, prefix: str = "e") -> tuple[str, ...]:
@@ -88,10 +88,10 @@ def jacobiator(table: Table, outer: list[list[int]], x: int, y: int, z: int) -> 
     return acc
 
 
-def jacobi_width(dim: int, *tables) -> int:
-    """The slot width for J on integer tables of total dimension `dim`: each coefficient
-    is a sum of 3 cyclic terms of at most `dim` products of two table entries."""
-    return width(3 * dim * top(*tables) ** 2)
+def jacobi_width(dim: int, top: int) -> int:
+    """The slot width for J on integer tables of total dimension `dim` and largest |coefficient|
+    `top`: each coefficient is a sum of 3 cyclic terms of at most `dim` products of two entries."""
+    return width(3 * dim * top ** 2)
 
 
 def packed_outer(table: Table, w: int, lo: int = 0, hi: int = sys.maxsize) -> list[list[int]]:
@@ -135,8 +135,8 @@ def jacobi_check(L: LieAlgebra) -> Certificate:
 
     On the integer table D·sc the Jacobiator comes out D² times too large.
     """
-    sc, den = integral(L.sc)
-    w = jacobi_width(L.dim, sc)
+    sc, den, top = integral(L.sc)
+    w = jacobi_width(L.dim, top)
     outer = packed_outer(sc, w)
     return scan("jacobi", (((i, j, k), jacobiator(sc, outer, i, j, k))
                            for i, j, k in combinations(range(L.dim), 3)), den * den,
@@ -194,8 +194,8 @@ def is_representation(rep: Representation) -> Certificate:
     b·m + m − 1.
     """
     n, m = rep.algebra.dim, rep.module_dim
-    sc, *cols, den = integral(rep.algebra.sc, *rep.rho)
-    w = jacobi_width(n + m, sc, *cols)
+    sc, *cols, den, top = integral(rep.algebra.sc, *rep.rho)
+    w = jacobi_width(n + m, top)
     # the table of g⋉W as `double_table` would give it, [e_i, w_b] = ρ(e_i)w_b, and its
     # W-block packed (the only block J reads there)
     table, outer = Table._of(n + m, sc, True), [[0] * (n + m) for _ in range(n + m)]
@@ -227,14 +227,12 @@ def coadjoint_cols(rows: Rows, n: int) -> list[list[SVec]]:
 
 
 def _ad_mats(L: LieAlgebra, dual: bool) -> list[Mat]:
-    """ad(e_i), or ad*(e_i) = −ad(e_i)ᵀ, for every i, filled from their sparse columns."""
-    n, rows = L.dim, L.sc.rows()
-    mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for m, cols in zip(mats, coadjoint_cols(rows, n) if dual else rows):
-        for j, col in enumerate(cols) if dual else cols.items():
-            for k, c in col.items():
-                m[k][j] = c
-    return [Mat._of(m) for m in mats]
+    """ad(e_i), or ad*(e_i) = −ad(e_i)ᵀ, for every i, from the integer rows of L's table."""
+    (sc, den, _), n = integral(L.sc), L.dim
+    rows = sc.rows()
+    cols = coadjoint_cols(rows, n) if dual else [[dict(row.get(j, {})) for j in range(n)]
+                                                 for row in rows]
+    return [Mat._of(n, n, c, den) for c in cols]
 
 
 def adjoint_rep(L: LieAlgebra) -> Representation:
@@ -262,8 +260,10 @@ def semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
     """Semidirect product on g⊕W: [x+u, y+v] = [x,y] + rho(x)v − rho(y)u."""
     require(is_representation(rep))
     n, m = L.dim, rep.module_dim
-    sc = double_table(L.sc, Table._of(m, {}, True), [scols(x) for x in rep.rho], [[{}] * n] * m)
-    return LieAlgebra(n + m, L.basis + rep.labels, sc, check=False)
+    sc, *cols, den, _ = integral(L.sc, *rep.rho)
+    sc = double_table(sc, Table._of(m, {}, True), cols, [[{}] * n] * m)
+    return LieAlgebra(n + m, L.basis + rep.labels,
+                      {key: unscale(comp, den) for key, comp in sc.items()}, check=False)
 
 
 class BilinForm:
@@ -302,8 +302,8 @@ def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
     if S.dim != L.dim:
         raise ValueError("form dimension does not match the algebra")
     n = L.dim
-    gram, g = integral(scols(S.gram))
-    sc, den = integral(L.sc)
+    gram, g, _ = integral(S.gram)
+    sc, den, _ = integral(L.sc)
     # s[i][j][k] = S([e_i,e_j], e_k), on the integer tables g·D times too large
     s: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for (i, j), comp in sc.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain, combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import ONE, ZERO, Mat, Rows, dense, integral, scols, unpack
+from .exact import ONE, ZERO, Mat, Rows, integral, unpack, unscale
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -69,9 +69,9 @@ def _compat_stages(g: LieAlgebra, h: LieAlgebra, rho: Representation,
     J(f_a, e_x, e_y) on the integer table of g⋈h under one scale D: the scale is −D².
     """
     n, m = g.dim, h.dim
-    gsc, hsc, *cols, den = integral(g.sc, h.sc, *rho.rho, *mu.rho)
+    gsc, hsc, *cols, den, top = integral(g.sc, h.sc, *rho.rho, *mu.rho)
     table = double_table(gsc, hsc, cols[:n], cols[n:])
-    w = jacobi_width(n + m, gsc, hsc, *cols)
+    w = jacobi_width(n + m, top)
     on_h, on_g = packed_outer(table, w, n, n + m), packed_outer(table, w, 0, n)
 
     def decode(v):
@@ -101,9 +101,10 @@ def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
 def double(mp: MatchedPair) -> LieAlgebra:
     """g⋈h: [x+xi, y+eta] = ([x,y] + mu(xi)y - mu(eta)x) + ([xi,eta] + rho(x)eta - rho(y)xi)."""
     require(is_matched_pair(mp.g, mp.h, mp.rho, mp.mu))
-    sc = double_table(mp.g.sc, mp.h.sc, [scols(x) for x in mp.rho.rho],
-                      [scols(x) for x in mp.mu.rho])
-    return LieAlgebra(mp.g.dim + mp.h.dim, mp.g.basis + mp.h.basis, sc)
+    gsc, hsc, *cols, den, _ = integral(mp.g.sc, mp.h.sc, *mp.rho.rho, *mp.mu.rho)
+    sc = double_table(gsc, hsc, cols[:mp.g.dim], cols[mp.g.dim:])
+    return LieAlgebra(mp.g.dim + mp.h.dim, mp.g.basis + mp.h.basis,
+                      {key: unscale(comp, den) for key, comp in sc.items()})
 
 
 class ReynoldsMatchedPair(Checked):
@@ -161,9 +162,8 @@ def induced_matched_pair(rmp: ReynoldsMatchedPair) -> MatchedPair:
 def _induced_action(act: Representation, R: Mat, T: Mat) -> list[Mat]:
     """act'(x) = act(x)T + act(Rx) − act(Rx)T on the basis of the acting algebra."""
     n, md = len(act.rho), act.module_dim
-    inner = inner_products(act.rho, R, T, product(range(n), range(md)), ZERO, -ONE)
-    cols = [dense(md, v) for v in inner.values()]
-    return [Mat.from_cols(cols[i * md:(i + 1) * md]) for i in range(n)]
+    inner = list(inner_products(act.rho, R, T, product(range(n), range(md)), ZERO, -ONE).values())
+    return [Mat._from(md, md, inner[i * md:(i + 1) * md]) for i in range(n)]
 
 
 class ManinTripleReynolds(Checked):
@@ -192,7 +192,8 @@ def _closure_cert(L: LieAlgebra, R: Mat, part: tuple[int, ...], name: str) -> Ce
 
 
 def _isotropy_cert(S: BilinForm, part: tuple[int, ...], name: str) -> Certificate:
-    return scan(name, (((i, j), S.gram.entries[i][j]) for i in part for j in part))
+    gram = S.gram.entries
+    return scan(name, (((i, j), gram[i][j]) for i in part for j in part))
 
 
 @verified
@@ -268,10 +269,8 @@ def manin_to_matched(mt: ManinTripleReynolds) -> ReynoldsMatchedPair:
     on_g, on_h = block_rows(rows, 0, n), block_rows(rows, n, 2 * n)
     g, h = _restrict_algebra(L, on_g, 0, n), _restrict_algebra(L, on_h, n, n)
     # inverse to `double_table`: ρ(e_i)f_a = [e_i, f_a]_h and μ(f_a)e_i = [f_a, e_i]_g
-    rho_mats = [Mat.from_cols([dense(n, on_h[i].get(n + a, {})) for a in range(n)])
-                for i in range(n)]
-    mu_mats = [Mat.from_cols([dense(n, on_g[n + a].get(i, {})) for i in range(n)])
-               for a in range(n)]
+    rho_mats = [Mat._from(n, n, [on_h[i].get(n + a, {}) for a in range(n)]) for i in range(n)]
+    mu_mats = [Mat._from(n, n, [on_g[n + a].get(i, {}) for i in range(n)]) for a in range(n)]
     rho = Representation(g, n, rho_mats, labels=h.basis, check=False)
     mu = Representation(h, n, mu_mats, labels=g.basis, check=False)
     Rg = mt.G.base.R.submatrix(range(n), range(n))

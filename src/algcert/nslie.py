@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (Mat, Table, Vec, integral, precompose, saxpy, scols, sprod, srow, unscale,
-                    vadd, vsub)
+from .exact import (Mat, Table, Vec, integral, precompose, saxpy, sprod, srow, unscale, vadd,
+                    vsub)
 from .lie import LieAlgebra, default_basis
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
@@ -100,7 +100,7 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
     identity 1, counted twice, and i<j<k for identity 2, counted six times.
     """
     n = A.dim
-    left, wedge, den = integral(A.left, A.wedge)
+    left, wedge, den, _ = integral(A.left, A.wedge)
     id1, id2 = _identities(left, wedge)
     pairs = combinations(range(n), 2)
     return Certificate.combine("nslie", [
@@ -115,8 +115,8 @@ def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
     """x◁y = [Rx,y], x▷y = -[Rx,Ry]."""
     L, R = A.L, A.R
     n = L.dim
-    sc, den = integral(L.sc)
-    cols, d = integral(scols(R))
+    sc, den, _ = integral(L.sc)
+    cols, d, _ = integral(R)
     adr = precompose(sc.rows(), cols)   # adr[i][j] = D·d·[Re_i, e_j]
     left = {(i, j): unscale(adr[i][j], den * d) for i in range(n) for j in range(n) if j in adr[i]}
     wedge = {(i, j): unscale(srow({}, adr[i], cols[j]), -den * d * d)
@@ -154,15 +154,17 @@ def _semidirect_tables(rep: NSRep) -> tuple[Table, Table]:
     """◁ and ▷ of G⊕W, W's basis after G's: e_i◁w = mu(e_i)w, w◁e_i = nu(e_i)w,
     e_i▷w = varrho(e_i)w, and W◁W = W▷W = 0."""
     A, n = rep.base, rep.base.dim
-    left, wedge = dict(A.left), dict(A.wedge)
+    left, wedge, *mats, den, _ = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
+    left, wedge = dict(left), dict(wedge)
     for i in range(n):
-        for b, (mu, nu, vr) in enumerate(zip(*map(scols, (rep.mu[i], rep.nu[i], rep.varrho[i])))):
+        for b, (mu, nu, vr) in enumerate(zip(mats[i], mats[n + i], mats[2 * n + i])):
             for table, key, col in ((left, (i, n + b), mu), (left, (n + b, i), nu),
                                     (wedge, (i, n + b), vr)):
                 if col:
                     table[key] = {n + k: c for k, c in col.items()}
     m = n + rep.module_dim
-    return Table._of(m, left, False), Table._of(m, wedge, True)
+    return tuple(Table._of(m, {key: unscale(comp, den) for key, comp in t.items()}, skew)
+                 for t, skew in ((left, False), (wedge, True)))
 
 
 @verified
@@ -179,7 +181,7 @@ def is_ns_rep(rep: NSRep) -> Certificate:
     twice; ns-rep-2 runs over every ordered pair.
     """
     n, md = rep.base.dim, rep.module_dim
-    left, wedge, den = integral(*_semidirect_tables(rep))
+    left, wedge, den, _ = integral(*_semidirect_tables(rep))
     id1, id2 = _identities(left, wedge)
 
     def matrix(vecs):

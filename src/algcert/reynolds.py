@@ -14,7 +14,7 @@ from math import lcm
 from operator import add, mul
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import ONE, ZERO, Mat, Table, integral, rat, top, unpack, unscale, width
+from .exact import ONE, ZERO, Mat, Table, integral, rat, unpack, unscale, width
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -75,14 +75,14 @@ def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
     dQ·(s·I) at most q∞·t·k, so a residual coefficient is at most t·(qd·p1·q1 + q∞·k).
     """
     if isinstance(table, Table):
-        sc, den = integral(table)
-        n, products, skew, t = sc.dim, sc.items(), sc.skew, top(sc)
+        sc, den, t = integral(table)
+        n, products, skew = sc.dim, sc.items(), sc.skew
     else:
-        *mats, den = integral(*table)
-        n, skew, t = len(mats), False, top(*mats)
+        *mats, den, t = integral(*table)
+        n, skew = len(mats), False
         products = [((x, u), col) for x, m in enumerate(mats) for u, col in enumerate(m) if col]
-    cols, d = integral(Q)
-    pcols, p = (cols, d) if P is Q else integral(P)
+    cols, d, _ = integral(Q)
+    pcols, p, _ = (cols, d, 0) if P is Q else integral(P)
     q = lcm(lam.denominator, kappa.denominator)
     qd, qp = q * d, q * p
     lpd = lam.numerator * (q // lam.denominator) * p * d
@@ -255,14 +255,10 @@ def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,
     `BilinForm` rejects a non-symmetric gram matrix S, so SR = (RᵀS)ᵀ and the value
     RᵀS + SR (+ lam·S) is symmetric: `scan` visits i ≤ j and counts i < j twice.
     """
-    g = S.gram.entries
-    m = (R.transpose() @ S.gram).entries
-
-    def value(i, j):
-        return m[i][j] + m[j][i] if lam is None else m[i][j] + m[j][i] + lam * g[i][j]
-    return scan(name, (((i, j), value(i, j))
-                       for i, j in combinations_with_replacement(range(L.dim), 2)),
-                orbit=lambda t: 1 + (t[0] < t[1]))
+    m = R.transpose() @ S.gram
+    m = (m + m.transpose() if lam is None else m + m.transpose() + S.gram.scale(lam)).entries
+    pairs = combinations_with_replacement(range(L.dim), 2)
+    return scan(name, (((i, j), m[i][j]) for i, j in pairs), orbit=lambda t: 1 + (t[0] < t[1]))
 
 
 @verified

@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (ONE, ZERO, Mat, Tensor2, flip, precompose, rat, sapply, saxpy, scols,
-                    sprod)
+from .exact import (ZERO, Mat, Tensor2, flip, integral, precompose, rat, sapply, saxpy, sprod,
+                    unscale)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
 from .reynolds import (inner_products, is_reynolds, lie_operands, operator_form_compat,
                        operator_identity)
@@ -96,32 +96,33 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
     Entry convention: r_+(e_i*) = Σ_j r_ij e_j, i.e. the tensor is the
     transpose-indexed matrix of B∘I_S.
     """
+    return _r_and_dual(qrb)[0]
+
+
+def _r_and_dual(qrb: QuadraticRB) -> tuple[Tensor2, LieAlgebra]:
+    """`r_from_qrb`'s tensor r and the dual bracket it builds from r on the way."""
     from .cybe import is_cybe_solution
 
     require(is_quadratic_rb(qrb.rb, qrb.S))
     L = qrb.rb.L
     n = L.dim
     m = qrb.rb.B @ qrb.S.gram.inverse()
-    entries = {
-        (i, j): m.entries[j][i]
-        for i in range(n)
-        for j in range(n)
-        if m.entries[j][i] != 0
-    }
-    r = Tensor2(n, n, entries)
+    r = Tensor2(n, n, {(i, j): Fraction(c, m.den) for i, col in enumerate(m.icols)
+                       for j, c in col.items()})
 
     require(is_cybe_solution(L, r))
-    dual = dual_bracket_from_r(L, r).sc.rows()
-    sharp = scols(s_sharp(qrb.S))
+    dual = dual_bracket_from_r(L, r)
+    rows = dual.sc.rows()
+    sharp, s, _ = integral(s_sharp(qrb.S))
     desc = descendent(qrb.rb)
 
     def diff(i, j):
-        # S♯ is a homomorphism from the descendent algebra to the dual algebra
-        out = sprod(dual, sharp[i], sharp[j])
-        return saxpy(out, -ONE, sapply(sharp, desc.sc.get((i, j), {})))
+        # S♯ is a homomorphism from the descendent algebra to the dual algebra; s² times
+        out = sprod(rows, sharp[i], sharp[j])
+        return saxpy(out, -s, sapply(sharp, desc.sc.get((i, j), {})))
     require(scan("descendent-compatibility",
-                 (((i, j), diff(i, j)) for i, j in combinations(range(n), 2))))
-    return r
+                 (((i, j), diff(i, j)) for i, j in combinations(range(n), 2)), s * s))
+    return r, dual
 
 
 @verified
@@ -135,18 +136,15 @@ def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
     n = g.dim
     rp = r_plus(r)
     rows = g.sc.rows()
-    # ad*_v e_b* = −Σ_k [v,e_k]_b e_k*, with adp[a][k] = [r₊e_a*, e_k], adm[b][k] = [r₋e_b*, e_k]
-    adp = precompose(rows, scols(rp))
-    adm = precompose(rows, scols(-rp.transpose()))
-    sc = {}
-    for a, b in combinations(range(n), 2):
-        comp: dict[int, Fraction] = {}
-        for k, v in adp[a].items():
-            comp[k] = comp.get(k, ZERO) - v.get(b, ZERO)
-        for k, v in adm[b].items():
-            comp[k] = comp.get(k, ZERO) + v.get(a, ZERO)
-        sc[a, b] = comp
-    return LieAlgebra(n, dual_basis(g.basis), sc)
+    # ad*_v e_b* = −Σ_k [v,e_k]_b e_k*; adp[a][k] = d·[r₊e_a*,e_k], adm[b][k] = d·[r₋e_b*,e_k]
+    adp = precompose(rows, rp.icols)
+    adm = precompose(rows, (-rp.transpose()).icols)
+
+    def comp(a, b):      # d·[eᵃ, eᵇ]_r, its k-th coefficient −adp[a][k]_b + adm[b][k]_a
+        return saxpy({k: -v.get(b, 0) for k, v in adp[a].items()}, 1,
+                     {k: v.get(a, 0) for k, v in adm[b].items()})
+    return LieAlgebra(n, dual_basis(g.basis), {(a, b): unscale(comp(a, b), rp.den)
+                                               for a, b in combinations(range(n), 2)})
 
 
 def i_operator(r: Tensor2) -> Mat:
@@ -227,6 +225,5 @@ def thmFL_bialgebra(qrb: QuadraticRB, R: Mat) -> ReynoldsLieBialgebra:
     from .bialgebra import LieBialgebra, ReynoldsLieBialgebra
 
     require(is_reynolds_on_qrb(qrb, R))
-    r = r_from_qrb(qrb)
-    dual = dual_bracket_from_r(qrb.rb.L, r)
+    _, dual = _r_and_dual(qrb)
     return ReynoldsLieBialgebra(LieBialgebra(qrb.rb.L, dual), R)

@@ -13,14 +13,16 @@ integer dict kernels that the packed `lie.jacobiator` and
 import contextlib
 import importlib
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import lcm
+from typing import Iterable
 
 from algcert.certificates import Certificate, CheckFailed, residual_from_mat, scan
 from algcert.bialgebra import _cotable
 from algcert.cybe import PreLieAlgebra, ReynoldsPreLie, is_cybe_solution, r_plus
-from algcert.exact import (ZERO, Mat, Table, Tensor2, Tensor3, flip, integral, precompose, sapply,
-                           saxpy, scols, srow, tensor2_map, unscale, vadd, vbasis, vsub, vzero)
+from algcert.exact import (ONE, ZERO, Mat, Table, Tensor2, Tensor3, Vec, flip, precompose, rat,
+                           rat_str, sapply, saxpy, srow, tensor2_map, unscale, vadd, vbasis, vec,
+                           vsub, vzero)
 from algcert.lie import (LieAlgebra, Representation, block_rows, coadjoint_cols, double_table,
                          dual_basis, s_sharp)
 from algcert.matched import MatchedPair, ReynoldsMatchedPair, is_reynolds_matched_pair
@@ -564,6 +566,251 @@ def r_from_qrb(qrb) -> Tensor2:
     return r
 
 
+# -- the dense matrix and the per-call integer tables ---------------------------
+
+# `Mat` stores its integer form (sparse integer columns on one denominator) and
+# `integral` reads the forms each `Mat` and `Table` keeps.  These are the bodies
+# they replaced: a dense matrix of Fraction rows, and the integer tables built
+# from the Fractions on every call, with the `top` pass over them.
+
+class DenseMat:
+    """The dense `Mat` the sparse one replaced: rows of Fractions, zeros included."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, entries: Iterable[Iterable]):
+        rows = tuple([tuple([rat(c) for c in row]) for row in entries])
+        self.entries: tuple[tuple[Fraction, ...], ...] = rows
+        self.rows = len(rows)
+        self.cols = len(rows[0]) if rows else 0
+        for row in rows:
+            if len(row) != self.cols:
+                raise ValueError("ragged matrix rows")
+
+    @classmethod
+    def _of(cls, rows) -> "DenseMat":
+        """A matrix from rows of Fractions, taken as they are: no coercion, no shape check."""
+        m = object.__new__(cls)
+        m.entries = tuple([tuple(row) for row in rows])
+        m.rows = len(m.entries)
+        m.cols = len(m.entries[0]) if m.entries else 0
+        return m
+
+    def _same_shape(self, other: "DenseMat") -> None:
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes differ")
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "DenseMat":
+        return cls._of([ZERO] * cols for _ in range(rows))
+
+    @classmethod
+    def identity(cls, n: int) -> "DenseMat":
+        return cls._of([ONE if i == j else ZERO for j in range(n)] for i in range(n))
+
+    @classmethod
+    def from_cols(cls, cols: Iterable[Vec]) -> "DenseMat":
+        cols = [vec(c) for c in cols]
+        if not cols:
+            return cls.zeros(0, 0)
+        n = len(cols[0])
+        return cls._of([c[i] for c in cols] for i in range(n))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, DenseMat)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        body = "; ".join(" ".join(rat_str(c) for c in row) for row in self.entries)
+        return f"Mat[{body}]"
+
+    def __add__(self, other: "DenseMat") -> "DenseMat":
+        self._same_shape(other)
+        return DenseMat._of([a + b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.entries, other.entries))
+
+    def __sub__(self, other: "DenseMat") -> "DenseMat":
+        self._same_shape(other)
+        return DenseMat._of([a - b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.entries, other.entries))
+
+    def __neg__(self) -> "DenseMat":
+        return DenseMat._of([-a for a in row] for row in self.entries)
+
+    def __matmul__(self, other: "DenseMat") -> "DenseMat":
+        if self.cols != other.rows:
+            raise ValueError(
+                f"matrix product shape mismatch: {self.rows}x{self.cols} @ "
+                f"{other.rows}x{other.cols}"
+            )
+        out = []
+        for row in self.entries:
+            acc = [ZERO] * other.cols
+            for a, orow in zip(row, other.entries):
+                if a:
+                    for k, b in enumerate(orow):
+                        if b:
+                            acc[k] += a * b
+            out.append(acc)
+        return DenseMat._of(out)
+
+    def scale(self, c) -> "DenseMat":
+        c = rat(c)
+        return DenseMat._of([c * a for a in row] for row in self.entries)
+
+    def apply(self, v: Vec) -> Vec:
+        """Exact matrix-vector product (column-vector convention)."""
+        if self.cols != len(v):
+            raise ValueError(f"cannot apply {self.rows}x{self.cols} to vector of length {len(v)}")
+        nonzero = [(k, x) for k, x in enumerate(v) if x]
+        return tuple([sum((row[k] * x for k, x in nonzero if row[k]), ZERO)
+                      for row in self.entries])
+
+    def transpose(self) -> "DenseMat":
+        """Matrix of the dual map in dual bases."""
+        return DenseMat._of(zip(*self.entries))
+
+    def col(self, j: int) -> Vec:
+        return tuple([row[j] for row in self.entries])
+
+    def row(self, i: int) -> Vec:
+        return self.entries[i]
+
+    def is_zero(self) -> bool:
+        return all(a == 0 for row in self.entries for a in row)
+
+    def is_symmetric(self) -> bool:
+        return self.rows == self.cols and self == self.transpose()
+
+    def det(self) -> Fraction:
+        """Exact determinant by fraction-pivoting Gaussian elimination."""
+        if self.rows != self.cols:
+            raise ValueError("determinant of a non-square matrix")
+        n = self.rows
+        work = [list(row) for row in self.entries]
+        det = ONE
+        for j in range(n):
+            pivot = next((i for i in range(j, n) if work[i][j] != 0), None)
+            if pivot is None:
+                return ZERO
+            if pivot != j:
+                work[j], work[pivot] = work[pivot], work[j]
+                det = -det
+            det *= work[j][j]
+            inv = 1 / work[j][j]
+            for i in range(j + 1, n):
+                if work[i][j] == 0:
+                    continue
+                factor = work[i][j] * inv
+                for k in range(j, n):
+                    work[i][k] -= factor * work[j][k]
+        return det
+
+    def inverse(self) -> "DenseMat":
+        if self.rows != self.cols:
+            raise ValueError("inverse of a non-square matrix")
+        n = self.rows
+        work = [list(row) + [ONE if i == k else ZERO for k in range(n)]
+                for i, row in enumerate(self.entries)]
+        for j in range(n):
+            pivot = next((i for i in range(j, n) if work[i][j] != 0), None)
+            if pivot is None:
+                raise ValueError("singular matrix has no inverse")
+            work[j], work[pivot] = work[pivot], work[j]
+            inv = 1 / work[j][j]
+            work[j] = [a * inv for a in work[j]]
+            for i in range(n):
+                if i != j and work[i][j] != 0:
+                    factor = work[i][j]
+                    work[i] = [a - factor * b for a, b in zip(work[i], work[j])]
+        return DenseMat._of(row[n:] for row in work)
+
+    def submatrix(self, row_ids: Iterable[int], col_ids: Iterable[int]) -> "DenseMat":
+        rows = list(row_ids)
+        cols = list(col_ids)
+        return DenseMat._of([self.entries[i][j] for j in cols] for i in rows)
+
+    @staticmethod
+    def block_diag(a: "DenseMat", b: "DenseMat") -> "DenseMat":
+        """Block-diagonal assembly; first factor block then second."""
+        out = [
+            list(row) + [ZERO] * b.cols for row in a.entries
+        ] + [
+            [ZERO] * a.cols + list(row) for row in b.entries
+        ]
+        return DenseMat._of(out)
+
+
+def scols(m) -> list:
+    """The nonzero entries of each column of a `Mat` or `DenseMat`."""
+    return [{i: c for i, c in enumerate(col) if c != 0} for col in zip(*m.entries)]
+
+
+def integral(*tables):
+    """Each `Table`, list of sparse vectors or matrix (as its sparse columns) times D, on
+    ``int``s, followed by D, the lcm of all the coefficients' denominators."""
+    dens = set()
+    for t in tables:
+        dens.update({c.denominator for row in t.entries for c in row}
+                    if isinstance(t, (Mat, DenseMat)) else
+                    {c.denominator for v in (t.values() if isinstance(t, Table) else t)
+                     for c in v.values()})
+    den = lcm(*dens)
+
+    def scale(v):
+        return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
+
+    def columns(m):
+        return [{i: c.numerator * (den // c.denominator) for i, c in enumerate(col) if c}
+                for col in zip(*m.entries)]
+    return (*(Table._of(t.dim, {key: scale(v) for key, v in t.items()}, t.skew)
+              if isinstance(t, Table) else columns(t) if isinstance(t, (Mat, DenseMat)) else
+              [scale(v) for v in t] for t in tables), den)
+
+
+def top(*tables) -> int:
+    """The largest |coefficient| of integer tables as `integral` returns them."""
+    out = 0
+    for t in tables:
+        vectors = t.values() if isinstance(t, Table) else t
+        out = max(out, max(map(abs, chain.from_iterable(map(dict.values, vectors))), default=0))
+    return out
+
+
+def stale_forms(*objs) -> list:
+    """Every `Mat` and `Table` reachable from objs (through slots, dicts, lists and tuples)
+    whose kept integer form is not a fresh `integral` of its entries."""
+    seen, todo, stale = set(), list(objs), []
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (int, str, Fraction, type(None))):
+            continue
+        seen.add(id(x))
+        if isinstance(x, Mat):
+            cols, den = integral(DenseMat(x.entries))
+            if x.form != (tuple(cols), den, top(cols)):
+                stale.append(x)
+        elif isinstance(x, Table):
+            t, den = integral(x)
+            if x.form != (t, den, top(t)):
+                stale.append(x)
+        if isinstance(x, dict):
+            todo += [*x.keys(), *x.values()]
+        elif isinstance(x, (list, tuple)):
+            todo += x
+        else:
+            todo += [getattr(x, s) for c in type(x).__mro__ for s in getattr(c, "__slots__", ())
+                     if not isinstance(getattr(type(x), s, None), property)]
+    return stale
+
+
 # -- the integer dict kernels the packed ones replaced ------------------------
 
 # `lie.jacobiator` and `reynolds.operator_brackets` combine packed vectors (one
@@ -660,8 +907,8 @@ def dict_operator_brackets(table, P: Mat, Q: Mat, pairs, lam, kappa):
     else:
         *mats, den = integral(*[scols(m) for m in table])
         rows = [dict(enumerate(m)) for m in mats]
-    cols, d = integral(scols(Q))
-    pcols, p = (cols, d) if P is Q else integral(scols(P))
+    cols, d = integral(Q)
+    pcols, p = (cols, d) if P is Q else integral(P)
     q = lcm(lam.denominator, kappa.denominator)
     lam_q, kappa_q = int(lam * q), int(kappa * q)
     adr = precompose(rows, pcols)

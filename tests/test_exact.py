@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import dense_oracle as oracle
 from algcert.exact import (
     Mat,
     Table,
     Tensor2,
     Tensor3,
     flip,
+    integral,
     mat_apply,
+    mat_comb,
     rat,
     rat_str,
     tensor2_map,
@@ -212,3 +215,142 @@ def test_table_rows_agree_with_dense_products(t):
             sparse = rows[i].get(j, {})
             assert tuple(sparse.get(k, 0) for k in range(t.dim)) == t.basis_prod(i, j)
             assert t.prod(vbasis(t.dim, i), vbasis(t.dim, j)) == t.basis_prod(i, j)
+
+
+# ---------------------------------------------------------------------------
+# the kept integer forms against the dense bodies they replaced
+# ---------------------------------------------------------------------------
+
+DENOMS = (1, 1, 2, 3, 4, 6, 9, 35)
+
+
+def rand_rows(rng, rows, cols, density=0.6):
+    """Rows of rationals with mixed denominators and about `density` nonzeros."""
+    return [[Fraction(rng.randint(-9, 9), rng.choice(DENOMS)) if rng.random() < density else 0
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def shapes(rng):
+    """0×0, 1×n, n×1, square and non-square shapes, all-zero ones included."""
+    yield 0, 0
+    for _ in range(40):
+        yield rng.choice(((1, rng.randint(1, 5)), (rng.randint(1, 5), 1),
+                          (rng.randint(2, 5), rng.randint(2, 5))))
+
+
+def same_matrix(m: Mat, d) -> bool:
+    """Equal shapes and entries; the dense type reads the column count off its first row,
+    so it holds a 0×n matrix as 0×0, which `Mat` keeps as 0×n."""
+    return (m.rows, m.cols if m.rows else 0, m.entries) == (d.rows, d.cols, d.entries)
+
+
+def fresh_form(m: Mat) -> tuple:
+    cols, den = oracle.integral(oracle.DenseMat(m.entries))
+    return tuple(cols), den, oracle.top(cols)
+
+
+def test_mat_form_is_the_dense_integral():
+    rng = random.Random(31)
+    for rows, cols in shapes(rng):
+        for density in (0.0, 0.6, 1.0):
+            entries = rand_rows(rng, rows, cols, density)
+            m = Mat(entries)
+            assert m.form == fresh_form(m) == (m.icols, m.den, m.top)
+            assert same_matrix(m, oracle.DenseMat(entries))
+            assert m.entries == tuple(tuple(map(Fraction, row)) for row in entries)
+
+
+def test_integral_matches_the_dense_integral_and_its_tops():
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        t = Table(n, {(i, j): {k: c for k, c in enumerate(rand_rows(rng, 1, n)[0]) if c}
+                      for i in range(n) for j in range(n) if rng.random() < 0.5})
+        mats = [Mat(rand_rows(rng, n, n, rng.choice((0.0, 0.5, 1.0))))
+                for _ in range(rng.randint(0, 3))]
+        *got, den, top = integral(t, *mats)
+        *want, want_den = oracle.integral(t, *mats)
+        assert (den, top) == (want_den, oracle.top(*want))
+        assert got[0] == want[0] and [list(c) for c in got[1:]] == want[1:]
+        # a form already on the common denominator is the kept one, not a copy
+        assert integral(t)[0] is t.form[0]
+        assert all(integral(m)[0] is m.icols for m in mats)
+
+
+def test_every_mat_operation_matches_the_dense_one():
+    rng = random.Random(41)
+    for rows, cols in shapes(rng):
+        a_rows, b_rows = rand_rows(rng, rows, cols), rand_rows(rng, rows, cols)
+        a, b = Mat(a_rows), Mat(b_rows)
+        da, db = oracle.DenseMat(a_rows), oracle.DenseMat(b_rows)
+        c_rows = rand_rows(rng, cols, rng.randint(0, 4))
+        c, dc = Mat(c_rows), oracle.DenseMat(c_rows)
+        x = vec(rand_rows(rng, 1, cols)[0]) if cols else ()
+        k = Fraction(rng.randint(-5, 5), rng.choice(DENOMS))
+        assert same_matrix(a + b, da + db) and same_matrix(a - b, da - db)
+        assert same_matrix(-a, -da) and same_matrix(a.scale(k), da.scale(k))
+        if rows:
+            assert same_matrix(a @ c, da @ dc)
+        assert same_matrix(a.transpose(), da.transpose())
+        assert a.apply(x) == da.apply(x)
+        ints = tuple(rng.randint(-3, 3) for _ in range(cols))   # int coordinates stay exact
+        assert a.apply(ints) == da.apply(ints) and all(type(c) is Fraction for c in a.apply(ints))
+        assert [a.col(j) for j in range(cols)] == [da.col(j) for j in range(cols)]
+        assert (a.is_zero(), a.is_symmetric()) == (da.is_zero(), da.is_symmetric())
+        pick_r = [rng.randrange(rows) for _ in range(rng.randint(0, 3))] if rows else []
+        pick_c = [rng.randrange(cols) for _ in range(rng.randint(0, 3))] if cols else []
+        assert same_matrix(a.submatrix(pick_r, pick_c), da.submatrix(pick_r, pick_c))
+        assert same_matrix(Mat.block_diag(a, c), oracle.DenseMat.block_diag(da, dc))
+        assert repr(a) == repr(da).replace("DenseMat", "Mat")
+        if rows == cols:
+            assert a.det() == da.det()
+            if da.det() != 0:
+                assert same_matrix(a.inverse(), da.inverse())
+            else:
+                with pytest.raises(ValueError):
+                    a.inverse()
+        for op in (lambda m: m.det(), lambda m: m.inverse()):
+            if rows != cols:
+                with pytest.raises(ValueError):
+                    op(a)
+        if cols:
+            mats = [Mat(rand_rows(rng, rows, rows)) for _ in range(cols)]
+            v = {j: Fraction(rng.randint(-3, 3), rng.choice(DENOMS)) for j in range(cols)}
+            want = oracle.DenseMat.zeros(rows, rows)
+            for j, m in enumerate(mats):
+                want = want + oracle.DenseMat(m.entries).scale(v[j])
+            assert same_matrix(mat_comb(mats, v, rows, rows), want)
+    for n in range(4):
+        assert same_matrix(Mat.identity(n), oracle.DenseMat.identity(n))
+        assert same_matrix(Mat.zeros(n, n + 1), oracle.DenseMat.zeros(n, n + 1))
+        columns = rand_rows(rng, n + 1, n)
+        assert same_matrix(Mat.from_cols(columns), oracle.DenseMat.from_cols(columns))
+
+
+def test_ragged_rows_are_rejected():
+    for rows in ([[1, 2], [3]], [[1], []], [[], [0]]):
+        with pytest.raises(ValueError):
+            Mat(rows)
+    with pytest.raises(ValueError):
+        Mat.from_cols([[1, 2], [3]])
+    assert (Mat([]).rows, Mat([]).cols) == (0, 0) and (Mat([[]]).rows, Mat([[]]).cols) == (1, 0)
+
+
+def test_equal_entries_are_equal_matrices_with_equal_hashes():
+    rng = random.Random(43)
+    for rows, cols in shapes(rng):
+        entries = rand_rows(rng, rows, cols)
+        a = Mat(entries)
+        k = Fraction(rng.randint(1, 9), rng.choice(DENOMS))
+        # the same entries by other routes: their forms pass through other denominators
+        for b in (a.scale(k).scale(1 / k), a.transpose().transpose(), -(-a),
+                  (a + a) - a, Mat.from_cols(zip(*entries)) if rows and cols else a,
+                  a.submatrix(range(rows), range(cols))):
+            assert b == a and hash(b) == hash(a) and b.entries == a.entries
+        if rows and cols:
+            i, j = rng.randrange(rows), rng.randrange(cols)
+            changed = [list(row) for row in entries]
+            changed[i][j] += Fraction(1, rng.choice(DENOMS))
+            b = Mat(changed)
+            assert b != a and b.entries != a.entries
+    assert Mat.zeros(2, 3) != Mat.zeros(3, 2) and Mat.zeros(0, 0) == Mat([])

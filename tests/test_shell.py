@@ -502,6 +502,26 @@ def test_cli_bialgebra_builds(tmp_path, thmfl, capsys):
         capsys.readouterr()
 
 
+def test_cli_build_verifies_its_output_once(tmp_path, thmfl, scans, rebind, capsys):
+    """One scope over construction and emit: `algbuild quasitriangular-double` runs
+    is_reynolds_bialgebra on its output once; the emit's second call is a memo hit."""
+    from algcert import bialgebra
+    calls = []
+    raw = bialgebra.is_reynolds_bialgebra
+
+    def counted(*args):
+        calls.append(args)
+        return raw(*args)
+    rebind(raw, counted)
+    bi_file = write(tmp_path, "bi.json", fio.bialgebra_to_doc(thmfl.bialg, thmfl.R))
+    assert main_build(["quasitriangular-double", bi_file, "-o", str(tmp_path / "o.json")]) == 0
+    capsys.readouterr()
+    output = [args for args in calls if args[0].g.dim == 6]
+    assert len(output) == 2 and output[0][0] is output[1][0]      # the constructor and the emit
+    # one cocycle, two Jacobi and two Reynolds stages per bialgebra: the input's, the output's
+    assert (scans["cocycle"], scans["jacobi"], scans["reynolds"]) == (2, 4, 4)
+
+
 def test_cli_dual_from_r_and_cobracket(tmp_path, sl2, r_tensor, capsys):
     alg = sl2_file(tmp_path, sl2)
     r_file = write(tmp_path, "r.json", fio.tensor_to_doc(r_tensor))
@@ -594,6 +614,29 @@ def test_cli_every_kind_dispatches(tmp_path, sl2, b_op, s_form, sl2_reynolds,
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def test_cli_kept_integer_forms_stay_fresh(tmp_path, sl2, b_op, s_form, sl2_reynolds,
+                                           sl2_qrb, thmfl, monkeypatch, capsys):
+    """Every check and build kind on its registry document: afterwards each Mat and Table
+    the loaders built still keeps the integer form of its entries."""
+    import dense_oracle as oracle
+    docs, checks, builds = _every_kind(tmp_path, sl2, b_op, sl2_reynolds, sl2_qrb, thmfl)
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+    loaded = []
+    for name in [n for n in dir(fio) if n.startswith("doc_to_")]:
+        def record(*args, _load=getattr(fio, name), **kwargs):
+            out = _load(*args, **kwargs)
+            loaded.append(out)
+            return out
+        monkeypatch.setattr(fio, name, record)
+    for kind, (name, flags) in checks.items():
+        assert main_check([kind, paths[name]] + flags) == 0, kind
+    for kind, (name, flags) in builds.items():
+        assert main_build([kind, paths[name]] + flags + ["-o", str(tmp_path / "o.json")]) == 0
+    capsys.readouterr()
+    assert len(loaded) > len(checks) + len(builds)
+    assert oracle.stale_forms(loaded) == []
 
 
 def _mutants(doc: dict):

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from algcert import certificates, lie
+from algcert import certificates, lie, rotabaxter
 from algcert.bialgebra import (LieBialgebra, ReynoldsLieBialgebra, canonical_pair,
                                coboundary_cobracket, double_quasitriangular, drinfeld_double,
                                is_reynolds_bialgebra)
@@ -120,6 +120,24 @@ def test_constructions_do_not_mutate_their_arguments(sl2, b_op, sl2_reynolds, sl
     assert failed == 13   # every broken input reaches a failing gate
 
 
+def test_kept_integer_forms_stay_fresh(sl2, b_op, sl2_reynolds, sl2_qrb, thmfl, check_calls):
+    """After every construction, passing or failing, and every check they ran, called again
+    on its own, each Mat and Table read or built still keeps the integer form of its entries."""
+    import dense_oracle as oracle
+    seen = []
+    for fn, *args in constructions(sl2, b_op, sl2_reynolds, sl2_qrb, thmfl):
+        try:
+            seen.append(fn(*args))
+        except CheckFailed:
+            pass
+        seen.append(args)
+    for fn, args, kwargs, cert in list(check_calls):
+        assert fn(*args, **kwargs) == cert
+        seen.append(args)
+    assert len({fn for fn, *_ in check_calls}) > 20
+    assert oracle.stale_forms(seen) == []
+
+
 def test_each_distinct_check_runs_once(thmfl, scans, check_calls):
     double_quasitriangular(thmfl)
     distinct = Counter()
@@ -215,3 +233,19 @@ def test_threads_get_separate_scopes():
     for tag in "ab":
         assert [cert.check for cert, *_ in scopes[tag].values()] == [tag]
     assert certificates._scope.get() is None
+
+
+def test_thmfl_builds_the_dual_once(sl2_qrb, b_op, rebind, scans):
+    """thmFL_bialgebra builds the dual bracket of r once, with r, and so checks it once."""
+    calls = []
+    raw = rotabaxter.dual_bracket_from_r
+
+    def counted(*args):
+        calls.append(args)
+        return raw(*args)
+    rebind(raw, counted)
+    rb = thmFL_bialgebra(sl2_qrb, b_op)
+    assert len(calls) == 1
+    assert scans["symmetric-part-invariance"] == 1
+    # the output is what the two public steps build
+    assert rb.bialg.dual == raw(sl2_qrb.rb.L, r_from_qrb(sl2_qrb))
