@@ -14,10 +14,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .cybe import ad_invariance_cert, ad_on_tensor, cybe_bracket
-from .exact import ZERO, Mat, Table, Tensor2, flip, integral, tensor2_map, tensor3_map, unpack
+from .cybe import _double_bracket, ad_invariance_cert
+from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, precompose, sapply, saxpy,
+                    tensor_ints, tensor_map, unpack, unscale)
 from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
-                  dual_basis, jacobi_check, jacobi_width, jacobiator, packed_outer)
+                  dual_basis, jacobi_check, jacobi_width, jacobiator, mult_cols, packed_outer)
 from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
 from .reynolds import ReynoldsLieAlgebra, is_reynolds
 
@@ -69,17 +70,6 @@ def _cotable(deltas: list[Tensor2], skew: bool) -> Table:
     return Table._of(len(deltas), sc, skew)
 
 
-def delta_vec(deltas: list[Tensor2], v) -> Tensor2:
-    """Δ extended linearly to an arbitrary vector."""
-    n = deltas[0].dim_left
-    out: dict[tuple[int, int], Fraction] = {}
-    for k, c in enumerate(v):
-        if c != 0:
-            for key, d in deltas[k].entries.items():
-                out[key] = out.get(key, ZERO) + c * d
-    return Tensor2(n, n, out)
-
-
 @verified
 def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
     """Skewness Δ + σΔ = 0, then the co-Jacobi identity (Id+ε+ε²)(Id⊗Δ)Δ = 0, per basis vector.
@@ -110,21 +100,22 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
 
 @verified
 def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
-    """(R⊗R)Δ = (R⊗Id + Id⊗R − R⊗R)ΔR per basis vector."""
+    """(R⊗R)Δ = (R⊗Id + Id⊗R − R⊗R)ΔR per basis vector.
+
+    On the integer cobrackets D·Δ and columns d·R, the residual at e_k is d³D times
+    (R⊗R)Δ(e_k) − (R⊗Id + Id⊗R)Δ(Re_k) + (R⊗R)Δ(Re_k).
+    """
     n = len(deltas)
-    if R.rows != n or R.cols != n:
+    if R.rows != n or R.cols != n or any(d.dim_left != n or d.dim_right != n for d in deltas):
         raise ValueError("operator shape does not match the coalgebra")
-    ident = Mat.identity(n)
+    *ds, e = tensor_ints(*deltas)
+    cols, d = R.icols, R.den
 
     def residual(k):
-        delta_rk = delta_vec(deltas, R.col(k))
-        rhs = (
-            tensor2_map(R, ident, delta_rk)
-            + tensor2_map(ident, R, delta_rk)
-            - tensor2_map(R, R, delta_rk)
-        )
-        return tensor2_map(R, R, deltas[k]) - rhs
-    return scan("reynolds-coalgebra", (((k,), residual(k)) for k in range(n)))
+        drk = sapply(ds, cols[k])                   # d·D·Δ(Re_k)
+        out = saxpy(tensor_map(drk, (cols, cols)), -d, leg_sum(drk, cols, 2))
+        return saxpy(out, d, tensor_map(ds[k], (cols, cols)))
+    return scan("reynolds-coalgebra", (((k,), residual(k)) for k in range(n)), d ** 3 * e)
 
 
 @verified
@@ -235,25 +226,19 @@ def coboundary_cobracket(g: LieAlgebra, r: Tensor2) -> list[Tensor2]:
     """Δ(e_k) = (ad_{e_k}⊗Id + Id⊗ad_{e_k}) r."""
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
-    rows = g.sc.rows()
-    return [Tensor2(g.dim, g.dim, ad_on_tensor(rows, k, r)) for k in range(g.dim)]
+    ads, den = mult_cols(g.sc)
+    t, d = tensor_ints(r)
+    return [Tensor2(g.dim, g.dim, unscale(leg_sum(t, ad, 2), den * d)) for ad in ads]
 
 
 @verified
 def coboundary_conditions(g: LieAlgebra, r: Tensor2) -> Certificate:
     """Invariance of r+σ(r) and ad-invariance of [[r,r]], per basis vector."""
-    ident = Mat.identity(g.dim)
     inv = ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance")
-    rr = cybe_bracket(g, r)
-
-    def cybe_residual(ad_k):
-        return (
-            tensor3_map(ad_k, ident, ident, rr)
-            + tensor3_map(ident, ad_k, ident, rr)
-            + tensor3_map(ident, ident, ad_k, rr)
-        )
+    rr, s = _double_bracket(g, r)
+    ads, den = mult_cols(g.sc)
     cy = scan("cybe-bracket-invariance",
-              (((k,), cybe_residual(g.ad(k))) for k in range(g.dim)))
+              (((k,), leg_sum(rr, ad, 3)) for k, ad in enumerate(ads)), s * den)
     return Certificate.combine("coboundary-conditions", [inv, cy])
 
 
@@ -262,21 +247,22 @@ def reynolds_coboundary_condition(g: LieAlgebra, R: Mat, r: Tensor2) -> Certific
     """The coboundary Reynolds criterion applied to (R⊗Id+Id⊗R)(r).
 
     Vanishing for every basis x is equivalent to −Rᵀ being a Reynolds
-    operator on the dual algebra of the coboundary bialgebra.
+    operator on the dual algebra of the coboundary bialgebra.  A ↦ A⊗Id + Id⊗A
+    is linear, so the residual at e_k is that one map of M_k = ad_{Re_k} +
+    R·ad_{Re_k} − R·ad_{e_k} applied to s = (R⊗Id + Id⊗R)(r), all on integers.
     """
     n = g.dim
-    ident = Mat.identity(n)
-    s = tensor2_map(R, ident, r) + tensor2_map(ident, R, r)
+    if not R.rows == R.cols == r.dim_left == r.dim_right == n:
+        raise ValueError("operator/tensor dimension mismatch")
+    sc, den, _ = integral(g.sc)
+    rows = sc.rows()
+    cols, d = R.icols, R.den
+    t, e = tensor_ints(r)
+    s = leg_sum(t, cols, 2)                 # d·e·s
+    adr = precompose(rows, cols)            # adr[k][y] = den·d·[Re_k, e_y]
 
-    def residual(k):
-        ad_rk = g.ad_vec(R.col(k))
-        ad_k = g.ad(k)
-        return (
-            tensor2_map(ad_rk, ident, s)
-            + tensor2_map(ident, ad_rk, s)
-            + tensor2_map(R @ ad_rk, ident, s)
-            + tensor2_map(ident, R @ ad_rk, s)
-            - tensor2_map(R @ ad_k, ident, s)
-            - tensor2_map(ident, R @ ad_k, s)
-        )
-    return scan("reynolds-coboundary", (((k,), residual(k)) for k in range(n)))
+    def m_cols(k):                          # den·d²·M_k
+        return [saxpy(saxpy(sapply(cols, adr[k].get(y, {})), d, adr[k].get(y, {})),
+                      -d, sapply(cols, rows[k].get(y, {}))) for y in range(n)]
+    return scan("reynolds-coboundary", (((k,), leg_sum(s, m_cols(k), 2)) for k in range(n)),
+                den * d ** 3 * e)

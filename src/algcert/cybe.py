@@ -11,9 +11,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, flip, integral, precompose,
-                    sapply, saxpy, sprod, srow, tensor2_map, unscale)
-from .lie import LieAlgebra, Representation, default_basis, dual_rep, semidirect
+from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, flip, integral, leg_sum,
+                    precompose, sapply, saxpy, sprod, srow, tensor_ints, unscale)
+from .lie import (LieAlgebra, Representation, default_basis, dual_rep, mult_cols, mult_mats,
+                  semidirect)
 from .matched import MatchedPair, ReynoldsMatchedPair
 from .reynolds import (
     ReynoldsLieAlgebra,
@@ -23,46 +24,41 @@ from .reynolds import (
 )
 
 
-def cybe_bracket(g: LieAlgebra, r: Tensor2) -> Tensor3:
-    """[[r,r]] = [r12,r13] + [r13,r23] + [r12,r23] as an order-3 tensor."""
+def _double_bracket(g: LieAlgebra, r: Tensor2) -> tuple[dict, int]:
+    """[[r,r]] on integers {(i, j, k): c} (cancelled zeros kept), and its scale.
+
+    With the columns C_j = Σ_i r^{ij}e_i and the rows R_i = Σ_j r^{ij}e_j of r,
+    [r12,r13] = Σ [C_j,C_l]⊗e_j⊗e_l, [r12,r23] = Σ e_i⊗[R_i,C_l]⊗e_l and
+    [r13,r23] = Σ e_i⊗e_k⊗[R_i,R_k], over the nonzero columns and rows only.
+    """
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
-    n = g.dim
-    rows = g.sc.rows()
-    data: dict[tuple[int, int, int], Fraction] = {}
-
-    def put(key, c):
-        data[key] = data.get(key, ZERO) + c
-
-    items = list(r.entries.items())
-    for (i, j), c1 in items:
-        for (k, l), c2 in items:
-            c = c1 * c2
-            for m, b in rows[i].get(k, {}).items():
-                put((m, j, l), c * b)
-            for m, b in rows[j].get(l, {}).items():
-                put((i, k, m), c * b)
-            for m, b in rows[j].get(k, {}).items():
-                put((i, m, l), c * b)
-    return Tensor3((n, n, n), data)
+    sc, den, _ = integral(g.sc)
+    rows, rp = sc.rows(), r_plus(r)     # rp's columns are r's rows, on the scale d = rp.den
+    C = {j: col for j, col in enumerate(rp.transpose().icols) if col}
+    R = {i: col for i, col in enumerate(rp.icols) if col}
+    adc = dict(zip(C, precompose(rows, C.values())))    # adc[j][y] = den·d·[C_j, e_y]
+    adr = dict(zip(R, precompose(rows, R.values())))
+    out = {(m, j, l): c for j in C for l in C for m, c in srow({}, adc[j], C[l]).items()}
+    saxpy(out, 1, {(i, m, l): c for i in R for l in C for m, c in srow({}, adr[i], C[l]).items()})
+    saxpy(out, 1, {(i, k, m): c for i in R for k in R for m, c in srow({}, adr[i], R[k]).items()})
+    return out, rp.den ** 2 * den
 
 
-def ad_on_tensor(rows: Rows, k: int, t: Tensor2) -> dict:
-    """(ad_{e_k}⊗Id + Id⊗ad_{e_k})(t) entrywise, for the bracket table `rows`."""
-    out: dict = {}
-    for (i, j), a in t.entries.items():
-        for m, b in rows[k].get(i, {}).items():
-            out[m, j] = out.get((m, j), ZERO) + a * b
-        for m, b in rows[k].get(j, {}).items():
-            out[i, m] = out.get((i, m), ZERO) + a * b
-    return out
+def cybe_bracket(g: LieAlgebra, r: Tensor2) -> Tensor3:
+    """[[r,r]] = [r12,r13] + [r13,r23] + [r12,r23] as an order-3 tensor."""
+    rr, s = _double_bracket(g, r)
+    return Tensor3((g.dim,) * 3, unscale(rr, s))
 
 
 @verified
 def ad_invariance_cert(g: LieAlgebra, t: Tensor2, name: str = "ad-invariance") -> Certificate:
     """(ad_x⊗Id + Id⊗ad_x)(t) = 0 for every basis x."""
-    rows = g.sc.rows()
-    return scan(name, (((k,), ad_on_tensor(rows, k, t)) for k in range(g.dim)))
+    if t.dim_left != g.dim or t.dim_right != g.dim:
+        raise ValueError("tensor must live on g⊗g")
+    ads, den = mult_cols(g.sc)
+    body, d = tensor_ints(t)
+    return scan(name, (((k,), leg_sum(body, ad, 2)) for k, ad in enumerate(ads)), den * d)
 
 
 @verified
@@ -75,9 +71,12 @@ def is_cybe_solution(g: LieAlgebra, r: Tensor2) -> Certificate:
 @verified
 def reynolds_tensor_condition(R: Mat, r: Tensor2) -> Certificate:
     """(R⊗Id + Id⊗R)(r) = 0."""
-    ident = Mat.identity(R.rows)
-    res = tensor2_map(R, ident, r) + tensor2_map(ident, R, r)
-    return scan("reynolds-tensor-condition", [(min(res.entries, default=()), res)])
+    if not R.rows == R.cols == r.dim_left == r.dim_right:
+        raise ValueError("operator/tensor dimension mismatch")
+    t, d = tensor_ints(r)
+    res = leg_sum(t, R.icols, 2)
+    return scan("reynolds-tensor-condition",
+                [(min((k for k, c in res.items() if c), default=()), res)], R.den * d)
 
 
 @verified
@@ -279,9 +278,7 @@ def subadjacent(rp: ReynoldsPreLie) -> ReynoldsLieAlgebra:
 def left_rep(rp: ReynoldsPreLie) -> ReynoldsRep:
     """(g; R, L) with L(x)y = {x,y}, over the sub-adjacent algebra."""
     sub = subadjacent(rp)
-    n = rp.A.dim
-    mats = [Mat.from_cols(rp.A.prod.basis_prod(i, j) for j in range(n)) for i in range(n)]
-    rep = Representation(sub.L, n, mats, labels=rp.A.basis, check=False)
+    rep = Representation(sub.L, rp.A.dim, mult_mats(rp.A.prod), labels=rp.A.basis, check=False)
     return ReynoldsRep(sub, rep, rp.R)
 
 
@@ -321,10 +318,7 @@ def canonical_r(rp: ReynoldsPreLie) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     big = semidirect(sub.L, dual_rep(lr.rep))
     op = Mat.block_diag(rp.R, -rp.R.transpose())
     ambient = ReynoldsLieAlgebra(big, op)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for i in range(n):
-        entries[(i, n + i)] = Fraction(1)
-        entries[(n + i, i)] = Fraction(-1)
-    r = Tensor2(2 * n, 2 * n, entries)
+    r = Tensor2(2 * n, 2 * n, {key: c for i in range(n)
+                               for key, c in (((i, n + i), 1), ((n + i, i), -1))})
     require(is_cybe_solution_reynolds(ambient, r))
     return ambient, r

@@ -329,9 +329,6 @@ class Tensor2:
         """Entries in lexicographic (i, j) order."""
         return iter(sorted(self.entries.items()))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), ZERO)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Tensor2)
@@ -371,7 +368,7 @@ class Tensor2:
     def is_skew(self) -> bool:
         if self.dim_left != self.dim_right:
             return False
-        return all(self.entry(j, i) == -c for (i, j), c in self.entries.items())
+        return all(self.entries.get((j, i)) == -c for (i, j), c in self.entries.items())
 
     def _same_shape(self, other: "Tensor2") -> None:
         if (self.dim_left, self.dim_right) != (other.dim_left, other.dim_right):
@@ -382,16 +379,8 @@ def tensor2_map(f: Mat, g: Mat, t: Tensor2) -> Tensor2:
     """(f⊗g)(t): entry (a,b) = Σ f[a][i]·g[b][j]·t[i][j]."""
     if f.cols != t.dim_left or g.cols != t.dim_right:
         raise ValueError("operator/tensor dimension mismatch in tensor2_map")
-    data: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in t.entries.items():
-        gcol = g.icols[j]
-        for a, fa in f.icols[i].items():
-            fc = fa * c
-            for b, gb in gcol.items():
-                key = (a, b)
-                data[key] = data.get(key, ZERO) + fc * gb
-    den = f.den * g.den
-    return Tensor2(f.rows, g.rows, {k: v / den for k, v in data.items()})
+    body, d = tensor_ints(t)
+    return Tensor2(f.rows, g.rows, unscale(tensor_map(body, (f.icols, g.icols)), d * f.den * g.den))
 
 
 def flip(t: Tensor2) -> Tensor2:
@@ -406,17 +395,9 @@ def tensor3_map(f: Mat, g: Mat, h: Mat, t: "Tensor3") -> "Tensor3":
     """(f⊗g⊗h)(t) for order-3 tensors."""
     if (f.cols, g.cols, h.cols) != t.dims:
         raise ValueError("operator/tensor dimension mismatch in tensor3_map")
-    data: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), c in t.entries.items():
-        gcol, hcol = g.icols[j], h.icols[k]
-        for a, fa in f.icols[i].items():
-            for b, gb in gcol.items():
-                fg = fa * gb * c
-                for d, hd in hcol.items():
-                    key = (a, b, d)
-                    data[key] = data.get(key, ZERO) + fg * hd
-    den = f.den * g.den * h.den
-    return Tensor3((f.rows, g.rows, h.rows), {k: v / den for k, v in data.items()})
+    body, d = tensor_ints(t)
+    return Tensor3((f.rows, g.rows, h.rows), unscale(tensor_map(body, (f.icols, g.icols, h.icols)),
+                                                     d * f.den * g.den * h.den))
 
 
 class Tensor3:
@@ -460,6 +441,36 @@ class Tensor3:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+
+def tensor_ints(*tensors) -> tuple:
+    """Sparse tensors as integer dicts {index tuple: c} on D, their denominators' lcm, and D."""
+    bodies, den = _ints([t.entries for t in tensors])
+    return (*bodies, den)
+
+
+def tensor_map(t: dict, maps) -> dict:
+    """(A₁⊗…⊗A_p)(t) on an integer tensor {index tuple: c}, one factor at a time: maps[q] is
+    A_q's integer sparse columns, or None for Id.  The result is on the product of the maps'
+    scales and may hold cancelled zeros; with every map None it is `t` itself."""
+    for q, cols in enumerate(maps):
+        if cols is not None:
+            out: dict = {}
+            for key, c in t.items():
+                head, tail = key[:q], key[q + 1:]
+                for a, x in cols[key[q]].items():
+                    k = head + (a,) + tail
+                    out[k] = out.get(k, 0) + c * x
+            t = out
+    return t
+
+
+def leg_sum(t: dict, cols, p: int) -> dict:
+    """(A⊗Id⊗…⊗Id + … + Id⊗…⊗Id⊗A)(t) on an integer p-tensor, A given by its integer columns."""
+    out: dict = {}
+    for q in range(p):
+        saxpy(out, 1, tensor_map(t, [None] * q + [cols] + [None] * (p - q - 1)))
+    return out
 
 
 # ---------------------------------------------------------------------------

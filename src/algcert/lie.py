@@ -57,11 +57,12 @@ class LieAlgebra(Checked):
 
     def ad(self, i: int) -> Mat:
         """Adjoint-action matrix of e_i; columns are [e_i, e_j]."""
-        return Mat.from_cols([self.bracket_basis(i, j) for j in range(self.dim)])
+        cols, den = mult_cols(self.sc)
+        return Mat._of(self.dim, self.dim, cols[i], den)
 
     def ad_vec(self, x: Vec) -> Mat:
-        v = {i: c for i, c in enumerate(x) if c != 0}
-        return mat_comb({i: self.ad(i) for i in v}, v, self.dim, self.dim)
+        return mat_comb(mult_mats(self.sc), {i: c for i, c in enumerate(x) if c != 0},
+                        self.dim, self.dim)
 
 
 def bracket(L: LieAlgebra, x: Vec, y: Vec) -> Vec:
@@ -226,22 +227,31 @@ def coadjoint_cols(rows: Rows, n: int) -> list[list[SVec]]:
     return cols
 
 
-def _ad_mats(L: LieAlgebra, dual: bool) -> list[Mat]:
-    """ad(e_i), or ad*(e_i) = −ad(e_i)ᵀ, for every i, from the integer rows of L's table."""
-    (sc, den, _), n = integral(L.sc), L.dim
-    rows = sc.rows()
-    cols = coadjoint_cols(rows, n) if dual else [[dict(row.get(j, {})) for j in range(n)]
-                                                 for row in rows]
-    return [Mat._of(n, n, c, den) for c in cols]
+def mult_cols(table: Table, right: bool = False) -> tuple[list[list[SVec]], int]:
+    """cols[i][j] = D·e_i·e_j, or D·e_j·e_i when `right`, as fresh dicts: the integer columns
+    of left (right) multiplication by e_i, from the table's kept integer form D·table; and D."""
+    sc, den, _ = integral(table)
+    rows, n = sc.rows(), table.dim
+    if right:
+        rows = [{j: row[i] for j, row in enumerate(rows) if i in row} for i in range(n)]
+    return [[dict(row.get(j, {})) for j in range(n)] for row in rows], den
+
+
+def mult_mats(table: Table, right: bool = False) -> list[Mat]:
+    """The matrix of x ↦ e_i·x (`right`: x ↦ x·e_i) for every i."""
+    cols, den = mult_cols(table, right)
+    return [Mat._of(table.dim, table.dim, c, den) for c in cols]
 
 
 def adjoint_rep(L: LieAlgebra) -> Representation:
-    return Representation(L, L.dim, _ad_mats(L, False), labels=L.basis, check=False)
+    return Representation(L, L.dim, mult_mats(L.sc), labels=L.basis, check=False)
 
 
 def coadjoint_rep(L: LieAlgebra) -> Representation:
     """ad*(x) = −ad(x)ᵀ on dual coordinates."""
-    return Representation(L, L.dim, _ad_mats(L, True), labels=dual_basis(L.basis), check=False)
+    sc, den, _ = integral(L.sc)
+    mats = [Mat._of(L.dim, L.dim, c, den) for c in coadjoint_cols(sc.rows(), L.dim)]
+    return Representation(L, L.dim, mats, labels=dual_basis(L.basis), check=False)
 
 
 def dual_rep(rep: Representation) -> Representation:

@@ -11,9 +11,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (Mat, Table, Vec, integral, precompose, saxpy, sprod, srow, unscale, vadd,
-                    vsub)
-from .lie import LieAlgebra, default_basis
+from .exact import Table, Vec, integral, precompose, saxpy, sprod, srow, unscale, vadd, vsub
+from .lie import LieAlgebra, default_basis, mult_mats
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
 
@@ -201,11 +200,8 @@ def is_ns_rep(rep: NSRep) -> Certificate:
 
 def regular_rep(A: NSLieAlgebra) -> NSRep:
     """(G; Ad, left-◁, right-◁): Ad_x y = x▷y, mu(x)y = x◁y, nu(x)y = y◁x."""
-    n = A.dim
-    varrho = [Mat.from_cols([A.wedge_basis(i, j) for j in range(n)]) for i in range(n)]
-    mu = [Mat.from_cols([A.left_basis(i, j) for j in range(n)]) for i in range(n)]
-    nu = [Mat.from_cols([A.left_basis(j, i) for j in range(n)]) for i in range(n)]
-    return NSRep(A, n, varrho, mu, nu, labels=A.basis, check=False)
+    return NSRep(A, A.dim, mult_mats(A.wedge), mult_mats(A.left), mult_mats(A.left, right=True),
+                 labels=A.basis, check=False)
 
 
 @verified

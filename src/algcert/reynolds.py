@@ -274,8 +274,8 @@ def check_ssharp_intertwiner(Q: QuadraticReynolds) -> Certificate:
     """S♯ intertwines ad with ad* and satisfies S♯R = -RᵀS♯."""
     L, R = Q.base.L, Q.base.R
     sharp = s_sharp(Q.S)
-    parts = [scan("ad-intertwiner", (
-        ((i,), sharp @ L.ad(i) - (-L.ad(i).transpose()) @ sharp) for i in range(L.dim)))]
+    parts = [scan("ad-intertwiner", (((i,), sharp @ ad - coad @ sharp) for i, (ad, coad)
+                                     in enumerate(zip(adjoint_rep(L).rho, coadjoint_rep(L).rho))))]
     parts.append(scan("operator-skew", [((0,), sharp @ R + R.transpose() @ sharp)]))
     return Certificate.combine("ssharp-intertwiner", parts)
 

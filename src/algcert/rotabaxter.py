@@ -15,7 +15,7 @@ from itertools import combinations
 from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (ZERO, Mat, Tensor2, flip, integral, precompose, rat, sapply, saxpy, sprod,
                     unscale)
-from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, s_sharp
+from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, mult_mats, s_sharp
 from .reynolds import (inner_products, is_reynolds, lie_operands, operator_form_compat,
                        operator_identity)
 
@@ -134,16 +134,16 @@ def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
         raise ValueError("tensor must live on g⊗g")
     require(ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance"))
     n = g.dim
-    rp = r_plus(r)
-    rows = g.sc.rows()
-    # ad*_v e_b* = −Σ_k [v,e_k]_b e_k*; adp[a][k] = d·[r₊e_a*,e_k], adm[b][k] = d·[r₋e_b*,e_k]
+    (sc, den, _), rp = integral(g.sc), r_plus(r)
+    rows = sc.rows()
+    # ad*_v e_b* = −Σ_k [v,e_k]_b e_k*; adp[a][k] = D·d·[r₊e_a*,e_k], adm[b][k] = D·d·[r₋e_b*,e_k]
     adp = precompose(rows, rp.icols)
     adm = precompose(rows, (-rp.transpose()).icols)
 
-    def comp(a, b):      # d·[eᵃ, eᵇ]_r, its k-th coefficient −adp[a][k]_b + adm[b][k]_a
+    def comp(a, b):      # D·d·[eᵃ, eᵇ]_r, its k-th coefficient −adp[a][k]_b + adm[b][k]_a
         return saxpy({k: -v.get(b, 0) for k, v in adp[a].items()}, 1,
                      {k: v.get(a, 0) for k, v in adm[b].items()})
-    return LieAlgebra(n, dual_basis(g.basis), {(a, b): unscale(comp(a, b), rp.den)
+    return LieAlgebra(n, dual_basis(g.basis), {(a, b): unscale(comp(a, b), den * rp.den)
                                                for a, b in combinations(range(n), 2)})
 
 
@@ -170,10 +170,8 @@ def is_factorizable(g: LieAlgebra, r: Tensor2) -> Certificate:
     else:
         parts.append(Certificate(check="i-invertible", ok=False,
                                  note="I = r₊ − r₋ is singular"))
-
-    def residual(ad_k):
-        return i_mat @ (-ad_k.transpose()) - ad_k @ i_mat
-    parts.append(scan("i-intertwines", (((k,), residual(g.ad(k))) for k in range(g.dim))))
+    parts.append(scan("i-intertwines", (((k,), i_mat @ (-ad.transpose()) - ad @ i_mat)
+                                        for k, ad in enumerate(mult_mats(g.sc)))))
     return Certificate.combine("factorizable", parts)
 
 

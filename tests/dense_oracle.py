@@ -2,7 +2,9 @@
 
 These are the dense-vector bodies the sparse basis-index kernels replaced:
 every product is evaluated on full coordinate vectors built with `vbasis`
-through `LieAlgebra.bracket`, and operator sums are `Mat` sums.  They are
+through `LieAlgebra.bracket`, operator sums are `Mat` sums, ad(e_i) is
+built column by column, and tensor maps go term by term on `Fraction`s
+(`tensor2_map`, `tensor3_map`, the bodies `exact.tensor_map` replaced).  They are
 slow and test-only; a certificate must not depend on which of the two
 computed it.  `swapped()` runs the library with them in place, so whole
 constructions can be compared as well.  The `dict_*` functions are the
@@ -21,8 +23,7 @@ from algcert.certificates import Certificate, CheckFailed, residual_from_mat, sc
 from algcert.bialgebra import _cotable
 from algcert.cybe import PreLieAlgebra, ReynoldsPreLie, is_cybe_solution, r_plus
 from algcert.exact import (ONE, ZERO, Mat, Table, Tensor2, Tensor3, Vec, flip, precompose, rat,
-                           rat_str, sapply, saxpy, srow, tensor2_map, unscale, vadd, vbasis, vec,
-                           vsub, vzero)
+                           rat_str, sapply, saxpy, srow, unscale, vadd, vbasis, vec, vsub, vzero)
 from algcert.lie import (LieAlgebra, Representation, block_rows, coadjoint_cols, double_table,
                          dual_basis, s_sharp)
 from algcert.matched import MatchedPair, ReynoldsMatchedPair, is_reynolds_matched_pair
@@ -306,11 +307,48 @@ def induced_matched_pair(rmp):
     return MatchedPair(g_ind, h_ind, rho2, mu2)
 
 
+def ad(L, i: int) -> Mat:
+    return Mat.from_cols([L.bracket_basis(i, j) for j in range(L.dim)])
+
+
 def ad_vec(L, x) -> Mat:
-    return _lin([L.ad(i) for i in range(L.dim)], x, L.dim)
+    return _lin([ad(L, i) for i in range(L.dim)], x, L.dim)
 
 
 # -- the CYBE layer ---------------------------------------------------------
+
+def tensor2_map(f: Mat, g: Mat, t: Tensor2) -> Tensor2:
+    """(f⊗g)(t) term by term on Fractions: the body `exact.tensor_map` replaced."""
+    if f.cols != t.dim_left or g.cols != t.dim_right:
+        raise ValueError("operator/tensor dimension mismatch in tensor2_map")
+    data: dict = {}
+    for (i, j), c in t.entries.items():
+        gcol = g.icols[j]
+        for a, fa in f.icols[i].items():
+            fc = fa * c
+            for b, gb in gcol.items():
+                key = (a, b)
+                data[key] = data.get(key, ZERO) + fc * gb
+    den = f.den * g.den
+    return Tensor2(f.rows, g.rows, {k: v / den for k, v in data.items()})
+
+
+def tensor3_map(f: Mat, g: Mat, h: Mat, t: Tensor3) -> Tensor3:
+    """(f⊗g⊗h)(t) term by term on Fractions: the body `exact.tensor_map` replaced."""
+    if (f.cols, g.cols, h.cols) != t.dims:
+        raise ValueError("operator/tensor dimension mismatch in tensor3_map")
+    data: dict = {}
+    for (i, j, k), c in t.entries.items():
+        gcol, hcol = g.icols[j], h.icols[k]
+        for a, fa in f.icols[i].items():
+            for b, gb in gcol.items():
+                fg = fa * gb * c
+                for d, hd in hcol.items():
+                    key = (a, b, d)
+                    data[key] = data.get(key, ZERO) + fg * hd
+    den = f.den * g.den * h.den
+    return Tensor3((f.rows, g.rows, h.rows), {k: v / den for k, v in data.items()})
+
 
 def cybe_bracket(g, r) -> Tensor3:
     n = g.dim
@@ -338,7 +376,13 @@ def ad_invariance_cert(g, t, name: str = "ad-invariance") -> Certificate:
 
     def residual(ad_k):
         return tensor2_map(ad_k, ident, t) + tensor2_map(ident, ad_k, t)
-    return scan(name, (((k,), residual(g.ad(k))) for k in range(g.dim)))
+    return scan(name, (((k,), residual(ad(g, k))) for k in range(g.dim)))
+
+
+def reynolds_tensor_condition(R: Mat, r) -> Certificate:
+    ident = Mat.identity(R.rows)
+    res = tensor2_map(R, ident, r) + tensor2_map(ident, R, r)
+    return scan("reynolds-tensor-condition", [(min(res.entries, default=()), res)])
 
 
 def is_relative_rb(rel) -> Certificate:
@@ -509,9 +553,9 @@ def cocycle_check(g, deltas) -> Certificate:
 
     def cases():
         for i in range(n):
-            ad_i = g.ad(i)
+            ad_i = ad(g, i)
             for j in range(i + 1, n):
-                ad_j = g.ad(j)
+                ad_j = ad(g, j)
                 lhs = delta_vec(deltas, g.bracket_basis(i, j))
                 rhs = (
                     tensor2_map(ad_i, ident, deltas[j])
@@ -523,9 +567,48 @@ def cocycle_check(g, deltas) -> Certificate:
     return scan("cocycle", cases())
 
 
+def is_reynolds_coalgebra(deltas, R: Mat) -> Certificate:
+    n = len(deltas)
+    if R.rows != n or R.cols != n:
+        raise ValueError("operator shape does not match the coalgebra")
+    ident = Mat.identity(n)
+
+    def residual(k):
+        delta_rk = delta_vec(deltas, R.col(k))
+        rhs = (tensor2_map(R, ident, delta_rk) + tensor2_map(ident, R, delta_rk)
+               - tensor2_map(R, R, delta_rk))
+        return tensor2_map(R, R, deltas[k]) - rhs
+    return scan("reynolds-coalgebra", (((k,), residual(k)) for k in range(n)))
+
+
 def coboundary_cobracket(g, r) -> list:
     ident = Mat.identity(g.dim)
-    return [tensor2_map(g.ad(k), ident, r) + tensor2_map(ident, g.ad(k), r) for k in range(g.dim)]
+    return [tensor2_map(ad(g, k), ident, r) + tensor2_map(ident, ad(g, k), r)
+            for k in range(g.dim)]
+
+
+def coboundary_conditions(g, r) -> Certificate:
+    ident = Mat.identity(g.dim)
+    inv = ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance")
+    rr = cybe_bracket(g, r)
+
+    def residual(ad_k):
+        return (tensor3_map(ad_k, ident, ident, rr) + tensor3_map(ident, ad_k, ident, rr)
+                + tensor3_map(ident, ident, ad_k, rr))
+    cy = scan("cybe-bracket-invariance", (((k,), residual(ad(g, k))) for k in range(g.dim)))
+    return Certificate.combine("coboundary-conditions", [inv, cy])
+
+
+def reynolds_coboundary_condition(g, R: Mat, r) -> Certificate:
+    ident = Mat.identity(g.dim)
+    s = tensor2_map(R, ident, r) + tensor2_map(ident, R, r)
+
+    def residual(k):
+        ad_rk, ad_k = ad_vec(g, R.col(k)), ad(g, k)
+        return (tensor2_map(ad_rk, ident, s) + tensor2_map(ident, ad_rk, s)
+                + tensor2_map(R @ ad_rk, ident, s) + tensor2_map(ident, R @ ad_rk, s)
+                - tensor2_map(R @ ad_k, ident, s) - tensor2_map(ident, R @ ad_k, s))
+    return scan("reynolds-coboundary", (((k,), residual(k)) for k in range(g.dim)))
 
 
 def dual_bracket_from_r(g, r):
@@ -960,10 +1043,13 @@ SWAPS = {
     ("cybe", "subadjacent"): subadjacent,
     ("cybe", "left_rep"): left_rep,
     ("matched", "induced_matched_pair"): induced_matched_pair,
-    ("bialgebra", "delta_vec"): delta_vec,
+    ("cybe", "reynolds_tensor_condition"): reynolds_tensor_condition,
     ("bialgebra", "is_lie_coalgebra"): is_lie_coalgebra,
+    ("bialgebra", "is_reynolds_coalgebra"): is_reynolds_coalgebra,
     ("bialgebra", "cocycle_check"): cocycle_check,
     ("bialgebra", "coboundary_cobracket"): coboundary_cobracket,
+    ("bialgebra", "coboundary_conditions"): coboundary_conditions,
+    ("bialgebra", "reynolds_coboundary_condition"): reynolds_coboundary_condition,
     ("rotabaxter", "dual_bracket_from_r"): dual_bracket_from_r,
     ("rotabaxter", "r_from_qrb"): r_from_qrb,
 }

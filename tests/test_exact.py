@@ -12,13 +12,17 @@ from algcert.exact import (
     Tensor3,
     flip,
     integral,
+    leg_sum,
     mat_apply,
     mat_comb,
     rat,
     rat_str,
     tensor2_map,
     tensor3_map,
+    tensor_ints,
+    tensor_map,
     transpose,
+    unscale,
     vbasis,
     vec,
     vzero,
@@ -149,6 +153,26 @@ def test_tensor2_map_composes():
         g, g2 = rand_mat(rng, n, n), rand_mat(rng, n, n)
         t = rand_tensor(rng, n)
         assert tensor2_map(f @ f2, g @ g2, t) == tensor2_map(f, g, tensor2_map(f2, g2, t))
+
+
+def test_tensor_maps_match_the_fraction_bodies():
+    # tensor2_map/tensor3_map run `tensor_map` on the integer forms and divide once; the
+    # term-by-term Fraction bodies they replaced are the reference, and a leg sum is the sum
+    # of its one-leg maps
+    rng = random.Random(29)
+    for _ in range(25):
+        a, b, c, n = (rng.randint(1, 3) for _ in range(4))
+        f, g, h = rand_mat(rng, a, n), rand_mat(rng, b, n), rand_mat(rng, c, n)
+        t = rand_tensor(rng, n)
+        assert tensor2_map(f, g, t) == oracle.tensor2_map(f, g, t)
+        t3 = Tensor3((n, n, n), {(rng.randrange(n), rng.randrange(n), rng.randrange(n)):
+                                 rand_frac(rng) for _ in range(2 * n)})
+        assert tensor3_map(f, g, h, t3) == oracle.tensor3_map(f, g, h, t3)
+        sq, ident = rand_mat(rng, n, n), Mat.identity(n)
+        body, d = tensor_ints(t)
+        legs = Tensor2(n, n, unscale(leg_sum(body, sq.icols, 2), d * sq.den))
+        assert legs == tensor2_map(sq, ident, t) + tensor2_map(ident, sq, t)
+        assert tensor_map(body, [None, None]) is body
 
 
 def test_flip_cases():

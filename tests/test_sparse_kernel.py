@@ -14,6 +14,7 @@ with rational Rota-Baxter weights and failing inputs, and a change of basis
 must not change any verdict.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -201,9 +202,36 @@ def test_lie_checks_match_dense(case):
 
 @given(algebras())
 def test_adjoint_matrices_match_ad(L):
-    # adjoint_rep/coadjoint_rep fill ad(e_i) from the table rows, not column by column
-    assert list(adjoint_rep(L).rho) == [L.ad(i) for i in range(L.dim)]
-    assert list(coadjoint_rep(L).rho) == [-L.ad(i).transpose() for i in range(L.dim)]
+    # ad(e_i), adjoint_rep and coadjoint_rep fill their matrices from the table's integer
+    # rows; the reference builds them column by column
+    ads = [dense.ad(L, i) for i in range(L.dim)]
+    assert [L.ad(i) for i in range(L.dim)] == ads == list(adjoint_rep(L).rho)
+    assert list(coadjoint_rep(L).rho) == [-a.transpose() for a in ads]
+    v = [Fraction(1 - 2 * k, 7 + k) for k in range(L.dim)]
+    assert L.ad_vec(v) == dense.ad_vec(L, v)
+
+
+@given(st.integers(1, 4), st.data())
+def test_multiplication_matrices_match_from_cols(n, data):
+    # regular_rep and left_rep build left and right multiplication from the table's integer
+    # rows; on random tables with coprime denominators they equal the `from_cols` matrices
+    def table(pairs):
+        return {key: {data.draw(st.integers(0, n - 1)): data.draw(COPRIME)}
+                for key in pairs if data.draw(st.booleans())}
+
+    def by_cols(prod):
+        return [Mat.from_cols([prod(i, j) for j in range(n)]) for i in range(n)]
+    A = NSLieAlgebra.unchecked(n, None, table(product(range(n), repeat=2)),
+                               table(combinations(range(n), 2)))
+    reg = regular_rep(A)
+    assert list(reg.varrho) == by_cols(A.wedge_basis)
+    assert list(reg.mu) == by_cols(A.left_basis)
+    assert list(reg.nu) == by_cols(lambda i, j: A.left_basis(j, i))
+    P = data.draw(prelies())
+    n = P.dim
+    if cybe.is_prelie(P).ok:     # R = 0 is Reynolds on any pre-Lie algebra
+        rep = cybe.left_rep(cybe.ReynoldsPreLie.unchecked(P, Mat.zeros(n, n))).rep
+        assert list(rep.rho) == by_cols(P.prod_basis)
 
 
 @given(cases())
@@ -481,8 +509,39 @@ def test_cybe_and_bialgebra_checks_match_dense(case, data_):
     agree(lambda: bialgebra.cocycle_check(L, deltas))
     agree(lambda: bialgebra.is_lie_coalgebra(deltas))
     agree(lambda: bialgebra.is_lie_bialgebra(L, dual))
-    v = [draw(SMALL) for _ in range(n)]
-    agree(lambda: bialgebra.delta_vec(deltas, v))
+    # the Reynolds checks on a dense conjugate of sl(2) or gl(2), with its projection, a
+    # random or the zero operator, and a dense r whose coefficients have coprime denominators
+    base, P0 = draw(st.sampled_from([(SL2, Mat.identity(3)), (GL2, gl_projection(2))]))
+    P = draw(dense_invertible(base.dim))
+    G, m = conjugate(base, P), base.dim
+    R = draw(st.sampled_from([P.inverse() @ P0 @ P, Mat.zeros(m, m),
+                              Mat([[draw(COPRIME) for _ in range(m)] for _ in range(m)])]))
+    r = Tensor2(m, m, {key: draw(COPRIME) for key in product(range(m), repeat=2)})
+    A = ReynoldsLieAlgebra.unchecked(G, R)
+    for t in (r, r - flip(r)):
+        agree(lambda: cybe.is_cybe_solution_reynolds(A, t))
+        agree(lambda: cybe.reynolds_tensor_condition(R, t))
+        agree(lambda: bialgebra.coboundary_conditions(G, t))
+        agree(lambda: bialgebra.reynolds_coboundary_condition(G, R, t))
+        agree(lambda: bialgebra.is_reynolds_coalgebra(bialgebra.coboundary_cobracket(G, t), R))
+        agree(lambda: rotabaxter.is_factorizable(G, t))
+
+
+def test_cybe_where_skips_cancelled_entries():
+    # the integer [[r,r]] keeps cancelled zeros; a seeded search finds an r with one below its
+    # first nonzero key, and the single-shot `where` and residual must still be the dense ones
+    rng = random.Random(0)
+    for _ in range(500):
+        r = Tensor2(3, 3, {(rng.randrange(3), rng.randrange(3)):
+                           Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7])) for _ in range(4)})
+        rr, _ = cybe._double_bracket(SL2, r)
+        first = min((k for k, c in rr.items() if c), default=None)
+        if first is not None and min(rr) < first:
+            break
+    else:
+        pytest.fail("no r whose [[r,r]] has a cancelled entry below its first nonzero key")
+    cert = agree(lambda: cybe.is_cybe_solution(SL2, r))
+    assert not cert["ok"] and cert["where"] == list(first)
 
 
 @given(qrbs(), st.data())
