@@ -10,13 +10,12 @@ wedge-normalization ambiguity cannot affect a certificate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .certificates import Certificate, Checked, require, scan, verified
 from .cybe import _double_bracket, ad_invariance_cert
 from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, precompose, sapply, saxpy,
-                    tensor_ints, tensor_map, unpack, unscale)
+                    table_rows, tensor_map, unpack)
 from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
                   dual_basis, jacobi_check, jacobi_width, jacobiator, mult_cols, packed_outer)
 from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
@@ -42,9 +41,10 @@ class LieBialgebra(Checked):
 
 def cobracket_from_dual(dual: LieAlgebra) -> list[Tensor2]:
     """Δ(e_k) as a skew tensor read off the dual structure constants."""
-    n, rows = dual.dim, dual.sc.rows()
-    return [Tensor2(n, n, {(i, j): comp[k] for i, row in enumerate(rows)
-                           for j, comp in row.items() if k in comp}) for k in range(n)]
+    n, rows = dual.dim, table_rows(dual.sc.ientries, dual.dim, True)
+    return [Tensor2._of((n, n), {(i, j): comp[k] for i, row in enumerate(rows)
+                                 for j, comp in row.items() if k in comp}, dual.sc.den)
+            for k in range(n)]
 
 
 def dual_from_cobracket(deltas: list[Tensor2], basis=None) -> LieAlgebra:
@@ -62,12 +62,13 @@ def dual_from_cobracket(deltas: list[Tensor2], basis=None) -> LieAlgebra:
 
 def _cotable(deltas: list[Tensor2], skew: bool) -> Table:
     """The dual product eᵃ·eᵇ = Σ_k Δ(e_k)_ab eᵏ; a skew table keeps the keys a < b."""
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for k, d in enumerate(deltas):
-        for (a, b), c in d.entries.items():
+    *ds, den, _ = integral(*deltas)
+    sc: dict[tuple[int, int], dict[int, int]] = {}
+    for k, d in enumerate(ds):
+        for (a, b), c in d.items():
             if a < b or not skew:
                 sc.setdefault((a, b), {})[k] = c
-    return Table._of(len(deltas), sc, skew)
+    return Table._of(len(deltas), sc, skew, den)
 
 
 @verified
@@ -88,7 +89,7 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
         return skew._replace(note="cobracket is not skew")
     co, den, top = integral(_cotable(deltas, True))
     w = jacobi_width(n, top)
-    outer = packed_outer(co, w)
+    outer = packed_outer(co, n, w)
     out: list[dict] = [{} for _ in range(n)]
     for x, y, z in combinations(range(n), 3):
         # each e_k's residual gathers one coefficient of every J*, so only a nonzero J* is decoded
@@ -108,7 +109,7 @@ def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
     n = len(deltas)
     if R.rows != n or R.cols != n or any(d.dim_left != n or d.dim_right != n for d in deltas):
         raise ValueError("operator shape does not match the coalgebra")
-    *ds, e = tensor_ints(*deltas)
+    *ds, e, _ = integral(*deltas)
     cols, d = R.icols, R.den
 
     def residual(k):
@@ -130,10 +131,10 @@ def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
     if len(deltas) != n or any(d.dim_left != n or d.dim_right != n for d in deltas):
         raise ValueError("cobracket shape does not match the algebra")
     sc, co, den, top = integral(g.sc, _cotable(deltas, False))
-    table = double_table(sc, Table._of(n, {}, True), coadjoint_cols(sc.rows(), n),
-                         coadjoint_cols(co.rows(), n))
+    table = double_table(sc, {}, coadjoint_cols(table_rows(sc, n, True), n),
+                         coadjoint_cols(table_rows(co, n), n))
     w = jacobi_width(2 * n, top)
-    outer, shift = packed_outer(table, w, 0, n), n * w
+    outer, shift = packed_outer(table, 2 * n, w, 0, n), n * w
 
     def residual(i, j):
         return sum([jacobiator(table, outer, i, j, n + a) << a * shift for a in range(n)])
@@ -209,12 +210,11 @@ def double_quasitriangular(rb: ReynoldsLieBialgebra) -> ReynoldsLieBialgebra:
     mixed brackets vanish.
     """
     dd = drinfeld_double(rb)
-    g, dual = rb.bialg.g, rb.bialg.dual
-    n = g.dim
-    negated = Table._of(n, {key: {k: -c for k, c in comp.items()}
-                            for key, comp in dual.sc.items()}, True)
-    sc = double_table(negated, g.sc, [[{}] * n] * n, [[{}] * n] * n)
-    dual_of_double = LieAlgebra(2 * n, dual_basis(dd.L.basis), sc)
+    n = rb.bialg.g.dim
+    dual, g, den, _ = integral(rb.bialg.dual.sc, rb.bialg.g.sc)
+    negated = {key: {k: -c for k, c in comp.items()} for key, comp in dual.items()}
+    sc = double_table(negated, g, [[{}] * n] * n, [[{}] * n] * n)
+    dual_of_double = LieAlgebra(2 * n, dual_basis(dd.L.basis), Table._of(2 * n, sc, True, den))
     return ReynoldsLieBialgebra(LieBialgebra(dd.L, dual_of_double), dd.R)
 
 
@@ -227,8 +227,7 @@ def coboundary_cobracket(g: LieAlgebra, r: Tensor2) -> list[Tensor2]:
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
     ads, den = mult_cols(g.sc)
-    t, d = tensor_ints(r)
-    return [Tensor2(g.dim, g.dim, unscale(leg_sum(t, ad, 2), den * d)) for ad in ads]
+    return [Tensor2._of(r.dims, leg_sum(r.ientries, ad, 2), den * r.den) for ad in ads]
 
 
 @verified
@@ -254,11 +253,9 @@ def reynolds_coboundary_condition(g: LieAlgebra, R: Mat, r: Tensor2) -> Certific
     n = g.dim
     if not R.rows == R.cols == r.dim_left == r.dim_right == n:
         raise ValueError("operator/tensor dimension mismatch")
-    sc, den, _ = integral(g.sc)
-    rows = sc.rows()
-    cols, d = R.icols, R.den
-    t, e = tensor_ints(r)
-    s = leg_sum(t, cols, 2)                 # d·e·s
+    rows, den = table_rows(g.sc.ientries, n, True), g.sc.den
+    cols, d, e = R.icols, R.den, r.den
+    s = leg_sum(r.ientries, cols, 2)        # d·e·s
     adr = precompose(rows, cols)            # adr[k][y] = den·d·[Re_k, e_y]
 
     def m_cols(k):                          # den·d²·M_k

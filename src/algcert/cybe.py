@@ -7,12 +7,11 @@ such solutions inside semidirect product Reynolds Lie algebras.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, flip, integral, leg_sum,
-                    precompose, sapply, saxpy, sprod, srow, tensor_ints, unscale)
+                    precompose, sapply, saxpy, sprod, srow, table_rows)
 from .lie import (LieAlgebra, Representation, default_basis, dual_rep, mult_cols, mult_mats,
                   semidirect)
 from .matched import MatchedPair, ReynoldsMatchedPair
@@ -33,8 +32,8 @@ def _double_bracket(g: LieAlgebra, r: Tensor2) -> tuple[dict, int]:
     """
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
-    sc, den, _ = integral(g.sc)
-    rows, rp = sc.rows(), r_plus(r)     # rp's columns are r's rows, on the scale d = rp.den
+    rows = table_rows(g.sc.ientries, g.dim, True)
+    rp = r_plus(r)                      # rp's columns are r's rows, on the scale d = rp.den
     C = {j: col for j, col in enumerate(rp.transpose().icols) if col}
     R = {i: col for i, col in enumerate(rp.icols) if col}
     adc = dict(zip(C, precompose(rows, C.values())))    # adc[j][y] = den·d·[C_j, e_y]
@@ -42,13 +41,13 @@ def _double_bracket(g: LieAlgebra, r: Tensor2) -> tuple[dict, int]:
     out = {(m, j, l): c for j in C for l in C for m, c in srow({}, adc[j], C[l]).items()}
     saxpy(out, 1, {(i, m, l): c for i in R for l in C for m, c in srow({}, adr[i], C[l]).items()})
     saxpy(out, 1, {(i, k, m): c for i in R for k in R for m, c in srow({}, adr[i], R[k]).items()})
-    return out, rp.den ** 2 * den
+    return out, rp.den ** 2 * g.sc.den
 
 
 def cybe_bracket(g: LieAlgebra, r: Tensor2) -> Tensor3:
     """[[r,r]] = [r12,r13] + [r13,r23] + [r12,r23] as an order-3 tensor."""
     rr, s = _double_bracket(g, r)
-    return Tensor3((g.dim,) * 3, unscale(rr, s))
+    return Tensor3._of((g.dim,) * 3, rr, s)
 
 
 @verified
@@ -57,15 +56,14 @@ def ad_invariance_cert(g: LieAlgebra, t: Tensor2, name: str = "ad-invariance") -
     if t.dim_left != g.dim or t.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
     ads, den = mult_cols(g.sc)
-    body, d = tensor_ints(t)
-    return scan(name, (((k,), leg_sum(body, ad, 2)) for k, ad in enumerate(ads)), den * d)
+    return scan(name, (((k,), leg_sum(t.ientries, ad, 2)) for k, ad in enumerate(ads)), den * t.den)
 
 
 @verified
 def is_cybe_solution(g: LieAlgebra, r: Tensor2) -> Certificate:
     """[[r,r]] = 0."""
     rr = cybe_bracket(g, r)
-    return scan("cybe", [(min(rr.entries, default=()), rr)])
+    return scan("cybe", [(min(rr.ientries, default=()), rr)])
 
 
 @verified
@@ -73,10 +71,9 @@ def reynolds_tensor_condition(R: Mat, r: Tensor2) -> Certificate:
     """(R⊗Id + Id⊗R)(r) = 0."""
     if not R.rows == R.cols == r.dim_left == r.dim_right:
         raise ValueError("operator/tensor dimension mismatch")
-    t, d = tensor_ints(r)
-    res = leg_sum(t, R.icols, 2)
+    res = leg_sum(r.ientries, R.icols, 2)
     return scan("reynolds-tensor-condition",
-                [(min((k for k, c in res.items() if c), default=()), res)], R.den * d)
+                [(min((k for k, c in res.items() if c), default=()), res)], R.den * r.den)
 
 
 @verified
@@ -89,9 +86,9 @@ def is_cybe_solution_reynolds(A: ReynoldsLieAlgebra, r: Tensor2) -> Certificate:
 def r_plus(r: Tensor2) -> Mat:
     """The induced map g*→g, ξ ↦ r(ξ,·), as a matrix in dual bases."""
     cols: list[dict] = [{} for _ in range(r.dim_left)]
-    for (i, j), c in r.entries.items():
+    for (i, j), c in r.ientries.items():
         cols[i][j] = c
-    return Mat._from(r.dim_right, r.dim_left, cols)
+    return Mat._of(r.dim_right, r.dim_left, cols, r.den)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +116,9 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
     if not rep_cert.ok:
         return Certificate.combine("relative-rb", [rep_cert],
                                    note="invalid Reynolds representation")
-    sc, den, _ = integral(rel.rr.base.L.sc)
-    rows = sc.rows()
-    kcols, k, _ = integral(rel.K)
+    L = rel.rr.base.L
+    rows, den = table_rows(L.sc.ientries, L.dim, True), L.sc.den
+    kcols, k = rel.K.icols, rel.K.den
     desc, s = _descendent_sc(rel)
 
     def residual(a, b):
@@ -137,8 +134,8 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
 def _k_action(rel: RelativeRB) -> tuple[Rows, int]:
     """rows[a][b] = s·rho(Ke_a)e_b on integers, a table on the module's basis indices, and s."""
     *rho, d, _ = integral(*rel.rr.rep.rho)
-    kcols, k, _ = integral(rel.K)
-    return precompose([{j: col for j, col in enumerate(m) if col} for m in rho], kcols), d * k
+    return (precompose([{j: col for j, col in enumerate(m) if col} for m in rho], rel.K.icols),
+            d * rel.K.den)
 
 
 def _descendent_sc(rel: RelativeRB) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
@@ -154,7 +151,7 @@ def descendent_on_W(rel: RelativeRB) -> ReynoldsLieAlgebra:
     require(is_relative_rb(rel))
     rep = rel.rr.rep
     desc, s = _descendent_sc(rel)
-    W = LieAlgebra(rep.module_dim, rep.labels, {key: unscale(v, s) for key, v in desc.items()})
+    W = LieAlgebra(rep.module_dim, rep.labels, Table._of(rep.module_dim, desc, True, s))
     return ReynoldsLieAlgebra(W, rel.rr.T)
 
 
@@ -166,15 +163,13 @@ def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     rep = rel.rr.rep
     m = rep.module_dim
     rho = Representation(g, m, rep.rho, labels=rep.labels, check=False)
-    sc, den, _ = integral(g.sc)
-    rows = sc.rows()
-    *act, d, _ = integral(*rep.rho)
-    kcols, k, _ = integral(rel.K)
+    rows, den = table_rows(g.sc.ientries, g.dim, True), g.sc.den
+    *act, kcols, d, _ = integral(*rep.rho, rel.K)
 
     def mu_col(a, i):
-        """k·d·den·(K(rho(e_i)e_a) − [e_i, Ke_a])"""
+        """d²·den·(K(rho(e_i)e_a) − [e_i, Ke_a])"""
         return saxpy(saxpy({}, den, sapply(kcols, act[i][a])), -d, srow({}, rows[i], kcols[a]))
-    mu_mats = [Mat._of(g.dim, g.dim, [mu_col(a, i) for i in range(g.dim)], k * d * den)
+    mu_mats = [Mat._of(g.dim, g.dim, [mu_col(a, i) for i in range(g.dim)], d * d * den)
                for a in range(m)]
     mu = Representation(desc.L, g.dim, mu_mats, labels=g.basis, check=False)
     pair = MatchedPair(g, desc.L, rho, mu)
@@ -194,8 +189,8 @@ def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     big = semidirect(base.L, dual_rep(rep))
     op = Mat.block_diag(base.R, -rel.rr.T.transpose())
     ambient = ReynoldsLieAlgebra(big, op)
-    kbar = Tensor2(n + m, n + m, {(n + i, a): Fraction(c, K.den)
-                                  for i, col in enumerate(K.icols) for a, c in col.items()})
+    kbar = Tensor2._of((n + m, n + m), {(n + i, a): c for i, col in enumerate(K.icols)
+                                        for a, c in col.items()}, K.den)
     r_k = kbar - flip(kbar)
     require(is_cybe_solution_reynolds(ambient, r_k))
     return ambient, r_k
@@ -234,9 +229,8 @@ def is_prelie(A: PreLieAlgebra) -> Certificate:
     (x,y,z) − (y,x,z) is NS identity 1 of (A.prod, 0)."""
     from .nslie import _identities
 
-    n = A.dim
-    prod, den, _ = integral(A.prod)
-    id1, _ = _identities(prod, Table(n))
+    n, den = A.dim, A.prod.den
+    id1, _ = _identities(A.prod.ientries, {}, n)
     return scan("pre-lie", (((i, j, k), id1(i, j, k))
                             for i, j in combinations(range(n), 2) for k in range(n)), den * den)
 
@@ -270,7 +264,8 @@ def subadjacent(rp: ReynoldsPreLie) -> ReynoldsLieAlgebra:
     from .nslie import _commutator
 
     require(is_reynolds_prelie(rp.A, rp.R))
-    L = LieAlgebra(rp.A.dim, rp.A.basis, _commutator(rp.A.prod, Table(rp.A.dim)))
+    n, prod = rp.A.dim, rp.A.prod
+    L = LieAlgebra(n, rp.A.basis, Table._of(n, _commutator(prod.ientries, {}, n), True, prod.den))
     return ReynoldsLieAlgebra(L, rp.R)
 
 
@@ -288,8 +283,8 @@ def prelie_from_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     require(is_relative_rb(rel))
     rep = rel.rr.rep
     rk, s = _k_action(rel)
-    prod = {(a, b): unscale(comp, s) for a, row in enumerate(rk) for b, comp in row.items()}
-    A = PreLieAlgebra(rep.module_dim, rep.labels, prod)
+    prod = {(a, b): comp for a, row in enumerate(rk) for b, comp in row.items()}
+    A = PreLieAlgebra(rep.module_dim, rep.labels, Table._of(rep.module_dim, prod, False, s))
     return ReynoldsPreLie(A, rel.rr.T)
 
 
@@ -301,11 +296,11 @@ def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     if K.rows != K.cols or K.det() == 0:
         raise ValueError("invertible variant requires a square invertible K")
     g = rel.rr.base.L
-    (kcols, k, _), (kinv, ki, _) = integral(K), integral(K.inverse())
+    kinv = K.inverse()
     *mats, d, _ = integral(*rel.rr.rep.rho)
-    prod = {(i, j): unscale(sapply(kcols, sapply(rho, kinv[j])), k * ki * d)
+    prod = {(i, j): sapply(K.icols, sapply(rho, kinv.icols[j]))
             for i, rho in enumerate(mats) for j in range(g.dim)}
-    A = PreLieAlgebra(g.dim, g.basis, prod)
+    A = PreLieAlgebra(g.dim, g.basis, Table._of(g.dim, prod, False, K.den * kinv.den * d))
     return ReynoldsPreLie(A, rel.rr.base.R)
 
 

@@ -1,31 +1,35 @@
-"""Exact rational scalars, vectors, matrices and sparse tensors.
+"""Exact rational scalars, vectors, matrices, product tables and sparse tensors.
 
 Conventions fixed here for the whole package:
 
 * every scalar is exact, never a float: a ``fractions.Fraction``
   (arbitrary precision, always reduced) or an ``int`` numerator over a
   common denominator;
-* every `Mat` and `Table` keeps its exact integer form: its coefficients
-  as ``int``s on one common denominator, and the largest |coefficient|,
-  computed once per object (a `Mat` stores nothing else).  The identity
-  checks read these forms through `integral`, do their arithmetic on
-  ``int``, and turn only a reported residual back into a ``Fraction``;
+* every exact container (`Mat`, `Table`, `Tensor2`, `Tensor3`) stores its
+  integer form and nothing else: its nonzero coefficients as ``int``s on one
+  canonical denominator `den` (gcd(den, every coefficient) = 1, so equal
+  entries give equal forms, `==` and `hash`), and `top`, the largest
+  |coefficient|.  Its ``Fraction`` entries are derived on each read.  The
+  identity checks and constructions read the forms through `integral`, do
+  their arithmetic on ``int``, and hand an integer result straight to the
+  container of their output (`_of`); only a reported residual is turned back
+  into a ``Fraction``;
 * vectors are coordinate tuples, matrices act on column coordinate
   vectors, and the matrix of an operator has the images of the basis
   vectors as its columns;
 * the transpose of an operator matrix is the matrix of the dual map in
   dual bases;
-* sparse tensors never store zero entries and iterate in lexicographic
-  index order, so serialized output is canonical.
+* sparse containers never store zero entries, and tensors iterate in
+  lexicographic index order, so serialized output is canonical.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import lshift
-from typing import Iterable, Iterator, Mapping
 
 Rat = Fraction
 Vec = tuple[Fraction, ...]
@@ -91,16 +95,23 @@ def vis_zero(a: Vec) -> bool:
 # matrices
 # ---------------------------------------------------------------------------
 
-def _ints(vectors) -> tuple[list[dict[int, int]], int]:
-    """Rational sparse vectors {k: c} as integer ones on the lcm D of their denominators, and D."""
-    ratios = [{k: c.as_integer_ratio() for k, c in v.items()} for v in vectors]
+def _ints(ratios: list[dict]) -> tuple[list[dict[int, int]], int]:
+    """Sparse vectors of integer ratios {k: (n, d)} as integer ones on the lcm D of the d
+    (zeros dropped), and D."""
     den = lcm(*{d for r in ratios for _, d in r.values()})
-    return [{k: n * (den // d) for k, (n, d) in r.items()} for r in ratios], den
+    return [{k: n * (den // d) for k, (n, d) in r.items() if n} for r in ratios], den
 
 
-def _top(vectors) -> int:
-    """The largest |coefficient| of integer sparse vectors."""
-    return max(map(abs, chain.from_iterable(map(dict.values, vectors))), default=0)
+def _canonical(vectors: list[dict], den: int) -> tuple[list[dict], int, int]:
+    """Integer sparse vectors over den > 0 with their zeros dropped and den made canonical
+    (all divided by gcd(den, every coefficient)), and their largest |coefficient|."""
+    if not all(chain.from_iterable(map(dict.values, vectors))):
+        vectors = [{k: c for k, c in v.items() if c} for v in vectors]
+    g = gcd(den, *chain.from_iterable(map(dict.values, vectors)))
+    if g != 1:
+        vectors = [{k: c // g for k, c in v.items()} for v in vectors]
+    return vectors, den // g, max(map(abs, chain.from_iterable(map(dict.values, vectors))),
+                                  default=0)
 
 
 class Mat:
@@ -121,19 +132,12 @@ class Mat:
         cols = len(rows[0]) if rows else 0
         if any(len(row) != cols for row in rows):
             raise ValueError("ragged matrix rows")
-        den = lcm(*{d for row in rows for _, d in row})
-        self._keep(len(rows), cols, [{i: n * (den // d) for i, (n, d) in enumerate(col) if n}
-                                     for col in zip(*rows)], den)
+        self._keep(len(rows), cols, *_ints([dict(enumerate(col)) for col in zip(*rows)]))
 
     def _keep(self, rows: int, cols: int, icols, den: int) -> None:
         """Keep fresh integer columns {row: c} over den > 0, zeros dropped, den canonical."""
-        if not all(chain.from_iterable(map(dict.values, icols))):
-            icols = [{i: c for i, c in col.items() if c} for col in icols]
-        g = gcd(den, *chain.from_iterable(map(dict.values, icols)))
-        if g != 1:
-            icols = [{i: c // g for i, c in col.items()} for col in icols]
-        self.rows, self.cols, self.den, self.icols = rows, cols, den // g, tuple(icols)
-        self.top = _top(icols)
+        icols, self.den, self.top = _canonical(icols, den)
+        self.rows, self.cols, self.icols = rows, cols, tuple(icols)
 
     @classmethod
     def _of(cls, rows: int, cols: int, icols, den: int = 1) -> "Mat":
@@ -145,17 +149,15 @@ class Mat:
     @classmethod
     def _from(cls, rows: int, cols: int, fcols) -> "Mat":
         """The matrix of rational columns {row: c}, taken as in range: no coercion."""
-        return cls._of(rows, cols, *_ints(fcols))
+        return cls._of(rows, cols, *_ints([{k: c.as_integer_ratio() for k, c in v.items()}
+                                           for v in fcols]))
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The dense rows of Fractions."""
         return tuple(zip(*map(self.col, range(self.cols)))) if self.cols else ((),) * self.rows
 
-    @property
-    def form(self) -> tuple:
-        """The integer form (icols, den, top), as `integral` reads it."""
-        return self.icols, self.den, self.top
+    form = property(lambda self: (self.icols, self.den, self.top))   # as `integral` reads it
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
@@ -307,146 +309,147 @@ def transpose(m: Mat) -> Mat:
 # sparse order-2 and order-3 tensors
 # ---------------------------------------------------------------------------
 
-class Tensor2:
+def _valid(key, dims: tuple) -> bool:
+    """Whether key is a tuple of len(dims) indices, each an int (not a bool) below its dim."""
+    return (type(key) is tuple and len(key) == len(dims)
+            and all([type(i) is int and 0 <= i < d for i, d in zip(key, dims)]))
+
+
+def _show(key) -> str:
+    """An index tuple as "(i,j,...)", the way error messages print it."""
+    return f"({','.join(map(repr, key))})" if type(key) is tuple else repr(key)
+
+
+class _Tensor:
+    """The integer form a `Tensor2` or `Tensor3` keeps, and nothing else: `ientries` holds
+    the nonzero entries as integers {index tuple: c} on one canonical denominator `den` > 0,
+    entry c / den, and `top` is the largest |c|; `dims` is the shape.  `entries` is the dict
+    of Fractions, derived on each read; `==` and `hash` compare the shape and the form."""
+
+    __slots__ = ("dims", "ientries", "den", "top")
+
+    def _init(self, dims: tuple, entries: Mapping | None) -> None:
+        """Validate and coerce rational entries {index tuple: c} in one pass."""
+        ratios = {}
+        for key, c in (entries or {}).items():
+            if not _valid(key, dims):
+                raise ValueError(f"tensor index {_show(key)} out of bounds")
+            ratios[key] = rat(c).as_integer_ratio()
+        self.dims = dims
+        (self.ientries,), self.den, self.top = _canonical(*_ints([ratios]))
+
+    @classmethod
+    def _of(cls, dims: tuple, body: dict, den: int = 1):
+        """The tensor of integer entries {index tuple: c} over den > 0, taken as in range."""
+        t = object.__new__(cls)
+        t.dims = dims
+        (t.ientries,), t.den, t.top = _canonical([body], den)
+        return t
+
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries {index tuple: c} as Fractions."""
+        return {key: Fraction(c, self.den) for key, c in self.ientries.items()}
+
+    form = property(lambda self: (self.ientries, self.den, self.top))   # as `integral` reads it
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and ((self.dims, self.den, self.ientries)
+                                              == (other.dims, other.den, other.ientries))
+
+    def __hash__(self) -> int:
+        return hash((self.dims, self.den, frozenset(self.ientries.items())))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{_show(key)}:{rat_str(c)}" for key, c in sorted(self.entries.items()))
+        return f"{type(self).__name__}<{'x'.join(map(str, self.dims))}>{{{body}}}"
+
+    def _plus(self, other: "_Tensor", sign: int):
+        if self.dims != other.dims:
+            raise ValueError("tensor shapes differ")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return self._of(self.dims, saxpy({k: a * c for k, c in self.ientries.items()}, b,
+                                         other.ientries), den)
+
+
+class Tensor2(_Tensor):
     """Sparse element of V⊗W; keys (i, j), zeros never stored."""
 
-    __slots__ = ("dim_left", "dim_right", "entries")
+    __slots__ = ()
 
     def __init__(self, dim_left: int, dim_right: int, entries: Mapping | None = None):
-        self.dim_left = dim_left
-        self.dim_right = dim_right
-        data: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in (entries or {}).items():
-            c = rat(c)
-            if c == 0:
-                continue
-            if not (0 <= i < dim_left and 0 <= j < dim_right):
-                raise ValueError(f"tensor index ({i},{j}) out of bounds")
-            data[(i, j)] = c
-        self.entries = data
+        self._init((dim_left, dim_right), entries)
+
+    dim_left = property(lambda self: self.dims[0])
+    dim_right = property(lambda self: self.dims[1])
 
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Entries in lexicographic (i, j) order."""
         return iter(sorted(self.entries.items()))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor2)
-            and self.dim_left == other.dim_left
-            and self.dim_right == other.dim_right
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim_left, self.dim_right, tuple(sorted(self.entries.items()))))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"({i},{j}):{rat_str(c)}" for (i, j), c in self.items())
-        return f"Tensor2<{self.dim_left}x{self.dim_right}>{{{body}}}"
-
     def __add__(self, other: "Tensor2") -> "Tensor2":
-        self._same_shape(other)
-        data = dict(self.entries)
-        for k, c in other.entries.items():
-            data[k] = data.get(k, ZERO) + c
-        return Tensor2(self.dim_left, self.dim_right, data)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Tensor2":
         return self.scale(-1)
 
     def scale(self, c) -> "Tensor2":
         c = rat(c)
-        return Tensor2(self.dim_left, self.dim_right,
-                       {k: c * v for k, v in self.entries.items()})
+        return Tensor2._of(self.dims, {k: c.numerator * x for k, x in self.ientries.items()},
+                           self.den * c.denominator)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.ientries
 
     def is_skew(self) -> bool:
-        if self.dim_left != self.dim_right:
-            return False
-        return all(self.entries.get((j, i)) == -c for (i, j), c in self.entries.items())
-
-    def _same_shape(self, other: "Tensor2") -> None:
-        if (self.dim_left, self.dim_right) != (other.dim_left, other.dim_right):
-            raise ValueError("tensor shapes differ")
+        return self.dim_left == self.dim_right and all(
+            self.ientries.get((j, i)) == -c for (i, j), c in self.ientries.items())
 
 
 def tensor2_map(f: Mat, g: Mat, t: Tensor2) -> Tensor2:
     """(f⊗g)(t): entry (a,b) = Σ f[a][i]·g[b][j]·t[i][j]."""
     if f.cols != t.dim_left or g.cols != t.dim_right:
         raise ValueError("operator/tensor dimension mismatch in tensor2_map")
-    body, d = tensor_ints(t)
-    return Tensor2(f.rows, g.rows, unscale(tensor_map(body, (f.icols, g.icols)), d * f.den * g.den))
+    return Tensor2._of((f.rows, g.rows), tensor_map(t.ientries, (f.icols, g.icols)),
+                       t.den * f.den * g.den)
 
 
 def flip(t: Tensor2) -> Tensor2:
     """The flip σ swapping tensor factors; square tensors only."""
     if t.dim_left != t.dim_right:
         raise ValueError("flip of a non-square tensor")
-    return Tensor2(t.dim_right, t.dim_left,
-                   {(j, i): c for (i, j), c in t.entries.items()})
+    return Tensor2._of(t.dims, {(j, i): c for (i, j), c in t.ientries.items()}, t.den)
 
 
 def tensor3_map(f: Mat, g: Mat, h: Mat, t: "Tensor3") -> "Tensor3":
     """(f⊗g⊗h)(t) for order-3 tensors."""
     if (f.cols, g.cols, h.cols) != t.dims:
         raise ValueError("operator/tensor dimension mismatch in tensor3_map")
-    body, d = tensor_ints(t)
-    return Tensor3((f.rows, g.rows, h.rows), unscale(tensor_map(body, (f.icols, g.icols, h.icols)),
-                                                     d * f.den * g.den * h.den))
+    return Tensor3._of((f.rows, g.rows, h.rows),
+                       tensor_map(t.ientries, (f.icols, g.icols, h.icols)),
+                       t.den * f.den * g.den * h.den)
 
 
-class Tensor3:
+class Tensor3(_Tensor):
     """Sparse order-3 tensor, used only for computed residuals."""
 
-    __slots__ = ("dims", "entries")
+    __slots__ = ()
 
     def __init__(self, dims: tuple[int, int, int], entries: Mapping | None = None):
-        self.dims = dims
-        data: dict[tuple[int, int, int], Fraction] = {}
-        for key, c in (entries or {}).items():
-            c = rat(c)
-            if c == 0:
-                continue
-            if not all(0 <= k < d for k, d in zip(key, dims)):
-                raise ValueError(f"tensor index {key} out of bounds")
-            data[key] = c
-        self.entries = data
+        self._init(tuple(dims), entries)
 
     def items(self) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
         return iter(sorted(self.entries.items()))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor3)
-            and self.dims == other.dims
-            and self.entries == other.entries
-        )
-
     def __add__(self, other: "Tensor3") -> "Tensor3":
-        if self.dims != other.dims:
-            raise ValueError("tensor shapes differ")
-        data = dict(self.entries)
-        for k, c in other.entries.items():
-            data[k] = data.get(k, ZERO) + c
-        return Tensor3(self.dims, data)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{key}:{rat_str(c)}" for key, c in self.items())
-        return f"Tensor3<{self.dims}>{{{body}}}"
+        return self._plus(other, 1)
 
     def is_zero(self) -> bool:
-        return not self.entries
-
-
-def tensor_ints(*tensors) -> tuple:
-    """Sparse tensors as integer dicts {index tuple: c} on D, their denominators' lcm, and D."""
-    bodies, den = _ints([t.entries for t in tensors])
-    return (*bodies, den)
+        return not self.ientries
 
 
 def tensor_map(t: dict, maps) -> dict:
@@ -477,106 +480,115 @@ def leg_sum(t: dict, cols, p: int) -> dict:
 # sparse vectors and bilinear tables on basis indices
 # ---------------------------------------------------------------------------
 #
-# Identity checks evaluate products on basis indices rather than on dense
-# coordinate vectors: a sparse vector is a dict {index: coefficient} (it may
-# hold cancelled zeros), and a bilinear map is stored as a `Table` and
-# evaluated through its rows, rows[i][j] = e_i·e_j as a sparse vector, built
-# per call by `Table.rows`; a matrix is its tuple of sparse integer columns
-# (`Mat.icols`).  The helpers below are number-generic: on `integral` tables
-# they stay on ``int``, on ``Fraction`` ones on ``Fraction``.  A residual
-# handed to `scan` is the sparse vector itself, or a dict
-# {(row, column): coefficient} for a matrix.
+# Identity checks evaluate products on basis indices, on integers: a sparse
+# vector is a dict {index: c} (it may hold cancelled zeros), a bilinear map is
+# a `Table`'s integer form, read through its rows (`table_rows`), and a matrix
+# is its sparse integer columns (`Mat.icols`).  A residual handed to `scan` is
+# the sparse vector itself, or a dict {(row, column): c} for a matrix.
 
 Rows = list[dict[int, SVec]]
 
 
-class Table(dict):
+class Table(Mapping):
     """A bilinear map on basis indices: {(i, j): {k: c}} with e_i·e_j = Σ_k c·e_k.
 
-    A skew table (a Lie bracket, the NS-Lie product ▷) stores keys with i < j
-    only, and e_j·e_i = −e_i·e_j.  Entries are validated once, on
-    construction, and zeros are never stored.  It compares equal to a plain
-    dict with the same entries.
-
-    A table is read-only after construction.  It keeps its integer form
-    (`form`, what `integral` reads), computed once per object: by the
-    validating constructor in its coercion pass, and on first use for a table
-    made by `_of`.  Assigning a key drops the kept form; no other change in
-    place is supported.
+    A skew table (a Lie bracket, the NS-Lie product ▷) keeps keys with i < j
+    only, and e_j·e_i = −e_i·e_j.  Like a `Mat`, a table keeps its integer form
+    and nothing else: `ientries` holds the nonzero products as integers
+    {(i, j): {k: c}} on one canonical denominator `den`, and `top` is the
+    largest |c|.  It is a read-only mapping whose ``Fraction`` items
+    (``t[key]``, `get`, `items`) are derived on each read.  Like a dict, it
+    equals any mapping with the same items, whatever its dim and skewness; two
+    tables compare (and hash) their forms.  The constructor validates and
+    coerces any other mapping of rational entries in one pass, and takes a
+    `Table` of the same dim and skewness as it is.
     """
 
+    __slots__ = ("dim", "skew", "ientries", "den", "top")
+
     def __init__(self, dim: int, entries: Mapping | None = None, skew: bool = False):
-        super().__init__()
-        self.dim, self.skew = dim, skew
-        for (i, j), comp in (entries or {}).items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"table key ({i},{j}) out of range for dim {dim}")
-            if skew and i >= j:
-                raise ValueError(f"skew table key ({i},{j}) must satisfy i<j")
-            cleaned = {}
+        if isinstance(entries, Table) and (entries.dim, entries.skew) == (dim, skew):
+            self.dim, self.skew, self.ientries, self.den, self.top = (dim, skew, *entries.form)
+            return
+        ratios = {}
+        for key, comp in (entries or {}).items():
+            if not _valid(key, (dim, dim)):
+                raise ValueError(f"table key {_show(key)} out of range for dim {dim}")
+            if skew and key[0] >= key[1]:
+                raise ValueError(f"skew table key {_show(key)} must satisfy i<j")
+            ratio = ratios[key] = {}
             for k, c in comp.items():
-                c, k = rat(c), int(k)
-                if not 0 <= k < dim:
-                    raise ValueError(f"table output index {k} out of range for dim {dim}")
-                if c:
-                    cleaned[k] = c
-            if cleaned:
-                dict.__setitem__(self, (i, j), cleaned)
-        self._form = self._integral()
+                if type(k) is not int or not 0 <= k < dim:
+                    raise ValueError(f"table output index {k!r} out of range for dim {dim}")
+                ratio[k] = rat(c).as_integer_ratio()
+        comps, den = _ints(list(ratios.values()))
+        self._keep(dim, skew, dict(zip(ratios, comps)), den)
+
+    def _keep(self, dim: int, skew: bool, body: dict, den: int) -> None:
+        """Keep integer entries {(i, j): {k: c}} over den > 0; zeros dropped, den canonical."""
+        comps, self.den, self.top = _canonical(list(body.values()), den)
+        self.dim, self.skew = dim, skew
+        self.ientries = {key: comp for key, comp in zip(body, comps) if comp}
 
     @classmethod
-    def _of(cls, dim: int, entries: Mapping, skew: bool) -> "Table":
-        """A table of valid entries, taken as they are: no coercion, no check."""
-        t = cls.__new__(cls)
-        t.update(entries)
-        t.dim, t.skew, t._form = dim, skew, None
+    def _of(cls, dim: int, body: dict, skew: bool = False, den: int = 1) -> "Table":
+        """The table of integer entries {(i, j): {k: c}} over den > 0, taken as valid."""
+        t = object.__new__(cls)
+        t._keep(dim, skew, body, den)
         return t
 
-    def __setitem__(self, key, comp) -> None:
-        super().__setitem__(key, comp)
-        self._form = None
+    form = property(lambda self: (self.ientries, self.den, self.top))   # as `integral` reads it
 
-    def _integral(self) -> tuple:
-        comps, den = _ints(list(self.values()))
-        return Table._of(self.dim, dict(zip(self, comps)), self.skew), den, _top(comps)
+    def __getitem__(self, key) -> SVec:
+        return {k: Fraction(c, self.den) for k, c in self.ientries[key].items()}
 
-    @property
-    def form(self) -> tuple:
-        """(D·table on ints, D, its largest |coefficient|), D the lcm of its denominators."""
-        if self._form is None:
-            self._form = self._integral()
-        return self._form
+    def __iter__(self) -> Iterator:
+        return iter(self.ientries)
 
-    def rows(self) -> Rows:
-        """rows[i][j] = e_i·e_j as a sparse vector, both orders of a skew key."""
-        rows: Rows = [{} for _ in range(self.dim)]
-        for (i, j), comp in self.items():
-            rows[i][j] = comp
-            if self.skew:
-                rows[j][i] = {k: -c for k, c in comp.items()}
-        return rows
+    def __len__(self) -> int:
+        return len(self.ientries)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Table):
+            return (self.den, self.ientries) == (other.den, other.ientries)
+        return Mapping.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return hash((self.den, frozenset((key, frozenset(comp.items()))
+                                         for key, comp in self.ientries.items())))
+
+    def __repr__(self) -> str:
+        return f"Table({self.dim}, {dict(self.items())!r}, skew={self.skew})"
 
     def basis_prod(self, i: int, j: int) -> Vec:
         """e_i·e_j as a coordinate vector."""
-        sign = 1
-        if self.skew and i > j:
-            i, j, sign = j, i, -1
-        out = [ZERO] * self.dim
-        for k, c in self.get((i, j), {}).items():
-            out[k] = sign * c
-        return tuple(out)
+        sign = -1 if self.skew and i > j else 1
+        comp = self.ientries.get((i, j) if sign == 1 else (j, i), {})
+        return tuple([Fraction(sign * comp[k], self.den) if k in comp else ZERO
+                      for k in range(self.dim)])
 
     def prod(self, x: Vec, y: Vec) -> Vec:
         """x·y on coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector dimension does not match the table")
         out = [ZERO] * self.dim
-        for (i, j), comp in self.items():
+        for (i, j), comp in self.ientries.items():
             coeff = x[i] * y[j] - x[j] * y[i] if self.skew else x[i] * y[j]
             if coeff:
                 for k, c in comp.items():
                     out[k] += coeff * c
-        return tuple(out)
+        return tuple([c / self.den for c in out])
+
+
+def table_rows(table: dict, n: int, skew: bool = False) -> Rows:
+    """rows[i][j] = e_i·e_j as a sparse vector, from an integer table {(i, j): {k: c}} on
+    dimension n; for a skew table both orders of each key."""
+    rows: Rows = [{} for _ in range(n)]
+    for (i, j), comp in table.items():
+        rows[i][j] = comp
+        if skew:
+            rows[j][i] = {k: -c for k, c in comp.items()}
+    return rows
 
 
 def saxpy(out: SVec, a, v: SVec) -> SVec:
@@ -589,34 +601,25 @@ def saxpy(out: SVec, a, v: SVec) -> SVec:
     return out
 
 
-def integral(*tables):
-    """The integer forms of `Table`s and `Mat`s on one common denominator.
-
-    Each table keeps its integer form (`Table.form`, `Mat.form`): D_t times the
-    table, with ``int`` coefficients, D_t the lcm of its coefficients'
-    denominators, and its largest |coefficient|.  Returns each form rescaled to
-    D, the lcm of the D_t (a `Table` as a table of ints, a `Mat` as its integer
-    columns), followed by D and the largest |coefficient| of them all.  A form
-    already on D is returned as it is kept, not copied: callers only read it.
-    """
-    forms = [t.form for t in tables]
+def integral(*objs):
+    """The integer forms (`form`) of `Mat`s, `Table`s and tensors on one common denominator:
+    each form's coefficients (a `Mat`'s columns, a `Table`'s {(i, j): {k: c}}, a tensor's
+    {index tuple: c}) rescaled to D, the lcm of their denominators, then D and the largest
+    |coefficient| of them all.  A form already on D is returned as it is stored, not copied:
+    callers only read it."""
+    forms = [t.form for t in objs]
     den = lcm(*[d for _, d, _ in forms])
     out, top = [], 0
-    for t, (body, d, m) in zip(tables, forms):
+    for t, (body, d, m) in zip(objs, forms):
         k = den // d
         if k != 1:
-            vectors = [{i: k * c for i, c in v.items()}
-                       for v in (body.values() if isinstance(t, Table) else body)]
-            body = (Table._of(t.dim, dict(zip(body, vectors)), t.skew) if isinstance(t, Table)
-                    else tuple(vectors))
+            body = (tuple([{i: k * c for i, c in col.items()} for col in body])
+                    if isinstance(t, Mat) else
+                    {key: {i: k * c for i, c in v.items()} for key, v in body.items()}
+                    if isinstance(t, Table) else {key: k * c for key, c in body.items()})
         out.append(body)
         top = max(top, k * m)
     return (*out, den, top)
-
-
-def unscale(v: dict[int, int], den: int) -> SVec:
-    """The Fraction vector v/den of an integer sparse vector on the scale den."""
-    return {k: Fraction(c, den) for k, c in v.items()}
 
 
 # Packed vectors.  The identity kernels store an integer sparse vector {k: c} as

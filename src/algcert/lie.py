@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, pack, sapply, unpack,
-                    unscale, width)
+from .exact import (Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, pack, sapply,
+                    table_rows, unpack, width)
 
 
 def default_basis(dim: int, prefix: str = "e") -> tuple[str, ...]:
@@ -56,9 +56,11 @@ class LieAlgebra(Checked):
         return self.sc.prod(x, y)
 
     def ad(self, i: int) -> Mat:
-        """Adjoint-action matrix of e_i; columns are [e_i, e_j]."""
-        cols, den = mult_cols(self.sc)
-        return Mat._of(self.dim, self.dim, cols[i], den)
+        """Adjoint-action matrix of e_i: columns [e_i, e_j], read off e_i's row of the table."""
+        n, sc = self.dim, self.sc.ientries
+        return Mat._of(n, n, [dict(sc.get((i, j), {})) if i < j else
+                              {k: -c for k, c in sc.get((j, i), {}).items()} for j in range(n)],
+                       self.sc.den)
 
     def ad_vec(self, x: Vec) -> Mat:
         return mat_comb(mult_mats(self.sc), {i: c for i, c in enumerate(x) if c != 0},
@@ -69,10 +71,10 @@ def bracket(L: LieAlgebra, x: Vec, y: Vec) -> Vec:
     return L.bracket(x, y)
 
 
-def jacobiator(table: Table, outer: list[list[int]], x: int, y: int, z: int) -> int:
+def jacobiator(table: dict, outer: list[list[int]], x: int, y: int, z: int) -> int:
     """J(e_x,e_y,e_z) = Σ_cyc [[e_a,e_b],e_c] = Σ_cyc Σ_m [e_a,e_b]_m·outer[c][m], packed.
 
-    `table` is skew ([e_b,e_a] = −[e_a,e_b] is read off the key (a, b)), and
+    `table` is a skew integer table ([e_b,e_a] = −[e_a,e_b] is read off the key (a, b)), and
     `outer[c][m]` is e_m·e_c cut to the output block the caller reads and packed
     (`packed_outer`), so each term is one bigint multiply-add.  Every Jacobi-type check
     is a block of J on a `double_table`; on an integer table D·sc, J comes out D² times
@@ -95,9 +97,10 @@ def jacobi_width(dim: int, top: int) -> int:
     return width(3 * dim * top ** 2)
 
 
-def packed_outer(table: Table, w: int, lo: int = 0, hi: int = sys.maxsize) -> list[list[int]]:
-    """outer[c][m] = e_m·e_c of a skew table, its components in [lo, hi) packed from slot 0."""
-    n = table.dim
+def packed_outer(table: dict, n: int, w: int, lo: int = 0,
+                 hi: int = sys.maxsize) -> list[list[int]]:
+    """outer[c][m] = e_m·e_c of a skew integer table on dimension n, its components in
+    [lo, hi) packed from slot 0."""
     outer = [[0] * n for _ in range(n)]
     for (i, j), comp in table.items():
         if lo or hi < n:
@@ -113,11 +116,11 @@ def block_rows(rows: Rows, lo: int, hi: int) -> Rows:
             for row in rows]
 
 
-def double_table(g: Table, h: Table, rho: list[list[SVec]], mu: list[list[SVec]]) -> Table:
-    """The skew table of g⋈h on g⊕h, g block first: g's and h's brackets and [e_i, f_a] =
-    −μ(f_a)e_i + ρ(e_i)f_a, for sparse columns rho[i][a] = ρ(e_i)f_a and mu[a][i] =
-    μ(f_a)e_i.  Number-generic: on `integral` tables it stays on ``int``."""
-    n = g.dim
+def double_table(g: dict, h: dict, rho: list[list[SVec]], mu: list[list[SVec]]) -> dict:
+    """The skew integer table of g⋈h on g⊕h, g block first: g's and h's brackets and
+    [e_i, f_a] = −μ(f_a)e_i + ρ(e_i)f_a, for sparse columns rho[i][a] = ρ(e_i)f_a and
+    mu[a][i] = μ(f_a)e_i, all on one scale (`integral`)."""
+    n = len(rho)
     sc = dict(g)
     sc.update({(n + a, n + b): {n + k: c for k, c in comp.items()} for (a, b), comp in h.items()})
     for i, cols in enumerate(rho):
@@ -127,7 +130,7 @@ def double_table(g: Table, h: Table, rho: list[list[SVec]], mu: list[list[SVec]]
                 comp[n + k] = c
             if comp:
                 sc[i, n + a] = comp
-    return Table._of(n + h.dim, sc, True)
+    return sc
 
 
 @verified
@@ -138,7 +141,7 @@ def jacobi_check(L: LieAlgebra) -> Certificate:
     """
     sc, den, top = integral(L.sc)
     w = jacobi_width(L.dim, top)
-    outer = packed_outer(sc, w)
+    outer = packed_outer(sc, L.dim, w)
     return scan("jacobi", (((i, j, k), jacobiator(sc, outer, i, j, k))
                            for i, j, k in combinations(range(L.dim), 3)), den * den,
                 lambda v: unpack(v, w))
@@ -199,7 +202,7 @@ def is_representation(rep: Representation) -> Certificate:
     w = jacobi_width(n + m, top)
     # the table of g⋉W as `double_table` would give it, [e_i, w_b] = ρ(e_i)w_b, and its
     # W-block packed (the only block J reads there)
-    table, outer = Table._of(n + m, sc, True), [[0] * (n + m) for _ in range(n + m)]
+    table, outer = dict(sc), [[0] * (n + m) for _ in range(n + m)]
     for i, rho in enumerate(cols):
         for b, col in enumerate(rho):
             if col:
@@ -229,12 +232,12 @@ def coadjoint_cols(rows: Rows, n: int) -> list[list[SVec]]:
 
 def mult_cols(table: Table, right: bool = False) -> tuple[list[list[SVec]], int]:
     """cols[i][j] = D·e_i·e_j, or D·e_j·e_i when `right`, as fresh dicts: the integer columns
-    of left (right) multiplication by e_i, from the table's kept integer form D·table; and D."""
-    sc, den, _ = integral(table)
-    rows, n = sc.rows(), table.dim
+    of left (right) multiplication by e_i, from the table's integer form D·table; and D."""
+    n = table.dim
+    rows = table_rows(table.ientries, n, table.skew)
     if right:
         rows = [{j: row[i] for j, row in enumerate(rows) if i in row} for i in range(n)]
-    return [[dict(row.get(j, {})) for j in range(n)] for row in rows], den
+    return [[dict(row.get(j, {})) for j in range(n)] for row in rows], table.den
 
 
 def mult_mats(table: Table, right: bool = False) -> list[Mat]:
@@ -249,8 +252,8 @@ def adjoint_rep(L: LieAlgebra) -> Representation:
 
 def coadjoint_rep(L: LieAlgebra) -> Representation:
     """ad*(x) = −ad(x)ᵀ on dual coordinates."""
-    sc, den, _ = integral(L.sc)
-    mats = [Mat._of(L.dim, L.dim, c, den) for c in coadjoint_cols(sc.rows(), L.dim)]
+    rows = table_rows(L.sc.ientries, L.dim, True)
+    mats = [Mat._of(L.dim, L.dim, c, L.sc.den) for c in coadjoint_cols(rows, L.dim)]
     return Representation(L, L.dim, mats, labels=dual_basis(L.basis), check=False)
 
 
@@ -271,9 +274,8 @@ def semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
     require(is_representation(rep))
     n, m = L.dim, rep.module_dim
     sc, *cols, den, _ = integral(L.sc, *rep.rho)
-    sc = double_table(sc, Table._of(m, {}, True), cols, [[{}] * n] * m)
-    return LieAlgebra(n + m, L.basis + rep.labels,
-                      {key: unscale(comp, den) for key, comp in sc.items()}, check=False)
+    sc = double_table(sc, {}, cols, [[{}] * n] * m)
+    return LieAlgebra(n + m, L.basis + rep.labels, Table._of(n + m, sc, True, den), check=False)
 
 
 class BilinForm:

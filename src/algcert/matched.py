@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain, combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import ONE, ZERO, Mat, Rows, integral, unpack, unscale
+from .exact import ONE, ZERO, Mat, Rows, Table, integral, table_rows, unpack
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -72,7 +72,7 @@ def _compat_stages(g: LieAlgebra, h: LieAlgebra, rho: Representation,
     gsc, hsc, *cols, den, top = integral(g.sc, h.sc, *rho.rho, *mu.rho)
     table = double_table(gsc, hsc, cols[:n], cols[n:])
     w = jacobi_width(n + m, top)
-    on_h, on_g = packed_outer(table, w, n, n + m), packed_outer(table, w, 0, n)
+    on_h, on_g = packed_outer(table, n + m, w, n, n + m), packed_outer(table, n + m, w, 0, n)
 
     def decode(v):
         return unpack(v, w)
@@ -101,10 +101,10 @@ def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
 def double(mp: MatchedPair) -> LieAlgebra:
     """g⋈h: [x+xi, y+eta] = ([x,y] + mu(xi)y - mu(eta)x) + ([xi,eta] + rho(x)eta - rho(y)xi)."""
     require(is_matched_pair(mp.g, mp.h, mp.rho, mp.mu))
+    n = mp.g.dim + mp.h.dim
     gsc, hsc, *cols, den, _ = integral(mp.g.sc, mp.h.sc, *mp.rho.rho, *mp.mu.rho)
     sc = double_table(gsc, hsc, cols[:mp.g.dim], cols[mp.g.dim:])
-    return LieAlgebra(mp.g.dim + mp.h.dim, mp.g.basis + mp.h.basis,
-                      {key: unscale(comp, den) for key, comp in sc.items()})
+    return LieAlgebra(n, mp.g.basis + mp.h.basis, Table._of(n, sc, True, den))
 
 
 class ReynoldsMatchedPair(Checked):
@@ -162,8 +162,8 @@ def induced_matched_pair(rmp: ReynoldsMatchedPair) -> MatchedPair:
 def _induced_action(act: Representation, R: Mat, T: Mat) -> list[Mat]:
     """act'(x) = act(x)T + act(Rx) − act(Rx)T on the basis of the acting algebra."""
     n, md = len(act.rho), act.module_dim
-    inner = list(inner_products(act.rho, R, T, product(range(n), range(md)), ZERO, -ONE).values())
-    return [Mat._from(md, md, inner[i * md:(i + 1) * md]) for i in range(n)]
+    inner, s = inner_products(act.rho, R, T, product(range(n), range(md)), ZERO, -ONE)
+    return [Mat._of(md, md, [inner[i, u] for u in range(md)], s) for i in range(n)]
 
 
 class ManinTripleReynolds(Checked):
@@ -182,18 +182,19 @@ class ManinTripleReynolds(Checked):
 def _closure_cert(L: LieAlgebra, R: Mat, part: tuple[int, ...], name: str) -> Certificate:
     """Brackets of pairs in `part`, then R of each member, have no component outside it."""
     inside = set(part)
+    sc, cols, den, _ = integral(L.sc, R)
 
     def outside(v):
         return {k: c for k, c in v.items() if k not in inside}
 
-    pairs = (((i, j), outside(L.sc.get((i, j), {}))) for i in part for j in part if i < j)
-    images = (((i,), outside(dict(enumerate(R.col(i))))) for i in part)
-    return scan(name, chain(pairs, images))
+    pairs = (((i, j), outside(sc.get((i, j), {}))) for i in part for j in part if i < j)
+    images = (((i,), outside(cols[i])) for i in part)
+    return scan(name, chain(pairs, images), den)
 
 
 def _isotropy_cert(S: BilinForm, part: tuple[int, ...], name: str) -> Certificate:
-    gram = S.gram.entries
-    return scan(name, (((i, j), gram[i][j]) for i in part for j in part))
+    cols = S.gram.icols
+    return scan(name, (((i, j), cols[j].get(i, 0)) for i in part for j in part), S.gram.den)
 
 
 @verified
@@ -249,10 +250,10 @@ def matched_to_manin(rmp: ReynoldsMatchedPair) -> ManinTripleReynolds:
 
 
 def _restrict_algebra(L: LieAlgebra, block: Rows, offset: int, n: int) -> LieAlgebra:
-    """The span of e_offset, …, e_offset+n−1, from L's rows cut to it (`block_rows`)."""
-    return LieAlgebra(n, L.basis[offset:offset + n], {
+    """The span of e_offset, …, e_offset+n−1, from L's integer rows cut to it (`block_rows`)."""
+    return LieAlgebra(n, L.basis[offset:offset + n], Table._of(n, {
         (i - offset, j - offset): block[i][j] for i, j in L.sc
-        if offset <= i and j < offset + n and block[i][j]})
+        if offset <= i and j < offset + n}, True, L.sc.den))
 
 
 @verified
@@ -265,12 +266,12 @@ def manin_to_matched(mt: ManinTripleReynolds) -> ReynoldsMatchedPair:
     if mt.G.S != standard_pairing_form(n):
         raise ValueError("standard-form triple expected: the canonical pairing form")
     require(is_manin_triple(L, mt.G.base.R, mt.G.S, mt.part_g, mt.part_h))
-    rows = L.sc.rows()
+    rows, den = table_rows(L.sc.ientries, L.dim, True), L.sc.den
     on_g, on_h = block_rows(rows, 0, n), block_rows(rows, n, 2 * n)
     g, h = _restrict_algebra(L, on_g, 0, n), _restrict_algebra(L, on_h, n, n)
     # inverse to `double_table`: ρ(e_i)f_a = [e_i, f_a]_h and μ(f_a)e_i = [f_a, e_i]_g
-    rho_mats = [Mat._from(n, n, [on_h[i].get(n + a, {}) for a in range(n)]) for i in range(n)]
-    mu_mats = [Mat._from(n, n, [on_g[n + a].get(i, {}) for i in range(n)]) for a in range(n)]
+    rho_mats = [Mat._of(n, n, [on_h[i].get(n + a, {}) for a in range(n)], den) for i in range(n)]
+    mu_mats = [Mat._of(n, n, [on_g[n + a].get(i, {}) for i in range(n)], den) for a in range(n)]
     rho = Representation(g, n, rho_mats, labels=h.basis, check=False)
     mu = Representation(h, n, mu_mats, labels=g.basis, check=False)
     Rg = mt.G.base.R.submatrix(range(n), range(n))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import Table, Vec, integral, precompose, saxpy, sprod, srow, unscale, vadd, vsub
+from .exact import Table, Vec, integral, precompose, saxpy, sprod, srow, table_rows, vadd, vsub
 from .lie import LieAlgebra, default_basis, mult_mats
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
@@ -46,16 +46,18 @@ class NSLieAlgebra(Checked):
         return vadd(vsub(self.left_prod(x, y), self.left_prod(y, x)), self.wedge_prod(x, y))
 
 
-def _commutator(left: Table, wedge: Table) -> Table:
-    """[e_i,e_j] = e_i◁e_j - e_j◁e_i + e_i▷e_j as a skew table (cancelled zeros kept)."""
-    n, left, wedge = left.dim, left.rows(), wedge.rows()
-    return Table._of(n, {(i, j): saxpy(saxpy(dict(left[i].get(j, {})), -1, left[j].get(i, {})),
-                                       1, wedge[i].get(j, {}))
-                         for i, j in combinations(range(n), 2)}, skew=True)
+def _commutator(left: dict, wedge: dict, n: int) -> dict:
+    """[e_i,e_j] = e_i◁e_j - e_j◁e_i + e_i▷e_j as a skew integer table (cancelled zeros kept),
+    from the integer tables ◁ and ▷ (skew) on dimension n, on one scale."""
+    left, wedge = table_rows(left, n), table_rows(wedge, n, True)
+    return {(i, j): saxpy(saxpy(dict(left[i].get(j, {})), -1, left[j].get(i, {})),
+                          1, wedge[i].get(j, {}))
+            for i, j in combinations(range(n), 2)}
 
 
-def _identities(left: Table, wedge: Table):
-    """The two NS identities of the tables ◁ and ▷ at basis triples, as sparse vectors.
+def _identities(left: dict, wedge: dict, n: int):
+    """The two NS identities of the integer tables ◁ and ▷ (skew) on dimension n at basis
+    triples, as sparse vectors.
 
     Identity 1 is (x◁y)◁z - x◁(y◁z) - (y◁x)◁z + y◁(x◁z) + (x▷y)◁z
     = [x,y]◁z - x◁(y◁z) + y◁(x◁z); identity 2 is the cyclic sum of
@@ -64,13 +66,13 @@ def _identities(left: Table, wedge: Table):
     integer tables D·◁ and D·▷ of `integral` they come out D² times too large.
 
     Identity 1 is skew in (x, y): [y,x] = −[x,y] exactly, because the skew
-    tables of ▷ and [,] keep i<j keys and `rows()` negates, and the other two
+    tables of ▷ and [,] keep i<j keys and `table_rows` negates, and the other two
     terms swap.  Identity 2 is totally skew: it is cyclic by definition and
     skew in (x, y) for the same reason.  A repeated index gives exactly 0.
     This holds for any tables, valid or not.
     """
-    comm = _commutator(left, wedge).rows()
-    left, wedge = left.rows(), wedge.rows()
+    comm = table_rows(_commutator(left, wedge, n), n, True)
+    left, wedge = table_rows(left, n), table_rows(wedge, n, True)
 
     def id1(i, j, k):
         out = sprod(left, comm[i].get(j, {}), {k: 1})
@@ -100,7 +102,7 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
     """
     n = A.dim
     left, wedge, den, _ = integral(A.left, A.wedge)
-    id1, id2 = _identities(left, wedge)
+    id1, id2 = _identities(left, wedge, n)
     pairs = combinations(range(n), 2)
     return Certificate.combine("nslie", [
         scan("ns-identity-1", (((i, j, k), id1(i, j, k)) for i, j in pairs for k in range(n)),
@@ -114,18 +116,18 @@ def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
     """x◁y = [Rx,y], x▷y = -[Rx,Ry]."""
     L, R = A.L, A.R
     n = L.dim
-    sc, den, _ = integral(L.sc)
-    cols, d, _ = integral(R)
-    adr = precompose(sc.rows(), cols)   # adr[i][j] = D·d·[Re_i, e_j]
-    left = {(i, j): unscale(adr[i][j], den * d) for i in range(n) for j in range(n) if j in adr[i]}
-    wedge = {(i, j): unscale(srow({}, adr[i], cols[j]), -den * d * d)
+    adr = precompose(table_rows(L.sc.ientries, n, True), R.icols)   # adr[i][j] = D·d·[Re_i, e_j]
+    left = {(i, j): adr[i][j] for i in range(n) for j in range(n) if j in adr[i]}
+    wedge = {(i, j): {k: -c for k, c in srow({}, adr[i], R.icols[j]).items()}
              for i, j in combinations(range(n), 2)}
-    return NSLieAlgebra(n, L.basis, left, wedge, check=False)
+    return NSLieAlgebra(n, L.basis, Table._of(n, left, False, L.sc.den * R.den),
+                        Table._of(n, wedge, True, L.sc.den * R.den ** 2), check=False)
 
 
 def ns_commutator(A: NSLieAlgebra) -> LieAlgebra:
     """The commutator Lie algebra of a (valid) NS-Lie algebra."""
-    return LieAlgebra(A.dim, A.basis, _commutator(A.left, A.wedge))
+    left, wedge, den, _ = integral(A.left, A.wedge)
+    return LieAlgebra(A.dim, A.basis, Table._of(A.dim, _commutator(left, wedge, A.dim), True, den))
 
 
 class NSRep(Checked):
@@ -162,8 +164,7 @@ def _semidirect_tables(rep: NSRep) -> tuple[Table, Table]:
                 if col:
                     table[key] = {n + k: c for k, c in col.items()}
     m = n + rep.module_dim
-    return tuple(Table._of(m, {key: unscale(comp, den) for key, comp in t.items()}, skew)
-                 for t, skew in ((left, False), (wedge, True)))
+    return Table._of(m, left, False, den), Table._of(m, wedge, True, den)
 
 
 @verified
@@ -181,7 +182,7 @@ def is_ns_rep(rep: NSRep) -> Certificate:
     """
     n, md = rep.base.dim, rep.module_dim
     left, wedge, den, _ = integral(*_semidirect_tables(rep))
-    id1, id2 = _identities(left, wedge)
+    id1, id2 = _identities(left, wedge, n + md)
 
     def matrix(vecs):
         """{(a, b): c} from the vectors {n + a: c} at w_0, w_1, ..."""

@@ -14,7 +14,7 @@ from math import lcm
 from operator import add, mul
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import ONE, ZERO, Mat, Table, integral, rat, unpack, unscale, width
+from .exact import ONE, ZERO, Mat, Table, integral, rat, unpack, width
 from .lie import (
     BilinForm,
     LieAlgebra,
@@ -76,7 +76,7 @@ def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
     """
     if isinstance(table, Table):
         sc, den, t = integral(table)
-        n, products, skew = sc.dim, sc.items(), sc.skew
+        n, products, skew = table.dim, sc.items(), table.skew
     else:
         *mats, den, t = integral(*table)
         n, skew = len(mats), False
@@ -147,11 +147,12 @@ def operator_identity(check: str, table, P: Mat, Q: Mat, pairs, lam, kappa) -> C
     return scan(check, values, s * d, lambda v: unpack(v, w))
 
 
-def inner_products(table, P: Mat, Q: Mat, pairs, lam, kappa) -> dict:
-    """{(i, j): Pe_i·e_j + e_i·Qe_j + λe_i·e_j + κPe_i·Qe_j} for (i, j) in pairs, sparse."""
+def inner_products(table, P: Mat, Q: Mat, pairs, lam, kappa) -> tuple[dict, int]:
+    """{(i, j): s·(Pe_i·e_j + e_i·Qe_j + λe_i·e_j + κPe_i·Qe_j)} for (i, j) in pairs, as
+    sparse integer vectors, and the scale s."""
     s, _, _, inners = operator_brackets(table, P, Q, lam, kappa)
     w, values = inners(pairs)
-    return {key: unscale(unpack(v, w), s) for key, v in values}
+    return {key: unpack(v, w) for key, v in values}, s
 
 
 def lie_operands(L: LieAlgebra, R: Mat) -> tuple:
@@ -171,8 +172,8 @@ def is_reynolds(L: LieAlgebra, R: Mat) -> Certificate:
 def induced_algebra(A: ReynoldsLieAlgebra) -> ReynoldsLieAlgebra:
     """New bracket [x,y]_R = [Rx,y] + [x,Ry] - [Rx,Ry] with the same operator."""
     L, R = A.L, A.R
-    sc = inner_products(*lie_operands(L, R), ZERO, -ONE)
-    return ReynoldsLieAlgebra(LieAlgebra(L.dim, L.basis, sc), R)
+    sc, s = inner_products(*lie_operands(L, R), ZERO, -ONE)
+    return ReynoldsLieAlgebra(LieAlgebra(L.dim, L.basis, Table._of(L.dim, sc, True, s)), R)
 
 
 class ReynoldsRep(Checked):
@@ -256,9 +257,10 @@ def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,
     RᵀS + SR (+ lam·S) is symmetric: `scan` visits i ≤ j and counts i < j twice.
     """
     m = R.transpose() @ S.gram
-    m = (m + m.transpose() if lam is None else m + m.transpose() + S.gram.scale(lam)).entries
-    pairs = combinations_with_replacement(range(L.dim), 2)
-    return scan(name, (((i, j), m[i][j]) for i, j in pairs), orbit=lambda t: 1 + (t[0] < t[1]))
+    m = m + m.transpose() if lam is None else m + m.transpose() + S.gram.scale(lam)
+    cols, pairs = m.icols, combinations_with_replacement(range(L.dim), 2)
+    return scan(name, (((i, j), cols[j].get(i, 0)) for i, j in pairs), m.den,
+                orbit=lambda t: 1 + (t[0] < t[1]))
 
 
 @verified

@@ -9,12 +9,11 @@ the plain-transpose comparison is reported alongside for inspection.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (ZERO, Mat, Tensor2, flip, integral, precompose, rat, sapply, saxpy, sprod,
-                    unscale)
+from .exact import (ZERO, Mat, Table, Tensor2, flip, integral, precompose, rat, sapply, saxpy,
+                    sprod, table_rows)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, mult_mats, s_sharp
 from .reynolds import (inner_products, is_reynolds, lie_operands, operator_form_compat,
                        operator_identity)
@@ -45,8 +44,8 @@ def is_rota_baxter(L: LieAlgebra, B: Mat, lam) -> Certificate:
 def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
     """[x,y]_B = [Bx,y] + [x,By] + λ[x,y]; B becomes a homomorphism to g."""
     require(is_rota_baxter(rb.L, rb.B, rb.lam))
-    sc = inner_products(*lie_operands(rb.L, rb.B), rb.lam, ZERO)
-    return LieAlgebra(rb.L.dim, rb.L.basis, sc)
+    sc, s = inner_products(*lie_operands(rb.L, rb.B), rb.lam, ZERO)
+    return LieAlgebra(rb.L.dim, rb.L.basis, Table._of(rb.L.dim, sc, True, s))
 
 
 @verified
@@ -107,21 +106,21 @@ def _r_and_dual(qrb: QuadraticRB) -> tuple[Tensor2, LieAlgebra]:
     L = qrb.rb.L
     n = L.dim
     m = qrb.rb.B @ qrb.S.gram.inverse()
-    r = Tensor2(n, n, {(i, j): Fraction(c, m.den) for i, col in enumerate(m.icols)
-                       for j, c in col.items()})
+    r = Tensor2._of((n, n), {(i, j): c for i, col in enumerate(m.icols) for j, c in col.items()},
+                    m.den)
 
     require(is_cybe_solution(L, r))
     dual = dual_bracket_from_r(L, r)
-    rows = dual.sc.rows()
-    sharp, s, _ = integral(s_sharp(qrb.S))
     desc = descendent(qrb.rb)
+    sharp, dual_sc, desc_sc, d, _ = integral(s_sharp(qrb.S), dual.sc, desc.sc)
+    rows = table_rows(dual_sc, n, True)
 
     def diff(i, j):
-        # S♯ is a homomorphism from the descendent algebra to the dual algebra; s² times
+        # S♯ is a homomorphism from the descendent algebra to the dual algebra; d³ times
         out = sprod(rows, sharp[i], sharp[j])
-        return saxpy(out, -s, sapply(sharp, desc.sc.get((i, j), {})))
+        return saxpy(out, -d, sapply(sharp, desc_sc.get((i, j), {})))
     require(scan("descendent-compatibility",
-                 (((i, j), diff(i, j)) for i, j in combinations(range(n), 2)), s * s))
+                 (((i, j), diff(i, j)) for i, j in combinations(range(n), 2)), d ** 3))
     return r, dual
 
 
@@ -134,8 +133,7 @@ def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
         raise ValueError("tensor must live on g⊗g")
     require(ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance"))
     n = g.dim
-    (sc, den, _), rp = integral(g.sc), r_plus(r)
-    rows = sc.rows()
+    rows, den, rp = table_rows(g.sc.ientries, n, True), g.sc.den, r_plus(r)
     # ad*_v e_b* = −Σ_k [v,e_k]_b e_k*; adp[a][k] = D·d·[r₊e_a*,e_k], adm[b][k] = D·d·[r₋e_b*,e_k]
     adp = precompose(rows, rp.icols)
     adm = precompose(rows, (-rp.transpose()).icols)
@@ -143,8 +141,8 @@ def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
     def comp(a, b):      # D·d·[eᵃ, eᵇ]_r, its k-th coefficient −adp[a][k]_b + adm[b][k]_a
         return saxpy({k: -v.get(b, 0) for k, v in adp[a].items()}, 1,
                      {k: v.get(a, 0) for k, v in adm[b].items()})
-    return LieAlgebra(n, dual_basis(g.basis), {(a, b): unscale(comp(a, b), den * rp.den)
-                                               for a, b in combinations(range(n), 2)})
+    return LieAlgebra(n, dual_basis(g.basis), Table._of(n, {
+        (a, b): comp(a, b) for a, b in combinations(range(n), 2)}, True, den * rp.den))
 
 
 def i_operator(r: Tensor2) -> Mat:

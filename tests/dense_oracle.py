@@ -16,14 +16,15 @@ import contextlib
 import importlib
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from algcert.certificates import Certificate, CheckFailed, residual_from_mat, scan
 from algcert.bialgebra import _cotable
 from algcert.cybe import PreLieAlgebra, ReynoldsPreLie, is_cybe_solution, r_plus
 from algcert.exact import (ONE, ZERO, Mat, Table, Tensor2, Tensor3, Vec, flip, precompose, rat,
-                           rat_str, sapply, saxpy, srow, unscale, vadd, vbasis, vec, vsub, vzero)
+                           rat_str, sapply, saxpy, srow, table_rows, vadd, vbasis, vec, vsub,
+                           vzero)
 from algcert.lie import (LieAlgebra, Representation, block_rows, coadjoint_cols, double_table,
                          dual_basis, s_sharp)
 from algcert.matched import MatchedPair, ReynoldsMatchedPair, is_reynolds_matched_pair
@@ -313,6 +314,28 @@ def ad(L, i: int) -> Mat:
 
 def ad_vec(L, x) -> Mat:
     return _lin([ad(L, i) for i in range(L.dim)], x, L.dim)
+
+
+# -- the Fraction tensors the integer forms replaced ------------------------
+
+def tensor_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign·b on Fraction entries {index tuple: c}, zeros dropped."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, ZERO) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def tensor_scale(a: dict, c) -> dict:
+    return {k: c * v for k, v in a.items() if c * v}
+
+
+def tensor_flip(a: dict) -> dict:
+    return {(j, i): c for (i, j), c in a.items()}
+
+
+def tensor_is_skew(a: dict, dims: tuple) -> bool:
+    return dims[0] == dims[1] and all(a.get((j, i)) == -c for (i, j), c in a.items())
 
 
 # -- the CYBE layer ---------------------------------------------------------
@@ -651,10 +674,10 @@ def r_from_qrb(qrb) -> Tensor2:
 
 # -- the dense matrix and the per-call integer tables ---------------------------
 
-# `Mat` stores its integer form (sparse integer columns on one denominator) and
-# `integral` reads the forms each `Mat` and `Table` keeps.  These are the bodies
-# they replaced: a dense matrix of Fraction rows, and the integer tables built
-# from the Fractions on every call, with the `top` pass over them.
+# `Mat`, `Table` and the tensors store their integer forms (nonzero integer
+# coefficients on one canonical denominator) and `integral` reads them.  These
+# are the bodies they replaced: a dense matrix of Fraction rows, and the integer
+# tables built from the Fractions on every call, with the `top` pass over them.
 
 class DenseMat:
     """The dense `Mat` the sparse one replaced: rows of Fractions, zeros included."""
@@ -837,52 +860,65 @@ def scols(m) -> list:
 
 
 def integral(*tables):
-    """Each `Table`, list of sparse vectors or matrix (as its sparse columns) times D, on
-    ``int``s, followed by D, the lcm of all the coefficients' denominators."""
-    dens = set()
-    for t in tables:
-        dens.update({c.denominator for row in t.entries for c in row}
-                    if isinstance(t, (Mat, DenseMat)) else
-                    {c.denominator for v in (t.values() if isinstance(t, Table) else t)
-                     for c in v.values()})
-    den = lcm(*dens)
+    """Each `Table`, tensor, list of sparse vectors or matrix (as its sparse columns) times D,
+    on ``int``s, followed by D, the lcm of all the coefficients' denominators."""
+    def fractions(t):
+        if isinstance(t, (Mat, DenseMat)):
+            return [c for row in t.entries for c in row]
+        if isinstance(t, Table):
+            return [c for v in t.values() for c in v.values()]
+        if isinstance(t, (Tensor2, Tensor3)):
+            return list(t.entries.values())
+        return [c for v in t for c in v.values()]
+    den = lcm(*{Fraction(c).denominator for t in tables for c in fractions(t)})
 
     def scale(v):
-        return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
+        return {k: c.numerator * (den // c.denominator) for k, c in v.items() if c}
 
-    def columns(m):
-        return [{i: c.numerator * (den // c.denominator) for i, c in enumerate(col) if c}
-                for col in zip(*m.entries)]
-    return (*(Table._of(t.dim, {key: scale(v) for key, v in t.items()}, t.skew)
-              if isinstance(t, Table) else columns(t) if isinstance(t, (Mat, DenseMat)) else
-              [scale(v) for v in t] for t in tables), den)
+    def body(t):
+        if isinstance(t, (Mat, DenseMat)):
+            return [scale(dict(enumerate(col))) for col in zip(*t.entries)]
+        if isinstance(t, Table):
+            return {key: scale(v) for key, v in t.items()}
+        if isinstance(t, (Tensor2, Tensor3)):
+            return scale(t.entries)
+        return [scale(v) for v in t]
+    return (*map(body, tables), den)
+
+
+def coefficients(body) -> list:
+    """The coefficients of an integer form's body: a `Table`'s {(i, j): {k: c}}, a tensor's
+    {index tuple: c}, or sparse vectors (a matrix's columns)."""
+    if isinstance(body, dict):
+        values = list(body.values())
+        return ([c for v in values for c in v.values()] if values and isinstance(values[0], dict)
+                else values)
+    return [c for v in body for c in v.values()]
 
 
 def top(*tables) -> int:
     """The largest |coefficient| of integer tables as `integral` returns them."""
-    out = 0
-    for t in tables:
-        vectors = t.values() if isinstance(t, Table) else t
-        out = max(out, max(map(abs, chain.from_iterable(map(dict.values, vectors))), default=0))
-    return out
+    return max((abs(c) for t in tables for c in coefficients(t)), default=0)
 
 
 def stale_forms(*objs) -> list:
-    """Every `Mat` and `Table` reachable from objs (through slots, dicts, lists and tuples)
-    whose kept integer form is not a fresh `integral` of its entries."""
+    """Every `Mat`, `Table`, `Tensor2` and `Tensor3` reachable from objs (through slots, dicts,
+    lists and tuples) whose integer form is not canonical (a zero coefficient, or
+    gcd(den, every coefficient) ≠ 1) or not a fresh `integral` of its entries."""
     seen, todo, stale = set(), list(objs), []
     while todo:
         x = todo.pop()
         if id(x) in seen or isinstance(x, (int, str, Fraction, type(None))):
             continue
         seen.add(id(x))
-        if isinstance(x, Mat):
-            cols, den = integral(DenseMat(x.entries))
-            if x.form != (tuple(cols), den, top(cols)):
-                stale.append(x)
-        elif isinstance(x, Table):
-            t, den = integral(x)
-            if x.form != (t, den, top(t)):
+        if isinstance(x, (Mat, Table, Tensor2, Tensor3)):
+            body, den, _ = x.form
+            coeffs = coefficients(body)
+            fresh, fresh_den = integral(DenseMat(x.entries) if isinstance(x, Mat) else x)
+            if isinstance(x, Mat):
+                fresh = tuple(fresh)
+            if (not all(coeffs) or den < 1 or gcd(den, *coeffs) != 1
+                    or x.form != (fresh, fresh_den, top(fresh))):
                 stale.append(x)
         if isinstance(x, dict):
             todo += [*x.keys(), *x.values()]
@@ -916,7 +952,7 @@ def dict_jacobiator(rows, outer, x: int, y: int, z: int) -> dict:
 
 def dict_jacobi_check(L) -> Certificate:
     sc, den = integral(L.sc)
-    rows = sc.rows()
+    rows = table_rows(sc, L.dim, True)
     return scan("jacobi", (((i, j, k), dict_jacobiator(rows, rows, i, j, k))
                            for i, j, k in combinations(range(L.dim), 3)), den * den)
 
@@ -924,7 +960,7 @@ def dict_jacobi_check(L) -> Certificate:
 def dict_is_representation(rep) -> Certificate:
     n, m = rep.algebra.dim, rep.module_dim
     sc, *cols, den = integral(rep.algebra.sc, *[scols(x) for x in rep.rho])
-    rows, wrows = sc.rows(), [{} for _ in range(m)]
+    rows, wrows = table_rows(sc, n, True), [{} for _ in range(m)]
     for i, row in enumerate(rows):
         for b, col in enumerate(cols[i]):
             if col:
@@ -942,7 +978,7 @@ def dict_is_representation(rep) -> Certificate:
 def dict_compat_stages(g, h, rho, mu) -> list:
     n, m = g.dim, h.dim
     gsc, hsc, *cols, den = integral(g.sc, h.sc, *[scols(x) for x in rho.rho + mu.rho])
-    rows = double_table(gsc, hsc, cols[:n], cols[n:]).rows()
+    rows = table_rows(double_table(gsc, hsc, cols[:n], cols[n:]), n + m, True)
     on_h, on_g = block_rows(rows, n, n + m), block_rows(rows, 0, n)
     return [
         scan("compat-on-h", (((i, a, b), dict_jacobiator(rows, on_h, i, n + a, n + b))
@@ -955,8 +991,8 @@ def dict_compat_stages(g, h, rho, mu) -> list:
 def dict_cocycle_check(g, deltas) -> Certificate:
     n = g.dim
     sc, co, den = integral(g.sc, _cotable(deltas, False))
-    rows = double_table(sc, Table._of(n, {}, True), coadjoint_cols(sc.rows(), n),
-                        coadjoint_cols(co.rows(), n)).rows()
+    rows = table_rows(double_table(sc, {}, coadjoint_cols(table_rows(sc, n, True), n),
+                                   coadjoint_cols(table_rows(co, n), n)), 2 * n, True)
     outer = block_rows(rows, 0, n)
 
     def residual(i, j):
@@ -972,7 +1008,7 @@ def dict_is_lie_coalgebra(deltas) -> Certificate:
     if not skew.ok:
         return skew._replace(note="cobracket is not skew")
     co, den = integral(_cotable(deltas, True))
-    rows = co.rows()
+    rows = table_rows(co, n, True)
     out: list = [{} for _ in range(n)]
     for x, y, z in combinations(range(n), 3):
         for k, c in dict_jacobiator(rows, rows, x, y, z).items():
@@ -986,7 +1022,7 @@ def dict_operator_brackets(table, P: Mat, Q: Mat, pairs, lam, kappa):
     scales s·d and s, as sparse integer vectors."""
     if isinstance(table, Table):
         sc, den = integral(table)
-        rows = sc.rows()
+        rows = table_rows(sc, table.dim, table.skew)
     else:
         *mats, den = integral(*[scols(m) for m in table])
         rows = [dict(enumerate(m)) for m in mats]
@@ -1017,9 +1053,9 @@ def dict_operator_identity(check: str, table, P: Mat, Q: Mat, pairs, lam, kappa)
                         for i, j, pq, inner in brackets), s * d)
 
 
-def dict_inner_products(table, P: Mat, Q: Mat, pairs, lam, kappa) -> dict:
+def dict_inner_products(table, P: Mat, Q: Mat, pairs, lam, kappa) -> tuple[dict, int]:
     _, _, s, brackets = dict_operator_brackets(table, P, Q, pairs, lam, kappa)
-    return {(i, j): unscale(inner, s) for i, j, _, inner in brackets}
+    return {(i, j): inner for i, j, _, inner in brackets}, s
 
 
 # -- every evaluation path at once ------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,12 +18,11 @@ from algcert.exact import (
     mat_comb,
     rat,
     rat_str,
+    table_rows,
     tensor2_map,
     tensor3_map,
-    tensor_ints,
     tensor_map,
     transpose,
-    unscale,
     vbasis,
     vec,
     vzero,
@@ -169,8 +169,9 @@ def test_tensor_maps_match_the_fraction_bodies():
                                  rand_frac(rng) for _ in range(2 * n)})
         assert tensor3_map(f, g, h, t3) == oracle.tensor3_map(f, g, h, t3)
         sq, ident = rand_mat(rng, n, n), Mat.identity(n)
-        body, d = tensor_ints(t)
-        legs = Tensor2(n, n, unscale(leg_sum(body, sq.icols, 2), d * sq.den))
+        body, d = t.ientries, t.den
+        legs = Tensor2(n, n, {k: Fraction(c, d * sq.den)
+                              for k, c in leg_sum(body, sq.icols, 2).items()})
         assert legs == tensor2_map(sq, ident, t) + tensor2_map(ident, sq, t)
         assert tensor_map(body, [None, None]) is body
 
@@ -233,11 +234,12 @@ def tables(draw):
 
 @given(tables())
 def test_table_rows_agree_with_dense_products(t):
-    rows = t.rows()
+    rows = table_rows(t.ientries, t.dim, t.skew)
     for i in range(t.dim):
         for j in range(t.dim):
             sparse = rows[i].get(j, {})
-            assert tuple(sparse.get(k, 0) for k in range(t.dim)) == t.basis_prod(i, j)
+            dense = tuple(Fraction(sparse.get(k, 0), t.den) for k in range(t.dim))
+            assert dense == t.basis_prod(i, j)
             assert t.prod(vbasis(t.dim, i), vbasis(t.dim, j)) == t.basis_prod(i, j)
 
 
@@ -378,3 +380,157 @@ def test_equal_entries_are_equal_matrices_with_equal_hashes():
             b = Mat(changed)
             assert b != a and b.entries != a.entries
     assert Mat.zeros(2, 3) != Mat.zeros(3, 2) and Mat.zeros(0, 0) == Mat([])
+
+
+# ---------------------------------------------------------------------------
+# tables and tensors: their integer forms against the Fraction bodies they replaced
+# ---------------------------------------------------------------------------
+
+MALFORMED = {
+    "short tensor key": lambda: Tensor3((3, 3, 3), {(0, 1): 1}),
+    "long tensor key": lambda: Tensor2(2, 2, {(0, 1, 1): 1}),
+    "non-tuple tensor key": lambda: Tensor2(2, 2, {0: 1}),
+    "float tensor index": lambda: Tensor2(2, 2, {(0.5, 1): 1}),
+    "bool tensor index": lambda: Tensor3((2, 2, 2), {(0, True, 1): 1}),
+    "float output index": lambda: Table(2, {(0, 1): {1.7: 1}}),
+    "bool output index": lambda: Table(2, {(0, 1): {True: 1}}),
+    "float table index": lambda: Table(2, {(0.5, 1): {1: 1}}),
+    "bool table index": lambda: Table(2, {(False, 1): {1: 1}}, skew=True),
+    "long table key": lambda: Table(2, {(0, 1, 1): {1: 1}}),
+}
+
+
+@pytest.mark.parametrize("build", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_keys_are_rejected(build):
+    # indices are ints, never bools, and a key has the container's order
+    with pytest.raises(ValueError):
+        build()
+
+
+def rand_coeff(rng):
+    """A rational with a mixed denominator, or an explicit zero one time in five."""
+    return Fraction(rng.randint(-9, 9), rng.choice(DENOMS)) if rng.random() < 0.8 else 0
+
+
+def rand_table_entries(rng, n: int, skew: bool) -> dict:
+    """Rational entries {(i, j): {k: c}} with zeros and empty products among them."""
+    keys = [(i, j) for i in range(n) for j in range(n) if not skew or i < j]
+    density = rng.choice((0.0, 0.5, 1.0))
+    return {key: {k: rand_coeff(rng) for k in range(n) if rng.random() < 0.6}
+            for key in keys if rng.random() < density}
+
+
+def rand_tensor_entries(rng, dims: tuple) -> dict:
+    density = rng.choice((0.0, 0.4, 1.0))
+    return {key: rand_coeff(rng) for key in product(*map(range, dims)) if rng.random() < density}
+
+
+def table_cases(rng):
+    """Tables of dim 0 to 4, skew and full, empty ones included, with their entries."""
+    for n in (0, 1):
+        for skew in (False, True):
+            yield n, skew, {}
+    for _ in range(60):
+        n, skew = rng.randint(1, 4), rng.random() < 0.5
+        yield n, skew, rand_table_entries(rng, n, skew)
+
+
+def without_zeros(entries: dict) -> dict:
+    out = {key: {k: Fraction(c) for k, c in comp.items() if c} for key, comp in entries.items()}
+    return {key: comp for key, comp in out.items() if comp}
+
+
+def test_table_view_is_its_entries_without_zeros():
+    rng = random.Random(47)
+    for n, skew, entries in table_cases(rng):
+        t = Table(n, entries, skew)
+        want = without_zeros(entries)
+        assert dict(t.items()) == want and len(t) == len(want) and set(t) == set(want)
+        assert t == want and want == t and not t != want
+        assert all(t[key] == comp == t.get(key) for key, comp in want.items())
+        assert oracle.stale_forms(t) == []
+        for i, j in product(range(n), repeat=2):     # a skew table negates the key (j, i)
+            comp, sign = (want.get((j, i), {}), -1) if skew and i > j else (want.get((i, j), {}), 1)
+            assert t.basis_prod(i, j) == tuple(sign * comp.get(k, 0) for k in range(n))
+        if want:
+            key = next(iter(want))
+            changed = {**want, key: {k: 2 * c for k, c in want[key].items()}}
+            assert t != changed and changed != t and t != Table(n, changed, skew)
+
+
+def test_equal_table_entries_are_equal_forms_with_equal_hashes():
+    rng = random.Random(53)
+    for n, skew, entries in table_cases(rng):
+        t = Table(n, entries, skew)
+        m = rng.choice((2, 6, 35))
+        # the same entries by other routes: a plain dict, the table itself, and its form on
+        # a multiple of its denominator
+        for u in (Table(n, dict(t.items()), skew), Table(n, t, skew),
+                  Table._of(n, {key: {k: m * c for k, c in comp.items()}
+                                for key, comp in t.ientries.items()}, skew, m * t.den)):
+            assert u == t and hash(u) == hash(t) and u.form == t.form
+
+
+def tensor_shapes(rng, order: int):
+    """Shapes of dim 0 and 1, then random ones, square and not."""
+    yield (0,) * order
+    yield (1,) * order
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        yield (n,) * order if rng.random() < 0.5 else tuple(rng.randint(1, 4) for _ in range(order))
+
+
+def test_tensor_view_is_its_entries_without_zeros():
+    rng = random.Random(59)
+    for order, cls in ((2, lambda dims, e: Tensor2(*dims, e)), (3, Tensor3)):
+        for dims in tensor_shapes(rng, order):
+            entries = rand_tensor_entries(rng, dims)
+            t = cls(dims, entries)
+            want = {key: Fraction(c) for key, c in entries.items() if c}
+            assert t.entries == want and list(t.items()) == sorted(want.items())
+            assert t.is_zero() == (not want) and oracle.stale_forms(t) == []
+
+
+def test_tensor_operations_match_the_fraction_bodies():
+    rng = random.Random(61)
+    for dims in tensor_shapes(rng, 2):
+        a, b = (Tensor2(*dims, rand_tensor_entries(rng, dims)) for _ in range(2))
+        k = Fraction(rng.randint(-5, 5), rng.choice(DENOMS))
+        assert (a + b).entries == oracle.tensor_sum(a.entries, b.entries)
+        assert (a - b).entries == oracle.tensor_sum(a.entries, b.entries, -1)
+        assert (-a).entries == oracle.tensor_scale(a.entries, -1)
+        assert a.scale(k).entries == oracle.tensor_scale(a.entries, k)
+        if dims[0] == dims[1]:
+            assert flip(a).entries == oracle.tensor_flip(a.entries)
+            skew = a - flip(a)
+            for t in (a, skew, a + flip(a)):
+                assert t.is_skew() == oracle.tensor_is_skew(t.entries, dims)
+            assert skew.is_skew()
+        else:
+            assert not a.is_skew()
+        f, g = (Mat(rand_rows(rng, rng.randint(1, 3), n)) for n in dims)
+        assert tensor2_map(f, g, a) == oracle.tensor2_map(f, g, a)
+        assert all(oracle.stale_forms(t) == [] for t in (a + b, a - b, -a, a.scale(k)))
+    for dims in tensor_shapes(rng, 3):
+        a, b = (Tensor3(dims, rand_tensor_entries(rng, dims)) for _ in range(2))
+        assert (a + b).entries == oracle.tensor_sum(a.entries, b.entries)
+        f, g, h = (Mat(rand_rows(rng, rng.randint(1, 3), n)) for n in dims)
+        assert tensor3_map(f, g, h, a) == oracle.tensor3_map(f, g, h, a)
+
+
+def test_equal_tensor_entries_are_equal_forms_with_equal_hashes():
+    rng = random.Random(67)
+    for dims in tensor_shapes(rng, 2):
+        a = Tensor2(*dims, rand_tensor_entries(rng, dims))
+        k = Fraction(rng.randint(1, 9), rng.choice(DENOMS))
+        m = rng.choice((2, 6, 35))
+        routes = [a.scale(k).scale(1 / k), -(-a), (a + a) - a, Tensor2(*dims, a.entries),
+                  Tensor2._of(dims, {key: m * c for key, c in a.ientries.items()}, m * a.den)]
+        if dims[0] == dims[1]:
+            routes.append(flip(flip(a)))
+        for b in routes:
+            assert b == a and hash(b) == hash(a) and b.form == a.form
+        if a.entries:
+            key = next(iter(a.entries))
+            assert Tensor2(*dims, {**a.entries, key: 2 * a.entries[key]}) != a
+    assert Tensor2(2, 3) != Tensor2(3, 2) and Tensor3((1, 1, 1)) != Tensor2(1, 1)

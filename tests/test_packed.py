@@ -16,7 +16,8 @@ from itertools import combinations, product
 import dense_oracle as dense
 from algcert import bialgebra, matched, reynolds
 from algcert.certificates import Certificate
-from algcert.exact import Mat, Table, Tensor2, integral, pack, sapply, saxpy, unpack, width
+from algcert.exact import (Mat, Table, Tensor2, integral, pack, sapply, saxpy, table_rows, unpack,
+                           width)
 from algcert.lie import (LieAlgebra, Representation, adjoint_rep, coadjoint_rep, is_representation,
                          jacobi_check, jacobi_width, packed_outer)
 from algcert.reynolds import compat_certificate, is_reynolds
@@ -35,6 +36,12 @@ def same(a, b) -> bool:
 def nonzero(inner: dict) -> dict:
     """The dict kernel's inner sums without their cancelled zeros (a packed one has none)."""
     return {key: {k: c for k, c in v.items() if c} for key, v in inner.items()}
+
+
+def nonzero_sums(products: tuple[dict, int]) -> tuple[dict, int]:
+    """`dict_inner_products`' sums without their cancelled zeros, and their scale."""
+    inner, s = products
+    return nonzero(inner), s
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +65,9 @@ def test_packed_outer_keeps_one_block():
     n = 7
     table, _, _ = integral(Table(n, {(a, b): {k: rng.choice((0, 5, -5)) for k in range(n)}
                                      for a, b in combinations(range(n), 2)}, skew=True))
-    rows = table.rows()
+    rows = table_rows(table, n, True)
     for lo, hi in ((0, n), (0, 3), (3, n), (2, 5)):
-        outer = packed_outer(table, 4, lo, hi)
+        outer = packed_outer(table, n, 4, lo, hi)
         for c, m in product(range(n), repeat=2):
             block = {k - lo: x for k, x in rows[m].get(c, {}).items() if lo <= k < hi}
             assert unpack(outer[c][m], 4) == block
@@ -115,9 +122,10 @@ def test_a_reynolds_residual_at_the_bound():
                                                       ZERO, -ONE))
         assert got.violations == n * n
         assert dict(got.residual)[(0,)] == n ** 2 * M ** 3 * (n * M - 1)
-        inner = reynolds.inner_products(table, P, P, iter(pairs), ZERO, ONE)
-        assert inner == nonzero(dense.dict_inner_products(table, P, P, iter(pairs), ZERO, ONE))
-        assert inner[0, 0][0] == n * n * M ** 3 + 2 * n * M * M
+        inner, s = reynolds.inner_products(table, P, P, iter(pairs), ZERO, ONE)
+        assert (inner, s) == nonzero_sums(dense.dict_inner_products(table, P, P, iter(pairs),
+                                                                    ZERO, ONE))
+        assert Fraction(inner[0, 0][0], s) == n * n * M ** 3 + 2 * n * M * M
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +161,8 @@ def test_max_entry_tables_match_dict_kernels():
             assert same(reynolds.operator_identity("op", g.sc, *args),
                         dense.dict_operator_identity("op", g.sc, *args[:2], iter(pairs), *args[3:]))
             assert (reynolds.inner_products(g.sc, P, Q, iter(pairs), Fraction(lam), Fraction(kappa))
-                    == nonzero(dense.dict_inner_products(g.sc, P, Q, iter(pairs), Fraction(lam),
-                                                         Fraction(kappa))))
+                    == nonzero_sums(dense.dict_inner_products(g.sc, P, Q, iter(pairs),
+                                                              Fraction(lam), Fraction(kappa))))
             action = list(product(range(n), range(n)))
             assert same(reynolds.operator_identity("op", rho.rho, P, Q, iter(action), lam, kappa),
                         dense.dict_operator_identity("op", rho.rho, P, Q, iter(action), lam, kappa))
@@ -219,7 +227,7 @@ def test_dense_conjugates_match_dict_kernels():
                         dense.dict_operator_identity("rota-baxter", L.sc, Q, Q, iter(pairs),
                                                      lam, ZERO))
             assert (reynolds.inner_products(L.sc, Q, Q, iter(pairs), ZERO, -ONE)
-                    == nonzero(dense.dict_inner_products(L.sc, Q, Q, iter(pairs), ZERO, -ONE)))
+                    == nonzero_sums(dense.dict_inner_products(L.sc, Q, Q, iter(pairs), ZERO, -ONE)))
             action = list(product(range(n), repeat=2))
             for rep in (adj, scaled):
                 for A, B in ((Q, R), (R, Q)):
@@ -227,8 +235,8 @@ def test_dense_conjugates_match_dict_kernels():
                                 dense.dict_operator_identity("compatibility", rep.rho, A, B,
                                                              iter(action), ZERO, -ONE))
                     assert (reynolds.inner_products(rep.rho, A, B, iter(action), ZERO, -ONE)
-                            == nonzero(dense.dict_inner_products(rep.rho, A, B, iter(action),
-                                                                 ZERO, -ONE)))
+                            == nonzero_sums(dense.dict_inner_products(rep.rho, A, B,
+                                                                      iter(action), ZERO, -ONE)))
         if n <= 6:
             co = coadjoint_rep(L)
             for rho, mu in ((adj, scaled), (co, adj)):

@@ -25,7 +25,7 @@ import dense_oracle as dense
 from algcert import bialgebra, cybe, matched, rotabaxter
 from algcert.catalog import sl2 as catalog_sl2, sl2_b, sl2_s
 from algcert.certificates import CheckFailed
-from algcert.exact import Mat, Tensor2, flip
+from algcert.exact import Mat, Table, Tensor2, flip
 from algcert.lie import (
     BilinForm,
     LieAlgebra,
@@ -321,6 +321,8 @@ def data(x):
         return x.to_json()
     if isinstance(x, (tuple, list)):
         return tuple(data(v) for v in x)
+    if isinstance(x, Table):          # its items, so that it compares with a plain dict
+        return dict(x)
     slots = getattr(type(x), "__slots__", ())
     if slots:
         return type(x).__name__, tuple(data(getattr(x, name)) for name in slots)
@@ -328,8 +330,8 @@ def data(x):
 
 
 def test_data_sees_every_structure_constant():
-    # `data` compares the fields named in `__slots__`; a `Table` with slots of its
-    # own would reduce every table to its (dim, skew) and hide any difference
+    # `data` compares the fields named in `__slots__`, and a `Table` by its items; a
+    # table reduced to a subset of its slots, such as (dim, skew), would hide any difference
     L = LieAlgebra.unchecked(2, None, {(0, 1): {1: 1}})
     assert data(L) != data(LieAlgebra.unchecked(2, None, {(0, 1): {1: 2}}))
 
@@ -648,7 +650,7 @@ def test_rational_checks_match_dense(case):
                     == dense.compat_certificate(P, rep, Q).to_json())
     # the kernel on a non-skew table: L's bracket on all ordered pairs as a product
     A = cybe.PreLieAlgebra.unchecked(L.dim, None, {
-        (i, j): comp for i, row in enumerate(L.sc.rows()) for j, comp in row.items()})
+        **L.sc, **{(j, i): {k: -c for k, c in comp.items()} for (i, j), comp in L.sc.items()}})
     assert cybe.is_reynolds_prelie(A, T).to_json() == dense.is_reynolds_prelie(A, T).to_json()
     # the Jacobi kernel's callers on actions and cobrackets scaled by coprime factors:
     # (L, L; ad, 0) is a matched pair when L is Lie, (L, L; ad, c·ad) fails the

@@ -20,7 +20,7 @@ from algcert.bialgebra import (LieBialgebra, ReynoldsLieBialgebra, canonical_pai
 from algcert.certificates import Certificate, CheckFailed, verified
 from algcert.cybe import (RelativeRB, ReynoldsPreLie, canonical_r, prelie_from_relrb, r_plus,
                           rk_solution)
-from algcert.exact import Mat, Tensor2
+from algcert.exact import Mat, Table, Tensor2
 from algcert.lie import LieAlgebra, Representation
 from algcert.matched import (MatchedPair, ReynoldsMatchedPair, double, induced_matched_pair,
                              reynolds_double)
@@ -34,8 +34,7 @@ from algcert.rotabaxter import (QuadraticRB, RotaBaxterAlg, descendent, dual_bra
 def snapshot(x):
     """The content of x, down to its numbers, as a fresh nested value."""
     if isinstance(x, dict):
-        extra = snapshot(vars(x)) if hasattr(x, "__dict__") else None   # a Table's dim, skew
-        return type(x).__name__, sorted((repr(k), snapshot(v)) for k, v in x.items()), extra
+        return type(x).__name__, sorted((repr(k), snapshot(v)) for k, v in x.items())
     if isinstance(x, (list, tuple)):
         return type(x).__name__, [snapshot(v) for v in x]
     slots = [s for cls in type(x).__mro__ for s in getattr(cls, "__slots__", ())]
@@ -199,10 +198,12 @@ def test_the_scope_is_dropped_on_return_and_on_check_failed(thmfl, monkeypatch):
 
 def test_a_later_call_sees_changed_content(thmfl):
     drinfeld_double(thmfl)
-    # change the dual's table in place between two top-level calls on the same objects
-    sc = thmfl.bialg.dual.sc
-    key = next(iter(sc))
-    sc[key] = {k: 2 * c for k, c in sc[key].items()}
+    # change the dual's content between two top-level calls on the same objects: a `Table`
+    # is read-only, so rebind the dual's table to one with one key doubled
+    dual = thmfl.bialg.dual
+    key = next(iter(dual.sc))
+    dual.sc = Table(dual.dim, {**dual.sc, key: {k: 2 * c for k, c in dual.sc[key].items()}},
+                    skew=True)
     with pytest.raises(CheckFailed) as exc:
         drinfeld_double(thmfl)
     assert exc.value.certificate.first_failure().check == "cocycle"
