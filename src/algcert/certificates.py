@@ -37,24 +37,9 @@ class Certificate(NamedTuple):
         return cls(check=check, ok=True, note=note, skipped=skipped)
 
     @classmethod
-    def failed(
-        cls,
-        check: str,
-        where: tuple[int, ...],
-        residual: Residual,
-        violations: int,
-        note: str = "",
-        skipped: int = 0,
-    ) -> "Certificate":
-        return cls(
-            check=check,
-            ok=False,
-            where=where,
-            residual=residual,
-            violations=violations,
-            skipped=skipped,
-            note=note,
-        )
+    def failed(cls, check: str, where: tuple[int, ...], residual: Residual, violations: int,
+               note: str = "", skipped: int = 0) -> "Certificate":
+        return cls(check, False, where, residual, violations, skipped, note)
 
     @classmethod
     def combine(cls, check: str, parts: list["Certificate"], note: str = "") -> "Certificate":

@@ -11,16 +11,11 @@ from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, flip, integral, leg_sum,
-                    precompose, sapply, saxpy, sprod, srow, table_rows)
+                    precompose, sapply, saxpy, sprod, srow, table_rows, width)
 from .lie import (LieAlgebra, Representation, default_basis, dual_rep, mult_cols, mult_mats,
                   semidirect)
 from .matched import MatchedPair, ReynoldsMatchedPair
-from .reynolds import (
-    ReynoldsLieAlgebra,
-    ReynoldsRep,
-    is_reynolds_rep,
-    operator_identity,
-)
+from .reynolds import ReynoldsLieAlgebra, ReynoldsRep, is_reynolds_rep, operator_identity
 
 
 def _double_bracket(g: LieAlgebra, r: Tensor2) -> tuple[dict, int]:
@@ -226,13 +221,14 @@ def is_prelie(A: PreLieAlgebra) -> Certificate:
     """Left-symmetry of the associator over basis triples i<j and every k.
 
     A pre-Lie algebra is an NS-Lie algebra with ▷ = 0: the residual
-    (x,y,z) − (y,x,z) is NS identity 1 of (A.prod, 0)."""
+    (x,y,z) − (y,x,z) is NS identity 1 of (A.prod, 0): column k of the `pair_blocks`
+    matrix at (i, j), in the slots k·n to k·n + n − 1 of the width of `is_nslie`.  It is
+    counted once per visited triple."""
     from .nslie import _identities
 
-    n, den = A.dim, A.prod.den
-    id1, _ = _identities(A.prod.ientries, {}, n)
-    return scan("pre-lie", (((i, j, k), id1(i, j, k))
-                            for i, j in combinations(range(n), 2) for k in range(n)), den * den)
+    n, den, top = A.dim, A.prod.den, A.prod.top
+    ns1, *_ = _identities(A.prod.ientries, {}, n)
+    return scan("pre-lie", ns1(width(5 * n * top ** 2)), den * den)
 
 
 class ReynoldsPreLie(Checked):

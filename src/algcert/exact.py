@@ -292,8 +292,9 @@ def mat_comb(mats, v: SVec, rows: int, cols: int) -> Mat:
     """Σ_k v[k]·mats[k] for a sparse coefficient vector v."""
     acc: list[SVec] = [{} for _ in range(cols)]
     for k, c in v.items():
+        c = Fraction(c, mats[k].den)
         for a, col in zip(acc, mats[k].icols):
-            saxpy(a, Fraction(c, mats[k].den), col)
+            saxpy(a, c, col)
     return Mat._from(rows, cols, acc)
 
 

@@ -63,8 +63,8 @@ class LieAlgebra(Checked):
                        self.sc.den)
 
     def ad_vec(self, x: Vec) -> Mat:
-        return mat_comb(mult_mats(self.sc), {i: c for i, c in enumerate(x) if c != 0},
-                        self.dim, self.dim)
+        v = {i: c for i, c in enumerate(x) if c != 0}
+        return mat_comb({i: self.ad(i) for i in v}, v, self.dim, self.dim)
 
 
 def bracket(L: LieAlgebra, x: Vec, y: Vec) -> Vec:
@@ -174,12 +174,8 @@ class Representation(Checked):
 
     def __eq__(self, other) -> bool:
         # labels only name the module basis, so they do not enter equality
-        return (
-            isinstance(other, Representation)
-            and self.algebra == other.algebra
-            and self.module_dim == other.module_dim
-            and self.rho == other.rho
-        )
+        return isinstance(other, Representation) and all(
+            getattr(self, s) == getattr(other, s) for s in ("algebra", "module_dim", "rho"))
 
     def rho_vec(self, x: Vec) -> Mat:
         """rho extended linearly to an arbitrary vector of the algebra."""
@@ -191,33 +187,57 @@ class Representation(Checked):
 def is_representation(rep: Representation) -> Certificate:
     """rho([e_i,e_j]) == rho(e_i)rho(e_j) − rho(e_j)rho(e_i) for all i<j.
 
-    The residual at (i, j), entry (a, b), is J(e_i, e_j, w_b) at w_a on the integer
-    table of g⋉W under one scale D (so D² times too large), with w_a at n + a.  Every
-    second product J reads there lands in W, so `outer` holds only those, packed
-    from ρ's columns; the matrix is packed with J(e_i, e_j, w_b) in the slots b·m to
-    b·m + m − 1.
+    The residual at (i, j) is the `pair_blocks` matrix on the integer table and ρ's
+    integer columns under one scale D (so D² times too large), entry (a, b) in the slot
+    b·m + a.  It is J(e_i, e_j, w_b) at w_a on g⋉W, so each entry is at most
+    (n + 2m)·top²: the slots have the `jacobi_width` of g⋉W.
     """
     n, m = rep.algebra.dim, rep.module_dim
     sc, *cols, den, top = integral(rep.algebra.sc, *rep.rho)
     w = jacobi_width(n + m, top)
-    # the table of g⋉W as `double_table` would give it, [e_i, w_b] = ρ(e_i)w_b, and its
-    # W-block packed (the only block J reads there)
-    table, outer = dict(sc), [[0] * (n + m) for _ in range(n + m)]
-    for i, rho in enumerate(cols):
-        for b, col in enumerate(rho):
-            if col:
-                table[i, n + b] = {n + k: c for k, c in col.items()}
-                outer[n + b][i] = x = pack(col, w)      # outer[c][m] = e_m·e_c
-                outer[i][n + b] = -x
-    shift = m * w
+    return scan("representation", pair_blocks(sc, cols, m, w), den * den,
+                lambda v: block_entries(v, m, w))
 
-    def residual(i, j):
-        return sum([jacobiator(table, outer, i, j, n + b) << b * shift for b in range(m)])
 
-    def decode(v):
-        return {(k % m, k // m): c for k, c in unpack(v, w).items()}
-    return scan("representation", (((i, j), residual(i, j))
-                                   for i, j in combinations(range(n), 2)), den * den, decode)
+def pair_blocks(table: dict, cols: list, m: int, w: int):
+    """((i, j), v) for every pair i<j in lexicographic order, v the m×m matrix
+    ρ([e_i,e_j]) − [ρ(e_i), ρ(e_j)] packed with its column b in the slots b·m to b·m + m − 1,
+    for a skew integer table on the n = len(cols) basis vectors and the integer columns
+    ρ(e_x)w_b on one scale: cols[x] lists all m of them (`Mat.icols`) or maps b to the
+    nonzero ones.  Each column is packed once as C_x[b] and each ρ(e_x) once as a whole
+    matrix M_x, so a pair costs its nonzeros: Σ_k c_ij^k·M_k, then Σ_k ρ_i[k,b]·C_j[k] and
+    Σ_k ρ_j[k,b]·C_i[k] for each nonzero column b of ρ_i and of ρ_j, each shifted once into
+    place.  The caller derives w from a bound on every entry."""
+    cols = [x if type(x) is dict else {b: c for b, c in enumerate(x) if c} for x in cols]
+    shift, packed, whole = m * w, [], []
+    for rho in cols:
+        px, mx = [0] * m, 0
+        for b, col in rho.items():
+            px[b] = p = pack(col, w)
+            mx += p << b * shift
+        packed.append(px)
+        whole.append(mx)
+    for i, j in combinations(range(len(cols)), 2):
+        v = 0
+        for k, c in table.get((i, j), {}).items():
+            v += c * whole[k]
+        pi, pj = packed[i], packed[j]
+        for b, col in cols[i].items():
+            t = 0
+            for k, c in col.items():
+                t += c * pj[k]
+            v += t << b * shift
+        for b, col in cols[j].items():
+            t = 0
+            for k, c in col.items():
+                t += c * pi[k]
+            v -= t << b * shift
+        yield (i, j), v
+
+
+def block_entries(v: int, m: int, w: int) -> dict:
+    """The nonzero entries {(a, b): c} of an m×m matrix packed as `pair_blocks` packs it."""
+    return {(k % m, k // m): c for k, c in unpack(v, w).items()}
 
 
 def coadjoint_cols(rows: Rows, n: int) -> list[list[SVec]]:
@@ -259,13 +279,8 @@ def coadjoint_rep(L: LieAlgebra) -> Representation:
 
 def dual_rep(rep: Representation) -> Representation:
     """rho*(e_i) = −rho(e_i)ᵀ on W*."""
-    return Representation(
-        rep.algebra,
-        rep.module_dim,
-        [-m.transpose() for m in rep.rho],
-        labels=dual_basis(rep.labels),
-        check=False,
-    )
+    return Representation(rep.algebra, rep.module_dim, [-m.transpose() for m in rep.rho],
+                          labels=dual_basis(rep.labels), check=False)
 
 
 @verified

@@ -8,11 +8,13 @@ hold.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import Table, Vec, integral, precompose, saxpy, sprod, srow, table_rows, vadd, vsub
-from .lie import LieAlgebra, default_basis, mult_mats
+from .exact import (Table, Vec, integral, mat_comb, precompose, saxpy, sprod, srow, table_rows,
+                    vadd, vsub, width)
+from .lie import LieAlgebra, block_entries, default_basis, mult_mats, pair_blocks
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
 
@@ -56,14 +58,16 @@ def _commutator(left: dict, wedge: dict, n: int) -> dict:
 
 
 def _identities(left: dict, wedge: dict, n: int):
-    """The two NS identities of the integer tables ◁ and ▷ (skew) on dimension n at basis
-    triples, as sparse vectors.
+    """The two NS identities of the integer tables ◁ and ▷ (skew) on dimension n.
 
     Identity 1 is (x◁y)◁z - x◁(y◁z) - (y◁x)◁z + y◁(x◁z) + (x▷y)◁z
-    = [x,y]◁z - x◁(y◁z) + y◁(x◁z); identity 2 is the cyclic sum of
-    x▷[y,z] + x◁(y▷z).  Returns ``(id1, id2)``, each a function of three
-    basis indices.  Both identities are quadratic in the tables, so on the
-    integer tables D·◁ and D·▷ of `integral` they come out D² times too large.
+    = [x,y]◁z - x◁(y◁z) + y◁(x◁z), so it says x ↦ (x◁·) represents the commutator;
+    identity 2 is the cyclic sum of x▷[y,z] + x◁(y▷z).  Returns ``(ns1, id1, id2)``:
+    id1 and id2 give an identity at a basis triple as a sparse vector; ns1(w) yields
+    ((i, j, k), id1(i, j, k)) where it is nonzero, i<j, in lexicographic order, as the
+    columns of the `pair_blocks` matrices of [,] and x◁· on slots of width w.  Both
+    identities are quadratic in the tables, so on the integer tables D·◁ and D·▷ of
+    `integral` they come out D² times too large.
 
     Identity 1 is skew in (x, y): [y,x] = −[x,y] exactly, because the skew
     tables of ▷ and [,] keep i<j keys and `table_rows` negates, and the other two
@@ -71,8 +75,18 @@ def _identities(left: dict, wedge: dict, n: int):
     skew in (x, y) for the same reason.  A repeated index gives exactly 0.
     This holds for any tables, valid or not.
     """
-    comm = table_rows(_commutator(left, wedge, n), n, True)
+    table = _commutator(left, wedge, n)
+    comm = table_rows(table, n, True)
     left, wedge = table_rows(left, n), table_rows(wedge, n, True)
+
+    def ns1(w):
+        for (i, j), v in pair_blocks(table, left, n, w):
+            if not v:
+                continue
+            cols: dict = {}
+            for (a, k), c in block_entries(v, n, w).items():
+                cols.setdefault(k, {})[a] = c
+            yield from (((i, j, k), col) for k, col in cols.items())
 
     def id1(i, j, k):
         out = sprod(left, comm[i].get(j, {}), {k: 1})
@@ -90,7 +104,7 @@ def _identities(left: dict, wedge: dict, n: int):
             if w in wedge[v]:
                 srow(out, left[u], wedge[v][w])
         return out
-    return id1, id2
+    return ns1, id1, id2
 
 
 @verified
@@ -99,14 +113,15 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
 
     By the symmetries of `_identities`, `scan` visits i<j with every k for
     identity 1, counted twice, and i<j<k for identity 2, counted six times.
+    Identity 1 at (i, j, k) is column k of the `pair_blocks` matrix at (i, j), in the
+    slots k·n to k·n + n − 1.  The commutator's coefficients reach 3·top, so an entry of
+    that matrix is at most 3n·top² + 2n·top²: its slots hold 5n·top².
     """
     n = A.dim
-    left, wedge, den, _ = integral(A.left, A.wedge)
-    id1, id2 = _identities(left, wedge, n)
-    pairs = combinations(range(n), 2)
+    left, wedge, den, top = integral(A.left, A.wedge)
+    ns1, _, id2 = _identities(left, wedge, n)
     return Certificate.combine("nslie", [
-        scan("ns-identity-1", (((i, j, k), id1(i, j, k)) for i, j in pairs for k in range(n)),
-             den * den, orbit=lambda t: 2),
+        scan("ns-identity-1", ns1(width(5 * n * top ** 2)), den * den, orbit=lambda t: 2),
         scan("ns-identity-2", ((t, id2(*t)) for t in combinations(range(n), 3)),
              den * den, orbit=lambda t: 6)])
 
@@ -178,24 +193,28 @@ def is_ns_rep(rep: NSRep) -> Certificate:
     ns-rep-1: id1(e_i, e_j, w_b), ns-rep-2: id1(e_i, w_b, e_j) and
     ns-rep-3: id2(e_i, e_j, w_b).  ns-rep-1 and ns-rep-3 are skew in (i, j), by
     the symmetries of `_identities`, and are evaluated for i<j and counted
-    twice; ns-rep-2 runs over every ordered pair.
+    twice; ns-rep-2 runs over every ordered pair.  ns-rep-1 is the `pair_blocks`
+    matrix of mu on G's commutator, entry (a, b) in the slot b·m + a, whose entries are
+    at most (3n + 2m)·top².
     """
     n, md = rep.base.dim, rep.module_dim
+    g_left, g_wedge, *mu, d, top = integral(rep.base.left, rep.base.wedge, *rep.mu)
+    w = width((3 * n + 2 * md) * top ** 2)
     left, wedge, den, _ = integral(*_semidirect_tables(rep))
-    id1, id2 = _identities(left, wedge, n + md)
+    _, id1, id2 = _identities(left, wedge, n + md)
 
     def matrix(vecs):
         """{(a, b): c} from the vectors {n + a: c} at w_0, w_1, ..."""
         return {(a - n, b): c for b, v in enumerate(vecs) for a, c in v.items()}
 
     W = range(n, n + md)
-    pairs = list(combinations(range(n), 2))
     return Certificate.combine("ns-rep", [
-        scan("ns-rep-1", (((i, j), matrix(id1(i, j, w) for w in W)) for i, j in pairs),
-             den * den, orbit=lambda ij: 2),
-        scan("ns-rep-2", (((i, j), matrix(id1(i, w, j) for w in W))
+        scan("ns-rep-1", pair_blocks(_commutator(g_left, g_wedge, n), mu, md, w), d * d,
+             lambda v: block_entries(v, md, w), orbit=lambda ij: 2),
+        scan("ns-rep-2", (((i, j), matrix(id1(i, u, j) for u in W))
                           for i, j in product(range(n), repeat=2)), den * den),
-        scan("ns-rep-3", (((i, j), matrix(id2(i, j, w) for w in W)) for i, j in pairs),
+        scan("ns-rep-3", (((i, j), matrix(id2(i, j, u) for u in W))
+                          for i, j in combinations(range(n), 2)),
              den * den, orbit=lambda ij: 2)])
 
 
@@ -222,14 +241,8 @@ def ns_rep_from_reynolds_rep(rr: ReynoldsRep) -> NSRep:
 
     require(is_reynolds_rep(rr))
     base = ns_from_reynolds(rr.base)
-    L, R, T = rr.base.L, rr.base.R, rr.T
-    n = L.dim
-    varrho = []
-    mu = []
-    nu = []
-    for i in range(n):
-        rho_rx = rr.rep.rho_vec(R.col(i))
-        varrho.append(-(rho_rx @ T))
-        mu.append(rho_rx)
-        nu.append(-(rr.rep.rho[i] @ T))
-    return NSRep(base, rr.rep.module_dim, varrho, mu, nu, labels=rr.rep.labels, check=False)
+    R, T, rep = rr.base.R, rr.T, rr.rep
+    mu = [mat_comb(rep.rho, {k: Fraction(c, R.den) for k, c in col.items()}, rep.module_dim,
+                   rep.module_dim) for col in R.icols]       # rho(Re_i)
+    return NSRep(base, rep.module_dim, [-(m @ T) for m in mu], mu, [-(m @ T) for m in rep.rho],
+                 labels=rep.labels, check=False)

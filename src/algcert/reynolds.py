@@ -15,18 +15,8 @@ from operator import add, mul
 
 from .certificates import Certificate, Checked, require, scan, verified
 from .exact import ONE, ZERO, Mat, Table, integral, rat, unpack, width
-from .lie import (
-    BilinForm,
-    LieAlgebra,
-    Representation,
-    adjoint_rep,
-    coadjoint_rep,
-    dual_rep,
-    is_quadratic,
-    is_representation,
-    s_sharp,
-    semidirect,
-)
+from .lie import (BilinForm, LieAlgebra, Representation, adjoint_rep, coadjoint_rep, dual_rep,
+                  is_quadratic, is_representation, s_sharp, semidirect)
 
 
 class ReynoldsLieAlgebra(Checked):

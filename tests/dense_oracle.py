@@ -14,6 +14,7 @@ integer dict kernels that the packed `lie.jacobiator` and
 
 import contextlib
 import importlib
+from types import SimpleNamespace
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, lcm
@@ -32,10 +33,20 @@ from algcert.reynolds import ReynoldsLieAlgebra, ReynoldsRep, induced_algebra, i
 from algcert.rotabaxter import descendent, is_quadratic_rb
 
 
+def _mm(a, b, cols: int) -> list:
+    """a·b for matrices given by their Fraction rows, b with `cols` columns: row by row,
+    out[i] = Σ_k a[i][k]·b[k], zero a[i][k] skipped."""
+    out = [[ZERO] * cols for _ in a]
+    for acc, row in zip(out, a):
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    acc[j] += x * y
+    return out
+
+
 def matmul(a: Mat, b: Mat) -> Mat:
-    cols = list(zip(*b.entries)) if b.entries else []
-    return Mat([[sum((x * y for x, y in zip(row, col)), ZERO) for col in cols]
-                for row in a.entries])
+    return Mat(_mm(a.entries, b.entries, b.cols))
 
 
 def _lin(mats, v, module_dim: int) -> Mat:
@@ -122,93 +133,127 @@ def operator_form_compat(L, S, R: Mat, name: str, lam=None) -> Certificate:
 
 # -- NS-Lie products on dense vectors ---------------------------------------
 
-def _left_basis(A, i, j):
-    comp = A.left.get((i, j))
-    out = [ZERO] * A.dim
-    if comp:
-        for k, c in comp.items():
-            out[k] = c
-    return tuple(out)
+def _read_once(A):
+    """A's two products as plain dicts of Fractions (a `Table` derives them on each read)."""
+    return SimpleNamespace(dim=A.dim, left=dict(A.left.items()), wedge=dict(A.wedge.items()))
 
 
 def left_prod(A, x, y):
     out = [ZERO] * A.dim
+    ys = [(j, b) for j, b in enumerate(y) if b]
     for i, a in enumerate(x):
-        if a == 0:
+        if not a:
             continue
-        for j, b in enumerate(y):
-            if b == 0:
-                continue
-            for k, c in enumerate(_left_basis(A, i, j)):
-                if c != 0:
-                    out[k] += a * b * c
+        for j, b in ys:
+            comp = A.left.get((i, j))
+            if comp:
+                ab = a * b
+                for k, c in comp.items():
+                    out[k] += ab * c
     return tuple(out)
 
 
 def wedge_prod(A, x, y):
     out = [ZERO] * A.dim
     for (i, j), comp in A.wedge.items():
+        if not (x[i] or x[j]) or not (y[i] or y[j]):
+            continue
         coeff = x[i] * y[j] - x[j] * y[i]
-        if coeff == 0:
+        if not coeff:
             continue
         for k, c in comp.items():
             out[k] += coeff * c
     return tuple(out)
 
 
+def _add(a, b):
+    return tuple([x + y if y else x for x, y in zip(a, b)])
+
+
+def _sub(a, b):
+    return tuple([x - y if y else x for x, y in zip(a, b)])
+
+
 def comm(A, x, y):
-    return vadd(vsub(left_prod(A, x, y), left_prod(A, y, x)), wedge_prod(A, x, y))
+    return _add(_sub(left_prod(A, x, y), left_prod(A, y, x)), wedge_prod(A, x, y))
 
 
 def is_nslie(A) -> Certificate:
+    """Both identities at every ordered basis triple, on dense vectors; the products of
+    two basis vectors are tabulated once."""
+    A = _read_once(A)
     n = A.dim
-    basis = [vbasis(n, i) for i in range(n)]
+    e = [vbasis(n, i) for i in range(n)]
+    L, W, C = ([[f(A, x, y) for y in e] for x in e] for f in (left_prod, wedge_prod, comm))
 
-    def identity1(x, y, z):
-        return vadd(
-            vsub(
-                vsub(left_prod(A, left_prod(A, x, y), z), left_prod(A, x, left_prod(A, y, z))),
-                vsub(left_prod(A, left_prod(A, y, x), z), left_prod(A, y, left_prod(A, x, z))),
+    def identity1(i, j, k):
+        return _add(
+            _sub(
+                _sub(left_prod(A, L[i][j], e[k]), left_prod(A, e[i], L[j][k])),
+                _sub(left_prod(A, L[j][i], e[k]), left_prod(A, e[j], L[i][k])),
             ),
-            left_prod(A, wedge_prod(A, x, y), z),
+            left_prod(A, W[i][j], e[k]),
         )
 
-    def identity2(x, y, z):
+    def identity2(i, j, k):
         r2 = vzero(n)
-        for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y)):
-            r2 = vadd(r2, wedge_prod(A, u, comm(A, v, w)))
-            r2 = vadd(r2, left_prod(A, u, wedge_prod(A, v, w)))
+        for (u, v, w) in ((i, j, k), (j, k, i), (k, i, j)):
+            r2 = _add(r2, wedge_prod(A, e[u], C[v][w]))
+            r2 = _add(r2, left_prod(A, e[u], W[v][w]))
         return r2
 
     triples = list(product(range(n), repeat=3))
     return Certificate.combine("nslie", [
-        scan(name, ((t, identity(*(basis[k] for k in t))) for t in triples))
+        scan(name, ((t, identity(*t)) for t in triples))
         for name, identity in (("ns-identity-1", identity1), ("ns-identity-2", identity2))])
 
 
+def _sum(m: int, terms) -> list:
+    """Σ c·M over the (c, M) in `terms`, M given by its Fraction rows."""
+    out = [[ZERO] * m for _ in range(m)]
+    for c, rows in terms:
+        for acc, row in zip(out, rows):
+            for j, y in enumerate(row):
+                if y:
+                    acc[j] += y if c == 1 else -y if c == -1 else c * y
+    return out
+
+
 def is_ns_rep(rep) -> Certificate:
-    A, md = rep.base, rep.module_dim
+    """The three identities per ordered basis pair on dense Fraction rows, as matrices
+    {(a, b): c}."""
+    A, md = _read_once(rep.base), rep.module_dim
     n = A.dim
     basis = [vbasis(n, i) for i in range(n)]
+    vr, mu, nu = ([[list(row) for row in m.entries] for m in g]
+                  for g in (rep.varrho, rep.mu, rep.nu))
+    products: dict = {}
+
+    def mm(a, b):           # each product of two action matrices once
+        key = (id(a), id(b))
+        if key not in products:
+            products[key] = _mm(a, b, md)
+        return products[key]
+
+    def lin(mats, v):
+        return [(c, mats[k]) for k, c in enumerate(v) if c]
+
     diffs = {}
     for i in range(n):
         for j in range(n):
             x, y = basis[i], basis[j]
-            vr_x, vr_y = rep.varrho[i], rep.varrho[j]
-            mu_x, mu_y = rep.mu[i], rep.mu[j]
-            nu_x, nu_y = rep.nu[i], rep.nu[j]
             lw, ll, lr = wedge_prod(A, x, y), left_prod(A, x, y), left_prod(A, y, x)
-            d1 = _lin(rep.mu, lw, md) - (
-                matmul(mu_x, mu_y) - matmul(mu_y, mu_x) - _lin(rep.mu, ll, md)
-                + _lin(rep.mu, lr, md))
-            d2 = _lin(rep.nu, ll, md) - (
-                matmul(mu_x, nu_y) - matmul(nu_y, mu_x) + matmul(nu_y, nu_x)
-                - matmul(nu_y, vr_x))
-            d3 = _lin(rep.nu, lw, md) - (
-                matmul(mu_y, vr_x) - matmul(vr_x, mu_y) + matmul(vr_x, nu_y)
-                - matmul(vr_y, nu_x) + matmul(vr_y, vr_x) - matmul(vr_x, vr_y)
-                + matmul(vr_y, mu_x) - matmul(mu_x, vr_y) + _lin(rep.varrho, comm(A, x, y), md))
-            diffs[i, j] = (d1, d2, d3)
+            d1 = _sum(md, lin(mu, lw) + [(-1, mm(mu[i], mu[j])), (1, mm(mu[j], mu[i]))]
+                      + lin(mu, ll) + [(-c, m) for c, m in lin(mu, lr)])
+            d2 = _sum(md, lin(nu, ll) + [(-1, mm(mu[i], nu[j])), (1, mm(nu[j], mu[i])),
+                                         (-1, mm(nu[j], nu[i])), (1, mm(nu[j], vr[i]))])
+            d3 = _sum(md, lin(nu, lw) + [(-1, mm(mu[j], vr[i])), (1, mm(vr[i], mu[j])),
+                                         (-1, mm(vr[i], nu[j])), (1, mm(vr[j], nu[i])),
+                                         (-1, mm(vr[j], vr[i])), (1, mm(vr[i], vr[j])),
+                                         (-1, mm(vr[j], mu[i])), (1, mm(mu[i], vr[j]))]
+                      + [(-c, m) for c, m in lin(vr, comm(A, x, y))])
+            diffs[i, j] = [{(a, b): c for a, row in enumerate(d) for b, c in enumerate(row) if c}
+                           for d in (d1, d2, d3)]
     return Certificate.combine("ns-rep", [
         scan(name, ((ij, d[k]) for ij, d in diffs.items()))
         for k, name in enumerate(("ns-rep-1", "ns-rep-2", "ns-rep-3"))])
@@ -491,14 +536,17 @@ def prelie_from_invertible_relrb(rel):
 
 
 def is_prelie(A) -> Certificate:
+    """(x,y,z) − (y,x,z) on dense vectors, with the product read as `left_prod` reads ◁."""
     n = A.dim
-    basis = [vbasis(n, i) for i in range(n)]
+    P = SimpleNamespace(dim=n, left=dict(A.prod.items()))
+    e = [vbasis(n, i) for i in range(n)]
+    prod = [[left_prod(P, x, y) for y in e] for x in e]
 
-    def residual(x, y, z):
-        lhs = vsub(A.prod_vec(A.prod_vec(x, y), z), A.prod_vec(x, A.prod_vec(y, z)))
-        rhs = vsub(A.prod_vec(A.prod_vec(y, x), z), A.prod_vec(y, A.prod_vec(x, z)))
+    def residual(i, j, k):
+        lhs = vsub(left_prod(P, prod[i][j], e[k]), left_prod(P, e[i], prod[j][k]))
+        rhs = vsub(left_prod(P, prod[j][i], e[k]), left_prod(P, e[j], prod[i][k]))
         return vsub(lhs, rhs)
-    return scan("pre-lie", (((i, j, k), residual(basis[i], basis[j], basis[k]))
+    return scan("pre-lie", (((i, j, k), residual(i, j, k))
                             for i, j in combinations(range(n), 2) for k in range(n)))
 
 

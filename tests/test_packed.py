@@ -1,11 +1,11 @@
 """Packed integer vectors, and the packed kernels against the dict kernels they replaced.
 
-`lie.jacobiator` and `reynolds.operator_brackets` combine integer vectors packed
-into one ``int`` each (`exact.pack`), in signed slots whose width is derived per
-call from a bound on every coefficient the kernel tests or decodes.  Their
-certificates and tables must equal, in full, those of the dict kernels of
-`dense_oracle`: on tables whose entries all sit at ±max, where a residual
-reaches the derived bound, on dense conjugates scaled by 1/7, −5/11 and 13/6,
+`lie.jacobiator`, `lie.pair_blocks` and `reynolds.operator_brackets` combine integer
+vectors packed into one ``int`` each (`exact.pack`), in signed slots whose width is
+derived per call from a bound on every coefficient the kernel tests or decodes.  Their
+certificates and tables must equal, in full, those of the dict and dense kernels of
+`dense_oracle`: on tables whose entries all sit at ±max, where a residual reaches the
+derived bound closely enough that one slot bit fewer could not hold it, on dense conjugates scaled by 1/7, −5/11 and 13/6,
 with P ≠ Q and nonzero λ and κ, and on failing inputs with many violations.
 """
 
@@ -16,10 +16,12 @@ from itertools import combinations, product
 import dense_oracle as dense
 from algcert import bialgebra, matched, reynolds
 from algcert.certificates import Certificate
+from algcert.cybe import PreLieAlgebra, is_prelie
 from algcert.exact import (Mat, Table, Tensor2, integral, pack, sapply, saxpy, table_rows, unpack,
                            width)
 from algcert.lie import (LieAlgebra, Representation, adjoint_rep, coadjoint_rep, is_representation,
                          jacobi_check, jacobi_width, packed_outer)
+from algcert.nslie import NSLieAlgebra, is_ns_rep, is_nslie, regular_rep
 from algcert.reynolds import compat_certificate, is_reynolds
 from algcert.rotabaxter import is_rota_baxter
 
@@ -107,6 +109,73 @@ def test_a_jacobi_residual_at_the_bound():
         # one slot bit fewer could not hold this coefficient
         w = jacobi_width(10, integral(L.sc)[-1])
         assert dict(cert.residual)[(0,)] == 21 * M * M >= 1 << w - 2
+
+
+def commuting_at_the_bound(m: int, M, seed: int) -> tuple[Mat, Mat]:
+    """m×m matrices A, B with every entry ±M and [A, B] = 2mM² at (0, 1): row 0 of A and
+    column 1 of B are +M, and every B[0][k]·A[k][1] is −M²."""
+    rng = random.Random(seed)
+    A = [[rng.choice((M, -M)) for _ in range(m)] for _ in range(m)]
+    B = [[rng.choice((M, -M)) for _ in range(m)] for _ in range(m)]
+    for k in range(m):
+        A[0][k], B[k][1] = M, M
+        if k:
+            A[k][1] = -M
+        if k != 1:
+            B[0][k] = -M if k == 0 else M
+    return Mat(A), Mat(B)
+
+
+def test_a_representation_residual_at_the_bound():
+    """ρ(e_0), ρ(e_1) from `commuting_at_the_bound` and [e_0, e_1] = −M(e_0 + e_1): the
+    residual at (0, 1), entry (0, 1), is −(2 + 2m)M², above half the bound 3(2 + m)M² the
+    `jacobi_width` of `is_representation` holds."""
+    m = 16
+    for M, seed in ((1, 1), (3, 2), (2 ** 20, 3), (Fraction(3, 7), 4)):
+        A, B = commuting_at_the_bound(m, M, seed)
+        L = LieAlgebra.unchecked(2, None, {(0, 1): {0: -M, 1: -M}})
+        rep = Representation.unchecked(L, m, [A, B])
+        cert = is_representation(rep)
+        assert same(cert, dense.dict_is_representation(rep))
+        assert same(cert, dense.is_representation(rep))
+        *_, top = integral(L.sc, A, B)
+        w = jacobi_width(2 + m, top)
+        assert dict(cert.residual)[(0, 1)] == -(2 + 2 * m) * M * M
+        # one slot bit fewer could not hold this coefficient
+        assert (2 + 2 * m) * top ** 2 >= 1 << w - 2
+
+
+def ns_at_the_bound(M) -> NSLieAlgebra:
+    """◁ and ▷ on dimension 3 with every entry ±M such that NS identity 1 at (0, 1, 0) is
+    11M² at e_0: 9M² from [e_0, e_1]◁e_0, whose coefficients are ±3M, and M² from each
+    of the two other terms' aligned products."""
+    left = {(a, b): {k: M for k in range(3)} for a, b in product(range(3), repeat=2)}
+    left[1, 0] = {0: -M, 1: M, 2: -M}
+    left[0, 1] = {0: M, 1: -M, 2: M}
+    wedge = {(a, b): {k: M for k in range(3)} for a, b in combinations(range(3), 2)}
+    wedge[0, 1] = {0: M, 1: -M, 2: M}
+    return NSLieAlgebra.unchecked(3, None, left, wedge)
+
+
+def test_an_ns_identity_1_residual_at_the_bound():
+    """Identity 1's slots hold 5n·top² (`is_nslie`, `is_prelie`); on `ns_at_the_bound` the
+    first violation, at (0, 1, 0), has the coefficient 11M² ≥ 2^(w−2) at e_0."""
+    for M in (1, 2 ** 20, 2 ** 61):
+        A = ns_at_the_bound(M)
+        cert = is_nslie(A)
+        assert same(cert, dense.is_nslie(A))
+        pre = PreLieAlgebra.unchecked(3, None, A.left)
+        assert same(is_prelie(pre), dense.is_prelie(pre))
+        first = cert.parts[0]
+        assert first.where == (0, 1, 0) and dict(first.residual)[(0,)] == 11 * M * M
+        # ns-rep-1 of the regular representation is identity 1, entry (a, b) at (i, j)
+        # its e_a-component at (i, j, b), on slots for (3n + 2m)·top² = 15M²
+        rep = regular_rep(A)
+        cert = is_ns_rep(rep)
+        assert same(cert, dense.is_ns_rep(rep))
+        assert dict(cert.parts[0].residual)[(0, 0)] == 11 * M * M
+        # one slot bit fewer could not hold this coefficient
+        assert 11 * M * M >= 1 << width(5 * 3 * M * M) - 2
 
 
 def test_a_reynolds_residual_at_the_bound():
