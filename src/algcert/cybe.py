@@ -11,7 +11,7 @@ from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, flip, integral, leg_sum,
-                    precompose, sapply, saxpy, sprod, srow, table_rows, width)
+                    precompose, sapply, saxpy, sprod, srow, table_rows)
 from .lie import (LieAlgebra, Representation, default_basis, dual_rep, mult_cols, mult_mats,
                   semidirect)
 from .matched import MatchedPair, ReynoldsMatchedPair
@@ -224,11 +224,11 @@ def is_prelie(A: PreLieAlgebra) -> Certificate:
     (x,y,z) − (y,x,z) is NS identity 1 of (A.prod, 0): column k of the `pair_blocks`
     matrix at (i, j), in the slots k·n to k·n + n − 1 of the width of `is_nslie`.  It is
     counted once per visited triple."""
-    from .nslie import _identities
+    from .nslie import _commutator, _identity_1
 
-    n, den, top = A.dim, A.prod.den, A.prod.top
-    ns1, *_ = _identities(A.prod.ientries, {}, n)
-    return scan("pre-lie", ns1(width(5 * n * top ** 2)), den * den)
+    n, prod = A.dim, A.prod.ientries
+    return scan("pre-lie", _identity_1(_commutator(prod, {}, n), prod, n, A.prod.top),
+                A.prod.den ** 2)
 
 
 class ReynoldsPreLie(Checked):

@@ -29,7 +29,6 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import lshift
 
 Rat = Fraction
 Vec = tuple[Fraction, ...]
@@ -145,12 +144,6 @@ class Mat:
         m = object.__new__(cls)
         m._keep(rows, cols, icols, den)
         return m
-
-    @classmethod
-    def _from(cls, rows: int, cols: int, fcols) -> "Mat":
-        """The matrix of rational columns {row: c}, taken as in range: no coercion."""
-        return cls._of(rows, cols, *_ints([{k: c.as_integer_ratio() for k, c in v.items()}
-                                           for v in fcols]))
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -270,7 +263,9 @@ class Mat:
         inv: list[SVec] = [{i: self.den} for i in range(n)]     # (A/den)⁻¹ = den·A⁻¹
         if not self._reduce(inv):
             raise ValueError("singular matrix has no inverse")
-        return Mat._from(n, n, inv).transpose()     # `inv` holds rows
+        # `inv` holds rows of Fractions
+        return Mat._of(n, n, *_ints([{k: c.as_integer_ratio() for k, c in row.items()}
+                                     for row in inv])).transpose()
 
     def submatrix(self, row_ids: Iterable[int], col_ids: Iterable[int]) -> "Mat":
         rows = list(row_ids)
@@ -288,14 +283,16 @@ class Mat:
                        + [{a.rows + i: d // b.den * c for i, c in v.items()} for v in b.icols], d)
 
 
-def mat_comb(mats, v: SVec, rows: int, cols: int) -> Mat:
-    """Σ_k v[k]·mats[k] for a sparse coefficient vector v."""
-    acc: list[SVec] = [{} for _ in range(cols)]
-    for k, c in v.items():
-        c = Fraction(c, mats[k].den)
+def mat_comb(mats, v: SVec, rows: int, cols: int, den: int = 1) -> Mat:
+    """Σ_k v[k]·mats[k] / den for a sparse vector v of ints or Fractions, on integers: the
+    integer columns of each mats[k] times v[k]/(den·mats[k].den) on one lcm (`_ints`)."""
+    ratios = {k: c.as_integer_ratio() for k, c in v.items()}
+    (coeffs,), D = _ints([{k: (p, q * den * mats[k].den) for k, (p, q) in ratios.items()}])
+    acc: list[dict] = [{} for _ in range(cols)]
+    for k, s in coeffs.items():
         for a, col in zip(acc, mats[k].icols):
-            saxpy(a, c, col)
-    return Mat._from(rows, cols, acc)
+            saxpy(a, s, col)
+    return Mat._of(rows, cols, acc, D)
 
 
 def mat_apply(m: Mat, v: Vec) -> Vec:
@@ -640,7 +637,10 @@ def width(bound: int) -> int:
 
 def pack(v: dict[int, int], w: int) -> int:
     """The vector v = {k: c} as one ``int``, c in the slot k of width w."""
-    return sum(map(lshift, v.values(), map(w.__mul__, v)))
+    x = 0
+    for k, c in v.items():
+        x += c << k * w
+    return x
 
 
 def unpack(v: int, w: int) -> dict[int, int]:

@@ -72,13 +72,14 @@ def bracket(L: LieAlgebra, x: Vec, y: Vec) -> Vec:
 
 
 def jacobiator(table: dict, outer: list[list[int]], x: int, y: int, z: int) -> int:
-    """J(e_x,e_y,e_z) = Σ_cyc [[e_a,e_b],e_c] = Σ_cyc Σ_m [e_a,e_b]_m·outer[c][m], packed.
+    """J(e_x,e_y,e_z) = Σ_cyc Σ_m table(e_a,e_b)_m·outer[c][m], packed.
 
     `table` is a skew integer table ([e_b,e_a] = −[e_a,e_b] is read off the key (a, b)), and
-    `outer[c][m]` is e_m·e_c cut to the output block the caller reads and packed
-    (`packed_outer`), so each term is one bigint multiply-add.  Every Jacobi-type check
-    is a block of J on a `double_table`; on an integer table D·sc, J comes out D² times
-    too large.  The caller packs `outer` with `jacobi_width`.
+    each `outer[c][m]` a packed vector, so each term is one bigint multiply-add.  With
+    `outer[c][m]` = e_m·e_c cut to the output block the caller reads (`packed_outer`), J is
+    the Jacobiator Σ_cyc [[e_a,e_b],e_c]: every Jacobi-type check is a block of it on a
+    `double_table`, D² times too large on an integer table D·sc, on slots of `jacobi_width`.
+    NS identity 2 is J on the stacked table and `outer` of `nslie._identity_2`.
     """
     acc = 0
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
@@ -199,15 +200,18 @@ def is_representation(rep: Representation) -> Certificate:
                 lambda v: block_entries(v, m, w))
 
 
-def pair_blocks(table: dict, cols: list, m: int, w: int):
-    """((i, j), v) for every pair i<j in lexicographic order, v the m×m matrix
-    ρ([e_i,e_j]) − [ρ(e_i), ρ(e_j)] packed with its column b in the slots b·m to b·m + m − 1,
-    for a skew integer table on the n = len(cols) basis vectors and the integer columns
-    ρ(e_x)w_b on one scale: cols[x] lists all m of them (`Mat.icols`) or maps b to the
-    nonzero ones.  Each column is packed once as C_x[b] and each ρ(e_x) once as a whole
-    matrix M_x, so a pair costs its nonzeros: Σ_k c_ij^k·M_k, then Σ_k ρ_i[k,b]·C_j[k] and
-    Σ_k ρ_j[k,b]·C_i[k] for each nonzero column b of ρ_i and of ρ_j, each shifted once into
-    place.  The caller derives w from a bound on every entry."""
+def pair_blocks(table: dict, cols: list, m: int, w: int, pairs=None, left=None, right=None):
+    """((i, j), v) for every pair of `pairs` (default: i<j in lexicographic order), v the m×m
+    matrix ρ(e_i·e_j) + ρ(e_j)·R(e_i) − L(e_i)·ρ(e_j) packed with its column b in the slots
+    b·m to b·m + m − 1, for an integer table (e_i·e_j at the key (i, j); for a skew one only
+    i<j is read) on the n = len(cols) basis vectors and integer families ρ = `cols`,
+    L = `left` and R = `right` of m×m matrices on one scale, each matrix by its m columns
+    (`Mat.icols`; ρ's may be a map from b to the nonzero ones).  L and R default to ρ, when
+    v = ρ([e_i,e_j]) − [ρ(e_i), ρ(e_j)].  Each column of ρ and L is packed once as C_x[b]
+    and each ρ(e_x) once as a whole matrix M_x, so a pair costs its nonzeros: Σ_k c_ij^k·M_k,
+    then Σ_k R_i[k,b]·C_j[k] for each nonzero column b of R_i and Σ_k ρ_j[k,b]·L_i[k] for
+    each of ρ_j, each shifted once into place.  The caller derives w from a bound on every
+    entry."""
     cols = [x if type(x) is dict else {b: c for b, c in enumerate(x) if c} for x in cols]
     shift, packed, whole = m * w, [], []
     for rho in cols:
@@ -217,12 +221,14 @@ def pair_blocks(table: dict, cols: list, m: int, w: int):
             mx += p << b * shift
         packed.append(px)
         whole.append(mx)
-    for i, j in combinations(range(len(cols)), 2):
+    left = packed if left is None else [[pack(col, w) for col in x] for x in left]
+    right = cols if right is None else [{b: c for b, c in enumerate(x) if c} for x in right]
+    for i, j in combinations(range(len(cols)), 2) if pairs is None else pairs:
         v = 0
         for k, c in table.get((i, j), {}).items():
             v += c * whole[k]
-        pi, pj = packed[i], packed[j]
-        for b, col in cols[i].items():
+        pj, li = packed[j], left[i]
+        for b, col in right[i].items():
             t = 0
             for k, c in col.items():
                 t += c * pj[k]
@@ -230,7 +236,7 @@ def pair_blocks(table: dict, cols: list, m: int, w: int):
         for b, col in cols[j].items():
             t = 0
             for k, c in col.items():
-                t += c * pi[k]
+                t += c * li[k]
             v -= t << b * shift
         yield (i, j), v
 

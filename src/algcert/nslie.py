@@ -8,13 +8,12 @@ hold.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (Table, Vec, integral, mat_comb, precompose, saxpy, sprod, srow, table_rows,
-                    vadd, vsub, width)
-from .lie import LieAlgebra, block_entries, default_basis, mult_mats, pair_blocks
+from .exact import (Table, Vec, integral, mat_comb, pack, precompose, saxpy, srow, table_rows,
+                    unpack, width)
+from .lie import LieAlgebra, block_entries, default_basis, jacobiator, mult_mats, pair_blocks
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
 
@@ -45,7 +44,8 @@ class NSLieAlgebra(Checked):
 
     def comm(self, x: Vec, y: Vec) -> Vec:
         """[x,y] = x◁y - y◁x + x▷y."""
-        return vadd(vsub(self.left_prod(x, y), self.left_prod(y, x)), self.wedge_prod(x, y))
+        return tuple([a - b + c for a, b, c in zip(self.left_prod(x, y), self.left_prod(y, x),
+                                                    self.wedge_prod(x, y))])
 
 
 def _commutator(left: dict, wedge: dict, n: int) -> dict:
@@ -57,73 +57,61 @@ def _commutator(left: dict, wedge: dict, n: int) -> dict:
             for i, j in combinations(range(n), 2)}
 
 
-def _identities(left: dict, wedge: dict, n: int):
-    """The two NS identities of the integer tables ◁ and ▷ (skew) on dimension n.
-
-    Identity 1 is (x◁y)◁z - x◁(y◁z) - (y◁x)◁z + y◁(x◁z) + (x▷y)◁z
-    = [x,y]◁z - x◁(y◁z) + y◁(x◁z), so it says x ↦ (x◁·) represents the commutator;
-    identity 2 is the cyclic sum of x▷[y,z] + x◁(y▷z).  Returns ``(ns1, id1, id2)``:
-    id1 and id2 give an identity at a basis triple as a sparse vector; ns1(w) yields
-    ((i, j, k), id1(i, j, k)) where it is nonzero, i<j, in lexicographic order, as the
-    columns of the `pair_blocks` matrices of [,] and x◁· on slots of width w.  Both
-    identities are quadratic in the tables, so on the integer tables D·◁ and D·▷ of
-    `integral` they come out D² times too large.
-
-    Identity 1 is skew in (x, y): [y,x] = −[x,y] exactly, because the skew
-    tables of ▷ and [,] keep i<j keys and `table_rows` negates, and the other two
-    terms swap.  Identity 2 is totally skew: it is cyclic by definition and
-    skew in (x, y) for the same reason.  A repeated index gives exactly 0.
-    This holds for any tables, valid or not.
+def _identity_1(comm: dict, left: dict, n: int, top: int):
+    """NS identity 1, (x◁y)◁z - x◁(y◁z) - (y◁x)◁z + y◁(x◁z) + (x▷y)◁z
+    = [x,y]◁z - x◁(y◁z) + y◁(x◁z), of integer tables ◁ and ▷ (skew) on dimension n, from ◁,
+    their commutator and their largest |coefficient|: ((i, j, k), v) where it is nonzero,
+    i<j, in lexicographic order.  It says x ↦ (x◁·) represents the commutator, so v is
+    column k of the `pair_blocks` matrix at (i, j) of [,] and the matrices x◁·.  The
+    commutator's coefficients reach 3·top, so its entries are at most 3n·top² + 2n·top².
     """
-    table = _commutator(left, wedge, n)
-    comm = table_rows(table, n, True)
-    left, wedge = table_rows(left, n), table_rows(wedge, n, True)
+    w = width(5 * n * top ** 2)
+    for (i, j), v in pair_blocks(comm, table_rows(left, n), n, w):
+        for k, col in groupby(unpack(v, w).items(), lambda e: e[0] // n):
+            yield (i, j, k), {x % n: c for x, c in col}
 
-    def ns1(w):
-        for (i, j), v in pair_blocks(table, left, n, w):
-            if not v:
-                continue
-            cols: dict = {}
-            for (a, k), c in block_entries(v, n, w).items():
-                cols.setdefault(k, {})[a] = c
-            yield from (((i, j, k), col) for k, col in cols.items())
 
-    def id1(i, j, k):
-        out = sprod(left, comm[i].get(j, {}), {k: 1})
-        if k in left[j]:
-            srow(out, left[i], {m: -c for m, c in left[j][k].items()})
-        if k in left[i]:
-            srow(out, left[j], left[i][k])
-        return out
+def _identity_2(comm: dict, left: dict, wedge: dict, n: int, w: int, lo: int = 0):
+    """NS identity 2, Σ_cyc z▷[x,y] + z◁(x▷y), as `lie.jacobiator`'s
+    J(x, y, z) = Σ_cyc Σ_m T(x,y)_m·outer[z][m]: returns the skew table
+    T(e_a,e_b) = [e_a,e_b] ⊕ e_a▷e_b (▷ from slot n on) and outer[c], which packs
+    (e_c▷e_m | e_c◁e_m) on slots of width w cut to the components from lo on, for integer
+    tables ◁, ▷ (skew) and their commutator on dimension n."""
+    table = {key: {**comp, **{n + k: c for k, c in wedge[key].items()}} if key in wedge else comp
+             for key, comp in comm.items()}
+    outer = [[0] * (2 * n) for _ in range(n)]
 
-    def id2(i, j, k):
-        out = {}
-        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-            if comm[v].get(w):
-                srow(out, wedge[u], comm[v][w])
-            if w in wedge[v]:
-                srow(out, left[u], wedge[v][w])
-        return out
-    return ns1, id1, id2
+    def packed(comp):
+        return pack({k - lo: c for k, c in comp.items() if k >= lo} if lo else comp, w)
+    for (a, b), comp in wedge.items():
+        outer[a][b] = x = packed(comp)
+        outer[b][a] = -x
+    for (a, b), comp in left.items():
+        outer[a][n + b] = packed(comp)
+    return table, outer
 
 
 @verified
 def is_nslie(A: NSLieAlgebra) -> Certificate:
     """Both NS identities over all ordered basis triples, one triple per symmetry orbit.
 
-    By the symmetries of `_identities`, `scan` visits i<j with every k for
-    identity 1, counted twice, and i<j<k for identity 2, counted six times.
-    Identity 1 at (i, j, k) is column k of the `pair_blocks` matrix at (i, j), in the
-    slots k·n to k·n + n − 1.  The commutator's coefficients reach 3·top, so an entry of
-    that matrix is at most 3n·top² + 2n·top²: its slots hold 5n·top².
+    Identity 1 is skew in (x, y), [y,x] = −[x,y] exactly and the other two terms swap, so
+    `scan` visits i<j with every k and counts two; identity 2 is cyclic and skew in (x, y)
+    as T is, so it visits i<j<k and counts six.  On the integer tables D·◁ and D·▷ both
+    come out D² times too large.  A cyclic term of identity 2 is at most n − 1 products of
+    a commutator coefficient (≤ 3·top) with a ▷-coefficient (e_z▷e_z = 0) and n of a ▷-
+    with a ◁-coefficient: its slots hold 3(3(n − 1) + n)·top² = (12n − 9)·top².
     """
     n = A.dim
     left, wedge, den, top = integral(A.left, A.wedge)
-    ns1, _, id2 = _identities(left, wedge, n)
+    comm = _commutator(left, wedge, n)
+    w = width((12 * n - 9) * top ** 2)
+    table, outer = _identity_2(comm, left, wedge, n, w)
     return Certificate.combine("nslie", [
-        scan("ns-identity-1", ns1(width(5 * n * top ** 2)), den * den, orbit=lambda t: 2),
-        scan("ns-identity-2", ((t, id2(*t)) for t in combinations(range(n), 3)),
-             den * den, orbit=lambda t: 6)])
+        scan("ns-identity-1", _identity_1(comm, left, n, top), den * den, orbit=lambda t: 2),
+        scan("ns-identity-2", ((t, jacobiator(table, outer, *t))
+                               for t in combinations(range(n), 3)),
+             den * den, lambda v: unpack(v, w), orbit=lambda t: 6)])
 
 
 @verified
@@ -186,36 +174,40 @@ def _semidirect_tables(rep: NSRep) -> tuple[Table, Table]:
 def is_ns_rep(rep: NSRep) -> Certificate:
     """The three NS-representation identities over all basis pairs.
 
-    (W; varrho, mu, nu) is an NS-representation exactly when the semidirect
-    product G⊕W satisfies the NS identities on every triple with one vector in
-    W; the other triples are G's own or 0.  So the stages are those identities
-    of `_semidirect_tables`, entry (a, b) at (i, j) their w_a-component at
-    ns-rep-1: id1(e_i, e_j, w_b), ns-rep-2: id1(e_i, w_b, e_j) and
-    ns-rep-3: id2(e_i, e_j, w_b).  ns-rep-1 and ns-rep-3 are skew in (i, j), by
-    the symmetries of `_identities`, and are evaluated for i<j and counted
-    twice; ns-rep-2 runs over every ordered pair.  ns-rep-1 is the `pair_blocks`
-    matrix of mu on G's commutator, entry (a, b) in the slot b·m + a, whose entries are
-    at most (3n + 2m)·top².
+    (W; varrho, mu, nu) is an NS-representation exactly when the semidirect product G⊕W
+    satisfies the NS identities on every triple with one vector in W; the other triples
+    are G's own or 0.  So each stage is an m×m matrix at (i, j), entry (a, b) in the slot
+    b·m + a, whose entry (a, b) is the w_a-component of
+    - ns-rep-1: identity 1 at (e_i, e_j, w_b), mu([e_i,e_j]) − [mu(e_i), mu(e_j)]: the
+      `pair_blocks` matrix of mu on G's commutator, entries at most (3n + 2m)·top²;
+    - ns-rep-2: identity 1 at (e_i, w_b, e_j), nu(e_i◁e_j) + nu(e_j)·s(e_i) − mu(e_i)·nu(e_j)
+      for s = mu − nu + varrho: the `pair_blocks` matrix of ◁, nu, mu and s over every
+      ordered pair, entries at most (n + m + 3m)·top²;
+    - ns-rep-3: identity 2 at (e_i, e_j, w_b), the W-block of `_identity_2` on
+      `_semidirect_tables`, one `jacobiator` per b.  As W◁W = W▷W = 0, a cyclic term is at
+      most 3n·top² + n·top² (z = w_b) or 3m·top² + m·top²: 4(n + 2m)·top² in all.
+    ns-rep-1 and ns-rep-3 are skew in (i, j), as identities 1 and 2 are in (x, y): they
+    visit i<j and count two.
     """
     n, md = rep.base.dim, rep.module_dim
-    g_left, g_wedge, *mu, d, top = integral(rep.base.left, rep.base.wedge, *rep.mu)
-    w = width((3 * n + 2 * md) * top ** 2)
-    left, wedge, den, _ = integral(*_semidirect_tables(rep))
-    _, id1, id2 = _identities(left, wedge, n + md)
+    g_left, g_wedge, *maps, d, top = integral(rep.base.left, rep.base.wedge, *rep.mu, *rep.nu,
+                                              *rep.varrho)
+    mu, nu, vr = maps[:n], maps[n:2 * n], maps[2 * n:]
+    s = [[saxpy(saxpy(dict(a), -1, b), 1, c) for a, b, c in zip(*abc)] for abc in zip(mu, nu, vr)]
+    w1, w2 = width((3 * n + 2 * md) * top ** 2), width((n + 4 * md) * top ** 2)
+    left, wedge, den, top = integral(*_semidirect_tables(rep))
+    w3 = width(4 * (n + 2 * md) * top ** 2)
+    table, outer = _identity_2(_commutator(left, wedge, n + md), left, wedge, n + md, w3, n)
 
-    def matrix(vecs):
-        """{(a, b): c} from the vectors {n + a: c} at w_0, w_1, ..."""
-        return {(a - n, b): c for b, v in enumerate(vecs) for a, c in v.items()}
-
-    W = range(n, n + md)
+    def ns3(i, j):
+        return sum([jacobiator(table, outer, i, j, n + b) << b * md * w3 for b in range(md)])
     return Certificate.combine("ns-rep", [
-        scan("ns-rep-1", pair_blocks(_commutator(g_left, g_wedge, n), mu, md, w), d * d,
-             lambda v: block_entries(v, md, w), orbit=lambda ij: 2),
-        scan("ns-rep-2", (((i, j), matrix(id1(i, u, j) for u in W))
-                          for i, j in product(range(n), repeat=2)), den * den),
-        scan("ns-rep-3", (((i, j), matrix(id2(i, j, u) for u in W))
-                          for i, j in combinations(range(n), 2)),
-             den * den, orbit=lambda ij: 2)])
+        scan("ns-rep-1", pair_blocks(_commutator(g_left, g_wedge, n), mu, md, w1), d * d,
+             lambda v: block_entries(v, md, w1), orbit=lambda ij: 2),
+        scan("ns-rep-2", pair_blocks(g_left, nu, md, w2, product(range(n), repeat=2), mu, s),
+             d * d, lambda v: block_entries(v, md, w2)),
+        scan("ns-rep-3", (((i, j), ns3(i, j)) for i, j in combinations(range(n), 2)),
+             den * den, lambda v: block_entries(v, md, w3), orbit=lambda ij: 2)])
 
 
 def regular_rep(A: NSLieAlgebra) -> NSRep:
@@ -242,7 +234,7 @@ def ns_rep_from_reynolds_rep(rr: ReynoldsRep) -> NSRep:
     require(is_reynolds_rep(rr))
     base = ns_from_reynolds(rr.base)
     R, T, rep = rr.base.R, rr.T, rr.rep
-    mu = [mat_comb(rep.rho, {k: Fraction(c, R.den) for k, c in col.items()}, rep.module_dim,
-                   rep.module_dim) for col in R.icols]       # rho(Re_i)
+    mu = [mat_comb(rep.rho, col, rep.module_dim, rep.module_dim, R.den)
+          for col in R.icols]       # rho(Re_i)
     return NSRep(base, rep.module_dim, [-(m @ T) for m in mu], mu, [-(m @ T) for m in rep.rho],
                  labels=rep.labels, check=False)

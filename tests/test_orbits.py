@@ -5,8 +5,9 @@ an identity with an exact symmetry once per orbit of basis tuples, and `scan`
 counts a nonzero value by its orbit's size.  Their certificates must equal, in
 full, those of the `dense_oracle` bodies, which visit every ordered tuple: on
 random unchecked tables, forms, operators and representations, most of them
-failing.  The NS-type checks share one kernel, `nslie._identities`; the last
-two tests check the equivalences that let `is_ns_rep` and `is_prelie` use it.
+failing.  The NS-type checks read NS identity 1 off `lie.pair_blocks` and
+identity 2 off `lie.jacobiator`; the last two tests check the equivalences that
+let `is_ns_rep` and `is_prelie` be read off the NS identities of other tables.
 """
 
 from fractions import Fraction

@@ -21,7 +21,7 @@ from algcert.exact import (Mat, Table, Tensor2, integral, pack, sapply, saxpy, t
                            width)
 from algcert.lie import (LieAlgebra, Representation, adjoint_rep, coadjoint_rep, is_representation,
                          jacobi_check, jacobi_width, packed_outer)
-from algcert.nslie import NSLieAlgebra, is_ns_rep, is_nslie, regular_rep
+from algcert.nslie import NSLieAlgebra, NSRep, is_ns_rep, is_nslie, regular_rep
 from algcert.reynolds import compat_certificate, is_reynolds
 from algcert.rotabaxter import is_rota_baxter
 
@@ -176,6 +176,71 @@ def test_an_ns_identity_1_residual_at_the_bound():
         assert dict(cert.parts[0].residual)[(0, 0)] == 11 * M * M
         # one slot bit fewer could not hold this coefficient
         assert 11 * M * M >= 1 << width(5 * 3 * M * M) - 2
+
+
+def ns_identity_2_at_the_bound(M) -> NSLieAlgebra:
+    """◁ and ▷ on dimension 3 with every entry +M but six −M, such that NS identity 2 at
+    (0, 1, 2) is 17M² at e_0, against the bound (12n − 9)M² = 27M² of its slots."""
+    left = {(a, b): {k: M for k in range(3)} for a, b in product(range(3), repeat=2)}
+    wedge = {(a, b): {k: M for k in range(3)} for a, b in combinations(range(3), 2)}
+    for table, key, k in ((wedge, (0, 2), 2), (left, (0, 1), 1), (left, (0, 2), 2),
+                          (left, (1, 1), 0), (left, (2, 1), 1), (left, (2, 1), 2)):
+        table[key][k] = -M
+    return NSLieAlgebra.unchecked(3, None, left, wedge)
+
+
+def test_an_ns_identity_2_residual_at_the_bound():
+    for M in (1, 3, 2 ** 20, Fraction(3, 7)):
+        A = ns_identity_2_at_the_bound(M)
+        cert = is_nslie(A)
+        assert same(cert, dense.is_nslie(A))
+        second = cert.parts[1]
+        assert second.where == (0, 1, 2) and dict(second.residual)[(0,)] == 17 * M * M
+        # one slot bit fewer could not hold this coefficient
+        *_, top = integral(A.left, A.wedge)
+        assert 17 * top ** 2 >= 1 << width(27 * top ** 2) - 2
+
+
+def ns_rep(n: int, m: int, left: dict, wedge: dict, varrho, mu, nu) -> NSRep:
+    A = NSLieAlgebra.unchecked(n, None, left, wedge)
+    return NSRep.unchecked(A, m, *([Mat(x) for x in family] for family in (varrho, mu, nu)))
+
+
+def test_an_ns_rep_2_residual_at_the_bound():
+    """On dimension 1 with m = 3, every entry +M but e_0◁e_0 = −Me_0, column 1 of nu(e_0)
+    and entry (1, 1) of mu(e_0) and of varrho(e_0): the residual nu(e_0◁e_0) +
+    nu(e_0)·s(e_0) − mu(e_0)·nu(e_0) at (0, 0), entry (0, 1), is (1 + 3 + 1 + 3 + 3)M² =
+    11M², against the bound (n + 4m)M² = 13M² of its slots."""
+    for M in (1, 3, 2 ** 20, Fraction(3, 7)):
+        corner = [[M, M, M], [M, -M, M], [M, M, M]]
+        rep = ns_rep(1, 3, {(0, 0): {0: -M}}, {}, [corner], [corner], [[[M, -M, M]] * 3])
+        cert = is_ns_rep(rep)
+        assert same(cert, dense.is_ns_rep(rep))
+        second = cert.parts[1]
+        assert second.where == (0, 0) and dict(second.residual)[(0, 1)] == 11 * M * M
+        # one slot bit fewer could not hold this coefficient
+        *_, top = integral(*rep.mu)
+        assert 11 * top ** 2 >= 1 << width(13 * top ** 2) - 2
+
+
+def test_an_ns_rep_3_residual_at_the_bound():
+    """On dimension 2 with m = 2: [e_0, e_1] = 3M(e_0 + e_1) from e_0◁e_1 = −e_1◁e_0 =
+    e_0▷e_1 = M(e_0 + e_1), and ±M matrices signed so that every product in identity 2 at
+    (e_0, e_1, w_1) is +M² at w_0: the residual at (0, 1), entry (0, 1), is the bound
+    4(n + 2m)M² = 24M² of its slots itself."""
+    for M in (1, 3, 2 ** 20, Fraction(3, 7)):
+        left = {(0, 0): {0: M, 1: M}, (0, 1): {0: M, 1: M}, (1, 0): {0: -M, 1: -M},
+                (1, 1): {0: M, 1: M}}
+        varrho = [[[-M, -M], [M, M]], [[M, -M], [M, -M]]]
+        nu = [[[M, M], [M, -M]], [[M, M], [M, M]]]
+        rep = ns_rep(2, 2, left, {(0, 1): {0: M, 1: M}}, varrho, varrho, nu)
+        cert = is_ns_rep(rep)
+        assert same(cert, dense.is_ns_rep(rep))
+        third = cert.parts[2]
+        assert third.where == (0, 1) and dict(third.residual)[(0, 1)] == 24 * M * M
+        # one slot bit fewer could not hold this coefficient
+        *_, top = integral(*rep.mu)
+        assert 24 * top ** 2 >= 1 << width(24 * top ** 2) - 2
 
 
 def test_a_reynolds_residual_at_the_bound():

@@ -1,14 +1,15 @@
 """The representation-shaped identities against the dense reference bodies.
 
-`is_representation`, NS identity 1 of `is_nslie`, `is_prelie` and the stage
-ns-rep-1 of `is_ns_rep` read ρ([e_i,e_j]) − [ρ(e_i), ρ(e_j)] off one packed
-kernel, `lie.pair_blocks`.  On 1,000 seeded inputs of dimension 1 to 4 their
-certificates must equal, in full `to_json()`, those of the `Fraction` bodies in
-`dense_oracle`.  The inputs are valid structures (NS-Lie algebras that Reynolds
-operators induce, associative algebras, Lie algebras with their adjoint and
-coadjoint representations, regular NS-representations) in a monomial or a dense
-rational basis, the same with one entry perturbed, and random tables and
-matrices; most of them fail.
+`is_representation`, NS identity 1 of `is_nslie`, `is_prelie` and the stages
+ns-rep-1 and ns-rep-2 of `is_ns_rep` read the m×m matrix
+ρ(e_i·e_j) + ρ(e_j)·R(e_i) − L(e_i)·ρ(e_j) off one packed kernel,
+`lie.pair_blocks` (L = R = ρ but for ns-rep-2).  On 1,000 seeded inputs of
+dimension 1 to 4 their certificates must equal, in full `to_json()`, those of
+the `Fraction` bodies in `dense_oracle`.  The inputs are valid structures
+(NS-Lie algebras that Reynolds operators induce, associative algebras, Lie
+algebras with their adjoint and coadjoint representations, regular
+NS-representations) in a monomial or a dense rational basis, the same with one
+entry perturbed, and random tables and matrices; most of them fail.
 """
 
 import random

@@ -734,13 +734,15 @@ B3_TRACE = BilinForm(Mat([[int(BASES[1][k] == BASES[1][m][::-1]) for m in range(
 
 
 def verdicts(L: LieAlgebra, R: Mat, S: BilinForm) -> dict:
+    ns = ns_from_reynolds(ReynoldsLieAlgebra.unchecked(L, R))
     return {
         "jacobi": jacobi_check(L).ok,
         "reynolds": is_reynolds(L, R).ok,
         "rota-baxter": is_rota_baxter(L, R, -1).ok,
         "representation": is_representation(adjoint_rep(L)).ok,
         "invariant-form": is_invariant_form(L, S).ok,
-        "nslie": is_nslie(ns_from_reynolds(ReynoldsLieAlgebra.unchecked(L, R))).ok,
+        "nslie": is_nslie(ns).ok,
+        "ns-rep": is_ns_rep(regular_rep(ns)).ok,
     }
 
 
