@@ -37,6 +37,11 @@ class Certificate(NamedTuple):
         return cls(check=check, ok=True, note=note, skipped=skipped)
 
     @classmethod
+    def decide(cls, check: str, ok: bool, note: str) -> "Certificate":
+        """A stage decided by one condition: passed, or failed with `note`."""
+        return cls(check, ok, note="" if ok else note)
+
+    @classmethod
     def failed(cls, check: str, where: tuple[int, ...], residual: Residual, violations: int,
                note: str = "", skipped: int = 0) -> "Certificate":
         return cls(check, False, where, residual, violations, skipped, note)

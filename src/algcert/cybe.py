@@ -289,10 +289,11 @@ def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     """{x,y} = K(rho(x)K⁻¹y) on g, with operator R; needs K invertible."""
     require(is_relative_rb(rel))
     K = rel.K
-    if K.rows != K.cols or K.det() == 0:
-        raise ValueError("invertible variant requires a square invertible K")
+    try:
+        kinv = K.inverse()
+    except ValueError:
+        raise ValueError("invertible variant requires a square invertible K") from None
     g = rel.rr.base.L
-    kinv = K.inverse()
     *mats, d, _ = integral(*rel.rr.rep.rho)
     prod = {(i, j): sapply(K.icols, sapply(rho, kinv.icols[j]))
             for i, rho in enumerate(mats) for j in range(g.dim)}

@@ -228,44 +228,58 @@ class Mat:
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
 
-    def _reduce(self, inv: list[SVec]) -> Fraction:
-        """Gauss-Jordan elimination on the rows, pivot j the first row ≥ j nonzero in column j,
-        each row operation applied to `inv` too: the product of the pivots, negated per row
-        swap (so det = it / den^n), or 0 at a column without a pivot."""
-        n, work, det = self.rows, list(map(dict, self.transpose().icols)), ONE
-        for j in range(n):
-            pivot = next((i for i in range(j, n) if work[i].get(j)), None)
-            if pivot is None:
-                return ZERO
-            if pivot != j:
-                work[j], work[pivot], inv[j], inv[pivot] = work[pivot], work[j], inv[pivot], inv[j]
-                det = -det
-            det *= work[j][j]
-            p = ONE / work[j][j]
-            work[j], inv[j] = ({k: c * p for k, c in row.items()} for row in (work[j], inv[j]))
-            for i in range(n):
-                factor = work[i].get(j)
-                if i != j and factor:
-                    saxpy(work[i], -factor, work[j])
-                    saxpy(inv[i], -factor, inv[j])
-        return det
+    def _eliminate(self, augment: bool) -> tuple[int, list[dict[int, int]], list[int]]:
+        """Fraction-free (Bareiss) Gauss-Jordan elimination on the integer rows `icols` of
+        M = den·Aᵀ, with the identity appended as columns n.. when `augment`.  Step k swaps up
+        the first row ≥ k with an entry p in column k, the pivot (each swap negates the sign).
+        Every other row with an entry f there (only those below, without `augment`) becomes
+        (p·row − f·pivot row)/q without column k, q the previous pivot (1 at first): an exact
+        division, every entry being a minor of M (Sylvester's identity).  A row i without an
+        entry in column k is left as it is: it stands for row·q/scale[i], scale[i] the pivot it
+        was last written at, and its next update divides by scale[i] in place of q.  Returns
+        det M (the signed last pivot), the rows and scales; 0 at a column without a pivot."""
+        n = self.rows
+        rows = [{**col, n + i: 1} if augment else dict(col) for i, col in enumerate(self.icols)]
+        scale, q, sign = [1] * n, 1, 1
+        for k in range(n):
+            r = next((i for i in range(k, n) if k in rows[i]), None)
+            if r is None:
+                return 0, rows, scale
+            if r != k:
+                rows[k], rows[r], scale[k], scale[r] = rows[r], rows[k], scale[r], scale[k]
+                sign = -sign
+            if scale[k] != q:
+                rows[k] = {j: c * q // scale[k] for j, c in rows[k].items()}
+            pivot = rows[k]
+            p = pivot.pop(k)
+            for i in range(0 if augment else k + 1, n):
+                f = rows[i].get(k)
+                if f:
+                    row = saxpy({j: p * c for j, c in rows[i].items() if j != k}, -f, pivot)
+                    rows[i], scale[i] = {j: c // scale[i] for j, c in row.items() if c}, p
+            scale[k] = q = p
+        return sign * q, rows, scale
 
     def det(self) -> Fraction:
-        """Exact determinant by Gauss-Jordan elimination on the sparse rows."""
+        """Exact determinant, det(M)/den^n for the integer rows M = den·Aᵀ: det M is the last
+        pivot of their fraction-free elimination (`_eliminate`), negated per row swap, or 0 at
+        the first column without a pivot."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return self._reduce([{} for _ in range(self.rows)]) / self.den ** self.rows
+        return Fraction(self._eliminate(False)[0], self.den ** self.rows)
 
     def inverse(self) -> "Mat":
+        """Exact inverse from the fraction-free elimination of [M | I] (`_eliminate`): with
+        d its last pivot, I ends as d·M⁻¹ (± the adjugate of M), row i on scale[i].  Column i
+        of A⁻¹ = den·(row i of M⁻¹) is den·|d|·row/scale[i] over |d|."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        inv: list[SVec] = [{i: self.den} for i in range(n)]     # (A/den)⁻¹ = den·A⁻¹
-        if not self._reduce(inv):
+        n, (d, rows, scale) = self.rows, self._eliminate(True)
+        if not d:
             raise ValueError("singular matrix has no inverse")
-        # `inv` holds rows of Fractions
-        return Mat._of(n, n, *_ints([{k: c.as_integer_ratio() for k, c in row.items()}
-                                     for row in inv])).transpose()
+        a = self.den * abs(d)
+        return Mat._of(n, n, [{j - n: c * a // s for j, c in row.items()}
+                              for row, s in zip(rows, scale)], abs(d))
 
     def submatrix(self, row_ids: Iterable[int], col_ids: Iterable[int]) -> "Mat":
         rows = list(row_ids)

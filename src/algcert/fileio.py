@@ -102,6 +102,11 @@ def operator_to_doc(m: Mat) -> dict:
     return {"matrix": matrix_to_json(m)}
 
 
+def _with_op(doc: dict, R: Mat | None) -> dict:
+    """The document with the operator R under 'reynolds', last, when R is given."""
+    return doc if R is None else {**doc, "reynolds": operator_to_doc(R)}
+
+
 @_loader
 def doc_to_operator(doc: dict) -> Mat:
     return json_to_matrix(_need(doc, "matrix", "operator"), "operator")
@@ -122,8 +127,7 @@ def form_to_doc(S: BilinForm) -> dict:
 
 @_loader
 def doc_to_form(doc: dict) -> BilinForm:
-    gram = json_to_matrix(_need(doc, "gram", "form"), "gram")
-    return BilinForm(gram)
+    return BilinForm(json_to_matrix(_need(doc, "gram", "form"), "gram"))
 
 
 def tensor_to_doc(t: Tensor2) -> dict:
@@ -194,9 +198,7 @@ def doc_to_algebra(doc: dict) -> LieAlgebra:
 
 
 def reynolds_algebra_to_doc(A: ReynoldsLieAlgebra) -> dict:
-    doc = algebra_to_doc(A.L)
-    doc["reynolds"] = operator_to_doc(A.R)
-    return doc
+    return _with_op(algebra_to_doc(A.L), A.R)
 
 
 @_loader
@@ -339,10 +341,7 @@ def doc_to_matched(doc: dict, need_ops: bool = True) -> ReynoldsMatchedPair:
 # -- bialgebras ------------------------------------------------------------------
 
 def bialgebra_to_doc(bialg: LieBialgebra, R: Mat | None = None) -> dict:
-    doc = {"g": algebra_to_doc(bialg.g), "dual": algebra_to_doc(bialg.dual)}
-    if R is not None:
-        doc["reynolds"] = operator_to_doc(R)
-    return doc
+    return _with_op({"g": algebra_to_doc(bialg.g), "dual": algebra_to_doc(bialg.dual)}, R)
 
 
 @_loader
@@ -361,9 +360,7 @@ def qrb_to_doc(qrb: QuadraticRB, R: Mat | None = None) -> dict:
     doc = algebra_to_doc(qrb.rb.L)
     doc["rb"] = {"matrix": matrix_to_json(qrb.rb.B), "lambda": rat_str(qrb.rb.lam)}
     doc["gram"] = matrix_to_json(qrb.S.gram)
-    if R is not None:
-        doc["reynolds"] = operator_to_doc(R)
-    return doc
+    return _with_op(doc, R)
 
 
 @_loader
@@ -387,10 +384,7 @@ def doc_to_rb(doc: dict) -> RotaBaxterAlg:
 # -- pre-Lie -----------------------------------------------------------------------
 
 def prelie_to_doc(A: PreLieAlgebra, R: Mat | None = None) -> dict:
-    doc = {"dim": A.dim, "basis": list(A.basis), "prod": _table_to_json(A.prod)}
-    if R is not None:
-        doc["reynolds"] = operator_to_doc(R)
-    return doc
+    return _with_op({"dim": A.dim, "basis": list(A.basis), "prod": _table_to_json(A.prod)}, R)
 
 
 @_loader
@@ -405,13 +399,7 @@ def doc_to_prelie(doc: dict) -> tuple[PreLieAlgebra, Mat | None]:
 # -- coalgebra (delta list) ---------------------------------------------------------
 
 def coalgebra_to_doc(deltas: list[Tensor2], R: Mat | None = None) -> dict:
-    doc = {
-        "dim": len(deltas),
-        "deltas": [tensor_to_doc(d) for d in deltas],
-    }
-    if R is not None:
-        doc["reynolds"] = operator_to_doc(R)
-    return doc
+    return _with_op({"dim": len(deltas), "deltas": [tensor_to_doc(d) for d in deltas]}, R)
 
 
 @_loader
@@ -429,8 +417,7 @@ def doc_to_coalgebra(doc: dict) -> tuple[list[Tensor2], Mat | None]:
 # -- Manin triple ---------------------------------------------------------------------
 
 def manin_to_doc(L: LieAlgebra, R: Mat, S: BilinForm, part_g, part_h) -> dict:
-    doc = algebra_to_doc(L)
-    doc["reynolds"] = operator_to_doc(R)
+    doc = _with_op(algebra_to_doc(L), R)
     doc["gram"] = matrix_to_json(S.gram)
     doc["part_g"] = list(part_g)
     doc["part_h"] = list(part_h)
@@ -440,8 +427,7 @@ def manin_to_doc(L: LieAlgebra, R: Mat, S: BilinForm, part_g, part_h) -> dict:
 @_loader
 def doc_to_manin(doc: dict):
     A = doc_to_reynolds_algebra(doc)
-    gram = json_to_matrix(_need(doc, "gram", "manin"), "gram")
-    S = BilinForm(gram)
+    S = BilinForm(json_to_matrix(_need(doc, "gram", "manin"), "gram"))
     part_g, part_h = (tuple(_index(i, f"manin {key}") for i in _list(_need(doc, key, "manin"), key))
                       for key in ("part_g", "part_h"))
     for i in part_g + part_h:

@@ -351,12 +351,8 @@ def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
 @verified
 def is_quadratic(L: LieAlgebra, S: BilinForm) -> Certificate:
     """Invariance plus nondegeneracy (exact determinant ≠ 0)."""
-    inv = is_invariant_form(L, S)
-    if S.is_nondegenerate():
-        nd = Certificate.passed("nondegenerate")
-    else:
-        nd = Certificate(check="nondegenerate", ok=False, note="gram determinant is 0")
-    return Certificate.combine("quadratic", [inv, nd])
+    nd = Certificate.decide("nondegenerate", S.is_nondegenerate(), "gram determinant is 0")
+    return Certificate.combine("quadratic", [is_invariant_form(L, S), nd])
 
 
 def s_sharp(S: BilinForm) -> Mat:
@@ -368,6 +364,7 @@ def s_sharp(S: BilinForm) -> Mat:
 
 def i_s(S: BilinForm) -> Mat:
     """Inverse musical map g*→g (called I_S below the r-matrix pipeline)."""
-    if not S.is_nondegenerate():
-        raise ValueError("degenerate form has no musical isomorphism")
-    return S.gram.inverse()
+    try:
+        return S.gram.inverse()
+    except ValueError:
+        raise ValueError("degenerate form has no musical isomorphism") from None

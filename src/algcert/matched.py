@@ -205,11 +205,8 @@ def is_manin_triple(L: LieAlgebra, R: Mat, S: BilinForm,
     parts = [jacobi_check(L),
              Certificate.combine("reynolds", [is_reynolds(L, R)])]
     parts.append(is_quadratic_reynolds(ReynoldsLieAlgebra.unchecked(L, R), S))
-    if sorted(part_g + part_h) == list(range(L.dim)):
-        parts.append(Certificate.passed("partition"))
-    else:
-        parts.append(Certificate(check="partition", ok=False,
-                                 note="index parts do not partition the basis"))
+    parts.append(Certificate.decide("partition", sorted(part_g + part_h) == list(range(L.dim)),
+                                    "index parts do not partition the basis"))
     parts.append(_closure_cert(L, R, part_g, "closure-g"))
     parts.append(_closure_cert(L, R, part_h, "closure-h"))
     parts.append(_isotropy_cert(S, part_g, "isotropy-g"))

@@ -154,11 +154,12 @@ class NSRep(Checked):
             require(is_ns_rep(self))
 
 
-def _semidirect_tables(rep: NSRep) -> tuple[Table, Table]:
-    """◁ and ▷ of G⊕W, W's basis after G's: e_i◁w = mu(e_i)w, w◁e_i = nu(e_i)w,
-    e_i▷w = varrho(e_i)w, and W◁W = W▷W = 0."""
+def _semidirect_tables(rep: NSRep) -> tuple[dict, dict, int, int]:
+    """◁ and ▷ of G⊕W as integer tables, W's basis after G's: e_i◁w = mu(e_i)w,
+    w◁e_i = nu(e_i)w, e_i▷w = varrho(e_i)w, and W◁W = W▷W = 0; their denominator and
+    largest |coefficient|."""
     A, n = rep.base, rep.base.dim
-    left, wedge, *mats, den, _ = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
+    left, wedge, *mats, den, top = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
     left, wedge = dict(left), dict(wedge)
     for i in range(n):
         for b, (mu, nu, vr) in enumerate(zip(mats[i], mats[n + i], mats[2 * n + i])):
@@ -166,8 +167,7 @@ def _semidirect_tables(rep: NSRep) -> tuple[Table, Table]:
                                     (wedge, (i, n + b), vr)):
                 if col:
                     table[key] = {n + k: c for k, c in col.items()}
-    m = n + rep.module_dim
-    return Table._of(m, left, False, den), Table._of(m, wedge, True, den)
+    return left, wedge, den, top
 
 
 @verified
@@ -195,7 +195,7 @@ def is_ns_rep(rep: NSRep) -> Certificate:
     mu, nu, vr = maps[:n], maps[n:2 * n], maps[2 * n:]
     s = [[saxpy(saxpy(dict(a), -1, b), 1, c) for a, b, c in zip(*abc)] for abc in zip(mu, nu, vr)]
     w1, w2 = width((3 * n + 2 * md) * top ** 2), width((n + 4 * md) * top ** 2)
-    left, wedge, den, top = integral(*_semidirect_tables(rep))
+    left, wedge, den, top = _semidirect_tables(rep)
     w3 = width(4 * (n + 2 * md) * top ** 2)
     table, outer = _identity_2(_commutator(left, wedge, n + md), left, wedge, n + md, w3, n)
 
@@ -222,8 +222,10 @@ def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
     require(is_ns_rep(rep))
     if rep.module_dim == 0:
         return rep.base
-    return NSLieAlgebra(rep.base.dim + rep.module_dim, rep.base.basis + rep.labels,
-                        *_semidirect_tables(rep), check=False)
+    left, wedge, den, _ = _semidirect_tables(rep)
+    m = rep.base.dim + rep.module_dim
+    return NSLieAlgebra(m, rep.base.basis + rep.labels, Table._of(m, left, False, den),
+                        Table._of(m, wedge, True, den), check=False)
 
 
 @verified

@@ -14,7 +14,7 @@ from itertools import combinations
 from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (ZERO, Mat, Table, Tensor2, flip, integral, precompose, rat, sapply, saxpy,
                     sprod, table_rows)
-from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, mult_mats, s_sharp
+from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, mult_mats
 from .reynolds import (inner_products, is_reynolds, lie_operands, operator_form_compat,
                        operator_identity)
 
@@ -112,7 +112,8 @@ def _r_and_dual(qrb: QuadraticRB) -> tuple[Tensor2, LieAlgebra]:
     require(is_cybe_solution(L, r))
     dual = dual_bracket_from_r(L, r)
     desc = descendent(qrb.rb)
-    sharp, dual_sc, desc_sc, d, _ = integral(s_sharp(qrb.S), dual.sc, desc.sc)
+    # S♯ is the gram matrix, nondegenerate as `is_quadratic_rb` certified and inverted above
+    sharp, dual_sc, desc_sc, d, _ = integral(qrb.S.gram, dual.sc, desc.sc)
     rows = table_rows(dual_sc, n, True)
 
     def diff(i, j):
@@ -163,11 +164,8 @@ def is_factorizable(g: LieAlgebra, r: Tensor2) -> Certificate:
         is_cybe_solution(g, r),
     ]
     i_mat = i_operator(r)
-    if i_mat.det() != 0:
-        parts.append(Certificate.passed("i-invertible"))
-    else:
-        parts.append(Certificate(check="i-invertible", ok=False,
-                                 note="I = r₊ − r₋ is singular"))
+    parts.append(Certificate.decide("i-invertible", i_mat.det() != 0,
+                                    "I = r₊ − r₋ is singular"))
     parts.append(scan("i-intertwines", (((k,), i_mat @ (-ad.transpose()) - ad @ i_mat)
                                         for k, ad in enumerate(mult_mats(g.sc)))))
     return Certificate.combine("factorizable", parts)

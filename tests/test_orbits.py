@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle as dense
 from algcert.certificates import scan
-from algcert.exact import Mat
+from algcert.exact import Mat, Table
 from algcert.lie import BilinForm, LieAlgebra, is_invariant_form
 from algcert.cybe import PreLieAlgebra, is_prelie
 from algcert.nslie import (NSLieAlgebra, NSRep, _semidirect_tables, is_ns_rep, is_nslie,
@@ -140,7 +140,9 @@ def test_semidirect_is_nslie_exactly_when_rep_is(A, data):
     # the NS identities of G⊕W on triples in G are G's, with one vector in W the
     # representation's, and with two or more in W they vanish
     rep = draw_rep(data.draw, A)
-    semidirect = NSLieAlgebra.unchecked(A.dim + rep.module_dim, None, *_semidirect_tables(rep))
+    m, (left, wedge, den, _) = A.dim + rep.module_dim, _semidirect_tables(rep)
+    semidirect = NSLieAlgebra.unchecked(m, None, Table._of(m, left, False, den),
+                                        Table._of(m, wedge, True, den))
     assert is_nslie(semidirect).ok == (is_nslie(A).ok and is_ns_rep(rep).ok)
 
 
