@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .certificates import Certificate, Checked, require, scan, verified
+from .certificates import Certificate, Checked, entail, require, scan, verified
 from .cybe import _double_bracket, ad_invariance_cert
 from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, precompose, sapply, saxpy,
                     table_rows, tensor_map, unpack)
 from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
-                  dual_basis, jacobi_check, jacobi_width, jacobiator, mult_cols, packed_outer)
+                  dual_basis, is_representation, jacobi_check, jacobi_width, jacobiator,
+                  mult_cols, packed_outer)
 from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
 from .reynolds import ReynoldsLieAlgebra, is_reynolds
 
@@ -157,23 +158,24 @@ def is_lie_bialgebra(g: LieAlgebra, dual: LieAlgebra) -> Certificate:
 
 
 class ReynoldsLieBialgebra(Checked):
-    __slots__ = ("bialg", "R")
+    __slots__ = ("bialg", "R", "Rt")
 
     def __init__(self, bialg: LieBialgebra, R: Mat, check: bool = True):
         if R.rows != bialg.g.dim or R.cols != bialg.g.dim:
             raise ValueError("operator shape does not match the bialgebra")
         self.bialg = bialg
         self.R = R
+        self.Rt = -R.transpose()      # the one −Rᵀ every check of this bialgebra is handed
         if check:
-            require(is_reynolds_bialgebra(bialg, R))
+            require(is_reynolds_bialgebra(bialg, R, self.Rt))
 
 
 @verified
 def is_reynolds_bialgebra(bialg: LieBialgebra, R: Mat, Rt: Mat | None = None) -> Certificate:
     """R Reynolds on g and Rt = −Rᵀ Reynolds on the dual (bialgebra axioms included).
 
-    A caller that checks −Rᵀ again later passes the one −Rᵀ it built as Rt, so that
-    the check hits the memo of `verified`, which keys on identity.
+    A caller that checks −Rᵀ again later passes the one −Rᵀ it holds (`ReynoldsLieBialgebra`
+    builds one, `Rt`), so that the check hits the memo of `verified`, which keys on identity.
     """
     parts = [
         is_lie_bialgebra(bialg.g, bialg.dual),
@@ -184,21 +186,24 @@ def is_reynolds_bialgebra(bialg: LieBialgebra, R: Mat, Rt: Mat | None = None) ->
     return Certificate.combine("reynolds-bialgebra", parts)
 
 
-def canonical_pair(rb: ReynoldsLieBialgebra, Rt: Mat | None = None) -> ReynoldsMatchedPair:
+def canonical_pair(rb: ReynoldsLieBialgebra) -> ReynoldsMatchedPair:
     """((g,R), (g*,Rt); ad*, ad-of-dual*), Rt = −Rᵀ — the pair behind every equivalence."""
     g, dual = rb.bialg.g, rb.bialg.dual
     rho = Representation(g, dual.dim, coadjoint_rep(g).rho, labels=dual.basis, check=False)
     mu = Representation(dual, g.dim, coadjoint_rep(dual).rho, labels=g.basis, check=False)
     pair = MatchedPair.unchecked(g, dual, rho, mu)
-    return ReynoldsMatchedPair.unchecked(pair, rb.R, -rb.R.transpose() if Rt is None else Rt)
+    return ReynoldsMatchedPair.unchecked(pair, rb.R, rb.Rt)
 
 
 @verified
 def drinfeld_double(rb: ReynoldsLieBialgebra) -> ReynoldsLieAlgebra:
-    """g⋈g* with mixed bracket via the two coadjoint actions; operator R⊕(−Rᵀ)."""
-    Rt = -rb.R.transpose()       # one −Rᵀ for the gate and the pair, so its check runs once
-    require(is_reynolds_bialgebra(rb.bialg, rb.R, Rt))
-    return reynolds_double(canonical_pair(rb, Rt))
+    """g⋈g* with mixed bracket via the two coadjoint actions; operator R⊕(−Rᵀ).  The residual of
+    ad* at (i, j) is −(ad's)ᵀ, J(e_i, e_j, ·), so the gate's Jacobi checks entail both actions."""
+    require(is_reynolds_bialgebra(rb.bialg, rb.R, rb.Rt))
+    rmp = canonical_pair(rb)
+    for rep in (rmp.pair.rho, rmp.pair.mu):
+        entail(is_representation, (rep,), "representation", [jacobi_check(rep.algebra)])
+    return reynolds_double(rmp)
 
 
 @verified
@@ -207,15 +212,21 @@ def double_quasitriangular(rb: ReynoldsLieBialgebra) -> ReynoldsLieBialgebra:
 
     The bracket on D* is (−[ξ,η]_dual, [x,y]_g) blockwise: the first block
     of D* carries the negated dual bracket, the second carries g's bracket,
-    mixed brackets vanish.
+    mixed brackets vanish.  So D* = (g*)⁻ ⊕ g, and the gate of `drinfeld_double` entails its
+    Jacobi and (−Rᵀ)⊕R = −(R⊕−Rᵀ)ᵀ Reynolds identities blockwise; the cocycle is computed.
     """
     dd = drinfeld_double(rb)
-    n = rb.bialg.g.dim
-    dual, g, den, _ = integral(rb.bialg.dual.sc, rb.bialg.g.sc)
-    negated = {key: {k: -c for k, c in comp.items()} for key, comp in dual.items()}
-    sc = double_table(negated, g, [[{}] * n] * n, [[{}] * n] * n)
-    dual_of_double = LieAlgebra(2 * n, dual_basis(dd.L.basis), Table._of(2 * n, sc, True, den))
-    return ReynoldsLieBialgebra(LieBialgebra(dd.L, dual_of_double), dd.R)
+    g, dual, n = rb.bialg.g, rb.bialg.dual, rb.bialg.g.dim
+    dsc, gsc, den, _ = integral(dual.sc, g.sc)
+    negated = {key: {k: -c for k, c in comp.items()} for key, comp in dsc.items()}
+    sc = double_table(negated, gsc, [[{}] * n] * n, [[{}] * n] * n)
+    star = LieAlgebra(2 * n, dual_basis(dd.L.basis), Table._of(2 * n, sc, True, den),
+                      given=[jacobi_check(dual), jacobi_check(g)])
+    out = ReynoldsLieBialgebra.unchecked(LieBialgebra(dd.L, star), dd.R)
+    given = [is_reynolds(dual, rb.Rt), is_reynolds(g, rb.R)]
+    entail(is_reynolds, (star, out.Rt), "reynolds", given)
+    require(is_reynolds_bialgebra(out.bialg, out.R, out.Rt))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,18 @@ def verified(fn):
     return call
 
 
+def entail(check, args: tuple, stage: str, given) -> None:
+    """Record `Certificate.passed(stage)` as the result of the `verified` check ``check(*args)``
+    in the open scope, if `given` (a theorem's hypotheses) is nonempty and all passed, so that
+    a later check of what they entail (``given=`` of a constructor) is a memo hit.  It writes
+    the entry `verified` would, under the undecorated function; it runs nothing."""
+    memo = _scope.get()
+    if given and memo is not None and all(c.ok for c in given):
+        while hasattr(check, "__wrapped__"):
+            check = check.__wrapped__
+        memo.setdefault((check, *map(id, args)), (Certificate.passed(stage), args, {}))
+
+
 class Checked:
     """Base of the structures whose constructor verifies their axioms.
 

@@ -189,8 +189,8 @@ def _emit_reynolds(A):
     return fio.reynolds_algebra_to_doc(A), [ac.is_reynolds(A.L, A.R)]
 
 
-def _emit_bialgebra(out):
-    return fio.bialgebra_to_doc(out.bialg, out.R), [ac.is_reynolds_bialgebra(out.bialg, out.R)]
+def _emit_bialgebra(rb):
+    return fio.bialgebra_to_doc(rb.bialg, rb.R), [ac.is_reynolds_bialgebra(rb.bialg, rb.R, rb.Rt)]
 
 
 def _emit_solution(out):

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .certificates import Certificate, Checked, require, scan, verified
+from .certificates import Certificate, Checked, entail, require, scan, verified
 from .exact import (Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, pack, sapply,
                     table_rows, unpack, width)
 
@@ -32,13 +32,14 @@ class LieAlgebra(Checked):
 
     __slots__ = ("dim", "basis", "sc")
 
-    def __init__(self, dim: int, basis=None, sc=None, check: bool = True):
+    def __init__(self, dim: int, basis=None, sc=None, check: bool = True, given=()):
         self.dim = dim
         self.basis = tuple(basis) if basis is not None else default_basis(dim)
         if len(self.basis) != dim:
             raise ValueError("basis label count must equal dim")
         self.sc = Table(dim, sc, skew=True)
         if check:
+            entail(jacobi_check, (self,), "jacobi", given)
             require(jacobi_check(self))
 
     @classmethod
@@ -291,12 +292,16 @@ def dual_rep(rep: Representation) -> Representation:
 
 @verified
 def semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
-    """Semidirect product on g⊕W: [x+u, y+v] = [x,y] + rho(x)v − rho(y)u."""
-    require(is_representation(rep))
+    """Semidirect product on g⊕W: [x+u, y+v] = [x,y] + rho(x)v − rho(y)u.  Its Jacobiator is J of
+    g, the gate's residual at (e_i, e_j, w) and 0: the gate and `jacobi_check(L)` entail it."""
+    if rep.algebra != L:
+        raise ValueError("rep must represent L")
+    gate = require(is_representation(rep))
     n, m = L.dim, rep.module_dim
     sc, *cols, den, _ = integral(L.sc, *rep.rho)
     sc = double_table(sc, {}, cols, [[{}] * n] * m)
-    return LieAlgebra(n + m, L.basis + rep.labels, Table._of(n + m, sc, True, den), check=False)
+    return LieAlgebra(n + m, L.basis + rep.labels, Table._of(n + m, sc, True, den),
+                      given=[gate, jacobi_check(L)])
 
 
 class BilinForm:

@@ -99,12 +99,15 @@ def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
 
 @verified
 def double(mp: MatchedPair) -> LieAlgebra:
-    """g⋈h: [x+xi, y+eta] = ([x,y] + mu(xi)y - mu(eta)x) + ([xi,eta] + rho(x)eta - rho(y)xi)."""
-    require(is_matched_pair(mp.g, mp.h, mp.rho, mp.mu))
+    """g⋈h: [x+xi, y+eta] = ([x,y] + mu(xi)y - mu(eta)x) + ([xi,eta] + rho(x)eta - rho(y)xi).
+    Its Jacobiator is J of g, of h and the gate's four stages (two actions, two compatibilities),
+    so the gate, `jacobi_check(g)` and `jacobi_check(h)` entail its Jacobi check."""
+    gate = require(is_matched_pair(mp.g, mp.h, mp.rho, mp.mu))
     n = mp.g.dim + mp.h.dim
     gsc, hsc, *cols, den, _ = integral(mp.g.sc, mp.h.sc, *mp.rho.rho, *mp.mu.rho)
     sc = double_table(gsc, hsc, cols[:mp.g.dim], cols[mp.g.dim:])
-    return LieAlgebra(n, mp.g.basis + mp.h.basis, Table._of(n, sc, True, den))
+    return LieAlgebra(n, mp.g.basis + mp.h.basis, Table._of(n, sc, True, den),
+                      given=[gate, jacobi_check(mp.g), jacobi_check(mp.h)])
 
 
 class ReynoldsMatchedPair(Checked):
@@ -138,9 +141,10 @@ def is_reynolds_matched_pair(rmp: ReynoldsMatchedPair) -> Certificate:
 
 @verified
 def reynolds_double(rmp: ReynoldsMatchedPair) -> ReynoldsLieAlgebra:
-    """The double with the block-diagonal operator Rg⊕Rh."""
-    require(is_reynolds_matched_pair(rmp))
-    return ReynoldsLieAlgebra(double(rmp.pair), Mat.block_diag(rmp.Rg, rmp.Rh))
+    """The double with the block-diagonal operator Rg⊕Rh; the gate entails its Reynolds check: the
+    residual is reynolds-g's, reynolds-h's, cross-compat-rho's (h block) and −cross-compat-mu's."""
+    gate = require(is_reynolds_matched_pair(rmp))
+    return ReynoldsLieAlgebra(double(rmp.pair), Mat.block_diag(rmp.Rg, rmp.Rh), given=[gate])
 
 
 @verified
@@ -237,12 +241,8 @@ def _require_dual_shape(rmp: ReynoldsMatchedPair) -> None:
 def matched_to_manin(rmp: ReynoldsMatchedPair) -> ManinTripleReynolds:
     """Dual-shaped Reynolds matched pair -> Manin triple on g⊕g*."""
     _require_dual_shape(rmp)
-    require(is_reynolds_matched_pair(rmp))
     n = rmp.pair.g.dim
-    D = double(rmp.pair)
-    op = Mat.block_diag(rmp.Rg, rmp.Rh)
-    S = standard_pairing_form(n)
-    ambient = QuadraticReynolds(ReynoldsLieAlgebra(D, op), S)
+    ambient = QuadraticReynolds(reynolds_double(rmp), standard_pairing_form(n))
     return ManinTripleReynolds(ambient, tuple(range(n)), tuple(range(n, 2 * n)))
 
 

@@ -13,7 +13,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 from operator import add, mul
 
-from .certificates import Certificate, Checked, require, scan, verified
+from .certificates import Certificate, Checked, entail, require, scan, verified
 from .exact import ONE, ZERO, Mat, Table, integral, rat, unpack, width
 from .lie import (BilinForm, LieAlgebra, Representation, adjoint_rep, coadjoint_rep, dual_rep,
                   is_quadratic, is_representation, s_sharp, semidirect)
@@ -24,12 +24,13 @@ class ReynoldsLieAlgebra(Checked):
 
     __slots__ = ("L", "R")
 
-    def __init__(self, L: LieAlgebra, R: Mat, check: bool = True):
+    def __init__(self, L: LieAlgebra, R: Mat, check: bool = True, given=()):
         if R.rows != L.dim or R.cols != L.dim:
             raise ValueError("operator shape does not match the algebra")
         self.L = L
         self.R = R
         if check:
+            entail(is_reynolds, (L, R), "reynolds", given)
             require(is_reynolds(L, R))
 
     def __repr__(self) -> str:
@@ -220,10 +221,11 @@ def dual_reynolds_rep(rr: ReynoldsRep) -> ReynoldsRep:
 
 @verified
 def semidirect_reynolds(rr: ReynoldsRep) -> ReynoldsLieAlgebra:
-    """g⋉W with the block-diagonal operator R⊕T."""
-    require(is_reynolds_rep(rr))
-    big = semidirect(rr.base.L, rr.rep)
-    return ReynoldsLieAlgebra(big, Mat.block_diag(rr.base.R, rr.T))
+    """g⋉W with the block-diagonal operator R⊕T.  Its Reynolds residual is that of (g, R), the
+    compatibility residual at (e_i, w) and 0, so the gate and `is_reynolds(g, R)` entail it."""
+    gate = require(is_reynolds_rep(rr))
+    return ReynoldsLieAlgebra(semidirect(rr.base.L, rr.rep), Mat.block_diag(rr.base.R, rr.T),
+                              given=[gate, is_reynolds(rr.base.L, rr.base.R)])
 
 
 class QuadraticReynolds(Checked):

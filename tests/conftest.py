@@ -55,6 +55,13 @@ def broken_jacobi():
 
 
 @pytest.fixture
+def non_lie():
+    # [e0,e1] = e2, [e1,e2] = e2, [e0,e2] = e0: J(e0,e1,e2) = −e0 − e2; the zero action is a
+    # representation of it, so it breaks only the Jacobi hypothesis of a semidirect product
+    return LieAlgebra.unchecked(3, None, {(0, 1): {2: 1}, (1, 2): {2: 1}, (0, 2): {0: 1}})
+
+
+@pytest.fixture
 def rebind(monkeypatch):
     """rebind(raw, wrapper) replaces a function in every algcert module bound to it."""
     def rebind(raw, wrapper):

@@ -321,16 +321,17 @@ def _compat_stages(g, h, rho, mu) -> list:
             scan("compat-on-g", _compat_cases(h, g, mu, rho))]
 
 
-def compat_certificate(R: Mat, rep, T: Mat, name: str = "compatibility") -> Certificate:
-    L = rep.algebra
+def compat_cases(R: Mat, rep, T: Mat):
+    """((i, a), ρ(Re_i)(Tw_a) − T(ρ(e_i)(Tw_a) + ρ(Re_i)w_a − ρ(Re_i)(Tw_a))) over (i, a)."""
+    for i in range(rep.algebra.dim):
+        rho_rx = _lin(rep.rho, R.col(i), rep.module_dim)
+        diff = rho_rx @ T - T @ (rep.rho[i] @ T + rho_rx - rho_rx @ T)
+        for a in range(rep.module_dim):
+            yield (i, a), diff.col(a)
 
-    def cases():
-        for i in range(L.dim):
-            rho_rx = _lin(rep.rho, R.col(i), rep.module_dim)
-            diff = rho_rx @ T - T @ (rep.rho[i] @ T + rho_rx - rho_rx @ T)
-            for a in range(rep.module_dim):
-                yield (i, a), diff.col(a)
-    return scan(name, cases())
+
+def compat_certificate(R: Mat, rep, T: Mat, name: str = "compatibility") -> Certificate:
+    return scan(name, compat_cases(R, rep, T))
 
 
 def induced_matched_pair(rmp):

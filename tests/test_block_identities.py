@@ -14,6 +14,20 @@ J(x, y, z) = [[x,y],z] + [[y,z],x] + [[z,x],y] (Majid, Pacific J. Math. 141, 199
 * co-Jacobi of Δ (skew): the residual at (k,), entry (x, y, z), is −J*(eˣ, eʸ, eᶻ) at
   eᵏ, J* the Jacobiator of the dual bracket.
 
+The Reynolds identities of the doubles split the same way, for any tables and operators:
+
+* Rg⊕Rh on g⋈h: reynolds-g at (e_i, e_j), reynolds-h at (f_a, f_b), and at (e_i, f_a)
+  cross-compat-rho's residual in the h block and minus cross-compat-mu's in the g block;
+* R⊕T on g⋉W: reynolds-g at (e_i, e_j), the compatibility residual at (e_i, w_u), 0 at
+  (w_u, w_v);
+* the dual of the Drinfeld double is the direct sum (g*)⁻ ⊕ g, so its Jacobiator is J* and
+  J of g blockwise (negating a bracket leaves J unchanged) and the Reynolds residual of
+  (−Rᵀ)⊕R is minus that of −Rᵀ on g* and that of R on g;
+* the residual of ad* as a representation at (i, j) is −(that of ad)ᵀ, whose column k is
+  J(e_i, e_j, e_k).
+
+These are the theorems behind the certificates the constructions entail.
+
 The double's table is built here from the dense definitions in `dense_oracle`, and
 each relation is checked tuple by tuple against the dense reference bodies and
 certificate by certificate against the library, on the canonical pairs of thmFL
@@ -29,14 +43,15 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle as dense
 from algcert.bialgebra import (canonical_pair, cobracket_from_dual, cocycle_check,
-                               dual_from_cobracket, is_lie_coalgebra)
+                               double_quasitriangular, dual_from_cobracket, is_lie_coalgebra)
 from algcert.catalog import sl2, sl2_b, sl2_s
 from algcert.certificates import scan
 from algcert.cybe import r_plus
 from algcert.exact import Mat, Tensor2, vbasis
-from algcert.lie import (BilinForm, LieAlgebra, Representation, coadjoint_rep,
+from algcert.lie import (BilinForm, LieAlgebra, Representation, adjoint_rep, coadjoint_rep,
                          is_representation, jacobi_check)
 from algcert.matched import is_matched_pair
+from algcert.reynolds import compat_certificate, is_reynolds
 from algcert.rotabaxter import QuadraticRB, RotaBaxterAlg, thmFL_bialgebra
 from test_sparse_kernel import gl, trace_form
 
@@ -110,15 +125,19 @@ def quadratic_rb(L: LieAlgebra, S: BilinForm, h: dict, e: int) -> QuadraticRB:
     return QuadraticRB(RotaBaxterAlg(L, r_plus(r) @ S.gram, 0), S)
 
 
-def thmfl_pairs():
-    """The canonical pairs (g, g*; ad*, ad*) of thmFL bialgebras on sl(2), gl(2), sl(3)."""
+def thmfl_bialgebras():
+    """thmFL Reynolds bialgebras on sl(2) (the paper's R), gl(2) and sl(3) (R = 0)."""
     q2 = QuadraticRB(RotaBaxterAlg(sl2(), sl2_b(), 0), sl2_s())
-    cases = [("sl(2)", thmFL_bialgebra(q2, sl2_b())),
-             ("gl(2)", thmFL_bialgebra(quadratic_rb(gl(2), trace_form(2), {0: 1, 3: -1}, 1),
-                                       Mat.zeros(4, 4))),
-             ("sl(3)", thmFL_bialgebra(quadratic_rb(sl3(), sl3_trace_form(), {6: 1}, 0),
-                                       Mat.zeros(8, 8)))]
-    return [(name, canonical_pair(rb).pair) for name, rb in cases]
+    return [("sl(2)", thmFL_bialgebra(q2, sl2_b())),
+            ("gl(2)", thmFL_bialgebra(quadratic_rb(gl(2), trace_form(2), {0: 1, 3: -1}, 1),
+                                      Mat.zeros(4, 4))),
+            ("sl(3)", thmFL_bialgebra(quadratic_rb(sl3(), sl3_trace_form(), {6: 1}, 0),
+                                      Mat.zeros(8, 8)))]
+
+
+def thmfl_pairs():
+    """The canonical pairs (g, g*; ad*, ad*) of the thmFL bialgebras."""
+    return [(name, canonical_pair(rb).pair) for name, rb in RBS]
 
 
 def bump(m: Mat, i: int, j: int, by) -> Mat:
@@ -145,6 +164,7 @@ def perturbed(mp):
     ]
 
 
+RBS = thmfl_bialgebras()
 PAIRS = thmfl_pairs()
 
 
@@ -249,3 +269,192 @@ def test_bialgebra_conditions_are_blocks_on_random_cobrackets(case):
     g, deltas = case
     assert cocycle_blocks(g, deltas) == cocycle_check(g, deltas) == dense.cocycle_check(g, deltas)
     assert co_jacobi_blocks(deltas) == is_lie_coalgebra(deltas) == dense.is_lie_coalgebra(deltas)
+
+
+# -- the Reynolds identities of the doubles and of g⋉W, and ad* ----------------------------
+
+def reynolds_residuals(L, R: Mat) -> dict:
+    """{(p, q): [Re_p, Re_q] − R([Re_p, e_q] + [e_p, Re_q] − [Re_p, Re_q])} for p<q, dense."""
+    return {(p, q): dense._reynolds_residual(L, R, vbasis(L.dim, p), vbasis(L.dim, q))
+            for p, q in combinations(range(L.dim), 2)}
+
+
+def zeros(n: int) -> tuple:
+    return (Fraction(0),) * n
+
+
+def operators(rb):
+    """(label, Rg, Rh): R and −Rᵀ as they are, one entry of either bumped, both scaled."""
+    R, Rt = rb.R, -rb.R.transpose()
+    n = R.rows
+    return [("as is", R, Rt), ("Rg bumped", bump(R, 0, n - 1, 1), Rt),
+            ("Rh bumped", R, bump(Rt, n - 1, 0, Fraction(1, 2))),
+            ("both scaled", R.scale(2), Rt.scale(3) + Mat.identity(n))]
+
+
+def reynolds_double_stages(g, h, rho, mu, Rg: Mat, Rh: Mat) -> list:
+    """Check tuple by tuple that the Reynolds residual of Rg⊕Rh on g⋈h is made of the four
+    stages of `is_reynolds_matched_pair` beyond the pair, and return their dense certificates."""
+    n, m = g.dim, h.dim
+    D, op = double_table(g, h, rho, mu), Mat.block_diag(Rg, Rh)
+    rg, rh = reynolds_residuals(g, Rg), reynolds_residuals(h, Rh)
+    crho, cmu = dict(dense.compat_cases(Rg, rho, Rh)), dict(dense.compat_cases(Rh, mu, Rg))
+    for (p, q), v in reynolds_residuals(D, op).items():
+        if q < n:
+            want = rg[p, q] + zeros(m)
+        elif p >= n:
+            want = zeros(n) + rh[p - n, q - n]
+        else:
+            want = tuple(-c for c in cmu[q - n, p]) + crho[p, q - n]
+        assert v == want, (p, q)
+    lib = is_reynolds(D, op)
+    assert lib == dense.is_reynolds(D, op)
+    stages = [dense.is_reynolds(g, Rg), dense.is_reynolds(h, Rh),
+              dense.compat_certificate(Rg, rho, Rh), dense.compat_certificate(Rh, mu, Rg)]
+    assert lib.ok == all(c.ok for c in stages)
+    return stages
+
+
+@pytest.mark.parametrize("index", range(len(RBS)), ids=[name for name, _ in RBS])
+def test_reynolds_double_residual_splits_into_four_stages(index):
+    name, rb = RBS[index]
+    mp = canonical_pair(rb).pair
+    as_is = operators(rb)[0]
+    cases = [(rho_label, rho, mu, *as_is) for rho_label, rho, mu in perturbed(mp)[:3]]
+    cases += [("as is", mp.rho, mp.mu, *ops) for ops in operators(rb)[1:]]
+    for rho_label, rho, mu, op_label, Rg, Rh in cases[:3 if name == "sl(3)" else None]:
+        stages = reynolds_double_stages(mp.g, mp.h, rho, mu, Rg, Rh)
+        # the library's stages are the dense ones
+        assert [is_reynolds(mp.g, Rg), is_reynolds(mp.h, Rh),
+                compat_certificate(Rg, rho, Rh), compat_certificate(Rh, mu, Rg)] == stages
+        if (rho_label, op_label) == ("as is", "as is"):
+            assert all(c.ok for c in stages), name
+        elif op_label != "as is":
+            assert not all(c.ok for c in stages), (name, op_label)
+
+
+def dual_of_double(g: LieAlgebra, dual: LieAlgebra) -> LieAlgebra:
+    """(g*)⁻ ⊕ g: the negated dual bracket on the first block, g's bracket on the second."""
+    n = g.dim
+    sc = {key: {k: -c for k, c in comp.items()} for key, comp in dual.sc.items()}
+    sc.update({(n + i, n + j): {n + k: c for k, c in comp.items()}
+               for (i, j), comp in g.sc.items()})
+    return LieAlgebra.unchecked(2 * n, None, sc)
+
+
+def check_direct_sum(g: LieAlgebra, dual: LieAlgebra, R: Mat) -> None:
+    """Tuple by tuple: Jacobi and the Reynolds identity of (−Rᵀ)⊕R on (g*)⁻ ⊕ g are those of
+    g* (Reynolds negated) and g, blockwise, and 0 on mixed tuples."""
+    n = g.dim
+    star, Rt = dual_of_double(g, dual), -R.transpose()
+    for p, q, r in combinations(range(2 * n), 3):
+        if r < n:
+            want = jacobiator(dual, p, q, r) + zeros(n)
+        elif p >= n:
+            want = zeros(n) + jacobiator(g, p - n, q - n, r - n)
+        else:
+            want = zeros(2 * n)
+        assert jacobiator(star, p, q, r) == want, (p, q, r)
+    rd, rg = reynolds_residuals(dual, Rt), reynolds_residuals(g, R)
+    for (p, q), v in reynolds_residuals(star, Mat.block_diag(Rt, R)).items():
+        if q < n:
+            want = tuple(-c for c in rd[p, q]) + zeros(n)
+        elif p >= n:
+            want = zeros(n) + rg[p - n, q - n]
+        else:
+            want = zeros(2 * n)
+        assert v == want, (p, q)
+    # certificate by certificate against the library
+    assert jacobi_check(star).ok == (jacobi_check(dual).ok and jacobi_check(g).ok)
+    assert is_reynolds(star, Mat.block_diag(Rt, R)).ok == (is_reynolds(dual, Rt).ok
+                                                            and is_reynolds(g, R).ok)
+
+
+def test_dual_of_the_double_is_a_direct_sum():
+    for name, rb in RBS[:2]:
+        g, dual, R = rb.bialg.g, rb.bialg.dual, rb.R
+        # the table double_quasitriangular builds is this direct sum
+        assert double_quasitriangular(rb).bialg.dual.sc == dual_of_double(g, dual).sc, name
+        for _, Rg, _ in operators(rb):
+            check_direct_sum(g, dual, Rg)
+    sl2_rb = RBS[0][1]
+    assert not is_reynolds(sl2_rb.bialg.g, operators(sl2_rb)[1][1]).ok   # a failing input
+
+
+def rep_residual(rep, i: int, j: int) -> Mat:
+    """ρ([e_i, e_j]) − [ρ(e_i), ρ(e_j)], dense."""
+    rho, L = rep.rho, rep.algebra
+    return dense._lin(rho, L.bracket_basis(i, j), rep.module_dim) - (
+        rho[i] @ rho[j] - rho[j] @ rho[i])
+
+
+def check_coadjoint(L: LieAlgebra) -> None:
+    """ad*'s residual at (i, j) is −(ad's)ᵀ, whose column k is J(e_i, e_j, e_k)."""
+    ad, coad = adjoint_rep(L), coadjoint_rep(L)
+    for i, j in combinations(range(L.dim), 2):
+        m = rep_residual(ad, i, j)
+        assert rep_residual(coad, i, j) == -m.transpose(), (i, j)
+        assert [m.col(k) for k in range(L.dim)] == [jacobiator(L, i, j, k)
+                                                    for k in range(L.dim)], (i, j)
+    assert is_representation(coad) == dense.is_representation(coad)
+    assert is_representation(coad).ok == is_representation(ad).ok == jacobi_check(L).ok
+
+
+def test_coadjoint_residual_is_minus_the_transposed_adjoint_one():
+    for name, mp in PAIRS[:2]:
+        check_coadjoint(mp.g)
+        check_coadjoint(mp.h)
+    # the ρ and μ of every canonical pair are exactly these coadjoint actions
+    for name, mp in PAIRS:
+        assert mp.rho.rho == coadjoint_rep(mp.g).rho and mp.mu.rho == coadjoint_rep(mp.h).rho
+
+
+def semidirect_blocks(g: LieAlgebra, R: Mat, rep, T: Mat) -> None:
+    """Tuple by tuple: the Reynolds residual of R⊕T on g⋉W is reynolds-g at (e_i, e_j), the
+    compatibility residual at (e_i, w_u) and 0 at (w_u, w_v)."""
+    n, m = g.dim, rep.module_dim
+    V = LieAlgebra.abelian(m)
+    S, op = double_table(g, V, rep, Representation.zero(V, n)), Mat.block_diag(R, T)
+    rg, comp = reynolds_residuals(g, R), dict(dense.compat_cases(R, rep, T))
+    for (p, q), v in reynolds_residuals(S, op).items():
+        want = (rg[p, q] + zeros(m) if q < n else zeros(n + m) if p >= n
+                else zeros(n) + comp[p, q - n])
+        assert v == want, (p, q)
+    assert is_reynolds(S, op) == dense.is_reynolds(S, op)
+    assert is_reynolds(S, op).ok == (is_reynolds(g, R).ok and compat_certificate(R, rep, T).ok)
+
+
+def test_semidirect_reynolds_residual_splits_into_two_stages():
+    g, R = sl2(), sl2_b()
+    coad, ad = coadjoint_rep(g), adjoint_rep(g)
+    Rt = -R.transpose()
+    cases = [(R, coad, Rt), (R, ad, R), (R, coad, bump(Rt, 0, 2, 1)), (bump(R, 1, 1, 1), ad, R),
+             (R.scale(2), coad, Rt), (R, Representation.zero(g, 2), Mat.identity(2))]
+    for R_, rep, T in cases:
+        semidirect_blocks(g, R_, rep, T)
+    assert compat_certificate(R, coad, Rt).ok and not compat_certificate(R, coad, cases[2][2]).ok
+
+
+@st.composite
+def failing_inputs(draw):
+    """A random skew dual bracket and operator on sl(2) or gl(2), a random action on a plane
+    and a random operator on it."""
+    g, deltas = draw(skew_cobrackets())
+    coeff = st.sampled_from([Fraction(c) for c in (0, 0, 1, -1, 2)] + [Fraction(1, 2)])
+
+    def mat(n):
+        return Mat([[draw(coeff) for _ in range(n)] for _ in range(n)])
+    rep = Representation.unchecked(g, 2, [mat(2) for _ in range(g.dim)])
+    return g, dual_from_cobracket(deltas), mat(g.dim), rep, mat(2)
+
+
+@settings(max_examples=10)
+@given(failing_inputs())
+def test_block_splits_on_random_inputs(case):
+    g, dual, R, rep, T = case
+    check_direct_sum(g, dual, R)
+    check_coadjoint(dual)
+    semidirect_blocks(g, R, rep, T)
+    pair_rho = Representation.unchecked(g, g.dim, coadjoint_rep(g).rho)
+    pair_mu = Representation.unchecked(dual, g.dim, coadjoint_rep(dual).rho)
+    reynolds_double_stages(g, dual, pair_rho, pair_mu, R, -R.transpose())

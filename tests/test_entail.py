@@ -1,0 +1,201 @@
+"""Certificates by block entailment: what a construction records, and that it is true.
+
+A construction that has certified the hypotheses of a block identity (see
+`test_block_identities.py`) records the certificate of its output's check with
+`certificates.entail` instead of scanning the output.  Each entailment is tested
+twice here:
+
+* trust: the output is built inside a construction's scope, without the entailed
+  scan, and the entailed check, run directly outside any scope, passes;
+* fall-through: on an input whose hypotheses fail, nothing is recorded, and the
+  construction raises the certificate the computed check gives.
+"""
+
+import pytest
+
+from algcert import certificates
+from algcert.bialgebra import (LieBialgebra, ReynoldsLieBialgebra, canonical_pair,
+                               double_quasitriangular, drinfeld_double, is_reynolds_bialgebra)
+from algcert.certificates import Certificate, CheckFailed, entail, verified
+from algcert.exact import Mat, Table, integral
+from algcert.lie import (LieAlgebra, Representation, coadjoint_rep, double_table,
+                         is_representation, jacobi_check, semidirect)
+from algcert.matched import (MatchedPair, ReynoldsMatchedPair, double, is_reynolds_matched_pair,
+                             matched_to_manin, reynolds_double)
+from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, is_reynolds,
+                              reynolds_coadjoint_rep, semidirect_reynolds)
+
+def unchecked_double(mp: MatchedPair) -> LieAlgebra:
+    """g⋈h with no check: the table `double` builds."""
+    n = mp.g.dim + mp.h.dim
+    gsc, hsc, *cols, den, _ = integral(mp.g.sc, mp.h.sc, *mp.rho.rho, *mp.mu.rho)
+    sc = double_table(gsc, hsc, cols[:mp.g.dim], cols[mp.g.dim:])
+    return LieAlgebra.unchecked(n, mp.g.basis + mp.h.basis, Table._of(n, sc, True, den))
+
+
+def unchecked_semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
+    V = LieAlgebra.abelian(rep.module_dim)
+    return unchecked_double(MatchedPair.unchecked(L, V, rep, Representation.zero(V, L.dim)))
+
+
+# -- the helper ---------------------------------------------------------------------------
+
+def test_entail_records_only_in_a_scope_and_only_from_passed_hypotheses():
+    ok, bad = Certificate.passed("h"), Certificate.failed("h", (0,), (((0,), 1),), 1)
+    x, runs, seen = object(), [], {}
+
+    @verified
+    def probe(_):
+        runs.append(1)
+        return Certificate.passed("probe")
+
+    @verified
+    def scope(given):
+        entail(probe, (x,), "probe", given)
+        seen["scope"] = dict(certificates._scope.get())
+        return probe(x)
+
+    for given, recorded in (([ok], True), ([ok, bad], False), ([], False)):
+        runs.clear()
+        assert scope(given) == Certificate.passed("probe")
+        # recorded: the body never ran; otherwise it ran once, for the check itself
+        assert len(runs) == (0 if recorded else 1), given
+        assert len(seen["scope"]) == recorded
+        assert all(type(v) is tuple for v in seen["scope"].values())
+    # outside a scope nothing is recorded and nothing is called
+    runs.clear()
+    entail(probe, (x,), "probe", [ok])
+    assert not runs and certificates._scope.get() is None
+
+
+def test_entail_keeps_a_memoized_result():
+    x = object()
+    failed = Certificate.failed("probe", (0,), (((0,), 1),), 1)
+
+    @verified
+    def stored(_):
+        return failed
+
+    @verified
+    def scope():
+        first = stored(x)
+        entail(stored, (x,), "probe", [Certificate.passed("h")])
+        return first, stored(x), [v[0] for v in certificates._scope.get().values()]
+
+    first, again, memo = scope()
+    assert first is again is failed and memo == [failed]
+
+
+# -- trust: each entailed output passes its check, run directly ------------------------------
+
+def test_double_entails_jacobi(thmfl, scans):
+    mp = canonical_pair(thmfl).pair
+    D = double(mp)
+    assert scans["jacobi"] == 2                      # g and h, not the double
+    assert certificates._scope.get() is None
+    assert jacobi_check(D) == Certificate.passed("jacobi")
+    assert scans["jacobi"] == 3
+
+
+def test_reynolds_double_and_manin_entail_reynolds(thmfl, scans):
+    rmp = canonical_pair(thmfl)
+    for build in (reynolds_double, lambda rmp: matched_to_manin(rmp).G.base):
+        scans.clear()
+        out = build(rmp)
+        # reynolds-g and reynolds-h only; Jacobi of g and h only
+        assert (scans["reynolds"], scans["jacobi"]) == (2, 2)
+        assert is_reynolds(out.L, out.R) == Certificate.passed("reynolds")
+        assert jacobi_check(out.L).ok
+
+
+def test_drinfeld_double_entails_the_coadjoint_actions(thmfl, scans, rebind):
+    pairs = []
+    raw = canonical_pair
+
+    def recorded(rb):
+        pairs.append(raw(rb))
+        return pairs[-1]
+    rebind(raw, recorded)
+    dd = drinfeld_double(thmfl)
+    assert scans["representation"] == 0 and len(pairs) == 1
+    for rep in (pairs[0].pair.rho, pairs[0].pair.mu):
+        assert is_representation(rep) == Certificate.passed("representation")
+    assert is_reynolds(dd.L, dd.R).ok and jacobi_check(dd.L).ok
+
+
+def test_double_quasitriangular_entails_its_dual(thmfl, scans):
+    out = double_quasitriangular(thmfl)
+    # Jacobi and Reynolds of g and g* only: the double's and its dual's are entailed
+    assert (scans["jacobi"], scans["reynolds"], scans["cocycle"]) == (2, 2, 2)
+    star = out.bialg.dual
+    assert jacobi_check(star) == Certificate.passed("jacobi")
+    assert is_reynolds(star, out.Rt) == Certificate.passed("reynolds")
+    assert out.Rt == -out.R.transpose()
+    assert is_reynolds_bialgebra(out.bialg, out.R).ok
+
+
+def test_the_dual_operator_is_always_minus_r_transpose(thmfl):
+    # the dual-of-double entailment is keyed on the output's Rt and reads its hypothesis on
+    # the input's Rt: neither can be an operator other than the −Rᵀ that was checked
+    with pytest.raises(TypeError):
+        ReynoldsLieBialgebra(thmfl.bialg, thmfl.R, Rt=-thmfl.R.transpose())
+    assert thmfl.Rt == -thmfl.R.transpose()
+    assert ReynoldsLieBialgebra.unchecked(thmfl.bialg, thmfl.R).Rt == thmfl.Rt
+
+
+def test_semidirect_entails_jacobi_and_reynolds(sl2_reynolds, scans):
+    rr = reynolds_coadjoint_rep(sl2_reynolds)
+    out = semidirect_reynolds(rr)
+    assert (scans["jacobi"], scans["reynolds"]) == (1, 1)   # of sl(2) only
+    assert jacobi_check(out.L) == Certificate.passed("jacobi")
+    assert is_reynolds(out.L, out.R) == Certificate.passed("reynolds")
+    assert semidirect(rr.base.L, rr.rep) == out.L
+
+
+# -- fall-through: a failed hypothesis records nothing; the computed check raises ----------
+
+def test_double_of_a_non_lie_algebra_raises_its_jacobi_failure(non_lie, sl2):
+    # the matched-pair gate passes with zero actions; Jacobi of g fails, so the double's
+    # Jacobi check is computed and fails at g's triple
+    mp = MatchedPair.trivial(non_lie, sl2)
+    rmp = ReynoldsMatchedPair.unchecked(mp, Mat.zeros(3, 3), Mat.zeros(3, 3))
+    assert is_reynolds_matched_pair(rmp).ok
+    for build, arg in ((double, mp), (reynolds_double, rmp)):
+        with pytest.raises(CheckFailed) as exc:
+            build(arg)
+        assert exc.value.certificate == jacobi_check(unchecked_double(mp))
+        assert exc.value.certificate.to_json() == {
+            "check": "jacobi", "ok": False, "where": [0, 1, 2],
+            "residual": [{"at": [0], "c": "-1"}, {"at": [2], "c": "-1"}], "violations": 1}
+
+
+def test_failed_reynolds_hypotheses_raise_at_the_gate(thmfl, sl2):
+    rmp = canonical_pair(thmfl)
+    twice = Mat.identity(3).scale(2)
+    broken = ReynoldsMatchedPair.unchecked(rmp.pair, twice, -twice)
+    for build in (reynolds_double, matched_to_manin):
+        with pytest.raises(CheckFailed) as exc:
+            build(broken)
+        assert exc.value.certificate == is_reynolds_matched_pair(broken)
+        assert exc.value.certificate.first_failure().check == "reynolds"
+    # semidirect_reynolds: the action and the compatibility pass, R is not Reynolds, so
+    # the output's Reynolds check is computed and fails
+    base = ReynoldsLieAlgebra.unchecked(sl2, twice)
+    rr = ReynoldsRep.unchecked(base, Representation.zero(sl2, 1), Mat.zeros(1, 1))
+    with pytest.raises(CheckFailed) as exc:
+        semidirect_reynolds(rr)
+    big = unchecked_semidirect(sl2, rr.rep)
+    assert exc.value.certificate == is_reynolds(big, Mat.block_diag(twice, Mat.zeros(1, 1)))
+    assert not exc.value.certificate.ok
+
+
+def test_doubles_of_a_non_lie_dual_raise_at_the_gate(thmfl, non_lie):
+    # Jacobi of g* is a hypothesis of the coadjoint and dual-of-double entailments; it is
+    # also a stage of the gate, which fails first
+    rb = ReynoldsLieBialgebra.unchecked(LieBialgebra.unchecked(thmfl.bialg.g, non_lie), thmfl.R)
+    for build in (drinfeld_double, double_quasitriangular):
+        with pytest.raises(CheckFailed) as exc:
+            build(rb)
+        assert exc.value.certificate == is_reynolds_bialgebra(rb.bialg, rb.R)
+        assert not is_representation(coadjoint_rep(non_lie)).ok
+

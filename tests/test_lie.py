@@ -120,6 +120,25 @@ def test_semidirect_always_jacobi(sl2):
         assert jacobi_check(semidirect(sl2, rep)).ok
 
 
+def test_semidirect_rejects_a_non_lie_base(non_lie):
+    # the zero action is a representation of any table, so only the Jacobi identity of the
+    # base fails: the output's Jacobi check, no longer entailed, fails at the base's triple
+    L = non_lie
+    rep = Representation.zero(L, 1)
+    assert is_representation(rep).ok and not jacobi_check(L).ok
+    with pytest.raises(CheckFailed) as exc:
+        semidirect(L, rep)
+    cert = exc.value.certificate
+    assert (cert.check, cert.where, cert.violations) == ("jacobi", (0, 1, 2), 1)
+    assert cert.residual == (((0,), Fraction(-1)), ((2,), Fraction(-1)))
+
+
+def test_semidirect_needs_a_representation_of_its_base(sl2):
+    other = LieAlgebra(3, ("H", "X", "Y"), {(0, 1): {1: 1}, (0, 2): {2: -1}})
+    with pytest.raises(ValueError, match="rep must represent L"):
+        semidirect(sl2, Representation.zero(other, 1))
+
+
 def test_invariant_form(sl2, s_form):
     assert is_invariant_form(sl2, s_form).ok
     assert is_quadratic(sl2, s_form).ok

@@ -510,16 +510,36 @@ def test_cli_build_verifies_its_output_once(tmp_path, thmfl, scans, rebind, caps
     raw = bialgebra.is_reynolds_bialgebra
 
     def counted(*args):
-        calls.append(args)
-        return raw(*args)
+        calls.append((args, raw(*args)))
+        return calls[-1][1]
     rebind(raw, counted)
     bi_file = write(tmp_path, "bi.json", fio.bialgebra_to_doc(thmfl.bialg, thmfl.R))
     assert main_build(["quasitriangular-double", bi_file, "-o", str(tmp_path / "o.json")]) == 0
     capsys.readouterr()
-    output = [args for args in calls if args[0].g.dim == 6]
-    assert len(output) == 2 and output[0][0] is output[1][0]      # the constructor and the emit
-    # one cocycle, two Jacobi and two Reynolds stages per bialgebra: the input's, the output's
-    assert (scans["cocycle"], scans["jacobi"], scans["reynolds"]) == (2, 4, 4)
+    output = [(args, cert) for args, cert in calls if args[0].g.dim == 6]
+    assert len(output) == 2 and output[0][0][0] is output[1][0][0]  # the constructor and the emit
+    # the emit gets the constructor's very arguments, Rt included, and the very certificate
+    # the constructor's call stored: a memo hit
+    assert all(a is b for a, b in zip(output[0][0], output[1][0])) and len(output[0][0]) == 3
+    assert output[1][1] is output[0][1] and output[0][1].ok
+    # one cocycle per bialgebra, the input's and the output's; Jacobi and Reynolds of g and
+    # g* only: those of the double and of its dual are entailed by the gates, not scanned
+    assert (scans["cocycle"], scans["jacobi"], scans["reynolds"]) == (2, 2, 2)
+
+
+def test_cli_semidirect_of_a_non_lie_base_exits_1(tmp_path, non_lie, capsys):
+    # R = 0 is Reynolds and the zero action a Reynolds representation of any table, so
+    # only the base's Jacobi identity fails; the output's Jacobi check reports it
+    from algcert.lie import Representation
+    from algcert.reynolds import ReynoldsLieAlgebra, ReynoldsRep
+    rr = ReynoldsRep.unchecked(ReynoldsLieAlgebra.unchecked(non_lie, Mat.zeros(3, 3)),
+                               Representation.zero(non_lie, 1), Mat.zeros(1, 1))
+    path = write(tmp_path, "nonlie.json", fio.reynolds_rep_to_doc(rr))
+    out = tmp_path / "sd.json"
+    assert main_build(["semidirect", path, "-o", str(out)]) == 1
+    report = capsys.readouterr().out
+    assert "[FAIL] jacobi at (0, 1, 2) residual {[0]=-1, [2]=-1} violations=1" in report
+    assert "verdict: fail" in report and not out.exists()
 
 
 def test_cli_dual_from_r_and_cobracket(tmp_path, sl2, r_tensor, capsys):
