@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .certificates import Certificate, Checked, entail, require, scan, verified
 from .cybe import _double_bracket, ad_invariance_cert
-from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, precompose, sapply, saxpy,
+from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, products, sapply, saxpy,
                     table_rows, tensor_map, unpack)
 from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
                   dual_basis, is_representation, jacobi_check, jacobi_width, jacobiator,
@@ -267,7 +267,7 @@ def reynolds_coboundary_condition(g: LieAlgebra, R: Mat, r: Tensor2) -> Certific
     rows, den = table_rows(g.sc.ientries, n, True), g.sc.den
     cols, d, e = R.icols, R.den, r.den
     s = leg_sum(r.ientries, cols, 2)        # d·e·s
-    adr = precompose(rows, cols)            # adr[k][y] = den·d·[Re_k, e_y]
+    adr = products(rows, cols)              # adr[k][y] = den·d·[Re_k, e_y]
 
     def m_cols(k):                          # den·d²·M_k
         return [saxpy(saxpy(sapply(cols, adr[k].get(y, {})), d, adr[k].get(y, {})),

@@ -11,11 +11,11 @@ from itertools import combinations, product
 
 from .certificates import Certificate, Checked, require, scan, verified
 from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, flip, integral, leg_sum,
-                    precompose, sapply, saxpy, sprod, srow, table_rows)
-from .lie import (LieAlgebra, Representation, default_basis, dual_rep, mult_cols, mult_mats,
-                  semidirect)
+                    products, sapply, saxpy, table_rows)
+from .lie import LieAlgebra, Representation, default_basis, mult_cols, mult_mats
 from .matched import MatchedPair, ReynoldsMatchedPair
-from .reynolds import ReynoldsLieAlgebra, ReynoldsRep, is_reynolds_rep, operator_identity
+from .reynolds import (ReynoldsLieAlgebra, ReynoldsRep, dual_reynolds_rep, is_reynolds_rep,
+                       operator_identity, semidirect_reynolds)
 
 
 def _double_bracket(g: LieAlgebra, r: Tensor2) -> tuple[dict, int]:
@@ -23,19 +23,21 @@ def _double_bracket(g: LieAlgebra, r: Tensor2) -> tuple[dict, int]:
 
     With the columns C_j = Σ_i r^{ij}e_i and the rows R_i = Σ_j r^{ij}e_j of r,
     [r12,r13] = Σ [C_j,C_l]⊗e_j⊗e_l, [r12,r23] = Σ e_i⊗[R_i,C_l]⊗e_l and
-    [r13,r23] = Σ e_i⊗e_k⊗[R_i,R_k], over the nonzero columns and rows only.
+    [r13,r23] = Σ e_i⊗e_k⊗[R_i,R_k], as `products` of the two families, which leaves out the
+    brackets with no term.
     """
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
     rows = table_rows(g.sc.ientries, g.dim, True)
     rp = r_plus(r)                      # rp's columns are r's rows, on the scale d = rp.den
-    C = {j: col for j, col in enumerate(rp.transpose().icols) if col}
-    R = {i: col for i, col in enumerate(rp.icols) if col}
-    adc = dict(zip(C, precompose(rows, C.values())))    # adc[j][y] = den·d·[C_j, e_y]
-    adr = dict(zip(R, precompose(rows, R.values())))
-    out = {(m, j, l): c for j in C for l in C for m, c in srow({}, adc[j], C[l]).items()}
-    saxpy(out, 1, {(i, m, l): c for i in R for l in C for m, c in srow({}, adr[i], C[l]).items()})
-    saxpy(out, 1, {(i, k, m): c for i in R for k in R for m, c in srow({}, adr[i], R[k]).items()})
+    C, R = rp.transpose().icols, rp.icols
+    adr = products(rows, R)             # adr[i][y] = den·d·[R_i, e_y]
+    out = {(m, j, l): c for j, row in enumerate(products(rows, C, C))
+           for l, v in row.items() for m, c in v.items()}
+    saxpy(out, 1, {(i, m, l): c for i, row in enumerate(products(adr, None, C))
+                   for l, v in row.items() for m, c in v.items()})
+    saxpy(out, 1, {(i, k, m): c for i, row in enumerate(products(adr, None, R))
+                   for k, v in row.items() for m, c in v.items()})
     return out, rp.den ** 2 * g.sc.den
 
 
@@ -115,10 +117,11 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
     rows, den = table_rows(L.sc.ientries, L.dim, True), L.sc.den
     kcols, k = rel.K.icols, rel.K.den
     desc, s = _descendent_sc(rel)
+    kk = products(rows, kcols, kcols)
 
     def residual(a, b):
         # den·k²·s times [Ke_a, Ke_b] − K[e_a, e_b]_K
-        out = saxpy({}, s, sprod(rows, kcols[a], kcols[b]))
+        out = saxpy({}, s, kk[a].get(b, {}))
         return saxpy(out, -den * k, sapply(kcols, desc[a, b]))
     op_cert = scan("operator-identity", (((a, b), residual(a, b)) for a, b in desc),
                    den * k * k * s)
@@ -127,9 +130,10 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
 
 
 def _k_action(rel: RelativeRB) -> tuple[Rows, int]:
-    """rows[a][b] = s·rho(Ke_a)e_b on integers, a table on the module's basis indices, and s."""
+    """rows[a][b] = s·rho(Ke_a)e_b on integers, a table on the module's basis indices, and s:
+    the `products` of K's columns with the basis through the rows rho(e_i)e_j."""
     *rho, d, _ = integral(*rel.rr.rep.rho)
-    return (precompose([{j: col for j, col in enumerate(m) if col} for m in rho], rel.K.icols),
+    return (products([{j: col for j, col in enumerate(m) if col} for m in rho], rel.K.icols),
             d * rel.K.den)
 
 
@@ -160,10 +164,11 @@ def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     rho = Representation(g, m, rep.rho, labels=rep.labels, check=False)
     rows, den = table_rows(g.sc.ientries, g.dim, True), g.sc.den
     *act, kcols, d, _ = integral(*rep.rho, rel.K)
+    ek = products(rows, None, kcols)        # ek[i][a] = den·d·[e_i, Ke_a]
 
     def mu_col(a, i):
         """d²·den·(K(rho(e_i)e_a) − [e_i, Ke_a])"""
-        return saxpy(saxpy({}, den, sapply(kcols, act[i][a])), -d, srow({}, rows[i], kcols[a]))
+        return saxpy(saxpy({}, den, sapply(kcols, act[i][a])), -d, ek[i].get(a, {}))
     mu_mats = [Mat._of(g.dim, g.dim, [mu_col(a, i) for i in range(g.dim)], d * d * den)
                for a in range(m)]
     mu = Representation(desc.L, g.dim, mu_mats, labels=g.basis, check=False)
@@ -179,11 +184,9 @@ def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     (W*-row n+i, g-column a): pairing K̄(ξ+u, η+v) = ⟨Ku, η⟩.
     """
     require(is_relative_rb(rel))
-    base, rep, K = rel.rr.base, rel.rr.rep, rel.K
-    n, m = base.L.dim, rep.module_dim
-    big = semidirect(base.L, dual_rep(rep))
-    op = Mat.block_diag(base.R, -rel.rr.T.transpose())
-    ambient = ReynoldsLieAlgebra(big, op)
+    K = rel.K
+    n, m = rel.rr.base.L.dim, rel.rr.rep.module_dim
+    ambient = semidirect_reynolds(dual_reynolds_rep(rel.rr))
     kbar = Tensor2._of((n + m, n + m), {(n + i, a): c for i, col in enumerate(K.icols)
                                         for a, c in col.items()}, K.den)
     r_k = kbar - flip(kbar)
@@ -304,12 +307,8 @@ def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
 @verified
 def canonical_r(rp: ReynoldsPreLie) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     """r = Σ_i (e_i⊗e_i* − e_i*⊗e_i) inside g⋉_{L*}g* with operator R⊕(−Rᵀ)."""
-    lr = left_rep(rp)
-    sub = lr.base
     n = rp.A.dim
-    big = semidirect(sub.L, dual_rep(lr.rep))
-    op = Mat.block_diag(rp.R, -rp.R.transpose())
-    ambient = ReynoldsLieAlgebra(big, op)
+    ambient = semidirect_reynolds(dual_reynolds_rep(left_rep(rp)))
     r = Tensor2(2 * n, 2 * n, {key: c for i in range(n)
                                for key, c in (((i, n + i), 1), ((n + i, i), -1))})
     require(is_cybe_solution_reynolds(ambient, r))

@@ -678,34 +678,28 @@ def sapply(cols: list[SVec], v: SVec) -> SVec:
     return out
 
 
-def sprod(rows: Rows, x: SVec, y: SVec) -> SVec:
-    """x·y for the bilinear map with the given rows."""
-    out: SVec = {}
-    for i, a in x.items():
-        row = rows[i]
-        for j, b in y.items():
-            comp = row.get(j)
-            if comp:
-                saxpy(out, a * b, comp)
-    return out
-
-
-def srow(out: SVec, row: dict[int, SVec], y: SVec) -> SVec:
-    """out += e·y in place, for the row {j: e·e_j} of one basis vector e; returns out."""
-    for j, b in y.items():
-        comp = row.get(j)
-        if comp:
-            saxpy(out, b, comp)
-    return out
-
-
-def precompose(rows: Rows, cols: list[SVec]) -> Rows:
-    """Rows of (x, y) ↦ (Mx)·y, M given by its sparse columns."""
-    out: Rows = []
-    for col in cols:
-        row: dict[int, SVec] = {}
-        for a, c in col.items():
-            for j, comp in rows[a].items():
-                saxpy(row.setdefault(j, {}), c, comp)
-        out.append(row)
+def products(rows: Rows, xs: list[SVec] | None = None, ys: list[SVec] | None = None) -> Rows:
+    """out[a][b] = x_a·y_b for the bilinear map with the given rows, a family left as None
+    being the basis: each x_a·(−) is built from the rows once and applied to every y_b.  A
+    product with no term is left out; cancelled zeros are kept."""
+    if xs is not None:
+        ads: Rows = []
+        for x in xs:
+            ad: dict[int, SVec] = {}
+            for i, c in x.items():
+                for j, comp in rows[i].items():
+                    saxpy(ad.setdefault(j, {}), c, comp)
+            ads.append(ad)
+        rows = ads
+    if ys is None:
+        return rows
+    out: Rows = [{} for _ in rows]
+    for ad, row in zip(rows, out):
+        for b, y in enumerate(ys):
+            v: SVec = {}
+            for j, c in y.items():
+                if j in ad:
+                    saxpy(v, c, ad[j])
+            if v:
+                row[b] = v
     return out

@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import combinations, groupby, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (Table, Vec, integral, mat_comb, pack, precompose, saxpy, srow, table_rows,
-                    unpack, width)
+from .exact import (Table, Vec, integral, mat_comb, pack, products, saxpy, table_rows, unpack,
+                    width)
 from .lie import LieAlgebra, block_entries, default_basis, jacobiator, mult_mats, pair_blocks
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
@@ -116,12 +116,14 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
 
 @verified
 def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
-    """x◁y = [Rx,y], x▷y = -[Rx,Ry]."""
+    """x◁y = [Rx,y], x▷y = -[Rx,Ry]: the `products` of R's columns with the basis, then of
+    those rows with R's columns."""
     L, R = A.L, A.R
     n = L.dim
-    adr = precompose(table_rows(L.sc.ientries, n, True), R.icols)   # adr[i][j] = D·d·[Re_i, e_j]
+    adr = products(table_rows(L.sc.ientries, n, True), R.icols)   # adr[i][j] = D·d·[Re_i, e_j]
+    rr = products(adr, None, R.icols)                               # rr[i][j] = D·d²·[Re_i, Re_j]
     left = {(i, j): adr[i][j] for i in range(n) for j in range(n) if j in adr[i]}
-    wedge = {(i, j): {k: -c for k, c in srow({}, adr[i], R.icols[j]).items()}
+    wedge = {(i, j): {k: -c for k, c in rr[i].get(j, {}).items()}
              for i, j in combinations(range(n), 2)}
     return NSLieAlgebra(n, L.basis, Table._of(n, left, False, L.sc.den * R.den),
                         Table._of(n, wedge, True, L.sc.den * R.den ** 2), check=False)

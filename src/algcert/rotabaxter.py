@@ -12,8 +12,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (ZERO, Mat, Table, Tensor2, flip, integral, precompose, rat, sapply, saxpy,
-                    sprod, table_rows)
+from .exact import (ZERO, Mat, Table, Tensor2, flip, integral, products, rat, sapply, saxpy,
+                    table_rows)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, mult_mats
 from .reynolds import (inner_products, is_reynolds, lie_operands, operator_form_compat,
                        operator_identity)
@@ -114,12 +114,11 @@ def _r_and_dual(qrb: QuadraticRB) -> tuple[Tensor2, LieAlgebra]:
     desc = descendent(qrb.rb)
     # S♯ is the gram matrix, nondegenerate as `is_quadratic_rb` certified and inverted above
     sharp, dual_sc, desc_sc, d, _ = integral(qrb.S.gram, dual.sc, desc.sc)
-    rows = table_rows(dual_sc, n, True)
+    ss = products(table_rows(dual_sc, n, True), sharp, sharp)
 
     def diff(i, j):
         # S♯ is a homomorphism from the descendent algebra to the dual algebra; d³ times
-        out = sprod(rows, sharp[i], sharp[j])
-        return saxpy(out, -d, sapply(sharp, desc_sc.get((i, j), {})))
+        return saxpy(ss[i].get(j, {}), -d, sapply(sharp, desc_sc.get((i, j), {})))
     require(scan("descendent-compatibility",
                  (((i, j), diff(i, j)) for i, j in combinations(range(n), 2)), d ** 3))
     return r, dual
@@ -136,8 +135,8 @@ def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
     n = g.dim
     rows, den, rp = table_rows(g.sc.ientries, n, True), g.sc.den, r_plus(r)
     # ad*_v e_b* = −Σ_k [v,e_k]_b e_k*; adp[a][k] = D·d·[r₊e_a*,e_k], adm[b][k] = D·d·[r₋e_b*,e_k]
-    adp = precompose(rows, rp.icols)
-    adm = precompose(rows, (-rp.transpose()).icols)
+    adp = products(rows, rp.icols)
+    adm = products(rows, (-rp.transpose()).icols)
 
     def comp(a, b):      # D·d·[eᵃ, eᵇ]_r, its k-th coefficient −adp[a][k]_b + adm[b][k]_a
         return saxpy({k: -v.get(b, 0) for k, v in adp[a].items()}, 1,

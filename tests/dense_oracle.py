@@ -23,9 +23,8 @@ from typing import Iterable
 from algcert.certificates import Certificate, CheckFailed, residual_from_mat, scan
 from algcert.bialgebra import _cotable
 from algcert.cybe import PreLieAlgebra, ReynoldsPreLie, is_cybe_solution, r_plus
-from algcert.exact import (ONE, ZERO, Mat, Table, Tensor2, Tensor3, Vec, flip, precompose, rat,
-                           rat_str, sapply, saxpy, srow, table_rows, vadd, vbasis, vec, vsub,
-                           vzero)
+from algcert.exact import (ONE, ZERO, Mat, Table, Tensor2, Tensor3, Vec, flip, rat, rat_str,
+                           sapply, saxpy, table_rows, vadd, vbasis, vec, vsub, vzero)
 from algcert.lie import (LieAlgebra, Representation, block_rows, coadjoint_cols, double_table,
                          dual_basis, s_sharp)
 from algcert.matched import MatchedPair, ReynoldsMatchedPair, is_reynolds_matched_pair
@@ -1066,6 +1065,29 @@ def dict_is_lie_coalgebra(deltas) -> Certificate:
     return scan("coalgebra", (((k,), v) for k, v in enumerate(out)), -den * den)
 
 
+def _ad_rows(rows, cols) -> list:
+    """ad[a][j] = (Σ_i cols[a][i]·e_i)·e_j, term by term over the rows (cancelled zeros kept)."""
+    out = []
+    for col in cols:
+        ad: dict = {}
+        for i, c in col.items():
+            for j, comp in rows[i].items():
+                acc = ad.setdefault(j, {})
+                for k, v in comp.items():
+                    acc[k] = acc.get(k, 0) + c * v
+        out.append(ad)
+    return out
+
+
+def _row_prod(row: dict, y: dict) -> dict:
+    """Σ_j y_j·row[j], the product of the vector with row {j: x·e_j} and y (zeros kept)."""
+    out: dict = {}
+    for j, b in y.items():
+        for k, v in row.get(j, {}).items():
+            out[k] = out.get(k, 0) + b * v
+    return out
+
+
 def dict_operator_brackets(table, P: Mat, Q: Mat, pairs, lam, kappa):
     """(cols, d, s, brackets): integer columns of d·Q, and (i, j, pq, inner) per pair on the
     scales s·d and s, as sparse integer vectors."""
@@ -1079,17 +1101,17 @@ def dict_operator_brackets(table, P: Mat, Q: Mat, pairs, lam, kappa):
     pcols, p = (cols, d) if P is Q else integral(P)
     q = lcm(lam.denominator, kappa.denominator)
     lam_q, kappa_q = int(lam * q), int(kappa * q)
-    adr = precompose(rows, pcols)
+    adr = _ad_rows(rows, pcols)
     lookup = P is Q and getattr(table, "skew", False)
 
     def brackets():
         for i, j in pairs:
-            pq = srow({}, adr[i], cols[j])
+            pq = _row_prod(adr[i], cols[j])
             inner = saxpy({}, q * d, adr[i].get(j, {}))
             if lookup:
                 saxpy(inner, -q * d, adr[j].get(i, {}))
             else:
-                saxpy(inner, q * p, srow({}, rows[i], cols[j]))
+                saxpy(inner, q * p, _row_prod(rows[i], cols[j]))
             saxpy(inner, lam_q * p * d, rows[i].get(j, {}))
             saxpy(inner, kappa_q, pq)
             yield i, j, saxpy({}, q * d, pq), inner

@@ -24,7 +24,9 @@ The Reynolds identities of the doubles split the same way, for any tables and op
   J of g blockwise (negating a bracket leaves J unchanged) and the Reynolds residual of
   (−Rᵀ)⊕R is minus that of −Rᵀ on g* and that of R on g;
 * the residual of ad* as a representation at (i, j) is −(that of ad)ᵀ, whose column k is
-  J(e_i, e_j, e_k).
+  J(e_i, e_j, e_k);
+* the compatibility residual of (ρ*, −Tᵀ) at e_i is −M(e_i)ᵀ, where M(e_i) is that of (ρ, T):
+  the dual of a Reynolds representation is one, as `rk_solution` and `canonical_r` use.
 
 These are the theorems behind the certificates the constructions entail.
 
@@ -49,7 +51,7 @@ from algcert.certificates import scan
 from algcert.cybe import r_plus
 from algcert.exact import Mat, Tensor2, vbasis
 from algcert.lie import (BilinForm, LieAlgebra, Representation, adjoint_rep, coadjoint_rep,
-                         is_representation, jacobi_check)
+                         dual_rep, is_representation, jacobi_check)
 from algcert.matched import is_matched_pair
 from algcert.reynolds import compat_certificate, is_reynolds
 from algcert.rotabaxter import QuadraticRB, RotaBaxterAlg, thmFL_bialgebra
@@ -424,6 +426,18 @@ def semidirect_blocks(g: LieAlgebra, R: Mat, rep, T: Mat) -> None:
     assert is_reynolds(S, op).ok == (is_reynolds(g, R).ok and compat_certificate(R, rep, T).ok)
 
 
+def dual_compat(R: Mat, rep, T: Mat) -> None:
+    """Tuple by tuple: the compatibility residual of (ρ*, −Tᵀ) at (e_i, w_a), entry b, is minus
+    that of (ρ, T) at (e_i, w_b), entry a; so both certificates pass or fail together."""
+    dual, Tt = dual_rep(rep), -T.transpose()
+    comp, comp_d = dict(dense.compat_cases(R, rep, T)), dict(dense.compat_cases(R, dual, Tt))
+    m = rep.module_dim
+    for (i, a), col in comp_d.items():
+        assert list(col) == [-comp[i, b][a] for b in range(m)], (i, a)
+    assert compat_certificate(R, dual, Tt) == dense.compat_certificate(R, dual, Tt)
+    assert compat_certificate(R, dual, Tt).ok == compat_certificate(R, rep, T).ok
+
+
 def test_semidirect_reynolds_residual_splits_into_two_stages():
     g, R = sl2(), sl2_b()
     coad, ad = coadjoint_rep(g), adjoint_rep(g)
@@ -432,6 +446,7 @@ def test_semidirect_reynolds_residual_splits_into_two_stages():
              (R.scale(2), coad, Rt), (R, Representation.zero(g, 2), Mat.identity(2))]
     for R_, rep, T in cases:
         semidirect_blocks(g, R_, rep, T)
+        dual_compat(R_, rep, T)
     assert compat_certificate(R, coad, Rt).ok and not compat_certificate(R, coad, cases[2][2]).ok
 
 
@@ -455,6 +470,7 @@ def test_block_splits_on_random_inputs(case):
     check_direct_sum(g, dual, R)
     check_coadjoint(dual)
     semidirect_blocks(g, R, rep, T)
+    dual_compat(R, rep, T)
     pair_rho = Representation.unchecked(g, g.dim, coadjoint_rep(g).rho)
     pair_mu = Representation.unchecked(dual, g.dim, coadjoint_rep(dual).rho)
     reynolds_double_stages(g, dual, pair_rho, pair_mu, R, -R.transpose())

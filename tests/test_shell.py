@@ -393,17 +393,28 @@ def test_cli_build_outputs_reload_and_reverify(tmp_path, sl2_qrb, sl2_reynolds, 
 
 
 def test_cli_rk_build(tmp_path, sl2_reynolds, sl2_qrb, capsys):
-    rel = RelativeRB(reynolds_coadjoint_rep(sl2_reynolds), r_plus(r_from_qrb(sl2_qrb)))
-    rel_file = write(tmp_path, "rel.json", fio.relative_rb_to_doc(rel))
-    out_file = str(tmp_path / "rk.json")
-    assert main_build(["rk", rel_file, "-o", out_file]) == 0
-    capsys.readouterr()
-    doc = fio.read_doc(out_file)
-    amb = fio.doc_to_reynolds_algebra(doc["g"])
-    r = fio.doc_to_tensor(doc["r"])
-    from algcert.cybe import is_cybe_solution_reynolds
+    # `rk` and `canonical-r` build g⋉W* as `semidirect_reynolds` of the dual Reynolds
+    # representation: the report is pinned, the ambient written is g⋉W* with R⊕(−Tᵀ) built
+    # by hand, and r solves the CYBE in it
+    from algcert.cybe import is_cybe_solution_reynolds, left_rep
+    from algcert.lie import dual_rep, semidirect
+    from algcert.reynolds import ReynoldsLieAlgebra
 
-    assert is_cybe_solution_reynolds(amb, r).ok
+    rel = RelativeRB(reynolds_coadjoint_rep(sl2_reynolds), r_plus(r_from_qrb(sl2_qrb)))
+    rp = prelie_from_relrb(rel)
+    for kind, doc, rr in (("rk", fio.relative_rb_to_doc(rel), rel.rr),
+                          ("canonical-r", fio.prelie_to_doc(rp.A, rp.R), left_rep(rp))):
+        out_file = str(tmp_path / f"{kind}.out.json")
+        assert main_build([kind, write(tmp_path, f"{kind}.json", doc), "-o", out_file]) == 0
+        report = capsys.readouterr().out.splitlines()[1:]
+        assert report == ["[PASS] reynolds-cybe", "  [PASS] cybe",
+                          "  [PASS] reynolds-tensor-condition", "verdict: pass"], kind
+        out = fio.read_doc(out_file)
+        by_hand = ReynoldsLieAlgebra(semidirect(rr.base.L, dual_rep(rr.rep)),
+                                     Mat.block_diag(rr.base.R, -rr.T.transpose()))
+        assert out["g"] == fio.reynolds_algebra_to_doc(by_hand), kind
+        amb, r = fio.doc_to_reynolds_algebra(out["g"]), fio.doc_to_tensor(out["r"])
+        assert is_cybe_solution_reynolds(amb, r).ok, kind
 
 
 def test_cli_json_report_agrees_with_human(tmp_path, sl2, capsys):
