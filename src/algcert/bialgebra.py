@@ -17,8 +17,8 @@ from .cybe import _double_bracket, ad_invariance_cert
 from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, products, sapply, saxpy,
                     table_rows, tensor_map, unpack)
 from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
-                  dual_basis, is_representation, jacobi_check, jacobi_width, jacobiator,
-                  mult_cols, packed_outer)
+                  dual_basis, is_representation, jacobi_check, jacobiator, mult_cols,
+                  packed_outer)
 from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
 from .reynolds import ReynoldsLieAlgebra, is_reynolds
 
@@ -88,9 +88,8 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
     skew = scan("coalgebra", (((k,), d + flip(d)) for k, d in enumerate(deltas)))
     if not skew.ok:
         return skew._replace(note="cobracket is not skew")
-    co, den, top = integral(_cotable(deltas, True))
-    w = jacobi_width(n, top)
-    outer = packed_outer(co, n, w)
+    co, den, _ = integral(_cotable(deltas, True))
+    outer, w = packed_outer(co, n)
     out: list[dict] = [{} for _ in range(n)]
     for x, y, z in combinations(range(n), 3):
         # each e_k's residual gathers one coefficient of every J*, so only a nonzero J* is decoded
@@ -131,14 +130,13 @@ def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
     n = g.dim
     if len(deltas) != n or any(d.dim_left != n or d.dim_right != n for d in deltas):
         raise ValueError("cobracket shape does not match the algebra")
-    sc, co, den, top = integral(g.sc, _cotable(deltas, False))
+    sc, co, den, _ = integral(g.sc, _cotable(deltas, False))
     table = double_table(sc, {}, coadjoint_cols(table_rows(sc, n, True), n),
                          coadjoint_cols(table_rows(co, n), n))
-    w = jacobi_width(2 * n, top)
-    outer, shift = packed_outer(table, 2 * n, w, 0, n), n * w
+    outer, w = packed_outer(table, 2 * n, 0, n)
 
     def residual(i, j):
-        return sum([jacobiator(table, outer, i, j, n + a) << a * shift for a in range(n)])
+        return sum([jacobiator(table, outer, i, j, n + a) << a * n * w for a in range(n)])
 
     def decode(v):
         return {(k // n, k % n): c for k, c in unpack(v, w).items()}

@@ -186,7 +186,7 @@ def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     require(is_relative_rb(rel))
     K = rel.K
     n, m = rel.rr.base.L.dim, rel.rr.rep.module_dim
-    ambient = semidirect_reynolds(dual_reynolds_rep(rel.rr))
+    ambient = semidirect_reynolds(dual_reynolds_rep(rel.rr, [is_reynolds_rep(rel.rr)]))
     kbar = Tensor2._of((n + m, n + m), {(n + i, a): c for i, col in enumerate(K.icols)
                                         for a, c in col.items()}, K.den)
     r_k = kbar - flip(kbar)
@@ -225,13 +225,12 @@ def is_prelie(A: PreLieAlgebra) -> Certificate:
 
     A pre-Lie algebra is an NS-Lie algebra with ▷ = 0: the residual
     (x,y,z) − (y,x,z) is NS identity 1 of (A.prod, 0): column k of the `pair_blocks`
-    matrix at (i, j), in the slots k·n to k·n + n − 1 of the width of `is_nslie`.  It is
-    counted once per visited triple."""
+    matrix at (i, j) of the commutator and the matrices x·(−).  It is counted once per
+    visited triple."""
     from .nslie import _commutator, _identity_1
 
     n, prod = A.dim, A.prod.ientries
-    return scan("pre-lie", _identity_1(_commutator(prod, {}, n), prod, n, A.prod.top),
-                A.prod.den ** 2)
+    return scan("pre-lie", _identity_1(_commutator(prod, {}, n), prod, n), A.prod.den ** 2)
 
 
 class ReynoldsPreLie(Checked):
@@ -307,8 +306,8 @@ def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
 @verified
 def canonical_r(rp: ReynoldsPreLie) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     """r = Σ_i (e_i⊗e_i* − e_i*⊗e_i) inside g⋉_{L*}g* with operator R⊕(−Rᵀ)."""
-    n = rp.A.dim
-    ambient = semidirect_reynolds(dual_reynolds_rep(left_rep(rp)))
+    n, rr = rp.A.dim, left_rep(rp)
+    ambient = semidirect_reynolds(dual_reynolds_rep(rr, [is_reynolds_rep(rr)]))
     r = Tensor2(2 * n, 2 * n, {key: c for i in range(n)
                                for key, c in (((i, n + i), 1), ((n + i, i), -1))})
     require(is_cybe_solution_reynolds(ambient, r))

@@ -639,14 +639,51 @@ def integral(*objs):
 # substitution), so a vector multiply-add is one bigint multiply-add and a
 # zero test is ``v == 0``.  The packed value is exact whatever its slots hold
 # on the way; it decodes to the right coefficients, and is 0 only for the zero
-# vector, when every coefficient c it stands for has |c| ≤ 2^(w−1) − 1.  A
-# kernel derives w per call (`width`) from a proven bound on every
-# coefficient it tests or decodes, from the `top` of its integer tables and
-# the dimension.
+# vector, when every coefficient c it stands for has |c| ≤ 2^(w−1) − 1.  The
+# kernels that pack size their slots per call with one rule, `slot_width`: a
+# packed sum is a sum of terms Σ_m c_m·v_m, each coefficient of which is at
+# most ‖c‖₁·max|v|, read off the integer operands actually packed (`norms`).
 
 def width(bound: int) -> int:
     """The least slot width w with 2^(w−1) − 1 ≥ bound."""
     return bound.bit_length() + 1
+
+
+def norms(vectors, rows: int = 0) -> tuple[int, int, int]:
+    """The largest ℓ1 norm and the largest |entry| of integer sparse vectors (a sequence, or a
+    dict of them), and the largest ℓ1 norm of the `rows` rows of the matrix they are the
+    columns of."""
+    l1 = top = 0
+    row = [0] * rows
+    for v in vectors.values() if type(vectors) is dict else vectors:
+        s = 0
+        for k, c in v.items():
+            if c < 0:
+                c = -c
+            s += c
+            if c > top:
+                top = c
+            if rows:
+                row[k] += c
+        if s > l1:
+            l1 = s
+    return l1, top, max(row) if rows else 0
+
+
+def slot_width(*terms) -> int:
+    """The slot width of a packed sum of `terms`, each (count, coefficients, packed): `count`
+    sums Σ_m c_m·v_m with (c_m) one vector of the family `coefficients` and every v_m one of
+    the family `packed`.  A coefficient of such a sum is at most ‖c‖₁·max|v|, so the term
+    adds count times the largest ℓ1 norm of `coefficients` times the largest |entry| of
+    `packed` to the bound (`norms`); a family named twice is read once."""
+    seen: dict[int, tuple] = {}
+    bound = 0
+    for count, coeffs, packed in terms:
+        for family in (coeffs, packed):
+            if id(family) not in seen:
+                seen[id(family)] = norms(family)
+        bound += count * seen[id(coeffs)][0] * seen[id(packed)][1]
+    return width(bound)
 
 
 def pack(v: dict[int, int], w: int) -> int:

@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .certificates import Certificate, Checked, entail, require, scan, verified
 from .exact import (Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, pack, sapply,
-                    table_rows, unpack, width)
+                    slot_width, table_rows, unpack)
 
 
 def default_basis(dim: int, prefix: str = "e") -> tuple[str, ...]:
@@ -79,8 +79,9 @@ def jacobiator(table: dict, outer: list[list[int]], x: int, y: int, z: int) -> i
     each `outer[c][m]` a packed vector, so each term is one bigint multiply-add.  With
     `outer[c][m]` = e_m·e_c cut to the output block the caller reads (`packed_outer`), J is
     the Jacobiator Σ_cyc [[e_a,e_b],e_c]: every Jacobi-type check is a block of it on a
-    `double_table`, D² times too large on an integer table D·sc, on slots of `jacobi_width`.
-    NS identity 2 is J on the stacked table and `outer` of `nslie._identity_2`.
+    `double_table`, D² times too large on an integer table D·sc.  NS identity 2 is J on the
+    stacked table and `outer` of `nslie._identity_2`.  Whoever builds `outer` returns the
+    slot width: 3 sums of a product's coefficients times packed vectors of `outer`.
     """
     acc = 0
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
@@ -93,23 +94,18 @@ def jacobiator(table: dict, outer: list[list[int]], x: int, y: int, z: int) -> i
     return acc
 
 
-def jacobi_width(dim: int, top: int) -> int:
-    """The slot width for J on integer tables of total dimension `dim` and largest |coefficient|
-    `top`: each coefficient is a sum of 3 cyclic terms of at most `dim` products of two entries."""
-    return width(3 * dim * top ** 2)
-
-
-def packed_outer(table: dict, n: int, w: int, lo: int = 0,
-                 hi: int = sys.maxsize) -> list[list[int]]:
+def packed_outer(table: dict, n: int, lo: int = 0,
+                 hi: int = sys.maxsize) -> tuple[list[list[int]], int]:
     """outer[c][m] = e_m·e_c of a skew integer table on dimension n, its components in
-    [lo, hi) packed from slot 0."""
+    [lo, hi) packed from slot 0, and the slot width of `jacobiator` on the table and it."""
+    cut = {key: {k - lo: c for k, c in comp.items() if lo <= k < hi}
+           for key, comp in table.items()} if lo or hi < n else table
+    w = slot_width((3, table, cut))
     outer = [[0] * n for _ in range(n)]
-    for (i, j), comp in table.items():
-        if lo or hi < n:
-            comp = {k - lo: c for k, c in comp.items() if lo <= k < hi}
+    for (i, j), comp in cut.items():
         outer[j][i] = x = pack(comp, w)
         outer[i][j] = -x
-    return outer
+    return outer, w
 
 
 def block_rows(rows: Rows, lo: int, hi: int) -> Rows:
@@ -141,9 +137,8 @@ def jacobi_check(L: LieAlgebra) -> Certificate:
 
     On the integer table D·sc the Jacobiator comes out D² times too large.
     """
-    sc, den, top = integral(L.sc)
-    w = jacobi_width(L.dim, top)
-    outer = packed_outer(sc, L.dim, w)
+    sc, den, _ = integral(L.sc)
+    outer, w = packed_outer(sc, L.dim)
     return scan("jacobi", (((i, j, k), jacobiator(sc, outer, i, j, k))
                            for i, j, k in combinations(range(L.dim), 3)), den * den,
                 lambda v: unpack(v, w))
@@ -191,55 +186,59 @@ def is_representation(rep: Representation) -> Certificate:
 
     The residual at (i, j) is the `pair_blocks` matrix on the integer table and ρ's
     integer columns under one scale D (so D² times too large), entry (a, b) in the slot
-    b·m + a.  It is J(e_i, e_j, w_b) at w_a on g⋉W, so each entry is at most
-    (n + 2m)·top²: the slots have the `jacobi_width` of g⋉W.
+    b·m + a.
     """
-    n, m = rep.algebra.dim, rep.module_dim
-    sc, *cols, den, top = integral(rep.algebra.sc, *rep.rho)
-    w = jacobi_width(n + m, top)
-    return scan("representation", pair_blocks(sc, cols, m, w), den * den,
-                lambda v: block_entries(v, m, w))
+    sc, *cols, den, _ = integral(rep.algebra.sc, *rep.rho)
+    w, values = pair_blocks(sc, cols, rep.module_dim)
+    return scan("representation", values, den * den, lambda v: block_entries(v, rep.module_dim, w))
 
 
-def pair_blocks(table: dict, cols: list, m: int, w: int, pairs=None, left=None, right=None):
-    """((i, j), v) for every pair of `pairs` (default: i<j in lexicographic order), v the m×m
-    matrix ρ(e_i·e_j) + ρ(e_j)·R(e_i) − L(e_i)·ρ(e_j) packed with its column b in the slots
-    b·m to b·m + m − 1, for an integer table (e_i·e_j at the key (i, j); for a skew one only
-    i<j is read) on the n = len(cols) basis vectors and integer families ρ = `cols`,
-    L = `left` and R = `right` of m×m matrices on one scale, each matrix by its m columns
-    (`Mat.icols`; ρ's may be a map from b to the nonzero ones).  L and R default to ρ, when
-    v = ρ([e_i,e_j]) − [ρ(e_i), ρ(e_j)].  Each column of ρ and L is packed once as C_x[b]
-    and each ρ(e_x) once as a whole matrix M_x, so a pair costs its nonzeros: Σ_k c_ij^k·M_k,
-    then Σ_k R_i[k,b]·C_j[k] for each nonzero column b of R_i and Σ_k ρ_j[k,b]·L_i[k] for
-    each of ρ_j, each shifted once into place.  The caller derives w from a bound on every
-    entry."""
+def pair_blocks(table: dict, cols: list, m: int, pairs=None, left=None, right=None):
+    """The slot width w, and ((i, j), v) for every pair of `pairs` (default: i<j in
+    lexicographic order), v the m×m matrix ρ(e_i·e_j) + ρ(e_j)·R(e_i) − L(e_i)·ρ(e_j) packed
+    with its column b in the slots b·m to b·m + m − 1, for an integer table (e_i·e_j at the
+    key (i, j); for a skew one only i<j is read) on the n = len(cols) basis vectors and
+    integer families ρ = `cols`, L = `left` and R = `right` of m×m matrices on one scale,
+    each matrix by its m columns (`Mat.icols`; ρ's may be a map from b to the nonzero ones).
+    L and R default to ρ, when v = ρ([e_i,e_j]) − [ρ(e_i), ρ(e_j)].  Each column of ρ and L
+    is packed once as C_x[b] and each ρ(e_x) once as a whole matrix M_x, so a pair costs its
+    nonzeros: Σ_k c_ij^k·M_k, then Σ_k R_i[k,b]·C_j[k] for each nonzero column b of R_i and
+    Σ_k ρ_j[k,b]·L_i[k] for each of ρ_j, each shifted once into place: the three terms of
+    the slot width."""
     cols = [x if type(x) is dict else {b: c for b, c in enumerate(x) if c} for x in cols]
+    rho = [col for x in cols for col in x.values()]
+    w = slot_width((1, table, rho),
+                   (1, rho if right is None else [col for x in right for col in x], rho),
+                   (1, rho, rho if left is None else [col for x in left for col in x]))
+    right = cols if right is None else [{b: c for b, c in enumerate(x) if c} for x in right]
     shift, packed, whole = m * w, [], []
-    for rho in cols:
+    for x in cols:
         px, mx = [0] * m, 0
-        for b, col in rho.items():
+        for b, col in x.items():
             px[b] = p = pack(col, w)
             mx += p << b * shift
         packed.append(px)
         whole.append(mx)
     left = packed if left is None else [[pack(col, w) for col in x] for x in left]
-    right = cols if right is None else [{b: c for b, c in enumerate(x) if c} for x in right]
-    for i, j in combinations(range(len(cols)), 2) if pairs is None else pairs:
-        v = 0
-        for k, c in table.get((i, j), {}).items():
-            v += c * whole[k]
-        pj, li = packed[j], left[i]
-        for b, col in right[i].items():
-            t = 0
-            for k, c in col.items():
-                t += c * pj[k]
-            v += t << b * shift
-        for b, col in cols[j].items():
-            t = 0
-            for k, c in col.items():
-                t += c * li[k]
-            v -= t << b * shift
-        yield (i, j), v
+
+    def values():
+        for i, j in combinations(range(len(cols)), 2) if pairs is None else pairs:
+            v = 0
+            for k, c in table.get((i, j), {}).items():
+                v += c * whole[k]
+            pj, li = packed[j], left[i]
+            for b, col in right[i].items():
+                t = 0
+                for k, c in col.items():
+                    t += c * pj[k]
+                v += t << b * shift
+            for b, col in cols[j].items():
+                t = 0
+                for k, c in col.items():
+                    t += c * li[k]
+                v -= t << b * shift
+            yield (i, j), v
+    return w, values()
 
 
 def block_entries(v: int, m: int, w: int) -> dict:

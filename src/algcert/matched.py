@@ -22,7 +22,6 @@ from .lie import (
     double_table,
     is_representation,
     jacobi_check,
-    jacobi_width,
     jacobiator,
     packed_outer,
 )
@@ -69,20 +68,17 @@ def _compat_stages(g: LieAlgebra, h: LieAlgebra, rho: Representation,
     J(f_a, e_x, e_y) on the integer table of g⋈h under one scale D: the scale is −D².
     """
     n, m = g.dim, h.dim
-    gsc, hsc, *cols, den, top = integral(g.sc, h.sc, *rho.rho, *mu.rho)
+    gsc, hsc, *cols, den, _ = integral(g.sc, h.sc, *rho.rho, *mu.rho)
     table = double_table(gsc, hsc, cols[:n], cols[n:])
-    w = jacobi_width(n + m, top)
-    on_h, on_g = packed_outer(table, n + m, w, n, n + m), packed_outer(table, n + m, w, 0, n)
-
-    def decode(v):
-        return unpack(v, w)
+    on_h, wh = packed_outer(table, n + m, n, n + m)
+    on_g, wg = packed_outer(table, n + m, 0, n)
     return [
         scan("compat-on-h", (((i, a, b), jacobiator(table, on_h, i, n + a, n + b))
                              for i in range(n) for a, b in combinations(range(m), 2)),
-             -den * den, decode),
+             -den * den, lambda v: unpack(v, wh)),
         scan("compat-on-g", (((a, i, j), jacobiator(table, on_g, n + a, i, j))
                              for a in range(m) for i, j in combinations(range(n), 2)),
-             -den * den, decode),
+             -den * den, lambda v: unpack(v, wg)),
     ]
 
 

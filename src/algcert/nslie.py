@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import combinations, groupby, product
 
 from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (Table, Vec, integral, mat_comb, pack, products, saxpy, table_rows, unpack,
-                    width)
+from .exact import (Table, Vec, integral, mat_comb, pack, products, saxpy, slot_width, table_rows,
+                    unpack)
 from .lie import LieAlgebra, block_entries, default_basis, jacobiator, mult_mats, pair_blocks
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
@@ -57,38 +57,38 @@ def _commutator(left: dict, wedge: dict, n: int) -> dict:
             for i, j in combinations(range(n), 2)}
 
 
-def _identity_1(comm: dict, left: dict, n: int, top: int):
+def _identity_1(comm: dict, left: dict, n: int):
     """NS identity 1, (x◁y)◁z - x◁(y◁z) - (y◁x)◁z + y◁(x◁z) + (x▷y)◁z
-    = [x,y]◁z - x◁(y◁z) + y◁(x◁z), of integer tables ◁ and ▷ (skew) on dimension n, from ◁,
-    their commutator and their largest |coefficient|: ((i, j, k), v) where it is nonzero,
-    i<j, in lexicographic order.  It says x ↦ (x◁·) represents the commutator, so v is
-    column k of the `pair_blocks` matrix at (i, j) of [,] and the matrices x◁·.  The
-    commutator's coefficients reach 3·top, so its entries are at most 3n·top² + 2n·top².
+    = [x,y]◁z - x◁(y◁z) + y◁(x◁z), of integer tables ◁ and ▷ (skew) on dimension n, from ◁
+    and their commutator: ((i, j, k), v) where it is nonzero, i<j, in lexicographic order.
+    It says x ↦ (x◁·) represents the commutator, so v is column k of the `pair_blocks`
+    matrix at (i, j) of [,] and the matrices x◁·.
     """
-    w = width(5 * n * top ** 2)
-    for (i, j), v in pair_blocks(comm, table_rows(left, n), n, w):
+    w, values = pair_blocks(comm, table_rows(left, n), n)
+    for (i, j), v in values:
         for k, col in groupby(unpack(v, w).items(), lambda e: e[0] // n):
             yield (i, j, k), {x % n: c for x, c in col}
 
 
-def _identity_2(comm: dict, left: dict, wedge: dict, n: int, w: int, lo: int = 0):
+def _identity_2(comm: dict, left: dict, wedge: dict, n: int, lo: int = 0):
     """NS identity 2, Σ_cyc z▷[x,y] + z◁(x▷y), as `lie.jacobiator`'s
     J(x, y, z) = Σ_cyc Σ_m T(x,y)_m·outer[z][m]: returns the skew table
-    T(e_a,e_b) = [e_a,e_b] ⊕ e_a▷e_b (▷ from slot n on) and outer[c], which packs
-    (e_c▷e_m | e_c◁e_m) on slots of width w cut to the components from lo on, for integer
-    tables ◁, ▷ (skew) and their commutator on dimension n."""
+    T(e_a,e_b) = [e_a,e_b] ⊕ e_a▷e_b (▷ from slot n on), outer[c], which packs
+    (e_c▷e_m | e_c◁e_m) cut to the components from lo on, and the slot width of J on them,
+    for integer tables ◁, ▷ (skew) and their commutator on dimension n."""
     table = {key: {**comp, **{n + k: c for k, c in wedge[key].items()}} if key in wedge else comp
              for key, comp in comm.items()}
+    if lo:
+        wedge, left = ({key: {k - lo: c for k, c in comp.items() if k >= lo}
+                        for key, comp in t.items()} for t in (wedge, left))
+    w = slot_width((3, table, [*wedge.values(), *left.values()]))
     outer = [[0] * (2 * n) for _ in range(n)]
-
-    def packed(comp):
-        return pack({k - lo: c for k, c in comp.items() if k >= lo} if lo else comp, w)
     for (a, b), comp in wedge.items():
-        outer[a][b] = x = packed(comp)
+        outer[a][b] = x = pack(comp, w)
         outer[b][a] = -x
     for (a, b), comp in left.items():
-        outer[a][n + b] = packed(comp)
-    return table, outer
+        outer[a][n + b] = pack(comp, w)
+    return table, outer, w
 
 
 @verified
@@ -98,17 +98,14 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
     Identity 1 is skew in (x, y), [y,x] = −[x,y] exactly and the other two terms swap, so
     `scan` visits i<j with every k and counts two; identity 2 is cyclic and skew in (x, y)
     as T is, so it visits i<j<k and counts six.  On the integer tables D·◁ and D·▷ both
-    come out D² times too large.  A cyclic term of identity 2 is at most n − 1 products of
-    a commutator coefficient (≤ 3·top) with a ▷-coefficient (e_z▷e_z = 0) and n of a ▷-
-    with a ◁-coefficient: its slots hold 3(3(n − 1) + n)·top² = (12n − 9)·top².
+    come out D² times too large.
     """
     n = A.dim
-    left, wedge, den, top = integral(A.left, A.wedge)
+    left, wedge, den, _ = integral(A.left, A.wedge)
     comm = _commutator(left, wedge, n)
-    w = width((12 * n - 9) * top ** 2)
-    table, outer = _identity_2(comm, left, wedge, n, w)
+    table, outer, w = _identity_2(comm, left, wedge, n)
     return Certificate.combine("nslie", [
-        scan("ns-identity-1", _identity_1(comm, left, n, top), den * den, orbit=lambda t: 2),
+        scan("ns-identity-1", _identity_1(comm, left, n), den * den, orbit=lambda t: 2),
         scan("ns-identity-2", ((t, jacobiator(table, outer, *t))
                                for t in combinations(range(n), 3)),
              den * den, lambda v: unpack(v, w), orbit=lambda t: 6)])
@@ -156,12 +153,10 @@ class NSRep(Checked):
             require(is_ns_rep(self))
 
 
-def _semidirect_tables(rep: NSRep) -> tuple[dict, dict, int, int]:
+def _semidirect_tables(left: dict, wedge: dict, mats: list, n: int) -> tuple[dict, dict]:
     """◁ and ▷ of G⊕W as integer tables, W's basis after G's: e_i◁w = mu(e_i)w,
-    w◁e_i = nu(e_i)w, e_i▷w = varrho(e_i)w, and W◁W = W▷W = 0; their denominator and
-    largest |coefficient|."""
-    A, n = rep.base, rep.base.dim
-    left, wedge, *mats, den, top = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
+    w◁e_i = nu(e_i)w, e_i▷w = varrho(e_i)w, and W◁W = W▷W = 0, from G's integer tables on
+    dimension n and the integer columns `mats` of mu, nu and varrho in turn, on one scale."""
     left, wedge = dict(left), dict(wedge)
     for i in range(n):
         for b, (mu, nu, vr) in enumerate(zip(mats[i], mats[n + i], mats[2 * n + i])):
@@ -169,7 +164,7 @@ def _semidirect_tables(rep: NSRep) -> tuple[dict, dict, int, int]:
                                     (wedge, (i, n + b), vr)):
                 if col:
                     table[key] = {n + k: c for k, c in col.items()}
-    return left, wedge, den, top
+    return left, wedge
 
 
 @verified
@@ -181,35 +176,32 @@ def is_ns_rep(rep: NSRep) -> Certificate:
     are G's own or 0.  So each stage is an m×m matrix at (i, j), entry (a, b) in the slot
     b·m + a, whose entry (a, b) is the w_a-component of
     - ns-rep-1: identity 1 at (e_i, e_j, w_b), mu([e_i,e_j]) − [mu(e_i), mu(e_j)]: the
-      `pair_blocks` matrix of mu on G's commutator, entries at most (3n + 2m)·top²;
+      `pair_blocks` matrix of mu on G's commutator;
     - ns-rep-2: identity 1 at (e_i, w_b, e_j), nu(e_i◁e_j) + nu(e_j)·s(e_i) − mu(e_i)·nu(e_j)
       for s = mu − nu + varrho: the `pair_blocks` matrix of ◁, nu, mu and s over every
-      ordered pair, entries at most (n + m + 3m)·top²;
+      ordered pair;
     - ns-rep-3: identity 2 at (e_i, e_j, w_b), the W-block of `_identity_2` on
-      `_semidirect_tables`, one `jacobiator` per b.  As W◁W = W▷W = 0, a cyclic term is at
-      most 3n·top² + n·top² (z = w_b) or 3m·top² + m·top²: 4(n + 2m)·top² in all.
+      `_semidirect_tables`, one `jacobiator` per b.
     ns-rep-1 and ns-rep-3 are skew in (i, j), as identities 1 and 2 are in (x, y): they
     visit i<j and count two.
     """
     n, md = rep.base.dim, rep.module_dim
-    g_left, g_wedge, *maps, d, top = integral(rep.base.left, rep.base.wedge, *rep.mu, *rep.nu,
-                                              *rep.varrho)
+    g_left, g_wedge, *maps, d, _ = integral(rep.base.left, rep.base.wedge, *rep.mu, *rep.nu,
+                                            *rep.varrho)
     mu, nu, vr = maps[:n], maps[n:2 * n], maps[2 * n:]
     s = [[saxpy(saxpy(dict(a), -1, b), 1, c) for a, b, c in zip(*abc)] for abc in zip(mu, nu, vr)]
-    w1, w2 = width((3 * n + 2 * md) * top ** 2), width((n + 4 * md) * top ** 2)
-    left, wedge, den, top = _semidirect_tables(rep)
-    w3 = width(4 * (n + 2 * md) * top ** 2)
-    table, outer = _identity_2(_commutator(left, wedge, n + md), left, wedge, n + md, w3, n)
+    w1, ns1 = pair_blocks(_commutator(g_left, g_wedge, n), mu, md)
+    w2, ns2 = pair_blocks(g_left, nu, md, product(range(n), repeat=2), mu, s)
+    left, wedge = _semidirect_tables(g_left, g_wedge, maps, n)
+    table, outer, w3 = _identity_2(_commutator(left, wedge, n + md), left, wedge, n + md, n)
 
     def ns3(i, j):
         return sum([jacobiator(table, outer, i, j, n + b) << b * md * w3 for b in range(md)])
     return Certificate.combine("ns-rep", [
-        scan("ns-rep-1", pair_blocks(_commutator(g_left, g_wedge, n), mu, md, w1), d * d,
-             lambda v: block_entries(v, md, w1), orbit=lambda ij: 2),
-        scan("ns-rep-2", pair_blocks(g_left, nu, md, w2, product(range(n), repeat=2), mu, s),
-             d * d, lambda v: block_entries(v, md, w2)),
+        scan("ns-rep-1", ns1, d * d, lambda v: block_entries(v, md, w1), orbit=lambda ij: 2),
+        scan("ns-rep-2", ns2, d * d, lambda v: block_entries(v, md, w2)),
         scan("ns-rep-3", (((i, j), ns3(i, j)) for i, j in combinations(range(n), 2)),
-             den * den, lambda v: block_entries(v, md, w3), orbit=lambda ij: 2)])
+             d * d, lambda v: block_entries(v, md, w3), orbit=lambda ij: 2)])
 
 
 def regular_rep(A: NSLieAlgebra) -> NSRep:
@@ -224,8 +216,9 @@ def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
     require(is_ns_rep(rep))
     if rep.module_dim == 0:
         return rep.base
-    left, wedge, den, _ = _semidirect_tables(rep)
-    m = rep.base.dim + rep.module_dim
+    A, m = rep.base, rep.base.dim + rep.module_dim
+    left, wedge, *maps, den, _ = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
+    left, wedge = _semidirect_tables(left, wedge, maps, A.dim)
     return NSLieAlgebra(m, rep.base.basis + rep.labels, Table._of(m, left, False, den),
                         Table._of(m, wedge, True, den), check=False)
 

@@ -14,7 +14,7 @@ from math import lcm
 from operator import add, mul
 
 from .certificates import Certificate, Checked, entail, require, scan, verified
-from .exact import ONE, ZERO, Mat, Table, integral, rat, unpack, width
+from .exact import ONE, ZERO, Mat, Table, integral, norms, rat, unpack, width
 from .lie import (BilinForm, LieAlgebra, Representation, adjoint_rep, coadjoint_rep, dual_rep,
                   is_quadratic, is_representation, s_sharp, semidirect)
 
@@ -55,9 +55,9 @@ def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
     residual q·d·(D·p·d·Pe_i·Qe_j) − dQ·(s·I) is the same with
     A = P(qd·X − κq·V) − qp·V and B = −(qd·PV + λq·pd·V), V = dQ·X packed.
 
-    The slot widths come from a bound on every coefficient the two decode or test.
-    Let t be the largest |coefficient| of X, p1 the largest column ℓ1 norm of p·P, and
-    q1 and q∞ the largest column and row ℓ1 norms of d·Q.  A coefficient of
+    The slot widths follow the rule of `exact.slot_width`, composed through P and Q: let t
+    be the largest |coefficient| of X, p1 the largest column ℓ1 norm of p·P, and q1 and q∞
+    the largest column and row ℓ1 norms of d·Q (`exact.norms`).  A coefficient of
     Σ_a pP[a, i]·Y[a] is at most p1 times the largest coefficient of Y, one of
     Σ_b dQ[b, j]·Y[b] at most q1 times it, and one of dQ·y at most q∞ times the
     largest coefficient of y.  Term by term, a coefficient of s·I is at most t·k with
@@ -79,8 +79,8 @@ def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
     lpd = lam.numerator * (q // lam.denominator) * p * d
     kq = kappa.numerator * (q // kappa.denominator)
     N = Q.rows
-    q1, qinf = _norms(cols, N)
-    p1 = q1 if P is Q else _norms(pcols, n)[0]
+    q1, _, qinf = norms(cols, N)
+    p1 = q1 if P is Q else norms(pcols)[0]
     k = q1 * (abs(kq) * p1 + qp) + qd * p1 + abs(lpd)
 
     def values(pairs, y, x, c0, c1, cq, cl):
@@ -120,15 +120,6 @@ def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
                 x[b][a] = -u
         return w, values(pairs, x, x, qp, kq, qd, lpd)
     return q * den * p * d, d, residuals, inners
-
-
-def _norms(cols: list[dict[int, int]], rows: int) -> tuple[int, int]:
-    """The largest column and row ℓ1 norms of an integer matrix given by its columns."""
-    row = [0] * rows
-    for col in cols:
-        for b, c in col.items():
-            row[b] += abs(c)
-    return max((sum(map(abs, col.values())) for col in cols), default=0), max(row, default=0)
 
 
 def operator_identity(check: str, table, P: Mat, Q: Mat, pairs, lam, kappa) -> Certificate:
@@ -214,9 +205,13 @@ def is_reynolds_rep(rr: ReynoldsRep) -> Certificate:
     return Certificate.combine("reynolds-rep", [rep_ok, compat])
 
 
-def dual_reynolds_rep(rr: ReynoldsRep) -> ReynoldsRep:
-    """(W*; -Tᵀ, rho*)."""
-    return ReynoldsRep(rr.base, dual_rep(rr.rep), -rr.T.transpose(), check=False)
+def dual_reynolds_rep(rr: ReynoldsRep, given=()) -> ReynoldsRep:
+    """(W*; -Tᵀ, rho*).  Its representation and compatibility residuals are minus the
+    transposes of rr's, so `given`, rr's passed `is_reynolds_rep`, entails both."""
+    dual = ReynoldsRep(rr.base, dual_rep(rr.rep), -rr.T.transpose(), check=False)
+    entail(is_representation, (dual.rep,), "representation", given)
+    entail(compat_certificate, (rr.base.R, dual.rep, dual.T), "compatibility", given)
+    return dual
 
 
 @verified

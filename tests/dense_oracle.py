@@ -18,6 +18,7 @@ from types import SimpleNamespace
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable
 
 from algcert.certificates import Certificate, CheckFailed, residual_from_mat, scan
@@ -33,15 +34,10 @@ from algcert.rotabaxter import descendent, is_quadratic_rb
 
 
 def _mm(a, b, cols: int) -> list:
-    """a·b for matrices given by their Fraction rows, b with `cols` columns: row by row,
-    out[i] = Σ_k a[i][k]·b[k], zero a[i][k] skipped."""
-    out = [[ZERO] * cols for _ in a]
-    for acc, row in zip(out, a):
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    acc[j] += x * y
-    return out
+    """a·b for matrices given by their rational rows, b with `cols` columns: entry (i, j) is
+    the dot product of row i of a and column j of b."""
+    bt = list(zip(*b)) or [()] * cols
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -132,13 +128,17 @@ def operator_form_compat(L, S, R: Mat, name: str, lam=None) -> Certificate:
 
 # -- NS-Lie products on dense vectors ---------------------------------------
 
-def _read_once(A):
-    """A's two products as plain dicts of Fractions (a `Table` derives them on each read)."""
-    return SimpleNamespace(dim=A.dim, left=dict(A.left.items()), wedge=dict(A.wedge.items()))
+def _on_integers(A, *mats):
+    """A's two products as integer dicts and the matrices as integer rows, all D times
+    theirs for D the lcm of every denominator (`integral`), and D: an NS identity, bilinear
+    in them, comes out D² times too large."""
+    left, wedge, *cols, den = integral(A.left, A.wedge, *mats)
+    rows = [[[col.get(a, 0) for col in m] for a in range(len(m))] for m in cols]
+    return SimpleNamespace(dim=A.dim, left=left, wedge=wedge), rows, den
 
 
 def left_prod(A, x, y):
-    out = [ZERO] * A.dim
+    out = [0] * A.dim
     ys = [(j, b) for j, b in enumerate(y) if b]
     for i, a in enumerate(x):
         if not a:
@@ -153,7 +153,7 @@ def left_prod(A, x, y):
 
 
 def wedge_prod(A, x, y):
-    out = [ZERO] * A.dim
+    out = [0] * A.dim
     for (i, j), comp in A.wedge.items():
         if not (x[i] or x[j]) or not (y[i] or y[j]):
             continue
@@ -177,39 +177,60 @@ def comm(A, x, y):
     return _add(_sub(left_prod(A, x, y), left_prod(A, y, x)), wedge_prod(A, x, y))
 
 
+def _tables(A):
+    """A's products of two basis vectors, ◁, ▷ and the commutator, each tabulated once."""
+    e = [tuple([int(k == i) for k in range(A.dim)]) for i in range(A.dim)]
+    return ([[f(A, x, y) for y in e] for x in e] for f in (left_prod, wedge_prod, comm))
+
+
+def _comb(n: int, terms) -> tuple:
+    """Σ c·v over the (c, v) in `terms`, v dense Fraction vectors of length n."""
+    out = [0] * n
+    for c, v in terms:
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] += c * x
+    return tuple(out)
+
+
 def is_nslie(A) -> Certificate:
-    """Both identities at every ordered basis triple, on dense vectors; the products of
-    two basis vectors are tabulated once."""
-    A = _read_once(A)
+    """Both identities at every ordered basis triple, on dense vectors (`_on_integers`).
+    The products of two basis vectors are tabulated once, and so is each product of a
+    tabulated one with a basis vector that the identities read: (e_i◁e_j)◁e_k,
+    (e_i▷e_j)◁e_k, e_i◁(e_j◁e_k) and e_u▷[e_v,e_w] + e_u◁(e_v▷e_w), each a combination of
+    the rows or columns of a table."""
+    A, _, den = _on_integers(A)
     n = A.dim
-    e = [vbasis(n, i) for i in range(n)]
-    L, W, C = ([[f(A, x, y) for y in e] for x in e] for f in (left_prod, wedge_prod, comm))
+    L, W, C = _tables(A)
+    idx = range(n)
+
+    def right(x, k):                        # x◁e_k
+        return _comb(n, ((c, L[m][k]) for m, c in enumerate(x)))
+
+    def left(table, i, x):                  # e_i◁x or e_i▷x
+        return _comb(n, ((c, table[i][m]) for m, c in enumerate(x)))
+    LL, WL = ([[[right(T[i][j], k) for k in idx] for j in idx] for i in idx] for T in (L, W))
+    EL = [[[left(L, i, L[j][k]) for k in idx] for j in idx] for i in idx]
+    X = [[[_add(left(W, u, C[v][w]), left(L, u, W[v][w])) for w in idx] for v in idx]
+         for u in idx]
 
     def identity1(i, j, k):
-        return _add(
-            _sub(
-                _sub(left_prod(A, L[i][j], e[k]), left_prod(A, e[i], L[j][k])),
-                _sub(left_prod(A, L[j][i], e[k]), left_prod(A, e[j], L[i][k])),
-            ),
-            left_prod(A, W[i][j], e[k]),
-        )
+        return _add(_sub(_sub(LL[i][j][k], EL[i][j][k]), _sub(LL[j][i][k], EL[j][i][k])),
+                    WL[i][j][k])
 
     def identity2(i, j, k):
-        r2 = vzero(n)
-        for (u, v, w) in ((i, j, k), (j, k, i), (k, i, j)):
-            r2 = _add(r2, wedge_prod(A, e[u], C[v][w]))
-            r2 = _add(r2, left_prod(A, e[u], W[v][w]))
-        return r2
+        return _add(_add(X[i][j][k], X[j][k][i]), X[k][i][j])
 
     triples = list(product(range(n), repeat=3))
     return Certificate.combine("nslie", [
-        scan(name, ((t, identity(*t)) for t in triples))
+        scan(name, ((t, identity(*t)) for t in triples), den * den)
         for name, identity in (("ns-identity-1", identity1), ("ns-identity-2", identity2))])
 
 
 def _sum(m: int, terms) -> list:
-    """Σ c·M over the (c, M) in `terms`, M given by its Fraction rows."""
-    out = [[ZERO] * m for _ in range(m)]
+    """Σ c·M over the (c, M) in `terms`, M given by its rational rows."""
+    out = [[0] * m for _ in range(m)]
     for c, rows in terms:
         for acc, row in zip(out, rows):
             for j, y in enumerate(row):
@@ -219,20 +240,16 @@ def _sum(m: int, terms) -> list:
 
 
 def is_ns_rep(rep) -> Certificate:
-    """The three identities per ordered basis pair on dense Fraction rows, as matrices
-    {(a, b): c}."""
-    A, md = _read_once(rep.base), rep.module_dim
-    n = A.dim
-    basis = [vbasis(n, i) for i in range(n)]
-    vr, mu, nu = ([[list(row) for row in m.entries] for m in g]
-                  for g in (rep.varrho, rep.mu, rep.nu))
-    products: dict = {}
-
-    def mm(a, b):           # each product of two action matrices once
-        key = (id(a), id(b))
-        if key not in products:
-            products[key] = _mm(a, b, md)
-        return products[key]
+    """The three identities per ordered basis pair on dense rows (`_on_integers`), as
+    matrices {(a, b): c}; the products of two basis vectors are tabulated once, and the
+    terms ρ(e_i◁e_j) − ρ(e_j◁e_i) + ρ(e_i▷e_j) are read as ρ([e_i,e_j])."""
+    n, md = rep.base.dim, rep.module_dim
+    A, rows, den = _on_integers(rep.base, *rep.varrho, *rep.mu, *rep.nu)
+    L, W, C = _tables(A)
+    vr, mu, nu = rows[:n], rows[n:2 * n], rows[2 * n:]
+    # every product f(e_i)·g(e_j) of two action matrices, once
+    MM, MN, NM, NN, NV, MV, VM, VN, VV = ([[_mm(a, b, md) for b in g] for a in f] for f, g in (
+        (mu, mu), (mu, nu), (nu, mu), (nu, nu), (nu, vr), (mu, vr), (vr, mu), (vr, nu), (vr, vr)))
 
     def lin(mats, v):
         return [(c, mats[k]) for k, c in enumerate(v) if c]
@@ -240,21 +257,17 @@ def is_ns_rep(rep) -> Certificate:
     diffs = {}
     for i in range(n):
         for j in range(n):
-            x, y = basis[i], basis[j]
-            lw, ll, lr = wedge_prod(A, x, y), left_prod(A, x, y), left_prod(A, y, x)
-            d1 = _sum(md, lin(mu, lw) + [(-1, mm(mu[i], mu[j])), (1, mm(mu[j], mu[i]))]
-                      + lin(mu, ll) + [(-c, m) for c, m in lin(mu, lr)])
-            d2 = _sum(md, lin(nu, ll) + [(-1, mm(mu[i], nu[j])), (1, mm(nu[j], mu[i])),
-                                         (-1, mm(nu[j], nu[i])), (1, mm(nu[j], vr[i]))])
-            d3 = _sum(md, lin(nu, lw) + [(-1, mm(mu[j], vr[i])), (1, mm(vr[i], mu[j])),
-                                         (-1, mm(vr[i], nu[j])), (1, mm(vr[j], nu[i])),
-                                         (-1, mm(vr[j], vr[i])), (1, mm(vr[i], vr[j])),
-                                         (-1, mm(vr[j], mu[i])), (1, mm(mu[i], vr[j]))]
-                      + [(-c, m) for c, m in lin(vr, comm(A, x, y))])
+            d1 = _sum(md, lin(mu, C[i][j]) + [(-1, MM[i][j]), (1, MM[j][i])])
+            d2 = _sum(md, lin(nu, L[i][j]) + [(-1, MN[i][j]), (1, NM[j][i]), (-1, NN[j][i]),
+                                              (1, NV[j][i])])
+            d3 = _sum(md, lin(nu, W[i][j]) + [(-1, MV[j][i]), (1, VM[i][j]), (-1, VN[i][j]),
+                                              (1, VN[j][i]), (-1, VV[j][i]), (1, VV[i][j]),
+                                              (-1, VM[j][i]), (1, MV[i][j])]
+                      + [(-c, m) for c, m in lin(vr, C[i][j])])
             diffs[i, j] = [{(a, b): c for a, row in enumerate(d) for b, c in enumerate(row) if c}
                            for d in (d1, d2, d3)]
     return Certificate.combine("ns-rep", [
-        scan(name, ((ij, d[k]) for ij, d in diffs.items()))
+        scan(name, ((ij, d[k]) for ij, d in diffs.items()), den * den)
         for k, name in enumerate(("ns-rep-1", "ns-rep-2", "ns-rep-3"))])
 
 
@@ -536,18 +549,22 @@ def prelie_from_invertible_relrb(rel):
 
 
 def is_prelie(A) -> Certificate:
-    """(x,y,z) − (y,x,z) on dense vectors, with the product read as `left_prod` reads ◁."""
+    """(x,y,z) − (y,x,z) on dense vectors, with the product read as `left_prod` reads ◁, on
+    integers D times the product's (D² on the residual); the products (e_i·e_j)·e_k and
+    e_i·(e_j·e_k) are tabulated once."""
     n = A.dim
-    P = SimpleNamespace(dim=n, left=dict(A.prod.items()))
-    e = [vbasis(n, i) for i in range(n)]
-    prod = [[left_prod(P, x, y) for y in e] for x in e]
+    prod, den = integral(A.prod)
+    P = SimpleNamespace(dim=n, left=prod)
+    e = [tuple([int(k == i) for k in range(n)]) for i in range(n)]
+    table = [[left_prod(P, x, y) for y in e] for x in e]
+    idx = range(n)
+    after = [[[left_prod(P, table[i][j], e[k]) for k in idx] for j in idx] for i in idx]
+    before = [[[left_prod(P, e[i], table[j][k]) for k in idx] for j in idx] for i in idx]
 
     def residual(i, j, k):
-        lhs = vsub(left_prod(P, prod[i][j], e[k]), left_prod(P, e[i], prod[j][k]))
-        rhs = vsub(left_prod(P, prod[j][i], e[k]), left_prod(P, e[j], prod[i][k]))
-        return vsub(lhs, rhs)
+        return vsub(vsub(after[i][j][k], before[i][j][k]), vsub(after[j][i][k], before[j][i][k]))
     return scan("pre-lie", (((i, j, k), residual(i, j, k))
-                            for i, j in combinations(range(n), 2) for k in range(n)))
+                            for i, j in combinations(range(n), 2) for k in range(n)), den * den)
 
 
 def is_reynolds_prelie(A, R: Mat) -> Certificate:
@@ -910,28 +927,22 @@ def scols(m) -> list:
 def integral(*tables):
     """Each `Table`, tensor, list of sparse vectors or matrix (as its sparse columns) times D,
     on ``int``s, followed by D, the lcm of all the coefficients' denominators."""
-    def fractions(t):
+    def rational(t):            # the sparse vectors of t's Fraction coefficients, read once
         if isinstance(t, (Mat, DenseMat)):
-            return [c for row in t.entries for c in row]
+            return [dict(enumerate(col)) for col in zip(*t.entries)]
         if isinstance(t, Table):
-            return [c for v in t.values() for c in v.values()]
+            return dict(t.items())
         if isinstance(t, (Tensor2, Tensor3)):
-            return list(t.entries.values())
-        return [c for v in t for c in v.values()]
-    den = lcm(*{Fraction(c).denominator for t in tables for c in fractions(t)})
+            return {None: t.entries}
+        return list(t)
+    bodies = [rational(t) for t in tables]
+    den = lcm(*{c.denominator for b in bodies
+                for v in (b.values() if isinstance(b, dict) else b) for c in v.values()})
 
     def scale(v):
         return {k: c.numerator * (den // c.denominator) for k, c in v.items() if c}
-
-    def body(t):
-        if isinstance(t, (Mat, DenseMat)):
-            return [scale(dict(enumerate(col))) for col in zip(*t.entries)]
-        if isinstance(t, Table):
-            return {key: scale(v) for key, v in t.items()}
-        if isinstance(t, (Tensor2, Tensor3)):
-            return scale(t.entries)
-        return [scale(v) for v in t]
-    return (*map(body, tables), den)
+    return (*[scale(b[None]) if None in b else {key: scale(v) for key, v in b.items()}
+              if isinstance(b, dict) else [scale(v) for v in b] for b in bodies], den)
 
 
 def coefficients(body) -> list:

@@ -25,8 +25,9 @@ The Reynolds identities of the doubles split the same way, for any tables and op
   (−Rᵀ)⊕R is minus that of −Rᵀ on g* and that of R on g;
 * the residual of ad* as a representation at (i, j) is −(that of ad)ᵀ, whose column k is
   J(e_i, e_j, e_k);
-* the compatibility residual of (ρ*, −Tᵀ) at e_i is −M(e_i)ᵀ, where M(e_i) is that of (ρ, T):
-  the dual of a Reynolds representation is one, as `rk_solution` and `canonical_r` use.
+* the representation residual of ρ* = −ρᵀ at (i, j) is −(that of ρ)ᵀ, and the compatibility
+  residual of (ρ*, −Tᵀ) at e_i is −M(e_i)ᵀ, where M(e_i) is that of (ρ, T): the dual of a
+  Reynolds representation is one, as `rk_solution` and `canonical_r` entail.
 
 These are the theorems behind the certificates the constructions entail.
 
@@ -426,6 +427,20 @@ def semidirect_blocks(g: LieAlgebra, R: Mat, rep, T: Mat) -> None:
     assert is_reynolds(S, op).ok == (is_reynolds(g, R).ok and compat_certificate(R, rep, T).ok)
 
 
+def dual_action(rep) -> None:
+    """Pair by pair: the representation residual of ρ* = −ρᵀ at (i, j) is minus the transpose
+    of that of ρ; so both certificates pass or fail together."""
+    dual, L = dual_rep(rep), rep.algebra
+
+    def residual(r, i, j):
+        return (dense._lin(r.rho, L.bracket_basis(i, j), r.module_dim)
+                - (r.rho[i] @ r.rho[j] - r.rho[j] @ r.rho[i]))
+    for i, j in combinations(range(L.dim), 2):
+        assert residual(dual, i, j) == -residual(rep, i, j).transpose(), (i, j)
+    assert is_representation(dual) == dense.is_representation(dual)
+    assert is_representation(dual).ok == is_representation(rep).ok
+
+
 def dual_compat(R: Mat, rep, T: Mat) -> None:
     """Tuple by tuple: the compatibility residual of (ρ*, −Tᵀ) at (e_i, w_a), entry b, is minus
     that of (ρ, T) at (e_i, w_b), entry a; so both certificates pass or fail together."""
@@ -447,6 +462,7 @@ def test_semidirect_reynolds_residual_splits_into_two_stages():
     for R_, rep, T in cases:
         semidirect_blocks(g, R_, rep, T)
         dual_compat(R_, rep, T)
+        dual_action(rep)
     assert compat_certificate(R, coad, Rt).ok and not compat_certificate(R, coad, cases[2][2]).ok
 
 
@@ -471,6 +487,7 @@ def test_block_splits_on_random_inputs(case):
     check_coadjoint(dual)
     semidirect_blocks(g, R, rep, T)
     dual_compat(R, rep, T)
+    dual_action(rep)
     pair_rho = Representation.unchecked(g, g.dim, coadjoint_rep(g).rho)
     pair_mu = Representation.unchecked(dual, g.dim, coadjoint_rep(dual).rho)
     reynolds_double_stages(g, dual, pair_rho, pair_mu, R, -R.transpose())

@@ -22,8 +22,11 @@ from algcert.lie import (LieAlgebra, Representation, coadjoint_rep, double_table
                          is_representation, jacobi_check, semidirect)
 from algcert.matched import (MatchedPair, ReynoldsMatchedPair, double, is_reynolds_matched_pair,
                              matched_to_manin, reynolds_double)
-from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, is_reynolds,
+from algcert.cybe import RelativeRB, canonical_r, prelie_from_relrb, r_plus, rk_solution
+from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, compat_certificate,
+                              dual_reynolds_rep, is_reynolds, reynolds_adjoint_rep,
                               reynolds_coadjoint_rep, semidirect_reynolds)
+from algcert.rotabaxter import r_from_qrb
 
 def unchecked_double(mp: MatchedPair) -> LieAlgebra:
     """g⋈h with no check: the table `double` builds."""
@@ -152,7 +155,45 @@ def test_semidirect_entails_jacobi_and_reynolds(sl2_reynolds, scans):
     assert semidirect(rr.base.L, rr.rep) == out.L
 
 
+def test_rk_and_canonical_r_entail_the_dual_actions(sl2_reynolds, sl2_qrb, scans, rebind):
+    rel = RelativeRB(reynolds_coadjoint_rep(sl2_reynolds), r_plus(r_from_qrb(sl2_qrb)))
+    rp = prelie_from_relrb(rel)
+    duals = []
+    raw = dual_reynolds_rep
+
+    def recorded(rr, given=()):
+        duals.append(raw(rr, given))
+        return duals[-1]
+    rebind(raw, recorded)
+    for build, arg in ((rk_solution, rel), (canonical_r, rp)):
+        scans.clear()
+        build(arg)
+        # the action and its compatibility are scanned for ρ only, not for ρ*
+        assert (scans["representation"], scans["compatibility"]) == (1, 1)
+    assert len(duals) == 2
+    for dual in duals:
+        assert is_representation(dual.rep) == Certificate.passed("representation")
+        assert (compat_certificate(dual.base.R, dual.rep, dual.T)
+                == Certificate.passed("compatibility"))
+
+
 # -- fall-through: a failed hypothesis records nothing; the computed check raises ----------
+
+def test_the_dual_actions_are_computed_outside_a_scope_or_from_a_failed_rep(sl2_reynolds, scans):
+    rr = reynolds_adjoint_rep(sl2_reynolds)
+    bad = ReynoldsRep.unchecked(sl2_reynolds, rr.rep, Mat.identity(3).scale(2))
+    for given in ([Certificate.passed("reynolds-rep")], [compat_certificate(bad.base.R, bad.rep,
+                                                                             bad.T)]):
+        scans.clear()
+        dual = dual_reynolds_rep(bad, given)     # outside a scope: records nothing
+        assert not scans
+        assert is_representation(dual.rep).ok and scans["representation"] == 1
+        # (R, ρ*, −Tᵀ) fails with (R, ρ, T): the computed certificate, not a recorded pass
+        assert not compat_certificate(dual.base.R, dual.rep, dual.T).ok
+    with pytest.raises(CheckFailed) as exc:
+        rk_solution(RelativeRB.unchecked(bad, Mat.zeros(3, 3)))
+    assert exc.value.certificate.first_failure().check == "compatibility"
+
 
 def test_double_of_a_non_lie_algebra_raises_its_jacobi_failure(non_lie, sl2):
     # the matched-pair gate passes with zero actions; Jacobi of g fails, so the double's

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle as dense
 from algcert.certificates import scan
-from algcert.exact import Mat, Table
+from algcert.exact import Mat, Table, integral
 from algcert.lie import BilinForm, LieAlgebra, is_invariant_form
 from algcert.cybe import PreLieAlgebra, is_prelie
 from algcert.nslie import (NSLieAlgebra, NSRep, _semidirect_tables, is_ns_rep, is_nslie,
@@ -140,7 +140,9 @@ def test_semidirect_is_nslie_exactly_when_rep_is(A, data):
     # the NS identities of G⊕W on triples in G are G's, with one vector in W the
     # representation's, and with two or more in W they vanish
     rep = draw_rep(data.draw, A)
-    m, (left, wedge, den, _) = A.dim + rep.module_dim, _semidirect_tables(rep)
+    m = A.dim + rep.module_dim
+    left, wedge, *maps, den, _ = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
+    left, wedge = _semidirect_tables(left, wedge, maps, A.dim)
     semidirect = NSLieAlgebra.unchecked(m, None, Table._of(m, left, False, den),
                                         Table._of(m, wedge, True, den))
     assert is_nslie(semidirect).ok == (is_nslie(A).ok and is_ns_rep(rep).ok)

@@ -5,7 +5,8 @@ ns-rep-1 and ns-rep-2 of `is_ns_rep` read the m×m matrix
 ρ(e_i·e_j) + ρ(e_j)·R(e_i) − L(e_i)·ρ(e_j) off one packed kernel,
 `lie.pair_blocks` (L = R = ρ but for ns-rep-2).  On 1,000 seeded inputs of
 dimension 1 to 4 their certificates must equal, in full `to_json()`, those of
-the `Fraction` bodies in `dense_oracle`.  The inputs are valid structures
+the dense bodies in `dense_oracle` (exact rationals on one common denominator,
+each input's products tabulated once).  The inputs are valid structures
 (NS-Lie algebras that Reynolds operators induce, associative algebras, Lie
 algebras with their adjoint and coadjoint representations, regular
 NS-representations) in a monomial or a dense rational basis, the same with one
@@ -14,6 +15,7 @@ entry perturbed, and random tables and matrices; most of them fail.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import dense_oracle as dense
@@ -75,17 +77,28 @@ ASSOC = {
 
 
 def valid(rng, n: int):
-    """A Lie algebra with a representation, and an NS-Lie algebra, of dimension n."""
-    sc, ops = rng.choice(LIE[n])
-    L = LieAlgebra(n, None, sc)
-    rep = rng.choice([adjoint_rep, coadjoint_rep])(L)
+    """A Lie algebra with a representation, and an NS-Lie algebra, of dimension n, picked
+    from the tables above by the draws of `rng`."""
+    lie = rng.randrange(len(LIE[n]))
+    coadjoint = rng.randrange(2)
     choice = rng.randrange(3)
+    pick = (rng.randrange(len(ASSOC[n])) if choice == 0 else
+            rng.randrange(len(LIE[n][lie][1]) + 2) if choice == 2 else 0)
+    return structures(n, lie, coadjoint, choice, pick)
+
+
+@lru_cache(maxsize=None)
+def structures(n: int, lie: int, coadjoint: int, choice: int, pick: int):
+    """The picked structures, each built and checked once."""
+    sc, ops = LIE[n][lie]
+    L = LieAlgebra(n, None, sc)
+    rep = (coadjoint_rep if coadjoint else adjoint_rep)(L)
     if choice == 0:
-        A = NSLieAlgebra(n, None, rng.choice(ASSOC[n]), {})
+        A = NSLieAlgebra(n, None, ASSOC[n][pick], {})
     elif choice == 1:
         A = NSLieAlgebra(n, None, {}, sc)                                   # ▷ a Lie bracket
     else:
-        R = rng.choice(ops + [Mat.identity(n), Mat.zeros(n, n)])
+        R = (ops + [Mat.identity(n), Mat.zeros(n, n)])[pick]
         A = ns_from_reynolds(ReynoldsLieAlgebra(L, R))
     return L, rep, A
 
@@ -105,7 +118,8 @@ def conjugate(table: Table, P: Mat, inv: Mat) -> dict:
     """The product in the basis f_i = Pe_i: f_i·f_j = P⁻¹(Pe_i·Pe_j)."""
     n = table.dim
     keys = combinations(range(n), 2) if table.skew else product(range(n), repeat=2)
-    return {(i, j): {k: c for k, c in enumerate(inv.apply(table.prod(P.col(i), P.col(j)))) if c}
+    cols = [P.col(i) for i in range(n)]
+    return {(i, j): {k: c for k, c in enumerate(inv.apply(table.prod(cols[i], cols[j]))) if c}
             for i, j in keys}
 
 
