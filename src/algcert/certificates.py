@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import wraps
 from typing import Any, Iterable, NamedTuple
 
-from .exact import Mat, rat_str
+from .exact import Mat, Table, Tensor2, Tensor3, rat_str
 
 # a residual is a sparse exact vector/tensor: ((index tuple, value), ...)
 Residual = tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -125,25 +125,28 @@ def require(cert: Certificate) -> Certificate:
 
 # the certificates of the outermost `verified` call running in this context, or None
 _scope: ContextVar[dict | None] = ContextVar("algcert_verified_scope", default=None)
+_LEAVES = {tuple, Mat, Table, Tensor2, Tensor3, int, Fraction, str}     # see `Checked._held`
 
 
 def verified(fn):
     """Verify once per call: inside one public call, a check runs once per argument tuple.
 
-    The outermost decorated call opens a scope, dropped when it returns or
-    raises.  Inside it a call whose result is a `Certificate` is memoized on
-    the function and the identity of each argument; the entry holds the
-    arguments, so no id is reused while the scope is open.  Identity keys are
-    sound because certificates are immutable and no library function mutates
-    its arguments; a construction's result is not a certificate and is never
-    memoized.
+    The outermost decorated call opens a scope, seeded with the entries its `Checked`
+    arguments carry, and drops it when it returns or raises.  Inside it a call whose result
+    is a `Certificate` is memoized on the function and the identity of each argument; the
+    entry, or its carrier, holds the arguments, so no id is reused while it lives.  That is
+    sound because certificates are immutable, carried entries keyed on frozen objects and no
+    library function mutates its arguments; a construction's result is never memoized.
     """
     @wraps(fn)
     def call(*args, **kwargs):
         memo = _scope.get()
         if memo is None:
-            token = _scope.set({})
+            token = _scope.set(memo := {})
             try:
+                for a in (*args, *kwargs.values()):      # `carried` is None while `a` is built
+                    if type(type(a)) is _Carrying and a.carried:
+                        memo.update(a.carried)
                 return fn(*args, **kwargs)
             finally:
                 _scope.reset(token)
@@ -172,20 +175,57 @@ def entail(check, args: tuple, stage: str, given) -> None:
         memo.setdefault((check, *map(id, args)), (Certificate.passed(stage), args, {}))
 
 
-class Checked:
+class _Carrying(type):
+    def __call__(cls, *args, check=True, **kwargs):
+        obj, carried = cls.__new__(cls), None
+        object.__setattr__(obj, "carried", None)     # None while it is built: not frozen
+        try:
+            carried = (_checked_init if check else cls.__init__)(obj, *args, check=check, **kwargs)
+        finally:     # frozen even when `__init__` raised: a half-built object carries nothing
+            object.__setattr__(obj, "carried", carried or ())
+        return obj
+
+
+@verified
+def _checked_init(obj, *args, **kwargs) -> dict:
+    """Run obj's checked `__init__` in a scope: the entries keyed on obj and its parts only."""
+    obj.__init__(*args, **kwargs)
+    ids, me = set(), id(obj)
+    obj._held(ids)      # an entry keyed on obj drops its arguments: obj holds no cycle
+    return {k: (v[0],) if me in k else v for k, v in _scope.get().items() if ids.issuperset(k[1:])}
+
+
+class Checked(metaclass=_Carrying):
     """Base of the structures whose constructor verifies their axioms.
 
-    ``X(...)`` runs the structure's check and raises `CheckFailed` on a
-    violation; ``X.unchecked(...)``, i.e. ``check=False``, skips it so that
-    checks can report on invalid data.  Equality is field-wise over the
-    subclass's `__slots__`, between instances of the same class.
+    ``X(...)`` runs the structure's check and raises `CheckFailed` on a violation;
+    ``X.unchecked(...)``, i.e. ``check=False``, skips it so that checks can report on invalid
+    data.  Equality is field-wise over the subclass's `__slots__`, between instances of the
+    same class.  An instance is frozen once built: assigning a slot raises.  A checked one
+    keeps in `carried` what its check certified about it and its parts, which seeds each
+    outermost `verified` call it is handed: sound, as what an entry is keyed on cannot change.
     """
 
-    __slots__ = ()
+    __slots__ = ("carried",)
 
     @classmethod
     def unchecked(cls, *args, **kwargs):
         return cls(*args, **kwargs, check=False)
+
+    def __setattr__(self, name, value):
+        if self.carried is not None:
+            raise AttributeError(f"{type(self).__name__} is frozen; build a new one")
+        object.__setattr__(self, name, value)
+
+    def _held(self, ids: set) -> bool:
+        """Add the ids of self and of its slots' values to `ids` if each value is of a `_LEAVES`
+        type or `Checked` with the same property (a `BilinForm` can change); whether it did."""
+        values = [getattr(self, s) for s in type(self).__slots__]
+        for y in values:
+            if not (type(y) in _LEAVES or isinstance(y, Checked) and (id(y) in ids or y._held(ids))):
+                return False
+        ids.update(map(id, (self, *values)))
+        return True
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and all(

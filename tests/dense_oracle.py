@@ -962,7 +962,8 @@ def top(*tables) -> int:
 
 def stale_forms(*objs) -> list:
     """Every `Mat`, `Table`, `Tensor2` and `Tensor3` reachable from objs (through slots, dicts,
-    lists and tuples) whose integer form is not canonical (a zero coefficient, or
+    lists and tuples, so also through the certificates and arguments a `Checked` structure's
+    `carried` slot holds) whose integer form is not canonical (a zero coefficient, or
     gcd(den, every coefficient) ≠ 1) or not a fresh `integral` of its entries."""
     seen, todo, stale = set(), list(objs), []
     while todo:

@@ -127,9 +127,15 @@ def test_drinfeld_double_entails_the_coadjoint_actions(thmfl, scans, rebind):
 
 
 def test_double_quasitriangular_entails_its_dual(thmfl, scans):
-    out = double_quasitriangular(thmfl)
-    # Jacobi and Reynolds of g and g* only: the double's and its dual's are entailed
+    double_quasitriangular(ReynoldsLieBialgebra.unchecked(thmfl.bialg, thmfl.R))
+    # on an unchecked copy, which carries nothing: Jacobi and Reynolds of g and g* and the
+    # cocycles of g and of the double only; the double's and its dual's are entailed
     assert (scans["jacobi"], scans["reynolds"], scans["cocycle"]) == (2, 2, 2)
+    scans.clear()
+    out = double_quasitriangular(thmfl)
+    # thmfl carries Jacobi and Reynolds of g and g* and the bialgebra axioms of (g, g*):
+    # only the double's cocycle is computed
+    assert (scans["jacobi"], scans["reynolds"], scans["cocycle"]) == (0, 0, 1)
     star = out.bialg.dual
     assert jacobi_check(star) == Certificate.passed("jacobi")
     assert is_reynolds(star, out.Rt) == Certificate.passed("reynolds")
@@ -165,12 +171,16 @@ def test_rk_and_canonical_r_entail_the_dual_actions(sl2_reynolds, sl2_qrb, scans
         duals.append(raw(rr, given))
         return duals[-1]
     rebind(raw, recorded)
-    for build, arg in ((rk_solution, rel), (canonical_r, rp)):
+    # the action and its compatibility are scanned for ρ only, not for ρ*: once on an
+    # unchecked copy of rel, not at all on rel, which carries them (`is_reynolds_rep` of its
+    # Reynolds representation), and once by `canonical_r`, which builds ρ = L anew
+    copy = RelativeRB.unchecked(rel.rr, rel.K)
+    for build, arg, scanned in ((rk_solution, copy, 1), (rk_solution, rel, 0),
+                                (canonical_r, rp, 1)):
         scans.clear()
         build(arg)
-        # the action and its compatibility are scanned for ρ only, not for ρ*
-        assert (scans["representation"], scans["compatibility"]) == (1, 1)
-    assert len(duals) == 2
+        assert (scans["representation"], scans["compatibility"]) == (scanned, scanned)
+    assert len(duals) == 3
     for dual in duals:
         assert is_representation(dual.rep) == Certificate.passed("representation")
         assert (compat_certificate(dual.base.R, dual.rep, dual.T)

@@ -71,12 +71,17 @@ def test_tracer_wraps_the_decorated_names():
 
 def test_a_memo_hit_is_one_traced_call(thmfl, scans):
     tracing = load_tracing()
-    tracer = tracing.Tracer().install()
-    try:
-        bialgebra.drinfeld_double(thmfl)
-    finally:
-        tracer.uninstall()
-    calls = {k: v[0] for k, v in tracer.stats.items()}
+
+    def traced(rb):
+        scans.clear()
+        tracer = tracing.Tracer().install()
+        try:
+            bialgebra.drinfeld_double(rb)
+        finally:
+            tracer.uninstall()
+        return {k: v[0] for k, v in tracer.stats.items()}, tracer.counts
+    # on an unchecked copy of thmfl, which carries nothing:
+    calls, counts = traced(bialgebra.ReynoldsLieBialgebra.unchecked(thmfl.bialg, thmfl.R))
     # is_reynolds(g, R), is_reynolds(g*, −Rᵀ) (the bialgebra's one −Rᵀ, handed to both the
     # gate and the pair) and is_matched_pair(g, g*, ad*, ad*) are each asked twice: the second
     # call is a memo hit, which the tracer still counts as a call.  The tracer's wrapper does
@@ -89,4 +94,15 @@ def test_a_memo_hit_is_one_traced_call(thmfl, scans):
     # Jacobi of g, g* and the double scanned once each; the hypotheses of the ad* and double
     # entailments ask Jacobi of g and g* again (4 hits)
     assert (calls["check.jacobi"], scans["jacobi"]) == (7, 3)
-    assert (tracer.counts["check_calls"], tracer.counts["repeats"]) == (22, 7)
+    assert (counts["check_calls"], counts["repeats"]) == (22, 7)
+    # on thmfl, which carries its gate `is_reynolds_bialgebra(bialg, R, Rt)` and Jacobi and
+    # Reynolds of g and g*: the gate is one call and a hit, so its body, with 2 Jacobi, 2
+    # Reynolds and 1 cocycle call, does not run; the pair's Reynolds checks of g and g* are
+    # hits, and so are the 4 Jacobi hypotheses; only the double's Jacobi and Reynolds scan
+    calls, counts = traced(thmfl)
+    assert (calls["check.reynolds"], scans["reynolds"]) == (3, 1)
+    assert (calls["check.matched_pair"], scans["compat-on-h"]) == (2, 1)
+    assert (calls["check.representation"], scans["representation"]) == (2, 2)
+    assert (calls["check.jacobi"], scans["jacobi"]) == (5, 1)
+    assert "check.cocycle" not in calls
+    assert (counts["check_calls"], counts["repeats"]) == (16, 3)

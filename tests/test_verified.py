@@ -4,7 +4,8 @@ The memo of `certificates.verified` is keyed on argument identity, which is soun
 only while no library function mutates its arguments; the first test guards that
 premise for every construction.  The others pin what the memo may and may not do:
 each distinct check body runs once, a gate sees what a standalone call returns,
-and nothing outlives the outermost call or crosses threads.
+and no scope outlives the outermost call or crosses threads; what a checked structure
+carries from one call to the next is pinned in `test_carried.py`.
 """
 
 import sys
@@ -21,7 +22,7 @@ from algcert.bialgebra import (LieBialgebra, ReynoldsLieBialgebra, canonical_pai
 from algcert.certificates import Certificate, CheckFailed, verified
 from algcert.cybe import (RelativeRB, ReynoldsPreLie, canonical_r, prelie_from_relrb, r_plus,
                           rk_solution)
-from algcert.exact import Mat, Table, Tensor2
+from algcert.exact import Mat, Tensor2
 from algcert.lie import LieAlgebra, Representation
 from algcert.matched import (MatchedPair, ReynoldsMatchedPair, double, induced_matched_pair,
                              reynolds_double)
@@ -38,7 +39,8 @@ def snapshot(x):
         return type(x).__name__, sorted((repr(k), snapshot(v)) for k, v in x.items())
     if isinstance(x, (list, tuple)):
         return type(x).__name__, [snapshot(v) for v in x]
-    slots = [s for cls in type(x).__mro__ for s in getattr(cls, "__slots__", ())]
+    # a `Checked` structure's content: its slots but `carried`, the certificates it keeps
+    slots = [s for cls in type(x).__mro__ for s in getattr(cls, "__slots__", ()) if s != "carried"]
     if slots:
         return type(x).__name__, [(s, snapshot(getattr(x, s))) for s in slots]
     return x
@@ -141,33 +143,46 @@ def test_kept_integer_forms_stay_fresh(sl2, b_op, sl2_reynolds, sl2_qrb, thmfl, 
 
 
 def test_each_distinct_check_runs_once(thmfl, scans, check_calls):
-    double_quasitriangular(thmfl)
-    distinct = Counter()
-    for fn, args, kwargs, _ in {(c[0], *map(id, c[1]), *c[2].items()): c
-                                for c in check_calls}.values():
-        distinct[fn.__name__, kwargs.get("name")] += 1
-    calls = Counter((fn.__name__, kwargs.get("name")) for fn, _, kwargs, _ in check_calls)
-    # each memoized check that decides one stage: its body ran once per argument tuple, or
-    # not at all where a gate entails it: Jacobi and Reynolds of the double and of its dual,
-    # and the coadjoint representations of g and g*
-    entailed = {"jacobi_check": 2, "is_reynolds": 2, "is_representation": 2}
-    for check, stage in (("jacobi_check", "jacobi"), ("is_reynolds", "reynolds"),
-                         ("is_representation", "representation"), ("cocycle_check", "cocycle"),
-                         ("is_matched_pair", "compat-on-h")):
-        assert scans[stage] + entailed.get(check, 0) == distinct[check, None], check
-    for name in ("cross-compat-rho", "cross-compat-mu"):
-        assert scans[name] == distinct["compat_certificate", name] == 1
-    # ... although the chain asks again: Jacobi on the double and on its dual, Reynolds
-    # on (g, R), on (g*, −Rᵀ) (the bialgebra's one −Rᵀ object) and on the double with
-    # its operator, and the double's bialgebra axioms; the entailments ask their hypotheses
-    # again (memo hits): Jacobi of g and g* for the double, each ad* and the double's dual,
-    # Reynolds of (g*, −Rᵀ) and (g, R) for the dual.  Recording a certificate calls nothing
-    assert (calls["jacobi_check", None], distinct["jacobi_check", None]) == (12, 4)
-    assert (calls["is_reynolds", None], distinct["is_reynolds", None]) == (9, 4)
-    assert (calls["is_lie_bialgebra", None], distinct["is_lie_bialgebra", None]) == (3, 2)
-    # every gate saw the certificate a standalone call returns
-    for fn, args, kwargs, cert in list(check_calls):
-        assert fn(*args, **kwargs) == cert, fn.__name__
+    # on an unchecked copy of thmfl, which carries nothing, and on thmfl, which carries what
+    # its constructor certified: Jacobi of g and g*, Reynolds of (g, R) and of (g*, −Rᵀ) (its
+    # one −Rᵀ object), the bialgebra axioms of (g, g*) and its own Reynolds bialgebra check
+    copy = ReynoldsLieBialgebra.unchecked(thmfl.bialg, thmfl.R)
+    for rb, carried, pins in ((copy, {}, ((12, 4), (9, 4), (3, 2))),
+                              (thmfl, {"jacobi_check": 2, "is_reynolds": 2},
+                               ((10, 4), (7, 4), (2, 1)))):
+        scans.clear()
+        check_calls.clear()
+        double_quasitriangular(rb)
+        distinct = Counter()
+        for fn, args, kwargs, _ in {(c[0], *map(id, c[1]), *c[2].items()): c
+                                    for c in check_calls}.values():
+            distinct[fn.__name__, kwargs.get("name")] += 1
+        calls = Counter((fn.__name__, kwargs.get("name")) for fn, _, kwargs, _ in check_calls)
+        # each memoized check that decides one stage: its body ran once per argument tuple,
+        # or not at all where a gate entails it: Jacobi and Reynolds of the double and of
+        # its dual, and the coadjoint representations of g and g*; or where rb carries it
+        entailed = {"jacobi_check": 2, "is_reynolds": 2, "is_representation": 2}
+        for check, stage in (("jacobi_check", "jacobi"), ("is_reynolds", "reynolds"),
+                             ("is_representation", "representation"),
+                             ("cocycle_check", "cocycle"), ("is_matched_pair", "compat-on-h")):
+            assert (scans[stage] + entailed.get(check, 0) + carried.get(check, 0)
+                    == distinct[check, None]), check
+        for name in ("cross-compat-rho", "cross-compat-mu"):
+            assert scans[name] == distinct["compat_certificate", name] == 1
+        # ... although the chain asks again: Jacobi on the double and on its dual, Reynolds
+        # on (g, R), on (g*, −Rᵀ) (the bialgebra's one −Rᵀ object) and on the double with
+        # its operator, and the double's bialgebra axioms; the entailments ask their
+        # hypotheses again (memo hits): Jacobi of g and g* for the double, each ad* and the
+        # double's dual, Reynolds of (g*, −Rᵀ) and (g, R) for the dual.  Recording a
+        # certificate calls nothing.  On thmfl the gate `is_reynolds_bialgebra(bialg, R, Rt)`
+        # is a hit on a carried entry, so its body does not run: 2 fewer Jacobi calls (g, g*),
+        # 2 fewer Reynolds calls ((g, R), (g*, −Rᵀ)) and no `is_lie_bialgebra(g, g*)`
+        assert (calls["jacobi_check", None], distinct["jacobi_check", None]) == pins[0]
+        assert (calls["is_reynolds", None], distinct["is_reynolds", None]) == pins[1]
+        assert (calls["is_lie_bialgebra", None], distinct["is_lie_bialgebra", None]) == pins[2]
+        # every gate saw the certificate a standalone call returns
+        for fn, args, kwargs, cert in list(check_calls):
+            assert fn(*args, **kwargs) == cert, fn.__name__
 
 
 def test_a_broken_input_fails_at_the_same_gate(thmfl):
@@ -191,7 +206,12 @@ def test_the_scope_is_dropped_on_return_and_on_check_failed(thmfl, monkeypatch):
         return raw(*args, **kwargs)
     monkeypatch.setattr(lie, "scan", scan)
     assert certificates._scope.get() is None
+    # thmfl carries the Jacobi certificates of g and g*, and the double's is entailed: the
+    # call scans no Jacobi identity.  An unchecked copy carries nothing, so g's and g*'s are
+    # computed
     drinfeld_double(thmfl)
+    assert certificates._scope.get() is None and seen == []
+    drinfeld_double(ReynoldsLieBialgebra.unchecked(thmfl.bialg, thmfl.R))
     assert certificates._scope.get() is None
     # every Jacobi check inside the call ran in the one scope, which holds certificates
     scope = seen[0]
@@ -206,16 +226,21 @@ def test_the_scope_is_dropped_on_return_and_on_check_failed(thmfl, monkeypatch):
 
 def test_a_later_call_sees_changed_content(thmfl):
     drinfeld_double(thmfl)
-    # change the dual's content between two top-level calls on the same objects: a `Table`
-    # is read-only, so rebind the dual's table to one with one key doubled
+    # the content of a structure cannot change between two top-level calls: a `Table` is
+    # read-only and a `Checked` structure is frozen, so rebinding the dual's table to one
+    # with one key doubled raises
+    broken = perturbed(thmfl)
     dual = thmfl.bialg.dual
-    key = next(iter(dual.sc))
-    dual.sc = Table(dual.dim, {**dual.sc, key: {k: 2 * c for k, c in dual.sc[key].items()}},
-                    skew=True)
+    with pytest.raises(AttributeError):
+        dual.sc = broken.bialg.dual.sc
+    assert dual.sc != broken.bialg.dual.sc
+    # a bialgebra rebuilt with the doubled key is verified afresh by the next call, although
+    # its g and its dual carry their Jacobi certificates
     with pytest.raises(CheckFailed) as exc:
-        drinfeld_double(thmfl)
+        drinfeld_double(broken)
     assert exc.value.certificate.first_failure().check == "cocycle"
-    assert exc.value.certificate == is_reynolds_bialgebra(thmfl.bialg, thmfl.R)
+    assert exc.value.certificate == is_reynolds_bialgebra(broken.bialg, broken.R)
+    drinfeld_double(thmfl)
 
 
 def test_threads_get_separate_scopes():
