@@ -19,8 +19,9 @@ from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, products, sapp
 from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
                   dual_basis, is_representation, jacobi_check, jacobiator, mult_cols,
                   packed_outer)
-from .matched import MatchedPair, ReynoldsMatchedPair, reynolds_double
-from .reynolds import ReynoldsLieAlgebra, is_reynolds
+from .matched import (COMPAT_ON_G, COMPAT_ON_H, CROSS_MU, CROSS_RHO, MatchedPair,
+                      ReynoldsMatchedPair, compat_stage, reynolds_double)
+from .reynolds import ReynoldsLieAlgebra, compat_certificate, is_reynolds
 
 
 class LieBialgebra(Checked):
@@ -145,12 +146,19 @@ def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
 
 
 @verified
+def bialgebra_cocycle(g: LieAlgebra, dual: LieAlgebra) -> Certificate:
+    """The cocycle stage of (g, dual): `cocycle_check` on the cobracket read off the dual."""
+    return cocycle_check(g, cobracket_from_dual(dual))
+
+
+@verified
 def is_lie_bialgebra(g: LieAlgebra, dual: LieAlgebra) -> Certificate:
-    """Jacobi on both sides plus the 1-cocycle condition."""
+    """Jacobi on both sides plus the 1-cocycle condition, each a leaf keyed on the algebras
+    (the cocycle through `bialgebra_cocycle`), so a checked bialgebra carries all three."""
     parts = [
         Certificate.combine("jacobi-primal", [jacobi_check(g)]),
         Certificate.combine("jacobi-dual", [jacobi_check(dual)]),
-        cocycle_check(g, cobracket_from_dual(dual)),
+        bialgebra_cocycle(g, dual),
     ]
     return Certificate.combine("lie-bialgebra", parts)
 
@@ -195,12 +203,27 @@ def canonical_pair(rb: ReynoldsLieBialgebra) -> ReynoldsMatchedPair:
 
 @verified
 def drinfeld_double(rb: ReynoldsLieBialgebra) -> ReynoldsLieAlgebra:
-    """g⋈g* with mixed bracket via the two coadjoint actions; operator R⊕(−Rᵀ).  The residual of
-    ad* at (i, j) is −(ad's)ᵀ, J(e_i, e_j, ·), so the gate's Jacobi checks entail both actions."""
+    """g⋈g* with mixed bracket via the two coadjoint actions; operator R⊕(−Rᵀ).
+
+    Each stage of the canonical pair's `is_reynolds_matched_pair` is a linear identity of the
+    construction, entailed by a passed leaf of the gate: ad* of g and of g* (residual
+    −(ad's)ᵀ, column k J(e_i, e_j, e_k)) by `jacobi_check` of each; compat-on-h and
+    compat-on-g (the cocycle residual reindexed, `_compat_stages`) by `bialgebra_cocycle`;
+    cross-compat-rho and -mu (minus the transposed Reynolds residuals of (g, R) and
+    (g*, −Rᵀ), as in `dual_reynolds_rep`) by `is_reynolds` of each.  `double` and
+    `reynolds_double` entail the double's own checks in turn.
+    """
     require(is_reynolds_bialgebra(rb.bialg, rb.R, rb.Rt))
+    g, dual, R, Rt = rb.bialg.g, rb.bialg.dual, rb.R, rb.Rt
     rmp = canonical_pair(rb)
-    for rep in (rmp.pair.rho, rmp.pair.mu):
-        entail(is_representation, (rep,), "representation", [jacobi_check(rep.algebra)])
+    rho, mu = rmp.pair.rho, rmp.pair.mu
+    cocycle = [bialgebra_cocycle(g, dual)]
+    entail(is_representation, (rho,), "representation", [jacobi_check(g)])
+    entail(is_representation, (mu,), "representation", [jacobi_check(dual)])
+    entail(compat_stage, (g, dual, rho, mu, COMPAT_ON_H), COMPAT_ON_H, cocycle)
+    entail(compat_stage, (dual, g, mu, rho, COMPAT_ON_G), COMPAT_ON_G, cocycle)
+    entail(compat_certificate, (R, rho, Rt, CROSS_RHO), CROSS_RHO, [is_reynolds(g, R)])
+    entail(compat_certificate, (Rt, mu, R, CROSS_MU), CROSS_MU, [is_reynolds(dual, Rt)])
     return reynolds_double(rmp)
 
 
@@ -211,7 +234,10 @@ def double_quasitriangular(rb: ReynoldsLieBialgebra) -> ReynoldsLieBialgebra:
     The bracket on D* is (−[ξ,η]_dual, [x,y]_g) blockwise: the first block
     of D* carries the negated dual bracket, the second carries g's bracket,
     mixed brackets vanish.  So D* = (g*)⁻ ⊕ g, and the gate of `drinfeld_double` entails its
-    Jacobi and (−Rᵀ)⊕R = −(R⊕−Rᵀ)ᵀ Reynolds identities blockwise; the cocycle is computed.
+    Jacobi and (−Rᵀ)⊕R = −(R⊕−Rᵀ)ᵀ Reynolds identities blockwise.  The cobracket D* defines is
+    d r for r = Σᵢ eⁱ⊗eᵢ (eⁱ at index n + i), for any skew tables, and the cocycle residual of
+    d r at (x, y) is (A⊗1 + 1⊗A) r, column k of A being J(x, y, e_k): the double's Jacobi
+    check, which `drinfeld_double` entails, entails its cocycle.
     """
     dd = drinfeld_double(rb)
     g, dual, n = rb.bialg.g, rb.bialg.dual, rb.bialg.g.dim
@@ -220,6 +246,7 @@ def double_quasitriangular(rb: ReynoldsLieBialgebra) -> ReynoldsLieBialgebra:
     sc = double_table(negated, gsc, [[{}] * n] * n, [[{}] * n] * n)
     star = LieAlgebra(2 * n, dual_basis(dd.L.basis), Table._of(2 * n, sc, True, den),
                       given=[jacobi_check(dual), jacobi_check(g)])
+    entail(bialgebra_cocycle, (dd.L, star), "cocycle", [jacobi_check(dd.L)])
     out = ReynoldsLieBialgebra.unchecked(LieBialgebra(dd.L, star), dd.R)
     given = [is_reynolds(dual, rb.Rt), is_reynolds(g, rb.R)]
     entail(is_reynolds, (star, out.Rt), "reynolds", given)

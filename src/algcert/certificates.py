@@ -125,7 +125,8 @@ def require(cert: Certificate) -> Certificate:
 
 # the certificates of the outermost `verified` call running in this context, or None
 _scope: ContextVar[dict | None] = ContextVar("algcert_verified_scope", default=None)
-_LEAVES = {tuple, Mat, Table, Tensor2, Tensor3, int, Fraction, str}     # see `Checked._held`
+# see `Checked._held`; `lie` adds `BilinForm`, which is frozen
+_LEAVES = {tuple, Mat, Table, Tensor2, Tensor3, int, Fraction, str}
 
 
 def verified(fn):
@@ -188,11 +189,15 @@ class _Carrying(type):
 
 @verified
 def _checked_init(obj, *args, **kwargs) -> dict:
-    """Run obj's checked `__init__` in a scope: the entries keyed on obj and its parts only."""
+    """Run obj's checked `__init__` in a scope: the entries keyed on obj and its parts only,
+    or, for an entry not keyed on obj, on its parts and on str arguments (stage names), which
+    the entry itself holds."""
     obj.__init__(*args, **kwargs)
     ids, me = set(), id(obj)
     obj._held(ids)      # an entry keyed on obj drops its arguments: obj holds no cycle
-    return {k: (v[0],) if me in k else v for k, v in _scope.get().items() if ids.issuperset(k[1:])}
+    return {k: (v[0],) if me in k else v for k, v in _scope.get().items()
+            if ids.issuperset(k[1:]) or len(v) == 3 and str in map(type, v[1]) and not v[2]
+            and me not in k and all(id(a) in ids or type(a) is str for a in v[1])}
 
 
 class Checked(metaclass=_Carrying):
@@ -219,7 +224,7 @@ class Checked(metaclass=_Carrying):
 
     def _held(self, ids: set) -> bool:
         """Add the ids of self and of its slots' values to `ids` if each value is of a `_LEAVES`
-        type or `Checked` with the same property (a `BilinForm` can change); whether it did."""
+        type (read-only or frozen) or `Checked` with the same property; whether it did."""
         values = [getattr(self, s) for s in type(self).__slots__]
         for y in values:
             if not (type(y) in _LEAVES or isinstance(y, Checked) and (id(y) in ids or y._held(ids))):

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .certificates import Certificate, Checked, entail, require, scan, verified
+from .certificates import _LEAVES, Certificate, Checked, entail, require, scan, verified
 from .exact import (Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, pack, sapply,
                     slot_width, table_rows, unpack)
 
@@ -304,14 +304,18 @@ def semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
 
 
 class BilinForm:
-    """Symmetric bilinear form by its Gram matrix."""
+    """Symmetric bilinear form by its Gram matrix, frozen once built: the certificates keyed
+    on a form stay true, so a checked structure that holds one carries them."""
 
     __slots__ = ("gram",)
 
     def __init__(self, gram: Mat):
         if not gram.is_symmetric():
             raise ValueError("gram matrix must be symmetric")
-        self.gram = gram
+        object.__setattr__(self, "gram", gram)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BilinForm is frozen; build a new one")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BilinForm) and self.gram == other.gram
@@ -325,6 +329,9 @@ class BilinForm:
 
     def is_nondegenerate(self) -> bool:
         return self.gram.det() != 0
+
+
+_LEAVES.add(BilinForm)
 
 
 @verified

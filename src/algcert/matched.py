@@ -59,27 +59,35 @@ class MatchedPair(Checked):
                    Representation.zero(h, g.dim, labels=g.basis), check=False)
 
 
-def _compat_stages(g: LieAlgebra, h: LieAlgebra, rho: Representation,
-                   mu: Representation) -> list[Certificate]:
-    """compat-on-h, rho(x)[a,b] = [rho(x)a,b] + [a,rho(x)b] + rho(mu(b)x)a − rho(mu(a)x)b
-    over basis x of g and a < b of h, then compat-on-g, the same with the roles swapped.
+# the stage names, passed positionally: a check keyed on one object of each travels with a
+# checked structure, and `drinfeld_double` entails it under the same key
+COMPAT_ON_H, COMPAT_ON_G = "compat-on-h", "compat-on-g"
+CROSS_RHO, CROSS_MU = "cross-compat-rho", "cross-compat-mu"
 
-    The residuals are minus the h-block of J(e_x, f_a, f_b) and minus the g-block of
-    J(f_a, e_x, e_y) on the integer table of g⋈h under one scale D: the scale is −D².
-    """
+
+@verified
+def compat_stage(g: LieAlgebra, h: LieAlgebra, rho: Representation, mu: Representation,
+                 name: str) -> Certificate:
+    """rho(x)[a,b] = [rho(x)a,b] + [a,rho(x)b] + rho(mu(b)x)a − rho(mu(a)x)b over basis x of g
+    and a < b of h.  The residual is minus the h-block of J(e_x, f_a, f_b) on the integer table
+    of g⋈h under one scale D: the scale is −D²."""
     n, m = g.dim, h.dim
     gsc, hsc, *cols, den, _ = integral(g.sc, h.sc, *rho.rho, *mu.rho)
     table = double_table(gsc, hsc, cols[:n], cols[n:])
-    on_h, wh = packed_outer(table, n + m, n, n + m)
-    on_g, wg = packed_outer(table, n + m, 0, n)
-    return [
-        scan("compat-on-h", (((i, a, b), jacobiator(table, on_h, i, n + a, n + b))
-                             for i in range(n) for a, b in combinations(range(m), 2)),
-             -den * den, lambda v: unpack(v, wh)),
-        scan("compat-on-g", (((a, i, j), jacobiator(table, on_g, n + a, i, j))
-                             for a in range(m) for i, j in combinations(range(n), 2)),
-             -den * den, lambda v: unpack(v, wg)),
-    ]
+    outer, w = packed_outer(table, n + m, n, n + m)
+    return scan(name, (((i, a, b), jacobiator(table, outer, i, n + a, n + b))
+                       for i in range(n) for a, b in combinations(range(m), 2)),
+                -den * den, lambda v: unpack(v, w))
+
+
+def _compat_stages(g: LieAlgebra, h: LieAlgebra, rho: Representation,
+                   mu: Representation) -> list[Certificate]:
+    """compat-on-h, then compat-on-g: the same identity with the roles swapped, whose residual at
+    (a, i, j) is minus the g-block of J(f_a, e_i, e_j), as h⋈g is g⋈h with its blocks swapped.
+    On the canonical pair (g, g*; ad*, ad*), where the pairing is invariant, compat-on-h at
+    (i, a, b), entry c, is −cocycle(i, c) at (a, b), and compat-on-g at (a, i, j), entry c,
+    is −cocycle(i, j) at (a, c)."""
+    return [compat_stage(g, h, rho, mu, COMPAT_ON_H), compat_stage(h, g, mu, rho, COMPAT_ON_G)]
 
 
 @verified
@@ -129,8 +137,8 @@ def is_reynolds_matched_pair(rmp: ReynoldsMatchedPair) -> Certificate:
         is_matched_pair(mp.g, mp.h, mp.rho, mp.mu),
         Certificate.combine("reynolds-g", [is_reynolds(mp.g, rmp.Rg)]),
         Certificate.combine("reynolds-h", [is_reynolds(mp.h, rmp.Rh)]),
-        compat_certificate(rmp.Rg, mp.rho, rmp.Rh, name="cross-compat-rho"),
-        compat_certificate(rmp.Rh, mp.mu, rmp.Rg, name="cross-compat-mu"),
+        compat_certificate(rmp.Rg, mp.rho, rmp.Rh, CROSS_RHO),
+        compat_certificate(rmp.Rh, mp.mu, rmp.Rg, CROSS_MU),
     ]
     return Certificate.combine("reynolds-matched-pair", parts)
 

@@ -635,24 +635,22 @@ def is_lie_coalgebra(deltas) -> Certificate:
     return scan("coalgebra", (((k,), co_jacobi(k)) for k in range(n)))
 
 
-def cocycle_check(g, deltas) -> Certificate:
-    n = g.dim
-    ident = Mat.identity(n)
+def cocycle_residual(g, deltas, i: int, j: int) -> Tensor2:
+    """Δ[e_i,e_j] − (ad_i⊗Id + Id⊗ad_i)Δe_j + (ad_j⊗Id + Id⊗ad_j)Δe_i, for any i, j."""
+    ident, ad_i, ad_j = Mat.identity(g.dim), ad(g, i), ad(g, j)
+    lhs = delta_vec(deltas, g.bracket_basis(i, j))
+    rhs = (
+        tensor2_map(ad_i, ident, deltas[j])
+        + tensor2_map(ident, ad_i, deltas[j])
+        - tensor2_map(ad_j, ident, deltas[i])
+        - tensor2_map(ident, ad_j, deltas[i])
+    )
+    return lhs - rhs
 
-    def cases():
-        for i in range(n):
-            ad_i = ad(g, i)
-            for j in range(i + 1, n):
-                ad_j = ad(g, j)
-                lhs = delta_vec(deltas, g.bracket_basis(i, j))
-                rhs = (
-                    tensor2_map(ad_i, ident, deltas[j])
-                    + tensor2_map(ident, ad_i, deltas[j])
-                    - tensor2_map(ad_j, ident, deltas[i])
-                    - tensor2_map(ident, ad_j, deltas[i])
-                )
-                yield (i, j), lhs - rhs
-    return scan("cocycle", cases())
+
+def cocycle_check(g, deltas) -> Certificate:
+    return scan("cocycle", (((i, j), cocycle_residual(g, deltas, i, j))
+                            for i, j in combinations(range(g.dim), 2)))
 
 
 def is_reynolds_coalgebra(deltas, R: Mat) -> Certificate:

@@ -27,33 +27,41 @@ The Reynolds identities of the doubles split the same way, for any tables and op
   J(e_i, e_j, e_k);
 * the representation residual of ρ* = −ρᵀ at (i, j) is −(that of ρ)ᵀ, and the compatibility
   residual of (ρ*, −Tᵀ) at e_i is −M(e_i)ᵀ, where M(e_i) is that of (ρ, T): the dual of a
-  Reynolds representation is one, as `rk_solution` and `canonical_r` entail.
+  Reynolds representation is one, as `rk_solution` and `canonical_r` entail;
+* on the canonical pair (g, g*; ad*, ad*) the pairing is invariant, so compat-on-h at
+  (i, a, b), entry c, is −cocycle(i, c) at (a, b) and compat-on-g at (a, i, j), entry c, is
+  −cocycle(i, j) at (a, c); cross-compat-rho and cross-compat-mu are minus the transposed
+  Reynolds residuals of (g, R) and (g*, −Rᵀ): `drinfeld_double` entails all four;
+* the cobracket that D* = (g*)⁻ ⊕ g defines on D = g⋈g* is d r for r = Σᵢ eⁱ⊗eᵢ (eⁱ at index
+  n + i), and the cocycle residual of any d r at (x, y) is (A⊗1 + 1⊗A) r, column k of A being
+  J(x, y, e_k): `double_quasitriangular` entails the double's cocycle from its Jacobi.
 
 These are the theorems behind the certificates the constructions entail.
 
 The double's table is built here from the dense definitions in `dense_oracle`, and
 each relation is checked tuple by tuple against the dense reference bodies and
 certificate by certificate against the library, on the canonical pairs of thmFL
-bialgebras on sl(2), gl(2) and sl(3), as they are and with ρ or μ perturbed, and on
-random skew cobrackets.
+bialgebras on sl(2), gl(2) and sl(3), as they are and with ρ or μ perturbed, on
+random skew cobrackets and on random skew brackets that are not Lie algebras.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import dense_oracle as dense
-from algcert.bialgebra import (canonical_pair, cobracket_from_dual, cocycle_check,
-                               double_quasitriangular, dual_from_cobracket, is_lie_coalgebra)
+from algcert.bialgebra import (bialgebra_cocycle, canonical_pair, cobracket_from_dual,
+                               coboundary_cobracket, cocycle_check, double_quasitriangular,
+                               dual_from_cobracket, is_lie_coalgebra)
 from algcert.catalog import sl2, sl2_b, sl2_s
 from algcert.certificates import scan
 from algcert.cybe import r_plus
 from algcert.exact import Mat, Tensor2, vbasis
 from algcert.lie import (BilinForm, LieAlgebra, Representation, adjoint_rep, coadjoint_rep,
                          dual_rep, is_representation, jacobi_check)
-from algcert.matched import is_matched_pair
+from algcert.matched import _compat_stages, is_matched_pair
 from algcert.reynolds import compat_certificate, is_reynolds
 from algcert.rotabaxter import QuadraticRB, RotaBaxterAlg, thmFL_bialgebra
 from test_sparse_kernel import gl, trace_form
@@ -491,3 +499,110 @@ def test_block_splits_on_random_inputs(case):
     pair_rho = Representation.unchecked(g, g.dim, coadjoint_rep(g).rho)
     pair_mu = Representation.unchecked(dual, g.dim, coadjoint_rep(dual).rho)
     reynolds_double_stages(g, dual, pair_rho, pair_mu, R, -R.transpose())
+
+
+# -- the stages `drinfeld_double` and `double_quasitriangular` entail -------------------------
+
+def canonical_actions(g: LieAlgebra, dual: LieAlgebra) -> tuple:
+    """ρ = ad* of g on g* and μ = ad* of the dual bracket on g: the canonical pair's actions."""
+    return (Representation.unchecked(g, g.dim, coadjoint_rep(g).rho),
+            Representation.unchecked(dual, g.dim, coadjoint_rep(dual).rho))
+
+
+def check_compat_is_the_cocycle(g: LieAlgebra, dual: LieAlgebra) -> None:
+    """Tuple by tuple: compat-on-h at (i, a, b), entry c, is −cocycle(i, c) at (a, b), and
+    compat-on-g at (a, i, j), entry c, is −cocycle(i, j) at (a, c); so both pass or fail with
+    the cocycle."""
+    n, deltas = g.dim, cobracket_from_dual(dual)
+    coc = {(i, j): dense.cocycle_residual(g, deltas, i, j).entries
+           for i in range(n) for j in range(n)}
+    rho, mu = canonical_actions(g, dual)
+    for (i, a, b), v in dense._compat_cases(g, dual, rho, mu):
+        assert tuple(v) == tuple(-coc[i, c].get((a, b), 0) for c in range(n)), (i, a, b)
+    for (a, i, j), v in dense._compat_cases(dual, g, mu, rho):
+        assert tuple(v) == tuple(-coc[i, j].get((a, c), 0) for c in range(n)), (a, i, j)
+    stages = _compat_stages(g, dual, rho, mu)
+    assert stages == dense._compat_stages(g, dual, rho, mu)
+    assert [c.ok for c in stages] == [bialgebra_cocycle(g, dual).ok] * 2
+
+
+def check_cross_compat_is_reynolds(g: LieAlgebra, dual: LieAlgebra, R: Mat) -> None:
+    """Tuple by tuple: cross-compat-rho (R, ad*, −Rᵀ) at (i, a), entry b, is minus the Reynolds
+    residual of (g, R) at (i, b), entry a; cross-compat-mu (−Rᵀ, ad* of g*, R) the same with
+    (g*, −Rᵀ); so each passes or fails with its Reynolds check."""
+    n, Rt = g.dim, -R.transpose()
+    rho, mu = canonical_actions(g, dual)
+    for L, op, act, T in ((g, R, rho, Rt), (dual, Rt, mu, R)):
+        rey = {(p, q): dense._reynolds_residual(L, op, vbasis(n, p), vbasis(n, q))
+               for p in range(n) for q in range(n)}
+        for (i, a), col in dense.compat_cases(op, act, T):
+            assert list(col) == [-rey[i, b][a] for b in range(n)], (i, a)
+        cert = compat_certificate(op, act, T, "cross")
+        assert cert == dense.compat_certificate(op, act, T, "cross")
+        assert cert.ok == is_reynolds(L, op).ok
+
+
+def check_double_cobracket_is_a_coboundary(g: LieAlgebra, dual: LieAlgebra) -> LieAlgebra:
+    """The cobracket of D = g⋈g* that D* = (g*)⁻ ⊕ g defines is d r for r = Σᵢ eⁱ⊗eᵢ, eⁱ at
+    index n + i; returns D."""
+    n = g.dim
+    D, star = double_table(g, dual, *canonical_actions(g, dual)), dual_of_double(g, dual)
+    r = Tensor2(2 * n, 2 * n, {(n + i, i): 1 for i in range(n)})
+    want = [t.entries for t in dense.coboundary_cobracket(D, r)]
+    assert [t.entries for t in cobracket_from_dual(star)] == want
+    assert [t.entries for t in coboundary_cobracket(D, r)] == want
+    return D
+
+
+def check_coboundary_cocycle(L: LieAlgebra, r: Tensor2) -> None:
+    """Pair by pair: the cocycle residual of d r at (i, j) is (A⊗1 + 1⊗A) r, where column k of
+    A is J(e_i, e_j, e_k); so Jacobi of L entails the cocycle of d r."""
+    n, ident = L.dim, Mat.identity(L.dim)
+    deltas = coboundary_cobracket(L, r)
+    for i, j in combinations(range(n), 2):
+        A = Mat.from_cols([jacobiator(L, i, j, k) for k in range(n)])
+        want = dense.tensor2_map(A, ident, r) + dense.tensor2_map(ident, A, r)
+        assert dense.cocycle_residual(L, deltas, i, j).entries == want.entries, (i, j)
+    assert cocycle_check(L, deltas) == dense.cocycle_check(L, deltas)
+    assert jacobi_check(L).ok <= cocycle_check(L, deltas).ok
+
+
+def test_the_entailed_stages_on_thmfl_bialgebras():
+    for name, rb in RBS[:2]:
+        g, dual = rb.bialg.g, rb.bialg.dual
+        check_compat_is_the_cocycle(g, dual)
+        check_cross_compat_is_reynolds(g, dual, rb.R)
+        D = check_double_cobracket_is_a_coboundary(g, dual)
+        # the tables the library builds are these
+        out = double_quasitriangular(rb)
+        assert (out.bialg.g.sc, out.bialg.dual.sc) == (D.sc, dual_of_double(g, dual).sc), name
+        check_coboundary_cocycle(D, Tensor2(D.dim, D.dim, {(g.dim + i, i): 1
+                                                           for i in range(g.dim)}))
+        assert all(c.ok for c in _compat_stages(g, dual, *canonical_actions(g, dual))), name
+
+
+@st.composite
+def non_lie_inputs(draw):
+    """Random skew brackets g and g* on a 3-dimensional space, neither a Lie algebra (so no
+    bialgebra), a random operator R and a random tensor r."""
+    coeff = st.sampled_from([Fraction(c) for c in (0, 0, 1, -1, 2)] + [Fraction(1, 3)])
+
+    def table():
+        return LieAlgebra.unchecked(3, None, {(i, j): {k: draw(coeff) for k in range(3)}
+                                              for i, j in combinations(range(3), 2)})
+    g, dual = table(), table()
+    assume(not jacobi_check(g).ok and not jacobi_check(dual).ok)
+    R = Mat([[draw(coeff) for _ in range(3)] for _ in range(3)])
+    r = Tensor2(3, 3, {(a, b): draw(coeff) for a in range(3) for b in range(3)})
+    return g, dual, R, r
+
+
+@settings(max_examples=8)
+@given(non_lie_inputs())
+def test_the_entailed_stages_on_random_non_lie_inputs(case):
+    g, dual, R, r = case
+    check_compat_is_the_cocycle(g, dual)
+    check_cross_compat_is_reynolds(g, dual, R)
+    D = check_double_cobracket_is_a_coboundary(g, dual)
+    check_coboundary_cocycle(g, r)
+    check_coboundary_cocycle(D, Tensor2(6, 6, {(3 + i, i): 1 for i in range(3)}))

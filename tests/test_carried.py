@@ -6,12 +6,11 @@ call it is handed starts from them.  That is sound only if nothing an entry is k
 can change, so every structure is frozen once built, and an entry is kept only when
 every object it is keyed on is the structure or one of its frozen or read-only parts.
 
-These tests pin the trust side: assignment raises, an unchecked structure and a
-half-built one carry nothing, no carried entry is keyed on a list, a `BilinForm` (which
-is not frozen) or a structure that holds one,
-and every carried certificate equals the one its check computes afresh, on every
-registry document of the command line and on three seeds of the benchmark's
-construction chains.
+These tests pin the trust side: assignment raises, on a structure and on a `BilinForm`
+(frozen too, so entries keyed on a form travel), an unchecked structure and a half-built
+one carry nothing, no carried entry is keyed on a list, and every carried certificate
+equals the one its check computes afresh, on every registry document of the command
+line and on three seeds of the benchmark's construction chains.
 """
 
 import os
@@ -25,17 +24,19 @@ from algcert.bialgebra import canonical_pair, drinfeld_double, is_reynolds_bialg
 from algcert.certificates import Certificate, Checked, CheckFailed, verified
 from algcert.cli import main_build, main_check
 from algcert.exact import Mat, Table, Tensor2, Tensor3
-from algcert.lie import LieAlgebra, Representation, jacobi_check
-from algcert.matched import ManinTripleReynolds, matched_to_manin
+from algcert.lie import BilinForm, LieAlgebra, Representation, jacobi_check
+from algcert.matched import ManinTripleReynolds, ReynoldsMatchedPair, matched_to_manin
 from algcert.nslie import NSLieAlgebra
-from algcert.reynolds import ReynoldsLieAlgebra, ReynoldsRep, check_ssharp_intertwiner
+from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, check_ssharp_intertwiner,
+                              operator_form_compat)
+from algcert.rotabaxter import is_quadratic_rb, r_from_qrb
 
 from test_checked import CASES
 from test_shell import _every_kind, write
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
-FROZEN = (Checked, tuple, Mat, Table, Tensor2, Tensor3, int, Fraction, str)
+FROZEN = (Checked, BilinForm, tuple, Mat, Table, Tensor2, Tensor3, int, Fraction, str)
 
 
 @pytest.fixture
@@ -76,15 +77,17 @@ def fresh(fn, args) -> Certificate:
 
 def verify_carried(objs) -> int:
     """Every carried entry of objs is keyed on the carrier and its frozen or read-only parts
-    only, and its certificate equals a fresh computation; the number of entries checked."""
+    only, or on a stage name the entry holds, and its certificate equals a fresh computation;
+    the number of entries checked."""
     entries = [(x, key, v) for x in objs for key, v in dict(x.carried).items()]
     # no entry is keyed on a list, which its caller could change
     on_lists = [key[0].__name__ for _, key, v in entries if len(v) == 3 and
                 any(type(a) is list for a in (*v[1], *v[2].values()))]
     assert on_lists == []
     certs = {}
-    for x, key, (cert, *_) in entries:
+    for x, key, (cert, *rest) in entries:
         held = parts(x)
+        held.update((id(a), a) for a in (rest[0] if rest else ()) if type(a) is str)
         fn, ids = key[0], key[1:]
         assert all(type(i) is int and i in held for i in ids), (fn.__name__, x)
         args = tuple(held[i] for i in ids)
@@ -170,18 +173,30 @@ def test_a_checked_structure_carries_its_check(thmfl):
         assert (jacobi_check.__wrapped__, id(L)) in L.carried
     assert ((is_reynolds_bialgebra.__wrapped__, id(thmfl.bialg), id(thmfl.R), id(thmfl.Rt))
             in thmfl.carried)
-    # `is_lie_bialgebra` checks the cocycle on a list of cobracket tensors it builds: that
-    # entry is keyed on a list, no part of the bialgebra, so it is not carried
+    # `is_lie_bialgebra`'s cocycle stage is keyed on (g, g*), so it travels; the list-keyed
+    # `cocycle_check` it calls on the cobracket tensors does not
     names = {key[0].__name__ for key in thmfl.bialg.carried}
-    assert "is_lie_bialgebra" in names and "cocycle_check" not in names
+    assert {"is_lie_bialgebra", "bialgebra_cocycle"} <= names and "cocycle_check" not in names
     # the carrier's own entries drop their arguments, so a structure holds no cycle
     assert all(len(v) == 1 for k, v in dual.carried.items() if id(dual) in k)
     assert verify_carried([thmfl, thmfl.bialg, g, dual]) == len(thmfl.carried)
 
 
-def test_nothing_keyed_on_a_structure_that_holds_a_form_travels(thmfl):
-    # a `BilinForm` is not frozen: its `gram` can be rebound.  So no entry keyed on a form, or
-    # on a structure that holds one, travels; what is keyed on the frozen parts does
+def test_a_form_is_frozen():
+    # once built, a form cannot be rebound: a rebound Gram matrix would void what was checked
+    # of the old one (here S = 0, on which R = Id passes; on [[0,1],[−1,0]] the residual at
+    # (0, 1) would be 2)
+    S = BilinForm(Mat([[0, 0], [0, 0]]))
+    with pytest.raises(AttributeError):
+        S.gram = Mat([[0, 1], [-1, 0]])
+    assert S.gram == Mat.zeros(2, 2)
+    L = LieAlgebra.abelian(2)
+    assert operator_form_compat(L, S, Mat.identity(2), "reynolds-compat").ok
+
+
+def test_entries_keyed_on_a_form_travel(thmfl, sl2_qrb, scans):
+    # a `BilinForm` is frozen, so entries keyed on a form, or on a structure that holds one,
+    # travel, stage names included; each equals a fresh computation
     mt = matched_to_manin(canonical_pair(thmfl))
 
     @verified
@@ -189,8 +204,28 @@ def test_nothing_keyed_on_a_structure_that_holds_a_form_travels(thmfl):
         assert check_ssharp_intertwiner(G).ok          # keyed on G; it reads G.S
         return ManinTripleReynolds(G, mt.part_g, mt.part_h)
 
-    names = {key[0].__name__ for key in scope(mt.G).carried}
-    assert names == {"jacobi_check", "is_reynolds"}     # of G's Reynolds algebra (L, R)
+    out = scope(mt.G)
+    names = {key[0].__name__ for key in out.carried}
+    assert names >= {"check_ssharp_intertwiner", "is_manin_triple", "is_quadratic_reynolds",
+                     "is_quadratic", "is_invariant_form", "operator_form_compat",
+                     "jacobi_check", "is_reynolds"}
+    # a checked quadratic Rota-Baxter algebra carries its check: `r_from_qrb` on it scans
+    # neither the invariance of its form nor its B-compatibility again
+    assert (is_quadratic_rb.__wrapped__, id(sl2_qrb.rb), id(sl2_qrb.S)) in sl2_qrb.carried
+    scans.clear()
+    r_from_qrb(sl2_qrb)
+    assert scans["invariant-form"] == 0
+    assert verify_carried([out, sl2_qrb]) == len(out.carried) + len(sl2_qrb.carried)
+
+
+def test_a_checked_matched_pair_carries_its_cross_compatibilities(thmfl):
+    # the stage names are passed positionally, so the entries keyed on them travel
+    rmp = canonical_pair(thmfl)
+    checked = ReynoldsMatchedPair(rmp.pair, rmp.Rg, rmp.Rh)
+    stages = {v[0].check for key, v in checked.carried.items()
+              if key[0].__name__ in ("compat_certificate", "compat_stage")}
+    assert stages == {"cross-compat-rho", "cross-compat-mu", "compat-on-h", "compat-on-g"}
+    assert verify_carried([checked]) == len(checked.carried)
 
 
 def test_carried_certificates_on_every_registry_document(tmp_path, sl2, b_op, sl2_reynolds,

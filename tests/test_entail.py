@@ -14,13 +14,15 @@ twice here:
 import pytest
 
 from algcert import certificates
-from algcert.bialgebra import (LieBialgebra, ReynoldsLieBialgebra, canonical_pair,
-                               double_quasitriangular, drinfeld_double, is_reynolds_bialgebra)
+from algcert.bialgebra import (LieBialgebra, ReynoldsLieBialgebra, bialgebra_cocycle,
+                               canonical_pair, double_quasitriangular, drinfeld_double,
+                               is_reynolds_bialgebra)
 from algcert.certificates import Certificate, CheckFailed, entail, verified
 from algcert.exact import Mat, Table, integral
 from algcert.lie import (LieAlgebra, Representation, coadjoint_rep, double_table,
                          is_representation, jacobi_check, semidirect)
-from algcert.matched import (MatchedPair, ReynoldsMatchedPair, double, is_reynolds_matched_pair,
+from algcert.matched import (COMPAT_ON_G, COMPAT_ON_H, CROSS_MU, CROSS_RHO, MatchedPair,
+                             ReynoldsMatchedPair, compat_stage, double, is_reynolds_matched_pair,
                              matched_to_manin, reynolds_double)
 from algcert.cybe import RelativeRB, canonical_r, prelie_from_relrb, r_plus, rk_solution
 from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, compat_certificate,
@@ -128,19 +130,45 @@ def test_drinfeld_double_entails_the_coadjoint_actions(thmfl, scans, rebind):
 
 def test_double_quasitriangular_entails_its_dual(thmfl, scans):
     double_quasitriangular(ReynoldsLieBialgebra.unchecked(thmfl.bialg, thmfl.R))
-    # on an unchecked copy, which carries nothing: Jacobi and Reynolds of g and g* and the
-    # cocycles of g and of the double only; the double's and its dual's are entailed
-    assert (scans["jacobi"], scans["reynolds"], scans["cocycle"]) == (2, 2, 2)
+    # on an unchecked copy, which carries nothing: Jacobi, Reynolds and the cocycle of (g, g*)
+    # only; the double's and its dual's checks, the double's cocycle and every stage of the
+    # canonical pair are entailed
+    assert (scans["jacobi"], scans["reynolds"], scans["cocycle"]) == (2, 2, 1)
+    assert sum(scans.values()) == 5
     scans.clear()
     out = double_quasitriangular(thmfl)
     # thmfl carries Jacobi and Reynolds of g and g* and the bialgebra axioms of (g, g*):
-    # only the double's cocycle is computed
-    assert (scans["jacobi"], scans["reynolds"], scans["cocycle"]) == (0, 0, 1)
+    # nothing is scanned
+    assert sum(scans.values()) == 0
     star = out.bialg.dual
     assert jacobi_check(star) == Certificate.passed("jacobi")
     assert is_reynolds(star, out.Rt) == Certificate.passed("reynolds")
+    # the double's cocycle, computed outside any scope
+    assert bialgebra_cocycle(out.bialg.g, star) == Certificate.passed("cocycle")
+    assert scans["cocycle"] == 1
     assert out.Rt == -out.R.transpose()
     assert is_reynolds_bialgebra(out.bialg, out.R).ok
+
+
+def test_drinfeld_double_entails_the_canonical_pair(thmfl, scans, rebind):
+    pairs = []
+    raw = canonical_pair
+    rebind(raw, lambda rb: pairs.append(raw(rb)) or pairs[-1])
+    dd = drinfeld_double(thmfl)
+    # thmfl carries its gate; each stage of the canonical pair is entailed: nothing is scanned
+    assert sum(scans.values()) == 0 and len(pairs) == 1
+    rmp = pairs[0]
+    g, h, rho, mu = rmp.pair.g, rmp.pair.h, rmp.pair.rho, rmp.pair.mu
+    # each entailed check, run directly outside any scope, passes with the entailed certificate
+    for cert, stage in ((compat_stage(g, h, rho, mu, COMPAT_ON_H), "compat-on-h"),
+                        (compat_stage(h, g, mu, rho, COMPAT_ON_G), "compat-on-g"),
+                        (compat_certificate(rmp.Rg, rho, rmp.Rh, CROSS_RHO), "cross-compat-rho"),
+                        (compat_certificate(rmp.Rh, mu, rmp.Rg, CROSS_MU), "cross-compat-mu")):
+        assert cert == Certificate.passed(stage)
+    assert [scans[s] for s in ("compat-on-h", "compat-on-g", "cross-compat-rho",
+                               "cross-compat-mu")] == [1, 1, 1, 1]
+    assert is_reynolds_matched_pair(rmp).ok
+    assert is_reynolds(dd.L, dd.R).ok and jacobi_check(dd.L).ok
 
 
 def test_the_dual_operator_is_always_minus_r_transpose(thmfl):
@@ -238,6 +266,39 @@ def test_failed_reynolds_hypotheses_raise_at_the_gate(thmfl, sl2):
     big = unchecked_semidirect(sl2, rr.rep)
     assert exc.value.certificate == is_reynolds(big, Mat.block_diag(twice, Mat.zeros(1, 1)))
     assert not exc.value.certificate.ok
+
+
+def perturbed_dual(rb: ReynoldsLieBialgebra) -> ReynoldsLieBialgebra:
+    """rb with the first structure constant of its dual doubled: a Lie algebra still, but the
+    cocycle fails."""
+    dual = rb.bialg.dual
+    (key, comp), *rest = dual.sc.items()
+    broken = LieAlgebra(dual.dim, dual.basis, {key: {k: 2 * c for k, c in comp.items()},
+                                               **dict(rest)})
+    return ReynoldsLieBialgebra.unchecked(LieBialgebra.unchecked(rb.bialg.g, broken), rb.R)
+
+
+def test_failed_cocycle_or_reynolds_hypotheses_raise_at_the_gate(thmfl):
+    # the cocycle of (g, g*) is the hypothesis of compat-on-h and compat-on-g; Reynolds of
+    # (g, R) and of (g*, −Rᵀ) those of the cross compatibilities; Jacobi of the double that of
+    # its cocycle.  Each is a stage of the gate, which raises first
+    twice = Mat.identity(3).scale(2)
+    bad_op = ReynoldsLieBialgebra.unchecked(thmfl.bialg, twice)
+    for rb, stage in ((perturbed_dual(thmfl), "cocycle"), (bad_op, "reynolds")):
+        for build in (drinfeld_double, double_quasitriangular):
+            with pytest.raises(CheckFailed) as exc:
+                build(rb)
+            assert exc.value.certificate == is_reynolds_bialgebra(rb.bialg, rb.R)
+            assert exc.value.certificate.first_failure().check == stage
+        # and the stages they would entail, computed, fail with them
+        rmp = canonical_pair(rb)
+        g, h, rho, mu = rmp.pair.g, rmp.pair.h, rmp.pair.rho, rmp.pair.mu
+        if stage == "cocycle":
+            assert not compat_stage(g, h, rho, mu, COMPAT_ON_H).ok
+            assert not compat_stage(h, g, mu, rho, COMPAT_ON_G).ok
+        else:
+            assert not compat_certificate(rmp.Rg, rho, rmp.Rh, CROSS_RHO).ok
+            assert not compat_certificate(rmp.Rh, mu, rmp.Rg, CROSS_MU).ok
 
 
 def test_doubles_of_a_non_lie_dual_raise_at_the_gate(thmfl, non_lie):

@@ -127,17 +127,15 @@ def jacobi_stages(L) -> dict:
 
 
 def compat_stages(g, h, rho, mu) -> dict:
-    n, m = g.dim, h.dim
-    gsc, hsc, *cols, den, _ = integral(g.sc, h.sc, *rho.rho, *mu.rho)
-    table = double_table(gsc, hsc, cols[:n], cols[n:])
-    on_h, wh = packed_outer(table, n + m, n, n + m)
-    on_g, wg = packed_outer(table, n + m, 0, n)
-    return {
-        "compat-on-h": (wh, -den * den, {(i, a, b): unpack(jacobiator(table, on_h, i, n + a, n + b),
-                                                           wh)
-                                         for i in range(n) for a, b in combinations(range(m), 2)}),
-        "compat-on-g": (wg, -den * den, {(a, i, j): unpack(jacobiator(table, on_g, n + a, i, j), wg)
-                                         for a in range(m) for i, j in combinations(range(n), 2)})}
+    """`matched.compat_stage` on (g, h, ρ, μ), and on the swapped pair for compat-on-g."""
+    def on_h(g, h, rho, mu):
+        n, m = g.dim, h.dim
+        gsc, hsc, *cols, den, _ = integral(g.sc, h.sc, *rho.rho, *mu.rho)
+        table = double_table(gsc, hsc, cols[:n], cols[n:])
+        outer, w = packed_outer(table, n + m, n, n + m)
+        return w, -den * den, {(i, a, b): unpack(jacobiator(table, outer, i, n + a, n + b), w)
+                               for i in range(n) for a, b in combinations(range(m), 2)}
+    return {"compat-on-h": on_h(g, h, rho, mu), "compat-on-g": on_h(h, g, mu, rho)}
 
 
 def cocycle_stages(g, deltas) -> dict:

@@ -533,9 +533,10 @@ def test_cli_build_verifies_its_output_once(tmp_path, thmfl, scans, rebind, caps
     # the constructor's call stored: a memo hit
     assert all(a is b for a, b in zip(output[0][0], output[1][0])) and len(output[0][0]) == 3
     assert output[1][1] is output[0][1] and output[0][1].ok
-    # one cocycle per bialgebra, the input's and the output's; Jacobi and Reynolds of g and
-    # g* only: those of the double and of its dual are entailed by the gates, not scanned
-    assert (scans["cocycle"], scans["jacobi"], scans["reynolds"]) == (2, 2, 2)
+    # the cocycle, Jacobi and Reynolds of g and g* only: those of the double and of its dual,
+    # and every stage of the canonical pair, are entailed by the gates, not scanned
+    assert (scans["cocycle"], scans["jacobi"], scans["reynolds"]) == (1, 2, 2)
+    assert sum(scans.values()) == 5
 
 
 def test_cli_semidirect_of_a_non_lie_base_exits_1(tmp_path, non_lie, capsys):

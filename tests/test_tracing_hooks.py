@@ -83,26 +83,31 @@ def test_a_memo_hit_is_one_traced_call(thmfl, scans):
     # on an unchecked copy of thmfl, which carries nothing:
     calls, counts = traced(bialgebra.ReynoldsLieBialgebra.unchecked(thmfl.bialg, thmfl.R))
     # is_reynolds(g, R), is_reynolds(g*, −Rᵀ) (the bialgebra's one −Rᵀ, handed to both the
-    # gate and the pair) and is_matched_pair(g, g*, ad*, ad*) are each asked twice: the second
-    # call is a memo hit, which the tracer still counts as a call.  The tracer's wrapper does
-    # not expose `__wrapped__`, so `entail` cannot name the check under it: a traced run
-    # records nothing and computes the checks of the double and of ad* (3 Reynolds scans)
-    assert (calls["check.reynolds"], scans["reynolds"]) == (5, 3)
-    assert (calls["check.matched_pair"], scans["compat-on-h"]) == (2, 1)
+    # gate and the pair) are asked four times (the gate, the hypotheses of the two cross
+    # compatibilities, the pair) and is_matched_pair(g, g*, ad*, ad*) twice: each later call
+    # is a memo hit, which the tracer still counts as a call.  The tracer's wrapper does not
+    # expose `__wrapped__`, so `entail` cannot name the check under it: a traced run records
+    # nothing under a wrapped name and computes the checks of the double, of ad* and the
+    # cross compatibilities (3 Reynolds scans).  `compat_stage` is not wrapped, so the pair's
+    # compat-on-h and compat-on-g stay entailed
+    assert (calls["check.reynolds"], scans["reynolds"]) == (7, 3)
+    assert (calls["check.matched_pair"], scans["compat-on-h"]) == (2, 0)
     # a hit does not run the body, so the second is_matched_pair calls no is_representation
     assert (calls["check.representation"], scans["representation"]) == (2, 2)
+    assert (scans["cross-compat-rho"], scans["cross-compat-mu"]) == (1, 1)
     # Jacobi of g, g* and the double scanned once each; the hypotheses of the ad* and double
     # entailments ask Jacobi of g and g* again (4 hits)
     assert (calls["check.jacobi"], scans["jacobi"]) == (7, 3)
-    assert (counts["check_calls"], counts["repeats"]) == (22, 7)
+    assert (counts["check_calls"], counts["repeats"]) == (24, 9)
     # on thmfl, which carries its gate `is_reynolds_bialgebra(bialg, R, Rt)` and Jacobi and
     # Reynolds of g and g*: the gate is one call and a hit, so its body, with 2 Jacobi, 2
     # Reynolds and 1 cocycle call, does not run; the pair's Reynolds checks of g and g* are
-    # hits, and so are the 4 Jacobi hypotheses; only the double's Jacobi and Reynolds scan
+    # hits, and so are the 4 Jacobi and 2 Reynolds hypotheses; the double's Jacobi and
+    # Reynolds, ad* and the cross compatibilities scan
     calls, counts = traced(thmfl)
-    assert (calls["check.reynolds"], scans["reynolds"]) == (3, 1)
-    assert (calls["check.matched_pair"], scans["compat-on-h"]) == (2, 1)
+    assert (calls["check.reynolds"], scans["reynolds"]) == (5, 1)
+    assert (calls["check.matched_pair"], scans["compat-on-h"]) == (2, 0)
     assert (calls["check.representation"], scans["representation"]) == (2, 2)
     assert (calls["check.jacobi"], scans["jacobi"]) == (5, 1)
     assert "check.cocycle" not in calls
-    assert (counts["check_calls"], counts["repeats"]) == (16, 3)
+    assert (counts["check_calls"], counts["repeats"]) == (18, 5)

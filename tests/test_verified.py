@@ -145,38 +145,48 @@ def test_kept_integer_forms_stay_fresh(sl2, b_op, sl2_reynolds, sl2_qrb, thmfl, 
 def test_each_distinct_check_runs_once(thmfl, scans, check_calls):
     # on an unchecked copy of thmfl, which carries nothing, and on thmfl, which carries what
     # its constructor certified: Jacobi of g and g*, Reynolds of (g, R) and of (g*, −Rᵀ) (its
-    # one −Rᵀ object), the bialgebra axioms of (g, g*) and its own Reynolds bialgebra check
+    # one −Rᵀ object), the bialgebra axioms of (g, g*), its cocycle stage among them, and its
+    # own Reynolds bialgebra check
     copy = ReynoldsLieBialgebra.unchecked(thmfl.bialg, thmfl.R)
-    for rb, carried, pins in ((copy, {}, ((12, 4), (9, 4), (3, 2))),
-                              (thmfl, {"jacobi_check": 2, "is_reynolds": 2},
-                               ((10, 4), (7, 4), (2, 1)))):
+    on_thmfl = {("jacobi_check", None): 2, ("is_reynolds", None): 2,
+                ("bialgebra_cocycle", None): 1}
+    for rb, carried, pins in ((copy, {}, ((13, 4), (11, 4), (3, 2))),
+                              (thmfl, on_thmfl, ((11, 4), (9, 4), (2, 1)))):
         scans.clear()
         check_calls.clear()
         double_quasitriangular(rb)
-        distinct = Counter()
-        for fn, args, kwargs, _ in {(c[0], *map(id, c[1]), *c[2].items()): c
-                                    for c in check_calls}.values():
-            distinct[fn.__name__, kwargs.get("name")] += 1
-        calls = Counter((fn.__name__, kwargs.get("name")) for fn, _, kwargs, _ in check_calls)
+
+        def label(fn, args):        # the check and its stage name, if it is passed one
+            return fn.__name__, next((a for a in args if type(a) is str), None)
+        distinct = Counter(label(fn, args) for fn, args, _, _ in {
+            (c[0], *map(id, c[1]), *c[2].items()): c for c in check_calls}.values())
+        calls = Counter(label(fn, args) for fn, args, _, _ in check_calls)
         # each memoized check that decides one stage: its body ran once per argument tuple,
         # or not at all where a gate entails it: Jacobi and Reynolds of the double and of
-        # its dual, and the coadjoint representations of g and g*; or where rb carries it
-        entailed = {"jacobi_check": 2, "is_reynolds": 2, "is_representation": 2}
-        for check, stage in (("jacobi_check", "jacobi"), ("is_reynolds", "reynolds"),
-                             ("is_representation", "representation"),
-                             ("cocycle_check", "cocycle"), ("is_matched_pair", "compat-on-h")):
-            assert (scans[stage] + entailed.get(check, 0) + carried.get(check, 0)
-                    == distinct[check, None]), check
-        for name in ("cross-compat-rho", "cross-compat-mu"):
-            assert scans[name] == distinct["compat_certificate", name] == 1
+        # its dual, the coadjoint representations of g and g*, the four compatibilities of the
+        # canonical pair and the double's cocycle; or where rb carries it
+        entailed = {("jacobi_check", None): 2, ("is_reynolds", None): 2,
+                    ("is_representation", None): 2, ("bialgebra_cocycle", None): 1,
+                    ("compat_stage", "compat-on-h"): 1, ("compat_stage", "compat-on-g"): 1,
+                    ("compat_certificate", "cross-compat-rho"): 1,
+                    ("compat_certificate", "cross-compat-mu"): 1}
+        for key, stage in ((("jacobi_check", None), "jacobi"), (("is_reynolds", None), "reynolds"),
+                           (("is_representation", None), "representation"),
+                           (("bialgebra_cocycle", None), "cocycle"),
+                           (("cocycle_check", None), "cocycle"),
+                           *((key, key[1]) for key in entailed if key[1])):
+            assert (scans[stage] + entailed.get(key, 0) + carried.get(key, 0)
+                    == distinct[key]), key
+        assert scans["compat-on-h"] == scans["cross-compat-rho"] == 0
         # ... although the chain asks again: Jacobi on the double and on its dual, Reynolds
         # on (g, R), on (g*, −Rᵀ) (the bialgebra's one −Rᵀ object) and on the double with
         # its operator, and the double's bialgebra axioms; the entailments ask their
-        # hypotheses again (memo hits): Jacobi of g and g* for the double, each ad* and the
-        # double's dual, Reynolds of (g*, −Rᵀ) and (g, R) for the dual.  Recording a
-        # certificate calls nothing.  On thmfl the gate `is_reynolds_bialgebra(bialg, R, Rt)`
-        # is a hit on a carried entry, so its body does not run: 2 fewer Jacobi calls (g, g*),
-        # 2 fewer Reynolds calls ((g, R), (g*, −Rᵀ)) and no `is_lie_bialgebra(g, g*)`
+        # hypotheses again (memo hits): Jacobi of g and g* for each ad* and the double's
+        # dual, Jacobi of the double for its cocycle, Reynolds of (g, R) and (g*, −Rᵀ) for the
+        # cross compatibilities and the dual.  Recording a certificate calls nothing.  On
+        # thmfl the gate `is_reynolds_bialgebra(bialg, R, Rt)` is a hit on a carried entry, so
+        # its body does not run: 2 fewer Jacobi calls (g, g*), 2 fewer Reynolds calls ((g, R),
+        # (g*, −Rᵀ)) and no `is_lie_bialgebra(g, g*)`
         assert (calls["jacobi_check", None], distinct["jacobi_check", None]) == pins[0]
         assert (calls["is_reynolds", None], distinct["is_reynolds", None]) == pins[1]
         assert (calls["is_lie_bialgebra", None], distinct["is_lie_bialgebra", None]) == pins[2]
