@@ -64,7 +64,7 @@ def dual_from_cobracket(deltas: list[Tensor2], basis=None) -> LieAlgebra:
 
 def _cotable(deltas: list[Tensor2], skew: bool) -> Table:
     """The dual product eᵃ·eᵇ = Σ_k Δ(e_k)_ab eᵏ; a skew table keeps the keys a < b."""
-    *ds, den, _ = integral(*deltas)
+    *ds, den = integral(*deltas)
     sc: dict[tuple[int, int], dict[int, int]] = {}
     for k, d in enumerate(ds):
         for (a, b), c in d.items():
@@ -89,7 +89,7 @@ def is_lie_coalgebra(deltas: list[Tensor2]) -> Certificate:
     skew = scan("coalgebra", (((k,), d + flip(d)) for k, d in enumerate(deltas)))
     if not skew.ok:
         return skew._replace(note="cobracket is not skew")
-    co, den, _ = integral(_cotable(deltas, True))
+    co, den = integral(_cotable(deltas, True))
     outer, w = packed_outer(co, n)
     out: list[dict] = [{} for _ in range(n)]
     for x, y, z in combinations(range(n), 3):
@@ -110,7 +110,7 @@ def is_reynolds_coalgebra(deltas: list[Tensor2], R: Mat) -> Certificate:
     n = len(deltas)
     if R.rows != n or R.cols != n or any(d.dim_left != n or d.dim_right != n for d in deltas):
         raise ValueError("operator shape does not match the coalgebra")
-    *ds, e, _ = integral(*deltas)
+    *ds, e = integral(*deltas)
     cols, d = R.icols, R.den
 
     def residual(k):
@@ -131,7 +131,7 @@ def cocycle_check(g: LieAlgebra, deltas: list[Tensor2]) -> Certificate:
     n = g.dim
     if len(deltas) != n or any(d.dim_left != n or d.dim_right != n for d in deltas):
         raise ValueError("cobracket shape does not match the algebra")
-    sc, co, den, _ = integral(g.sc, _cotable(deltas, False))
+    sc, co, den = integral(g.sc, _cotable(deltas, False))
     table = double_table(sc, {}, coadjoint_cols(table_rows(sc, n, True), n),
                          coadjoint_cols(table_rows(co, n), n))
     outer, w = packed_outer(table, 2 * n, 0, n)
@@ -241,7 +241,7 @@ def double_quasitriangular(rb: ReynoldsLieBialgebra) -> ReynoldsLieBialgebra:
     """
     dd = drinfeld_double(rb)
     g, dual, n = rb.bialg.g, rb.bialg.dual, rb.bialg.g.dim
-    dsc, gsc, den, _ = integral(dual.sc, g.sc)
+    dsc, gsc, den = integral(dual.sc, g.sc)
     negated = {key: {k: -c for k, c in comp.items()} for key, comp in dsc.items()}
     sc = double_table(negated, gsc, [[{}] * n] * n, [[{}] * n] * n)
     star = LieAlgebra(2 * n, dual_basis(dd.L.basis), Table._of(2 * n, sc, True, den),

@@ -132,7 +132,7 @@ def is_relative_rb(rel: RelativeRB) -> Certificate:
 def _k_action(rel: RelativeRB) -> tuple[Rows, int]:
     """rows[a][b] = s·rho(Ke_a)e_b on integers, a table on the module's basis indices, and s:
     the `products` of K's columns with the basis through the rows rho(e_i)e_j."""
-    *rho, d, _ = integral(*rel.rr.rep.rho)
+    *rho, d = integral(*rel.rr.rep.rho)
     return (products([{j: col for j, col in enumerate(m) if col} for m in rho], rel.K.icols),
             d * rel.K.den)
 
@@ -163,7 +163,7 @@ def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     m = rep.module_dim
     rho = Representation(g, m, rep.rho, labels=rep.labels, check=False)
     rows, den = table_rows(g.sc.ientries, g.dim, True), g.sc.den
-    *act, kcols, d, _ = integral(*rep.rho, rel.K)
+    *act, kcols, d = integral(*rep.rho, rel.K)
     ek = products(rows, None, kcols)        # ek[i][a] = den·d·[e_i, Ke_a]
 
     def mu_col(a, i):
@@ -296,7 +296,7 @@ def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     except ValueError:
         raise ValueError("invertible variant requires a square invertible K") from None
     g = rel.rr.base.L
-    *mats, d, _ = integral(*rel.rr.rep.rho)
+    *mats, d = integral(*rel.rr.rep.rho)
     prod = {(i, j): sapply(K.icols, sapply(rho, kinv.icols[j]))
             for i, rho in enumerate(mats) for j in range(g.dim)}
     A = PreLieAlgebra(g.dim, g.basis, Table._of(g.dim, prod, False, K.den * kinv.den * d))

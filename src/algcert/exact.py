@@ -8,12 +8,11 @@ Conventions fixed here for the whole package:
 * every exact container (`Mat`, `Table`, `Tensor2`, `Tensor3`) stores its
   integer form and nothing else: its nonzero coefficients as ``int``s on one
   canonical denominator `den` (gcd(den, every coefficient) = 1, so equal
-  entries give equal forms, `==` and `hash`), and `top`, the largest
-  |coefficient|.  Its ``Fraction`` entries are derived on each read.  The
-  identity checks and constructions read the forms through `integral`, do
-  their arithmetic on ``int``, and hand an integer result straight to the
-  container of their output (`_of`); only a reported residual is turned back
-  into a ``Fraction``;
+  entries give equal forms, `==` and `hash`).  Its ``Fraction`` entries are
+  derived on each read.  The identity checks and constructions read the forms
+  through `integral`, do their arithmetic on ``int``, and hand an integer
+  result straight to the container of their output (`_of`); only a reported
+  residual is turned back into a ``Fraction``;
 * vectors are coordinate tuples, matrices act on column coordinate
   vectors, and the matrix of an operator has the images of the basis
   vectors as its columns;
@@ -101,16 +100,15 @@ def _ints(ratios: list[dict]) -> tuple[list[dict[int, int]], int]:
     return [{k: n * (den // d) for k, (n, d) in r.items() if n} for r in ratios], den
 
 
-def _canonical(vectors: list[dict], den: int) -> tuple[list[dict], int, int]:
+def _canonical(vectors: list[dict], den: int) -> tuple[list[dict], int]:
     """Integer sparse vectors over den > 0 with their zeros dropped and den made canonical
-    (all divided by gcd(den, every coefficient)), and their largest |coefficient|."""
+    (all divided by gcd(den, every coefficient))."""
     if not all(chain.from_iterable(map(dict.values, vectors))):
         vectors = [{k: c for k, c in v.items() if c} for v in vectors]
     g = gcd(den, *chain.from_iterable(map(dict.values, vectors)))
     if g != 1:
         vectors = [{k: c // g for k, c in v.items()} for v in vectors]
-    return vectors, den // g, max(map(abs, chain.from_iterable(map(dict.values, vectors))),
-                                  default=0)
+    return vectors, den // g
 
 
 class Mat:
@@ -118,13 +116,13 @@ class Mat:
 
     A matrix keeps its exact integer form and nothing else: `icols[j]` holds the
     nonzero entries of column j as integers {row: c} on one common denominator
-    `den` > 0, entry (i, j) being icols[j][i] / den, and `top` is the largest |c|.
-    `den` is canonical, gcd(den, every c) = 1, so equal entries are equal forms:
-    `==` and `hash` compare the forms.  `entries` is the dense view of rows of
-    Fractions, derived on each read.
+    `den` > 0, entry (i, j) being icols[j][i] / den.  `den` is canonical,
+    gcd(den, every c) = 1, so equal entries are equal forms: `==` and `hash`
+    compare the forms.  `entries` is the dense view of rows of Fractions, derived
+    on each read.
     """
 
-    __slots__ = ("rows", "cols", "icols", "den", "top")
+    __slots__ = ("rows", "cols", "icols", "den")
 
     def __init__(self, entries: Iterable[Iterable]):
         rows = [[rat(c).as_integer_ratio() for c in row] for row in entries]
@@ -135,7 +133,7 @@ class Mat:
 
     def _keep(self, rows: int, cols: int, icols, den: int) -> None:
         """Keep fresh integer columns {row: c} over den > 0, zeros dropped, den canonical."""
-        icols, self.den, self.top = _canonical(icols, den)
+        icols, self.den = _canonical(icols, den)
         self.rows, self.cols, self.icols = rows, cols, tuple(icols)
 
     @classmethod
@@ -150,7 +148,7 @@ class Mat:
         """The dense rows of Fractions."""
         return tuple(zip(*map(self.col, range(self.cols)))) if self.cols else ((),) * self.rows
 
-    form = property(lambda self: (self.icols, self.den, self.top))   # as `integral` reads it
+    form = property(lambda self: (self.icols, self.den))   # as `integral` reads it
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
@@ -313,10 +311,6 @@ def mat_apply(m: Mat, v: Vec) -> Vec:
     return m.apply(v)
 
 
-def transpose(m: Mat) -> Mat:
-    return m.transpose()
-
-
 # ---------------------------------------------------------------------------
 # sparse order-2 and order-3 tensors
 # ---------------------------------------------------------------------------
@@ -335,10 +329,10 @@ def _show(key) -> str:
 class _Tensor:
     """The integer form a `Tensor2` or `Tensor3` keeps, and nothing else: `ientries` holds
     the nonzero entries as integers {index tuple: c} on one canonical denominator `den` > 0,
-    entry c / den, and `top` is the largest |c|; `dims` is the shape.  `entries` is the dict
-    of Fractions, derived on each read; `==` and `hash` compare the shape and the form."""
+    entry c / den; `dims` is the shape.  `entries` is the dict of Fractions, derived on each
+    read; `==` and `hash` compare the shape and the form."""
 
-    __slots__ = ("dims", "ientries", "den", "top")
+    __slots__ = ("dims", "ientries", "den")
 
     def _init(self, dims: tuple, entries: Mapping | None) -> None:
         """Validate and coerce rational entries {index tuple: c} in one pass."""
@@ -348,14 +342,14 @@ class _Tensor:
                 raise ValueError(f"tensor index {_show(key)} out of bounds")
             ratios[key] = rat(c).as_integer_ratio()
         self.dims = dims
-        (self.ientries,), self.den, self.top = _canonical(*_ints([ratios]))
+        (self.ientries,), self.den = _canonical(*_ints([ratios]))
 
     @classmethod
     def _of(cls, dims: tuple, body: dict, den: int = 1):
         """The tensor of integer entries {index tuple: c} over den > 0, taken as in range."""
         t = object.__new__(cls)
         t.dims = dims
-        (t.ientries,), t.den, t.top = _canonical([body], den)
+        (t.ientries,), t.den = _canonical([body], den)
         return t
 
     @property
@@ -363,7 +357,7 @@ class _Tensor:
         """The nonzero entries {index tuple: c} as Fractions."""
         return {key: Fraction(c, self.den) for key, c in self.ientries.items()}
 
-    form = property(lambda self: (self.ientries, self.den, self.top))   # as `integral` reads it
+    form = property(lambda self: (self.ientries, self.den))   # as `integral` reads it
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and ((self.dims, self.den, self.ientries)
@@ -507,20 +501,19 @@ class Table(Mapping):
     A skew table (a Lie bracket, the NS-Lie product ▷) keeps keys with i < j
     only, and e_j·e_i = −e_i·e_j.  Like a `Mat`, a table keeps its integer form
     and nothing else: `ientries` holds the nonzero products as integers
-    {(i, j): {k: c}} on one canonical denominator `den`, and `top` is the
-    largest |c|.  It is a read-only mapping whose ``Fraction`` items
-    (``t[key]``, `get`, `items`) are derived on each read.  Like a dict, it
-    equals any mapping with the same items, whatever its dim and skewness; two
-    tables compare (and hash) their forms.  The constructor validates and
-    coerces any other mapping of rational entries in one pass, and takes a
-    `Table` of the same dim and skewness as it is.
+    {(i, j): {k: c}} on one canonical denominator `den`.  It is a read-only
+    mapping whose ``Fraction`` items (``t[key]``, `get`, `items`) are derived on
+    each read.  Like a dict, it equals any mapping with the same items, whatever
+    its dim and skewness; two tables compare (and hash) their forms.  The
+    constructor validates and coerces any other mapping of rational entries in
+    one pass, and takes a `Table` of the same dim and skewness as it is.
     """
 
-    __slots__ = ("dim", "skew", "ientries", "den", "top")
+    __slots__ = ("dim", "skew", "ientries", "den")
 
     def __init__(self, dim: int, entries: Mapping | None = None, skew: bool = False):
         if isinstance(entries, Table) and (entries.dim, entries.skew) == (dim, skew):
-            self.dim, self.skew, self.ientries, self.den, self.top = (dim, skew, *entries.form)
+            self.dim, self.skew, self.ientries, self.den = (dim, skew, *entries.form)
             return
         ratios = {}
         for key, comp in (entries or {}).items():
@@ -538,7 +531,7 @@ class Table(Mapping):
 
     def _keep(self, dim: int, skew: bool, body: dict, den: int) -> None:
         """Keep integer entries {(i, j): {k: c}} over den > 0; zeros dropped, den canonical."""
-        comps, self.den, self.top = _canonical(list(body.values()), den)
+        comps, self.den = _canonical(list(body.values()), den)
         self.dim, self.skew = dim, skew
         self.ientries = {key: comp for key, comp in zip(body, comps) if comp}
 
@@ -549,7 +542,7 @@ class Table(Mapping):
         t._keep(dim, skew, body, den)
         return t
 
-    form = property(lambda self: (self.ientries, self.den, self.top))   # as `integral` reads it
+    form = property(lambda self: (self.ientries, self.den))   # as `integral` reads it
 
     def __getitem__(self, key) -> SVec:
         return {k: Fraction(c, self.den) for k, c in self.ientries[key].items()}
@@ -616,13 +609,12 @@ def saxpy(out: SVec, a, v: SVec) -> SVec:
 def integral(*objs):
     """The integer forms (`form`) of `Mat`s, `Table`s and tensors on one common denominator:
     each form's coefficients (a `Mat`'s columns, a `Table`'s {(i, j): {k: c}}, a tensor's
-    {index tuple: c}) rescaled to D, the lcm of their denominators, then D and the largest
-    |coefficient| of them all.  A form already on D is returned as it is stored, not copied:
-    callers only read it."""
+    {index tuple: c}) rescaled to D, the lcm of their denominators, then D.  A form already
+    on D is returned as it is stored, not copied: callers only read it."""
     forms = [t.form for t in objs]
-    den = lcm(*[d for _, d, _ in forms])
-    out, top = [], 0
-    for t, (body, d, m) in zip(objs, forms):
+    den = lcm(*[d for _, d in forms])
+    out = []
+    for t, (body, d) in zip(objs, forms):
         k = den // d
         if k != 1:
             body = (tuple([{i: k * c for i, c in col.items()} for col in body])
@@ -630,8 +622,7 @@ def integral(*objs):
                     {key: {i: k * c for i, c in v.items()} for key, v in body.items()}
                     if isinstance(t, Table) else {key: k * c for key, c in body.items()})
         out.append(body)
-        top = max(top, k * m)
-    return (*out, den, top)
+    return (*out, den)
 
 
 # Packed vectors.  The identity kernels store an integer sparse vector {k: c} as

@@ -11,12 +11,11 @@ Composite spaces always order blocks first factor then second factor.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .certificates import _LEAVES, Certificate, Checked, entail, require, scan, verified
-from .exact import (Mat, Rows, SVec, Table, Vec, ZERO, integral, mat_comb, pack, sapply,
-                    slot_width, table_rows, unpack)
+from .exact import (Mat, Rows, SVec, Table, Vec, integral, mat_comb, pack, sapply, slot_width,
+                    table_rows, unpack)
 
 
 def default_basis(dim: int, prefix: str = "e") -> tuple[str, ...]:
@@ -137,7 +136,7 @@ def jacobi_check(L: LieAlgebra) -> Certificate:
 
     On the integer table D·sc the Jacobiator comes out D² times too large.
     """
-    sc, den, _ = integral(L.sc)
+    sc, den = integral(L.sc)
     outer, w = packed_outer(sc, L.dim)
     return scan("jacobi", (((i, j, k), jacobiator(sc, outer, i, j, k))
                            for i, j, k in combinations(range(L.dim), 3)), den * den,
@@ -188,7 +187,7 @@ def is_representation(rep: Representation) -> Certificate:
     integer columns under one scale D (so D² times too large), entry (a, b) in the slot
     b·m + a.
     """
-    sc, *cols, den, _ = integral(rep.algebra.sc, *rep.rho)
+    sc, *cols, den = integral(rep.algebra.sc, *rep.rho)
     w, values = pair_blocks(sc, cols, rep.module_dim)
     return scan("representation", values, den * den, lambda v: block_entries(v, rep.module_dim, w))
 
@@ -297,7 +296,7 @@ def semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
         raise ValueError("rep must represent L")
     gate = require(is_representation(rep))
     n, m = L.dim, rep.module_dim
-    sc, *cols, den, _ = integral(L.sc, *rep.rho)
+    sc, *cols, den = integral(L.sc, *rep.rho)
     sc = double_table(sc, {}, cols, [[{}] * n] * m)
     return LieAlgebra(n + m, L.basis + rep.labels, Table._of(n + m, sc, True, den),
                       given=[gate, jacobi_check(L)])
@@ -324,9 +323,6 @@ class BilinForm:
     def dim(self) -> int:
         return self.gram.rows
 
-    def eval(self, x: Vec, y: Vec) -> Fraction:
-        return sum((a * b for a, b in zip(x, self.gram.apply(y))), ZERO)
-
     def is_nondegenerate(self) -> bool:
         return self.gram.det() != 0
 
@@ -346,8 +342,8 @@ def is_invariant_form(L: LieAlgebra, S: BilinForm) -> Certificate:
     if S.dim != L.dim:
         raise ValueError("form dimension does not match the algebra")
     n = L.dim
-    gram, g, _ = integral(S.gram)
-    sc, den, _ = integral(L.sc)
+    gram, g = integral(S.gram)
+    sc, den = integral(L.sc)
     # s[i][j][k] = S([e_i,e_j], e_k), on the integer tables g·D times too large
     s: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for (i, j), comp in sc.items():

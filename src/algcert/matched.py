@@ -72,7 +72,7 @@ def compat_stage(g: LieAlgebra, h: LieAlgebra, rho: Representation, mu: Represen
     and a < b of h.  The residual is minus the h-block of J(e_x, f_a, f_b) on the integer table
     of g⋈h under one scale D: the scale is −D²."""
     n, m = g.dim, h.dim
-    gsc, hsc, *cols, den, _ = integral(g.sc, h.sc, *rho.rho, *mu.rho)
+    gsc, hsc, *cols, den = integral(g.sc, h.sc, *rho.rho, *mu.rho)
     table = double_table(gsc, hsc, cols[:n], cols[n:])
     outer, w = packed_outer(table, n + m, n, n + m)
     return scan(name, (((i, a, b), jacobiator(table, outer, i, n + a, n + b))
@@ -108,7 +108,7 @@ def double(mp: MatchedPair) -> LieAlgebra:
     so the gate, `jacobi_check(g)` and `jacobi_check(h)` entail its Jacobi check."""
     gate = require(is_matched_pair(mp.g, mp.h, mp.rho, mp.mu))
     n = mp.g.dim + mp.h.dim
-    gsc, hsc, *cols, den, _ = integral(mp.g.sc, mp.h.sc, *mp.rho.rho, *mp.mu.rho)
+    gsc, hsc, *cols, den = integral(mp.g.sc, mp.h.sc, *mp.rho.rho, *mp.mu.rho)
     sc = double_table(gsc, hsc, cols[:mp.g.dim], cols[mp.g.dim:])
     return LieAlgebra(n, mp.g.basis + mp.h.basis, Table._of(n, sc, True, den),
                       given=[gate, jacobi_check(mp.g), jacobi_check(mp.h)])
@@ -190,7 +190,7 @@ class ManinTripleReynolds(Checked):
 def _closure_cert(L: LieAlgebra, R: Mat, part: tuple[int, ...], name: str) -> Certificate:
     """Brackets of pairs in `part`, then R of each member, have no component outside it."""
     inside = set(part)
-    sc, cols, den, _ = integral(L.sc, R)
+    sc, cols, den = integral(L.sc, R)
 
     def outside(v):
         return {k: c for k, c in v.items() if k not in inside}

@@ -101,7 +101,7 @@ def is_nslie(A: NSLieAlgebra) -> Certificate:
     come out D² times too large.
     """
     n = A.dim
-    left, wedge, den, _ = integral(A.left, A.wedge)
+    left, wedge, den = integral(A.left, A.wedge)
     comm = _commutator(left, wedge, n)
     table, outer, w = _identity_2(comm, left, wedge, n)
     return Certificate.combine("nslie", [
@@ -128,7 +128,7 @@ def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
 
 def ns_commutator(A: NSLieAlgebra) -> LieAlgebra:
     """The commutator Lie algebra of a (valid) NS-Lie algebra."""
-    left, wedge, den, _ = integral(A.left, A.wedge)
+    left, wedge, den = integral(A.left, A.wedge)
     return LieAlgebra(A.dim, A.basis, Table._of(A.dim, _commutator(left, wedge, A.dim), True, den))
 
 
@@ -186,7 +186,7 @@ def is_ns_rep(rep: NSRep) -> Certificate:
     visit i<j and count two.
     """
     n, md = rep.base.dim, rep.module_dim
-    g_left, g_wedge, *maps, d, _ = integral(rep.base.left, rep.base.wedge, *rep.mu, *rep.nu,
+    g_left, g_wedge, *maps, d = integral(rep.base.left, rep.base.wedge, *rep.mu, *rep.nu,
                                             *rep.varrho)
     mu, nu, vr = maps[:n], maps[n:2 * n], maps[2 * n:]
     s = [[saxpy(saxpy(dict(a), -1, b), 1, c) for a, b, c in zip(*abc)] for abc in zip(mu, nu, vr)]
@@ -217,7 +217,7 @@ def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
     if rep.module_dim == 0:
         return rep.base
     A, m = rep.base, rep.base.dim + rep.module_dim
-    left, wedge, *maps, den, _ = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
+    left, wedge, *maps, den = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
     left, wedge = _semidirect_tables(left, wedge, maps, A.dim)
     return NSLieAlgebra(m, rep.base.basis + rep.labels, Table._of(m, left, False, den),
                         Table._of(m, wedge, True, den), check=False)

@@ -9,9 +9,9 @@ procedures.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .certificates import Certificate, Checked, entail, require, scan, verified
 from .exact import ONE, ZERO, Mat, Table, integral, norms, rat, unpack, width
@@ -66,14 +66,16 @@ def operator_brackets(table, P: Mat, Q: Mat, lam, kappa):
     dQ·(s·I) at most q∞·t·k, so a residual coefficient is at most t·(qd·p1·q1 + q∞·k).
     """
     if isinstance(table, Table):
-        sc, den, t = integral(table)
+        sc, den = integral(table)
         n, products, skew = table.dim, sc.items(), table.skew
     else:
-        *mats, den, t = integral(*table)
+        *mats, den = integral(*table)
         n, skew = len(mats), False
         products = [((x, u), col) for x, m in enumerate(mats) for u, col in enumerate(m) if col]
-    cols, d, _ = integral(Q)
-    pcols, p, _ = (cols, d, 0) if P is Q else integral(P)
+    t = max(map(abs, chain.from_iterable(map(dict.values, map(itemgetter(1), products)))),
+            default=0)
+    cols, d = integral(Q)
+    pcols, p = (cols, d) if P is Q else integral(P)
     q = lcm(lam.denominator, kappa.denominator)
     qd, qp = q * d, q * p
     lpd = lam.numerator * (q // lam.denominator) * p * d

@@ -113,7 +113,7 @@ def _r_and_dual(qrb: QuadraticRB) -> tuple[Tensor2, LieAlgebra]:
     dual = dual_bracket_from_r(L, r)
     desc = descendent(qrb.rb)
     # S♯ is the gram matrix, nondegenerate as `is_quadratic_rb` certified and inverted above
-    sharp, dual_sc, desc_sc, d, _ = integral(qrb.S.gram, dual.sc, desc.sc)
+    sharp, dual_sc, desc_sc, d = integral(qrb.S.gram, dual.sc, desc.sc)
     ss = products(table_rows(dual_sc, n, True), sharp, sharp)
 
     def diff(i, j):

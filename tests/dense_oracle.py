@@ -119,8 +119,8 @@ def is_rota_baxter(L, B: Mat, lam) -> Certificate:
 
 def operator_form_compat(L, S, R: Mat, name: str, lam=None) -> Certificate:
     def value(ei, ej):
-        val = S.eval(R.apply(ei), ej) + S.eval(ei, R.apply(ej))
-        return val if lam is None else val + lam * S.eval(ei, ej)
+        val = _form_eval(S.gram, R.apply(ei), ej) + _form_eval(S.gram, ei, R.apply(ej))
+        return val if lam is None else val + lam * _form_eval(S.gram, ei, ej)
     n = L.dim
     return scan(name, (((i, j), value(vbasis(n, i), vbasis(n, j)))
                        for i, j in product(range(n), repeat=2)))
@@ -740,7 +740,7 @@ def r_from_qrb(qrb) -> Tensor2:
 # `Mat`, `Table` and the tensors store their integer forms (nonzero integer
 # coefficients on one canonical denominator) and `integral` reads them.  These
 # are the bodies they replaced: a dense matrix of Fraction rows, and the integer
-# tables built from the Fractions on every call, with the `top` pass over them.
+# tables built from the Fractions on every call.
 
 class DenseMat:
     """The dense `Mat` the sparse one replaced: rows of Fractions, zeros included."""
@@ -953,11 +953,6 @@ def coefficients(body) -> list:
     return [c for v in body for c in v.values()]
 
 
-def top(*tables) -> int:
-    """The largest |coefficient| of integer tables as `integral` returns them."""
-    return max((abs(c) for t in tables for c in coefficients(t)), default=0)
-
-
 def stale_forms(*objs) -> list:
     """Every `Mat`, `Table`, `Tensor2` and `Tensor3` reachable from objs (through slots, dicts,
     lists and tuples, so also through the certificates and arguments a `Checked` structure's
@@ -970,13 +965,13 @@ def stale_forms(*objs) -> list:
             continue
         seen.add(id(x))
         if isinstance(x, (Mat, Table, Tensor2, Tensor3)):
-            body, den, _ = x.form
+            body, den = x.form
             coeffs = coefficients(body)
             fresh, fresh_den = integral(DenseMat(x.entries) if isinstance(x, Mat) else x)
             if isinstance(x, Mat):
                 fresh = tuple(fresh)
             if (not all(coeffs) or den < 1 or gcd(den, *coeffs) != 1
-                    or x.form != (fresh, fresh_den, top(fresh))):
+                    or x.form != (fresh, fresh_den)):
                 stale.append(x)
         if isinstance(x, dict):
             todo += [*x.keys(), *x.values()]

@@ -33,7 +33,7 @@ from algcert.rotabaxter import r_from_qrb
 def unchecked_double(mp: MatchedPair) -> LieAlgebra:
     """g⋈h with no check: the table `double` builds."""
     n = mp.g.dim + mp.h.dim
-    gsc, hsc, *cols, den, _ = integral(mp.g.sc, mp.h.sc, *mp.rho.rho, *mp.mu.rho)
+    gsc, hsc, *cols, den = integral(mp.g.sc, mp.h.sc, *mp.rho.rho, *mp.mu.rho)
     sc = double_table(gsc, hsc, cols[:mp.g.dim], cols[mp.g.dim:])
     return LieAlgebra.unchecked(n, mp.g.basis + mp.h.basis, Table._of(n, sc, True, den))
 

@@ -141,7 +141,7 @@ def test_semidirect_is_nslie_exactly_when_rep_is(A, data):
     # representation's, and with two or more in W they vanish
     rep = draw_rep(data.draw, A)
     m = A.dim + rep.module_dim
-    left, wedge, *maps, den, _ = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
+    left, wedge, *maps, den = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
     left, wedge = _semidirect_tables(left, wedge, maps, A.dim)
     semidirect = NSLieAlgebra.unchecked(m, None, Table._of(m, left, False, den),
                                         Table._of(m, wedge, True, den))

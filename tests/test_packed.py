@@ -72,7 +72,7 @@ def test_pack_unpack_round_trip_at_zero_and_the_slot_limits():
 def test_packed_outer_keeps_one_block():
     rng = random.Random(3)
     n = 7
-    table, _, _ = integral(Table(n, {(a, b): {k: rng.choice((0, 5, -5)) for k in range(n)}
+    table, _ = integral(Table(n, {(a, b): {k: rng.choice((0, 5, -5)) for k in range(n)}
                                      for a, b in combinations(range(n), 2)}, skew=True))
     rows = table_rows(table, n, True)
     for lo, hi in ((0, n), (0, 3), (3, n), (2, 5)):
@@ -121,7 +121,7 @@ def triples(table: dict, outer, w: int, n: int) -> dict:
 
 
 def jacobi_stages(L) -> dict:
-    sc, den, _ = integral(L.sc)
+    sc, den = integral(L.sc)
     outer, w = packed_outer(sc, L.dim)
     return {"jacobi": (w, den * den, triples(sc, outer, w, L.dim))}
 
@@ -130,7 +130,7 @@ def compat_stages(g, h, rho, mu) -> dict:
     """`matched.compat_stage` on (g, h, ρ, μ), and on the swapped pair for compat-on-g."""
     def on_h(g, h, rho, mu):
         n, m = g.dim, h.dim
-        gsc, hsc, *cols, den, _ = integral(g.sc, h.sc, *rho.rho, *mu.rho)
+        gsc, hsc, *cols, den = integral(g.sc, h.sc, *rho.rho, *mu.rho)
         table = double_table(gsc, hsc, cols[:n], cols[n:])
         outer, w = packed_outer(table, n + m, n, n + m)
         return w, -den * den, {(i, a, b): unpack(jacobiator(table, outer, i, n + a, n + b), w)
@@ -140,7 +140,7 @@ def compat_stages(g, h, rho, mu) -> dict:
 
 def cocycle_stages(g, deltas) -> dict:
     n = g.dim
-    sc, co, den, _ = integral(g.sc, bialgebra._cotable(deltas, False))
+    sc, co, den = integral(g.sc, bialgebra._cotable(deltas, False))
     table = double_table(sc, {}, coadjoint_cols(table_rows(sc, n, True), n),
                          coadjoint_cols(table_rows(co, n), n))
     outer, w = packed_outer(table, 2 * n, 0, n)
@@ -153,7 +153,7 @@ def cocycle_stages(g, deltas) -> dict:
 def coalgebra_stages(deltas) -> dict:
     """Co-Jacobi at e_k: −J*(eˣ, eʸ, eᶻ)_k at every ordered (x, y, z), J* alternating."""
     n = len(deltas)
-    co, den, _ = integral(bialgebra._cotable(deltas, True))
+    co, den = integral(bialgebra._cotable(deltas, True))
     outer, w = packed_outer(co, n)
     out = {(k,): {} for k in range(n)}
     for t, v in triples(co, outer, w, n).items():
@@ -163,14 +163,14 @@ def coalgebra_stages(deltas) -> dict:
 
 
 def representation_stages(rep) -> dict:
-    sc, *cols, den, _ = integral(rep.algebra.sc, *rep.rho)
+    sc, *cols, den = integral(rep.algebra.sc, *rep.rho)
     w, values = pair_blocks(sc, cols, rep.module_dim)
     return {"representation": (w, den * den, blocks(values, rep.module_dim, w))}
 
 
 def nslie_stages(A) -> dict:
     n = A.dim
-    left, wedge, den, _ = integral(A.left, A.wedge)
+    left, wedge, den = integral(A.left, A.wedge)
     comm = _commutator(left, wedge, n)
     w1, values = pair_blocks(comm, table_rows(left, n), n)
     table, outer, w2 = _identity_2(comm, left, wedge, n)
@@ -179,14 +179,14 @@ def nslie_stages(A) -> dict:
 
 
 def prelie_stages(P) -> dict:
-    prod, den, _ = integral(P.prod)
+    prod, den = integral(P.prod)
     w, values = pair_blocks(_commutator(prod, {}, P.dim), table_rows(prod, P.dim), P.dim)
     return {"pre-lie": (w, den * den, columns(values, P.dim, w))}
 
 
 def ns_rep_stages(rep) -> dict:
     n, md = rep.base.dim, rep.module_dim
-    g_left, g_wedge, *maps, d, _ = integral(rep.base.left, rep.base.wedge, *rep.mu, *rep.nu,
+    g_left, g_wedge, *maps, d = integral(rep.base.left, rep.base.wedge, *rep.mu, *rep.nu,
                                             *rep.varrho)
     mu, nu, vr = maps[:n], maps[n:2 * n], maps[2 * n:]
     s = [[saxpy(saxpy(dict(a), -1, b), 1, c) for a, b, c in zip(*abc)] for abc in zip(mu, nu, vr)]
@@ -583,6 +583,13 @@ def test_max_entry_tables_match_dict_kernels():
             action = list(product(range(n), range(n)))
             assert same(reynolds.operator_identity("op", rho.rho, P, Q, iter(action), lam, kappa),
                         dense.dict_operator_identity("op", rho.rho, P, Q, iter(action), lam, kappa))
+            # the action's matrices on different denominators: `integral` rescales them to
+            # one before the kernel reads their largest coefficient
+            mats = [m.scale(Fraction(1, (1, 2, 5, 11)[x % 4])) for x, m in enumerate(rho.rho)]
+            assert len({m.den for m in mats}) > 1
+            args = (mats, P, Q, action, Fraction(lam), Fraction(kappa))
+            decoded_stages("operator", *args)
+            assert operator_checks(*args) == dict_operator_checks(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +693,7 @@ def test_failing_inputs_count_every_violation():
     rho = Representation.unchecked(L, 9, [m.scale(Fraction(13, 6)) for m in adjoint_rep(L).rho])
     cert = is_representation(rho)
     assert same(cert, dense.dict_is_representation(rho)) and cert.violations > 1
-    _, den, _ = integral(L.sc)
+    _, den = integral(L.sc)
     assert den > 1
 
 
