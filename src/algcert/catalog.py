@@ -3,13 +3,15 @@
 Provenance notes record whether an entry is printed data or a derived
 fixture.  Parametric families take rational/integer arguments in the
 name, e.g. ``block(1/2,1,3)``, ``abelian(4)``,
-``trivial_matched(sl2,abelian(2))``.  An entry imports the modules of its
-checks when it is looked up, so the package can import this module eagerly.
+``trivial_matched(sl2,abelian(2))``.  Every name, fixed or a family's, is
+one registry entry.  An entry's checks resolve through the package's lazy
+exports when it is looked up, so the package can import this module eagerly.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,6 +26,9 @@ from .fileio import (
     tensor_to_doc,
 )
 from .lie import BilinForm, LieAlgebra, is_quadratic, jacobi_check
+
+# the package: its lazy exports look each name up on its module at call time
+ac = sys.modules[__package__]
 
 
 def sl2() -> LieAlgebra:
@@ -54,18 +59,6 @@ def sl2_km_dual() -> LieAlgebra:
     )
 
 
-def abelian(n: int) -> LieAlgebra:
-    return LieAlgebra.abelian(n)
-
-
-def trivial_matched(g: LieAlgebra, h: LieAlgebra) -> ReynoldsMatchedPair:
-    """rho = mu = 0 with zero operators on both sides."""
-    from .matched import MatchedPair, ReynoldsMatchedPair
-    return ReynoldsMatchedPair.unchecked(
-        MatchedPair.trivial(g, h), Mat.zeros(g.dim, g.dim), Mat.zeros(h.dim, h.dim)
-    )
-
-
 class CatalogEntry(NamedTuple):
     name: str
     kind: str
@@ -78,97 +71,87 @@ class CatalogEntry(NamedTuple):
         return all(c.ok for c in self.certificates)
 
 
-_NAMES = (
-    "sl2",
-    "sl2.B",
-    "sl2.S",
-    "sl2.r",
-    "sl2.km_dual",
-    "abelian(n)",
-    "block(q,lo,hi)",
-    "trivial_matched(a,b)",
-)
+def _algebra(L: LieAlgebra) -> tuple:
+    return L, (jacobi_check(L),)
+
+
+def _sl2_b(name: str) -> tuple:
+    L, B = sl2(), sl2_b()
+    return B, (ac.is_reynolds(L, B), ac.is_rota_baxter(L, B, 0))
+
+
+def _sl2_s(name: str) -> tuple:
+    S = sl2_s()
+    return S, (is_quadratic(sl2(), S),)
+
+
+def _sl2_r(name: str) -> tuple:
+    r = sl2_r()
+    return r, (ac.is_cybe_solution(sl2(), r),)
+
+
+def _sl2_km_dual(name: str) -> tuple:
+    L, dual = sl2(), sl2_km_dual()
+    return dual, (jacobi_check(dual), ac.is_lie_bialgebra(L, dual))
+
+
+def _block(name: str, q: str, lo: str, hi: str, skip: str | None) -> tuple:
+    try:
+        q = rat(q)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational parameter in {name!r}") from exc
+    lo, hi, skip = int(lo), int(hi), skip is not None
+    try:
+        cert = ac.block_window_check(q, lo, hi, skip_singular=skip)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    return {"family": "block", "q": q, "lo": lo, "hi": hi, "skip_singular": skip}, (cert,)
+
+
+def _trivial_matched(name: str, g: str, h: str) -> tuple:
+    """rho = mu = 0 with zero operators on both sides, on two algebra entries."""
+    g_entry, h_entry = catalog(g.strip()), catalog(h.strip())
+    if g_entry.kind != "algebra" or h_entry.kind != "algebra":
+        raise InputError("trivial_matched needs two algebra entries")
+    g, h = g_entry.payload, h_entry.payload
+    rmp = ac.ReynoldsMatchedPair.unchecked(
+        ac.MatchedPair.trivial(g, h), Mat.zeros(g.dim, g.dim), Mat.zeros(h.dim, h.dim))
+    return rmp, (ac.is_reynolds_matched_pair(rmp),)
+
+
+# name as listed -> (kind, provenance, build, pattern): build(name, *the pattern's groups)
+# returns the payload and the certificates of the entry's declared checks; a family's
+# pattern matches its instances, and a fixed name, with no pattern, matches only itself
+_REGISTRY = {
+    "sl2": ("algebra", "PAPER: the 3-dimensional simple algebra example",
+            lambda name: _algebra(sl2()), None),
+    "sl2.B": ("operator", "PAPER: the skew operator of the worked example", _sl2_b, None),
+    "sl2.S": ("form", "PAPER: S(h,h) = 2S(x,y) = 2 from the worked example", _sl2_s, None),
+    "sl2.r": ("tensor", "PAPER: r = h⊗x − x⊗h, a skew CYBE solution", _sl2_r, None),
+    "sl2.km_dual": ("algebra",
+                    "PAPER: the printed dual brackets; bialgebra verdict recorded, not assumed",
+                    _sl2_km_dual, None),
+    "abelian(n)": ("algebra", "TRIVIAL: all brackets zero",
+                   lambda name, n: _algebra(LieAlgebra.abelian(int(n))), r"abelian\((\d+)\)"),
+    "block(q,lo,hi)": ("block", "PAPER: the windowed two-index family with R = 1/(m+i+1)",
+                       _block, r"block\(([^,]+),(-?\d+),(-?\d+)(,skip)?\)"),
+    "trivial_matched(a,b)": ("matched", "PAPER: zero actions always form a matched pair",
+                             _trivial_matched, r"trivial_matched\(([^,]+),(.+)\)"),
+}
 
 
 def names() -> tuple[str, ...]:
-    return _NAMES
+    return tuple(_REGISTRY)
 
 
 def catalog(name: str) -> CatalogEntry:
     """Look an entry up by name and re-run its declared invariant suite."""
     name = name.strip()
-    if name == "sl2":
-        L = sl2()
-        return CatalogEntry(name, "algebra", L,
-                            "PAPER: the 3-dimensional simple algebra example",
-                            (jacobi_check(L),))
-    if name == "sl2.B":
-        from .reynolds import is_reynolds
-        from .rotabaxter import is_rota_baxter
-        L, B = sl2(), sl2_b()
-        return CatalogEntry(
-            name, "operator", B,
-            "PAPER: the skew operator of the worked example",
-            (is_reynolds(L, B), is_rota_baxter(L, B, 0)),
-        )
-    if name == "sl2.S":
-        L, S = sl2(), sl2_s()
-        return CatalogEntry(
-            name, "form", S,
-            "PAPER: S(h,h) = 2S(x,y) = 2 from the worked example",
-            (is_quadratic(L, S),),
-        )
-    if name == "sl2.r":
-        from .cybe import is_cybe_solution
-        L, r = sl2(), sl2_r()
-        return CatalogEntry(
-            name, "tensor", r,
-            "PAPER: r = h⊗x − x⊗h, a skew CYBE solution",
-            (is_cybe_solution(L, r),),
-        )
-    if name == "sl2.km_dual":
-        from .bialgebra import is_lie_bialgebra
-        L, dual = sl2(), sl2_km_dual()
-        return CatalogEntry(
-            name, "algebra", dual,
-            "PAPER: the printed dual brackets; bialgebra verdict recorded, not assumed",
-            (jacobi_check(dual), is_lie_bialgebra(L, dual)),
-        )
-    m = re.fullmatch(r"abelian\((\d+)\)", name)
-    if m:
-        L = abelian(int(m.group(1)))
-        return CatalogEntry(name, "algebra", L, "TRIVIAL: all brackets zero",
-                            (jacobi_check(L),))
-    m = re.fullmatch(r"block\(([^,]+),(-?\d+),(-?\d+)(,skip)?\)", name)
-    if m:
-        try:
-            q = rat(m.group(1))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational parameter in {name!r}") from exc
-        lo, hi = int(m.group(2)), int(m.group(3))
-        skip = m.group(4) is not None
-        from .reynolds import block_window_check
-        try:
-            cert = block_window_check(q, lo, hi, skip_singular=skip)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        payload = {"family": "block", "q": q, "lo": lo, "hi": hi, "skip_singular": skip}
-        return CatalogEntry(name, "block", payload,
-                            "PAPER: the windowed two-index family with R = 1/(m+i+1)",
-                            (cert,))
-    m = re.fullmatch(r"trivial_matched\(([^,]+),(.+)\)", name)
-    if m:
-        g_entry = catalog(m.group(1).strip())
-        h_entry = catalog(m.group(2).strip())
-        if g_entry.kind != "algebra" or h_entry.kind != "algebra":
-            raise InputError("trivial_matched needs two algebra entries")
-        from .matched import is_reynolds_matched_pair
-        rmp = trivial_matched(g_entry.payload, h_entry.payload)
-        return CatalogEntry(
-            name, "matched", rmp,
-            "PAPER: zero actions always form a matched pair",
-            (is_reynolds_matched_pair(rmp),),
-        )
+    for key, (kind, provenance, build, pattern) in _REGISTRY.items():
+        m = re.fullmatch(pattern or re.escape(key), name)
+        if m:
+            payload, certs = build(name, *m.groups())
+            return CatalogEntry(name, kind, payload, provenance, certs)
     raise InputError(f"unknown catalog entry: {name!r}")
 
 

@@ -7,8 +7,8 @@ byte-stable for fixed inputs and flags; wall time goes to stderr.
 
 The four commands share one skeleton (`_command`) around a function that
 returns the certificates to report.  Each check and build kind is one
-registry entry; its module is imported when the kind is dispatched, so a
-process loads only what its kind runs.
+registry entry, and every library name it runs resolves through the package's
+lazy exports, so a process loads only the modules its kind uses.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import functools
 import json
 import sys
 import time
-from importlib import import_module
 from operator import attrgetter
 
 from . import fileio as fio
+from .catalog import catalog, entry_to_doc
 from .certificates import Certificate, CheckFailed, require, verified
 from .exact import Mat, rat
 
@@ -87,17 +87,8 @@ def _gated_lie_and_tensor(doc: dict, args, context: str):
     return L, _tensor(doc, args, L.dim, context)
 
 
-def _dispatch(registry: dict, kind: str, what: str) -> tuple:
-    """A kind's registry entry, after importing the module it runs."""
-    if kind not in registry:
-        raise fio.InputError(f"unknown {what} kind: {kind!r}")
-    entry = registry[kind]
-    import_module(f".{entry[0]}", __package__)
-    return entry
-
-
 # ---------------------------------------------------------------------------
-# check registry: kind -> (module, run); run(doc, args) returns the certificates
+# check registry: kind -> run; run(doc, args) returns the certificates
 # ---------------------------------------------------------------------------
 
 def _coalgebra(doc: dict, args) -> list[Certificate]:
@@ -121,47 +112,44 @@ def _cybe(doc: dict, args) -> list[Certificate]:
 
 
 CHECKS = {
-    "jacobi": ("lie", lambda doc, args: [ac.jacobi_check(fio.doc_to_algebra(doc))]),
-    "reynolds": ("reynolds", lambda doc, args: [ac.is_reynolds(
-        *attrgetter("L", "R")(fio.doc_to_reynolds_algebra(doc, _op(args, None))))]),
-    "reynolds-rep": ("reynolds", lambda doc, args: [
-        ac.is_reynolds_rep(fio.doc_to_reynolds_rep(doc))]),
-    "nslie": ("nslie", lambda doc, args: [ac.is_nslie(fio.doc_to_ns(doc))]),
-    "ns-rep": ("nslie", lambda doc, args: [ac.is_ns_rep(fio.doc_to_ns_rep(doc))]),
-    "matched": ("matched", lambda doc, args: [ac.is_matched_pair(
-        *attrgetter("g", "h", "rho", "mu")(fio.doc_to_matched(doc, need_ops=False).pair))]),
-    "reynolds-matched": ("matched", lambda doc, args: [
-        ac.is_reynolds_matched_pair(fio.doc_to_matched(doc))]),
-    "manin": ("matched", lambda doc, args: [ac.is_manin_triple(*fio.doc_to_manin(doc))]),
-    "coalgebra": ("bialgebra", _coalgebra),
-    "bialgebra": ("bialgebra", lambda doc, args: [ac.is_lie_bialgebra(
-        *attrgetter("g", "dual")(fio.doc_to_bialgebra(doc)[0]))]),
-    "reynolds-bialgebra": ("bialgebra", lambda doc, args: [ac.is_reynolds_bialgebra(
-        *_with_op(fio.doc_to_bialgebra(doc), args, "reynolds-bialgebra"))]),
-    "rb": ("rotabaxter", lambda doc, args: [ac.is_rota_baxter(
-        *attrgetter("L", "B", "lam")(fio.doc_to_rb(doc)))]),
-    "quadratic-rb": ("rotabaxter", lambda doc, args: [ac.is_quadratic_rb(
-        *attrgetter("rb", "S")(fio.doc_to_qrb(doc)[0]))]),
-    "reynolds-on-qrb": ("rotabaxter", lambda doc, args: [ac.is_reynolds_on_qrb(
-        *_with_op(fio.doc_to_qrb(doc), args, "reynolds-on-qrb"))]),
-    "cybe": ("cybe", _cybe),
-    "reynolds-cybe": ("cybe", _reynolds_cybe),
-    "relative-rb": ("cybe", lambda doc, args: [ac.is_relative_rb(fio.doc_to_relative_rb(doc))]),
-    "prelie": ("cybe", lambda doc, args: [ac.is_prelie(fio.doc_to_prelie(doc)[0])]),
-    "reynolds-prelie": ("cybe", lambda doc, args: [ac.is_reynolds_prelie(
-        *_with_op(fio.doc_to_prelie(doc), args, "reynolds-prelie"))]),
+    "jacobi": lambda doc, args: [ac.jacobi_check(fio.doc_to_algebra(doc))],
+    "reynolds": lambda doc, args: [ac.is_reynolds(
+        *attrgetter("L", "R")(fio.doc_to_reynolds_algebra(doc, _op(args, None))))],
+    "reynolds-rep": lambda doc, args: [ac.is_reynolds_rep(fio.doc_to_reynolds_rep(doc))],
+    "nslie": lambda doc, args: [ac.is_nslie(fio.doc_to_ns(doc))],
+    "ns-rep": lambda doc, args: [ac.is_ns_rep(fio.doc_to_ns_rep(doc))],
+    "matched": lambda doc, args: [ac.is_matched_pair(
+        *attrgetter("g", "h", "rho", "mu")(fio.doc_to_matched(doc, need_ops=False).pair))],
+    "reynolds-matched": lambda doc, args: [
+        ac.is_reynolds_matched_pair(fio.doc_to_matched(doc))],
+    "manin": lambda doc, args: [ac.is_manin_triple(*fio.doc_to_manin(doc))],
+    "coalgebra": _coalgebra,
+    "bialgebra": lambda doc, args: [ac.is_lie_bialgebra(
+        *attrgetter("g", "dual")(fio.doc_to_bialgebra(doc)[0]))],
+    "reynolds-bialgebra": lambda doc, args: [ac.is_reynolds_bialgebra(
+        *_with_op(fio.doc_to_bialgebra(doc), args, "reynolds-bialgebra"))],
+    "rb": lambda doc, args: [ac.is_rota_baxter(
+        *attrgetter("L", "B", "lam")(fio.doc_to_rb(doc)))],
+    "quadratic-rb": lambda doc, args: [ac.is_quadratic_rb(
+        *attrgetter("rb", "S")(fio.doc_to_qrb(doc)[0]))],
+    "reynolds-on-qrb": lambda doc, args: [ac.is_reynolds_on_qrb(
+        *_with_op(fio.doc_to_qrb(doc), args, "reynolds-on-qrb"))],
+    "cybe": _cybe,
+    "reynolds-cybe": _reynolds_cybe,
+    "relative-rb": lambda doc, args: [ac.is_relative_rb(fio.doc_to_relative_rb(doc))],
+    "prelie": lambda doc, args: [ac.is_prelie(fio.doc_to_prelie(doc)[0])],
+    "reynolds-prelie": lambda doc, args: [ac.is_reynolds_prelie(
+        *_with_op(fio.doc_to_prelie(doc), args, "reynolds-prelie"))],
 }
 CHECK_KINDS = tuple(CHECKS)
 
 
 def _run_check(kind: str, path: str, args) -> list[Certificate]:
-    doc = fio.read_doc(path)
-    _, run = _dispatch(CHECKS, kind, "check")
-    return run(doc, args)
+    return CHECKS[kind](fio.read_doc(path), args)
 
 
 # ---------------------------------------------------------------------------
-# build registry: kind -> (module, run, emit); run(doc, args) returns the
+# build registry: kind -> (run, emit); run(doc, args) returns the
 # construction, emit(output) its document and the certificates re-verifying it
 # ---------------------------------------------------------------------------
 
@@ -200,38 +188,36 @@ def _emit_solution(out):
 
 
 BUILDS = {
-    "induced": ("reynolds", lambda doc, args: ac.induced_algebra(_gated_reynolds(doc, args)),
+    "induced": (lambda doc, args: ac.induced_algebra(_gated_reynolds(doc, args)),
                 lambda A: (fio.reynolds_algebra_to_doc(A),
                            [ac.jacobi_check(A.L), ac.is_reynolds(A.L, A.R)])),
-    "descendent": ("rotabaxter", lambda doc, args: ac.descendent(fio.doc_to_rb(doc)),
-                   _emit_algebra),
-    "ns-from-reynolds": ("nslie", lambda doc, args: ac.ns_from_reynolds(
-        _gated_reynolds(doc, args)), lambda out: (fio.ns_to_doc(out), [ac.is_nslie(out)])),
-    "semidirect": ("reynolds", _semidirect, _emit_reynolds),
-    "double": ("matched", lambda doc, args: ac.double(
-        fio.doc_to_matched(doc, need_ops=False).pair), _emit_algebra),
-    "reynolds-double": ("matched", lambda doc, args: ac.reynolds_double(
-        fio.doc_to_matched(doc)), _emit_reynolds),
-    "induced-matched": ("matched", _induced_matched, lambda out: (
+    "descendent": (lambda doc, args: ac.descendent(fio.doc_to_rb(doc)), _emit_algebra),
+    "ns-from-reynolds": (lambda doc, args: ac.ns_from_reynolds(_gated_reynolds(doc, args)),
+                         lambda out: (fio.ns_to_doc(out), [ac.is_nslie(out)])),
+    "semidirect": (_semidirect, _emit_reynolds),
+    "double": (lambda doc, args: ac.double(fio.doc_to_matched(doc, need_ops=False).pair),
+               _emit_algebra),
+    "reynolds-double": (lambda doc, args: ac.reynolds_double(fio.doc_to_matched(doc)),
+                        _emit_reynolds),
+    "induced-matched": (_induced_matched, lambda out: (
         fio.matched_to_doc(out), [ac.is_reynolds_matched_pair(out)])),
-    "drinfeld-double": ("bialgebra", lambda doc, args: ac.drinfeld_double(
-        ac.ReynoldsLieBialgebra.unchecked(
-            *_with_op(fio.doc_to_bialgebra(doc), args, "drinfeld-double"))), _emit_reynolds),
-    "quasitriangular-double": ("bialgebra", lambda doc, args: ac.double_quasitriangular(
+    "drinfeld-double": (lambda doc, args: ac.drinfeld_double(ac.ReynoldsLieBialgebra.unchecked(
+        *_with_op(fio.doc_to_bialgebra(doc), args, "drinfeld-double"))), _emit_reynolds),
+    "quasitriangular-double": (lambda doc, args: ac.double_quasitriangular(
         ac.ReynoldsLieBialgebra.unchecked(
             *_with_op(fio.doc_to_bialgebra(doc), args, "quasitriangular-double"))),
         _emit_bialgebra),
-    "cobracket": ("bialgebra", lambda doc, args: ac.coboundary_cobracket(
+    "cobracket": (lambda doc, args: ac.coboundary_cobracket(
         *_gated_lie_and_tensor(doc, args, "cobracket build")),
         lambda deltas: (fio.coalgebra_to_doc(deltas), [ac.is_lie_coalgebra(deltas)])),
-    "r-from-qrb": ("rotabaxter", _r_from_qrb,
+    "r-from-qrb": (_r_from_qrb,
                    lambda out: (fio.tensor_to_doc(out[1]), [ac.is_cybe_solution(*out)])),
-    "thmfl": ("rotabaxter", lambda doc, args: ac.thmFL_bialgebra(
+    "thmfl": (lambda doc, args: ac.thmFL_bialgebra(
         *_with_op(fio.doc_to_qrb(doc), args, "thmfl")), _emit_bialgebra),
-    "rk": ("cybe", lambda doc, args: ac.rk_solution(fio.doc_to_relative_rb(doc)), _emit_solution),
-    "canonical-r": ("cybe", lambda doc, args: ac.canonical_r(ac.ReynoldsPreLie.unchecked(
+    "rk": (lambda doc, args: ac.rk_solution(fio.doc_to_relative_rb(doc)), _emit_solution),
+    "canonical-r": (lambda doc, args: ac.canonical_r(ac.ReynoldsPreLie.unchecked(
         *_with_op(fio.doc_to_prelie(doc), args, "canonical-r"))), _emit_solution),
-    "dual-from-r": ("rotabaxter", lambda doc, args: ac.dual_bracket_from_r(
+    "dual-from-r": (lambda doc, args: ac.dual_bracket_from_r(
         *_gated_lie_and_tensor(doc, args, "dual-from-r build")), _emit_algebra),
 }
 BUILD_KINDS = tuple(BUILDS)
@@ -239,9 +225,8 @@ BUILD_KINDS = tuple(BUILDS)
 
 @verified   # one scope: the emit's checks of what the construction verified are memo hits
 def _run_build(kind: str, path: str, args) -> tuple[dict, list[Certificate]]:
-    doc = fio.read_doc(path)
-    _, run, emit = _dispatch(BUILDS, kind, "build")
-    return emit(run(doc, args))
+    run, emit = BUILDS[kind]
+    return emit(run(fio.read_doc(path), args))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +333,6 @@ def _cat_flags(p: argparse.ArgumentParser) -> None:
           lambda args: ["algcat", args.name] + (["-o", args.out] if args.out else []))
 @verified
 def main_cat(args) -> list[Certificate]:
-    from .catalog import catalog, entry_to_doc
     entry = catalog(args.name)
     if args.out:
         fio.write_doc(args.out, entry_to_doc(entry),

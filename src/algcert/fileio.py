@@ -5,8 +5,9 @@ violating data); constructors and builders re-validate.  Writers emit a
 canonical layout (sorted bracket keys, fixed key order, 2-space indent)
 so build outputs are byte-stable and diffable.  Build documents carry a
 provenance header naming the source files and the construction; loaders
-ignore it.  A loader imports the module of the structure it builds when it
-is called, so reading a document loads only what that document needs.
+ignore it.  A loader reaches the class of the structure it builds through the
+package's lazy exports, so reading a document loads only what that document
+needs.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .exact import Mat, Tensor2, rat, rat_str
 from .lie import BilinForm, LieAlgebra, Representation
+
+# the package: its lazy exports look each name up on its module at call time
+ac = sys.modules[__package__]
 
 
 class InputError(ValueError):
@@ -203,13 +208,12 @@ def reynolds_algebra_to_doc(A: ReynoldsLieAlgebra) -> dict:
 
 @_loader
 def doc_to_reynolds_algebra(doc: dict, op: Mat | None = None) -> ReynoldsLieAlgebra:
-    from .reynolds import ReynoldsLieAlgebra
     L = doc_to_algebra(doc)   # which also checks an embedded operator
     # `op` replaces the embedded operator; with neither, `_need` reports the missing key
     op = op or _embedded_op(doc, L.dim) or _need(doc, "reynolds", "reynolds algebra")
     if op.rows != L.dim or op.cols != L.dim:
         raise InputError("operator shape does not match the algebra")
-    return ReynoldsLieAlgebra.unchecked(L, op)
+    return ac.ReynoldsLieAlgebra.unchecked(L, op)
 
 
 # -- NS-Lie -------------------------------------------------------------------
@@ -225,12 +229,11 @@ def ns_to_doc(A: NSLieAlgebra) -> dict:
 
 @_loader
 def doc_to_ns(doc: dict) -> NSLieAlgebra:
-    from .nslie import NSLieAlgebra
     dim = _dim(_need(doc, "dim", "ns algebra"), "ns algebra")
     basis = _labels(doc.get("basis"), dim, "ns algebra basis")
     left = _json_to_table(_need(doc, "left", "ns algebra"), "left table")
     wedge = _json_to_table(_need(doc, "wedge", "ns algebra"), "wedge table")
-    return NSLieAlgebra.unchecked(dim, basis, left, wedge)
+    return ac.NSLieAlgebra.unchecked(dim, basis, left, wedge)
 
 
 def _mats_to_json(mats) -> list[list[list[str]]]:
@@ -256,7 +259,6 @@ def ns_rep_to_doc(rep: NSRep) -> dict:
 
 @_loader
 def doc_to_ns_rep(doc: dict) -> NSRep:
-    from .nslie import NSRep
     base = doc_to_ns(_need(doc, "ns", "ns-rep"))
     rep = _need(doc, "rep", "ns-rep")
     varrho = _json_to_mats(_need(rep, "varrho", "ns-rep"), "varrho")
@@ -264,7 +266,7 @@ def doc_to_ns_rep(doc: dict) -> NSRep:
     nu = _json_to_mats(_need(rep, "nu", "ns-rep"), "nu")
     md = _dim(rep.get("module_dim", varrho[0].rows if varrho else 0), "ns-rep module_dim")
     labels = _labels(rep.get("labels"), md, "ns-rep labels")
-    return NSRep.unchecked(base, md, varrho, mu, nu, labels)
+    return ac.NSRep.unchecked(base, md, varrho, mu, nu, labels)
 
 
 # -- representations over Reynolds algebras ------------------------------------
@@ -283,7 +285,6 @@ def reynolds_rep_to_doc(rr: ReynoldsRep) -> dict:
 
 @_loader
 def doc_to_reynolds_rep(doc: dict) -> ReynoldsRep:
-    from .reynolds import ReynoldsRep
     base = doc_to_reynolds_algebra(_need(doc, "g", "reynolds-rep"))
     rep = _need(doc, "rep", "reynolds-rep")
     rho = _json_to_mats(_need(rep, "rho", "reynolds-rep"), "rho")
@@ -291,7 +292,7 @@ def doc_to_reynolds_rep(doc: dict) -> ReynoldsRep:
     md = _dim(rep.get("module_dim", T.rows), "reynolds-rep module_dim")
     labels = _labels(rep.get("labels"), md, "reynolds-rep labels")
     inner = Representation.unchecked(base.L, md, rho, labels)
-    return ReynoldsRep.unchecked(base, inner, T)
+    return ac.ReynoldsRep.unchecked(base, inner, T)
 
 
 def relative_rb_to_doc(rel: RelativeRB) -> dict:
@@ -302,10 +303,9 @@ def relative_rb_to_doc(rel: RelativeRB) -> dict:
 
 @_loader
 def doc_to_relative_rb(doc: dict) -> RelativeRB:
-    from .cybe import RelativeRB
     rr = doc_to_reynolds_rep(doc)
     K = json_to_matrix(_need(doc, "K", "relative-rb"), "K")
-    return RelativeRB.unchecked(rr, K)
+    return ac.RelativeRB.unchecked(rr, K)
 
 
 # -- matched pairs --------------------------------------------------------------
@@ -324,18 +324,17 @@ def matched_to_doc(rmp: ReynoldsMatchedPair) -> dict:
 
 @_loader
 def doc_to_matched(doc: dict, need_ops: bool = True) -> ReynoldsMatchedPair:
-    from .matched import MatchedPair, ReynoldsMatchedPair
     g = doc_to_algebra(_need(doc, "g", "matched pair"))
     h = doc_to_algebra(_need(doc, "h", "matched pair"))
     rho_mats = _json_to_mats(_need(doc, "rho", "matched pair"), "rho")
     mu_mats = _json_to_mats(_need(doc, "mu", "matched pair"), "mu")
     rho = Representation.unchecked(g, h.dim, rho_mats, h.basis)
     mu = Representation.unchecked(h, g.dim, mu_mats, g.basis)
-    pair = MatchedPair.unchecked(g, h, rho, mu)
+    pair = ac.MatchedPair.unchecked(g, h, rho, mu)
     # without need_ops an absent operator is zero; a present one is read either way
     Rg, Rh = (json_to_matrix(_need(doc, key, "matched pair"), key) if need_ops or key in doc
               else Mat.zeros(n, n) for key, n in (("Rg", g.dim), ("Rh", h.dim)))
-    return ReynoldsMatchedPair.unchecked(pair, Rg, Rh)
+    return ac.ReynoldsMatchedPair.unchecked(pair, Rg, Rh)
 
 
 # -- bialgebras ------------------------------------------------------------------
@@ -346,12 +345,11 @@ def bialgebra_to_doc(bialg: LieBialgebra, R: Mat | None = None) -> dict:
 
 @_loader
 def doc_to_bialgebra(doc: dict) -> tuple[LieBialgebra, Mat | None]:
-    from .bialgebra import LieBialgebra
     g = doc_to_algebra(_need(doc, "g", "bialgebra"))
     dual = doc_to_algebra(_need(doc, "dual", "bialgebra"))
     if g.dim != dual.dim:
         raise InputError("bialgebra: g and dual dimensions differ")
-    return LieBialgebra.unchecked(g, dual), _embedded_op(doc, g.dim)
+    return ac.LieBialgebra.unchecked(g, dual), _embedded_op(doc, g.dim)
 
 
 # -- quadratic Rota-Baxter --------------------------------------------------------
@@ -365,20 +363,18 @@ def qrb_to_doc(qrb: QuadraticRB, R: Mat | None = None) -> dict:
 
 @_loader
 def doc_to_qrb(doc: dict) -> tuple[QuadraticRB, Mat | None]:
-    from .rotabaxter import QuadraticRB
     rb = doc_to_rb(doc)
     gram = json_to_matrix(_need(doc, "gram", "quadratic-rb"), "gram")
-    return QuadraticRB.unchecked(rb, BilinForm(gram)), _embedded_op(doc, rb.L.dim)
+    return ac.QuadraticRB.unchecked(rb, BilinForm(gram)), _embedded_op(doc, rb.L.dim)
 
 
 @_loader
 def doc_to_rb(doc: dict) -> RotaBaxterAlg:
-    from .rotabaxter import RotaBaxterAlg
     L = doc_to_algebra(doc)
     rb_doc = _need(doc, "rb", "rota-baxter")
     B = json_to_matrix(_need(rb_doc, "matrix", "rb"), "rb matrix")
     lam = _rat(rb_doc.get("lambda", "0"), "rb lambda")
-    return RotaBaxterAlg.unchecked(L, B, lam)
+    return ac.RotaBaxterAlg.unchecked(L, B, lam)
 
 
 # -- pre-Lie -----------------------------------------------------------------------
@@ -389,11 +385,10 @@ def prelie_to_doc(A: PreLieAlgebra, R: Mat | None = None) -> dict:
 
 @_loader
 def doc_to_prelie(doc: dict) -> tuple[PreLieAlgebra, Mat | None]:
-    from .cybe import PreLieAlgebra
     dim = _dim(_need(doc, "dim", "pre-lie"), "pre-lie")
     basis = _labels(doc.get("basis"), dim, "pre-lie basis")
     prod = _json_to_table(_need(doc, "prod", "pre-lie"), "pre-lie product")
-    return PreLieAlgebra.unchecked(dim, basis, prod), _embedded_op(doc, dim)
+    return ac.PreLieAlgebra.unchecked(dim, basis, prod), _embedded_op(doc, dim)
 
 
 # -- coalgebra (delta list) ---------------------------------------------------------

@@ -367,11 +367,3 @@ def s_sharp(S: BilinForm) -> Mat:
     if not S.is_nondegenerate():
         raise ValueError("degenerate form has no musical isomorphism")
     return S.gram
-
-
-def i_s(S: BilinForm) -> Mat:
-    """Inverse musical map g*→g (called I_S below the r-matrix pipeline)."""
-    try:
-        return S.gram.inverse()
-    except ValueError:
-        raise ValueError("degenerate form has no musical isomorphism") from None

@@ -20,7 +20,7 @@ import dense_oracle as oracle
 from algcert.cybe import (RelativeRB, left_rep, prelie_from_invertible_relrb, prelie_from_relrb,
                           r_plus)
 from algcert.exact import Mat
-from algcert.lie import BilinForm, i_s
+from algcert.lie import BilinForm, s_sharp
 from algcert.reynolds import reynolds_coadjoint_rep
 from algcert.rotabaxter import r_from_qrb
 
@@ -148,9 +148,9 @@ def test_non_square_input_raises():
 
 def test_one_elimination_callers_keep_their_messages(sl2_reynolds, sl2_qrb):
     with pytest.raises(ValueError, match="^degenerate form has no musical isomorphism$"):
-        i_s(BilinForm(Mat([[1, 2], [2, 4]])))
+        s_sharp(BilinForm(Mat([[1, 2], [2, 4]])))
     half = Fraction(1, 2)
-    assert i_s(BilinForm(Mat([[0, 2], [2, 0]]))) == Mat([[0, half], [half, 0]])
+    assert BilinForm(Mat([[0, 2], [2, 0]])).gram.inverse() == Mat([[0, half], [half, 0]])
     K = r_plus(r_from_qrb(sl2_qrb))
     lr = left_rep(prelie_from_relrb(RelativeRB(reynolds_coadjoint_rep(sl2_reynolds), K)))
     with pytest.raises(ValueError, match="^invertible variant requires a square invertible K$"):

@@ -47,15 +47,41 @@ def test_catalog_parametric():
     assert catalog("trivial_matched(sl2,abelian(2))").ok
 
 
-def test_catalog_unknown_name():
-    with pytest.raises(fio.InputError):
-        catalog("nope")
-    with pytest.raises(fio.InputError):
-        catalog("block(1/0,1,2)")
+def test_catalog_unknown_name(capsys):
+    # a fixed name matches only itself; an unknown or malformed name is an input error
+    for name in ("nope", "sl2xB", "nosuch(1)", "block(1/0,1,2)", "block(1/2,3,1)",
+                 "trivial_matched(sl2.B,sl2)"):
+        with pytest.raises(fio.InputError):
+            catalog(name)
+        assert main_cat([name]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: "), name
 
 
 def test_catalog_names_listing():
-    assert "sl2" in names()
+    assert names() == ("sl2", "sl2.B", "sl2.S", "sl2.r", "sl2.km_dual",
+                       "abelian(n)", "block(q,lo,hi)", "trivial_matched(a,b)")
+
+
+# one instance of each catalog family; a fixed name is its own instance
+_FAMILY_INSTANCES = {"abelian(n)": "abelian(2)", "block(q,lo,hi)": "block(1/2,1,3)",
+                     "trivial_matched(a,b)": "trivial_matched(sl2,abelian(2))"}
+# entry kind -> its document's loader; a block entry's document is its parameters
+_RELOAD = {"algebra": fio.doc_to_algebra, "operator": fio.doc_to_operator,
+           "form": fio.doc_to_form, "tensor": fio.doc_to_tensor,
+           "matched": fio.doc_to_matched, "block": lambda doc: {**doc, "q": Fraction(doc["q"])}}
+
+
+@pytest.mark.parametrize("listed", names())
+def test_catalog_every_name_writes_a_document_that_reloads(listed, tmp_path, capsys):
+    name = _FAMILY_INSTANCES.get(listed, listed)
+    path = str(tmp_path / "entry.json")
+    assert main_cat([name, "-o", path]) == 0
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
+    doc = fio.read_doc(path)
+    assert doc.pop("provenance") == {"construction": "catalog", "sources": [name]}
+    entry = catalog(name)
+    assert _RELOAD[entry.kind](doc) == entry.payload
 
 
 # --------------------------------------------------------------------------
@@ -294,17 +320,18 @@ def test_cli_op_and_reynolds_are_exclusive(tmp_path, sl2, b_op, capsys):
         assert capsys.readouterr().out == "", argv
 
 
-def _loaded_after(imports: str, run: str = "None") -> set[str]:
-    """The modules a fresh interpreter holds after `import <imports>` and then `assert <run>`."""
+def _loaded_after(imports: str, run: str = "None", code: int = 0) -> set[str]:
+    """The modules a fresh interpreter holds after `import <imports>` and then `<run>`,
+    which must give None or `code`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(algcert.__file__)))
     script = (f"import sys; sys.path.insert(0, {src!r}); import {imports}; "
-              f"assert {run} in (0, None); print(' '.join(sorted(sys.modules)))")
+              f"assert {run} in ({code}, None); print(' '.join(sorted(sys.modules)))")
     return set(subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                               text=True, check=True).stdout.splitlines()[-1].split())
 
 
 def test_cli_import_footprint(tmp_path, sl2, r_tensor):
-    # a CLI process imports a kind's module at dispatch, not at start-up
+    # a CLI process imports a kind's module when the kind first uses it, not at start-up
     loaded = _loaded_after("algcert.cli")
     assert "algcert.cli" in loaded
     for name in ("dataclasses", "traceback", "algcert.bialgebra", "algcert.rotabaxter",
@@ -315,6 +342,10 @@ def test_cli_import_footprint(tmp_path, sl2, r_tensor):
             write(tmp_path, "r.json", fio.tensor_to_doc(r_tensor))]
     loaded = _loaded_after("algcert.cli", f"algcert.cli.main_check({argv!r})")
     assert "algcert.cybe" in loaded and "algcert.nslie" not in loaded
+    # a document that fails to load is an input error before the check's module is needed
+    argv[1] = write(tmp_path, "bad.json", {"dim": 2})
+    loaded = _loaded_after("algcert.cli", f"algcert.cli.main_check({argv!r})", code=2)
+    assert "algcert.cybe" not in loaded and "algcert.matched" not in loaded
 
 
 def test_rotabaxter_import_footprint():
