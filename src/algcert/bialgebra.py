@@ -17,25 +17,22 @@ from .cybe import _double_bracket, ad_invariance_cert
 from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, products, sapply, saxpy,
                     table_rows, tensor_map, unpack)
 from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
-                  dual_basis, is_representation, jacobi_check, jacobiator, mult_cols,
-                  packed_outer)
+                  dual_basis, is_representation, jacobiator, mult_cols, packed_outer)
 from .matched import (COMPAT_ON_G, COMPAT_ON_H, CROSS_MU, CROSS_RHO, MatchedPair,
                       ReynoldsMatchedPair, compat_stage, reynolds_double)
 from .reynolds import ReynoldsLieAlgebra, compat_certificate, is_reynolds
 
 
-class LieBialgebra(Checked):
+class LieBialgebra(Checked, gate=lambda b: is_lie_bialgebra(b.g, b.dual)):
     """(g, dual): two Lie algebras on dual coordinate spaces, cocycle-compatible."""
 
     __slots__ = ("g", "dual")
 
-    def __init__(self, g: LieAlgebra, dual: LieAlgebra, check: bool = True):
+    def __init__(self, g: LieAlgebra, dual: LieAlgebra):
         if g.dim != dual.dim:
             raise ValueError("g and its dual must have equal dimension")
         self.g = g
         self.dual = dual
-        if check:
-            require(is_lie_bialgebra(g, dual))
 
     def cobracket(self) -> list[Tensor2]:
         return cobracket_from_dual(self.dual)
@@ -156,24 +153,22 @@ def is_lie_bialgebra(g: LieAlgebra, dual: LieAlgebra) -> Certificate:
     """Jacobi on both sides plus the 1-cocycle condition, each a leaf keyed on the algebras
     (the cocycle through `bialgebra_cocycle`), so a checked bialgebra carries all three."""
     parts = [
-        Certificate.combine("jacobi-primal", [jacobi_check(g)]),
-        Certificate.combine("jacobi-dual", [jacobi_check(dual)]),
+        Certificate.combine("jacobi-primal", [g.gate()]),
+        Certificate.combine("jacobi-dual", [dual.gate()]),
         bialgebra_cocycle(g, dual),
     ]
     return Certificate.combine("lie-bialgebra", parts)
 
 
-class ReynoldsLieBialgebra(Checked):
+class ReynoldsLieBialgebra(Checked, gate=lambda rb: is_reynolds_bialgebra(rb.bialg, rb.R, rb.Rt)):
     __slots__ = ("bialg", "R", "Rt")
 
-    def __init__(self, bialg: LieBialgebra, R: Mat, check: bool = True):
+    def __init__(self, bialg: LieBialgebra, R: Mat):
         if R.rows != bialg.g.dim or R.cols != bialg.g.dim:
             raise ValueError("operator shape does not match the bialgebra")
         self.bialg = bialg
         self.R = R
         self.Rt = -R.transpose()      # the one −Rᵀ every check of this bialgebra is handed
-        if check:
-            require(is_reynolds_bialgebra(bialg, R, self.Rt))
 
 
 @verified
@@ -184,7 +179,7 @@ def is_reynolds_bialgebra(bialg: LieBialgebra, R: Mat, Rt: Mat | None = None) ->
     builds one, `Rt`), so that the check hits the memo of `verified`, which keys on identity.
     """
     parts = [
-        is_lie_bialgebra(bialg.g, bialg.dual),
+        bialg.gate(),
         Certificate.combine("reynolds-primal", [is_reynolds(bialg.g, R)]),
         Certificate.combine("reynolds-dual",
                             [is_reynolds(bialg.dual, -R.transpose() if Rt is None else Rt)]),
@@ -213,13 +208,13 @@ def drinfeld_double(rb: ReynoldsLieBialgebra) -> ReynoldsLieAlgebra:
     (g*, −Rᵀ), as in `dual_reynolds_rep`) by `is_reynolds` of each.  `double` and
     `reynolds_double` entail the double's own checks in turn.
     """
-    require(is_reynolds_bialgebra(rb.bialg, rb.R, rb.Rt))
+    require(rb.gate())
     g, dual, R, Rt = rb.bialg.g, rb.bialg.dual, rb.R, rb.Rt
     rmp = canonical_pair(rb)
     rho, mu = rmp.pair.rho, rmp.pair.mu
     cocycle = [bialgebra_cocycle(g, dual)]
-    entail(is_representation, (rho,), "representation", [jacobi_check(g)])
-    entail(is_representation, (mu,), "representation", [jacobi_check(dual)])
+    entail(is_representation, (rho,), "representation", [g.gate()])
+    entail(is_representation, (mu,), "representation", [dual.gate()])
     entail(compat_stage, (g, dual, rho, mu, COMPAT_ON_H), COMPAT_ON_H, cocycle)
     entail(compat_stage, (dual, g, mu, rho, COMPAT_ON_G), COMPAT_ON_G, cocycle)
     entail(compat_certificate, (R, rho, Rt, CROSS_RHO), CROSS_RHO, [is_reynolds(g, R)])
@@ -245,12 +240,12 @@ def double_quasitriangular(rb: ReynoldsLieBialgebra) -> ReynoldsLieBialgebra:
     negated = {key: {k: -c for k, c in comp.items()} for key, comp in dsc.items()}
     sc = double_table(negated, gsc, [[{}] * n] * n, [[{}] * n] * n)
     star = LieAlgebra(2 * n, dual_basis(dd.L.basis), Table._of(2 * n, sc, True, den),
-                      given=[jacobi_check(dual), jacobi_check(g)])
-    entail(bialgebra_cocycle, (dd.L, star), "cocycle", [jacobi_check(dd.L)])
+                      given=[dual.gate(), g.gate()])
+    entail(bialgebra_cocycle, (dd.L, star), "cocycle", [dd.L.gate()])
     out = ReynoldsLieBialgebra.unchecked(LieBialgebra(dd.L, star), dd.R)
     given = [is_reynolds(dual, rb.Rt), is_reynolds(g, rb.R)]
     entail(is_reynolds, (star, out.Rt), "reynolds", given)
-    require(is_reynolds_bialgebra(out.bialg, out.R, out.Rt))
+    require(out.gate())
     return out
 
 

@@ -25,7 +25,7 @@ from .fileio import (
     operator_to_doc,
     tensor_to_doc,
 )
-from .lie import BilinForm, LieAlgebra, is_quadratic, jacobi_check
+from .lie import BilinForm, LieAlgebra, is_quadratic
 
 # the package: its lazy exports look each name up on its module at call time
 ac = sys.modules[__package__]
@@ -72,7 +72,7 @@ class CatalogEntry(NamedTuple):
 
 
 def _algebra(L: LieAlgebra) -> tuple:
-    return L, (jacobi_check(L),)
+    return L, (L.gate(),)
 
 
 def _sl2_b(name: str) -> tuple:
@@ -92,7 +92,7 @@ def _sl2_r(name: str) -> tuple:
 
 def _sl2_km_dual(name: str) -> tuple:
     L, dual = sl2(), sl2_km_dual()
-    return dual, (jacobi_check(dual), ac.is_lie_bialgebra(L, dual))
+    return dual, (dual.gate(), ac.is_lie_bialgebra(L, dual))
 
 
 def _block(name: str, q: str, lo: str, hi: str, skip: str | None) -> tuple:
@@ -109,14 +109,14 @@ def _block(name: str, q: str, lo: str, hi: str, skip: str | None) -> tuple:
 
 
 def _trivial_matched(name: str, g: str, h: str) -> tuple:
-    """rho = mu = 0 with zero operators on both sides, on two algebra entries."""
-    g_entry, h_entry = catalog(g.strip()), catalog(h.strip())
-    if g_entry.kind != "algebra" or h_entry.kind != "algebra":
+    """rho = mu = 0 with zero operators on both sides, on two algebra entries, both looked up
+    before either is built."""
+    if [_lookup(x.strip())[0] for x in (g, h)] != ["algebra", "algebra"]:
         raise InputError("trivial_matched needs two algebra entries")
-    g, h = g_entry.payload, h_entry.payload
+    g, h = catalog(g).payload, catalog(h).payload
     rmp = ac.ReynoldsMatchedPair.unchecked(
         ac.MatchedPair.trivial(g, h), Mat.zeros(g.dim, g.dim), Mat.zeros(h.dim, h.dim))
-    return rmp, (ac.is_reynolds_matched_pair(rmp),)
+    return rmp, (rmp.gate(),)
 
 
 # name as listed -> (kind, provenance, build, pattern): build(name, *the pattern's groups)
@@ -144,15 +144,22 @@ def names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def catalog(name: str) -> CatalogEntry:
-    """Look an entry up by name and re-run its declared invariant suite."""
-    name = name.strip()
+def _lookup(name: str) -> tuple:
+    """The kind, provenance and build of the registry entry `name` matches, and the arguments
+    of its build."""
     for key, (kind, provenance, build, pattern) in _REGISTRY.items():
         m = re.fullmatch(pattern or re.escape(key), name)
         if m:
-            payload, certs = build(name, *m.groups())
-            return CatalogEntry(name, kind, payload, provenance, certs)
+            return kind, provenance, build, m.groups()
     raise InputError(f"unknown catalog entry: {name!r}")
+
+
+def catalog(name: str) -> CatalogEntry:
+    """Look an entry up by name and re-run its declared invariant suite."""
+    name = name.strip()
+    kind, provenance, build, groups = _lookup(name)
+    payload, certs = build(name, *groups)
+    return CatalogEntry(name, kind, payload, provenance, certs)
 
 
 # entry kind -> the writer of its payload's document

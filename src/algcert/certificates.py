@@ -7,6 +7,10 @@ of them.  A stage whose identity has an exact symmetry walks one tuple per
 orbit and reports the same `where` and `violations`.  A single-shot stage
 (one matrix or tensor identity) is a `scan` of one case.  Composite checks
 carry their stages in `parts` and fail if any stage fails.
+
+Each structure class derives from `Checked` and declares its gate, the one
+check of its axioms, in its class statement; `x.gate()` returns that check's
+certificate on x, and its constructor requires it.
 """
 
 from __future__ import annotations
@@ -181,7 +185,7 @@ class _Carrying(type):
         obj, carried = cls.__new__(cls), None
         object.__setattr__(obj, "carried", None)     # None while it is built: not frozen
         try:
-            carried = (_checked_init if check else cls.__init__)(obj, *args, check=check, **kwargs)
+            carried = (_checked_init if check else cls.__init__)(obj, *args, **kwargs)
         finally:     # frozen even when `__init__` raised: a half-built object carries nothing
             object.__setattr__(obj, "carried", carried or ())
         return obj
@@ -189,10 +193,11 @@ class _Carrying(type):
 
 @verified
 def _checked_init(obj, *args, **kwargs) -> dict:
-    """Run obj's checked `__init__` in a scope: the entries keyed on obj and its parts only,
-    or, for an entry not keyed on obj, on its parts and on str arguments (stage names), which
-    the entry itself holds."""
+    """Run obj's `__init__`, then require its gate, in a scope: the entries keyed on obj and
+    its parts only, or, for an entry not keyed on obj, on its parts and on str arguments
+    (stage names), which the entry itself holds."""
     obj.__init__(*args, **kwargs)
+    require(obj.gate())
     ids, me = set(), id(obj)
     obj._held(ids)      # an entry keyed on obj drops its arguments: obj holds no cycle
     return {k: (v[0],) if me in k else v for k, v in _scope.get().items()
@@ -203,7 +208,10 @@ def _checked_init(obj, *args, **kwargs) -> dict:
 class Checked(metaclass=_Carrying):
     """Base of the structures whose constructor verifies their axioms.
 
-    ``X(...)`` runs the structure's check and raises `CheckFailed` on a violation;
+    A subclass declares its gate once, in its class statement:
+    ``class X(Checked, gate=lambda x: check(x.a, x.b))``; ``x.gate()`` returns the certificate
+    of that check on x's slots, whether x was built checked or not.  ``X(...)`` runs
+    ``__init__``, then requires the gate, raising `CheckFailed` on a violation;
     ``X.unchecked(...)``, i.e. ``check=False``, skips it so that checks can report on invalid
     data.  Equality is field-wise over the subclass's `__slots__`, between instances of the
     same class.  An instance is frozen once built: assigning a slot raises.  A checked one
@@ -212,6 +220,12 @@ class Checked(metaclass=_Carrying):
     """
 
     __slots__ = ("carried",)
+
+    def __init_subclass__(cls, gate=None, **kwargs):
+        if gate is None:
+            raise TypeError(f"{cls.__name__} declares no gate= in its class statement")
+        super().__init_subclass__(**kwargs)
+        cls.gate = gate
 
     @classmethod
     def unchecked(cls, *args, **kwargs):

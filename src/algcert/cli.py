@@ -18,7 +18,6 @@ import functools
 import json
 import sys
 import time
-from operator import attrgetter
 
 from . import fileio as fio
 from .catalog import catalog, entry_to_doc
@@ -77,13 +76,13 @@ def _with_op(loaded: tuple, args, kind: str) -> tuple:
 
 def _gated_reynolds(doc: dict, args):
     A = fio.doc_to_reynolds_algebra(doc, _op(args, None))
-    require(ac.is_reynolds(A.L, A.R))
+    require(A.gate())
     return A
 
 
 def _gated_lie_and_tensor(doc: dict, args, context: str):
     L = fio.doc_to_algebra(doc)
-    require(ac.jacobi_check(L))
+    require(L.gate())
     return L, _tensor(doc, args, L.dim, context)
 
 
@@ -112,32 +111,26 @@ def _cybe(doc: dict, args) -> list[Certificate]:
 
 
 CHECKS = {
-    "jacobi": lambda doc, args: [ac.jacobi_check(fio.doc_to_algebra(doc))],
-    "reynolds": lambda doc, args: [ac.is_reynolds(
-        *attrgetter("L", "R")(fio.doc_to_reynolds_algebra(doc, _op(args, None))))],
-    "reynolds-rep": lambda doc, args: [ac.is_reynolds_rep(fio.doc_to_reynolds_rep(doc))],
-    "nslie": lambda doc, args: [ac.is_nslie(fio.doc_to_ns(doc))],
-    "ns-rep": lambda doc, args: [ac.is_ns_rep(fio.doc_to_ns_rep(doc))],
-    "matched": lambda doc, args: [ac.is_matched_pair(
-        *attrgetter("g", "h", "rho", "mu")(fio.doc_to_matched(doc, need_ops=False).pair))],
-    "reynolds-matched": lambda doc, args: [
-        ac.is_reynolds_matched_pair(fio.doc_to_matched(doc))],
-    "manin": lambda doc, args: [ac.is_manin_triple(*fio.doc_to_manin(doc))],
+    "jacobi": lambda doc, args: [fio.doc_to_algebra(doc).gate()],
+    "reynolds": lambda doc, args: [fio.doc_to_reynolds_algebra(doc, _op(args, None)).gate()],
+    "reynolds-rep": lambda doc, args: [fio.doc_to_reynolds_rep(doc).gate()],
+    "nslie": lambda doc, args: [fio.doc_to_ns(doc).gate()],
+    "ns-rep": lambda doc, args: [fio.doc_to_ns_rep(doc).gate()],
+    "matched": lambda doc, args: [fio.doc_to_matched(doc, need_ops=False).pair.gate()],
+    "reynolds-matched": lambda doc, args: [fio.doc_to_matched(doc).gate()],
+    "manin": lambda doc, args: [fio.doc_to_manin(doc).gate()],
     "coalgebra": _coalgebra,
-    "bialgebra": lambda doc, args: [ac.is_lie_bialgebra(
-        *attrgetter("g", "dual")(fio.doc_to_bialgebra(doc)[0]))],
+    "bialgebra": lambda doc, args: [fio.doc_to_bialgebra(doc)[0].gate()],
     "reynolds-bialgebra": lambda doc, args: [ac.is_reynolds_bialgebra(
         *_with_op(fio.doc_to_bialgebra(doc), args, "reynolds-bialgebra"))],
-    "rb": lambda doc, args: [ac.is_rota_baxter(
-        *attrgetter("L", "B", "lam")(fio.doc_to_rb(doc)))],
-    "quadratic-rb": lambda doc, args: [ac.is_quadratic_rb(
-        *attrgetter("rb", "S")(fio.doc_to_qrb(doc)[0]))],
+    "rb": lambda doc, args: [fio.doc_to_rb(doc).gate()],
+    "quadratic-rb": lambda doc, args: [fio.doc_to_qrb(doc)[0].gate()],
     "reynolds-on-qrb": lambda doc, args: [ac.is_reynolds_on_qrb(
         *_with_op(fio.doc_to_qrb(doc), args, "reynolds-on-qrb"))],
     "cybe": _cybe,
     "reynolds-cybe": _reynolds_cybe,
-    "relative-rb": lambda doc, args: [ac.is_relative_rb(fio.doc_to_relative_rb(doc))],
-    "prelie": lambda doc, args: [ac.is_prelie(fio.doc_to_prelie(doc)[0])],
+    "relative-rb": lambda doc, args: [fio.doc_to_relative_rb(doc).gate()],
+    "prelie": lambda doc, args: [fio.doc_to_prelie(doc)[0].gate()],
     "reynolds-prelie": lambda doc, args: [ac.is_reynolds_prelie(
         *_with_op(fio.doc_to_prelie(doc), args, "reynolds-prelie"))],
 }
@@ -155,7 +148,7 @@ def _run_check(kind: str, path: str, args) -> list[Certificate]:
 
 def _semidirect(doc: dict, args):
     rr = fio.doc_to_reynolds_rep(doc)
-    require(ac.is_reynolds(rr.base.L, rr.base.R))
+    require(rr.base.gate())
     return ac.semidirect_reynolds(rr)
 
 
@@ -170,15 +163,15 @@ def _r_from_qrb(doc: dict, args):
 
 
 def _emit_algebra(L):
-    return fio.algebra_to_doc(L), [ac.jacobi_check(L)]
+    return fio.algebra_to_doc(L), [L.gate()]
 
 
 def _emit_reynolds(A):
-    return fio.reynolds_algebra_to_doc(A), [ac.is_reynolds(A.L, A.R)]
+    return fio.reynolds_algebra_to_doc(A), [A.gate()]
 
 
 def _emit_bialgebra(rb):
-    return fio.bialgebra_to_doc(rb.bialg, rb.R), [ac.is_reynolds_bialgebra(rb.bialg, rb.R, rb.Rt)]
+    return fio.bialgebra_to_doc(rb.bialg, rb.R), [rb.gate()]
 
 
 def _emit_solution(out):
@@ -189,18 +182,17 @@ def _emit_solution(out):
 
 BUILDS = {
     "induced": (lambda doc, args: ac.induced_algebra(_gated_reynolds(doc, args)),
-                lambda A: (fio.reynolds_algebra_to_doc(A),
-                           [ac.jacobi_check(A.L), ac.is_reynolds(A.L, A.R)])),
+                lambda A: (fio.reynolds_algebra_to_doc(A), [A.L.gate(), A.gate()])),
     "descendent": (lambda doc, args: ac.descendent(fio.doc_to_rb(doc)), _emit_algebra),
     "ns-from-reynolds": (lambda doc, args: ac.ns_from_reynolds(_gated_reynolds(doc, args)),
-                         lambda out: (fio.ns_to_doc(out), [ac.is_nslie(out)])),
+                         lambda out: (fio.ns_to_doc(out), [out.gate()])),
     "semidirect": (_semidirect, _emit_reynolds),
     "double": (lambda doc, args: ac.double(fio.doc_to_matched(doc, need_ops=False).pair),
                _emit_algebra),
     "reynolds-double": (lambda doc, args: ac.reynolds_double(fio.doc_to_matched(doc)),
                         _emit_reynolds),
-    "induced-matched": (_induced_matched, lambda out: (
-        fio.matched_to_doc(out), [ac.is_reynolds_matched_pair(out)])),
+    "induced-matched": (_induced_matched,
+                        lambda out: (fio.matched_to_doc(out), [out.gate()])),
     "drinfeld-double": (lambda doc, args: ac.drinfeld_double(ac.ReynoldsLieBialgebra.unchecked(
         *_with_op(fio.doc_to_bialgebra(doc), args, "drinfeld-double"))), _emit_reynolds),
     "quasitriangular-double": (lambda doc, args: ac.double_quasitriangular(

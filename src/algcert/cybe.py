@@ -14,8 +14,8 @@ from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, flip, in
                     products, sapply, saxpy, table_rows)
 from .lie import LieAlgebra, Representation, default_basis, mult_cols, mult_mats
 from .matched import MatchedPair, ReynoldsMatchedPair
-from .reynolds import (ReynoldsLieAlgebra, ReynoldsRep, dual_reynolds_rep, is_reynolds_rep,
-                       operator_identity, semidirect_reynolds)
+from .reynolds import (ReynoldsLieAlgebra, ReynoldsRep, dual_reynolds_rep, operator_identity,
+                       semidirect_reynolds)
 
 
 def _double_bracket(g: LieAlgebra, r: Tensor2) -> tuple[dict, int]:
@@ -92,24 +92,22 @@ def r_plus(r: Tensor2) -> Mat:
 # relative Rota-Baxter operators
 # ---------------------------------------------------------------------------
 
-class RelativeRB(Checked):
+class RelativeRB(Checked, gate=lambda rel: is_relative_rb(rel)):
     """K: W→g with [Ku,Kv] = K(rho(Ku)v − rho(Kv)u) and R∘K = K∘T."""
 
     __slots__ = ("rr", "K")
 
-    def __init__(self, rr: ReynoldsRep, K: Mat, check: bool = True):
+    def __init__(self, rr: ReynoldsRep, K: Mat):
         if K.rows != rr.base.L.dim or K.cols != rr.rep.module_dim:
             raise ValueError("K must map the module into the algebra")
         self.rr = rr
         self.K = K
-        if check:
-            require(is_relative_rb(self))
 
 
 @verified
 def is_relative_rb(rel: RelativeRB) -> Certificate:
     """Representation validity, the operator identity, and R∘K = K∘T."""
-    rep_cert = is_reynolds_rep(rel.rr)
+    rep_cert = rel.rr.gate()
     if not rep_cert.ok:
         return Certificate.combine("relative-rb", [rep_cert],
                                    note="invalid Reynolds representation")
@@ -147,7 +145,7 @@ def _descendent_sc(rel: RelativeRB) -> tuple[dict[tuple[int, int], dict[int, int
 @verified
 def descendent_on_W(rel: RelativeRB) -> ReynoldsLieAlgebra:
     """Bracket [u,v]_K = rho(Ku)v − rho(Kv)u on W with operator T."""
-    require(is_relative_rb(rel))
+    require(rel.gate())
     rep = rel.rr.rep
     desc, s = _descendent_sc(rel)
     W = LieAlgebra(rep.module_dim, rep.labels, Table._of(rep.module_dim, desc, True, s))
@@ -183,10 +181,10 @@ def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     With blocks ordered (g, W*), K̄ places K's entries at
     (W*-row n+i, g-column a): pairing K̄(ξ+u, η+v) = ⟨Ku, η⟩.
     """
-    require(is_relative_rb(rel))
+    require(rel.gate())
     K = rel.K
     n, m = rel.rr.base.L.dim, rel.rr.rep.module_dim
-    ambient = semidirect_reynolds(dual_reynolds_rep(rel.rr, [is_reynolds_rep(rel.rr)]))
+    ambient = semidirect_reynolds(dual_reynolds_rep(rel.rr, [rel.rr.gate()]))
     kbar = Tensor2._of((n + m, n + m), {(n + i, a): c for i, col in enumerate(K.icols)
                                         for a, c in col.items()}, K.den)
     r_k = kbar - flip(kbar)
@@ -198,19 +196,17 @@ def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
 # pre-Lie algebras
 # ---------------------------------------------------------------------------
 
-class PreLieAlgebra(Checked):
+class PreLieAlgebra(Checked, gate=lambda A: is_prelie(A)):
     """Product with left-symmetric associator: (x,y,z) = (y,x,z)."""
 
     __slots__ = ("dim", "basis", "prod")
 
-    def __init__(self, dim: int, basis=None, prod=None, check: bool = True):
+    def __init__(self, dim: int, basis=None, prod=None):
         self.dim = dim
         self.basis = tuple(basis) if basis is not None else default_basis(dim)
         if len(self.basis) != dim:
             raise ValueError("basis label count must equal dim")
         self.prod = Table(dim, prod)
-        if check:
-            require(is_prelie(self))
 
     def prod_basis(self, i: int, j: int) -> Vec:
         return self.prod.basis_prod(i, j)
@@ -233,16 +229,14 @@ def is_prelie(A: PreLieAlgebra) -> Certificate:
     return scan("pre-lie", _identity_1(_commutator(prod, {}, n), prod, n), A.prod.den ** 2)
 
 
-class ReynoldsPreLie(Checked):
+class ReynoldsPreLie(Checked, gate=lambda rp: is_reynolds_prelie(rp.A, rp.R)):
     __slots__ = ("A", "R")
 
-    def __init__(self, A: PreLieAlgebra, R: Mat, check: bool = True):
+    def __init__(self, A: PreLieAlgebra, R: Mat):
         if R.rows != A.dim or R.cols != A.dim:
             raise ValueError("operator shape does not match the algebra")
         self.A = A
         self.R = R
-        if check:
-            require(is_reynolds_prelie(A, R))
 
 
 @verified
@@ -250,7 +244,7 @@ def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
     """{Rx,Ry} = R({Rx,y} + {x,Ry} − {Rx,Ry}) over all ordered basis pairs."""
     if R.rows != A.dim or R.cols != A.dim:
         raise ValueError("operator shape does not match the algebra")
-    base = is_prelie(A)
+    base = A.gate()
     op = operator_identity("reynolds-product", A.prod, R, R, product(range(A.dim), repeat=2),
                            ZERO, -ONE)
     return Certificate.combine("reynolds-prelie", [base, op])
@@ -261,7 +255,7 @@ def subadjacent(rp: ReynoldsPreLie) -> ReynoldsLieAlgebra:
     """Bracket {x,y} − {y,x}; the operator stays Reynolds on it."""
     from .nslie import _commutator
 
-    require(is_reynolds_prelie(rp.A, rp.R))
+    require(rp.gate())
     n, prod = rp.A.dim, rp.A.prod
     L = LieAlgebra(n, rp.A.basis, Table._of(n, _commutator(prod.ientries, {}, n), True, prod.den))
     return ReynoldsLieAlgebra(L, rp.R)
@@ -278,7 +272,7 @@ def left_rep(rp: ReynoldsPreLie) -> ReynoldsRep:
 @verified
 def prelie_from_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     """{u,v}_K = rho(Ku)v on W, with operator T."""
-    require(is_relative_rb(rel))
+    require(rel.gate())
     rep = rel.rr.rep
     rk, s = _k_action(rel)
     prod = {(a, b): comp for a, row in enumerate(rk) for b, comp in row.items()}
@@ -289,7 +283,7 @@ def prelie_from_relrb(rel: RelativeRB) -> ReynoldsPreLie:
 @verified
 def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
     """{x,y} = K(rho(x)K⁻¹y) on g, with operator R; needs K invertible."""
-    require(is_relative_rb(rel))
+    require(rel.gate())
     K = rel.K
     try:
         kinv = K.inverse()
@@ -307,7 +301,7 @@ def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
 def canonical_r(rp: ReynoldsPreLie) -> tuple[ReynoldsLieAlgebra, Tensor2]:
     """r = Σ_i (e_i⊗e_i* − e_i*⊗e_i) inside g⋉_{L*}g* with operator R⊕(−Rᵀ)."""
     n, rr = rp.A.dim, left_rep(rp)
-    ambient = semidirect_reynolds(dual_reynolds_rep(rr, [is_reynolds_rep(rr)]))
+    ambient = semidirect_reynolds(dual_reynolds_rep(rr, [rr.gate()]))
     r = Tensor2(2 * n, 2 * n, {key: c for i in range(n)
                                for key, c in (((i, n + i), 1), ((n + i, i), -1))})
     require(is_cybe_solution_reynolds(ambient, r))

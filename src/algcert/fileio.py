@@ -420,7 +420,7 @@ def manin_to_doc(L: LieAlgebra, R: Mat, S: BilinForm, part_g, part_h) -> dict:
 
 
 @_loader
-def doc_to_manin(doc: dict):
+def doc_to_manin(doc: dict) -> ManinTripleReynolds:
     A = doc_to_reynolds_algebra(doc)
     S = BilinForm(json_to_matrix(_need(doc, "gram", "manin"), "gram"))
     part_g, part_h = (tuple(_index(i, f"manin {key}") for i in _list(_need(doc, key, "manin"), key))
@@ -428,7 +428,7 @@ def doc_to_manin(doc: dict):
     for i in part_g + part_h:
         if not 0 <= i < A.L.dim:
             raise InputError(f"manin: part index {i} is outside the basis 0..{A.L.dim - 1}")
-    return A.L, A.R, S, part_g, part_h
+    return ac.ManinTripleReynolds.unchecked(ac.QuadraticReynolds.unchecked(A, S), part_g, part_h)
 
 
 # -- document reading/writing -----------------------------------------------------------

@@ -26,20 +26,19 @@ def dual_basis(basis: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(f"{b}*" for b in basis)
 
 
-class LieAlgebra(Checked):
-    """Finite-dimensional Lie algebra over Q given by structure constants."""
+class LieAlgebra(Checked, gate=lambda L: jacobi_check(L)):
+    """Finite-dimensional Lie algebra over Q given by structure constants.  `given`, passed
+    hypotheses of a theorem, entails the Jacobi identity: the gate is then a memo hit."""
 
     __slots__ = ("dim", "basis", "sc")
 
-    def __init__(self, dim: int, basis=None, sc=None, check: bool = True, given=()):
+    def __init__(self, dim: int, basis=None, sc=None, given=()):
         self.dim = dim
         self.basis = tuple(basis) if basis is not None else default_basis(dim)
         if len(self.basis) != dim:
             raise ValueError("basis label count must equal dim")
         self.sc = Table(dim, sc, skew=True)
-        if check:
-            entail(jacobi_check, (self,), "jacobi", given)
-            require(jacobi_check(self))
+        entail(jacobi_check, (self,), "jacobi", given)
 
     @classmethod
     def abelian(cls, dim: int, basis=None) -> "LieAlgebra":
@@ -143,12 +142,12 @@ def jacobi_check(L: LieAlgebra) -> Certificate:
                 lambda v: unpack(v, w))
 
 
-class Representation(Checked):
+class Representation(Checked, gate=lambda rep: is_representation(rep)):
     """Matrices rho(e_i) acting on a module space W."""
 
     __slots__ = ("algebra", "module_dim", "rho", "labels")
 
-    def __init__(self, algebra: LieAlgebra, module_dim: int, rho, labels=None, check: bool = True):
+    def __init__(self, algebra: LieAlgebra, module_dim: int, rho, labels=None):
         self.algebra = algebra
         self.module_dim = module_dim
         self.rho = tuple(rho)
@@ -160,8 +159,6 @@ class Representation(Checked):
                 raise ValueError("representation matrix shape mismatch")
         if len(self.labels) != module_dim:
             raise ValueError("module label count must equal module_dim")
-        if check:
-            require(is_representation(self))
 
     @classmethod
     def zero(cls, algebra: LieAlgebra, module_dim: int, labels=None) -> "Representation":
@@ -294,12 +291,12 @@ def semidirect(L: LieAlgebra, rep: Representation) -> LieAlgebra:
     g, the gate's residual at (e_i, e_j, w) and 0: the gate and `jacobi_check(L)` entail it."""
     if rep.algebra != L:
         raise ValueError("rep must represent L")
-    gate = require(is_representation(rep))
+    gate = require(rep.gate())
     n, m = L.dim, rep.module_dim
     sc, *cols, den = integral(L.sc, *rep.rho)
     sc = double_table(sc, {}, cols, [[{}] * n] * m)
     return LieAlgebra(n + m, L.basis + rep.labels, Table._of(n + m, sc, True, den),
-                      given=[gate, jacobi_check(L)])
+                      given=[gate, L.gate()])
 
 
 class BilinForm:

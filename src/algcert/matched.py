@@ -20,8 +20,6 @@ from .lie import (
     block_rows,
     coadjoint_rep,
     double_table,
-    is_representation,
-    jacobi_check,
     jacobiator,
     packed_outer,
 )
@@ -35,13 +33,12 @@ from .reynolds import (
 )
 
 
-class MatchedPair(Checked):
+class MatchedPair(Checked, gate=lambda mp: is_matched_pair(mp.g, mp.h, mp.rho, mp.mu)):
     """(g, h; rho, mu): rho acts on h's space, mu on g's space."""
 
     __slots__ = ("g", "h", "rho", "mu")
 
-    def __init__(self, g: LieAlgebra, h: LieAlgebra, rho: Representation,
-                 mu: Representation, check: bool = True):
+    def __init__(self, g: LieAlgebra, h: LieAlgebra, rho: Representation, mu: Representation):
         if rho.algebra != g or rho.module_dim != h.dim:
             raise ValueError("rho must represent g on h's space")
         if mu.algebra != h or mu.module_dim != g.dim:
@@ -50,8 +47,6 @@ class MatchedPair(Checked):
         self.h = h
         self.rho = rho
         self.mu = mu
-        if check:
-            require(is_matched_pair(g, h, rho, mu))
 
     @classmethod
     def trivial(cls, g: LieAlgebra, h: LieAlgebra) -> "MatchedPair":
@@ -94,8 +89,8 @@ def _compat_stages(g: LieAlgebra, h: LieAlgebra, rho: Representation,
 def is_matched_pair(g: LieAlgebra, h: LieAlgebra, rho: Representation,
                     mu: Representation) -> Certificate:
     """Representation validity, then both compatibility identities."""
-    reps = [Certificate.combine("rho-representation", [is_representation(rho)]),
-            Certificate.combine("mu-representation", [is_representation(mu)])]
+    reps = [Certificate.combine("rho-representation", [rho.gate()]),
+            Certificate.combine("mu-representation", [mu.gate()])]
     if not all(rep.ok for rep in reps):
         return Certificate.combine("matched-pair", reps, note="invalid action representation")
     return Certificate.combine("matched-pair", reps + _compat_stages(g, h, rho, mu))
@@ -106,18 +101,18 @@ def double(mp: MatchedPair) -> LieAlgebra:
     """g⋈h: [x+xi, y+eta] = ([x,y] + mu(xi)y - mu(eta)x) + ([xi,eta] + rho(x)eta - rho(y)xi).
     Its Jacobiator is J of g, of h and the gate's four stages (two actions, two compatibilities),
     so the gate, `jacobi_check(g)` and `jacobi_check(h)` entail its Jacobi check."""
-    gate = require(is_matched_pair(mp.g, mp.h, mp.rho, mp.mu))
+    gate = require(mp.gate())
     n = mp.g.dim + mp.h.dim
     gsc, hsc, *cols, den = integral(mp.g.sc, mp.h.sc, *mp.rho.rho, *mp.mu.rho)
     sc = double_table(gsc, hsc, cols[:mp.g.dim], cols[mp.g.dim:])
     return LieAlgebra(n, mp.g.basis + mp.h.basis, Table._of(n, sc, True, den),
-                      given=[gate, jacobi_check(mp.g), jacobi_check(mp.h)])
+                      given=[gate, mp.g.gate(), mp.h.gate()])
 
 
-class ReynoldsMatchedPair(Checked):
+class ReynoldsMatchedPair(Checked, gate=lambda rmp: is_reynolds_matched_pair(rmp)):
     __slots__ = ("pair", "Rg", "Rh")
 
-    def __init__(self, pair: MatchedPair, Rg: Mat, Rh: Mat, check: bool = True):
+    def __init__(self, pair: MatchedPair, Rg: Mat, Rh: Mat):
         if Rg.rows != pair.g.dim or Rg.cols != pair.g.dim:
             raise ValueError("Rg shape does not match g")
         if Rh.rows != pair.h.dim or Rh.cols != pair.h.dim:
@@ -125,8 +120,6 @@ class ReynoldsMatchedPair(Checked):
         self.pair = pair
         self.Rg = Rg
         self.Rh = Rh
-        if check:
-            require(is_reynolds_matched_pair(self))
 
 
 @verified
@@ -134,7 +127,7 @@ def is_reynolds_matched_pair(rmp: ReynoldsMatchedPair) -> Certificate:
     """Matched pair, both operators Reynolds, and the two cross compatibilities."""
     mp = rmp.pair
     parts = [
-        is_matched_pair(mp.g, mp.h, mp.rho, mp.mu),
+        mp.gate(),
         Certificate.combine("reynolds-g", [is_reynolds(mp.g, rmp.Rg)]),
         Certificate.combine("reynolds-h", [is_reynolds(mp.h, rmp.Rh)]),
         compat_certificate(rmp.Rg, mp.rho, rmp.Rh, CROSS_RHO),
@@ -147,7 +140,7 @@ def is_reynolds_matched_pair(rmp: ReynoldsMatchedPair) -> Certificate:
 def reynolds_double(rmp: ReynoldsMatchedPair) -> ReynoldsLieAlgebra:
     """The double with the block-diagonal operator Rg⊕Rh; the gate entails its Reynolds check: the
     residual is reynolds-g's, reynolds-h's, cross-compat-rho's (h block) and −cross-compat-mu's."""
-    gate = require(is_reynolds_matched_pair(rmp))
+    gate = require(rmp.gate())
     return ReynoldsLieAlgebra(double(rmp.pair), Mat.block_diag(rmp.Rg, rmp.Rh), given=[gate])
 
 
@@ -156,7 +149,7 @@ def induced_matched_pair(rmp: ReynoldsMatchedPair) -> MatchedPair:
     """The induced pair (g_R, h_R'; rho', mu') of a Reynolds matched pair."""
     from .reynolds import induced_algebra
 
-    require(is_reynolds_matched_pair(rmp))
+    require(rmp.gate())
     mp, Rg, Rh = rmp.pair, rmp.Rg, rmp.Rh
     g_ind = induced_algebra(ReynoldsLieAlgebra(mp.g, Rg, check=False)).L
     h_ind = induced_algebra(ReynoldsLieAlgebra(mp.h, Rh, check=False)).L
@@ -174,17 +167,16 @@ def _induced_action(act: Representation, R: Mat, T: Mat) -> list[Mat]:
     return [Mat._of(md, md, [inner[i, u] for u in range(md)], s) for i in range(n)]
 
 
-class ManinTripleReynolds(Checked):
+class ManinTripleReynolds(Checked, gate=lambda mt: is_manin_triple(
+        mt.G.base.L, mt.G.base.R, mt.G.S, mt.part_g, mt.part_h)):
     """A quadratic Reynolds algebra split into two isotropic index blocks."""
 
     __slots__ = ("G", "part_g", "part_h")
 
-    def __init__(self, G: QuadraticReynolds, part_g, part_h, check: bool = True):
+    def __init__(self, G: QuadraticReynolds, part_g, part_h):
         self.G = G
         self.part_g = tuple(part_g)
         self.part_h = tuple(part_h)
-        if check:
-            require(is_manin_triple(G.base.L, G.base.R, G.S, self.part_g, self.part_h))
 
 
 def _closure_cert(L: LieAlgebra, R: Mat, part: tuple[int, ...], name: str) -> Certificate:
@@ -210,7 +202,7 @@ def is_manin_triple(L: LieAlgebra, R: Mat, S: BilinForm,
                     part_g, part_h) -> Certificate:
     """Quadratic Reynolds ambient + partition + closure + isotropy."""
     part_g, part_h = tuple(part_g), tuple(part_h)
-    parts = [jacobi_check(L),
+    parts = [L.gate(),
              Certificate.combine("reynolds", [is_reynolds(L, R)])]
     parts.append(is_quadratic_reynolds(ReynoldsLieAlgebra.unchecked(L, R), S))
     parts.append(Certificate.decide("partition", sorted(part_g + part_h) == list(range(L.dim)),
@@ -266,7 +258,7 @@ def manin_to_matched(mt: ManinTripleReynolds) -> ReynoldsMatchedPair:
         raise ValueError("standard-form triple expected: contiguous g then g* blocks")
     if mt.G.S != standard_pairing_form(n):
         raise ValueError("standard-form triple expected: the canonical pairing form")
-    require(is_manin_triple(L, mt.G.base.R, mt.G.S, mt.part_g, mt.part_h))
+    require(mt.gate())
     rows, den = table_rows(L.sc.ientries, L.dim, True), L.sc.den
     on_g, on_h = block_rows(rows, 0, n), block_rows(rows, n, 2 * n)
     g, h = _restrict_algebra(L, on_g, 0, n), _restrict_algebra(L, on_h, n, n)

@@ -17,18 +17,16 @@ from .lie import LieAlgebra, block_entries, default_basis, jacobiator, mult_mats
 from .reynolds import ReynoldsLieAlgebra, ReynoldsRep
 
 
-class NSLieAlgebra(Checked):
+class NSLieAlgebra(Checked, gate=lambda A: is_nslie(A)):
     __slots__ = ("dim", "basis", "left", "wedge")
 
-    def __init__(self, dim: int, basis=None, left=None, wedge=None, check: bool = True):
+    def __init__(self, dim: int, basis=None, left=None, wedge=None):
         self.dim = dim
         self.basis = tuple(basis) if basis is not None else default_basis(dim)
         if len(self.basis) != dim:
             raise ValueError("basis label count must equal dim")
         self.left = Table(dim, left)
         self.wedge = Table(dim, wedge, skew=True)
-        if check:
-            require(is_nslie(self))
 
     def left_basis(self, i: int, j: int) -> Vec:
         return self.left.basis_prod(i, j)
@@ -132,11 +130,10 @@ def ns_commutator(A: NSLieAlgebra) -> LieAlgebra:
     return LieAlgebra(A.dim, A.basis, Table._of(A.dim, _commutator(left, wedge, A.dim), True, den))
 
 
-class NSRep(Checked):
+class NSRep(Checked, gate=lambda rep: is_ns_rep(rep)):
     __slots__ = ("base", "module_dim", "varrho", "mu", "nu", "labels")
 
-    def __init__(self, base: NSLieAlgebra, module_dim: int, varrho, mu, nu,
-                 labels=None, check: bool = True):
+    def __init__(self, base: NSLieAlgebra, module_dim: int, varrho, mu, nu, labels=None):
         self.base = base
         self.module_dim = module_dim
         self.varrho = tuple(varrho)
@@ -149,8 +146,6 @@ class NSRep(Checked):
             for m in group:
                 if m.rows != module_dim or m.cols != module_dim:
                     raise ValueError("action matrix shape mismatch")
-        if check:
-            require(is_ns_rep(self))
 
 
 def _semidirect_tables(left: dict, wedge: dict, mats: list, n: int) -> tuple[dict, dict]:
@@ -213,7 +208,7 @@ def regular_rep(A: NSLieAlgebra) -> NSRep:
 @verified
 def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
     """Semidirect product NS-Lie algebra on G⊕W."""
-    require(is_ns_rep(rep))
+    require(rep.gate())
     if rep.module_dim == 0:
         return rep.base
     A, m = rep.base, rep.base.dim + rep.module_dim
@@ -226,9 +221,7 @@ def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
 @verified
 def ns_rep_from_reynolds_rep(rr: ReynoldsRep) -> NSRep:
     """varrho(x) = -rho(Rx)T, mu(x) = rho(Rx), nu(x) = -rho(x)T on the induced NS-Lie algebra."""
-    from .reynolds import is_reynolds_rep
-
-    require(is_reynolds_rep(rr))
+    require(rr.gate())
     base = ns_from_reynolds(rr.base)
     R, T, rep = rr.base.R, rr.T, rr.rep
     mu = [mat_comb(rep.rho, col, rep.module_dim, rep.module_dim, R.den)

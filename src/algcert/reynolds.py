@@ -19,19 +19,17 @@ from .lie import (BilinForm, LieAlgebra, Representation, adjoint_rep, coadjoint_
                   is_quadratic, is_representation, s_sharp, semidirect)
 
 
-class ReynoldsLieAlgebra(Checked):
-    """A Lie algebra together with a Reynolds operator."""
+class ReynoldsLieAlgebra(Checked, gate=lambda A: is_reynolds(A.L, A.R)):
+    """A Lie algebra together with a Reynolds operator; `given` as for `LieAlgebra`."""
 
     __slots__ = ("L", "R")
 
-    def __init__(self, L: LieAlgebra, R: Mat, check: bool = True, given=()):
+    def __init__(self, L: LieAlgebra, R: Mat, given=()):
         if R.rows != L.dim or R.cols != L.dim:
             raise ValueError("operator shape does not match the algebra")
         self.L = L
         self.R = R
-        if check:
-            entail(is_reynolds, (L, R), "reynolds", given)
-            require(is_reynolds(L, R))
+        entail(is_reynolds, (L, R), "reynolds", given)
 
     def __repr__(self) -> str:
         return f"ReynoldsLieAlgebra({self.L!r})"
@@ -160,12 +158,12 @@ def induced_algebra(A: ReynoldsLieAlgebra) -> ReynoldsLieAlgebra:
     return ReynoldsLieAlgebra(LieAlgebra(L.dim, L.basis, Table._of(L.dim, sc, True, s)), R)
 
 
-class ReynoldsRep(Checked):
+class ReynoldsRep(Checked, gate=lambda rr: is_reynolds_rep(rr)):
     """A pair (T, rho): rho a representation on W, T compatible with R."""
 
     __slots__ = ("base", "rep", "T")
 
-    def __init__(self, base: ReynoldsLieAlgebra, rep: Representation, T: Mat, check: bool = True):
+    def __init__(self, base: ReynoldsLieAlgebra, rep: Representation, T: Mat):
         if rep.algebra != base.L:
             raise ValueError("representation is not over the Reynolds algebra's space")
         if T.rows != rep.module_dim or T.cols != rep.module_dim:
@@ -173,8 +171,6 @@ class ReynoldsRep(Checked):
         self.base = base
         self.rep = rep
         self.T = T
-        if check:
-            require(is_reynolds_rep(self))
 
 
 def reynolds_adjoint_rep(A: ReynoldsLieAlgebra) -> ReynoldsRep:
@@ -198,7 +194,7 @@ def compat_certificate(R: Mat, rep: Representation, T: Mat,
 @verified
 def is_reynolds_rep(rr: ReynoldsRep) -> Certificate:
     """Underlying representation validity, then the (T, rho) compatibility."""
-    rep_ok = is_representation(rr.rep)
+    rep_ok = rr.rep.gate()
     if not rep_ok.ok:
         return Certificate.combine(
             "reynolds-rep", [rep_ok], note="underlying representation invalid"
@@ -220,21 +216,19 @@ def dual_reynolds_rep(rr: ReynoldsRep, given=()) -> ReynoldsRep:
 def semidirect_reynolds(rr: ReynoldsRep) -> ReynoldsLieAlgebra:
     """g⋉W with the block-diagonal operator R⊕T.  Its Reynolds residual is that of (g, R), the
     compatibility residual at (e_i, w) and 0, so the gate and `is_reynolds(g, R)` entail it."""
-    gate = require(is_reynolds_rep(rr))
+    gate = require(rr.gate())
     return ReynoldsLieAlgebra(semidirect(rr.base.L, rr.rep), Mat.block_diag(rr.base.R, rr.T),
-                              given=[gate, is_reynolds(rr.base.L, rr.base.R)])
+                              given=[gate, rr.base.gate()])
 
 
-class QuadraticReynolds(Checked):
+class QuadraticReynolds(Checked, gate=lambda Q: is_quadratic_reynolds(Q.base, Q.S)):
     """Reynolds Lie algebra with an invariant form satisfying S(Rx,y)+S(x,Ry)=0."""
 
     __slots__ = ("base", "S")
 
-    def __init__(self, base: ReynoldsLieAlgebra, S: BilinForm, check: bool = True):
+    def __init__(self, base: ReynoldsLieAlgebra, S: BilinForm):
         self.base = base
         self.S = S
-        if check:
-            require(is_quadratic_reynolds(base, S))
 
 
 @verified

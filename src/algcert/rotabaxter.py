@@ -19,19 +19,17 @@ from .reynolds import (inner_products, is_reynolds, lie_operands, operator_form_
                        operator_identity)
 
 
-class RotaBaxterAlg(Checked):
+class RotaBaxterAlg(Checked, gate=lambda A: is_rota_baxter(A.L, A.B, A.lam)):
     """[Bx,By] = B([Bx,y] + [x,By] + λ[x,y])."""
 
     __slots__ = ("L", "B", "lam")
 
-    def __init__(self, L: LieAlgebra, B: Mat, lam, check: bool = True):
+    def __init__(self, L: LieAlgebra, B: Mat, lam):
         if B.rows != L.dim or B.cols != L.dim:
             raise ValueError("operator shape does not match the algebra")
         self.L = L
         self.B = B
         self.lam = rat(lam)
-        if check:
-            require(is_rota_baxter(L, B, self.lam))
 
 
 @verified
@@ -43,7 +41,7 @@ def is_rota_baxter(L: LieAlgebra, B: Mat, lam) -> Certificate:
 @verified
 def descendent(rb: RotaBaxterAlg) -> LieAlgebra:
     """[x,y]_B = [Bx,y] + [x,By] + λ[x,y]; B becomes a homomorphism to g."""
-    require(is_rota_baxter(rb.L, rb.B, rb.lam))
+    require(rb.gate())
     sc, s = inner_products(*lie_operands(rb.L, rb.B), rb.lam, ZERO)
     return LieAlgebra(rb.L.dim, rb.L.basis, Table._of(rb.L.dim, sc, True, s))
 
@@ -67,16 +65,14 @@ def reynolds_descends(rb: RotaBaxterAlg, R: Mat) -> Certificate:
     )
 
 
-class QuadraticRB(Checked):
+class QuadraticRB(Checked, gate=lambda Q: is_quadratic_rb(Q.rb, Q.S)):
     """Quadratic Rota-Baxter Lie algebra: S invariant, nondegenerate, B-compatible."""
 
     __slots__ = ("rb", "S")
 
-    def __init__(self, rb: RotaBaxterAlg, S: BilinForm, check: bool = True):
+    def __init__(self, rb: RotaBaxterAlg, S: BilinForm):
         self.rb = rb
         self.S = S
-        if check:
-            require(is_quadratic_rb(rb, S))
 
 
 @verified
@@ -84,7 +80,7 @@ def is_quadratic_rb(rb: RotaBaxterAlg, S: BilinForm) -> Certificate:
     """Quadratic (L,S) plus S(x,By) + S(Bx,y) + λS(x,y) = 0 over pairs."""
     quad = is_quadratic(rb.L, S)
     compat = operator_form_compat(rb.L, S, rb.B, "rb-compat", lam=rb.lam)
-    rbc = is_rota_baxter(rb.L, rb.B, rb.lam)
+    rbc = rb.gate()
     return Certificate.combine("quadratic-rb", [rbc, quad, compat])
 
 
@@ -102,7 +98,7 @@ def _r_and_dual(qrb: QuadraticRB) -> tuple[Tensor2, LieAlgebra]:
     """`r_from_qrb`'s tensor r and the dual bracket it builds from r on the way."""
     from .cybe import is_cybe_solution
 
-    require(is_quadratic_rb(qrb.rb, qrb.S))
+    require(qrb.gate())
     L = qrb.rb.L
     n = L.dim
     m = qrb.rb.B @ qrb.S.gram.inverse()

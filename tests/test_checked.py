@@ -1,10 +1,14 @@
 """The checked-structure base: one violating input per `Checked` subclass.
 
-`X(*args)` must raise `CheckFailed` carrying exactly the certificate of the
-class's check on the same data; `X.unchecked(*args)` must build it anyway,
-and equality must be field-wise.  The violating inputs are those of the
+Each class declares its gate once, in its class statement; `x.gate()` must be
+the class's check on x's slots.  `X(*args)` must raise `CheckFailed` carrying
+exactly that certificate; `X.unchecked(*args)` must build it anyway, and
+equality must be field-wise.  The violating inputs are those of the
 negative-certificate criterion in `test_acceptance.py`.
 """
+
+import gc
+import inspect
 
 import pytest
 
@@ -82,7 +86,8 @@ BROKEN = {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}}   # violates Jacobi at
 BAD_NS_LEFT = {(0, 0): {1: 1}, (1, 0): {0: 1}}
 BAD_FORM = BilinForm(Mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))  # nondegenerate, not invariant
 
-# class -> (violating arguments, the same with one field changed, its check on an instance)
+# class -> (violating arguments, the same with one field changed, its gate: the check on an
+# instance)
 CASES = {
     LieAlgebra: ((3, None, BROKEN), (3, ("a", "b", "c"), BROKEN), jacobi_check),
     Representation: ((SL2, 3, [ID3, Z3, Z3]), (SL2, 3, [TWO, Z3, Z3]), is_representation),
@@ -125,11 +130,17 @@ def test_every_checked_class_has_a_case():
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
 def test_checked_constructor_gate_and_equality(cls):
     args, changed, check = CASES[cls]
+    assert not check(cls.unchecked(*args)).ok
+    for a in (args, changed):
+        gate = check(cls.unchecked(*a))
+        assert cls.unchecked(*a).gate() == gate
+        if gate.ok:          # the changed arguments of `MatchedPair` form a matched pair
+            assert cls(*a).gate() == gate
+        else:
+            with pytest.raises(CheckFailed) as exc:
+                cls(*a)
+            assert exc.value.certificate == gate
     built = cls.unchecked(*args)
-    with pytest.raises(CheckFailed) as exc:
-        cls(*args)
-    assert not exc.value.certificate.ok
-    assert exc.value.certificate == check(built)
     assert built == cls.unchecked(*args) == cls(*args, check=False)
     assert built != cls.unchecked(*changed)
     assert all(built != other.unchecked(*CASES[other][0]) for other in CASES if other is not cls)
@@ -139,3 +150,16 @@ def test_representation_equality_ignores_labels():
     rho = coadjoint_rep(SL2).rho
     assert Representation(SL2, 3, rho, labels=("p", "q", "r")) == Representation(SL2, 3, rho)
     assert Representation(SL2, 3, rho) != Representation(SL2, 3, adjoint_rep(SL2).rho)
+
+
+def test_no_constructor_takes_a_check_flag():
+    assert [cls.__name__ for cls in CASES
+            if "check" in inspect.signature(cls.__init__).parameters] == []
+
+
+def test_a_subclass_without_a_gate_is_refused():
+    with pytest.raises(TypeError, match="Gateless declares no gate"):
+        class Gateless(Checked):
+            __slots__ = ()
+    gc.collect()     # the refused class is a reference cycle: drop it from the subclasses
+    assert set(Checked.__subclasses__()) == set(CASES)

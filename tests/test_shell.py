@@ -58,6 +58,21 @@ def test_catalog_unknown_name(capsys):
         assert captured.out == "" and captured.err.startswith("input error: "), name
 
 
+@pytest.mark.parametrize("name, message", [
+    ("trivial_matched(sl2.B,sl2)", "trivial_matched needs two algebra entries"),
+    ("trivial_matched(sl2,block(1/0,1,2))", "trivial_matched needs two algebra entries"),
+    ("trivial_matched(sl2,block(1/2,3,1))", "trivial_matched needs two algebra entries"),
+    ("trivial_matched(sl2.B,nosuch)", "unknown catalog entry: 'nosuch'"),
+])
+def test_trivial_matched_looks_both_entries_up_before_it_builds_either(name, message, scans,
+                                                                      capsys):
+    # both sub-entries are looked up, g then h, and a non-algebra kind is rejected before
+    # either is built, so no check runs
+    assert main_cat([name]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert sum(scans.values()) == 0
+
+
 def test_catalog_names_listing():
     assert names() == ("sl2", "sl2.B", "sl2.S", "sl2.r", "sl2.km_dual",
                        "abelian(n)", "block(q,lo,hi)", "trivial_matched(a,b)")
