@@ -2,7 +2,9 @@
 
 Everything is computed over arbitrary-precision rationals: axiom checks
 are exact equality tests returning certificates, and every construction
-re-verifies the properties its output is supposed to have.
+certifies the properties its output is supposed to have, each either by
+computing its check or by a pinned entailment from hypotheses it has
+already certified (`certificates.entail`).
 
 The package re-exports the public names of its modules lazily (PEP 562):
 ``algcert.is_reynolds`` imports ``algcert.reynolds`` on first use and is

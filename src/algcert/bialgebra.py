@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .certificates import Certificate, Checked, entail, require, scan, verified
-from .cybe import _double_bracket, ad_invariance_cert
+from .cybe import _double_bracket, symmetric_part_invariance
 from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, products, sapply, saxpy,
                     table_rows, tensor_map, unpack)
 from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
@@ -264,7 +264,7 @@ def coboundary_cobracket(g: LieAlgebra, r: Tensor2) -> list[Tensor2]:
 @verified
 def coboundary_conditions(g: LieAlgebra, r: Tensor2) -> Certificate:
     """Invariance of r+σ(r) and ad-invariance of [[r,r]], per basis vector."""
-    inv = ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance")
+    inv = symmetric_part_invariance(g, r)
     rr, s = _double_bracket(g, r)
     ads, den = mult_cols(g.sc)
     cy = scan("cybe-bracket-invariance",

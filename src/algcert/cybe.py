@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .certificates import Certificate, Checked, require, scan, verified
+from .certificates import Certificate, Checked, entail, require, scan, verified
 from .exact import (ONE, ZERO, Mat, Rows, Table, Tensor2, Tensor3, Vec, flip, integral, leg_sum,
                     products, sapply, saxpy, table_rows)
-from .lie import LieAlgebra, Representation, default_basis, mult_cols, mult_mats
+from .lie import (LieAlgebra, Representation, default_basis, is_representation, mult_cols,
+                  mult_mats)
 from .matched import MatchedPair, ReynoldsMatchedPair
-from .reynolds import (ReynoldsLieAlgebra, ReynoldsRep, dual_reynolds_rep, operator_identity,
-                       semidirect_reynolds)
+from .reynolds import (ReynoldsLieAlgebra, ReynoldsRep, compat_certificate, dual_reynolds_rep,
+                       operator_identity, semidirect_reynolds)
 
 
 def _double_bracket(g: LieAlgebra, r: Tensor2) -> tuple[dict, int]:
@@ -54,6 +55,13 @@ def ad_invariance_cert(g: LieAlgebra, t: Tensor2, name: str = "ad-invariance") -
         raise ValueError("tensor must live on g⊗g")
     ads, den = mult_cols(g.sc)
     return scan(name, (((k,), leg_sum(t.ientries, ad, 2)) for k, ad in enumerate(ads)), den * t.den)
+
+
+@verified
+def symmetric_part_invariance(g: LieAlgebra, r: Tensor2) -> Certificate:
+    """ad-invariance of r + σ(r), keyed on r itself, so that a step can name the certificate
+    that a check it called required."""
+    return ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance")
 
 
 @verified
@@ -180,14 +188,23 @@ def rk_solution(rel: RelativeRB) -> tuple[ReynoldsLieAlgebra, Tensor2]:
 
     With blocks ordered (g, W*), K̄ places K's entries at
     (W*-row n+i, g-column a): pairing K̄(ξ+u, η+v) = ⟨Ku, η⟩.
+
+    Both conditions are entailed by stages of the gate, for any bracket on g and any ρ: the
+    (W*, W*, g) block of [[r_K, r_K]] at (n+a, n+b, k) is the operator-identity residual
+    [Ke_a, Ke_b] − K(ρ(Ke_a)e_b − ρ(Ke_b)e_a) at (a, b), entry k, and the (g, W*, W*) and
+    (W*, g, W*) blocks are its cyclic images, the rest 0 (Kupershmidt 1999: a skew r solves the
+    CYBE exactly when r♯ is an O-operator); (R⊕(−Tᵀ)⊗Id + Id⊗R⊕(−Tᵀ))(r_K) is D̄ − σ(D̄), D̄
+    placing D = RK − KT as K̄ places K, so rk-equals-kt entails the tensor condition.
     """
-    require(rel.gate())
+    reynolds_rep, operator, commutes = require(rel.gate()).parts
     K = rel.K
     n, m = rel.rr.base.L.dim, rel.rr.rep.module_dim
-    ambient = semidirect_reynolds(dual_reynolds_rep(rel.rr, [rel.rr.gate()]))
+    ambient = semidirect_reynolds(dual_reynolds_rep(rel.rr, [reynolds_rep]))
     kbar = Tensor2._of((n + m, n + m), {(n + i, a): c for i, col in enumerate(K.icols)
                                         for a, c in col.items()}, K.den)
     r_k = kbar - flip(kbar)
+    entail(is_cybe_solution, (ambient.L, r_k), "cybe", [operator])
+    entail(reynolds_tensor_condition, (ambient.R, r_k), "reynolds-tensor-condition", [commutes])
     require(is_cybe_solution_reynolds(ambient, r_k))
     return ambient, r_k
 
@@ -252,31 +269,47 @@ def is_reynolds_prelie(A: PreLieAlgebra, R: Mat) -> Certificate:
 
 @verified
 def subadjacent(rp: ReynoldsPreLie) -> ReynoldsLieAlgebra:
-    """Bracket {x,y} − {y,x}; the operator stays Reynolds on it."""
+    """Bracket {x,y} − {y,x}; the operator stays Reynolds on it.  Its Jacobiator J(x, y, z) is
+    the cyclic sum of the pre-Lie residuals (x,y,z) − (y,x,z), so the gate's `is_prelie`
+    entails its Jacobi identity."""
     from .nslie import _commutator
 
     require(rp.gate())
     n, prod = rp.A.dim, rp.A.prod
-    L = LieAlgebra(n, rp.A.basis, Table._of(n, _commutator(prod.ientries, {}, n), True, prod.den))
+    L = LieAlgebra(n, rp.A.basis, Table._of(n, _commutator(prod.ientries, {}, n), True, prod.den),
+                   given=[rp.A.gate()])
     return ReynoldsLieAlgebra(L, rp.R)
 
 
 @verified
 def left_rep(rp: ReynoldsPreLie) -> ReynoldsRep:
-    """(g; R, L) with L(x)y = {x,y}, over the sub-adjacent algebra."""
+    """(g; R, L) with L(x)y = {x,y}, over the sub-adjacent algebra.  The representation
+    residual L([x,y]) − [L(x), L(y)] at (x, y), column z, is the pre-Lie residual
+    (x,y,z) − (y,x,z), and the compatibility residual of (R, L, R) at (x, y) is the
+    reynolds-product residual {Rx,Ry} − R({Rx,y} + {x,Ry} − {Rx,Ry}): the gate's two stages
+    entail the Reynolds representation."""
     sub = subadjacent(rp)
+    prelie, product = rp.gate().parts
     rep = Representation(sub.L, rp.A.dim, mult_mats(rp.A.prod), labels=rp.A.basis, check=False)
+    entail(is_representation, (rep,), "representation", [prelie])
+    entail(compat_certificate, (rp.R, rep, rp.R), "compatibility", [product])
     return ReynoldsRep(sub, rep, rp.R)
 
 
 @verified
 def prelie_from_relrb(rel: RelativeRB) -> ReynoldsPreLie:
-    """{u,v}_K = rho(Ku)v on W, with operator T."""
-    require(rel.gate())
+    """{u,v}_K = rho(Ku)v on W, with operator T.  Its pre-Lie residual at (u, v, w) is
+    ρ(−O(u, v))w plus the representation residual of ρ at (Ku, Kv) applied to w, O the
+    operator-identity residual [Ku, Kv] − K(ρ(Ku)v − ρ(Kv)u): the gate's representation and
+    operator-identity stages entail the pre-Lie identity, for any bracket on g, and the output's
+    gate asks it of A."""
+    _, operator, _ = require(rel.gate()).parts
     rep = rel.rr.rep
     rk, s = _k_action(rel)
     prod = {(a, b): comp for a, row in enumerate(rk) for b, comp in row.items()}
-    A = PreLieAlgebra(rep.module_dim, rep.labels, Table._of(rep.module_dim, prod, False, s))
+    m = rep.module_dim
+    A = PreLieAlgebra.unchecked(m, rep.labels, Table._of(m, prod, False, s))
+    entail(is_prelie, (A,), "pre-lie", [rep.gate(), operator])
     return ReynoldsPreLie(A, rel.rr.T)
 
 
@@ -299,10 +332,20 @@ def prelie_from_invertible_relrb(rel: RelativeRB) -> ReynoldsPreLie:
 
 @verified
 def canonical_r(rp: ReynoldsPreLie) -> tuple[ReynoldsLieAlgebra, Tensor2]:
-    """r = Σ_i (e_i⊗e_i* − e_i*⊗e_i) inside g⋉_{L*}g* with operator R⊕(−Rᵀ)."""
+    """r = Σ_i (e_i⊗e_i* − e_i*⊗e_i) inside g⋉_{L*}g* with operator R⊕(−Rᵀ).
+
+    Both conditions hold for every product and every R (Bai 2007): r is −r_K of K = Id from
+    (g; L) to g, whose operator-identity residual [x,y] − (x·y − y·x) is 0 on the sub-adjacent
+    bracket, so [[r,r]] = 0 as in `rk_solution`; and (R⊕(−Rᵀ)⊗Id + Id⊗R⊕(−Rᵀ))(r) =
+    Σ (Re_i⊗e_i* − e_i⊗Rᵀe_i*) − σ(…) = 0.  They need no hypothesis, and `entail` records from
+    a nonempty one, so both are recorded under the gate's `is_prelie`, which has passed.
+    """
     n, rr = rp.A.dim, left_rep(rp)
     ambient = semidirect_reynolds(dual_reynolds_rep(rr, [rr.gate()]))
     r = Tensor2(2 * n, 2 * n, {key: c for i in range(n)
                                for key, c in (((i, n + i), 1), ((n + i, i), -1))})
+    prelie = [rp.A.gate()]
+    entail(is_cybe_solution, (ambient.L, r), "cybe", prelie)
+    entail(reynolds_tensor_condition, (ambient.R, r), "reynolds-tensor-condition", prelie)
     require(is_cybe_solution_reynolds(ambient, r))
     return ambient, r

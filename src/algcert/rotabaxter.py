@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .certificates import Certificate, Checked, require, scan, verified
-from .exact import (ZERO, Mat, Table, Tensor2, flip, integral, products, rat, sapply, saxpy,
+from .certificates import Certificate, Checked, entail, require, scan, verified
+from .exact import (ZERO, Mat, Table, Tensor2, integral, products, rat, sapply, saxpy,
                     table_rows)
 from .lie import BilinForm, LieAlgebra, dual_basis, is_quadratic, mult_mats
 from .reynolds import (inner_products, is_reynolds, lie_operands, operator_form_compat,
@@ -90,6 +90,11 @@ def r_from_qrb(qrb: QuadraticRB) -> Tensor2:
 
     Entry convention: r_+(e_i*) = Σ_j r_ij e_j, i.e. the tensor is the
     transpose-indexed matrix of B∘I_S.
+
+    [[r,r]] = (I_S⁻¹⊗I_S⁻¹⊗Id)(P), P(e_a, e_b) = [Be_a,Be_b] − B([Be_a,e_b] + [e_a,Be_b] +
+    λ[e_a,e_b]) the Rota-Baxter residual, for any bracket, any weight λ and any S that is
+    invariant with S(x,By) + S(Bx,y) + λS(x,y) = 0 (Kupershmidt 1999 at λ = 0): the gate's
+    stages entail the CYBE.
     """
     return _r_and_dual(qrb)[0]
 
@@ -98,13 +103,14 @@ def _r_and_dual(qrb: QuadraticRB) -> tuple[Tensor2, LieAlgebra]:
     """`r_from_qrb`'s tensor r and the dual bracket it builds from r on the way."""
     from .cybe import is_cybe_solution
 
-    require(qrb.gate())
+    gate = require(qrb.gate())
     L = qrb.rb.L
     n = L.dim
     m = qrb.rb.B @ qrb.S.gram.inverse()
     r = Tensor2._of((n, n), {(i, j): c for i, col in enumerate(m.icols) for j, c in col.items()},
                     m.den)
 
+    entail(is_cybe_solution, (L, r), "cybe", gate.parts)
     require(is_cybe_solution(L, r))
     dual = dual_bracket_from_r(L, r)
     desc = descendent(qrb.rb)
@@ -123,11 +129,11 @@ def _r_and_dual(qrb: QuadraticRB) -> tuple[Tensor2, LieAlgebra]:
 @verified
 def dual_bracket_from_r(g: LieAlgebra, r: Tensor2) -> LieAlgebra:
     """[ξ,η]_r = ad*_{r₊ξ}η − ad*_{r₋η}ξ on dual coordinates, r₋ = −r₊ᵀ."""
-    from .cybe import ad_invariance_cert, r_plus
+    from .cybe import r_plus, symmetric_part_invariance
 
     if r.dim_left != g.dim or r.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
-    require(ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance"))
+    require(symmetric_part_invariance(g, r))
     n = g.dim
     rows, den, rp = table_rows(g.sc.ientries, n, True), g.sc.den, r_plus(r)
     # ad*_v e_b* = −Σ_k [v,e_k]_b e_k*; adp[a][k] = D·d·[r₊e_a*,e_k], adm[b][k] = D·d·[r₋e_b*,e_k]
@@ -152,12 +158,9 @@ def i_operator(r: Tensor2) -> Mat:
 @verified
 def is_factorizable(g: LieAlgebra, r: Tensor2) -> Certificate:
     """Quasi-triangular conditions plus invertibility of I, with I∘ad* = ad∘I."""
-    from .cybe import ad_invariance_cert, is_cybe_solution
+    from .cybe import is_cybe_solution, symmetric_part_invariance
 
-    parts = [
-        ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance"),
-        is_cybe_solution(g, r),
-    ]
+    parts = [symmetric_part_invariance(g, r), is_cybe_solution(g, r)]
     i_mat = i_operator(r)
     parts.append(Certificate.decide("i-invertible", i_mat.det() != 0,
                                     "I = r₊ − r₋ is singular"))
@@ -210,9 +213,19 @@ def minus_rstar_on_descendent(qrb: QuadraticRB, R: Mat) -> Certificate:
 
 @verified
 def thmFL_bialgebra(qrb: QuadraticRB, R: Mat) -> ReynoldsLieBialgebra:
-    """Assemble (g, dual-from-r^{B,S}, R); a Reynolds Lie bialgebra."""
-    from .bialgebra import LieBialgebra, ReynoldsLieBialgebra
+    """Assemble (g, dual-from-r^{B,S}, R); a Reynolds Lie bialgebra.
+
+    r is entailed a CYBE solution as in `r_from_qrb`.  The cobracket read off the dual table
+    is d r = (ad⊗Id + Id⊗ad) r whenever r + σ(r) is invariant, for any bracket, and the
+    cocycle residual of d r at (x, y) is (A⊗1 + 1⊗A) r, column k of A being J(x, y, e_k), as
+    in `double_quasitriangular`: `jacobi_check(g)` and the symmetric-part invariance that
+    `dual_bracket_from_r` required entail the bialgebra's cocycle.
+    """
+    from .bialgebra import LieBialgebra, ReynoldsLieBialgebra, bialgebra_cocycle
+    from .cybe import symmetric_part_invariance
 
     require(is_reynolds_on_qrb(qrb, R))
-    _, dual = _r_and_dual(qrb)
-    return ReynoldsLieBialgebra(LieBialgebra(qrb.rb.L, dual), R)
+    r, dual = _r_and_dual(qrb)
+    g = qrb.rb.L
+    entail(bialgebra_cocycle, (g, dual), "cocycle", [g.gate(), symmetric_part_invariance(g, r)])
+    return ReynoldsLieBialgebra(LieBialgebra(g, dual), R)

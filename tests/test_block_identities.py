@@ -36,15 +36,39 @@ The Reynolds identities of the doubles split the same way, for any tables and op
   n + i), and the cocycle residual of any d r at (x, y) is (A⊗1 + 1⊗A) r, column k of A being
   J(x, y, e_k): `double_quasitriangular` entails the double's cocycle from its Jacobi.
 
+The r-matrix and pre-Lie steps rest on identities of the same kind, for any bracket:
+
+* for S symmetric and invariant and S(x,By) + S(Bx,y) + λS(x,y) = 0, the r of `r_from_qrb`
+  (r₊ = B∘I_S⁻¹) has [[r,r]] = (I_S⁻¹⊗I_S⁻¹⊗Id)(P), P(e_a, e_b) the Rota-Baxter residual of
+  weight λ: `r_from_qrb` and `thmFL_bialgebra` entail the CYBE from their gate;
+* the cobracket read off `dual_bracket_from_r(g, r)` is d r whenever r + σ(r) is invariant, so
+  with the coboundary cocycle above `thmFL_bialgebra` entails its cocycle from Jacobi of g;
+* on g⋉W*, the (W*, W*, g) block of [[r_K, r_K]] at (n+a, n+b, k) is the operator-identity
+  residual [Ke_a, Ke_b] − K(ρ(Ke_a)e_b − ρ(Ke_b)e_a), entry k, the (g, W*, W*) and (W*, g, W*)
+  blocks are its cyclic images, and (R̄⊗Id + Id⊗R̄)(r_K), R̄ = R⊕(−Tᵀ), is D̄ − σ(D̄) for
+  D = RK − KT placed as K̄ places K: `rk_solution` entails both conditions;
+* the pre-Lie residual of {u,v}_K = ρ(Ku)v at (u, v, w) is −ρ(O(u, v))w plus the
+  representation residual of ρ at (Ku, Kv) applied to w, O the operator-identity residual:
+  `prelie_from_relrb` entails the pre-Lie identity;
+* the representation residual of the left multiplications at (x, y), column z, is the pre-Lie
+  residual (x,y,z) − (y,x,z), the Jacobiator of the sub-adjacent bracket is the cyclic sum of
+  pre-Lie residuals, and the compatibility residual of (R, L, R) is the reynolds-product
+  residual: `subadjacent` and `left_rep` entail them from the two stages of their gate;
+* the canonical r = Σᵢ (eᵢ⊗eᵢ* − eᵢ*⊗eᵢ) on g⋉_{L*}g* has [[r,r]] = 0 and
+  (R⊕(−Rᵀ)⊗Id + Id⊗R⊕(−Rᵀ))(r) = 0 for every product and every R.
+
 These are the theorems behind the certificates the constructions entail.
 
 The double's table is built here from the dense definitions in `dense_oracle`, and
 each relation is checked tuple by tuple against the dense reference bodies and
 certificate by certificate against the library, on the canonical pairs of thmFL
 bialgebras on sl(2), gl(2) and sl(3), as they are and with ρ or μ perturbed, on
-random skew cobrackets and on random skew brackets that are not Lie algebras.
+random skew cobrackets and on random skew brackets that are not Lie algebras; the r-matrix
+and pre-Lie identities on random dense conjugates of sl(2), gl(2) and gl(3) and on random
+brackets, actions and products that are not Lie algebras, representations or pre-Lie.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -56,15 +80,21 @@ from algcert.bialgebra import (bialgebra_cocycle, canonical_pair, cobracket_from
                                coboundary_cobracket, cocycle_check, double_quasitriangular,
                                dual_from_cobracket, is_lie_coalgebra)
 from algcert.catalog import sl2, sl2_b, sl2_s
+from algcert import rotabaxter
 from algcert.certificates import scan
-from algcert.cybe import r_plus
-from algcert.exact import Mat, Tensor2, vbasis
+from algcert.cybe import (PreLieAlgebra, RelativeRB, cybe_bracket, is_cybe_solution, is_prelie,
+                          is_reynolds_prelie, prelie_from_relrb, r_plus,
+                          reynolds_tensor_condition, rk_solution)
+from algcert.exact import Mat, Tensor2, flip, vbasis, vsub
 from algcert.lie import (BilinForm, LieAlgebra, Representation, adjoint_rep, coadjoint_rep,
-                         dual_rep, is_representation, jacobi_check)
+                         dual_rep, is_invariant_form, is_representation, jacobi_check, mult_mats)
 from algcert.matched import _compat_stages, is_matched_pair
-from algcert.reynolds import compat_certificate, is_reynolds
-from algcert.rotabaxter import QuadraticRB, RotaBaxterAlg, thmFL_bialgebra
-from test_sparse_kernel import gl, trace_form
+from algcert.reynolds import (ReynoldsLieAlgebra, compat_certificate, is_reynolds,
+                              operator_form_compat)
+from algcert.rotabaxter import (QuadraticRB, RotaBaxterAlg, dual_bracket_from_r,
+                                is_rota_baxter, r_from_qrb, thmFL_bialgebra)
+from test_packed import dense_change
+from test_sparse_kernel import conjugated, gl, trace_form
 
 
 def _coords(v) -> dict:
@@ -606,3 +636,280 @@ def test_the_entailed_stages_on_random_non_lie_inputs(case):
     D = check_double_cobracket_is_a_coboundary(g, dual)
     check_coboundary_cocycle(g, r)
     check_coboundary_cocycle(D, Tensor2(6, 6, {(3 + i, i): 1 for i in range(3)}))
+
+
+# -- the r-matrix and pre-Lie steps ---------------------------------------------------------
+
+COEFFS = [Fraction(c) for c in (0, 0, 1, -1, 2)] + [Fraction(1, 3)]
+
+
+def nonzero(t) -> dict:
+    return {key: c for key, c in t.entries.items() if c}
+
+
+def rand_mat(rng, rows: int, cols: int) -> Mat:
+    return Mat([[rng.choice(COEFFS) for _ in range(cols)] for _ in range(rows)])
+
+
+def antisymmetric_bracket(rng, n: int) -> LieAlgebra:
+    """[e_i,e_j] = Σ_k c_ijk e_k for a random totally skew c on n ≥ 5 basis vectors (on fewer it
+    is a Lie algebra), drawn again until Jacobi fails: S = Id is invariant."""
+    sc = {}
+    for (i, j, k) in combinations(range(n), 3):
+        c = rng.choice(COEFFS)
+        for key, m, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
+            sc.setdefault(key, {})[m] = sign * c
+    L = LieAlgebra.unchecked(n, None, sc)
+    return antisymmetric_bracket(rng, n) if jacobi_check(L).ok else L
+
+
+def r_tensor(B: Mat, S: BilinForm) -> Tensor2:
+    """The r of `r_from_qrb`: r₊ = B∘I_S⁻¹, so r_ij is entry (j, i) of B·S⁻¹."""
+    m = B @ S.gram.inverse()
+    return Tensor2(m.rows, m.rows, {(i, j): m.entries[j][i]
+                                    for i in range(m.rows) for j in range(m.rows)})
+
+
+def compatible_operator(rng, S: BilinForm, lam) -> Mat:
+    """B = S⁻¹A − λ/2 for a random skew A, so S(x,By) + S(Bx,y) + λS(x,y) = 0; B is almost
+    never Rota-Baxter."""
+    A = rand_mat(rng, S.dim, S.dim)
+    return S.gram.inverse() @ (A - A.transpose()) - Mat.identity(S.dim).scale(Fraction(lam) / 2)
+
+
+def check_cybe_is_the_rota_baxter_residual(L: LieAlgebra, S: BilinForm, B: Mat, lam) -> None:
+    """Tuple by tuple: [[r,r]] at (i, j, k) is Σ_ab S⁻¹_ia·S⁻¹_jb·P(e_a, e_b)_k, P the Rota-Baxter
+    residual of weight λ; so the CYBE holds exactly when B is Rota-Baxter."""
+    n, si = L.dim, S.gram.inverse().entries
+    assert is_invariant_form(L, S).ok and operator_form_compat(L, S, B, "c", lam=lam).ok
+    want: dict = {}
+    for a, b in product(range(n), repeat=2):
+        ea, eb = vbasis(n, a), vbasis(n, b)
+        residual = vsub(L.bracket(B.apply(ea), B.apply(eb)),
+                        B.apply(dense._rb_inner(L, B, Fraction(lam), ea, eb)))
+        for k, c in enumerate(residual):
+            for i, j in product(range(n), repeat=2) if c else ():
+                want[i, j, k] = want.get((i, j, k), 0) + si[i][a] * si[j][b] * c
+    want = {key: c for key, c in want.items() if c}
+    r = r_tensor(B, S)
+    assert nonzero(cybe_bracket(L, r)) == nonzero(dense.cybe_bracket(L, r)) == want
+    assert is_cybe_solution(L, r).ok == is_rota_baxter(L, B, lam).ok == (not want)
+
+
+def double_qrb(lam, perturb: bool = False) -> QuadraticRB:
+    """The Drinfeld double D of the sl(2) thmFL bialgebra, its canonical pairing and
+    B = −λ·(the projection onto g along g*): quadratic Rota-Baxter of weight λ.  `perturb`
+    adds 1 to S([e_0, e_3], e_4) and its skew images: S stays invariant and B Rota-Baxter,
+    but D is no Lie algebra."""
+    from algcert.bialgebra import drinfeld_double
+
+    D, n = drinfeld_double(RBS[0][1]).L, 3
+    sc = {key: dict(comp) for key, comp in D.sc.items()}
+    if perturb:
+        for key, k, c in (((0, 3), 1, 1), ((3, 4), 3, 1), ((0, 4), 0, -1)):
+            sc[key][k] = sc[key].get(k, 0) + c
+    L = LieAlgebra.unchecked(2 * n, D.basis, sc)
+    S = BilinForm(Mat([[int(abs(i - j) == n) for j in range(2 * n)] for i in range(2 * n)]))
+    B = Mat([[-Fraction(lam) * (i == j < n) for j in range(2 * n)] for i in range(2 * n)])
+    return QuadraticRB.unchecked(RotaBaxterAlg.unchecked(L, B, lam), S)
+
+
+def test_cybe_of_r_from_qrb_is_the_rota_baxter_residual():
+    rng = random.Random(32)
+    for L0, S0, weights in ((sl2(), sl2_s(), (0, 1, Fraction(-3, 2))),
+                            (gl(2), trace_form(2), (0, 1, Fraction(-3, 2))),
+                            (gl(3), trace_form(3), (0,))):
+        for lam in weights:
+            n = L0.dim
+            L, _, S = conjugated(L0, Mat.identity(n), S0, dense_change(n, rng))
+            check_cybe_is_the_rota_baxter_residual(L, S, compatible_operator(rng, S, lam), lam)
+    for n in (5, 6):
+        L, S = antisymmetric_bracket(rng, n), BilinForm(Mat.identity(n))
+        for lam in (0, 2):
+            check_cybe_is_the_rota_baxter_residual(L, S, compatible_operator(rng, S, lam), lam)
+    # solutions: the paper's example and weights 1 and −1/2 on the double, a Lie algebra and,
+    # perturbed, not one; the r the library builds is the r above
+    cases = [QuadraticRB(RotaBaxterAlg(sl2(), sl2_b(), 0), sl2_s()),
+             double_qrb(1), double_qrb(Fraction(-1, 2)), double_qrb(1, perturb=True)]
+    assert not jacobi_check(cases[-1].rb.L).ok
+    for q in cases:
+        check_cybe_is_the_rota_baxter_residual(q.rb.L, q.S, q.rb.B, q.rb.lam)
+        assert r_from_qrb(q) == r_tensor(q.rb.B, q.S)
+
+
+def check_dual_cobracket_is_the_coboundary(g: LieAlgebra, r: Tensor2) -> None:
+    """The cobracket read off `dual_bracket_from_r`'s table is d r, entry by entry (r + σ(r)
+    invariant); with `check_coboundary_cocycle` Jacobi of g entails the cocycle of (g, dual)."""
+    dual = dual_bracket_from_r(g, r)
+    want = [t.entries for t in dense.coboundary_cobracket(g, r)]
+    assert [t.entries for t in coboundary_cobracket(g, r)] == want
+    assert [t.entries for t in cobracket_from_dual(dual)] == want
+    assert bialgebra_cocycle(g, dual) == cocycle_check(g, coboundary_cobracket(g, r))
+    check_coboundary_cocycle(g, r)
+
+
+def test_the_cobracket_of_the_dual_from_r_is_the_coboundary(monkeypatch):
+    # the dual of a random table is no Lie algebra: take `dual_bracket_from_r`'s table as built
+    monkeypatch.setattr(rotabaxter, "LieAlgebra", LieAlgebra.unchecked)
+    rng = random.Random(33)
+    for n in (5, 6):
+        g = antisymmetric_bracket(rng, n)
+        upper = {(i, j): rng.choice(COEFFS) for i, j in combinations(range(n), 2)}
+        skew = Tensor2(n, n, {**upper, **{(j, i): -c for (i, j), c in upper.items()}})
+        # S = Id is invariant, so r = skew + c·Σ eᵢ⊗eᵢ has an invariant symmetric part
+        for c in (0, Fraction(3, 2)):
+            r = skew + Tensor2(n, n, {(i, i): c for i in range(n)})
+            check_dual_cobracket_is_the_coboundary(g, r)
+            assert not cocycle_check(g, coboundary_cobracket(g, r)).ok or not r.entries
+    for name, rb in RBS:
+        check_dual_cobracket_is_the_coboundary(rb.bialg.g, r_from_qrb_of(name))
+
+
+def r_from_qrb_of(name: str) -> Tensor2:
+    """The r behind the thmFL bialgebra `name` of `RBS`."""
+    qrbs = {"sl(2)": lambda: QuadraticRB(RotaBaxterAlg(sl2(), sl2_b(), 0), sl2_s()),
+            "gl(2)": lambda: quadratic_rb(gl(2), trace_form(2), {0: 1, 3: -1}, 1),
+            "sl(3)": lambda: quadratic_rb(sl3(), sl3_trace_form(), {6: 1}, 0)}
+    return r_from_qrb(qrbs[name]())
+
+
+def relative_rb_inputs(rng, n: int, m: int) -> tuple:
+    """A random bracket on g (almost never Lie), a random action of it on an m-space (almost
+    never a representation), a random K: W → g and random R on g and T on W."""
+    g = LieAlgebra.unchecked(n, None, {key: {k: rng.choice(COEFFS) for k in range(n)}
+                                       for key in combinations(range(n), 2)})
+    rep = Representation.unchecked(g, m, [rand_mat(rng, m, m) for _ in range(n)])
+    return g, rep, rand_mat(rng, n, m), rand_mat(rng, n, n), rand_mat(rng, m, m)
+
+
+def operator_residual(g: LieAlgebra, rep, K: Mat, a: int, b: int) -> tuple:
+    """[Ke_a, Ke_b] − K(ρ(Ke_a)e_b − ρ(Ke_b)e_a), dense."""
+    m = rep.module_dim
+    ka, kb = K.col(a), K.col(b)
+    inner = vsub(dense._lin(rep.rho, ka, m).col(b), dense._lin(rep.rho, kb, m).col(a))
+    return vsub(g.bracket(ka, kb), K.apply(inner))
+
+
+def r_k(K: Mat, n: int) -> Tensor2:
+    """K̄ − σ(K̄) on g ⊕ W*, K̄ with K's entry (a, i) at (n + i, a), as `rk_solution` builds it."""
+    m = K.cols
+    kbar = Tensor2(n + m, n + m, {(n + i, a): K.entries[a][i] for a in range(n) for i in range(m)})
+    return kbar - flip(kbar)
+
+
+def check_rk_blocks(g: LieAlgebra, rep, K: Mat, R: Mat, T: Mat) -> None:
+    """Tuple by tuple: [[r_K, r_K]] on g⋉W* is the operator-identity residual in three cyclic
+    blocks, and the tensor condition of R⊕(−Tᵀ) is D̄ − σ(D̄) for D = RK − KT."""
+    n, m = g.dim, rep.module_dim
+    V = LieAlgebra.abelian(m)
+    ambient = double_table(g, V, dual_rep(rep), Representation.zero(V, n))
+    op, r = Mat.block_diag(R, -T.transpose()), r_k(K, n)
+    want = {}
+    for a, b in product(range(m), repeat=2):
+        for k, c in enumerate(operator_residual(g, rep, K, a, b)):
+            if c:
+                want[n + a, n + b, k] = want[k, n + a, n + b] = want[n + b, k, n + a] = c
+    assert nonzero(cybe_bracket(ambient, r)) == nonzero(dense.cybe_bracket(ambient, r)) == want
+    D = (R @ K - K @ T).entries
+    ident = Mat.identity(n + m)
+    tensor = dense.tensor2_map(op, ident, r) + dense.tensor2_map(ident, op, r)
+    assert tensor.entries == {key: c for a in range(n) for i in range(m) if D[a][i]
+                              for key, c in (((n + i, a), D[a][i]), ((a, n + i), -D[a][i]))}
+    cert = scan("operator-identity", (((a, b), operator_residual(g, rep, K, a, b))
+                                      for a, b in combinations(range(m), 2)))
+    assert is_cybe_solution(ambient, r).ok == cert.ok
+    assert reynolds_tensor_condition(op, r).ok == (R @ K == K @ T)
+
+
+def test_rk_conditions_are_the_relative_rota_baxter_residuals():
+    rng = random.Random(34)
+    for n, m in ((3, 3), (3, 2), (4, 3), (2, 4)):
+        for _ in range(3):
+            check_rk_blocks(*relative_rb_inputs(rng, n, m))
+    # on the paper's Reynolds representation (sl(2), R; ad*, −Rᵀ): the library's stages are
+    # these, for a solution K and for K = 2·Id, and `rk_solution` builds this r_K
+    from algcert.reynolds import reynolds_coadjoint_rep
+    rr = reynolds_coadjoint_rep(ReynoldsLieAlgebra(sl2(), sl2_b()))
+    for K in (r_plus(r_from_qrb_of("sl(2)")), Mat.identity(3).scale(2)):
+        check_rk_blocks(rr.base.L, rr.rep, K, rr.base.R, rr.T)
+        _, op_cert, compat = RelativeRB.unchecked(rr, K).gate().parts
+        assert op_cert == scan("operator-identity", (
+            ((a, b), operator_residual(rr.base.L, rr.rep, K, a, b))
+            for a, b in combinations(range(3), 2)))
+        assert compat.ok == (rr.base.R @ K == K @ rr.T)
+    assert rk_solution(RelativeRB(rr, K := r_plus(r_from_qrb_of("sl(2)"))))[1] == r_k(K, 3)
+
+
+def prelie_residual(A, i: int, j: int, k: int) -> tuple:
+    """(e_i,e_j,e_k) − (e_j,e_i,e_k), (x,y,z) = (x·y)·z − x·(y·z), dense."""
+    def assoc(x, y, z):
+        return vsub(A.prod_vec(A.prod_basis(x, y), vbasis(A.dim, z)),
+                    A.prod_vec(vbasis(A.dim, x), A.prod_basis(y, z)))
+    return vsub(assoc(i, j, k), assoc(j, i, k))
+
+
+def test_the_pre_lie_residual_of_a_relative_rota_baxter_product():
+    rng = random.Random(35)
+    for n, m in ((3, 3), (2, 3), (4, 2)):
+        for _ in range(3):
+            g, rep, K, _, _ = relative_rb_inputs(rng, n, m)
+            A = PreLieAlgebra.unchecked(m, None, {
+                (a, b): dict(enumerate(dense._lin(rep.rho, K.col(a), m).col(b)))
+                for a in range(m) for b in range(m)})
+            for u, v, w in product(range(m), repeat=3):
+                ku, kv = K.col(u), K.col(v)
+                rep_res = (dense._lin(rep.rho, g.bracket(ku, kv), m)
+                           - (dense._lin(rep.rho, ku, m) @ dense._lin(rep.rho, kv, m)
+                              - dense._lin(rep.rho, kv, m) @ dense._lin(rep.rho, ku, m)))
+                op_res = dense._lin(rep.rho, operator_residual(g, rep, K, u, v), m)
+                assert prelie_residual(A, u, v, w) == vsub(rep_res.col(w), op_res.col(w))
+            assert is_prelie(A) == dense.is_prelie(A)
+    # the product `prelie_from_relrb` builds is this one
+    from algcert.reynolds import reynolds_coadjoint_rep
+    rr = reynolds_coadjoint_rep(ReynoldsLieAlgebra(sl2(), sl2_b()))
+    K = r_plus(r_from_qrb_of("sl(2)"))
+    A = prelie_from_relrb(RelativeRB(rr, K)).A
+    assert [[A.prod_basis(a, b) for b in range(3)] for a in range(3)] == [
+        [dense._lin(rr.rep.rho, K.col(a), 3).col(b) for b in range(3)] for a in range(3)]
+
+
+def random_products(rng, n: int) -> PreLieAlgebra:
+    return PreLieAlgebra.unchecked(n, None, {(a, b): {k: rng.choice(COEFFS) for k in range(n)}
+                                             for a in range(n) for b in range(n)})
+
+
+def test_left_multiplications_subadjacent_bracket_and_canonical_r_on_any_product():
+    rng = random.Random(36)
+    for n in (2, 3, 3, 4):
+        A = random_products(rng, n)
+        sub = LieAlgebra.unchecked(n, None, {(i, j): dict(enumerate(
+            vsub(A.prod_basis(i, j), A.prod_basis(j, i)))) for i, j in combinations(range(n), 2)})
+        left = Representation.unchecked(sub, n, mult_mats(A.prod))
+        for i, j in combinations(range(n), 2):
+            # the representation residual of L at (e_i, e_j), column k, is the pre-Lie residual
+            assert [rep_residual(left, i, j).col(k) for k in range(n)] == [
+                prelie_residual(A, i, j, k) for k in range(n)]
+        for i, j, k in combinations(range(n), 3):
+            # the Jacobiator of the sub-adjacent bracket is the cyclic sum of pre-Lie residuals
+            cyclic = [prelie_residual(A, *t) for t in ((i, j, k), (j, k, i), (k, i, j))]
+            assert jacobiator(sub, i, j, k) == tuple(map(sum, zip(*cyclic)))
+        assert is_representation(left).ok == is_prelie(A).ok == dense.is_prelie(A).ok
+        assert jacobi_check(sub).ok >= is_prelie(A).ok
+        # the compatibility residual of (R, L, R) is the reynolds-product residual
+        # {Rx,Ry} − R({Rx,y} + {x,Ry} − {Rx,Ry}), tuple by tuple
+        R = rand_mat(rng, n, n)
+        for (x, y), v in dense.compat_cases(R, left, R):
+            rx, ry = R.col(x), R.col(y)
+            inner = vsub(tuple(map(sum, zip(A.prod_vec(rx, vbasis(n, y)),
+                                            A.prod_vec(vbasis(n, x), ry)))), A.prod_vec(rx, ry))
+            assert tuple(v) == vsub(A.prod_vec(rx, ry), R.apply(inner)), (x, y)
+        product_stage = is_reynolds_prelie(A, R).parts[1]
+        assert compat_certificate(R, left, R) == product_stage._replace(check="compatibility")
+        # the canonical r solves both equations on g⋉_{L*}g* for every product and R
+        V = LieAlgebra.abelian(n)
+        ambient = double_table(sub, V, dual_rep(left), Representation.zero(V, n))
+        r = Tensor2(2 * n, 2 * n, {key: c for i in range(n)
+                                   for key, c in (((i, n + i), 1), ((n + i, i), -1))})
+        assert cybe_bracket(ambient, r).is_zero() and dense.cybe_bracket(ambient, r).is_zero()
+        assert reynolds_tensor_condition(Mat.block_diag(R, -R.transpose()), r).ok
+        assert not is_prelie(A).ok

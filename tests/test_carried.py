@@ -21,7 +21,7 @@ import pytest
 
 from algcert import certificates
 from algcert.bialgebra import canonical_pair, drinfeld_double, is_reynolds_bialgebra
-from algcert.certificates import Certificate, Checked, CheckFailed, verified
+from algcert.certificates import Checked, CheckFailed, verified
 from algcert.cli import main_build, main_check
 from algcert.exact import Mat, Table, Tensor2, Tensor3
 from algcert.lie import BilinForm, LieAlgebra, Representation, jacobi_check
@@ -31,6 +31,7 @@ from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, check_ssharp_inte
                               operator_form_compat)
 from algcert.rotabaxter import is_quadratic_rb, r_from_qrb
 
+from conftest import fresh, parts
 from test_checked import CASES
 from test_shell import _every_kind, write
 
@@ -50,29 +51,6 @@ def built(monkeypatch):
         return out[-1]
     monkeypatch.setattr(certificates._Carrying, "__call__", recording)
     return out
-
-
-def parts(x, seen=None) -> dict:
-    """id -> object for x and every value in its slots, down through `Checked` values and
-    tuples: what a carried entry of x may be keyed on."""
-    seen = {} if seen is None else seen
-    seen[id(x)] = x
-    values = x if type(x) is tuple else (
-        [getattr(x, s) for s in type(x).__slots__] if isinstance(x, Checked) else ())
-    for y in values:
-        if id(y) not in seen:
-            parts(y, seen)
-    return seen
-
-
-def fresh(fn, args) -> Certificate:
-    """fn(*args) for the undecorated check fn, computed in an empty scope: no entry of any
-    structure is seeded, so every check it asks is computed."""
-    token = certificates._scope.set({})
-    try:
-        return fn(*args)
-    finally:
-        certificates._scope.reset(token)
 
 
 def verify_carried(objs) -> int:

@@ -11,24 +11,36 @@ twice here:
   construction raises the certificate the computed check gives.
 """
 
+import os
+
 import pytest
 
 from algcert import certificates
 from algcert.bialgebra import (LieBialgebra, ReynoldsLieBialgebra, bialgebra_cocycle,
                                canonical_pair, double_quasitriangular, drinfeld_double,
-                               is_reynolds_bialgebra)
+                               is_lie_bialgebra, is_reynolds_bialgebra)
 from algcert.certificates import Certificate, CheckFailed, entail, verified
 from algcert.exact import Mat, Table, integral
 from algcert.lie import (LieAlgebra, Representation, coadjoint_rep, double_table,
-                         is_representation, jacobi_check, semidirect)
+                         is_representation, jacobi_check, mult_mats, semidirect)
 from algcert.matched import (COMPAT_ON_G, COMPAT_ON_H, CROSS_MU, CROSS_RHO, MatchedPair,
                              ReynoldsMatchedPair, compat_stage, double, is_reynolds_matched_pair,
                              matched_to_manin, reynolds_double)
-from algcert.cybe import RelativeRB, canonical_r, prelie_from_relrb, r_plus, rk_solution
+from algcert.cybe import (PreLieAlgebra, RelativeRB, ReynoldsPreLie, canonical_r,
+                          is_cybe_solution, is_prelie, is_relative_rb, is_reynolds_prelie,
+                          left_rep, prelie_from_relrb, r_plus, reynolds_tensor_condition,
+                          rk_solution, subadjacent)
 from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, compat_certificate,
                               dual_reynolds_rep, is_reynolds, reynolds_adjoint_rep,
                               reynolds_coadjoint_rep, semidirect_reynolds)
-from algcert.rotabaxter import r_from_qrb
+from algcert.rotabaxter import (QuadraticRB, RotaBaxterAlg, dual_bracket_from_r,
+                                is_quadratic_rb, r_from_qrb, thmFL_bialgebra)
+
+from test_block_identities import double_qrb, r_k, r_tensor
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
 
 def unchecked_double(mp: MatchedPair) -> LieAlgebra:
     """g⋈h with no check: the table `double` builds."""
@@ -201,10 +213,10 @@ def test_rk_and_canonical_r_entail_the_dual_actions(sl2_reynolds, sl2_qrb, scans
     rebind(raw, recorded)
     # the action and its compatibility are scanned for ρ only, not for ρ*: once on an
     # unchecked copy of rel, not at all on rel, which carries them (`is_reynolds_rep` of its
-    # Reynolds representation), and once by `canonical_r`, which builds ρ = L anew
+    # Reynolds representation), and not by `canonical_r`, whose gate entails both for ρ = L
     copy = RelativeRB.unchecked(rel.rr, rel.K)
     for build, arg, scanned in ((rk_solution, copy, 1), (rk_solution, rel, 0),
-                                (canonical_r, rp, 1)):
+                                (canonical_r, rp, 0)):
         scans.clear()
         build(arg)
         assert (scans["representation"], scans["compatibility"]) == (scanned, scanned)
@@ -311,3 +323,184 @@ def test_doubles_of_a_non_lie_dual_raise_at_the_gate(thmfl, non_lie):
         assert exc.value.certificate == is_reynolds_bialgebra(rb.bialg, rb.R)
         assert not is_representation(coadjoint_rep(non_lie)).ok
 
+
+
+# -- the r-matrix and pre-Lie steps ---------------------------------------------------------
+
+def raised_and_recorded(build, *args):
+    """build(*args) in a scope of its own: the certificate it raised (or None) and the checks
+    whose certificate the scope holds, by name, each with its certificates."""
+    @verified
+    def scope():
+        try:
+            build(*args)
+            out = None
+        except CheckFailed as exc:
+            out = exc.certificate
+        held = {}
+        for key, (cert, *_) in certificates._scope.get().items():
+            held.setdefault(key[0].__name__, []).append(cert)
+        return out, held
+    return scope()
+
+
+def broken_prelie() -> PreLieAlgebra:
+    # e0·e1 = e1·e1 = e0: the sub-adjacent bracket [e0,e1] = e0 is Lie, but L(e0) = L(e1) and
+    # L([e0,e1]) = L(e0) ≠ 0 = [L(e0), L(e1)]
+    return PreLieAlgebra.unchecked(2, None, {(0, 1): {0: 1}, (1, 1): {0: 1}})
+
+
+def test_r_from_qrb_and_thmfl_entail_the_cybe_and_the_cocycle(sl2_qrb, b_op, scans):
+    # on unchecked copies, which carry nothing: the gate is scanned, [[r,r]] is not; thmFL's
+    # cocycle is entailed too; the paper's example, and weight 1 on the Drinfeld double
+    for q, R in ((QuadraticRB.unchecked(sl2_qrb.rb, sl2_qrb.S), b_op),
+                 (double_qrb(1), Mat.zeros(6, 6))):
+        scans.clear()
+        r = r_from_qrb(q)
+        assert (scans["rota-baxter"], scans["cybe"]) == (1, 0)
+        scans.clear()
+        out = thmFL_bialgebra(q, R)
+        assert (scans["rota-baxter"], scans["cybe"], scans["cocycle"]) == (1, 0, 0)
+        # each entailed check, run directly outside any scope, passes
+        assert is_cybe_solution(q.rb.L, r) == Certificate.passed("cybe")
+        assert bialgebra_cocycle(out.bialg.g, out.bialg.dual) == Certificate.passed("cocycle")
+        assert (scans["cybe"], scans["cocycle"]) == (1, 1)
+
+
+def test_a_failed_rota_baxter_hypothesis_records_no_cybe(sl2_qrb):
+    # S-skew operators that are not Rota-Baxter, at weight 0 on sl(2) and at weight 1 on the
+    # double: the gate raises, and [[r,r]], computed, fails with it
+    S = sl2_qrb.S
+    skew = S.gram.inverse() @ Mat([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    double = double_qrb(1)
+    # S-skew for S = [[0, I], [I, 0]]: the blocks N and −Nᵀ
+    nudge = Mat.block_diag(Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+                           Mat([[0, 0, 0], [-1, 0, 0], [0, 0, 0]]))
+    for q in (QuadraticRB.unchecked(RotaBaxterAlg.unchecked(sl2_qrb.rb.L, skew, 0), S),
+              QuadraticRB.unchecked(RotaBaxterAlg.unchecked(double.rb.L, double.rb.B + nudge, 1),
+                                    double.S)):
+        assert is_quadratic_rb(q.rb, q.S).parts[1:] == (Certificate.combine("quadratic", [
+            Certificate.passed("invariant-form"), Certificate.passed("nondegenerate")]),
+            Certificate.passed("rb-compat"))
+        zero = Mat.zeros(q.S.dim, q.S.dim)
+        for build, args in ((r_from_qrb, (q,)), (thmFL_bialgebra, (q, zero))):
+            raised, held = raised_and_recorded(build, *args)
+            assert raised == is_quadratic_rb(q.rb, q.S)
+            assert raised.first_failure().check == "rota-baxter"
+            assert "is_cybe_solution" not in held
+        assert not is_cybe_solution(q.rb.L, r_tensor(q.rb.B, q.S)).ok
+
+
+def test_thmfl_on_a_non_lie_algebra_computes_its_cocycle():
+    # the perturbed double: S invariant and B Rota-Baxter of weight 1, so the gate passes and
+    # [[r,r]] is entailed, and the dual and the descendent are Lie algebras; Jacobi of g, the
+    # cocycle's hypothesis, fails, so the cocycle is computed and fails as well
+    q = double_qrb(1, perturb=True)
+    raised, held = raised_and_recorded(thmFL_bialgebra, q, Mat.zeros(6, 6))
+    g, dual = q.rb.L, dual_bracket_from_r(q.rb.L, r_from_qrb(q))
+    assert raised == is_lie_bialgebra(g, dual)
+    assert [p.ok for p in raised.parts] == [False, True, False]
+    assert held["bialgebra_cocycle"] == [raised.parts[2]]
+    assert held["is_cybe_solution"] == [Certificate.passed("cybe")]
+
+
+def test_rk_solution_entails_both_conditions(sl2_reynolds, sl2_qrb, scans):
+    rel = RelativeRB(reynolds_coadjoint_rep(sl2_reynolds), r_plus(r_from_qrb(sl2_qrb)))
+    for arg in (RelativeRB.unchecked(rel.rr, rel.K), rel):
+        scans.clear()
+        ambient, r = rk_solution(arg)
+        assert (scans["cybe"], scans["reynolds-tensor-condition"]) == (0, 0)
+        assert scans["operator-identity"] == (0 if arg is rel else 1)
+        assert is_cybe_solution(ambient.L, r) == Certificate.passed("cybe")
+        assert (reynolds_tensor_condition(ambient.R, r)
+                == Certificate.passed("reynolds-tensor-condition"))
+
+
+def test_a_failed_o_operator_records_nothing(sl2_reynolds):
+    # K = 2·Id is no O-operator of (sl(2); ad*) and does not commute with R: `rk_solution`
+    # and `prelie_from_relrb` raise the gate, and what they would entail fails when computed
+    rr = reynolds_coadjoint_rep(sl2_reynolds)
+    bad = RelativeRB.unchecked(rr, Mat.identity(3).scale(2))
+    gate = is_relative_rb(bad)
+    assert [p.ok for p in gate.parts] == [True, False, False]
+    for build in (rk_solution, prelie_from_relrb):
+        raised, held = raised_and_recorded(build, bad)
+        assert raised == gate
+        assert not {"is_cybe_solution", "reynolds_tensor_condition", "is_prelie"} & set(held)
+    ambient = semidirect_reynolds(dual_reynolds_rep(rr))
+    r = r_k(bad.K, 3)
+    assert not is_cybe_solution(ambient.L, r).ok
+    assert not reynolds_tensor_condition(ambient.R, r).ok
+    # {u,v} = ρ(2u)v
+    prod = {(a, b): {k: 2 * c for k, c in enumerate(rr.rep.rho[a].col(b)) if c}
+            for a in range(3) for b in range(3)}
+    assert not is_prelie(PreLieAlgebra.unchecked(3, None, prod)).ok
+
+
+def test_the_pre_lie_steps_entail_their_stages(sl2_reynolds, sl2_qrb, scans):
+    rel = RelativeRB(reynolds_coadjoint_rep(sl2_reynolds), r_plus(r_from_qrb(sl2_qrb)))
+    copy = RelativeRB.unchecked(rel.rr, rel.K)
+    scans.clear()
+    rp = prelie_from_relrb(copy)
+    # the gate is scanned (on a copy that carries nothing), the pre-Lie identity is not
+    assert (scans["operator-identity"], scans["pre-lie"]) == (1, 0)
+    assert is_prelie(rp.A) == Certificate.passed("pre-lie")
+    for build, algebra in ((subadjacent, lambda out: out.L), (left_rep, lambda out: out.base.L),
+                           (canonical_r, lambda out: out[0].L)):
+        scans.clear()
+        out = build(rp)
+        # rp carries its gate: no pre-Lie, Jacobi, representation, compatibility or CYBE stage
+        # is scanned
+        assert not any(scans[s] for s in ("pre-lie", "jacobi", "representation", "compatibility",
+                                          "cybe", "reynolds-tensor-condition")), build.__name__
+        L = algebra(out)
+        assert jacobi_check(L) == Certificate.passed("jacobi")
+        if build is left_rep:
+            assert is_representation(out.rep) == Certificate.passed("representation")
+            assert compat_certificate(rp.R, out.rep, rp.R) == Certificate.passed("compatibility")
+        if build is canonical_r:
+            assert is_cybe_solution(L, out[1]) == Certificate.passed("cybe")
+            assert (reynolds_tensor_condition(out[0].R, out[1])
+                    == Certificate.passed("reynolds-tensor-condition"))
+
+
+def test_a_non_pre_lie_product_or_a_non_reynolds_operator_records_nothing(sl2_reynolds,
+                                                                         sl2_qrb):
+    A = broken_prelie()
+    rp = ReynoldsPreLie.unchecked(A, Mat.zeros(2, 2))
+    gate = is_reynolds_prelie(A, rp.R)
+    assert gate.first_failure().check == "pre-lie"
+    for build in (subadjacent, left_rep, canonical_r):
+        raised, held = raised_and_recorded(build, rp)
+        assert raised == gate
+        assert not {"jacobi_check", "is_representation", "compat_certificate",
+                    "is_cybe_solution"} & set(held)
+    # the left multiplications, computed, are no representation of the sub-adjacent algebra
+    left = Representation.unchecked(LieAlgebra(2, None, {(0, 1): {0: 1}}), 2, mult_mats(A.prod))
+    assert not is_representation(left).ok
+    # a pre-Lie product with an operator that fails the reynolds-product stage: the
+    # compatibility of (R, L, R), computed, fails with it
+    rel = RelativeRB(reynolds_coadjoint_rep(sl2_reynolds), r_plus(r_from_qrb(sl2_qrb)))
+    twice, rp = Mat.identity(3).scale(2), prelie_from_relrb(rel)
+    bad = ReynoldsPreLie.unchecked(rp.A, twice)
+    gate = is_reynolds_prelie(bad.A, twice)
+    assert [p.ok for p in gate.parts] == [True, False]
+    raised, held = raised_and_recorded(left_rep, bad)
+    assert raised == gate and "compat_certificate" not in held
+    assert not compat_certificate(twice, left_rep(rp).rep, twice).ok
+
+
+def test_the_paper_chain_scans_no_entailed_stage(monkeypatch, tmp_path, scans):
+    # on the build-pipeline's sl(2) chain of the paper: every CYBE, cocycle, pre-Lie and tensor
+    # condition, and the left multiplications' representation and compatibility, is entailed
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+    ops = [op for op in workloads.build_pipeline(1, str(tmp_path)) if " paper " in op.name]
+    assert len(ops) == 11
+    for op in ops:
+        scans.clear()
+        assert op.check(op.run()) is None, op.name
+        entailed = ("cybe", "cocycle", "pre-lie", "reynolds-tensor-condition")
+        assert [scans[s] for s in entailed] == [0] * 4, op.name
+        if op.name.startswith("canonical_r"):
+            assert (scans["representation"], scans["compatibility"]) == (0, 0)
