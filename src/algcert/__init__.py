@@ -21,7 +21,7 @@ from .catalog import CatalogEntry, catalog
 
 _EXPORTS = {
     "certificates": "Certificate CheckFailed",
-    "exact": "Mat Rat Tensor2 Tensor3 flip rat tensor2_map",
+    "exact": "Mat Tensor2 Tensor3 flip rat tensor2_map",
     "lie": "BilinForm LieAlgebra Representation adjoint_rep coadjoint_rep dual_rep "
            "is_invariant_form is_quadratic is_representation jacobi_check semidirect",
     "reynolds": "QuadraticReynolds ReynoldsLieAlgebra ReynoldsRep block_window_check "

@@ -56,7 +56,7 @@ def dual_from_cobracket(deltas: list[Tensor2], basis=None) -> LieAlgebra:
             raise ValueError("cobracket tensor shape mismatch")
         if not d.is_skew():
             raise ValueError(f"cobracket of basis vector {k} is not skew")
-    return LieAlgebra(n, basis, _cotable(deltas, True), check=False)
+    return LieAlgebra.unchecked(n, basis, _cotable(deltas, True))
 
 
 def _cotable(deltas: list[Tensor2], skew: bool) -> Table:
@@ -190,8 +190,8 @@ def is_reynolds_bialgebra(bialg: LieBialgebra, R: Mat, Rt: Mat | None = None) ->
 def canonical_pair(rb: ReynoldsLieBialgebra) -> ReynoldsMatchedPair:
     """((g,R), (g*,Rt); ad*, ad-of-dual*), Rt = −Rᵀ — the pair behind every equivalence."""
     g, dual = rb.bialg.g, rb.bialg.dual
-    rho = Representation(g, dual.dim, coadjoint_rep(g).rho, labels=dual.basis, check=False)
-    mu = Representation(dual, g.dim, coadjoint_rep(dual).rho, labels=g.basis, check=False)
+    rho = Representation.unchecked(g, dual.dim, coadjoint_rep(g).rho, labels=dual.basis)
+    mu = Representation.unchecked(dual, g.dim, coadjoint_rep(dual).rho, labels=g.basis)
     pair = MatchedPair.unchecked(g, dual, rho, mu)
     return ReynoldsMatchedPair.unchecked(pair, rb.R, rb.Rt)
 

@@ -181,12 +181,18 @@ def entail(check, args: tuple, stage: str, given) -> None:
 
 
 class _Carrying(type):
-    def __call__(cls, *args, check=True, **kwargs):
+    def __call__(cls, *args, **kwargs):
+        return cls._build(_checked_init, args, kwargs)
+
+    def unchecked(cls, *args, **kwargs):
+        return cls._build(cls.__init__, args, kwargs)
+
+    def _build(cls, init, args, kwargs):     # ``init(obj, *args, **kwargs)`` returns `carried`
         obj, carried = cls.__new__(cls), None
         object.__setattr__(obj, "carried", None)     # None while it is built: not frozen
         try:
-            carried = (_checked_init if check else cls.__init__)(obj, *args, **kwargs)
-        finally:     # frozen even when `__init__` raised: a half-built object carries nothing
+            carried = init(obj, *args, **kwargs)
+        finally:     # frozen even when `init` raised: a half-built object carries nothing
             object.__setattr__(obj, "carried", carried or ())
         return obj
 
@@ -212,11 +218,11 @@ class Checked(metaclass=_Carrying):
     ``class X(Checked, gate=lambda x: check(x.a, x.b))``; ``x.gate()`` returns the certificate
     of that check on x's slots, whether x was built checked or not.  ``X(...)`` runs
     ``__init__``, then requires the gate, raising `CheckFailed` on a violation;
-    ``X.unchecked(...)``, i.e. ``check=False``, skips it so that checks can report on invalid
-    data.  Equality is field-wise over the subclass's `__slots__`, between instances of the
-    same class.  An instance is frozen once built: assigning a slot raises.  A checked one
-    keeps in `carried` what its check certified about it and its parts, which seeds each
-    outermost `verified` call it is handed: sound, as what an entry is keyed on cannot change.
+    ``X.unchecked(...)``, the one way to skip it, lets checks report on invalid data.
+    Equality is field-wise over the subclass's `__slots__`, between instances of the same
+    class.  An instance is frozen once built: assigning a slot raises.  A checked one keeps in
+    `carried` what its check certified about it and its parts, which seeds each outermost
+    `verified` call it is handed: sound, as what an entry is keyed on cannot change.
     """
 
     __slots__ = ("carried",)
@@ -226,10 +232,6 @@ class Checked(metaclass=_Carrying):
             raise TypeError(f"{cls.__name__} declares no gate= in its class statement")
         super().__init_subclass__(**kwargs)
         cls.gate = gate
-
-    @classmethod
-    def unchecked(cls, *args, **kwargs):
-        return cls(*args, **kwargs, check=False)
 
     def __setattr__(self, name, value):
         if self.carried is not None:

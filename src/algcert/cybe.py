@@ -167,7 +167,7 @@ def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     g = rel.rr.base.L
     rep = rel.rr.rep
     m = rep.module_dim
-    rho = Representation(g, m, rep.rho, labels=rep.labels, check=False)
+    rho = Representation.unchecked(g, m, rep.rho, labels=rep.labels)
     rows, den = table_rows(g.sc.ientries, g.dim, True), g.sc.den
     *act, kcols, d = integral(*rep.rho, rel.K)
     ek = products(rows, None, kcols)        # ek[i][a] = den·d·[e_i, Ke_a]
@@ -177,7 +177,7 @@ def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
         return saxpy(saxpy({}, den, sapply(kcols, act[i][a])), -d, ek[i].get(a, {}))
     mu_mats = [Mat._of(g.dim, g.dim, [mu_col(a, i) for i in range(g.dim)], d * d * den)
                for a in range(m)]
-    mu = Representation(desc.L, g.dim, mu_mats, labels=g.basis, check=False)
+    mu = Representation.unchecked(desc.L, g.dim, mu_mats, labels=g.basis)
     pair = MatchedPair(g, desc.L, rho, mu)
     return ReynoldsMatchedPair(pair, rel.rr.base.R, rel.rr.T)
 
@@ -290,7 +290,7 @@ def left_rep(rp: ReynoldsPreLie) -> ReynoldsRep:
     entail the Reynolds representation."""
     sub = subadjacent(rp)
     prelie, product = rp.gate().parts
-    rep = Representation(sub.L, rp.A.dim, mult_mats(rp.A.prod), labels=rp.A.basis, check=False)
+    rep = Representation.unchecked(sub.L, rp.A.dim, mult_mats(rp.A.prod), labels=rp.A.basis)
     entail(is_representation, (rep,), "representation", [prelie])
     entail(compat_certificate, (rp.R, rep, rp.R), "compatibility", [product])
     return ReynoldsRep(sub, rep, rp.R)

@@ -29,7 +29,6 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 SVec = dict[int, Fraction]
 

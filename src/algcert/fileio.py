@@ -211,8 +211,6 @@ def doc_to_reynolds_algebra(doc: dict, op: Mat | None = None) -> ReynoldsLieAlge
     L = doc_to_algebra(doc)   # which also checks an embedded operator
     # `op` replaces the embedded operator; with neither, `_need` reports the missing key
     op = op or _embedded_op(doc, L.dim) or _need(doc, "reynolds", "reynolds algebra")
-    if op.rows != L.dim or op.cols != L.dim:
-        raise InputError("operator shape does not match the algebra")
     return ac.ReynoldsLieAlgebra.unchecked(L, op)
 
 

@@ -163,7 +163,7 @@ class Representation(Checked, gate=lambda rep: is_representation(rep)):
     @classmethod
     def zero(cls, algebra: LieAlgebra, module_dim: int, labels=None) -> "Representation":
         z = Mat.zeros(module_dim, module_dim)
-        return cls(algebra, module_dim, [z] * algebra.dim, labels, check=False)
+        return cls.unchecked(algebra, module_dim, [z] * algebra.dim, labels)
 
     def __eq__(self, other) -> bool:
         # labels only name the module basis, so they do not enter equality
@@ -269,20 +269,20 @@ def mult_mats(table: Table, right: bool = False) -> list[Mat]:
 
 
 def adjoint_rep(L: LieAlgebra) -> Representation:
-    return Representation(L, L.dim, mult_mats(L.sc), labels=L.basis, check=False)
+    return Representation.unchecked(L, L.dim, mult_mats(L.sc), labels=L.basis)
 
 
 def coadjoint_rep(L: LieAlgebra) -> Representation:
     """ad*(x) = −ad(x)ᵀ on dual coordinates."""
     rows = table_rows(L.sc.ientries, L.dim, True)
     mats = [Mat._of(L.dim, L.dim, c, L.sc.den) for c in coadjoint_cols(rows, L.dim)]
-    return Representation(L, L.dim, mats, labels=dual_basis(L.basis), check=False)
+    return Representation.unchecked(L, L.dim, mats, labels=dual_basis(L.basis))
 
 
 def dual_rep(rep: Representation) -> Representation:
     """rho*(e_i) = −rho(e_i)ᵀ on W*."""
-    return Representation(rep.algebra, rep.module_dim, [-m.transpose() for m in rep.rho],
-                          labels=dual_basis(rep.labels), check=False)
+    return Representation.unchecked(rep.algebra, rep.module_dim,
+                                    [-m.transpose() for m in rep.rho], dual_basis(rep.labels))
 
 
 @verified

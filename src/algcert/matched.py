@@ -50,8 +50,8 @@ class MatchedPair(Checked, gate=lambda mp: is_matched_pair(mp.g, mp.h, mp.rho, m
 
     @classmethod
     def trivial(cls, g: LieAlgebra, h: LieAlgebra) -> "MatchedPair":
-        return cls(g, h, Representation.zero(g, h.dim, labels=h.basis),
-                   Representation.zero(h, g.dim, labels=g.basis), check=False)
+        return cls.unchecked(g, h, Representation.zero(g, h.dim, labels=h.basis),
+                             Representation.zero(h, g.dim, labels=g.basis))
 
 
 # the stage names, passed positionally: a check keyed on one object of each travels with a
@@ -151,12 +151,12 @@ def induced_matched_pair(rmp: ReynoldsMatchedPair) -> MatchedPair:
 
     require(rmp.gate())
     mp, Rg, Rh = rmp.pair, rmp.Rg, rmp.Rh
-    g_ind = induced_algebra(ReynoldsLieAlgebra(mp.g, Rg, check=False)).L
-    h_ind = induced_algebra(ReynoldsLieAlgebra(mp.h, Rh, check=False)).L
-    rho2 = Representation(g_ind, mp.h.dim, _induced_action(mp.rho, Rg, Rh),
-                          labels=mp.rho.labels, check=False)
-    mu2 = Representation(h_ind, mp.g.dim, _induced_action(mp.mu, Rh, Rg),
-                         labels=mp.mu.labels, check=False)
+    g_ind = induced_algebra(ReynoldsLieAlgebra.unchecked(mp.g, Rg)).L
+    h_ind = induced_algebra(ReynoldsLieAlgebra.unchecked(mp.h, Rh)).L
+    rho2 = Representation.unchecked(g_ind, mp.h.dim, _induced_action(mp.rho, Rg, Rh),
+                                    labels=mp.rho.labels)
+    mu2 = Representation.unchecked(h_ind, mp.g.dim, _induced_action(mp.mu, Rh, Rg),
+                                   labels=mp.mu.labels)
     return MatchedPair(g_ind, h_ind, rho2, mu2)
 
 
@@ -265,8 +265,8 @@ def manin_to_matched(mt: ManinTripleReynolds) -> ReynoldsMatchedPair:
     # inverse to `double_table`: ρ(e_i)f_a = [e_i, f_a]_h and μ(f_a)e_i = [f_a, e_i]_g
     rho_mats = [Mat._of(n, n, [on_h[i].get(n + a, {}) for a in range(n)], den) for i in range(n)]
     mu_mats = [Mat._of(n, n, [on_g[n + a].get(i, {}) for i in range(n)], den) for a in range(n)]
-    rho = Representation(g, n, rho_mats, labels=h.basis, check=False)
-    mu = Representation(h, n, mu_mats, labels=g.basis, check=False)
+    rho = Representation.unchecked(g, n, rho_mats, labels=h.basis)
+    mu = Representation.unchecked(h, n, mu_mats, labels=g.basis)
     Rg = mt.G.base.R.submatrix(range(n), range(n))
     Rh = mt.G.base.R.submatrix(range(n, 2 * n), range(n, 2 * n))
     return ReynoldsMatchedPair(MatchedPair(g, h, rho, mu), Rg, Rh)

@@ -120,8 +120,8 @@ def ns_from_reynolds(A: ReynoldsLieAlgebra) -> NSLieAlgebra:
     left = {(i, j): adr[i][j] for i in range(n) for j in range(n) if j in adr[i]}
     wedge = {(i, j): {k: -c for k, c in rr[i].get(j, {}).items()}
              for i, j in combinations(range(n), 2)}
-    return NSLieAlgebra(n, L.basis, Table._of(n, left, False, L.sc.den * R.den),
-                        Table._of(n, wedge, True, L.sc.den * R.den ** 2), check=False)
+    return NSLieAlgebra.unchecked(n, L.basis, Table._of(n, left, False, L.sc.den * R.den),
+                                  Table._of(n, wedge, True, L.sc.den * R.den ** 2))
 
 
 def ns_commutator(A: NSLieAlgebra) -> LieAlgebra:
@@ -201,8 +201,8 @@ def is_ns_rep(rep: NSRep) -> Certificate:
 
 def regular_rep(A: NSLieAlgebra) -> NSRep:
     """(G; Ad, left-◁, right-◁): Ad_x y = x▷y, mu(x)y = x◁y, nu(x)y = y◁x."""
-    return NSRep(A, A.dim, mult_mats(A.wedge), mult_mats(A.left), mult_mats(A.left, right=True),
-                 labels=A.basis, check=False)
+    return NSRep.unchecked(A, A.dim, mult_mats(A.wedge), mult_mats(A.left),
+                           mult_mats(A.left, right=True), labels=A.basis)
 
 
 @verified
@@ -214,8 +214,8 @@ def ns_semidirect(rep: NSRep) -> NSLieAlgebra:
     A, m = rep.base, rep.base.dim + rep.module_dim
     left, wedge, *maps, den = integral(A.left, A.wedge, *rep.mu, *rep.nu, *rep.varrho)
     left, wedge = _semidirect_tables(left, wedge, maps, A.dim)
-    return NSLieAlgebra(m, rep.base.basis + rep.labels, Table._of(m, left, False, den),
-                        Table._of(m, wedge, True, den), check=False)
+    return NSLieAlgebra.unchecked(m, rep.base.basis + rep.labels, Table._of(m, left, False, den),
+                                  Table._of(m, wedge, True, den))
 
 
 @verified
@@ -226,5 +226,5 @@ def ns_rep_from_reynolds_rep(rr: ReynoldsRep) -> NSRep:
     R, T, rep = rr.base.R, rr.T, rr.rep
     mu = [mat_comb(rep.rho, col, rep.module_dim, rep.module_dim, R.den)
           for col in R.icols]       # rho(Re_i)
-    return NSRep(base, rep.module_dim, [-(m @ T) for m in mu], mu, [-(m @ T) for m in rep.rho],
-                 labels=rep.labels, check=False)
+    return NSRep.unchecked(base, rep.module_dim, [-(m @ T) for m in mu], mu,
+                           [-(m @ T) for m in rep.rho], labels=rep.labels)

@@ -175,12 +175,12 @@ class ReynoldsRep(Checked, gate=lambda rr: is_reynolds_rep(rr)):
 
 def reynolds_adjoint_rep(A: ReynoldsLieAlgebra) -> ReynoldsRep:
     """(g; R, ad), always a Reynolds representation."""
-    return ReynoldsRep(A, adjoint_rep(A.L), A.R, check=False)
+    return ReynoldsRep.unchecked(A, adjoint_rep(A.L), A.R)
 
 
 def reynolds_coadjoint_rep(A: ReynoldsLieAlgebra) -> ReynoldsRep:
     """(g*; -Rᵀ, ad*), the dual of the adjoint representation."""
-    return ReynoldsRep(A, coadjoint_rep(A.L), -A.R.transpose(), check=False)
+    return ReynoldsRep.unchecked(A, coadjoint_rep(A.L), -A.R.transpose())
 
 
 @verified
@@ -206,7 +206,7 @@ def is_reynolds_rep(rr: ReynoldsRep) -> Certificate:
 def dual_reynolds_rep(rr: ReynoldsRep, given=()) -> ReynoldsRep:
     """(W*; -Tᵀ, rho*).  Its representation and compatibility residuals are minus the
     transposes of rr's, so `given`, rr's passed `is_reynolds_rep`, entails both."""
-    dual = ReynoldsRep(rr.base, dual_rep(rr.rep), -rr.T.transpose(), check=False)
+    dual = ReynoldsRep.unchecked(rr.base, dual_rep(rr.rep), -rr.T.transpose())
     entail(is_representation, (dual.rep,), "representation", given)
     entail(compat_certificate, (rr.base.R, dual.rep, dual.T), "compatibility", given)
     return dual

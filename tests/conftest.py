@@ -1,22 +1,22 @@
+import inspect
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, Phase, settings
 
 from algcert import certificates
 from algcert.certificates import Certificate, Checked
-from algcert.exact import Mat, Tensor2
+from algcert.exact import Mat, Table, Tensor2, Tensor3
 from algcert.lie import BilinForm, LieAlgebra
 from algcert.reynolds import ReynoldsLieAlgebra
 from algcert.rotabaxter import QuadraticRB, RotaBaxterAlg, thmFL_bialgebra
 
 
-def pytest_addoption(parser):
-    parser.addoption("--audit-entailment", action="store_true",
-                     help="after each test, recompute in an empty scope every certificate that "
-                          "certificates.entail recorded and every one a checked structure carries")
+# what a carried entry may be keyed on: read-only or frozen values
+FROZEN = (Checked, BilinForm, tuple, Mat, Table, Tensor2, Tensor3, int, Fraction, str)
 
 
 def parts(x, seen=None) -> dict:
@@ -42,54 +42,68 @@ def fresh(fn, args) -> Certificate:
         certificates._scope.reset(token)
 
 
+def audit(entailed, built) -> None:
+    """Assert that the claims library calls left behind are true.  `entailed` holds
+    ``(check, args, certificate)`` for each certificate `certificates.entail` recorded, and
+    `built` the structures constructed.  No carried entry is keyed on a list, and each is keyed
+    only on its carrier and the carrier's read-only or frozen parts, or on a stage name the
+    entry holds.  Every claimed certificate, entailed or carried, equals the one its
+    undecorated check computes on the same arguments in an empty scope, so all claims on one
+    key agree."""
+    claims = {}      # key -> (args, [(how it was claimed, certificate), ...])
+    for check, args, cert in entailed:
+        key = (inspect.unwrap(check), *map(id, args))
+        claims.setdefault(key, (args, []))[1].append(("entailed", cert))
+    for x in built:
+        held = parts(x) if x.carried else {}
+        for key, (cert, *rest) in dict(x.carried).items():
+            fn, ids = key[0], key[1:]
+            stored, kwargs = rest or ((), {})     # an entry keyed on x stores no arguments
+            assert not any(type(a) is list for a in (*stored, *kwargs.values())), (
+                f"carried {fn.__name__} is keyed on a list")
+            names = {id(a): a for a in stored if type(a) is str}
+            assert all(type(i) is int and (i in held or i in names) for i in ids), (
+                f"carried {fn.__name__} is keyed on what {type(x).__name__} does not hold")
+            args = tuple(held[i] if i in held else names[i] for i in ids)
+            assert all(isinstance(a, FROZEN) for a in args), (
+                f"carried {fn.__name__} is keyed on a value that can change")
+            claims.setdefault(key, (args, []))[1].append(("carried", cert))
+    for key, (args, recorded) in claims.items():
+        got = fresh(key[0], args)
+        for how, cert in recorded:
+            assert cert == got, (
+                f"{how} {key[0].__name__}: recorded {cert!r}, computed {got!r}")
+
+
 @pytest.fixture(autouse=True)
-def entailment_audit(request):
-    """Under --audit-entailment, the claims a test's library calls left behind are recomputed
-    after it: every certificate `certificates.entail` recorded and every entry of every
-    checked structure's `carried`, which is what `verified` seeds an outermost scope with.
-    Each is recomputed by its undecorated check in an empty scope, and the test fails unless
-    the recorded and the fresh certificate agree in `ok` and stage name (an entailed one is
-    a pass).  The wraps are removed before the recomputation, after the test's own patches."""
-    if not request.config.getoption("--audit-entailment"):
-        yield
-        return
-    raw_entail, raw_call = certificates.entail, certificates._Carrying.__call__
-    entailed, built = [], []
+def entailment_audit():
+    """Every test is audited: the certificates `certificates.entail` records while it runs
+    and the structures it builds, checked or not, are recorded, and `audit` checks them after
+    it, once its own patches are undone.  A test that reads what was recorded asks for this
+    fixture; it yields the record, with fields `entailed` and `built`."""
+    record = SimpleNamespace(entailed=[], built=[])
+    raw_entail, raw_build = certificates.entail, certificates._Carrying._build
 
     def entail(check, args, stage, given):
         if certificates._scope.get() is not None and given and all(c.ok for c in given):
-            entailed.append((check, args, Certificate.passed(stage)))
+            record.entailed.append((check, args, Certificate.passed(stage)))
         raw_entail(check, args, stage, given)
 
-    def construct(cls, *args, **kwargs):
-        built.append(raw_call(cls, *args, **kwargs))
-        return built[-1]
+    def build(cls, init, args, kwargs):
+        record.built.append(raw_build(cls, init, args, kwargs))
+        return record.built[-1]
     bound = [(mod, key) for name, mod in list(sys.modules.items()) if name.startswith("algcert.")
              for key, val in vars(mod).items() if val is raw_entail]
     for mod, key in bound:
         setattr(mod, key, entail)
-    certificates._Carrying.__call__ = construct
+    certificates._Carrying._build = build
     try:
-        yield
+        yield record
     finally:
         for mod, key in bound:
             setattr(mod, key, raw_entail)
-        certificates._Carrying.__call__ = raw_call
-    claims = {}
-    for check, args, cert in entailed:
-        while hasattr(check, "__wrapped__"):
-            check = check.__wrapped__
-        claims.setdefault((check, *map(id, args)), (args, cert, "entailed"))
-    for x in built:
-        for key, (cert, *rest) in dict(x.carried).items():
-            if key not in claims:
-                held = parts(x)
-                args = rest[0] if rest else tuple(held[i] for i in key[1:])
-                claims[key] = (args, cert, "carried")
-    for key, (args, cert, how) in claims.items():
-        got = fresh(key[0], args)
-        assert (got.ok, got.check) == (cert.ok, cert.check), (
-            f"{how} {key[0].__name__}: recorded {cert.render()}, computed {got.render()}")
+        certificates._Carrying._build = raw_build
+    audit(record.entailed, record.built)
 
 
 @pytest.fixture

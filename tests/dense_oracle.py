@@ -351,8 +351,8 @@ def induced_matched_pair(rmp):
     if not cert.ok:
         raise CheckFailed(cert)
     mp, Rg, Rh = rmp.pair, rmp.Rg, rmp.Rh
-    g_ind = induced_algebra(ReynoldsLieAlgebra(mp.g, Rg, check=False)).L
-    h_ind = induced_algebra(ReynoldsLieAlgebra(mp.h, Rh, check=False)).L
+    g_ind = induced_algebra(ReynoldsLieAlgebra.unchecked(mp.g, Rg)).L
+    h_ind = induced_algebra(ReynoldsLieAlgebra.unchecked(mp.h, Rh)).L
     rho_new = []
     for i in range(mp.g.dim):
         rho_rx = _lin(mp.rho.rho, Rg.apply(vbasis(mp.g.dim, i)), mp.h.dim)
@@ -361,8 +361,8 @@ def induced_matched_pair(rmp):
     for a in range(mp.h.dim):
         mu_rxi = _lin(mp.mu.rho, Rh.apply(vbasis(mp.h.dim, a)), mp.g.dim)
         mu_new.append(mp.mu.rho[a] @ Rg + mu_rxi - mu_rxi @ Rg)
-    rho2 = Representation(g_ind, mp.h.dim, rho_new, labels=mp.rho.labels, check=False)
-    mu2 = Representation(h_ind, mp.g.dim, mu_new, labels=mp.mu.labels, check=False)
+    rho2 = Representation.unchecked(g_ind, mp.h.dim, rho_new, labels=mp.rho.labels)
+    mu2 = Representation.unchecked(h_ind, mp.g.dim, mu_new, labels=mp.mu.labels)
     return MatchedPair(g_ind, h_ind, rho2, mu2)
 
 
@@ -507,7 +507,7 @@ def matched_from_relrb(rel):
     g = rel.rr.base.L
     rep, K = rel.rr.rep, rel.K
     m = rep.module_dim
-    rho = Representation(g, m, rep.rho, labels=rep.labels, check=False)
+    rho = Representation.unchecked(g, m, rep.rho, labels=rep.labels)
     mu_mats = []
     for a in range(m):
         u = vbasis(m, a)
@@ -515,7 +515,7 @@ def matched_from_relrb(rel):
         mu_mats.append(Mat.from_cols([
             vsub(K.apply(rep.rho[i].apply(u)), g.bracket(vbasis(g.dim, i), ku))
             for i in range(g.dim)]))
-    mu = Representation(desc.L, g.dim, mu_mats, labels=g.basis, check=False)
+    mu = Representation.unchecked(desc.L, g.dim, mu_mats, labels=g.basis)
     return ReynoldsMatchedPair(MatchedPair(g, desc.L, rho, mu), rel.rr.base.R, rel.rr.T)
 
 
@@ -598,7 +598,7 @@ def left_rep(rp):
     sub = subadjacent(rp)
     n = rp.A.dim
     mats = [Mat.from_cols([rp.A.prod_basis(i, j) for j in range(n)]) for i in range(n)]
-    rep = Representation(sub.L, n, mats, labels=rp.A.basis, check=False)
+    rep = Representation.unchecked(sub.L, n, mats, labels=rp.A.basis)
     return ReynoldsRep(sub, rep, rp.R)
 
 

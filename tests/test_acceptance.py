@@ -291,7 +291,7 @@ def _negative_fixtures():
     ns = ns_from_reynolds(A)
     reg = regular_rep(ns)
     z3 = Mat.zeros(3, 3)
-    bad_mu = Representation(sl2, 3, coadjoint_rep(sl2).rho, check=False)
+    bad_mu = Representation.unchecked(sl2, 3, coadjoint_rep(sl2).rho)
     good_pair = canonical_pair(thmfl)
     mt = matched_to_manin(good_pair)
     rel_bad = RelativeRB.unchecked(reynolds_adjoint_rep(A), Mat.identity(3))

@@ -8,22 +8,25 @@ every object it is keyed on is the structure or one of its frozen or read-only p
 
 These tests pin the trust side: assignment raises, on a structure and on a `BilinForm`
 (frozen too, so entries keyed on a form travel), an unchecked structure and a half-built
-one carry nothing, no carried entry is keyed on a list, and every carried certificate
-equals the one its check computes afresh, on every registry document of the command
-line and on three seeds of the benchmark's construction chains.
+one carry nothing, and the structures that carry are built where the audit sees them.
+The audit of `tests/conftest.py` recomputes carried certificates: after every test it checks
+that no carried entry of a structure the test built is keyed on a list or on anything but
+the structure's frozen parts and the entry's stage names, and that each carried certificate
+equals the one its check computes afresh.  Here it covers every registry document of the
+command line and three seeds of the benchmark's construction chains.
 """
 
 import os
-import sys
-from fractions import Fraction
+from contextlib import contextmanager
 
 import pytest
 
 from algcert import certificates
-from algcert.bialgebra import canonical_pair, drinfeld_double, is_reynolds_bialgebra
-from algcert.certificates import Checked, CheckFailed, verified
+from algcert.bialgebra import (canonical_pair, cobracket_from_dual, cocycle_check,
+                               drinfeld_double, is_reynolds_bialgebra)
+from algcert.certificates import Certificate, Checked, CheckFailed, verified
 from algcert.cli import main_build, main_check
-from algcert.exact import Mat, Table, Tensor2, Tensor3
+from algcert.exact import Mat
 from algcert.lie import BilinForm, LieAlgebra, Representation, jacobi_check
 from algcert.matched import ManinTripleReynolds, ReynoldsMatchedPair, matched_to_manin
 from algcert.nslie import NSLieAlgebra
@@ -31,59 +34,63 @@ from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, check_ssharp_inte
                               operator_form_compat)
 from algcert.rotabaxter import is_quadratic_rb, r_from_qrb
 
-from conftest import fresh, parts
+from conftest import audit, parts
 from test_checked import CASES
 from test_shell import _every_kind, write
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
-FROZEN = (Checked, BilinForm, tuple, Mat, Table, Tensor2, Tensor3, int, Fraction, str)
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """Every `Checked` structure constructed while the fixture is active, checked or not."""
-    out = []
-    raw = certificates._Carrying.__call__
-
-    def recording(cls, *args, **kwargs):
-        out.append(raw(cls, *args, **kwargs))
-        return out[-1]
-    monkeypatch.setattr(certificates._Carrying, "__call__", recording)
-    return out
+def carried_keys(record, objs) -> set:
+    """The keys of objs' carried entries, which the audit checks after the test: each of objs
+    is among the structures it recorded."""
+    assert {id(x) for x in objs} <= {id(x) for x in record.built}
+    return {key for x in objs for key in x.carried}
 
 
-def verify_carried(objs) -> int:
-    """Every carried entry of objs is keyed on the carrier and its frozen or read-only parts
-    only, or on a stage name the entry holds, and its certificate equals a fresh computation;
-    the number of entries checked."""
-    entries = [(x, key, v) for x in objs for key, v in dict(x.carried).items()]
-    # no entry is keyed on a list, which its caller could change
-    on_lists = [key[0].__name__ for _, key, v in entries if len(v) == 3 and
-                any(type(a) is list for a in (*v[1], *v[2].values()))]
-    assert on_lists == []
-    certs = {}
-    for x, key, (cert, *rest) in entries:
-        held = parts(x)
-        held.update((id(a), a) for a in (rest[0] if rest else ()) if type(a) is str)
-        fn, ids = key[0], key[1:]
-        assert all(type(i) is int and i in held for i in ids), (fn.__name__, x)
-        args = tuple(held[i] for i in ids)
-        assert all(isinstance(a, FROZEN) for a in args), fn.__name__
-        assert certs.setdefault(key, (cert, args))[0] == cert
-    for key, (cert, args) in certs.items():
-        assert fresh(key[0], args) == cert, key[0].__name__
-    return len(certs)
+@contextmanager
+def carrying(x, entries):
+    """x carries `entries` besides its own while the block runs."""
+    own = x.carried
+    object.__setattr__(x, "carried", {**dict(own), **entries})
+    try:
+        yield
+    finally:
+        object.__setattr__(x, "carried", own)
+
+
+# -- the audit ------------------------------------------------------------------------------
+
+def test_the_audit_refuses_a_false_claim(thmfl, broken_jacobi):
+    # `audit` runs after every test; here it is handed claims it must refuse, one fault each
+    with pytest.raises(AssertionError, match="entailed jacobi_check"):
+        audit([(jacobi_check, (broken_jacobi,), Certificate.passed("jacobi"))], [])
+    # a true certificate, but keyed on a list, which its caller could change
+    g, deltas = thmfl.bialg.g, cobracket_from_dual(thmfl.bialg.dual)
+    on_list = {(cocycle_check.__wrapped__, id(g), id(deltas)):
+               (cocycle_check(g, deltas), (g, deltas), {})}
+    with carrying(thmfl.bialg, on_list), pytest.raises(AssertionError, match="on a list"):
+        audit([], [thmfl.bialg])
+    # the fresh certificate with one violation more
+    cert = jacobi_check(broken_jacobi)
+    miscounted = {(jacobi_check.__wrapped__, id(broken_jacobi)):
+                  (cert._replace(violations=cert.violations + 1),)}
+    with carrying(broken_jacobi, miscounted), pytest.raises(AssertionError,
+                                                            match="carried jacobi_check"):
+        audit([], [broken_jacobi])
+    # the true claims pass
+    audit([(jacobi_check, (g,), Certificate.passed("jacobi"))], [thmfl.bialg, broken_jacobi])
 
 
 # -- frozen ---------------------------------------------------------------------------------
 
-def test_assigning_a_slot_raises(thmfl, built):
+def test_assigning_a_slot_raises(thmfl, entailment_audit):
     checked = [thmfl, thmfl.bialg, thmfl.bialg.g, thmfl.bialg.dual]
     unchecked = [cls.unchecked(*args) for cls, (args, *_) in CASES.items()]
     drinfeld_double(thmfl)
     assert {type(x) for x in unchecked} == set(Checked.__subclasses__())
-    for x in checked + unchecked + built:
+    for x in checked + unchecked + entailment_audit.built:
         for slot in (*type(x).__slots__, "carried"):
             value = getattr(x, slot)
             with pytest.raises(AttributeError):
@@ -145,7 +152,7 @@ def test_a_failed_construction_carries_nothing():
 
 # -- what is carried is keyed on frozen parts and equals a fresh computation ----------------
 
-def test_a_checked_structure_carries_its_check(thmfl):
+def test_a_checked_structure_carries_its_check(thmfl, entailment_audit):
     g, dual = thmfl.bialg.g, thmfl.bialg.dual
     for L in (g, dual):
         assert (jacobi_check.__wrapped__, id(L)) in L.carried
@@ -157,7 +164,7 @@ def test_a_checked_structure_carries_its_check(thmfl):
     assert {"is_lie_bialgebra", "bialgebra_cocycle"} <= names and "cocycle_check" not in names
     # the carrier's own entries drop their arguments, so a structure holds no cycle
     assert all(len(v) == 1 for k, v in dual.carried.items() if id(dual) in k)
-    assert verify_carried([thmfl, thmfl.bialg, g, dual]) == len(thmfl.carried)
+    assert carried_keys(entailment_audit, [thmfl, thmfl.bialg, g, dual]) == set(thmfl.carried)
 
 
 def test_a_form_is_frozen():
@@ -172,7 +179,7 @@ def test_a_form_is_frozen():
     assert operator_form_compat(L, S, Mat.identity(2), "reynolds-compat").ok
 
 
-def test_entries_keyed_on_a_form_travel(thmfl, sl2_qrb, scans):
+def test_entries_keyed_on_a_form_travel(thmfl, sl2_qrb, scans, entailment_audit):
     # a `BilinForm` is frozen, so entries keyed on a form, or on a structure that holds one,
     # travel, stage names included; each equals a fresh computation
     mt = matched_to_manin(canonical_pair(thmfl))
@@ -193,21 +200,23 @@ def test_entries_keyed_on_a_form_travel(thmfl, sl2_qrb, scans):
     scans.clear()
     r_from_qrb(sl2_qrb)
     assert scans["invariant-form"] == 0
-    assert verify_carried([out, sl2_qrb]) == len(out.carried) + len(sl2_qrb.carried)
+    assert len(carried_keys(entailment_audit, [out, sl2_qrb])) == len(out.carried) + len(
+        sl2_qrb.carried)
 
 
-def test_a_checked_matched_pair_carries_its_cross_compatibilities(thmfl):
+def test_a_checked_matched_pair_carries_its_cross_compatibilities(thmfl, entailment_audit):
     # the stage names are passed positionally, so the entries keyed on them travel
     rmp = canonical_pair(thmfl)
     checked = ReynoldsMatchedPair(rmp.pair, rmp.Rg, rmp.Rh)
     stages = {v[0].check for key, v in checked.carried.items()
               if key[0].__name__ in ("compat_certificate", "compat_stage")}
     assert stages == {"cross-compat-rho", "cross-compat-mu", "compat-on-h", "compat-on-g"}
-    assert verify_carried([checked]) == len(checked.carried)
+    assert carried_keys(entailment_audit, [checked]) == set(checked.carried)
 
 
 def test_carried_certificates_on_every_registry_document(tmp_path, sl2, b_op, sl2_reynolds,
-                                                        sl2_qrb, thmfl, built, capsys):
+                                                        sl2_qrb, thmfl, entailment_audit,
+                                                        capsys):
     docs, checks, builds = _every_kind(tmp_path, sl2, b_op, sl2_reynolds, sl2_qrb, thmfl)
     paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
     for kind, (name, flags) in checks.items():
@@ -215,15 +224,16 @@ def test_carried_certificates_on_every_registry_document(tmp_path, sl2, b_op, sl
     for kind, (name, flags) in builds.items():
         assert main_build([kind, paths[name]] + flags + ["-o", str(tmp_path / "o.json")]) == 0
     capsys.readouterr()
-    carriers = [x for x in built if x.carried]
-    assert len(carriers) > len(builds)
-    assert verify_carried(built) >= 50
+    built = entailment_audit.built
+    assert len([x for x in built if x.carried]) > len(builds)
+    assert len(carried_keys(entailment_audit, built)) >= 50
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_carried_certificates_on_the_build_pipeline(seed, built, monkeypatch, tmp_path):
+def test_carried_certificates_on_the_build_pipeline(seed, entailment_audit, monkeypatch,
+                                                   tmp_path):
     monkeypatch.syspath_prepend(PERFBENCH)
     import workloads
     for op in workloads.build_pipeline(seed, str(tmp_path)):
         assert op.check(op.run()) is None, op.name
-    assert verify_carried(built) >= 300
+    assert len(carried_keys(entailment_audit, entailment_audit.built)) >= 300

@@ -141,7 +141,7 @@ def test_checked_constructor_gate_and_equality(cls):
                 cls(*a)
             assert exc.value.certificate == gate
     built = cls.unchecked(*args)
-    assert built == cls.unchecked(*args) == cls(*args, check=False)
+    assert built == cls.unchecked(*args) == cls.unchecked(*args)
     assert built != cls.unchecked(*changed)
     assert all(built != other.unchecked(*CASES[other][0]) for other in CASES if other is not cls)
 
@@ -153,8 +153,13 @@ def test_representation_equality_ignores_labels():
 
 
 def test_no_constructor_takes_a_check_flag():
+    # `X.unchecked(...)` is the one way to skip the gate, and what it builds carries nothing
     assert [cls.__name__ for cls in CASES
             if "check" in inspect.signature(cls.__init__).parameters] == []
+    for cls, (args, *_) in CASES.items():
+        with pytest.raises(TypeError, match="unexpected keyword argument 'check'"):
+            cls(*args, check=False)
+        assert cls.unchecked(*args).carried == ()
 
 
 def test_a_subclass_without_a_gate_is_refused():

@@ -45,7 +45,7 @@ def test_matched_pair_failure_pinpointed(sl2):
     g = sl2
     h = sl2
     rho = Representation.zero(g, 3)
-    mu = Representation(h, 3, coadjoint_rep(h).rho, check=False)
+    mu = Representation.unchecked(h, 3, coadjoint_rep(h).rho)
     cert = is_matched_pair(g, h, rho, mu)
     assert not cert.ok
     bad = cert.first_failure()
@@ -73,7 +73,7 @@ def test_double_trivial_is_direct_sum(sl2):
 
 def test_double_coadjoint_mixed_bracket(sl2):
     h = LieAlgebra.abelian(3, ("H*", "X*", "Y*"))
-    rho = Representation(sl2, 3, coadjoint_rep(sl2).rho, labels=h.basis, check=False)
+    rho = Representation.unchecked(sl2, 3, coadjoint_rep(sl2).rho, labels=h.basis)
     mu = Representation.zero(h, 3, labels=sl2.basis)
     d = double(MatchedPair(sl2, h, rho, mu))
     # [H, X*] = ad*_H X* = -2X*

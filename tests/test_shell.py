@@ -73,6 +73,14 @@ def test_trivial_matched_looks_both_entries_up_before_it_builds_either(name, mes
     assert sum(scans.values()) == 0
 
 
+@pytest.mark.parametrize("name", ["trivial_matched(sl2,sl2)", "trivial_matched(sl2, sl2)"])
+def test_trivial_matched_builds_an_entry_named_twice_once(name, scans, capsys):
+    # g and h are one algebra, built and checked once, so its Jacobi identity is scanned once
+    assert main_cat([name]) == 0
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
+    assert scans["jacobi"] == 1
+
+
 def test_catalog_names_listing():
     assert names() == ("sl2", "sl2.B", "sl2.S", "sl2.r", "sl2.km_dual",
                        "abelian(n)", "block(q,lo,hi)", "trivial_matched(a,b)")
@@ -313,6 +321,11 @@ def test_cli_exit_2_on_bad_input(tmp_path, sl2, r_tensor, capsys):
         assert captured.out == "" and captured.err.startswith("input error: "), argv
     main_check(["jacobi", str(latin1)])
     assert f"{latin1}: not UTF-8 text" in capsys.readouterr().err
+    # `ReynoldsLieAlgebra` refuses an operator of the wrong shape, and the loader contract
+    # turns its message into the input error
+    op2 = write(tmp_path, "op2.json", fio.operator_to_doc(Mat.identity(2)))
+    assert main_check(["reynolds", sl2_doc, "--op", op2]) == 2
+    assert capsys.readouterr() == ("", "input error: operator shape does not match the algebra\n")
 
 
 def test_cli_takes_one_input_document(tmp_path, sl2, capsys):

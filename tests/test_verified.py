@@ -86,7 +86,7 @@ def constructions(sl2, b_op, sl2_reynolds, sl2_qrb, thmfl):
     pair = rmp.pair
     twice = Mat.identity(3).scale(2)
     bad_rb = RotaBaxterAlg.unchecked(sl2, twice, 0)
-    bad_mu = Representation(pair.h, 3, [m.scale(2) for m in pair.mu.rho], check=False)
+    bad_mu = Representation.unchecked(pair.h, 3, [m.scale(2) for m in pair.mu.rho])
     bad_rmp = ReynoldsMatchedPair.unchecked(pair, twice, rmp.Rh)
     bad_op = Mat([[1, 1, 0], [0, 0, 1], [1, 0, 0]])   # its induced bracket fails Jacobi
     return [
