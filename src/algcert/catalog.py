@@ -109,12 +109,12 @@ def _block(name: str, q: str, lo: str, hi: str, skip: str | None) -> tuple:
 
 
 def _trivial_matched(name: str, g: str, h: str) -> tuple:
-    """rho = mu = 0 with zero operators on both sides, on two algebra entries, both looked up
-    before either is built; an entry named twice is built once."""
+    """rho = mu = 0, zero operators, on two algebra entries looked up first; each built once."""
     names = [x.strip() for x in (g, h)]
     if [_lookup(x)[0] for x in names] != ["algebra", "algebra"]:
         raise InputError("trivial_matched needs two algebra entries")
-    g, h = map({x: catalog(x).payload for x in dict.fromkeys(names)}.get, names)
+    g = catalog(names[0]).payload
+    h = g if names[1] == names[0] else catalog(names[1]).payload
     rmp = ac.ReynoldsMatchedPair.unchecked(
         ac.MatchedPair.trivial(g, h), Mat.zeros(g.dim, g.dim), Mat.zeros(h.dim, h.dim))
     return rmp, (rmp.gate(),)
