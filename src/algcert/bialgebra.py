@@ -18,8 +18,7 @@ from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, products, sapp
                     table_rows, tensor_map, unpack)
 from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
                   dual_basis, is_representation, jacobiator, mult_cols, packed_outer)
-from .matched import (COMPAT_ON_G, COMPAT_ON_H, CROSS_MU, CROSS_RHO, MatchedPair,
-                      ReynoldsMatchedPair, compat_stage, reynolds_double)
+from .matched import MatchedPair, ReynoldsMatchedPair, compat_stage, reynolds_double
 from .reynolds import ReynoldsLieAlgebra, compat_certificate, is_reynolds
 
 
@@ -203,10 +202,11 @@ def drinfeld_double(rb: ReynoldsLieBialgebra) -> ReynoldsLieAlgebra:
     Each stage of the canonical pair's `is_reynolds_matched_pair` is a linear identity of the
     construction, entailed by a passed leaf of the gate: ad* of g and of g* (residual
     −(ad's)ᵀ, column k J(e_i, e_j, e_k)) by `jacobi_check` of each; compat-on-h and
-    compat-on-g (the cocycle residual reindexed, `_compat_stages`) by `bialgebra_cocycle`;
-    cross-compat-rho and -mu (minus the transposed Reynolds residuals of (g, R) and
-    (g*, −Rᵀ), as in `dual_reynolds_rep`) by `is_reynolds` of each.  `double` and
-    `reynolds_double` entail the double's own checks in turn.
+    compat-on-g, `compat_stage` on the pair and on its swap (the cocycle residual reindexed),
+    by `bialgebra_cocycle`; cross-compat-rho and -mu, `compat_certificate` of (R, ρ, −Rᵀ) and
+    (−Rᵀ, μ, R) (minus the transposed Reynolds residuals of (g, R) and (g*, −Rᵀ), as in
+    `dual_reynolds_rep`), by `is_reynolds` of each.  The entries are keyed on the unnamed
+    leaves.  `double` and `reynolds_double` entail the double's own checks in turn.
     """
     require(rb.gate())
     g, dual, R, Rt = rb.bialg.g, rb.bialg.dual, rb.R, rb.Rt
@@ -215,10 +215,10 @@ def drinfeld_double(rb: ReynoldsLieBialgebra) -> ReynoldsLieAlgebra:
     cocycle = [bialgebra_cocycle(g, dual)]
     entail(is_representation, (rho,), "representation", [g.gate()])
     entail(is_representation, (mu,), "representation", [dual.gate()])
-    entail(compat_stage, (g, dual, rho, mu, COMPAT_ON_H), COMPAT_ON_H, cocycle)
-    entail(compat_stage, (dual, g, mu, rho, COMPAT_ON_G), COMPAT_ON_G, cocycle)
-    entail(compat_certificate, (R, rho, Rt, CROSS_RHO), CROSS_RHO, [is_reynolds(g, R)])
-    entail(compat_certificate, (Rt, mu, R, CROSS_MU), CROSS_MU, [is_reynolds(dual, Rt)])
+    entail(compat_stage, (g, dual, rho, mu), "compat-on-h", cocycle)
+    entail(compat_stage, (dual, g, mu, rho), "compat-on-h", cocycle)
+    entail(compat_certificate, (R, rho, Rt), "compatibility", [is_reynolds(g, R)])
+    entail(compat_certificate, (Rt, mu, R), "compatibility", [is_reynolds(dual, Rt)])
     return reynolds_double(rmp)
 
 

@@ -109,14 +109,15 @@ def _block(name: str, q: str, lo: str, hi: str, skip: str | None) -> tuple:
 
 
 def _trivial_matched(name: str, g: str, h: str) -> tuple:
-    """rho = mu = 0, zero operators, on two algebra entries looked up first; each built once."""
+    """Zero actions and operators on two algebra entries looked up first; one of each per name."""
     names = [x.strip() for x in (g, h)]
     if [_lookup(x)[0] for x in names] != ["algebra", "algebra"]:
         raise InputError("trivial_matched needs two algebra entries")
     g = catalog(names[0]).payload
     h = g if names[1] == names[0] else catalog(names[1]).payload
+    Rg = Mat.zeros(g.dim, g.dim)
     rmp = ac.ReynoldsMatchedPair.unchecked(
-        ac.MatchedPair.trivial(g, h), Mat.zeros(g.dim, g.dim), Mat.zeros(h.dim, h.dim))
+        ac.MatchedPair.trivial(g, h), Rg, Rg if h is g else Mat.zeros(h.dim, h.dim))
     return rmp, (rmp.gate(),)
 
 

@@ -130,7 +130,7 @@ def require(cert: Certificate) -> Certificate:
 # the certificates of the outermost `verified` call running in this context, or None
 _scope: ContextVar[dict | None] = ContextVar("algcert_verified_scope", default=None)
 # see `Checked._held`; `lie` adds `BilinForm`, which is frozen
-_LEAVES = {tuple, Mat, Table, Tensor2, Tensor3, int, Fraction, str}
+_LEAVES = {tuple, Mat, Table, Tensor2, Tensor3, int, Fraction}
 
 
 def verified(fn):
@@ -138,7 +138,8 @@ def verified(fn):
 
     The outermost decorated call opens a scope, seeded with the entries its `Checked`
     arguments carry, and drops it when it returns or raises.  Inside it a call whose result
-    is a `Certificate` is memoized on the function and the identity of each argument; the
+    is a `Certificate` is memoized on the function and the identity of each argument: the
+    objects the check decides, never a stage name (a composite renames a certificate).  The
     entry, or its carrier, holds the arguments, so no id is reused while it lives.  That is
     sound because certificates are immutable, carried entries keyed on frozen objects and no
     library function mutates its arguments; a construction's result is never memoized.
@@ -199,16 +200,14 @@ class _Carrying(type):
 
 @verified
 def _checked_init(obj, *args, **kwargs) -> dict:
-    """Run obj's `__init__`, then require its gate, in a scope: the entries keyed on obj and
-    its parts only, or, for an entry not keyed on obj, on its parts and on str arguments
-    (stage names), which the entry itself holds."""
+    """Run obj's `__init__`, then require its gate, in a scope: what obj carries is exactly the
+    scope's entries keyed on obj and its frozen parts, each as ``(certificate,)``.  obj holds
+    what they are keyed on, so no entry keeps its arguments, and obj holds no cycle."""
     obj.__init__(*args, **kwargs)
     require(obj.gate())
-    ids, me = set(), id(obj)
-    obj._held(ids)      # an entry keyed on obj drops its arguments: obj holds no cycle
-    return {k: (v[0],) if me in k else v for k, v in _scope.get().items()
-            if ids.issuperset(k[1:]) or len(v) == 3 and str in map(type, v[1]) and not v[2]
-            and me not in k and all(id(a) in ids or type(a) is str for a in v[1])}
+    ids = set()
+    obj._held(ids)
+    return {k: v[:1] for k, v in _scope.get().items() if ids.issuperset(k[1:])}
 
 
 class Checked(metaclass=_Carrying):
@@ -220,9 +219,9 @@ class Checked(metaclass=_Carrying):
     ``__init__``, then requires the gate, raising `CheckFailed` on a violation;
     ``X.unchecked(...)``, the one way to skip it, lets checks report on invalid data.
     Equality is field-wise over the subclass's `__slots__`, between instances of the same
-    class.  An instance is frozen once built: assigning a slot raises.  A checked one keeps in
-    `carried` what its check certified about it and its parts, which seeds each outermost
-    `verified` call it is handed: sound, as what an entry is keyed on cannot change.
+    class.  An instance is frozen once built: assigning a slot raises.  A checked one carries
+    the ``(certificate,)`` of each entry its check left keyed on it and its parts only, which
+    seeds each outermost `verified` call it is handed: sound, as those cannot change.
     """
 
     __slots__ = ("carried",)

@@ -49,19 +49,20 @@ def cybe_bracket(g: LieAlgebra, r: Tensor2) -> Tensor3:
 
 
 @verified
-def ad_invariance_cert(g: LieAlgebra, t: Tensor2, name: str = "ad-invariance") -> Certificate:
+def ad_invariance_cert(g: LieAlgebra, t: Tensor2) -> Certificate:
     """(ad_x⊗Id + Id⊗ad_x)(t) = 0 for every basis x."""
     if t.dim_left != g.dim or t.dim_right != g.dim:
         raise ValueError("tensor must live on g⊗g")
     ads, den = mult_cols(g.sc)
-    return scan(name, (((k,), leg_sum(t.ientries, ad, 2)) for k, ad in enumerate(ads)), den * t.den)
+    return scan("ad-invariance", (((k,), leg_sum(t.ientries, ad, 2)) for k, ad in enumerate(ads)),
+                den * t.den)
 
 
 @verified
 def symmetric_part_invariance(g: LieAlgebra, r: Tensor2) -> Certificate:
     """ad-invariance of r + σ(r), keyed on r itself, so that a step can name the certificate
     that a check it called required."""
-    return ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance")
+    return ad_invariance_cert(g, r + flip(r))._replace(check="symmetric-part-invariance")
 
 
 @verified

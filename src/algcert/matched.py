@@ -50,39 +50,35 @@ class MatchedPair(Checked, gate=lambda mp: is_matched_pair(mp.g, mp.h, mp.rho, m
 
     @classmethod
     def trivial(cls, g: LieAlgebra, h: LieAlgebra) -> "MatchedPair":
-        return cls.unchecked(g, h, Representation.zero(g, h.dim, labels=h.basis),
+        """Zero actions; on h = g, ρ and μ are one zero action of g on itself."""
+        rho = Representation.zero(g, h.dim, labels=h.basis)
+        return cls.unchecked(g, h, rho, rho if h is g else
                              Representation.zero(h, g.dim, labels=g.basis))
 
 
-# the stage names, passed positionally: a check keyed on one object of each travels with a
-# checked structure, and `drinfeld_double` entails it under the same key
-COMPAT_ON_H, COMPAT_ON_G = "compat-on-h", "compat-on-g"
-CROSS_RHO, CROSS_MU = "cross-compat-rho", "cross-compat-mu"
-
-
 @verified
-def compat_stage(g: LieAlgebra, h: LieAlgebra, rho: Representation, mu: Representation,
-                 name: str) -> Certificate:
-    """rho(x)[a,b] = [rho(x)a,b] + [a,rho(x)b] + rho(mu(b)x)a − rho(mu(a)x)b over basis x of g
-    and a < b of h.  The residual is minus the h-block of J(e_x, f_a, f_b) on the integer table
-    of g⋈h under one scale D: the scale is −D²."""
+def compat_stage(g: LieAlgebra, h: LieAlgebra, rho: Representation,
+                 mu: Representation) -> Certificate:
+    """compat-on-h: rho(x)[a,b] = [rho(x)a,b] + [a,rho(x)b] + rho(mu(b)x)a − rho(mu(a)x)b over
+    basis x of g and a < b of h.  The residual is minus the h-block of J(e_x, f_a, f_b) on the
+    integer table of g⋈h under one scale D: the scale is −D²."""
     n, m = g.dim, h.dim
     gsc, hsc, *cols, den = integral(g.sc, h.sc, *rho.rho, *mu.rho)
     table = double_table(gsc, hsc, cols[:n], cols[n:])
     outer, w = packed_outer(table, n + m, n, n + m)
-    return scan(name, (((i, a, b), jacobiator(table, outer, i, n + a, n + b))
-                       for i in range(n) for a, b in combinations(range(m), 2)),
+    return scan("compat-on-h", (((i, a, b), jacobiator(table, outer, i, n + a, n + b))
+                                for i in range(n) for a, b in combinations(range(m), 2)),
                 -den * den, lambda v: unpack(v, w))
 
 
 def _compat_stages(g: LieAlgebra, h: LieAlgebra, rho: Representation,
                    mu: Representation) -> list[Certificate]:
-    """compat-on-h, then compat-on-g: the same identity with the roles swapped, whose residual at
-    (a, i, j) is minus the g-block of J(f_a, e_i, e_j), as h⋈g is g⋈h with its blocks swapped.
-    On the canonical pair (g, g*; ad*, ad*), where the pairing is invariant, compat-on-h at
-    (i, a, b), entry c, is −cocycle(i, c) at (a, b), and compat-on-g at (a, i, j), entry c,
-    is −cocycle(i, j) at (a, c)."""
-    return [compat_stage(g, h, rho, mu, COMPAT_ON_H), compat_stage(h, g, mu, rho, COMPAT_ON_G)]
+    """compat-on-h, then compat-on-g: the same identity with the roles swapped, renamed, whose
+    residual at (a, i, j) is minus the g-block of J(f_a, e_i, e_j), as h⋈g is g⋈h with its
+    blocks swapped.  On the canonical pair (g, g*; ad*, ad*), where the pairing is invariant,
+    compat-on-h at (i, a, b), entry c, is −cocycle(i, c) at (a, b), and compat-on-g at
+    (a, i, j), entry c, is −cocycle(i, j) at (a, c)."""
+    return [compat_stage(g, h, rho, mu), compat_stage(h, g, mu, rho)._replace(check="compat-on-g")]
 
 
 @verified
@@ -130,8 +126,8 @@ def is_reynolds_matched_pair(rmp: ReynoldsMatchedPair) -> Certificate:
         mp.gate(),
         Certificate.combine("reynolds-g", [is_reynolds(mp.g, rmp.Rg)]),
         Certificate.combine("reynolds-h", [is_reynolds(mp.h, rmp.Rh)]),
-        compat_certificate(rmp.Rg, mp.rho, rmp.Rh, CROSS_RHO),
-        compat_certificate(rmp.Rh, mp.mu, rmp.Rg, CROSS_MU),
+        compat_certificate(rmp.Rg, mp.rho, rmp.Rh)._replace(check="cross-compat-rho"),
+        compat_certificate(rmp.Rh, mp.mu, rmp.Rg)._replace(check="cross-compat-mu"),
     ]
     return Certificate.combine("reynolds-matched-pair", parts)
 
@@ -187,14 +183,14 @@ def _closure_cert(L: LieAlgebra, R: Mat, part: tuple[int, ...], name: str) -> Ce
     def outside(v):
         return {k: c for k, c in v.items() if k not in inside}
 
-    pairs = (((i, j), outside(sc.get((i, j), {}))) for i in part for j in part if i < j)
-    images = (((i,), outside(cols[i])) for i in part)
+    pairs = (((i, j), outside(sc.get((i, j), {}))) for i, j in combinations(sorted(inside), 2))
+    images = (((i,), outside(cols[i])) for i in sorted(inside))
     return scan(name, chain(pairs, images), den)
 
 
 def _isotropy_cert(S: BilinForm, part: tuple[int, ...], name: str) -> Certificate:
-    cols = S.gram.icols
-    return scan(name, (((i, j), cols[j].get(i, 0)) for i in part for j in part), S.gram.den)
+    cols, inside = S.gram.icols, sorted(set(part))
+    return scan(name, (((i, j), cols[j].get(i, 0)) for i in inside for j in inside), S.gram.den)
 
 
 @verified

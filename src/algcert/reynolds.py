@@ -184,11 +184,10 @@ def reynolds_coadjoint_rep(A: ReynoldsLieAlgebra) -> ReynoldsRep:
 
 
 @verified
-def compat_certificate(R: Mat, rep: Representation, T: Mat,
-                       name: str = "compatibility") -> Certificate:
+def compat_certificate(R: Mat, rep: Representation, T: Mat) -> Certificate:
     """rho(Rx)(Tu) = T(rho(x)(Tu) + rho(Rx)u - rho(Rx)(Tu)) over basis (x, u)."""
     pairs = product(range(len(rep.rho)), range(rep.module_dim))
-    return operator_identity(name, rep.rho, R, T, pairs, ZERO, -ONE)
+    return operator_identity("compatibility", rep.rho, R, T, pairs, ZERO, -ONE)
 
 
 @verified
@@ -232,9 +231,10 @@ class QuadraticReynolds(Checked, gate=lambda Q: is_quadratic_reynolds(Q.base, Q.
 
 
 @verified
-def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,
+def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat,
                          lam: Fraction | None = None) -> Certificate:
-    """S(Re_i,e_j) + S(e_i,Re_j) (+ lam·S(e_i,e_j)) = 0 over all pairs, one per orbit.
+    """S(Re_i,e_j) + S(e_i,Re_j) (+ lam·S(e_i,e_j)) = 0 over all pairs, one per orbit: the
+    stage `reynolds-compat`, or `rb-compat` with a weight lam.
 
     `BilinForm` rejects a non-symmetric gram matrix S, so SR = (RᵀS)ᵀ and the value
     RᵀS + SR (+ lam·S) is symmetric: `scan` visits i ≤ j and counts i < j twice.
@@ -242,7 +242,8 @@ def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,
     m = R.transpose() @ S.gram
     m = m + m.transpose() if lam is None else m + m.transpose() + S.gram.scale(lam)
     cols, pairs = m.icols, combinations_with_replacement(range(L.dim), 2)
-    return scan(name, (((i, j), cols[j].get(i, 0)) for i, j in pairs), m.den,
+    return scan("reynolds-compat" if lam is None else "rb-compat",
+                (((i, j), cols[j].get(i, 0)) for i, j in pairs), m.den,
                 orbit=lambda t: 1 + (t[0] < t[1]))
 
 
@@ -250,7 +251,7 @@ def operator_form_compat(L: LieAlgebra, S: BilinForm, R: Mat, name: str,
 def is_quadratic_reynolds(A: ReynoldsLieAlgebra, S: BilinForm) -> Certificate:
     """Quadratic (invariant + nondegenerate) plus the R-compatibility of S."""
     quad = is_quadratic(A.L, S)
-    compat = operator_form_compat(A.L, S, A.R, "reynolds-compat")
+    compat = operator_form_compat(A.L, S, A.R)
     return Certificate.combine("quadratic-reynolds", [quad, compat])
 
 

@@ -79,7 +79,7 @@ class QuadraticRB(Checked, gate=lambda Q: is_quadratic_rb(Q.rb, Q.S)):
 def is_quadratic_rb(rb: RotaBaxterAlg, S: BilinForm) -> Certificate:
     """Quadratic (L,S) plus S(x,By) + S(Bx,y) + λS(x,y) = 0 over pairs."""
     quad = is_quadratic(rb.L, S)
-    compat = operator_form_compat(rb.L, S, rb.B, "rb-compat", lam=rb.lam)
+    compat = operator_form_compat(rb.L, S, rb.B, rb.lam)
     rbc = rb.gate()
     return Certificate.combine("quadratic-rb", [rbc, quad, compat])
 

@@ -16,7 +16,7 @@ from algcert.rotabaxter import QuadraticRB, RotaBaxterAlg, thmFL_bialgebra
 
 
 # what a carried entry may be keyed on: read-only or frozen values
-FROZEN = (Checked, BilinForm, tuple, Mat, Table, Tensor2, Tensor3, int, Fraction, str)
+FROZEN = (Checked, BilinForm, tuple, Mat, Table, Tensor2, Tensor3, int, Fraction)
 
 
 def parts(x, seen=None) -> dict:
@@ -45,29 +45,29 @@ def fresh(fn, args) -> Certificate:
 def audit(entailed, built) -> None:
     """Assert that the claims library calls left behind are true.  `entailed` holds
     ``(check, args, certificate)`` for each certificate `certificates.entail` recorded, and
-    `built` the structures constructed.  No carried entry is keyed on a list, and each is keyed
-    only on its carrier and the carrier's read-only or frozen parts, or on a stage name the
-    entry holds.  Every claimed certificate, entailed or carried, equals the one its
-    undecorated check computes on the same arguments in an empty scope, so all claims on one
-    key agree."""
+    `built` the structures constructed.  Every carried value is ``(certificate,)``: it keeps
+    no arguments.  No carried entry is keyed on a list, and each is keyed only on its carrier
+    and the carrier's read-only or frozen parts.  Every claimed certificate, entailed or
+    carried, equals the one its undecorated check computes on the same arguments in an empty
+    scope, so all claims on one key agree."""
     claims = {}      # key -> (args, [(how it was claimed, certificate), ...])
     for check, args, cert in entailed:
         key = (inspect.unwrap(check), *map(id, args))
         claims.setdefault(key, (args, []))[1].append(("entailed", cert))
     for x in built:
         held = parts(x) if x.carried else {}
-        for key, (cert, *rest) in dict(x.carried).items():
+        for key, value in dict(x.carried).items():
             fn, ids = key[0], key[1:]
-            stored, kwargs = rest or ((), {})     # an entry keyed on x stores no arguments
-            assert not any(type(a) is list for a in (*stored, *kwargs.values())), (
-                f"carried {fn.__name__} is keyed on a list")
-            names = {id(a): a for a in stored if type(a) is str}
-            assert all(type(i) is int and (i in held or i in names) for i in ids), (
+            assert type(value) is tuple and len(value) == 1 and type(value[0]) is Certificate, (
+                f"carried {fn.__name__} keeps more than its certificate")
+            assert all(type(i) is int and i in held for i in ids), (
                 f"carried {fn.__name__} is keyed on what {type(x).__name__} does not hold")
-            args = tuple(held[i] if i in held else names[i] for i in ids)
+            args = tuple(held[i] for i in ids)
+            assert not any(type(a) is list for a in args), (
+                f"carried {fn.__name__} is keyed on a list")
             assert all(isinstance(a, FROZEN) for a in args), (
                 f"carried {fn.__name__} is keyed on a value that can change")
-            claims.setdefault(key, (args, []))[1].append(("carried", cert))
+            claims.setdefault(key, (args, []))[1].append(("carried", value[0]))
     for key, (args, recorded) in claims.items():
         got = fresh(key[0], args)
         for how, cert in recorded:

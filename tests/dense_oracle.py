@@ -117,13 +117,14 @@ def is_rota_baxter(L, B: Mat, lam) -> Certificate:
                                 for i, j in combinations(range(L.dim), 2)))
 
 
-def operator_form_compat(L, S, R: Mat, name: str, lam=None) -> Certificate:
+def operator_form_compat(L, S, R: Mat, lam=None) -> Certificate:
     def value(ei, ej):
         val = _form_eval(S.gram, R.apply(ei), ej) + _form_eval(S.gram, ei, R.apply(ej))
         return val if lam is None else val + lam * _form_eval(S.gram, ei, ej)
     n = L.dim
-    return scan(name, (((i, j), value(vbasis(n, i), vbasis(n, j)))
-                       for i, j in product(range(n), repeat=2)))
+    return scan("reynolds-compat" if lam is None else "rb-compat",
+                (((i, j), value(vbasis(n, i), vbasis(n, j)))
+                 for i, j in product(range(n), repeat=2)))
 
 
 # -- NS-Lie products on dense vectors ---------------------------------------
@@ -342,8 +343,8 @@ def compat_cases(R: Mat, rep, T: Mat):
             yield (i, a), diff.col(a)
 
 
-def compat_certificate(R: Mat, rep, T: Mat, name: str = "compatibility") -> Certificate:
-    return scan(name, compat_cases(R, rep, T))
+def compat_certificate(R: Mat, rep, T: Mat) -> Certificate:
+    return scan("compatibility", compat_cases(R, rep, T))
 
 
 def induced_matched_pair(rmp):
@@ -452,12 +453,12 @@ def cybe_bracket(g, r) -> Tensor3:
     return Tensor3((n, n, n), data)
 
 
-def ad_invariance_cert(g, t, name: str = "ad-invariance") -> Certificate:
+def ad_invariance_cert(g, t) -> Certificate:
     ident = Mat.identity(g.dim)
 
     def residual(ad_k):
         return tensor2_map(ad_k, ident, t) + tensor2_map(ident, ad_k, t)
-    return scan(name, (((k,), residual(ad(g, k))) for k in range(g.dim)))
+    return scan("ad-invariance", (((k,), residual(ad(g, k))) for k in range(g.dim)))
 
 
 def reynolds_tensor_condition(R: Mat, r) -> Certificate:
@@ -675,7 +676,7 @@ def coboundary_cobracket(g, r) -> list:
 
 def coboundary_conditions(g, r) -> Certificate:
     ident = Mat.identity(g.dim)
-    inv = ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance")
+    inv = ad_invariance_cert(g, r + flip(r))._replace(check="symmetric-part-invariance")
     rr = cybe_bracket(g, r)
 
     def residual(ad_k):
@@ -698,7 +699,7 @@ def reynolds_coboundary_condition(g, R: Mat, r) -> Certificate:
 
 
 def dual_bracket_from_r(g, r):
-    inv = ad_invariance_cert(g, r + flip(r), name="symmetric-part-invariance")
+    inv = ad_invariance_cert(g, r + flip(r))._replace(check="symmetric-part-invariance")
     if not inv.ok:
         raise CheckFailed(inv)
     n = g.dim

@@ -567,8 +567,8 @@ def check_cross_compat_is_reynolds(g: LieAlgebra, dual: LieAlgebra, R: Mat) -> N
                for p in range(n) for q in range(n)}
         for (i, a), col in dense.compat_cases(op, act, T):
             assert list(col) == [-rey[i, b][a] for b in range(n)], (i, a)
-        cert = compat_certificate(op, act, T, "cross")
-        assert cert == dense.compat_certificate(op, act, T, "cross")
+        cert = compat_certificate(op, act, T)
+        assert cert == dense.compat_certificate(op, act, T)
         assert cert.ok == is_reynolds(L, op).ok
 
 
@@ -681,7 +681,7 @@ def check_cybe_is_the_rota_baxter_residual(L: LieAlgebra, S: BilinForm, B: Mat, 
     """Tuple by tuple: [[r,r]] at (i, j, k) is Σ_ab S⁻¹_ia·S⁻¹_jb·P(e_a, e_b)_k, P the Rota-Baxter
     residual of weight λ; so the CYBE holds exactly when B is Rota-Baxter."""
     n, si = L.dim, S.gram.inverse().entries
-    assert is_invariant_form(L, S).ok and operator_form_compat(L, S, B, "c", lam=lam).ok
+    assert is_invariant_form(L, S).ok and operator_form_compat(L, S, B, lam).ok
     want: dict = {}
     for a, b in product(range(n), repeat=2):
         ea, eb = vbasis(n, a), vbasis(n, b)

@@ -3,17 +3,18 @@
 A `Checked` structure built with its check keeps, in `carried`, the memo entries of
 `certificates.verified` that its check left about it and its parts; the next outermost
 call it is handed starts from them.  That is sound only if nothing an entry is keyed on
-can change, so every structure is frozen once built, and an entry is kept only when
-every object it is keyed on is the structure or one of its frozen or read-only parts.
+can change, so every structure is frozen once built.  The one rule: a structure carries
+exactly the entries keyed on itself and its frozen parts, each as ``(certificate,)``.  No
+memo key holds a stage name, so no other entry needs carrying.
 
 These tests pin the trust side: assignment raises, on a structure and on a `BilinForm`
 (frozen too, so entries keyed on a form travel), an unchecked structure and a half-built
 one carry nothing, and the structures that carry are built where the audit sees them.
 The audit of `tests/conftest.py` recomputes carried certificates: after every test it checks
-that no carried entry of a structure the test built is keyed on a list or on anything but
-the structure's frozen parts and the entry's stage names, and that each carried certificate
-equals the one its check computes afresh.  Here it covers every registry document of the
-command line and three seeds of the benchmark's construction chains.
+that each carried value of a structure the test built is ``(certificate,)``, that no carried
+entry is keyed on a list or on anything but the structure's frozen parts, and that each
+carried certificate equals the one its check computes afresh.  Here it covers every registry
+document of the command line and three seeds of the benchmark's construction chains.
 """
 
 import os
@@ -22,15 +23,17 @@ from contextlib import contextmanager
 import pytest
 
 from algcert import certificates
-from algcert.bialgebra import (canonical_pair, cobracket_from_dual, cocycle_check,
-                               drinfeld_double, is_reynolds_bialgebra)
+from algcert.bialgebra import (bialgebra_cocycle, canonical_pair, cobracket_from_dual,
+                               cocycle_check, drinfeld_double, is_reynolds_bialgebra)
 from algcert.certificates import Certificate, Checked, CheckFailed, verified
 from algcert.cli import main_build, main_check
 from algcert.exact import Mat
 from algcert.lie import BilinForm, LieAlgebra, Representation, jacobi_check
-from algcert.matched import ManinTripleReynolds, ReynoldsMatchedPair, matched_to_manin
+from algcert.matched import (ManinTripleReynolds, ReynoldsMatchedPair, compat_stage,
+                             matched_to_manin)
 from algcert.nslie import NSLieAlgebra
-from algcert.reynolds import (ReynoldsLieAlgebra, ReynoldsRep, check_ssharp_intertwiner,
+from algcert.reynolds import (QuadraticReynolds, ReynoldsLieAlgebra, ReynoldsRep,
+                              check_ssharp_intertwiner, compat_certificate,
                               operator_form_compat)
 from algcert.rotabaxter import is_quadratic_rb, r_from_qrb
 
@@ -66,12 +69,26 @@ def test_the_audit_refuses_a_false_claim(thmfl, broken_jacobi):
     # `audit` runs after every test; here it is handed claims it must refuse, one fault each
     with pytest.raises(AssertionError, match="entailed jacobi_check"):
         audit([(jacobi_check, (broken_jacobi,), Certificate.passed("jacobi"))], [])
-    # a true certificate, but keyed on a list, which its caller could change
-    g, deltas = thmfl.bialg.g, cobracket_from_dual(thmfl.bialg.dual)
-    on_list = {(cocycle_check.__wrapped__, id(g), id(deltas)):
-               (cocycle_check(g, deltas), (g, deltas), {})}
-    with carrying(thmfl.bialg, on_list), pytest.raises(AssertionError, match="on a list"):
+    # a true certificate that keeps its arguments, which would hold them past their carrier
+    g, dual = thmfl.bialg.g, thmfl.bialg.dual
+    key = (bialgebra_cocycle.__wrapped__, id(g), id(dual))
+    with carrying(thmfl.bialg, {key: (bialgebra_cocycle(g, dual), (g, dual), {})}), (
+            pytest.raises(AssertionError, match="keeps more than its certificate")):
         audit([], [thmfl.bialg])
+    # a true certificate keyed on an object the carrier does not hold
+    other = LieAlgebra.unchecked(g.dim, g.basis, g.sc)
+    key = (jacobi_check.__wrapped__, id(other))
+    with carrying(thmfl.bialg, {key: (jacobi_check(other),)}), (
+            pytest.raises(AssertionError, match="does not hold")):
+        audit([], [thmfl.bialg])
+    # a true certificate, but keyed on a list, which its caller could change: an unchecked
+    # structure that holds one
+    deltas = cobracket_from_dual(dual)
+    holder = QuadraticReynolds.unchecked(ReynoldsLieAlgebra.unchecked(g, thmfl.R), deltas)
+    key = (cocycle_check.__wrapped__, id(g), id(deltas))
+    with carrying(holder, {key: (cocycle_check(g, deltas),)}), (
+            pytest.raises(AssertionError, match="on a list")):
+        audit([], [holder])
     # the fresh certificate with one violation more
     cert = jacobi_check(broken_jacobi)
     miscounted = {(jacobi_check.__wrapped__, id(broken_jacobi)):
@@ -176,12 +193,12 @@ def test_a_form_is_frozen():
         S.gram = Mat([[0, 1], [-1, 0]])
     assert S.gram == Mat.zeros(2, 2)
     L = LieAlgebra.abelian(2)
-    assert operator_form_compat(L, S, Mat.identity(2), "reynolds-compat").ok
+    assert operator_form_compat(L, S, Mat.identity(2)).ok
 
 
 def test_entries_keyed_on_a_form_travel(thmfl, sl2_qrb, scans, entailment_audit):
     # a `BilinForm` is frozen, so entries keyed on a form, or on a structure that holds one,
-    # travel, stage names included; each equals a fresh computation
+    # travel; each equals a fresh computation
     mt = matched_to_manin(canonical_pair(thmfl))
 
     @verified
@@ -205,12 +222,17 @@ def test_entries_keyed_on_a_form_travel(thmfl, sl2_qrb, scans, entailment_audit)
 
 
 def test_a_checked_matched_pair_carries_its_cross_compatibilities(thmfl, entailment_audit):
-    # the stage names are passed positionally, so the entries keyed on them travel
+    # no memo key holds a stage name, so all four compatibility stages travel, keyed on the
+    # pair's parts: compat-on-h and compat-on-g are `compat_stage` on the pair and on its swap,
+    # the cross compatibilities `compat_certificate` of (Rg, ρ, Rh) and (Rh, μ, Rg)
     rmp = canonical_pair(thmfl)
     checked = ReynoldsMatchedPair(rmp.pair, rmp.Rg, rmp.Rh)
-    stages = {v[0].check for key, v in checked.carried.items()
-              if key[0].__name__ in ("compat_certificate", "compat_stage")}
-    assert stages == {"cross-compat-rho", "cross-compat-mu", "compat-on-h", "compat-on-g"}
+    g, h, rho, mu, Rg, Rh = map(id, (rmp.pair.g, rmp.pair.h, rmp.pair.rho, rmp.pair.mu,
+                                     rmp.Rg, rmp.Rh))
+    stage, compat = compat_stage.__wrapped__, compat_certificate.__wrapped__
+    keys = {(stage, g, h, rho, mu): "compat-on-h", (stage, h, g, mu, rho): "compat-on-h",
+            (compat, Rg, rho, Rh): "compatibility", (compat, Rh, mu, Rg): "compatibility"}
+    assert {key: checked.carried[key][0].check for key in keys} == keys
     assert carried_keys(entailment_audit, [checked]) == set(checked.carried)
 
 

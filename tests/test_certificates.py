@@ -92,7 +92,7 @@ STAGES = {
     "invariant-form": lambda: is_invariant_form(SL2, BAD_FORM),
     "reynolds": lambda: is_reynolds(SL2, TWO),
     "compatibility": lambda: compat_certificate(B_OP, AD, TWO),
-    "reynolds-compat": lambda: operator_form_compat(SL2, S_FORM, ID3, "reynolds-compat"),
+    "reynolds-compat": lambda: operator_form_compat(SL2, S_FORM, ID3),
     "ad-intertwiner": lambda: check_ssharp_intertwiner(
         QuadraticReynolds.unchecked(ReynoldsLieAlgebra.unchecked(SL2, B_OP), BAD_FORM)),
     "block-reynolds-identity": lambda: block_window_check(-3, -3, 3, skip_singular=True),

@@ -23,9 +23,8 @@ from algcert.certificates import Certificate, CheckFailed, entail, verified
 from algcert.exact import Mat, Table, integral
 from algcert.lie import (LieAlgebra, Representation, coadjoint_rep, double_table,
                          is_representation, jacobi_check, mult_mats, semidirect)
-from algcert.matched import (COMPAT_ON_G, COMPAT_ON_H, CROSS_MU, CROSS_RHO, MatchedPair,
-                             ReynoldsMatchedPair, compat_stage, double, is_reynolds_matched_pair,
-                             matched_to_manin, reynolds_double)
+from algcert.matched import (MatchedPair, ReynoldsMatchedPair, compat_stage, double,
+                             is_reynolds_matched_pair, matched_to_manin, reynolds_double)
 from algcert.cybe import (PreLieAlgebra, RelativeRB, ReynoldsPreLie, canonical_r,
                           is_cybe_solution, is_prelie, is_relative_rb, is_reynolds_prelie,
                           left_rep, prelie_from_relrb, r_plus, reynolds_tensor_condition,
@@ -172,13 +171,12 @@ def test_drinfeld_double_entails_the_canonical_pair(thmfl, scans, rebind):
     rmp = pairs[0]
     g, h, rho, mu = rmp.pair.g, rmp.pair.h, rmp.pair.rho, rmp.pair.mu
     # each entailed check, run directly outside any scope, passes with the entailed certificate
-    for cert, stage in ((compat_stage(g, h, rho, mu, COMPAT_ON_H), "compat-on-h"),
-                        (compat_stage(h, g, mu, rho, COMPAT_ON_G), "compat-on-g"),
-                        (compat_certificate(rmp.Rg, rho, rmp.Rh, CROSS_RHO), "cross-compat-rho"),
-                        (compat_certificate(rmp.Rh, mu, rmp.Rg, CROSS_MU), "cross-compat-mu")):
+    for cert, stage in ((compat_stage(g, h, rho, mu), "compat-on-h"),
+                        (compat_stage(h, g, mu, rho), "compat-on-h"),
+                        (compat_certificate(rmp.Rg, rho, rmp.Rh), "compatibility"),
+                        (compat_certificate(rmp.Rh, mu, rmp.Rg), "compatibility")):
         assert cert == Certificate.passed(stage)
-    assert [scans[s] for s in ("compat-on-h", "compat-on-g", "cross-compat-rho",
-                               "cross-compat-mu")] == [1, 1, 1, 1]
+    assert [scans[s] for s in ("compat-on-h", "compatibility")] == [2, 2]
     assert is_reynolds_matched_pair(rmp).ok
     assert is_reynolds(dd.L, dd.R).ok and jacobi_check(dd.L).ok
 
@@ -306,11 +304,11 @@ def test_failed_cocycle_or_reynolds_hypotheses_raise_at_the_gate(thmfl):
         rmp = canonical_pair(rb)
         g, h, rho, mu = rmp.pair.g, rmp.pair.h, rmp.pair.rho, rmp.pair.mu
         if stage == "cocycle":
-            assert not compat_stage(g, h, rho, mu, COMPAT_ON_H).ok
-            assert not compat_stage(h, g, mu, rho, COMPAT_ON_G).ok
+            assert not compat_stage(g, h, rho, mu).ok
+            assert not compat_stage(h, g, mu, rho).ok
         else:
-            assert not compat_certificate(rmp.Rg, rho, rmp.Rh, CROSS_RHO).ok
-            assert not compat_certificate(rmp.Rh, mu, rmp.Rg, CROSS_MU).ok
+            assert not compat_certificate(rmp.Rg, rho, rmp.Rh).ok
+            assert not compat_certificate(rmp.Rh, mu, rmp.Rg).ok
 
 
 def test_doubles_of_a_non_lie_dual_raise_at_the_gate(thmfl, non_lie):

@@ -3,6 +3,7 @@ import pytest
 from algcert.bialgebra import canonical_pair
 from algcert.exact import Mat, vbasis, vec
 from algcert.lie import (
+    BilinForm,
     LieAlgebra,
     Representation,
     coadjoint_rep,
@@ -179,6 +180,25 @@ def test_manin_triple_negative_partition(thmfl):
     assert not cert.ok
     names = {p.check: p.ok for p in cert.parts}
     assert names["isotropy-g"] is False or names["closure-g"] is False
+
+
+def test_a_manin_pinpoint_does_not_depend_on_how_the_parts_are_listed():
+    # closure and isotropy walk each part in index order, each index once, so `where` is the
+    # lexicographically first violation however a part is ordered, and a repeated index is
+    # not counted twice.  Here [e_i, e_j] = e3 for i < j ≤ 2, R e0 = e2, R e1 = e3 and S = I:
+    # closure-g fails at (0, 1) and isotropy-g at (0, 0)
+    L = LieAlgebra(4, None, {(0, 1): {3: 1}, (0, 2): {3: 1}, (1, 2): {3: 1}})
+    R = Mat([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
+    S = BilinForm(Mat.identity(4))
+
+    def stages(part_g, part_h):
+        return {p.check: p for p in is_manin_triple(L, R, S, part_g, part_h).parts
+                if p.check != "partition"}
+    first = stages((0, 1, 2), (3,))
+    assert (first["closure-g"].where, first["isotropy-g"].where) == ((0, 1), (0, 0))
+    assert first["isotropy-g"].violations == 3
+    for part_g in ((2, 1, 0), (1, 2, 0), (2, 1, 0, 1)):
+        assert stages(part_g, (3,)) == first, part_g
 
 
 def test_manin_triple_negative_operator(thmfl, b_op):

@@ -102,9 +102,9 @@ def quadratic_cases(draw):
 def test_form_checks_match_full_enumeration(case):
     L, S, R, lam = case
     assert is_invariant_form(L, S).to_json() == dense.is_invariant_form(L, S).to_json()
-    for name, op_lam in (("compat", None), ("compat-lam", lam)):
-        assert (operator_form_compat(L, S, R, name, op_lam).to_json()
-                == dense.operator_form_compat(L, S, R, name, op_lam).to_json())
+    for op_lam in (None, lam):
+        assert (operator_form_compat(L, S, R, op_lam).to_json()
+                == dense.operator_form_compat(L, S, R, op_lam).to_json())
 
 
 def draw_rep(draw, A: NSLieAlgebra) -> NSRep:

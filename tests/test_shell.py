@@ -81,6 +81,16 @@ def test_trivial_matched_builds_an_entry_named_twice_once(name, scans, capsys):
     assert scans["jacobi"] == 1
 
 
+def test_trivial_matched_on_one_algebra_scans_each_computation_once(scans, capsys):
+    # on g = h, ρ and μ are one zero action and Rg and Rh one zero operator, and no memo key
+    # holds a stage name: compat-on-g is compat-on-h's computation and the two cross
+    # compatibilities are one `compatibility` computation, each scanned once
+    assert main_cat(["trivial_matched(sl2,sl2)"]) == 0
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
+    assert dict(scans) == {"jacobi": 1, "representation": 1, "reynolds": 1, "compat-on-h": 1,
+                           "compatibility": 1}
+
+
 def test_catalog_names_listing():
     assert names() == ("sl2", "sl2.B", "sl2.S", "sl2.r", "sl2.km_dual",
                        "abelian(n)", "block(q,lo,hi)", "trivial_matched(a,b)")

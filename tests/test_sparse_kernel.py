@@ -195,9 +195,9 @@ def test_lie_checks_match_dense(case):
     L, R, S, lam = case
     assert jacobi_check(L).to_json() == dense.jacobi_check(L).to_json()
     assert is_invariant_form(L, S).to_json() == dense.is_invariant_form(L, S).to_json()
-    for name, op_lam in (("compat", None), ("compat-lam", lam)):
-        assert (operator_form_compat(L, S, R, name, op_lam).to_json()
-                == dense.operator_form_compat(L, S, R, name, op_lam).to_json())
+    for op_lam in (None, lam):
+        assert (operator_form_compat(L, S, R, op_lam).to_json()
+                == dense.operator_form_compat(L, S, R, op_lam).to_json())
 
 
 @given(algebras())

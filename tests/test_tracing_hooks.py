@@ -94,7 +94,7 @@ def test_a_memo_hit_is_one_traced_call(thmfl, scans):
     assert (calls["check.matched_pair"], scans["compat-on-h"]) == (2, 0)
     # a hit does not run the body, so the second is_matched_pair calls no is_representation
     assert (calls["check.representation"], scans["representation"]) == (2, 2)
-    assert (scans["cross-compat-rho"], scans["cross-compat-mu"]) == (1, 1)
+    assert scans["compatibility"] == 2      # the two cross compatibilities
     # Jacobi of g, g* and the double scanned once each; the hypotheses of the ad* and double
     # entailments ask Jacobi of g and g* again (4 hits)
     assert (calls["check.jacobi"], scans["jacobi"]) == (7, 3)
