@@ -17,9 +17,9 @@ from .cybe import _double_bracket, symmetric_part_invariance
 from .exact import (Mat, Table, Tensor2, flip, integral, leg_sum, products, sapply, saxpy,
                     table_rows, tensor_map, unpack)
 from .lie import (LieAlgebra, Representation, coadjoint_cols, coadjoint_rep, double_table,
-                  dual_basis, is_representation, jacobiator, mult_cols, packed_outer)
-from .matched import MatchedPair, ReynoldsMatchedPair, compat_stage, reynolds_double
-from .reynolds import ReynoldsLieAlgebra, compat_certificate, is_reynolds
+                  dual_basis, jacobiator, mult_cols, packed_outer)
+from .matched import MatchedPair, ReynoldsMatchedPair
+from .reynolds import ReynoldsLieAlgebra, is_reynolds
 
 
 class LieBialgebra(Checked, gate=lambda b: is_lie_bialgebra(b.g, b.dual)):
@@ -32,9 +32,6 @@ class LieBialgebra(Checked, gate=lambda b: is_lie_bialgebra(b.g, b.dual)):
             raise ValueError("g and its dual must have equal dimension")
         self.g = g
         self.dual = dual
-
-    def cobracket(self) -> list[Tensor2]:
-        return cobracket_from_dual(self.dual)
 
 
 def cobracket_from_dual(dual: LieAlgebra) -> list[Tensor2]:
@@ -199,27 +196,23 @@ def canonical_pair(rb: ReynoldsLieBialgebra) -> ReynoldsMatchedPair:
 def drinfeld_double(rb: ReynoldsLieBialgebra) -> ReynoldsLieAlgebra:
     """g⋈g* with mixed bracket via the two coadjoint actions; operator R⊕(−Rᵀ).
 
-    Each stage of the canonical pair's `is_reynolds_matched_pair` is a linear identity of the
-    construction, entailed by a passed leaf of the gate: ad* of g and of g* (residual
-    −(ad's)ᵀ, column k J(e_i, e_j, e_k)) by `jacobi_check` of each; compat-on-h and
-    compat-on-g, `compat_stage` on the pair and on its swap (the cocycle residual reindexed),
-    by `bialgebra_cocycle`; cross-compat-rho and -mu, `compat_certificate` of (R, ρ, −Rᵀ) and
-    (−Rᵀ, μ, R) (minus the transposed Reynolds residuals of (g, R) and (g*, −Rᵀ), as in
-    `dual_reynolds_rep`), by `is_reynolds` of each.  The entries are keyed on the unnamed
-    leaves.  `double` and `reynolds_double` entail the double's own checks in turn.
+    Each of the double's two checks is a linear identity of passed leaves of the gate.  Its
+    Jacobiator is, block by block, J of g and of g*, the representation residuals of ad* of each
+    (−(ad's)ᵀ: column k is J(e_i, e_j, e_k)) and compat-on-h and compat-on-g (the cocycle
+    residual reindexed), so `jacobi_check` of g and of g* and `bialgebra_cocycle` entail its
+    Jacobi check.  Its Reynolds residual is made of those of (g, R) and (g*, −Rᵀ) and ± the two
+    cross compatibilities, which are minus the transposed Reynolds residuals of the same two (as
+    in `dual_reynolds_rep`), so `is_reynolds` of each entails its Reynolds check.
     """
     require(rb.gate())
-    g, dual, R, Rt = rb.bialg.g, rb.bialg.dual, rb.R, rb.Rt
-    rmp = canonical_pair(rb)
-    rho, mu = rmp.pair.rho, rmp.pair.mu
-    cocycle = [bialgebra_cocycle(g, dual)]
-    entail(is_representation, (rho,), "representation", [g.gate()])
-    entail(is_representation, (mu,), "representation", [dual.gate()])
-    entail(compat_stage, (g, dual, rho, mu), "compat-on-h", cocycle)
-    entail(compat_stage, (dual, g, mu, rho), "compat-on-h", cocycle)
-    entail(compat_certificate, (R, rho, Rt), "compatibility", [is_reynolds(g, R)])
-    entail(compat_certificate, (Rt, mu, R), "compatibility", [is_reynolds(dual, Rt)])
-    return reynolds_double(rmp)
+    g, dual, n = rb.bialg.g, rb.bialg.dual, rb.bialg.g.dim
+    sc, dsc, den = integral(g.sc, dual.sc)
+    table = double_table(sc, dsc, coadjoint_cols(table_rows(sc, n, True), n),
+                         coadjoint_cols(table_rows(dsc, n, True), n))
+    L = LieAlgebra(2 * n, g.basis + dual.basis, Table._of(2 * n, table, True, den),
+                   given=[g.gate(), dual.gate(), bialgebra_cocycle(g, dual)])
+    return ReynoldsLieAlgebra(L, Mat.block_diag(rb.R, rb.Rt),
+                              given=[is_reynolds(g, rb.R), is_reynolds(dual, rb.Rt)])
 
 
 @verified

@@ -165,10 +165,8 @@ def descendent_on_W(rel: RelativeRB) -> ReynoldsLieAlgebra:
 def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     """((g,R), (W_K,T); rho, mu) with mu(u)x = K(rho(x)u) − [x,Ku]."""
     desc = descendent_on_W(rel)
-    g = rel.rr.base.L
-    rep = rel.rr.rep
+    g, rep = rel.rr.base.L, rel.rr.rep
     m = rep.module_dim
-    rho = Representation.unchecked(g, m, rep.rho, labels=rep.labels)
     rows, den = table_rows(g.sc.ientries, g.dim, True), g.sc.den
     *act, kcols, d = integral(*rep.rho, rel.K)
     ek = products(rows, None, kcols)        # ek[i][a] = den·d·[e_i, Ke_a]
@@ -179,7 +177,7 @@ def matched_from_relrb(rel: RelativeRB) -> ReynoldsMatchedPair:
     mu_mats = [Mat._of(g.dim, g.dim, [mu_col(a, i) for i in range(g.dim)], d * d * den)
                for a in range(m)]
     mu = Representation.unchecked(desc.L, g.dim, mu_mats, labels=g.basis)
-    pair = MatchedPair(g, desc.L, rho, mu)
+    pair = MatchedPair(g, desc.L, rep, mu)
     return ReynoldsMatchedPair(pair, rel.rr.base.R, rel.rr.T)
 
 

@@ -153,10 +153,12 @@ def doc_to_tensor(doc: dict, dim: int | None = None) -> Tensor2:
         if key in entries:
             raise InputError(f"tensor: duplicate entry {key}")
         entries[key] = _rat(_need(cell, "c", "tensor entry"), "tensor entry")
-    dl = _dim(doc.get("dim_left", dim if dim is not None else 0), "tensor dim_left")
-    dr = _dim(doc.get("dim_right", dim if dim is not None else 0), "tensor dim_right")
-    if dl == 0 and entries:
-        dl = dr = max(max(i, j) for i, j in entries) + 1
+    # a dimension the document gives is kept, a missing one is `dim`; with neither dimension
+    # nor `dim`, the tensor is square, just large enough for its entries
+    if dim is None and "dim_left" not in doc and "dim_right" not in doc:
+        dim = max((max(key) + 1 for key in entries), default=0)
+    dl = _dim(doc.get("dim_left", dim or 0), "tensor dim_left")
+    dr = _dim(doc.get("dim_right", dim or 0), "tensor dim_right")
     return Tensor2(dl, dr, entries)
 
 

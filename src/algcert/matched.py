@@ -27,6 +27,7 @@ from .reynolds import (
     QuadraticReynolds,
     ReynoldsLieAlgebra,
     compat_certificate,
+    induced_algebra,
     inner_products,
     is_quadratic_reynolds,
     is_reynolds,
@@ -143,8 +144,6 @@ def reynolds_double(rmp: ReynoldsMatchedPair) -> ReynoldsLieAlgebra:
 @verified
 def induced_matched_pair(rmp: ReynoldsMatchedPair) -> MatchedPair:
     """The induced pair (g_R, h_R'; rho', mu') of a Reynolds matched pair."""
-    from .reynolds import induced_algebra
-
     require(rmp.gate())
     mp, Rg, Rh = rmp.pair, rmp.Rg, rmp.Rh
     g_ind = induced_algebra(ReynoldsLieAlgebra.unchecked(mp.g, Rg)).L

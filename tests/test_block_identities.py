@@ -31,7 +31,9 @@ The Reynolds identities of the doubles split the same way, for any tables and op
 * on the canonical pair (g, g*; ad*, ad*) the pairing is invariant, so compat-on-h at
   (i, a, b), entry c, is −cocycle(i, c) at (a, b) and compat-on-g at (a, i, j), entry c, is
   −cocycle(i, j) at (a, c); cross-compat-rho and cross-compat-mu are minus the transposed
-  Reynolds residuals of (g, R) and (g*, −Rᵀ): `drinfeld_double` entails all four;
+  Reynolds residuals of (g, R) and (g*, −Rᵀ); so, with the splits above, `drinfeld_double`
+  entails the Jacobi check of g⋈g* from Jacobi of g and g* and the cocycle, and its Reynolds
+  check from the Reynolds checks of (g, R) and (g*, −Rᵀ);
 * the cobracket that D* = (g*)⁻ ⊕ g defines on D = g⋈g* is d r for r = Σᵢ eⁱ⊗eᵢ (eⁱ at index
   n + i), and the cocycle residual of any d r at (x, y) is (A⊗1 + 1⊗A) r, column k of A being
   J(x, y, e_k): `double_quasitriangular` entails the double's cocycle from its Jacobi.
@@ -78,7 +80,7 @@ from hypothesis import assume, given, settings, strategies as st
 import dense_oracle as dense
 from algcert.bialgebra import (bialgebra_cocycle, canonical_pair, cobracket_from_dual,
                                coboundary_cobracket, cocycle_check, double_quasitriangular,
-                               dual_from_cobracket, is_lie_coalgebra)
+                               drinfeld_double, dual_from_cobracket, is_lie_coalgebra)
 from algcert.catalog import sl2, sl2_b, sl2_s
 from algcert import rotabaxter
 from algcert.certificates import scan
@@ -88,7 +90,8 @@ from algcert.cybe import (PreLieAlgebra, RelativeRB, cybe_bracket, is_cybe_solut
 from algcert.exact import Mat, Tensor2, flip, vbasis, vsub
 from algcert.lie import (BilinForm, LieAlgebra, Representation, adjoint_rep, coadjoint_rep,
                          dual_rep, is_invariant_form, is_representation, jacobi_check, mult_mats)
-from algcert.matched import _compat_stages, is_matched_pair
+from algcert.matched import (_compat_stages, is_matched_pair, is_reynolds_matched_pair,
+                             reynolds_double)
 from algcert.reynolds import (ReynoldsLieAlgebra, compat_certificate, is_reynolds,
                               operator_form_compat)
 from algcert.rotabaxter import (QuadraticRB, RotaBaxterAlg, dual_bracket_from_r,
@@ -574,7 +577,7 @@ def check_cross_compat_is_reynolds(g: LieAlgebra, dual: LieAlgebra, R: Mat) -> N
 
 def check_double_cobracket_is_a_coboundary(g: LieAlgebra, dual: LieAlgebra) -> LieAlgebra:
     """The cobracket of D = g⋈g* that D* = (g*)⁻ ⊕ g defines is d r for r = Σᵢ eⁱ⊗eᵢ, eⁱ at
-    index n + i; returns D."""
+    index n + i; returns D, built by the reference `double_table`."""
     n = g.dim
     D, star = double_table(g, dual, *canonical_actions(g, dual)), dual_of_double(g, dual)
     r = Tensor2(2 * n, 2 * n, {(n + i, i): 1 for i in range(n)})
@@ -597,12 +600,31 @@ def check_coboundary_cocycle(L: LieAlgebra, r: Tensor2) -> None:
     assert jacobi_check(L).ok <= cocycle_check(L, deltas).ok
 
 
+def check_double_verdicts(g: LieAlgebra, dual: LieAlgebra, R: Mat, D: LieAlgebra) -> None:
+    """The two checks `drinfeld_double` entails, on D = g⋈g*: Jacobi of D passes exactly when
+    Jacobi of g and of g* and the cocycle pass, and Reynolds of R⊕(−Rᵀ) on D exactly when
+    Reynolds of (g, R) and of (g*, −Rᵀ) pass."""
+    Rt = -R.transpose()
+    assert jacobi_check(D).ok == (jacobi_check(g).ok and jacobi_check(dual).ok
+                                  and bialgebra_cocycle(g, dual).ok)
+    assert is_reynolds(D, Mat.block_diag(R, Rt)).ok == (is_reynolds(g, R).ok
+                                                       and is_reynolds(dual, Rt).ok)
+
+
+def test_drinfeld_double_is_the_double_of_the_canonical_pair():
+    for name, rb in RBS:
+        rmp = canonical_pair(rb)
+        assert drinfeld_double(rb) == reynolds_double(rmp), name
+        assert is_reynolds_matched_pair(rmp).ok, name
+
+
 def test_the_entailed_stages_on_thmfl_bialgebras():
     for name, rb in RBS[:2]:
         g, dual = rb.bialg.g, rb.bialg.dual
         check_compat_is_the_cocycle(g, dual)
         check_cross_compat_is_reynolds(g, dual, rb.R)
         D = check_double_cobracket_is_a_coboundary(g, dual)
+        check_double_verdicts(g, dual, rb.R, D)
         # the tables the library builds are these
         out = double_quasitriangular(rb)
         assert (out.bialg.g.sc, out.bialg.dual.sc) == (D.sc, dual_of_double(g, dual).sc), name
@@ -634,6 +656,8 @@ def test_the_entailed_stages_on_random_non_lie_inputs(case):
     check_compat_is_the_cocycle(g, dual)
     check_cross_compat_is_reynolds(g, dual, R)
     D = check_double_cobracket_is_a_coboundary(g, dual)
+    for op in (R, Mat.zeros(3, 3)):          # R = 0 is Reynolds on any bracket
+        check_double_verdicts(g, dual, op, D)
     check_coboundary_cocycle(g, r)
     check_coboundary_cocycle(D, Tensor2(6, 6, {(3 + i, i): 1 for i in range(3)}))
 
@@ -701,8 +725,6 @@ def double_qrb(lam, perturb: bool = False) -> QuadraticRB:
     B = −λ·(the projection onto g along g*): quadratic Rota-Baxter of weight λ.  `perturb`
     adds 1 to S([e_0, e_3], e_4) and its skew images: S stays invariant and B Rota-Baxter,
     but D is no Lie algebra."""
-    from algcert.bialgebra import drinfeld_double
-
     D, n = drinfeld_double(RBS[0][1]).L, 3
     sc = {key: dict(comp) for key, comp in D.sc.items()}
     if perturb:

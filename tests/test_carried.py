@@ -118,7 +118,7 @@ def test_assigning_a_slot_raises(thmfl, entailment_audit):
 
 # -- nothing carried from an unchecked or a failed construction -----------------------------
 
-def test_an_unchecked_structure_carries_nothing(sl2, b_op, thmfl, rebind):
+def test_an_unchecked_structure_carries_nothing(sl2, b_op, thmfl):
     assert LieAlgebra.unchecked(sl2.dim, sl2.basis, sl2.sc).carried == ()
 
     @verified
@@ -129,11 +129,8 @@ def test_an_unchecked_structure_carries_nothing(sl2, b_op, thmfl, rebind):
 
     for x in scope(LieAlgebra.unchecked(sl2.dim, sl2.basis, sl2.sc)):
         assert x.carried == ()
-    # the unchecked matched pair `drinfeld_double` builds in its scope, and its actions
-    pairs, raw = [], canonical_pair
-    rebind(raw, lambda rb: pairs.append(raw(rb)) or pairs[-1])
-    drinfeld_double(thmfl)
-    rmp = pairs[0]
+    # the unchecked canonical pair of a checked bialgebra, and its actions
+    rmp = canonical_pair(thmfl)
     for x in (rmp, rmp.pair, rmp.pair.rho, rmp.pair.mu):
         assert x.carried == ()
     assert rmp.pair.g.carried and rmp.pair.h.carried    # thmfl's own g and g*

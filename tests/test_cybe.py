@@ -125,6 +125,22 @@ def test_matched_from_relrb(sl2_reynolds, sl2_qrb):
     assert is_reynolds_matched_pair(matched_from_relrb(zero)).ok
 
 
+def test_matched_from_relrb_hands_on_the_relative_rb_representation(sl2_reynolds, sl2_qrb,
+                                                                    scans):
+    # ρ of the pair is rel.rr.rep itself, whose checks rel carries or its gate decided: the
+    # pair's gate scans only μ's representation and cross-compat-mu
+    rel = coadjoint_relrb(sl2_reynolds, sl2_qrb)
+    scans.clear()
+    rmp = matched_from_relrb(rel)
+    assert dict(scans) == {"jacobi": 1, "reynolds": 2, "representation": 1, "compat-on-h": 2,
+                           "compatibility": 1}
+    assert rmp.pair.rho is rel.rr.rep
+    # an unchecked copy carries nothing: its gate scans ρ's representation and compatibility
+    scans.clear()
+    matched_from_relrb(RelativeRB.unchecked(rel.rr, rel.K))
+    assert (scans["representation"], scans["compatibility"]) == (2, 2)
+
+
 def test_rk_solution(sl2_reynolds, sl2_qrb):
     rel = coadjoint_relrb(sl2_reynolds, sl2_qrb)
     ambient, rk = rk_solution(rel)

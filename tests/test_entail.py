@@ -124,26 +124,10 @@ def test_reynolds_double_and_manin_entail_reynolds(thmfl, scans):
         assert jacobi_check(out.L).ok
 
 
-def test_drinfeld_double_entails_the_coadjoint_actions(thmfl, scans, rebind):
-    pairs = []
-    raw = canonical_pair
-
-    def recorded(rb):
-        pairs.append(raw(rb))
-        return pairs[-1]
-    rebind(raw, recorded)
-    dd = drinfeld_double(thmfl)
-    assert scans["representation"] == 0 and len(pairs) == 1
-    for rep in (pairs[0].pair.rho, pairs[0].pair.mu):
-        assert is_representation(rep) == Certificate.passed("representation")
-    assert is_reynolds(dd.L, dd.R).ok and jacobi_check(dd.L).ok
-
-
 def test_double_quasitriangular_entails_its_dual(thmfl, scans):
     double_quasitriangular(ReynoldsLieBialgebra.unchecked(thmfl.bialg, thmfl.R))
     # on an unchecked copy, which carries nothing: Jacobi, Reynolds and the cocycle of (g, g*)
-    # only; the double's and its dual's checks, the double's cocycle and every stage of the
-    # canonical pair are entailed
+    # only; the double's and its dual's checks and the double's cocycle are entailed
     assert (scans["jacobi"], scans["reynolds"], scans["cocycle"]) == (2, 2, 1)
     assert sum(scans.values()) == 5
     scans.clear()
@@ -161,24 +145,37 @@ def test_double_quasitriangular_entails_its_dual(thmfl, scans):
     assert is_reynolds_bialgebra(out.bialg, out.R).ok
 
 
+def test_drinfeld_double_entails_the_coadjoint_actions(thmfl, scans, rebind):
+    pairs = []
+    rebind(canonical_pair, pairs.append)
+    # on an unchecked copy, which carries nothing: Jacobi, Reynolds and the cocycle of (g, g*)
+    # only; the double's Jacobi, whose blocks hold the residuals of the coadjoint actions, and
+    # its Reynolds check are entailed: no action is built or scanned as a representation
+    dd = drinfeld_double(ReynoldsLieBialgebra.unchecked(thmfl.bialg, thmfl.R))
+    assert dict(scans) == {"jacobi": 2, "reynolds": 2, "cocycle": 1} and pairs == []
+    # the coadjoint actions, built apart and computed outside any scope, are representations
+    rmp = canonical_pair(thmfl)
+    for rep in (rmp.pair.rho, rmp.pair.mu):
+        assert is_representation(rep) == Certificate.passed("representation")
+    assert is_reynolds(dd.L, dd.R).ok and jacobi_check(dd.L).ok
+
+
 def test_drinfeld_double_entails_the_canonical_pair(thmfl, scans, rebind):
     pairs = []
-    raw = canonical_pair
-    rebind(raw, lambda rb: pairs.append(raw(rb)) or pairs[-1])
+    rebind(canonical_pair, pairs.append)
+    # thmfl carries its gate: nothing is scanned; no canonical pair is built
     dd = drinfeld_double(thmfl)
-    # thmfl carries its gate; each stage of the canonical pair is entailed: nothing is scanned
-    assert sum(scans.values()) == 0 and len(pairs) == 1
-    rmp = pairs[0]
-    g, h, rho, mu = rmp.pair.g, rmp.pair.h, rmp.pair.rho, rmp.pair.mu
+    assert sum(scans.values()) == 0 and pairs == []
     # each entailed check, run directly outside any scope, passes with the entailed certificate
-    for cert, stage in ((compat_stage(g, h, rho, mu), "compat-on-h"),
-                        (compat_stage(h, g, mu, rho), "compat-on-h"),
-                        (compat_certificate(rmp.Rg, rho, rmp.Rh), "compatibility"),
-                        (compat_certificate(rmp.Rh, mu, rmp.Rg), "compatibility")):
-        assert cert == Certificate.passed(stage)
-    assert [scans[s] for s in ("compat-on-h", "compatibility")] == [2, 2]
+    assert certificates._scope.get() is None
+    assert jacobi_check(dd.L) == Certificate.passed("jacobi")
+    assert is_reynolds(dd.L, dd.R) == Certificate.passed("reynolds")
+    assert dict(scans) == {"jacobi": 1, "reynolds": 1}
+    # the canonical pair it no longer builds is a Reynolds matched pair with the same double
+    rmp = canonical_pair(thmfl)
     assert is_reynolds_matched_pair(rmp).ok
-    assert is_reynolds(dd.L, dd.R).ok and jacobi_check(dd.L).ok
+    via_pair = reynolds_double(rmp)
+    assert dd.L == via_pair.L and dd.R == via_pair.R
 
 
 def test_the_dual_operator_is_always_minus_r_transpose(thmfl):
@@ -300,7 +297,8 @@ def test_failed_cocycle_or_reynolds_hypotheses_raise_at_the_gate(thmfl):
                 build(rb)
             assert exc.value.certificate == is_reynolds_bialgebra(rb.bialg, rb.R)
             assert exc.value.certificate.first_failure().check == stage
-        # and the stages they would entail, computed, fail with them
+        # and the canonical pair's stages, blocks of the checks they would entail, computed,
+        # fail with them
         rmp = canonical_pair(rb)
         g, h, rho, mu = rmp.pair.g, rmp.pair.h, rmp.pair.rho, rmp.pair.mu
         if stage == "cocycle":
@@ -312,7 +310,7 @@ def test_failed_cocycle_or_reynolds_hypotheses_raise_at_the_gate(thmfl):
 
 
 def test_doubles_of_a_non_lie_dual_raise_at_the_gate(thmfl, non_lie):
-    # Jacobi of g* is a hypothesis of the coadjoint and dual-of-double entailments; it is
+    # Jacobi of g* is a hypothesis of the double's and the dual-of-double entailments; it is
     # also a stage of the gate, which fails first
     rb = ReynoldsLieBialgebra.unchecked(LieBialgebra.unchecked(thmfl.bialg.g, non_lie), thmfl.R)
     for build in (drinfeld_double, double_quasitriangular):

@@ -142,6 +142,28 @@ def test_tensor_and_form_roundtrip(r_tensor, s_form):
     assert fio.doc_to_form(roundtrip(fio.form_to_doc(s_form))) == s_form
 
 
+def test_a_tensor_keeps_the_dimensions_its_document_gives(tmp_path, sl2, r_tensor, capsys):
+    # a given dimension is kept, a missing one is the caller's (else 0): none of these is
+    # reshaped to fit its entries
+    entries = [{"i": 0, "j": 1, "c": "1"}]
+    zero_left = {"dim_left": 0, "dim_right": 5, "entries": entries}
+    for doc, dim in ((zero_left, None), ({"dim_right": 5, "entries": entries}, None),
+                     (zero_left, 3)):
+        with pytest.raises(fio.InputError, match=r"tensor index \(0,1\) out of bounds"):
+            fio.doc_to_tensor(doc, dim)
+    assert main_check(["cybe", sl2_file(tmp_path, sl2),
+                       "--tensor", write(tmp_path, "t.json", zero_left)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "input error: tensor index (0,1) out of bounds\n")
+    # only a document with neither dimension, read without `dim`, takes its square shape from
+    # its entries
+    assert fio.doc_to_tensor({"entries": entries}).dims == (2, 2)
+    assert fio.doc_to_tensor({"entries": entries}, 3).dims == (3, 3)
+    # and a tensor read from it round-trips
+    bare = fio.doc_to_tensor({"entries": fio.tensor_to_doc(r_tensor)["entries"]})
+    assert fio.doc_to_tensor(roundtrip(fio.tensor_to_doc(bare))) == bare
+
+
 def test_ns_roundtrip(sl2_reynolds):
     ns = ns_from_reynolds(sl2_reynolds)
     back = fio.doc_to_ns(roundtrip(fio.ns_to_doc(ns)))
